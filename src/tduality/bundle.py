@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scalar import CScalar, Domain, ZERO, diff, evaluate
-from .exterior import Coframe, Form, wedge
+from .exterior import Coframe, Form, contract_sign, strip_rightmost, wedge
 
 __all__ = [
     "BundleChart", "CorrespondenceChart",
@@ -131,10 +131,8 @@ def exterior_derivative(rho, chart):
                 continue
             dgen = chart.curvature.get(cof.names[i])
             if dgen is not None and not dgen.is_zero():
-                lower = mask & ((1 << i) - 1)
-                sign = -1 if bin(lower).count("1") % 2 else 1
                 term = wedge(dgen, Form(cof, {mask & ~(1 << i): c}))
-                out = out + (term if sign > 0 else -term)
+                out = out + (term if contract_sign(mask, i) > 0 else -term)
     return out
 
 
@@ -170,12 +168,8 @@ def split_flux(chart):
             continue
         i = fiber_bits.bit_length() - 1
         gen = cof.names[i]
-        rest = mask & ~(1 << i)
-        # coeff * e_mask = coeff' * e_rest ^ theta_i with the theta rightmost
-        from .exterior import _wedge_sign
-        sign = _wedge_sign(rest, 1 << i)
-        term = Form(cof, {rest: -c if sign < 0 else c})
-        ct[gen] = ct[gen] + term
+        rest, term = strip_rightmost(mask, c, 1 << i)
+        ct[gen] = ct[gen] + Form(cof, {rest: term})
     return ct, h
 
 
@@ -233,10 +227,8 @@ class CorrespondenceChart:
     def dual_fiber_names(self):
         return self.chart_mt.fiber_names
 
-    def pull_m(self, rho):
-        return rho.map_to(self.total.coframe)
-
-    def pull_mt(self, rho):
+    def pull(self, rho):
+        """Pull a form on either chart back to the correspondence."""
         return rho.map_to(self.total.coframe)
 
     def push_mt(self, rho):
@@ -248,7 +240,7 @@ class CorrespondenceChart:
 
     def flux_difference_residual(self):
         """p*H - pt*Ht - dF as a form on the correspondence."""
-        lhs = self.pull_m(self.chart_m.flux) - self.pull_mt(self.chart_mt.flux)
+        lhs = self.pull(self.chart_m.flux) - self.pull(self.chart_mt.flux)
         return lhs - exterior_derivative(self.F, self.total)
 
     def fiber_block(self):
@@ -285,13 +277,10 @@ def make_correspondence(chart, dual, flux_maker):
 # -- validation ---------------------------------------------------------------------
 
 def form_residual(form, domain, points):
-    """Max over points of the max absolute coefficient value."""
-    worst = 0.0
-    for p in points:
-        memo = {}
-        for c in form.coeffs.values():
-            worst = max(worst, abs(c.evaluate(p, memo)))
-    return worst
+    """Max over points of the max absolute coefficient value (``domain`` is
+    not used; the points carry all the information)."""
+    return max((abs(v) for p in points for v in form.eval_coeffs(p).values()),
+               default=0.0)
 
 
 @dataclass

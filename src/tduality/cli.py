@@ -29,8 +29,6 @@ def build_parser():
                       help="base tolerance for structural residuals (default 1e-9)")
     runp.add_argument("--out", type=str, default=None,
                       help="report path (default <scenario>.report.jsonl)")
-    runp.add_argument("--list", action="store_true", dest="list_only",
-                      help="list scenarios and exit")
     sub.add_parser("list", help="list registered scenarios")
     return parser
 
@@ -43,7 +41,7 @@ def _list_scenarios():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "list" or getattr(args, "list_only", False):
+    if args.command == "list":
         _list_scenarios()
         return 0
     if args.command != "run" or not getattr(args, "scenario", None):

@@ -30,9 +30,9 @@ from .exterior import Form, FrameVector, clifford_act, contract
 from .bundle import exterior_derivative, twisted_derivative, form_residual
 
 __all__ = [
-    "Section", "pairing", "lie_bracket", "lie_derivative", "courant_bracket",
-    "b_transform", "b_transform_form", "bracket_spinor_residual",
-    "check_lift_splitting", "section_basis",
+    "Section", "pairing", "split_pairing_matrix", "lie_bracket", "lie_derivative",
+    "courant_bracket", "b_transform", "bracket_spinor_residual",
+    "check_lift_splitting", "section_basis", "section_residual",
 ]
 
 
@@ -130,6 +130,18 @@ def pairing(v, w):
     return total * CScalar.of(rat(1, 2))
 
 
+def split_pairing_matrix(m):
+    """Matrix of the pairing on the 2m section coordinates (X, xi) of
+    section_basis: off-diagonal halves."""
+    half = 0.5 * np.eye(m)
+    return np.block([[np.zeros((m, m)), half], [half, np.zeros((m, m))]])
+
+
+def section_residual(s, points):
+    """Max over points of the largest absolute component of a section."""
+    return max((float(np.abs(s.eval_vector(p)).max()) for p in points), default=0.0)
+
+
 def _frame_derivative(chart, name, c):
     """E_alpha applied to an invariant coefficient: d/dx for base lifts, 0 on fibers."""
     i = chart.coframe.index(name)
@@ -193,12 +205,6 @@ def b_transform(b, v):
     if not all(d == 2 for d in b.degrees()):
         raise ValueError("B must be a 2-form")
     return Section(v.x, v.xi - contract(v.x, b))
-
-
-def b_transform_form(b, rho):
-    """Spinor counterpart rho -> e^B ^ rho."""
-    from .exterior import exp_form, wedge as _w
-    return _w(exp_form(b), rho)
 
 
 def bracket_spinor_residual(v, w, rho, chart, points):

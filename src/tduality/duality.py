@@ -27,7 +27,7 @@ import numpy as np
 from .scalar import (CScalar, ZERO, ONE, rat, sadd, sdiv, smul, sneg, ssub,
                      solve_linear_symbolic, sym_matrix_inverse)
 from .exterior import (Form, FrameVector, contract, exp_form,
-                       fiber_integrate, wedge)
+                       fiber_integrate, strip_rightmost, wedge)
 from .bundle import (CorrespondenceChart, build_dual_chart, form_residual,
                      make_correspondence, validate_pair)
 from .courant import Section, section_basis
@@ -101,7 +101,7 @@ class DualityPair:
 def dualize_form(rho, pair):
     """Integral over the fibers of e^F ^ (pullback of rho), as a form on the dual."""
     corr = pair.corr
-    lifted = corr.pull_m(rho)
+    lifted = corr.pull(rho)
     integrand = wedge(exp_form(corr.F), lifted)
     down = fiber_integrate(integrand, ("fiber",))
     return corr.push_mt(down)
@@ -110,65 +110,28 @@ def dualize_form(rho, pair):
 def dualize_form_reverse(rho_t, pair):
     """The reverse-direction transform: e^(-F), integrating the dual fibers."""
     corr = pair.corr
-    lifted = corr.pull_mt(rho_t)
+    lifted = corr.pull(rho_t)
     integrand = wedge(exp_form(-corr.F), lifted)
     down = fiber_integrate(integrand, ("cofiber",))
     return corr.push_m(down)
 
 
-def reverse_sign(pair, point=None):
-    """Global constant c with reverse(forward(rho)) = c rho, measured on probes."""
-    cof = pair.chart.coframe
-    probe = Form.scalar(cof, 1)
+def reverse_sign(pair):
+    """Global constant c with reverse(forward(rho)) = c rho, measured on the
+    constant probe at the midpoint of the chart box."""
+    probe = Form.scalar(pair.chart.coframe, 1)
     back = dualize_form_reverse(dualize_form(probe, pair), pair)
-    c = back.coeff(0)
-    if point is None:
-        point = {v: (lo + hi) / 2 for v, (lo, hi) in pair.chart.domain.intervals.items()}
+    point = {v: (lo + hi) / 2 for v, (lo, hi) in pair.chart.domain.intervals.items()}
     return back.coeff(0).evaluate(point)
 
 
 def transform_matrix_at(pair, point):
-    """Pointwise matrix of the form transform on coefficient vectors."""
-    corr = pair.corr
-    cof_m = pair.chart.coframe
-    cof_t = pair.dual.coframe
-    cof_total = corr.total.coframe
-    memo = {}
-    ef = exp_form(corr.F).eval_coeffs(point, memo)
-    from .exterior import _wedge_sign
-    # embedding masks: chart generators into the total coframe
-    embed_m = [cof_total.index(n) for n in cof_m.names]
-    vol = cof_total.tag_mask("fiber")
-    out_index = {}
-    for i, n in enumerate(cof_t.names):
-        out_index[cof_total.index(n)] = i
-    t = np.zeros((1 << cof_t.dim, 1 << cof_m.dim), dtype=complex)
-    for mask_m in range(1 << cof_m.dim):
-        lifted = 0
-        for i in range(cof_m.dim):
-            if mask_m >> i & 1:
-                lifted |= 1 << embed_m[i]
-        for fmask, fcoef in ef.items():
-            if fmask & lifted:
-                continue
-            sign = _wedge_sign(fmask, lifted)
-            total_mask = fmask | lifted
-            if total_mask & vol != vol:
-                continue
-            rest = total_mask & ~vol
-            sign *= _wedge_sign(rest, vol)
-            out_mask = 0
-            ok = True
-            for j in range(cof_total.dim):
-                if rest >> j & 1:
-                    if j not in out_index:
-                        ok = False
-                        break
-                    out_mask |= 1 << out_index[j]
-            if not ok:
-                raise AssertionError("integration left a fiber generator behind")
-            t[out_mask, mask_m] += sign * fcoef
-    return t
+    """Pointwise matrix of the form transform on coefficient vectors: column
+    ``mask`` is the transform of the basis monomial e_mask at the point."""
+    cof = pair.chart.coframe
+    cols = [dualize_form(Form(cof, {mask: CScalar.one()}), pair).eval_vector(point)
+            for mask in range(1 << cof.dim)]
+    return np.stack(cols, axis=1)
 
 
 # -- the section transform --------------------------------------------------------------
@@ -183,22 +146,13 @@ def dualize_section(v, pair):
     corr = pair.corr
     cof = corr.total.coframe
     w = v.map_to(cof)
-    k = pair.k
-    fibers = corr.fiber_names
     cofibers = corr.dual_fiber_names
     # right-hand side: xi(E_theta_i) - F(X_known, E_theta_i)
-    block = [[ZERO] * k for _ in range(k)]
-    rhs = []
-    for i, ni in enumerate(fibers):
-        val = w.xi.coeff(1 << cof.index(ni))
-        known = contract(w.x, corr.F).coeff(1 << cof.index(ni))
-        rhs.append(val - known)
-        for j, nj in enumerate(cofibers):
-            # coefficient of E_thetat_j in F(. , E_theta_i)
-            c = contract(FrameVector.basis(cof, nj), corr.F).coeff(1 << cof.index(ni))
-            if not c.im.is_zero():
-                raise ValueError("correspondence form must be real")
-            block[i][j] = c.re
+    known = contract(w.x, corr.F)
+    rhs = [w.xi.coeff(bit) - known.coeff(bit)
+           for bit in (1 << cof.index(n) for n in corr.fiber_names)]
+    # F(E_thetat_j, E_theta_i) = -F(E_theta_i, E_thetat_j)
+    block = [[sneg(e) for e in row] for row in pair.fiber_block()]
     lift_re = solve_linear_symbolic(block, [r.re for r in rhs])
     lift_im = solve_linear_symbolic(block, [r.im for r in rhs])
     lift = FrameVector(cof, tuple(
@@ -310,12 +264,10 @@ def split_two_form(b, chart):
     th_bit = 1 << cof.index(chart.fiber_names[0])
     b1 = Form.zero(cof)
     b2 = Form.zero(cof)
-    from .exterior import _wedge_sign
     for mask, c in b.coeffs.items():
         if mask & th_bit:
-            rest = mask & ~th_bit
-            sign = _wedge_sign(rest, th_bit)
-            b1 = b1 + Form(cof, {rest: -c if sign < 0 else c})
+            rest, term = strip_rightmost(mask, c, th_bit)
+            b1 = b1 + Form(cof, {rest: term})
         else:
             b2 = b2 + Form(cof, {mask: c})
     return b1, b2
@@ -395,22 +347,21 @@ def dual_type_at(spinor, pair, point, tol=1e-9):
         raise ValueError("spinor carries no construction data")
     corr = pair.corr
     cof = corr.total.coframe
-    two_form = corr.F + corr.pull_m(spinor.b + spinor.omega.scale(CScalar.i()))
-    omega_big = corr.pull_m(spinor.lowest)
+    two_form = corr.F + corr.pull(spinor.b + spinor.omega.scale(CScalar.i()))
+    omega_big = corr.pull(spinor.lowest)
     k = pair.k
     base_type = spinor.lowest.max_degree()
     power = Form.scalar(cof, 1)
-    memo = {}
     for j in range(0, k + 1):
         if j > 0:
             power = wedge(power, two_form)
         integrand = wedge(power, omega_big)
-        scale = max((abs(v) for v in integrand.eval_coeffs(point, memo).values()),
+        scale = max((abs(v) for v in integrand.eval_coeffs(point).values()),
                     default=0.0)
         if scale == 0.0:
             continue
         integral = fiber_integrate(integrand, ("fiber",))
-        vals = integral.eval_coeffs(point, memo)
+        vals = integral.eval_coeffs(point)
         magnitude = max((abs(v) for v in vals.values()), default=0.0)
         if magnitude > tol * scale:
             return base_type + 2 * j - k, j

@@ -16,7 +16,7 @@ from .scalar import CScalar, rat
 __all__ = [
     "Coframe", "Form", "FrameVector",
     "wedge", "contract", "clifford_act", "reversal", "mukai_pairing",
-    "exp_form", "fiber_integrate",
+    "exp_form", "fiber_integrate", "strip_rightmost", "contract_sign",
     "form_to_text", "form_from_text",
 ]
 
@@ -80,9 +80,17 @@ def _wedge_sign(a, b):
     return sign
 
 
-def _contract_sign(mask, i):
+def contract_sign(mask, i):
+    """Sign of removing generator i from e_mask by moving it to the front."""
     below = mask & ((1 << i) - 1)
     return -1 if bin(below).count("1") % 2 else 1
+
+
+def strip_rightmost(mask, c, right):
+    """Rewrite c e_mask as c' e_rest ^ e_right for a submask ``right`` of
+    ``mask``; returns (rest, c')."""
+    rest = mask & ~right
+    return rest, (-c if _wedge_sign(rest, right) < 0 else c)
 
 
 class Form:
@@ -308,13 +316,6 @@ def wedge(a, b):
     return Form(a.coframe, out)
 
 
-def wedge_all(*forms):
-    out = forms[0]
-    for f in forms[1:]:
-        out = wedge(out, f)
-    return out
-
-
 def contract(x, form):
     """Interior product i_X, a degree -1 antiderivation."""
     if x.coframe != form.coframe:
@@ -327,7 +328,7 @@ def contract(x, form):
         for mask, c in form.coeffs.items():
             if not mask & bit:
                 continue
-            sign = _contract_sign(mask, i)
+            sign = contract_sign(mask, i)
             m = mask & ~bit
             term = c * comp
             if sign < 0:
@@ -390,9 +391,7 @@ def fiber_integrate(rho, coframe_tags=("fiber",)):
     for mask, c in rho.coeffs.items():
         if mask & vol != vol:
             continue
-        rest = mask & ~vol
-        sign = _wedge_sign(rest, vol)
-        term = -c if sign < 0 else c
+        rest, term = strip_rightmost(mask, c, vol)
         out[rest] = out[rest] + term if rest in out else term
     return Form(rho.coframe, out)
 

@@ -16,23 +16,16 @@ import numpy as np
 
 from .scalar import evaluate
 from .exterior import Form, FrameVector, contract
-from .courant import Section, pairing
+from .courant import Section, pairing, split_pairing_matrix
 from .duality import section_transform_matrix_at
-from .structures import RANK_TOL, gcs_matrix_at
+from .structures import RANK_TOL, PointFrame, gcs_matrix_at, two_form_matrix_at
 
 __all__ = [
     "LiftedActionPoint", "ReducedSpace", "reduce_pointwise",
     "pairing_constant_check", "duality_lift_sections", "ReductionReport",
     "double_quotient_report", "generalized_tangent_basis",
-    "transversality_check", "fourier_mukai_check", "split_pairing_matrix",
-    "signature_of", "product_pairing_matrix",
+    "transversality_check", "fourier_mukai_check", "signature_of",
 ]
-
-
-def split_pairing_matrix(m):
-    """Pairing matrix of T+T* in the frame basis: off-diagonal halves."""
-    half = 0.5 * np.eye(m)
-    return np.block([[np.zeros((m, m)), half], [half, np.zeros((m, m))]])
 
 
 def signature_of(sym_matrix, tol=RANK_TOL):
@@ -73,26 +66,10 @@ class ReducedSpace:
         return self.quotient.shape[1]
 
 
-def _nullspace(a, tol=RANK_TOL):
-    if a.shape[0] == 0:
-        return np.eye(a.shape[1])
-    u, s, vh = np.linalg.svd(a)
-    rank = int(np.sum(s > tol * s[0])) if s.size else 0
-    return vh[rank:].conj().T
-
-
 def _intersect(a, b, tol=RANK_TOL):
-    """Basis of span(a) intersect span(b)."""
-    if a.shape[1] == 0 or b.shape[1] == 0:
-        return np.zeros((a.shape[0], 0))
-    stacked = np.concatenate([a, -b], axis=1)
-    null = _nullspace(stacked, tol)
-    if null.shape[1] == 0:
-        return np.zeros((a.shape[0], 0))
-    vecs = a @ null[:a.shape[1]]
-    u, s, _ = np.linalg.svd(vecs, full_matrices=False)
-    rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
-    return u[:, :rank]
+    """Orthonormal basis of span(a) intersect span(b)."""
+    null = PointFrame.nullspace(np.concatenate([a, -b], axis=1), tol)
+    return PointFrame.orthonormal_span(a @ null[:a.shape[1]], tol)
 
 
 def reduce_pointwise(action, tol=RANK_TOL):
@@ -103,13 +80,13 @@ def reduce_pointwise(action, tol=RANK_TOL):
     """
     g = action.pairing
     k = action.generators
-    perp = _nullspace(k.T @ g, tol)
+    perp = PointFrame.nullspace(k.T @ g, tol)
     k_orth = np.linalg.qr(k)[0] if k.shape[1] else k
     radical = _intersect(k_orth, perp, tol)
     # quotient representatives: complement of the radical inside K-perp
     if radical.shape[1]:
         coords = radical.conj().T @ perp    # radical expressed against perp basis
-        complement = _nullspace(coords, tol)
+        complement = PointFrame.nullspace(coords, tol)
         quotient = perp @ complement
     else:
         quotient = perp
@@ -124,13 +101,8 @@ def pairing_constant_check(sections, chart, points, tol=1e-9):
     """True when all pairwise pairings of the lift generators are constant
     across the sampled points (a lifted action induces a fixed symmetric
     form on the acting algebra)."""
-    values = []
-    for p in points:
-        memo = {}
-        mat = np.array([[pairing(a, b).evaluate(p, memo) for b in sections]
-                        for a in sections])
-        values.append(mat)
-    stack = np.stack(values)
+    stack = np.stack([np.array([[pairing(a, b).evaluate(p) for b in sections]
+                                for a in sections]) for p in points])
     spread = np.abs(stack - stack.mean(axis=0)).max()
     return bool(spread <= tol * (1.0 + np.abs(stack).max())), float(spread)
 
@@ -160,12 +132,6 @@ class ReductionReport:
     isometry_defect_mt: float
     rank_ok: bool
 
-    @property
-    def ok(self, tol=1e-9):
-        return (self.isotropy_residual_k <= tol and self.isotropy_residual_kt <= tol
-                and self.split_signature_ok and self.rank_ok
-                and self.isometry_defect_m <= tol and self.isometry_defect_mt <= tol)
-
 
 def double_quotient_report(pair, point, tol=RANK_TOL):
     """Check that the correspondence reduces isometrically onto both sides.
@@ -179,8 +145,7 @@ def double_quotient_report(pair, point, tol=RANK_TOL):
     total_cof = pair.total.coframe
     mt = total_cof.dim
     g_total = split_pairing_matrix(mt)
-    memo = {}
-    lifts = [s.eval_vector(point, memo) for s in duality_lift_sections(pair)]
+    lifts = [s.eval_vector(point) for s in duality_lift_sections(pair)]
     k = pair.k
     k_vecs = np.stack(lifts[:k], axis=1)
     kt_vecs = np.stack(lifts[k:], axis=1)
@@ -190,7 +155,7 @@ def double_quotient_report(pair, point, tol=RANK_TOL):
     gram = (kk.T @ g_total @ kk).real
     sig = signature_of(gram, tol)
     split_ok = sig[:2] == (k, k)
-    perp = _nullspace(kk.T @ g_total, tol)
+    perp = PointFrame.nullspace(kk.T @ g_total, tol)
 
     fiber_idx = [total_cof.index(n) for n in corr.fiber_names]
     cofiber_idx = [total_cof.index(n) for n in corr.dual_fiber_names]
@@ -216,7 +181,7 @@ def double_quotient_report(pair, point, tol=RANK_TOL):
 
     # route onto the second factor: shear by F so the first-factor lift
     # becomes tangent, then drop its fiber components
-    f_mat = _two_form_matrix(corr.F, total_cof, point, memo)
+    f_mat = two_form_matrix_at(corr.F, point)
     shear = np.eye(2 * mt) + np.block([[np.zeros((mt, mt)), np.zeros((mt, mt))],
                                        [f_mat.T, np.zeros((mt, mt))]])
     sheared = shear @ perp
@@ -230,35 +195,12 @@ def double_quotient_report(pair, point, tol=RANK_TOL):
                            defect_m, defect_t, bool(rank_m and rank_t))
 
 
-def _two_form_matrix(form, coframe, point, memo=None):
-    """Antisymmetric matrix (i_X form)_beta = sum_alpha X^alpha F[alpha, beta]."""
-    m = coframe.dim
-    out = np.zeros((m, m))
-    for mask, c in form.eval_coeffs(point, memo or {}).items():
-        idx = [i for i in range(m) if mask >> i & 1]
-        if len(idx) != 2:
-            raise ValueError("expected a 2-form")
-        a, b = idx
-        out[a, b] = c.real
-        out[b, a] = -c.real
-    return out
-
-
 # -- generalized tangent space of the correspondence inside the product -----------------
 
 def _product_layout(pair):
     m = pair.chart.coframe.dim
     mt = pair.dual.coframe.dim
     return m, mt, 2 * (m + mt)
-
-
-def product_pairing_matrix(pair):
-    m, mt, dim = _product_layout(pair)
-    g = np.zeros((dim, dim))
-    n = m + mt
-    g[:n, n:] = 0.5 * np.eye(n)
-    g[n:, :n] = 0.5 * np.eye(n)
-    return g
 
 
 def generalized_tangent_basis(pair, point, f_scale=1.0):
@@ -275,8 +217,7 @@ def generalized_tangent_basis(pair, point, f_scale=1.0):
     total_cof = pair.total.coframe
     m, mt, dim = _product_layout(pair)
     n = m + mt
-    memo = {}
-    f_mat = f_scale * _two_form_matrix(corr.F, total_cof, point, memo)
+    f_mat = f_scale * two_form_matrix_at(corr.F, point)
     base_idx_m = [cof_m.index("d" + v) for v in pair.chart.base_vars]
     base_idx_t = [cof_t.index("d" + v) for v in pair.dual.base_vars]
     total_of_m = [total_cof.index(nm) for nm in cof_m.names]
@@ -322,22 +263,13 @@ def generalized_tangent_basis(pair, point, f_scale=1.0):
     return np.stack(basis, axis=1)
 
 
-def tau_side_basis(pair, side="m"):
-    """T M + T* M (or the dual side) inside the product coordinates."""
+def tau_side_basis(pair):
+    """T M + T* M of the first factor inside the product coordinates."""
     m, mt, dim = _product_layout(pair)
-    n = m + mt
-    cols = []
-    offset_vec = 0 if side == "m" else m
-    offset_cov = n if side == "m" else n + m
-    size = m if side == "m" else mt
-    for i in range(size):
-        v = np.zeros(dim)
-        v[offset_vec + i] = 1.0
-        cols.append(v)
-    for i in range(size):
-        v = np.zeros(dim)
-        v[offset_cov + i] = 1.0
-        cols.append(v)
+    cols = [np.zeros(dim) for _ in range(2 * m)]
+    for i in range(m):
+        cols[i][i] = 1.0
+        cols[m + i][m + mt + i] = 1.0
     return np.stack(cols, axis=1)
 
 
@@ -345,12 +277,10 @@ def transversality_check(pair, point, f_scale=1.0, tol=RANK_TOL):
     """tau_F meets TM + T*M trivially iff the fiber block of F is invertible;
     both sides are computed independently and returned."""
     tf = generalized_tangent_basis(pair, point, f_scale)
-    tm = tau_side_basis(pair, "m")
+    tm = tau_side_basis(pair)
     inter = _intersect(np.linalg.qr(tf)[0], tm, tol)
     transversal = inter.shape[1] == 0
-    block = pair.fiber_block()
-    memo = {}
-    mat = np.array([[evaluate(e, point, memo) for e in row] for row in block])
+    mat = np.array([[evaluate(e, point) for e in row] for row in pair.fiber_block()])
     block_invertible = abs(np.linalg.det(f_scale * mat)) > tol
     return transversal, block_invertible
 

@@ -11,7 +11,6 @@ import importlib.resources as resources
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .scalar import (CScalar, PI, ZERO, ONE, diff, equal_numeric, evaluate,
                      rat, sadd, scos, sdiv, smul, sneg, sexp, ssin, ssqrt, var)
@@ -21,11 +20,12 @@ from .bundle import (BundleChart, build_dual_chart, chart_from_text,
                      exterior_derivative, form_residual, split_flux,
                      twisted_derivative)
 from .courant import (bracket_spinor_residual, courant_bracket,
-                      check_lift_splitting, pairing)
+                      check_lift_splitting, pairing, section_residual,
+                      split_pairing_matrix)
 from .structures import (GeneralizedMetric, PureSpinor, SymTensor,
                          check_integrable, commute_at, gcs_matrix_at,
-                         is_decomposable_at, metric_matrix_at, mukai_norm_at,
-                         spinor_type_at)
+                         is_decomposable_at, metric_matrix_at, metric_residual,
+                         mukai_norm_at, spinor_type_at)
 from .duality import (DualityPair, assemble_metric, bihermitian_dual_at,
                       buscher_rules, compatibility_residual, dual_type_at,
                       dualize_form, dualize_form_reverse, dualize_section,
@@ -35,7 +35,7 @@ from .duality import (DualityPair, assemble_metric, bihermitian_dual_at,
 from .reduction import (LiftedActionPoint, double_quotient_report,
                         duality_lift_sections, fourier_mukai_check,
                         pairing_constant_check, reduce_pointwise,
-                        split_pairing_matrix, transversality_check)
+                        transversality_check)
 from .randomgen import (random_form, random_metric, random_pure_spinor,
                         random_section)
 from .report import Report
@@ -48,27 +48,16 @@ def load_chart(name):
     return chart_from_text(text)
 
 
-def _metric_residual(a, b, domain, points):
-    """Max coefficientwise deviation of two metric/2-form packages."""
-    worst = 0.0
-    m = a.g.coframe.dim
-    for p in points:
-        memo = {}
-        ga = a.g.eval_matrix(p, memo)
-        gb = b.g.eval_matrix(p, memo)
-        worst = max(worst, float(np.abs(ga - gb).max()))
-    worst = max(worst, form_residual(a.b - b.b, domain, points))
-    return worst
-
-
-def _section_residual(s, domain, points):
+def _double_quotient_defect(pair, points):
+    """Worst double-quotient residual at the points; 1.0 when the split
+    signature or the rank test fails."""
     worst = 0.0
     for p in points:
-        memo = {}
-        for c in s.x.components:
-            worst = max(worst, abs(c.evaluate(p, memo)))
-        for c in s.xi.coeffs.values():
-            worst = max(worst, abs(c.evaluate(p, memo)))
+        red = double_quotient_report(pair, p)
+        worst = max(worst, red.isotropy_residual_k, red.isotropy_residual_kt,
+                    red.isometry_defect_m, red.isometry_defect_mt)
+        if not (red.split_signature_ok and red.rank_ok):
+            worst = max(worst, 1.0)
     return worst
 
 
@@ -99,8 +88,7 @@ def _standard_pair_checks(report, pair, rng, points, samples, tol):
             worst_pair = max(worst_pair, abs(gap.evaluate(p)))
         lhs = dualize_section(courant_bracket(v, w, chart), pair)
         rhs = courant_bracket(pv, pw, pair.dual)
-        worst_bracket = max(worst_bracket, _section_residual(lhs - rhs,
-                                                             pair.dual.domain, points))
+        worst_bracket = max(worst_bracket, section_residual(lhs - rhs, points))
     report.add("section-transform-orthogonal",
                "section transform preserves the natural pairing",
                residual=worst_pair, tol=1e-9)
@@ -179,18 +167,9 @@ def scenario_s3_hopf(seed, samples, tol):
     closed = buscher_rules(g0, g1, g2, b1, b2, pair)
     report.add("metric-transport-closed-form",
                "eigenspace transport of (g, b) matches the closed-form rules",
-               residual=_metric_residual(tm, closed, pair.dual.domain, points),
-               tol=1e-9)
-    # reduction picture
-    worst = 0.0
-    for p in points:
-        red = double_quotient_report(pair, p)
-        worst = max(worst, red.isotropy_residual_k, red.isotropy_residual_kt,
-                    red.isometry_defect_m, red.isometry_defect_mt)
-        if not (red.split_signature_ok and red.rank_ok):
-            worst = max(worst, 1.0)
+               residual=metric_residual(tm, closed, points), tol=1e-9)
     report.add("double-quotient", "correspondence reduces isometrically onto both sides",
-               residual=worst, tol=1e-9)
+               residual=_double_quotient_defect(pair, points), tol=1e-9)
     ok, spread = pairing_constant_check(duality_lift_sections(pair), pair.total,
                                         points)
     report.add("lift-pairing-constant",
@@ -261,8 +240,11 @@ def scenario_s2_annulus(seed, samples, tol):
     report.add("type-shift", "type changes by 2j - k with j from the fiber integral",
                residual=0.0 if all(x == (1, 1) for x in tj) else 1.0, tol=tol,
                notes="j = 1 everywhere: the lowest factor is basic")
-    # annulus radii: closed-form antiderivative vs quadrature
-    quad_val, _ = quad(lambda x: evaluate(w, {"t": x}), -1.0, 1.0, epsabs=1e-10)
+    # annulus radii: closed-form antiderivative vs Gauss-Legendre quadrature,
+    # whose 2 nodes integrate the quadratic w exactly (exact through degree 3)
+    nodes, weights = np.polynomial.legendre.leggauss(2)
+    quad_val = sum(float(wt) * evaluate(w, {"t": float(x)})
+                   for x, wt in zip(nodes, weights))
     anti = sadd(smul(rat(1, 2), t), smul(rat(1, 3), t, t, t))
     closed = evaluate(anti, {"t": 1.0}) - evaluate(anti, {"t": -1.0})
     radius_quad = math.exp(-quad_val)
@@ -314,8 +296,7 @@ def scenario_s2_annulus(seed, samples, tol):
     tm = transport_metric(assemble_metric(chart, g0, zero1, g2, zero1, zero1), pair)
     report.add("metric-transport-matches",
                "eigenspace transport reproduces the closed-form dual metric",
-               residual=_metric_residual(tm, dual_met, dual_chart.domain, points),
-               tol=1e-9)
+               residual=metric_residual(tm, dual_met, points), tol=1e-9)
     res = check_integrable(spinor, chart, points)
     report.add("integrability", "the symplectic exponential is twisted-closed",
                residual=res.residual, tol=1e-8)
@@ -389,7 +370,7 @@ def scenario_hopf_surface(seed, samples, tol):
     for s2val in (0.4, 0.2, 0.1):
         member = _hopf_surface_family(chart, rat(int(s2val * 100), 100))
         corr = pair.corr
-        integrand = corr.pull_m(member.form)
+        integrand = corr.pull(member.form)
         integral = fiber_integrate(integrand, ("fiber",))
         p = dict(points[0])
         vals = integral.eval_coeffs(p)
@@ -471,7 +452,7 @@ def scenario_gibbons_hawking(seed, samples, tol):
     expected = GeneralizedMetric(SymTensor(dcof, expected_entries), Form.zero(dcof))
     report.add("ansatz-metric",
                "dual metric is V (flat) + (1/V)(fiber form - b1)^2 with closed b1",
-               residual=_metric_residual(dual_met, expected, pair.dual.domain, points),
+               residual=metric_residual(dual_met, expected, points),
                tol=1e-8, notes="dual 2-form vanishes (b2 = 0)")
     # the generalized Kahler pair behind the ansatz
     b_total = wedge(b1, Form.monomial(cof, ("th",)))
@@ -545,15 +526,13 @@ def scenario_buscher_random(seed, samples, tol):
         b1, b2 = split_two_form(met.b, chart)
         closed = buscher_rules(g0, g1, g2, b1, b2, pair)
         tm = transport_metric(met, pair)
-        worst_match = max(worst_match,
-                          _metric_residual(tm, closed, pair.dual.domain, points))
+        worst_match = max(worst_match, metric_residual(tm, closed, points))
         structural = structural and closed.g.entry_of("tht", "tht") == sdiv(ONE, g0)
         back_pair = pair.swap()
         g0t, g1t, g2t = split_metric(closed.g, pair.dual)
         b1t, b2t = split_two_form(closed.b, pair.dual)
         back = buscher_rules(g0t, g1t, g2t, b1t, b2t, back_pair)
-        worst_invol = max(worst_invol,
-                          _metric_residual(back, met, chart.domain, points))
+        worst_invol = max(worst_invol, metric_residual(back, met, points))
     report.add("transport-matches-closed-form",
                "eigenspace transport equals the closed-form rules on random data",
                residual=worst_match, tol=1e-9, notes=f"{count} instances")
@@ -599,16 +578,9 @@ def scenario_reduction_suite(seed, samples, tol):
                "mixed correspondence form",
                residual=rep.flux_difference_residual, tol=tol, passed=rep.ok,
                notes=f"fiber block [[0,-1],[-1,0]], unimodular={rep.unimodular}")
-    worst = 0.0
     npts = max(4, samples // 4)
-    for pair in (hopf, s2, mixed):
-        points = pair.chart.domain.sample_many(rng, npts)
-        for p in points:
-            red = double_quotient_report(pair, p)
-            worst = max(worst, red.isotropy_residual_k, red.isotropy_residual_kt,
-                        red.isometry_defect_m, red.isometry_defect_mt)
-            if not (red.split_signature_ok and red.rank_ok):
-                worst = max(worst, 1.0)
+    worst = max(_double_quotient_defect(pair, pair.chart.domain.sample_many(rng, npts))
+                for pair in (hopf, s2, mixed))
     report.add("double-quotient",
                "correspondences reduce isometrically onto both sides at samples",
                residual=worst, tol=1e-9, notes="three pairs, incl. the mixed form")

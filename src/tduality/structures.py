@@ -14,16 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scalar import CScalar, Scalar, ZERO, as_scalar
-from .exterior import Form, FrameVector, exp_form, mukai_pairing, wedge
-from .bundle import twisted_derivative
+from .exterior import (Form, FrameVector, contract, contract_sign, exp_form,
+                       mukai_pairing, wedge)
+from .bundle import form_residual, twisted_derivative
 from .courant import Section
 
 __all__ = [
     "PureSpinor", "GeneralizedMetric", "SymTensor", "PointFrame",
     "annihilator_at", "spinor_type_at", "check_integrable", "IntegrabilityResult",
-    "gcs_matrix_at", "metric_matrix_at", "gb_from_cplus", "uk_spaces_at",
-    "mukai_norm_at", "is_decomposable_at", "commute_at",
-    "RANK_TOL",
+    "gcs_matrix_at", "metric_matrix_at", "two_form_matrix_at", "gb_from_cplus",
+    "uk_spaces_at", "mukai_norm_at", "is_decomposable_at", "commute_at",
+    "metric_residual", "RANK_TOL",
 ]
 
 RANK_TOL = 1e-8
@@ -145,7 +146,6 @@ class GeneralizedMetric:
         """Spanning sections X + b(X) + g(X) of the +1 eigenspace."""
         cof = self.coframe
         out = []
-        from .exterior import contract
         for name in cof.names:
             x = FrameVector.basis(cof, name)
             out.append(Section(x, contract(x, self.b) + self.g.apply(x)))
@@ -172,14 +172,11 @@ class PointFrame:
             bit = 1 << i
             for mask in range(self.nforms):
                 if not mask & bit:
-                    below = mask & (bit - 1)
-                    sign = -1.0 if bin(below).count("1") % 2 else 1.0
+                    sign = float(contract_sign(mask, i))
                     w[mask | bit, mask] = sign
                     c[mask, mask | bit] = sign
             self._wedge.append(w)
             self._contract.append(c)
-        half = 0.5 * np.eye(m)
-        self.pairing_matrix = np.block([[np.zeros((m, m)), half], [half, np.zeros((m, m))]])
 
     def section_action(self, comps):
         """Clifford action matrix of numeric section components (X, xi)."""
@@ -200,28 +197,27 @@ class PointFrame:
             cols.append(self._wedge[i] @ rho_vec)
         return np.stack(cols, axis=1)
 
-    def nullspace(self, a, tol=RANK_TOL):
-        u, s, vh = np.linalg.svd(a)
-        if s.size:
-            rank = int(np.sum(s > tol * s[0]))
-        else:
-            rank = 0
-        return vh[rank:].conj().T
+    @staticmethod
+    def nullspace(a, tol=RANK_TOL):
+        """Orthonormal basis (columns) of the kernel of a."""
+        _, s, vh = np.linalg.svd(a)
+        return vh[_rank(s, tol):].conj().T
 
-    def orthonormal_span(self, vectors, tol=RANK_TOL):
-        a = np.stack(vectors, axis=1)
+    @staticmethod
+    def orthonormal_span(a, tol=RANK_TOL):
+        """Orthonormal basis (columns) of the column span of a."""
         u, s, _ = np.linalg.svd(a, full_matrices=False)
-        rank = int(np.sum(s > tol * s[0])) if s.size else 0
-        return u[:, :rank]
+        return u[:, :_rank(s, tol)]
 
 
-def _frame(chart, point):
-    return PointFrame(chart, point)
+def _rank(s, tol):
+    """Numerical rank from descending singular values, relative to the largest."""
+    return int(np.sum(s > tol * s.max(initial=0.0)))
 
 
 def annihilator_at(spinor, chart, point, tol=RANK_TOL):
     """Basis (2m x d complex) of {v : v . rho(p) = 0}; maximal isotropic."""
-    fr = _frame(chart, point)
+    fr = PointFrame(chart, point)
     rho = spinor.form.eval_vector(point)
     norm = np.abs(rho).max()
     if norm <= tol:
@@ -291,9 +287,6 @@ class IntegrabilityResult:
     witnesses: list          # per-sample numeric section components (2m,)
     points: list
 
-    def witness_section(self):
-        return self.witnesses
-
 
 def check_integrable(spinor, chart, points, tol=1e-8):
     """Least-squares solve of v . rho = d_H rho at each sample point.
@@ -305,7 +298,7 @@ def check_integrable(spinor, chart, points, tol=1e-8):
     worst = 0.0
     witnesses = []
     for p in points:
-        fr = _frame(chart, p)
+        fr = PointFrame(chart, p)
         rho = spinor.form.eval_vector(p)
         scale = np.abs(rho).max()
         if scale == 0:
@@ -320,7 +313,7 @@ def check_integrable(spinor, chart, points, tol=1e-8):
 
 def gcs_matrix_at(spinor, chart, point, tol=RANK_TOL):
     """Real 2m x 2m matrix: +i on the annihilator, -i on its conjugate."""
-    fr = _frame(chart, point)
+    fr = PointFrame(chart, point)
     l_basis = annihilator_at(spinor, chart, point, tol)
     n = fr.m
     if l_basis.shape[1] != n:
@@ -338,13 +331,8 @@ def gcs_matrix_at(spinor, chart, point, tol=RANK_TOL):
 def metric_matrix_at(metric, chart, point):
     """+1 on the graph of b+g, -1 on the graph of b-g."""
     g = metric.g.eval_matrix(point)
-    b_form = metric.b.eval_coeffs(point)
+    b = two_form_matrix_at(metric.b, point)
     m = metric.coframe.dim
-    b = np.zeros((m, m))
-    for mask, v in b_form.items():
-        idx = [i for i in range(m) if mask >> i & 1]
-        b[idx[0], idx[1]] = v.real
-        b[idx[1], idx[0]] = -v.real
     eigvals = np.linalg.eigvalsh(g)
     if eigvals.min() <= 0:
         raise ValueError("metric not positive definite at the sample point")
@@ -353,6 +341,29 @@ def metric_matrix_at(metric, chart, point):
     p = np.concatenate([cplus, cminus], axis=1)
     d = np.diag([1.0] * m + [-1.0] * m)
     return p @ d @ np.linalg.inv(p)
+
+
+def two_form_matrix_at(form, point):
+    """Antisymmetric matrix A of a real 2-form at a point, with
+    (i_X form)_b = sum_a X^a A[a, b]."""
+    m = form.coframe.dim
+    out = np.zeros((m, m))
+    for mask, c in form.eval_coeffs(point).items():
+        idx = [i for i in range(m) if mask >> i & 1]
+        if len(idx) != 2:
+            raise ValueError("expected a 2-form")
+        a, b = idx
+        out[a, b] = c.real
+        out[b, a] = -c.real
+    return out
+
+
+def metric_residual(a, b, points):
+    """Max coefficientwise deviation of two (g, b) packages at the points."""
+    worst = form_residual(a.b - b.b, None, points)
+    for p in points:
+        worst = max(worst, float(np.abs(a.g.eval_matrix(p) - b.g.eval_matrix(p)).max()))
+    return worst
 
 
 def gb_from_cplus(basis):
@@ -375,7 +386,7 @@ def uk_spaces_at(spinor, chart, point, tol=RANK_TOL):
     products of conjugate-annihilator elements acting on rho.  Returns a list
     of (level, orthonormal basis matrix) with levels n, n-1, ..., -n.
     """
-    fr = _frame(chart, point)
+    fr = PointFrame(chart, point)
     m = fr.m
     if m % 2:
         raise ValueError("generalized complex structures need an even-dimensional chart")
@@ -393,7 +404,7 @@ def uk_spaces_at(spinor, chart, point, tol=RANK_TOL):
             for i in combo:
                 w = actions[i] @ w
             vecs.append(w)
-        basis = fr.orthonormal_span(vecs, tol)
+        basis = fr.orthonormal_span(np.stack(vecs, axis=1), tol)
         if basis.shape[1] != len(vecs):
             raise ValueError(f"level {half - k}: expected dimension {len(vecs)}, "
                              f"got {basis.shape[1]}")

@@ -11,8 +11,10 @@ from tduality.scalar import (CScalar, Domain, ONE, ZERO, equal_numeric, rat,
 from tduality.exterior import (Coframe, Form, FrameVector, exp_form,
                                mukai_pairing, wedge)
 from tduality.bundle import BundleChart, form_residual, twisted_derivative
-from tduality.courant import Section, courant_bracket, pairing
-from tduality.structures import PureSpinor, check_integrable, spinor_type_at
+from tduality.courant import (Section, courant_bracket, pairing,
+                              section_residual, split_pairing_matrix)
+from tduality.structures import (PureSpinor, check_integrable, metric_residual,
+                                 spinor_type_at)
 from tduality.duality import (DualityPair, buscher_rules,
                               compatibility_residual, dual_type_at,
                               dualize_form, dualize_section, split_metric,
@@ -21,8 +23,7 @@ from tduality.duality import (DualityPair, buscher_rules,
 from tduality.randomgen import (random_form, random_metric, random_pure_spinor,
                                 random_section)
 from tduality.reduction import (LiftedActionPoint, double_quotient_report,
-                                fourier_mukai_check, reduce_pointwise,
-                                split_pairing_matrix)
+                                fourier_mukai_check, reduce_pointwise)
 from tduality.scenarios import twisted_rank_two_pair, load_chart, run_scenario
 
 SEED = 20240817
@@ -61,17 +62,6 @@ def circle_pair():
 @pytest.fixture(scope="module")
 def torus_pair():
     return DualityPair.from_chart(load_chart("hopf_surface.cfg"))
-
-
-def _sec_residual(s, points):
-    worst = 0.0
-    for p in points:
-        memo = {}
-        for c in s.x.components:
-            worst = max(worst, abs(c.evaluate(p, memo)))
-        for c in s.xi.coeffs.values():
-            worst = max(worst, abs(c.evaluate(p, memo)))
-    return worst
 
 
 def test_criterion_1_clifford_module(rng):
@@ -133,7 +123,7 @@ def test_criterion_3_courant_isomorphism(rng, hopf_pair, mixed_pair):
                 worst_pairing = max(worst_pairing, abs(gap.evaluate(p)))
             lhs = dualize_section(courant_bracket(v, w, chart), pair)
             rhs = courant_bracket(pv, pw, pair.dual)
-            worst_bracket = max(worst_bracket, _sec_residual(lhs - rhs, pts))
+            worst_bracket = max(worst_bracket, section_residual(lhs - rhs, pts))
         for _ in range(8):
             v = random_section(rng, chart)
             rho = random_form(rng, chart.coframe, chart.base_vars, density=0.3)
@@ -199,12 +189,7 @@ def test_criterion_5_buscher(rng):
         g0t, g1t, g2t = split_metric(closed.g, pair.dual)
         b1t, b2t = split_two_form(closed.b, pair.dual)
         back = buscher_rules(g0t, g1t, g2t, b1t, b2t, back_pair)
-        for p in pts:
-            memo = {}
-            worst = max(worst, float(np.abs(back.g.eval_matrix(p, memo)
-                                            - met.g.eval_matrix(p, memo)).max()))
-            for c in (back.b - met.b).coeffs.values():
-                worst = max(worst, abs(c.evaluate(p, memo)))
+        worst = max(worst, metric_residual(back, met, pts))
     ok = ok_match and ok_structural and worst <= 1e-9
     announce(5, "closed-form dual metric rules: transport agrees coefficientwise, "
                 "the fiber coefficient inverts symbolically, and the rules are "

@@ -5,9 +5,10 @@ from tduality.scalar import (CScalar, ONE, ZERO, equal_numeric, rat, sadd,
                              scos, sdiv, smul, sneg, ssin, var)
 from tduality.exterior import Form, wedge
 from tduality.bundle import form_residual, twisted_derivative
-from tduality.courant import Section, courant_bracket, pairing
+from tduality.courant import (Section, courant_bracket, pairing,
+                              section_residual)
 from tduality.structures import (PureSpinor, SymTensor, check_integrable,
-                                 spinor_type_at)
+                                 metric_residual, spinor_type_at)
 from tduality.duality import (DualityPair, assemble_metric,
                               bihermitian_dual_at, buscher_rules,
                               compatibility_residual, dual_type_at,
@@ -19,31 +20,6 @@ from tduality.duality import (DualityPair, assemble_metric,
 from tduality.randomgen import (random_form, random_metric, random_pure_spinor,
                                 random_section)
 from tduality.scenarios import twisted_rank_two_pair
-
-
-def sec_residual(s, points):
-    worst = 0.0
-    for p in points:
-        memo = {}
-        for c in s.x.components:
-            worst = max(worst, abs(c.evaluate(p, memo)))
-        for c in s.xi.coeffs.values():
-            worst = max(worst, abs(c.evaluate(p, memo)))
-    return worst
-
-
-def metric_residual(a, b, points):
-    worst = 0.0
-    for p in points:
-        memo = {}
-        worst = max(worst, float(np.abs(a.g.eval_matrix(p, memo)
-                                        - b.g.eval_matrix(p, memo)).max()))
-    diffb = a.b - b.b
-    for p in points:
-        memo = {}
-        for c in diffb.coeffs.values():
-            worst = max(worst, abs(c.evaluate(p, memo)))
-    return worst
 
 
 # -- the form transform -------------------------------------------------------
@@ -135,7 +111,7 @@ def test_section_transform_bracket(rng, hopf_pair):
         lhs = dualize_section(courant_bracket(v, w, chart), hopf_pair)
         rhs = courant_bracket(dualize_section(v, hopf_pair),
                               dualize_section(w, hopf_pair), hopf_pair.dual)
-        assert sec_residual(lhs - rhs, pts) <= 1e-8
+        assert section_residual(lhs - rhs, pts) <= 1e-8
 
 
 def test_clifford_compatibility(rng, hopf_pair, torus_pair):

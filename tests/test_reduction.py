@@ -1,17 +1,18 @@
 import numpy as np
+import pytest
 
 from tduality.scalar import CScalar, rat, var
 from tduality.exterior import Form
+from tduality.courant import split_pairing_matrix
 from tduality.structures import PureSpinor
 from tduality.duality import DualityPair, transport_spinor
-from tduality.randomgen import random_pure_spinor
+from tduality.randomgen import random_pure_spinor, random_section
 from tduality.reduction import (LiftedActionPoint, double_quotient_report,
                                 duality_lift_sections, fourier_mukai_check,
                                 generalized_tangent_basis,
                                 pairing_constant_check, reduce_pointwise,
-                                signature_of, split_pairing_matrix,
-                                transversality_check)
-from tduality.scenarios import twisted_rank_two_pair
+                                signature_of, transversality_check)
+from tduality.scenarios import load_chart, twisted_rank_two_pair
 
 
 def test_isotropic_reduction_dimensions(rng):
@@ -158,8 +159,7 @@ def test_tangent_space_dimension(rng, hopf_pair):
     assert basis.shape[1] == 2 * b + 2 * k
     assert np.linalg.matrix_rank(basis, tol=1e-9) == basis.shape[1]
     # maximal isotropic inside the product pairing
-    from tduality.reduction import product_pairing_matrix
-    g = product_pairing_matrix(hopf_pair)
+    g = split_pairing_matrix(hopf_pair.chart.coframe.dim + hopf_pair.dual.coframe.dim)
     assert np.abs(basis.T @ g @ basis).max() <= 1e-9
 
 
@@ -200,3 +200,20 @@ def test_fourier_mukai_routes_agree(rng, circle_pair, torus_pair):
 def test_signature_helper():
     g = np.diag([2.0, -1.0, 0.0])
     assert signature_of(g) == (1, 1, 1)
+
+
+def test_pairing_constant_check_nonconstant_sections():
+    # each entry pairing(a, b) is a fresh expression; a memo shared across
+    # them keyed by node identity returned values of dead nodes
+    rng = np.random.default_rng(0)
+    chart = load_chart("s3_hopf.cfg")
+    sections = [random_section(rng, chart) for _ in range(4)]
+    points = chart.domain.sample_many(rng, 4)
+    _, spread = pairing_constant_check(sections, chart, points)
+    g = split_pairing_matrix(chart.coframe.dim)
+    mats = []
+    for p in points:
+        vecs = np.stack([s.eval_vector(p) for s in sections], axis=1)
+        mats.append(vecs.T @ g @ vecs)
+    stack = np.stack(mats)
+    assert spread == pytest.approx(np.abs(stack - stack.mean(axis=0)).max(), rel=1e-12)
