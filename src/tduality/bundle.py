@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalar import CScalar, Domain, ZERO, diff, evaluate
+from .scalar import CScalar, Domain, ZERO, diff, evaluate_all
 from .exterior import Coframe, Form, contract_sign, strip_rightmost, wedge
 
 __all__ = [
@@ -84,13 +84,11 @@ class BundleChart:
         return dataclasses.replace(self, flux=flux)
 
     @staticmethod
-    def build(name, bases, fibers, curvature=None, flux=None, exclusions=(),
-              cofibers=()):
+    def build(name, bases, fibers, curvature=None, flux=None, exclusions=()):
         """Assemble a chart; ``bases`` is a list of (var, lo, hi)."""
         base_names = tuple(base_generator(v) for v, _, _ in bases)
-        names = base_names + tuple(fibers) + tuple(cofibers)
-        tags = (("base",) * len(bases) + ("fiber",) * len(fibers)
-                + ("cofiber",) * len(cofibers))
+        names = base_names + tuple(fibers)
+        tags = ("base",) * len(bases) + ("fiber",) * len(fibers)
         cof = Coframe(names, tags)
         domain = Domain({v: (lo, hi) for v, lo, hi in bases}, tuple(exclusions))
         curv = {}
@@ -345,9 +343,8 @@ def validate_pair(corr, n=8, tol=1e-9, seed=0):
     k = len(block)
     min_det = float("inf")
     for p in points:
-        memo = {}
-        mat = np.array([[evaluate(block[i][j], p, memo) for j in range(k)]
-                        for i in range(k)], dtype=float)
+        mat = np.array(evaluate_all([e for row in block for e in row], p),
+                       dtype=float).reshape(k, k)
         min_det = min(min_det, abs(np.linalg.det(mat)))
     constant = all(e.is_rational() for row in block for e in row)
     unimodular = None

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scalar import CScalar, diff, rat
-from .exterior import Form, FrameVector, clifford_act, contract
+from .exterior import Form, FrameVector, clifford_act, contract, eval_complex
 from .bundle import exterior_derivative, twisted_derivative, form_residual
 
 __all__ = [
@@ -91,16 +91,11 @@ class Section:
         """Clifford action (X + xi) . rho."""
         return clifford_act(self.x, self.xi, rho)
 
-    def eval_vector(self, point, memo=None):
+    def eval_vector(self, point):
         """Numeric components (X_1..X_m, xi_1..xi_m)."""
-        if memo is None:
-            memo = {}
         m = self.coframe.dim
-        out = np.zeros(2 * m, dtype=complex)
-        out[:m] = self.x.eval_vector(point, memo)
-        for i in range(m):
-            out[m + i] = self.xi.coeff(1 << i).evaluate(point, memo)
-        return out
+        comps = self.x.components + tuple(self.xi.coeff(1 << i) for i in range(m))
+        return np.array(eval_complex(comps, point), dtype=complex)
 
     def map_to(self, coframe, rename=None):
         return Section(self.x.map_to(coframe, rename), self.xi.map_to(coframe, rename))

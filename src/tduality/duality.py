@@ -336,12 +336,13 @@ def buscher_rules(g0, g1, g2, b1, b2, pair):
 
 # -- type change -------------------------------------------------------------------------
 
-def dual_type_at(spinor, pair, point, tol=1e-9):
+def dual_type_at(spinor, pair, point):
     """Dual type via the smallest j with a surviving fiber integral.
 
     Computed as type + 2j - k where j is the least power of (F + B + i omega)
     whose wedge with the decomposable factor has a nonzero fiber integral at
-    the point.  Requires construction data on the spinor.  Returns (type, j).
+    the point, relative to 1e-9 of the integrand.  Requires construction data
+    on the spinor.  Returns (type, j).
     """
     if spinor.lowest is None:
         raise ValueError("spinor carries no construction data")
@@ -363,7 +364,7 @@ def dual_type_at(spinor, pair, point, tol=1e-9):
         integral = fiber_integrate(integrand, ("fiber",))
         vals = integral.eval_coeffs(point)
         magnitude = max((abs(v) for v in vals.values()), default=0.0)
-        if magnitude > tol * scale:
+        if magnitude > 1e-9 * scale:
             return base_type + 2 * j - k, j
     raise ValueError("no power of the correspondence data survives integration; "
                      "the spinor degenerates against the fibers at this point")
@@ -371,13 +372,13 @@ def dual_type_at(spinor, pair, point, tol=1e-9):
 
 # -- bi-Hermitian transport ---------------------------------------------------------------
 
-def bihermitian_dual_at(i_matrix, metric, chart, point, side, tol=1e-9):
+def bihermitian_dual_at(i_matrix, metric, chart, point, side):
     """Dual tangent complex structure under the metric-connection identification.
 
     For w orthogonal to span{E_theta, I E_theta}: unchanged; the fiber
     direction maps by +-(1/g0) I E_theta and I E_theta by -+ g0 E_theta.
-    Requires the connection to be metric (no mixed fiber/base metric term).
-    side is +1 or -1.
+    Requires the connection to be metric (no mixed fiber/base metric term)
+    and I^2 = -1, each up to 1e-9.  side is +1 or -1.
     """
     if side not in (+1, -1):
         raise ValueError("side must be +1 or -1")
@@ -387,13 +388,13 @@ def bihermitian_dual_at(i_matrix, metric, chart, point, side, tol=1e-9):
     i_th = cof.index(chart.fiber_names[0])
     g = metric.g.eval_matrix(point)
     base_idx = [i for i in range(cof.dim) if i != i_th]
-    if np.abs(g[i_th, base_idx]).max() > tol:
+    if np.abs(g[i_th, base_idx]).max() > 1e-9:
         raise ValueError("connection is not the metric connection "
                          "(mixed fiber/base metric term present)")
     g0 = g[i_th, i_th]
     m = cof.dim
     i_mat = np.asarray(i_matrix, dtype=float)
-    if np.abs(i_mat @ i_mat + np.eye(m)).max() > tol:
+    if np.abs(i_mat @ i_mat + np.eye(m)).max() > 1e-9:
         raise ValueError("input is not an almost complex structure")
     if np.abs(i_mat.T @ g @ i_mat - g).max() > 1e-6:
         raise ValueError("complex structure is not compatible with the metric")
@@ -414,7 +415,7 @@ def bihermitian_dual_at(i_matrix, metric, chart, point, side, tol=1e-9):
     return out
 
 
-def orientation_sign(j_matrix, tol=1e-9):
+def orientation_sign(j_matrix):
     """Orientation induced by an almost complex structure: sign of det of a
     basis (v1, J v1, v2, J v2, ...) built greedily."""
     j = np.asarray(j_matrix, dtype=float)
@@ -435,7 +436,7 @@ def orientation_sign(j_matrix, tol=1e-9):
 
 # -- eigenspace-ladder transport ------------------------------------------------------------
 
-def uk_transport_residual(spinor, pair, point, tol=1e-8):
+def uk_transport_residual(spinor, pair, point):
     """Max membership defect of the transported ladder in the dual ladder.
 
     For each level, the pointwise form transform of a basis of the source

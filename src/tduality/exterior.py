@@ -11,12 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalar import CScalar, rat
+from .scalar import CScalar, evaluate_all, rat
 
 __all__ = [
     "Coframe", "Form", "FrameVector",
     "wedge", "contract", "clifford_act", "reversal", "mukai_pairing",
-    "exp_form", "fiber_integrate", "strip_rightmost", "contract_sign",
+    "exp_form", "fiber_integrate", "strip_rightmost", "contract_sign", "eval_complex",
     "form_to_text", "form_from_text",
 ]
 
@@ -153,12 +153,6 @@ class Form:
     def conj(self):
         return Form(self.coframe, {m: v.conj() for m, v in self.coeffs.items()})
 
-    def real_part(self):
-        return Form(self.coframe, {m: CScalar(v.re) for m, v in self.coeffs.items()})
-
-    def imag_part(self):
-        return Form(self.coframe, {m: CScalar(v.im) for m, v in self.coeffs.items()})
-
     # -- queries ----------------------------------------------------------------
     def is_zero(self):
         return not self.coeffs
@@ -198,16 +192,14 @@ class Form:
         return f"Form({form_to_text(self)})"
 
     # -- evaluation -----------------------------------------------------------
-    def eval_coeffs(self, point, memo=None):
+    def eval_coeffs(self, point):
         """{mask: complex} at a point."""
-        if memo is None:
-            memo = {}
-        return {m: c.evaluate(point, memo) for m, c in self.coeffs.items()}
+        return dict(zip(self.coeffs, eval_complex(self.coeffs.values(), point)))
 
-    def eval_vector(self, point, memo=None):
+    def eval_vector(self, point):
         """Dense complex vector of length 2^dim indexed by bitmask."""
         v = np.zeros(1 << self.coframe.dim, dtype=complex)
-        for m, c in self.eval_coeffs(point, memo).items():
+        for m, c in self.eval_coeffs(point).items():
             v[m] = c
         return v
 
@@ -291,10 +283,15 @@ class FrameVector:
             out[coframe.index(rename.get(self.coframe.names[i], self.coframe.names[i]))] = c
         return FrameVector(coframe, tuple(out))
 
-    def eval_vector(self, point, memo=None):
-        if memo is None:
-            memo = {}
-        return np.array([c.evaluate(point, memo) for c in self.components])
+    def eval_vector(self, point):
+        return np.array(eval_complex(self.components, point))
+
+
+def eval_complex(cscalars, point):
+    """Complex values of CScalars at one point, as a list, from a single
+    ``evaluate_all`` over their real and imaginary parts."""
+    vals = evaluate_all([s for c in cscalars for s in (c.re, c.im)], point)
+    return [complex(re, im) for re, im in zip(vals[0::2], vals[1::2])]
 
 
 # -- products and actions -----------------------------------------------------------
@@ -358,17 +355,15 @@ def mukai_pairing(a, b):
     return wedge(reversal(a), b).top_component()
 
 
-def exp_form(b, topdeg=None):
+def exp_form(b):
     """Truncated exponential of an even form of degree >= 2 (exact: nilpotent)."""
     for d in b.degrees():
         if d % 2 or d == 0:
             raise ValueError("exponent must be a sum of even-degree components of degree >= 2")
-    if topdeg is None:
-        topdeg = b.coframe.dim
     out = Form.scalar(b.coframe, 1)
     power = Form.scalar(b.coframe, 1)
     factorial = 1
-    for j in range(1, topdeg // 2 + 1):
+    for j in range(1, b.coframe.dim // 2 + 1):
         power = wedge(power, b)
         if power.is_zero():
             break
@@ -435,7 +430,9 @@ def form_to_text(form):
     return " + ".join(parts)
 
 
-def _split_top_level(text, sep=" + "):
+def _split_top_level(text):
+    """Split at the " + " separators outside parentheses."""
+    sep = " + "
     parts = []
     depth = 0
     start = 0

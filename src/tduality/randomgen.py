@@ -10,8 +10,8 @@ import itertools
 
 import numpy as np
 
-from .scalar import CScalar, Scalar, rat, var, ssin, scos, smul, sadd
-from .exterior import Form, FrameVector
+from .scalar import CScalar, rat, var, ssin, scos, smul, sadd
+from .exterior import Form, FrameVector, wedge
 from .courant import Section
 from .structures import GeneralizedMetric, PureSpinor, SymTensor, mukai_norm_at
 
@@ -25,13 +25,12 @@ def _coeff(rng):
     return rat(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
 
 
-def random_scalar(rng, variables, terms=2):
-    """Small random smooth expression in the given variables."""
+def random_scalar(rng, variables):
+    """Small random smooth expression in the given variables: a rational
+    constant plus one random term (c v, c v^2, c sin v or c cos v)."""
     parts = [_coeff(rng)]
-    for _ in range(terms):
-        v = var(str(rng.choice(list(variables)))) if variables else None
-        if v is None:
-            break
+    if variables:
+        v = var(str(rng.choice(list(variables))))
         kind = rng.integers(0, 4)
         if kind == 0:
             parts.append(smul(_coeff(rng), v))
@@ -44,9 +43,8 @@ def random_scalar(rng, variables, terms=2):
     return sadd(*parts)
 
 
-def random_cscalar(rng, variables, terms=2):
-    return CScalar(random_scalar(rng, variables, terms),
-                   random_scalar(rng, variables, terms))
+def random_cscalar(rng, variables):
+    return CScalar(random_scalar(rng, variables), random_scalar(rng, variables))
 
 
 def random_form(rng, coframe, variables, degrees=None, complex_coeffs=True,
@@ -64,8 +62,8 @@ def random_form(rng, coframe, variables, degrees=None, complex_coeffs=True,
             mask = 0
             for i in combo:
                 mask |= 1 << i
-            c = (random_cscalar(rng, variables, 1) if complex_coeffs
-                 else CScalar(random_scalar(rng, variables, 1)))
+            c = (random_cscalar(rng, variables) if complex_coeffs
+                 else CScalar(random_scalar(rng, variables)))
             total = total + Form(coframe, {mask: c})
     if total.is_zero() and degrees:
         d = degrees[0]
@@ -74,28 +72,27 @@ def random_form(rng, coframe, variables, degrees=None, complex_coeffs=True,
     return total
 
 
-def random_section(rng, chart, complex_coeffs=False):
+def random_section(rng, chart):
+    """Random real invariant section X + xi."""
     cof = chart.coframe
     variables = chart.base_vars
-    make = (lambda: random_cscalar(rng, variables, 1)) if complex_coeffs else \
-        (lambda: CScalar(random_scalar(rng, variables, 1)))
-    x = FrameVector(cof, tuple(make() for _ in cof.names))
+    x = FrameVector(cof, tuple(CScalar(random_scalar(rng, variables)) for _ in cof.names))
     xi = Form.zero(cof)
     for n in cof.names:
-        xi = xi + Form.monomial(cof, (n,), make())
+        xi = xi + Form.monomial(cof, (n,), CScalar(random_scalar(rng, variables)))
     return Section(x, xi)
 
 
-def random_metric(rng, chart, points=None):
+def random_metric(rng, chart, points):
     """Random invariant positive-definite metric plus 2-form.
 
     Built as delta + A^T A with small random A entries, so it stays positive
-    definite; positivity is asserted on the provided sample points.
+    definite; positivity is asserted on the given sample points.
     """
     cof = chart.coframe
     m = cof.dim
     variables = chart.base_vars
-    a = [[random_scalar(rng, variables, 1) for _ in range(m)] for _ in range(m)]
+    a = [[random_scalar(rng, variables) for _ in range(m)] for _ in range(m)]
     entries = {}
     scale = rat(1, 8)
     for i in range(m):
@@ -107,19 +104,18 @@ def random_metric(rng, chart, points=None):
     g = SymTensor(cof, entries)
     b = random_form(rng, cof, variables, degrees=(2,), complex_coeffs=False)
     metric = GeneralizedMetric(g, b)
-    if points:
-        for p in points:
-            w = np.linalg.eigvalsh(g.eval_matrix(p))
-            if w.min() <= 0:
-                raise AssertionError("random metric lost positivity")
+    for p in points:
+        w = np.linalg.eigvalsh(g.eval_matrix(p))
+        if w.min() <= 0:
+            raise AssertionError("random metric lost positivity")
     return metric
 
 
-def random_pure_spinor(rng, chart, points, max_tries=40, omega_degrees=(2,)):
+def random_pure_spinor(rng, chart, points):
     """Random nondegenerate spinor with construction data.
 
-    Rejection-samples (B, omega, Omega) until the pairing with the conjugate
-    survives at every given point.
+    Rejection-samples (B, omega, Omega), up to 40 draws, until the pairing
+    with the conjugate survives at every given point.
     """
     cof = chart.coframe
     variables = chart.base_vars
@@ -127,7 +123,7 @@ def random_pure_spinor(rng, chart, points, max_tries=40, omega_degrees=(2,)):
     if m % 2:
         raise ValueError("chart dimension must be even")
     half = m // 2
-    for _ in range(max_tries):
+    for _ in range(40):
         b = random_form(rng, cof, variables, degrees=(2,), complex_coeffs=False,
                         density=0.4)
         omega = random_form(rng, cof, variables, degrees=(2,), complex_coeffs=False,
@@ -137,7 +133,6 @@ def random_pure_spinor(rng, chart, points, max_tries=40, omega_degrees=(2,)):
         for _ in range(deg):
             one = random_form(rng, cof, variables, degrees=(1,),
                               complex_coeffs=True, density=0.8)
-            from .exterior import wedge
             lowest = wedge(lowest, one)
         if lowest.is_zero():
             continue

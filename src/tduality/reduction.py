@@ -28,14 +28,14 @@ __all__ = [
 ]
 
 
-def signature_of(sym_matrix, tol=RANK_TOL):
+def signature_of(sym_matrix):
     """(positive, negative, null) eigenvalue counts of a symmetric matrix."""
     if sym_matrix.size == 0:
         return 0, 0, 0
     w = np.linalg.eigvalsh((sym_matrix + sym_matrix.T) / 2)
     scale = max(np.abs(w).max(), 1.0)
-    pos = int(np.sum(w > tol * scale))
-    neg = int(np.sum(w < -tol * scale))
+    pos = int(np.sum(w > RANK_TOL * scale))
+    neg = int(np.sum(w < -RANK_TOL * scale))
     return pos, neg, len(w) - pos - neg
 
 
@@ -45,11 +45,6 @@ class LiftedActionPoint:
 
     pairing: np.ndarray        # 2N x 2N symmetric
     generators: np.ndarray     # 2N x m, columns are the generator vectors
-
-    @property
-    def degenerate(self):
-        rank = np.linalg.matrix_rank(self.generators, tol=RANK_TOL)
-        return rank < self.generators.shape[1]
 
 
 @dataclass
@@ -66,13 +61,13 @@ class ReducedSpace:
         return self.quotient.shape[1]
 
 
-def _intersect(a, b, tol=RANK_TOL):
+def _intersect(a, b):
     """Orthonormal basis of span(a) intersect span(b)."""
-    null = PointFrame.nullspace(np.concatenate([a, -b], axis=1), tol)
-    return PointFrame.orthonormal_span(a @ null[:a.shape[1]], tol)
+    null = PointFrame.nullspace(np.concatenate([a, -b], axis=1))
+    return PointFrame.orthonormal_span(a @ null[:a.shape[1]])
 
 
-def reduce_pointwise(action, tol=RANK_TOL):
+def reduce_pointwise(action):
     """Quotient K-perp / (K intersect K-perp) with its induced pairing.
 
     The reduction is exact precisely when K is isotropic; the induced pairing
@@ -80,31 +75,32 @@ def reduce_pointwise(action, tol=RANK_TOL):
     """
     g = action.pairing
     k = action.generators
-    perp = PointFrame.nullspace(k.T @ g, tol)
+    perp = PointFrame.nullspace(k.T @ g)
     k_orth = np.linalg.qr(k)[0] if k.shape[1] else k
-    radical = _intersect(k_orth, perp, tol)
+    radical = _intersect(k_orth, perp)
     # quotient representatives: complement of the radical inside K-perp
     if radical.shape[1]:
         coords = radical.conj().T @ perp    # radical expressed against perp basis
-        complement = PointFrame.nullspace(coords, tol)
+        complement = PointFrame.nullspace(coords)
         quotient = perp @ complement
     else:
         quotient = perp
     induced = quotient.conj().T @ g @ quotient
     gram_k = k.T @ g @ k
-    exact = bool(np.abs(gram_k).max() <= tol * max(1.0, np.abs(g).max())) if k.size else True
+    exact = (bool(np.abs(gram_k).max() <= RANK_TOL * max(1.0, np.abs(g).max()))
+             if k.size else True)
     return ReducedSpace(perp, radical, quotient, induced.real, exact,
-                        signature_of(induced.real, tol))
+                        signature_of(induced.real))
 
 
-def pairing_constant_check(sections, chart, points, tol=1e-9):
+def pairing_constant_check(sections, points):
     """True when all pairwise pairings of the lift generators are constant
-    across the sampled points (a lifted action induces a fixed symmetric
-    form on the acting algebra)."""
+    across the sampled points, up to 1e-9 relative (a lifted action induces
+    a fixed symmetric form on the acting algebra); also returns the spread."""
     stack = np.stack([np.array([[pairing(a, b).evaluate(p) for b in sections]
                                 for a in sections]) for p in points])
     spread = np.abs(stack - stack.mean(axis=0)).max()
-    return bool(spread <= tol * (1.0 + np.abs(stack).max())), float(spread)
+    return bool(spread <= 1e-9 * (1.0 + np.abs(stack).max())), float(spread)
 
 
 # -- the double-quotient picture -------------------------------------------------------
@@ -133,7 +129,7 @@ class ReductionReport:
     rank_ok: bool
 
 
-def double_quotient_report(pair, point, tol=RANK_TOL):
+def double_quotient_report(pair, point):
     """Check that the correspondence reduces isometrically onto both sides.
 
     (i) the two halves of the lift are isotropic, (ii) their sum carries a
@@ -153,9 +149,9 @@ def double_quotient_report(pair, point, tol=RANK_TOL):
     iso_kt = float(np.abs(kt_vecs.T @ g_total @ kt_vecs).max())
     kk = np.concatenate([k_vecs, kt_vecs], axis=1)
     gram = (kk.T @ g_total @ kk).real
-    sig = signature_of(gram, tol)
+    sig = signature_of(gram)
     split_ok = sig[:2] == (k, k)
-    perp = PointFrame.nullspace(kk.T @ g_total, tol)
+    perp = PointFrame.nullspace(kk.T @ g_total)
 
     fiber_idx = [total_cof.index(n) for n in corr.fiber_names]
     cofiber_idx = [total_cof.index(n) for n in corr.dual_fiber_names]
@@ -273,25 +269,26 @@ def tau_side_basis(pair):
     return np.stack(cols, axis=1)
 
 
-def transversality_check(pair, point, f_scale=1.0, tol=RANK_TOL):
+def transversality_check(pair, point, f_scale=1.0):
     """tau_F meets TM + T*M trivially iff the fiber block of F is invertible;
     both sides are computed independently and returned."""
     tf = generalized_tangent_basis(pair, point, f_scale)
     tm = tau_side_basis(pair)
-    inter = _intersect(np.linalg.qr(tf)[0], tm, tol)
+    inter = _intersect(np.linalg.qr(tf)[0], tm)
     transversal = inter.shape[1] == 0
     mat = np.array([[evaluate(e, point) for e in row] for row in pair.fiber_block()])
-    block_invertible = abs(np.linalg.det(f_scale * mat)) > tol
+    block_invertible = abs(np.linalg.det(f_scale * mat)) > RANK_TOL
     return transversal, block_invertible
 
 
-def fourier_mukai_check(spinor_m, spinor_t, pair, point, tol=1e-8):
+def fourier_mukai_check(spinor_m, spinor_t, pair, point):
     """Two independent duality criteria for pointwise structures.
 
     Route one: tau_F is invariant under the product structure (J, c Jt c^-1)
     with c = diag(1, -1) on the second factor.  Route two: Jt equals the
     conjugate of J by the section transform.  Returns (route1, route2,
-    defect1, defect2); the routes agree for valid inputs.
+    defect1, defect2), each route passing with a defect up to 1e-8; the
+    routes agree for valid inputs.
     """
     j_m = gcs_matrix_at(spinor_m, pair.chart, point)
     j_t = gcs_matrix_at(spinor_t, pair.dual, point)
@@ -311,4 +308,4 @@ def fourier_mukai_check(spinor_m, spinor_t, pair, point, tol=1e-8):
     defect1 = float(np.abs(image - proj @ image).max())
     phi = section_transform_matrix_at(pair, point).real
     defect2 = float(np.abs(j_t - phi @ j_m @ np.linalg.inv(phi)).max())
-    return defect1 <= tol, defect2 <= tol, defect1, defect2
+    return defect1 <= 1e-8, defect2 <= 1e-8, defect1, defect2

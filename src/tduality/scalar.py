@@ -22,7 +22,7 @@ __all__ = [
     "rat", "const", "var", "sadd", "smul", "sdiv", "spow", "sneg", "ssub",
     "ssin", "scos", "sexp", "slog", "ssqrt", "as_scalar",
     "ZERO", "ONE", "PI",
-    "diff", "evaluate", "equal_numeric",
+    "diff", "evaluate", "evaluate_all", "equal_numeric",
     "scalar_to_text", "scalar_from_text",
     "solve_linear_symbolic", "sym_matrix_inverse", "sym_det",
 ]
@@ -115,9 +115,6 @@ class Scalar:
     # -- queries --------------------------------------------------------------
     def is_zero(self):
         return self.kind == "rat" and self.value == 0
-
-    def is_one(self):
-        return self.kind == "rat" and self.value == 1
 
     def is_rational(self):
         return self.kind == "rat"
@@ -323,14 +320,24 @@ def ssqrt(x):
 
 # -- evaluation -----------------------------------------------------------------
 
-def evaluate(expr, point, memo=None):
+def evaluate(expr, point):
     """Evaluate at a point assignment {var: float}.  IEEE double semantics.
 
     Raises EvaluationError for unbound variables and singular operations.
     """
-    if memo is None:
-        memo = {}
-    return _eval(expr, point, memo)
+    return _eval(expr, point, {})
+
+
+def evaluate_all(exprs, point):
+    """Values of several expressions at one point, as a list.
+
+    Subexpressions shared between the expressions are evaluated once.  The
+    memo behind the sharing is keyed by node identity and lives only for this
+    call, while ``exprs`` keeps every node alive, so no cached value can
+    outlive the node it belongs to.
+    """
+    memo = {}
+    return [_eval(e, point, memo) for e in exprs]
 
 
 def _eval(node, point, memo):
@@ -393,11 +400,9 @@ def _eval(node, point, memo):
 
 # -- differentiation -------------------------------------------------------------
 
-def diff(expr, name, memo=None):
+def diff(expr, name):
     """Symbolic partial derivative with respect to variable ``name``."""
-    if memo is None:
-        memo = {}
-    return _diff(expr, name, memo)
+    return _diff(expr, name, {})
 
 
 def _diff(node, name, memo):
@@ -464,12 +469,12 @@ class Domain:
     def variables(self):
         return tuple(self.intervals)
 
-    def sample(self, rng, max_tries=200):
-        """One interior point avoiding all exclusions."""
+    def sample(self, rng):
+        """One interior point avoiding all exclusions (200 draws per variable)."""
         point = {}
         for name, (lo, hi) in self.intervals.items():
             excl = [(v, r) for (n, v, r) in self.exclusions if n == name]
-            for _ in range(max_tries):
+            for _ in range(200):
                 x = float(rng.uniform(lo, hi))
                 if all(abs(x - v) > r for v, r in excl):
                     point[name] = x
@@ -487,19 +492,15 @@ class Domain:
         return Domain(both, tuple(self.exclusions) + tuple(other.exclusions))
 
 
-def equal_numeric(a, b, domain, n=16, tol=1e-9, seed=0, rng=None):
-    """Probabilistic equality: |a(p) - b(p)| <= tol * (1 + |a(p)|) at n samples."""
-    if n < 1:
-        raise ValueError("need at least one sample")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    for _ in range(n):
+def equal_numeric(a, b, domain, seed=0):
+    """Probabilistic equality: |a(p) - b(p)| <= 1e-9 * (1 + |a(p)|) at 16
+    points drawn from the domain with the seeded RNG."""
+    rng = np.random.default_rng(seed)
+    for _ in range(16):
         p = domain.sample(rng)
         va = evaluate(a, p)
         vb = evaluate(b, p)
-        if abs(va - vb) > tol * (1.0 + abs(va)):
+        if abs(va - vb) > 1e-9 * (1.0 + abs(va)):
             return False
     return True
 
@@ -529,9 +530,6 @@ class CScalar:
 
     def is_zero(self):
         return self.re.is_zero() and self.im.is_zero()
-
-    def is_real(self):
-        return self.im.is_zero()
 
     def conj(self):
         return CScalar(self.re, sneg(self.im))
@@ -564,10 +562,8 @@ class CScalar:
         num = self * other.conj()
         return CScalar(sdiv(num.re, mod2), sdiv(num.im, mod2))
 
-    def evaluate(self, point, memo=None):
-        if memo is None:
-            memo = {}
-        return complex(_eval(self.re, point, memo), _eval(self.im, point, memo))
+    def evaluate(self, point):
+        return complex(*evaluate_all((self.re, self.im), point))
 
     def variables(self):
         return self.re.variables() | self.im.variables()

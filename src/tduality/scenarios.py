@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from .scalar import (CScalar, PI, ZERO, ONE, diff, equal_numeric, evaluate,
-                     rat, sadd, scos, sdiv, smul, sneg, sexp, ssin, ssqrt, var)
+                     evaluate_all, rat, sadd, scos, sdiv, smul, sneg, sexp, ssin,
+                     ssqrt, var)
 from .exterior import (Coframe, Form, FrameVector, exp_form, fiber_integrate,
                        mukai_pairing, wedge)
 from .bundle import (BundleChart, build_dual_chart, chart_from_text,
@@ -170,8 +171,7 @@ def scenario_s3_hopf(seed, samples, tol):
                residual=metric_residual(tm, closed, points), tol=1e-9)
     report.add("double-quotient", "correspondence reduces isometrically onto both sides",
                residual=_double_quotient_defect(pair, points), tol=1e-9)
-    ok, spread = pairing_constant_check(duality_lift_sections(pair), pair.total,
-                                        points)
+    ok, spread = pairing_constant_check(duality_lift_sections(pair), points)
     report.add("lift-pairing-constant",
                "the lifted torus action induces a constant split pairing",
                residual=spread, tol=1e-9, passed=ok)
@@ -233,7 +233,7 @@ def scenario_s2_annulus(seed, samples, tol):
                "(b + i w) dt",
                residual=0.0 if dual_spinor == expected else 1.0, tol=tol,
                notes="structural equality")
-    types = {spinor_type_at(PureSpinor(dual_spinor), dual, p) for p in points}
+    types = {spinor_type_at(PureSpinor(dual_spinor), p) for p in points}
     report.add("dual-type-one", "the dual structure has type one at every sample",
                residual=0.0 if types == {1} else 1.0, tol=tol)
     tj = [dual_type_at(spinor, pair, p) for p in points]
@@ -260,14 +260,12 @@ def scenario_s2_annulus(seed, samples, tol):
     z_re = smul(sexp(sneg(w_shift)), scos(sadd(tht, antib)))
     z_im = smul(sexp(sneg(w_shift)), ssin(sadd(tht, antib)))
     dual_chart = pair.dual
-    dcof = dual_chart.coframe
     worst = 0.0
     for p in points:
         for angle in (0.3, 2.1):
             env = dict(p)
             env["tht_angle"] = angle
-            memo = {}
-            z = complex(evaluate(z_re, env, memo), evaluate(z_im, env, memo))
+            z = complex(*evaluate_all((z_re, z_im), env))
             # dz = z (i thetat - (w - i b) dt)
             dz_dt = z * (-(evaluate(w, env) - 1j * evaluate(b, env)))
             dz_tht = z * 1j
@@ -357,7 +355,7 @@ def scenario_hopf_surface(seed, samples, tol):
         tt, j = dual_type_at(spinor, pair, p)
         types.append(tt)
         js.append(j)
-        if spinor_type_at(dual_spinor, pair.dual, p) != tt:
+        if spinor_type_at(dual_spinor, p) != tt:
             types.append(-99)
     report.add("generic-dual-type",
                "dual type is zero (symplectic) at every interior sample, and "
@@ -480,7 +478,7 @@ def scenario_gibbons_hawking(seed, samples, tol):
         j1 = gcs_matrix_at(sp1, chart, p)
         j2 = gcs_matrix_at(sp2, chart, p)
         g_endo = -j1 @ j2
-        worst = max(worst, float(np.abs(g_endo - metric_matrix_at(met, chart, p)).max()))
+        worst = max(worst, float(np.abs(g_endo - metric_matrix_at(met, p)).max()))
     report.add("kahler-pair",
                "the two structures commute and their product recovers the metric",
                residual=worst, tol=1e-7,
@@ -654,7 +652,7 @@ def scenario_reduction_suite(seed, samples, tol):
             positives += 1
         else:
             other = random_pure_spinor(rng, pair.dual, points)
-            r1, r2, d1, d2 = fourier_mukai_check(sp, other, pair, p, tol=1e-8)
+            r1, r2, d1, d2 = fourier_mukai_check(sp, other, pair, p)
             if max(d1, d2) < 1e-4:
                 continue  # accidental near-duality; skip rather than misjudge
             agree = agree and (not r1) and (not r2)

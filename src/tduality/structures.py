@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalar import CScalar, Scalar, ZERO, as_scalar
+from .scalar import CScalar, ZERO, as_scalar, evaluate_all
 from .exterior import (Form, FrameVector, contract, contract_sign, exp_form,
                        mukai_pairing, wedge)
 from .bundle import form_residual, twisted_derivative
@@ -70,14 +70,10 @@ class SymTensor:
         s = as_scalar(s)
         return SymTensor(self.coframe, {k: v * s for k, v in self.entries.items()})
 
-    def eval_matrix(self, point, memo=None):
-        from .scalar import evaluate
-        if memo is None:
-            memo = {}
+    def eval_matrix(self, point):
         m = self.coframe.dim
         out = np.zeros((m, m))
-        for (i, j), s in self.entries.items():
-            v = evaluate(s, point, memo)
+        for (i, j), v in zip(self.entries, evaluate_all(self.entries.values(), point)):
             out[i, j] = v
             out[j, i] = v
         return out
@@ -155,13 +151,12 @@ class GeneralizedMetric:
 # -- pointwise frames --------------------------------------------------------------
 
 class PointFrame:
-    """All pointwise linear-algebra data of a chart at one base point."""
+    """Clifford action matrices on the 2^m forms at a point of a coframe with
+    m generators; they do not depend on the point."""
 
-    def __init__(self, chart_or_coframe, point):
-        cof = getattr(chart_or_coframe, "coframe", chart_or_coframe)
-        self.coframe = cof
-        self.point = dict(point)
-        m = cof.dim
+    def __init__(self, coframe):
+        self.coframe = coframe
+        m = coframe.dim
         self.m = m
         self.nforms = 1 << m
         self._wedge = []
@@ -198,31 +193,31 @@ class PointFrame:
         return np.stack(cols, axis=1)
 
     @staticmethod
-    def nullspace(a, tol=RANK_TOL):
+    def nullspace(a):
         """Orthonormal basis (columns) of the kernel of a."""
         _, s, vh = np.linalg.svd(a)
-        return vh[_rank(s, tol):].conj().T
+        return vh[_rank(s):].conj().T
 
     @staticmethod
-    def orthonormal_span(a, tol=RANK_TOL):
+    def orthonormal_span(a):
         """Orthonormal basis (columns) of the column span of a."""
         u, s, _ = np.linalg.svd(a, full_matrices=False)
-        return u[:, :_rank(s, tol)]
+        return u[:, :_rank(s)]
 
 
-def _rank(s, tol):
+def _rank(s):
     """Numerical rank from descending singular values, relative to the largest."""
-    return int(np.sum(s > tol * s.max(initial=0.0)))
+    return int(np.sum(s > RANK_TOL * s.max(initial=0.0)))
 
 
-def annihilator_at(spinor, chart, point, tol=RANK_TOL):
+def annihilator_at(spinor, chart, point):
     """Basis (2m x d complex) of {v : v . rho(p) = 0}; maximal isotropic."""
-    fr = PointFrame(chart, point)
+    fr = PointFrame(chart.coframe)
     rho = spinor.form.eval_vector(point)
     norm = np.abs(rho).max()
-    if norm <= tol:
+    if norm <= RANK_TOL:
         raise ValueError("spinor vanishes at the sample point")
-    return fr.nullspace(fr.spinor_action_matrix(rho / norm), tol)
+    return fr.nullspace(fr.spinor_action_matrix(rho / norm))
 
 
 def mukai_norm_at(spinor, point):
@@ -232,7 +227,7 @@ def mukai_norm_at(spinor, point):
     return max((abs(v) for v in vals.values()), default=0.0)
 
 
-def spinor_type_at(spinor, chart, point, tol=RANK_TOL):
+def spinor_type_at(spinor, point):
     """Degree of the lowest component that survives numerically at the point."""
     coeffs = spinor.form.eval_coeffs(point)
     if not coeffs:
@@ -244,19 +239,18 @@ def spinor_type_at(spinor, chart, point, tol=RANK_TOL):
     for mask, v in coeffs.items():
         d = bin(mask).count("1")
         by_degree[d] = max(by_degree.get(d, 0.0), abs(v))
-    return min(d for d, v in by_degree.items() if v > tol * top)
+    return min(d for d, v in by_degree.items() if v > RANK_TOL * top)
 
 
-def is_decomposable_at(form, point, degree=None, tol=RANK_TOL):
+def is_decomposable_at(form, point):
     """Pluecker test of the lowest degree component at the point."""
     coeffs = form.eval_coeffs(point)
-    if degree is None:
-        degs = sorted({bin(m).count("1") for m, v in coeffs.items() if abs(v) > 0})
-        if not degs:
-            return True
-        degree = degs[0]
+    degs = sorted({bin(m).count("1") for m, v in coeffs.items() if abs(v) > 0})
+    if not degs:
+        return True
+    degree = degs[0]
     m = form.coframe.dim
-    fr = PointFrame(form.coframe, point)
+    fr = PointFrame(form.coframe)
     vec = np.zeros(fr.nforms, dtype=complex)
     for mask, v in coeffs.items():
         if bin(mask).count("1") == degree:
@@ -275,7 +269,7 @@ def is_decomposable_at(form, point, degree=None, tol=RANK_TOL):
         for i in range(m):
             if w[1 << i] != 0:
                 out = out + w[1 << i] * (fr._wedge[i] @ vec)
-        if np.abs(out).max() > tol:
+        if np.abs(out).max() > RANK_TOL:
             return False
     return True
 
@@ -288,17 +282,17 @@ class IntegrabilityResult:
     points: list
 
 
-def check_integrable(spinor, chart, points, tol=1e-8):
+def check_integrable(spinor, chart, points):
     """Least-squares solve of v . rho = d_H rho at each sample point.
 
     Returns the witness components per point and the worst residual; the
-    structure is integrable when the residual stays below tol everywhere.
+    structure is integrable when the residual stays below 1e-8 everywhere.
     """
     drho = twisted_derivative(spinor.form, chart)
+    fr = PointFrame(chart.coframe)
     worst = 0.0
     witnesses = []
     for p in points:
-        fr = PointFrame(chart, p)
         rho = spinor.form.eval_vector(p)
         scale = np.abs(rho).max()
         if scale == 0:
@@ -308,18 +302,17 @@ def check_integrable(spinor, chart, points, tol=1e-8):
         x, *_ = np.linalg.lstsq(a, b, rcond=None)
         witnesses.append(x)
         worst = max(worst, float(np.abs(a @ x - b).max() / scale))
-    return IntegrabilityResult(worst, worst <= tol, witnesses, list(points))
+    return IntegrabilityResult(worst, worst <= 1e-8, witnesses, list(points))
 
 
-def gcs_matrix_at(spinor, chart, point, tol=RANK_TOL):
+def gcs_matrix_at(spinor, chart, point):
     """Real 2m x 2m matrix: +i on the annihilator, -i on its conjugate."""
-    fr = PointFrame(chart, point)
-    l_basis = annihilator_at(spinor, chart, point, tol)
-    n = fr.m
+    l_basis = annihilator_at(spinor, chart, point)
+    n = chart.coframe.dim
     if l_basis.shape[1] != n:
         raise ValueError(f"annihilator has dimension {l_basis.shape[1]}, expected {n}")
     b = np.concatenate([l_basis, l_basis.conj()], axis=1)
-    if np.linalg.matrix_rank(b, tol=tol) < 2 * n:
+    if np.linalg.matrix_rank(b, tol=RANK_TOL) < 2 * n:
         raise ValueError("annihilator meets its conjugate: no almost complex structure")
     d = np.diag([1j] * n + [-1j] * n)
     j = b @ d @ np.linalg.inv(b)
@@ -328,7 +321,7 @@ def gcs_matrix_at(spinor, chart, point, tol=RANK_TOL):
     return j.real
 
 
-def metric_matrix_at(metric, chart, point):
+def metric_matrix_at(metric, point):
     """+1 on the graph of b+g, -1 on the graph of b-g."""
     g = metric.g.eval_matrix(point)
     b = two_form_matrix_at(metric.b, point)
@@ -379,21 +372,21 @@ def gb_from_cplus(basis):
     return (a + a.T) / 2, (a - a.T) / 2
 
 
-def uk_spaces_at(spinor, chart, point, tol=RANK_TOL):
+def uk_spaces_at(spinor, chart, point):
     """Eigenspace ladder of forms at a point: U_n down to U_{-n}.
 
     U_n is the canonical line span(rho); U_{n-k} is spanned by k-fold Clifford
     products of conjugate-annihilator elements acting on rho.  Returns a list
     of (level, orthonormal basis matrix) with levels n, n-1, ..., -n.
     """
-    fr = PointFrame(chart, point)
+    fr = PointFrame(chart.coframe)
     m = fr.m
     if m % 2:
         raise ValueError("generalized complex structures need an even-dimensional chart")
     half = m // 2
     rho = spinor.form.eval_vector(point)
     rho = rho / np.abs(rho).max()
-    lbar = annihilator_at(spinor, chart, point, tol).conj()
+    lbar = annihilator_at(spinor, chart, point).conj()
     actions = [fr.section_action(lbar[:, i]) for i in range(m)]
     out = []
     total = 0
@@ -404,7 +397,7 @@ def uk_spaces_at(spinor, chart, point, tol=RANK_TOL):
             for i in combo:
                 w = actions[i] @ w
             vecs.append(w)
-        basis = fr.orthonormal_span(np.stack(vecs, axis=1), tol)
+        basis = fr.orthonormal_span(np.stack(vecs, axis=1))
         if basis.shape[1] != len(vecs):
             raise ValueError(f"level {half - k}: expected dimension {len(vecs)}, "
                              f"got {basis.shape[1]}")
@@ -415,7 +408,7 @@ def uk_spaces_at(spinor, chart, point, tol=RANK_TOL):
     return out
 
 
-def commute_at(spinor1, spinor2, chart, point, tol=1e-9):
+def commute_at(spinor1, spinor2, chart, point):
     """Commutator norm of the two structures at a point (generalized
     Hermitian pairs commute)."""
     j1 = gcs_matrix_at(spinor1, chart, point)

@@ -268,7 +268,7 @@ def test_dual_type_matches_transported_type(rng, circle_pair, torus_pair):
             dual_sp = transport_spinor(sp, pair)
             for p in pts:
                 tt, j = dual_type_at(sp, pair, p)
-                assert tt == spinor_type_at(dual_sp, pair.dual, p)
+                assert tt == spinor_type_at(dual_sp, p)
 
 
 def _table_pair():

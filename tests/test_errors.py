@@ -74,7 +74,7 @@ def test_vanishing_spinor_rejected(plane_chart):
     with pytest.raises(ValueError):
         annihilator_at(sp, plane_chart, point)
     with pytest.raises(ValueError):
-        spinor_type_at(sp, plane_chart, point)
+        spinor_type_at(sp, point)
 
 
 def test_gcs_rejects_degenerate_annihilator(torus_chart, rng):

@@ -1,0 +1,44 @@
+"""Every parameter of every function in the package is read by its body.
+
+A parameter that nothing reads is a knob that does nothing: a caller may set
+it and believe it took effect.  The allow-list holds the parameters that an
+interface fixes: ``form_residual``'s ``domain``, which callers still pass
+positionally, and the ``(coframe, chart, dual)`` flux-maker callbacks whose
+signature ``make_correspondence`` dictates.
+"""
+import ast
+from pathlib import Path
+
+import tduality
+
+ALLOWED = {
+    ("bundle", "form_residual", "domain"),
+    ("bundle", "standard_correspondence_flux", "dual"),
+    ("duality", "flux_maker", "chart"),
+    ("duality", "flux_maker", "dual"),
+    ("scenarios", "flux_maker", "c"),
+    ("scenarios", "flux_maker", "d"),
+}
+
+
+def unread_parameters():
+    """(module, function, parameter) for every parameter never loaded in
+    its function, nested functions included."""
+    out = set()
+    for path in sorted(Path(tduality.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            read = {n.id for n in ast.walk(node)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            for p in params:
+                if p.arg not in ("self", "cls") and p.arg not in read:
+                    out.add((path.stem, node.name, p.arg))
+    return out
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == ALLOWED

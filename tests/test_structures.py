@@ -52,18 +52,17 @@ def test_annihilator_complex(plane_chart, point):
 
 
 def test_spinor_types(plane_chart, circle_chart, point):
-    assert spinor_type_at(omega_spinor(plane_chart, ("dx", "dy")),
-                          plane_chart, point) == 0
+    assert spinor_type_at(omega_spinor(plane_chart, ("dx", "dy")), point) == 0
     cof = plane_chart.coframe
     dz = Form.monomial(cof, ("dx",)) + Form.monomial(cof, ("dy",), CScalar.i())
-    assert spinor_type_at(PureSpinor(dz), plane_chart, point) == 1
+    assert spinor_type_at(PureSpinor(dz), point) == 1
     # four-dimensional decomposable two-form: type two
     ch4 = BundleChart.build("c4", [("x", -1, 1), ("y", -1, 1),
                                    ("z", -1, 1), ("w", -1, 1)], [])
     z1 = Form.monomial(ch4.coframe, ("dx",)) + Form.monomial(ch4.coframe, ("dy",), CScalar.i())
     z2 = Form.monomial(ch4.coframe, ("dz",)) + Form.monomial(ch4.coframe, ("dw",), CScalar.i())
     sp = PureSpinor(wedge(z1, z2))
-    assert spinor_type_at(sp, ch4, {"x": .1, "y": .2, "z": .3, "w": -.1}) == 2
+    assert spinor_type_at(sp, {"x": .1, "y": .2, "z": .3, "w": -.1}) == 2
 
 
 def test_type_of_circle_dual_spinor(circle_chart):
@@ -72,7 +71,7 @@ def test_type_of_circle_dual_spinor(circle_chart):
     t = var("t")
     rho = (Form.monomial(cof, ("th",))
            + Form.monomial(cof, ("dt",), CScalar(rat(1, 4) * t, rat(1, 2) + t * t)))
-    assert spinor_type_at(PureSpinor(rho), circle_chart, {"t": 0.4}) == 1
+    assert spinor_type_at(PureSpinor(rho), {"t": 0.4}) == 1
 
 
 def test_hint_type_matches_lowest_degree(rng, torus_chart):
@@ -81,7 +80,7 @@ def test_hint_type_matches_lowest_degree(rng, torus_chart):
         sp = random_pure_spinor(rng, torus_chart, pts)
         expected = sp.lowest.max_degree()
         for p in pts:
-            assert spinor_type_at(sp, torus_chart, p) == expected
+            assert spinor_type_at(sp, p) == expected
 
 
 def test_mukai_nondegeneracy_matches_annihilator_split(rng, torus_chart):
@@ -183,7 +182,7 @@ def test_metric_matrix_identity(plane_chart, point):
     g = SymTensor.from_names(plane_chart.coframe,
                              {("dx", "dx"): rat(1), ("dy", "dy"): rat(1)})
     met = GeneralizedMetric(g, Form.zero(plane_chart.coframe))
-    endo = metric_matrix_at(met, plane_chart, point)
+    endo = metric_matrix_at(met, point)
     expected = np.block([[np.zeros((2, 2)), np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
     assert np.abs(endo - expected).max() <= 1e-12
 
@@ -191,7 +190,7 @@ def test_metric_matrix_identity(plane_chart, point):
 def test_metric_matrix_properties(rng, hopf_chart):
     pts = hopf_chart.domain.sample_many(rng, 2)
     met = random_metric(rng, hopf_chart, pts)
-    endo = metric_matrix_at(met, hopf_chart, pts[0])
+    endo = metric_matrix_at(met, pts[0])
     m = hopf_chart.coframe.dim
     assert np.abs(endo @ endo - np.eye(2 * m)).max() <= 1e-9
     quad = split_pairing_matrix(m) @ endo
