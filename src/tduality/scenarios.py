@@ -638,7 +638,7 @@ def scenario_reduction_suite(seed, samples, tol):
                residual=0.0 if t_ok else 1.0, tol=tol)
     # the two duality criteria agree, positive and negative instances
     agree = True
-    positives = negatives = 0
+    positives = negatives = skipped = 0
     pairs_for_fm = (s2, DualityPair.from_chart(load_chart("hopf_surface.cfg")))
     for trial in range(32):
         pair = pairs_for_fm[trial % 2]
@@ -654,14 +654,19 @@ def scenario_reduction_suite(seed, samples, tol):
             other = random_pure_spinor(rng, pair.dual, points)
             r1, r2, d1, d2 = fourier_mukai_check(sp, other, pair, p)
             if max(d1, d2) < 1e-4:
-                continue  # accidental near-duality; skip rather than misjudge
+                skipped += 1  # accidental near-duality; skip rather than misjudge
+                continue
             agree = agree and (not r1) and (not r2)
             negatives += 1
+    # too many skips would leave the negative side of the equivalence untested
     report.add("product-criterion-equivalence",
                "invariance of the correspondence tangent space under the product "
                "structure agrees with conjugation by the section transform",
                residual=0.0 if agree else 1.0, tol=tol,
-               notes=f"{positives} positive, {negatives} negative instances")
+               passed=agree and negatives >= 12,
+               notes=f"{positives} positive, {negatives} negative instances; "
+                     f"{skipped} near-dual negatives skipped (at least 12 of 16 "
+                     f"negatives must remain)")
     return report
 
 
