@@ -666,7 +666,7 @@ def scenario_reduction_suite(seed, samples, tol):
                passed=agree and negatives >= 12,
                notes=f"{positives} positive, {negatives} negative instances; "
                      f"{skipped} near-dual negatives skipped (at least 12 of 16 "
-                     f"negatives must remain)")
+                     "negatives must remain)")
     return report
 
 

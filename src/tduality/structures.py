@@ -245,10 +245,10 @@ def spinor_type_at(spinor, point):
 def is_decomposable_at(form, point):
     """Pluecker test of the lowest degree component at the point."""
     coeffs = form.eval_coeffs(point)
-    degs = sorted({bin(m).count("1") for m, v in coeffs.items() if abs(v) > 0})
+    degs = {bin(m).count("1") for m, v in coeffs.items() if abs(v) > 0}
     if not degs:
         return True
-    degree = degs[0]
+    degree = min(degs)
     m = form.coframe.dim
     fr = PointFrame(form.coframe)
     vec = np.zeros(fr.nforms, dtype=complex)
