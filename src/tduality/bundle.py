@@ -288,16 +288,15 @@ class ChartReport:
     curvature_closed_residual: float
     zero_holonomy: bool
     invariant_coefficients: bool
-    tol: float
 
     @property
     def ok(self):
         return (self.zero_holonomy and self.invariant_coefficients
-                and self.flux_closed_residual <= self.tol
-                and self.curvature_closed_residual <= self.tol)
+                and self.flux_closed_residual <= 1e-9
+                and self.curvature_closed_residual <= 1e-9)
 
 
-def validate_chart(chart, n=8, tol=1e-9, seed=0):
+def validate_chart(chart, n=8, seed=0):
     rng = np.random.default_rng(seed)
     points = chart.domain.sample_many(rng, n)
     dh = exterior_derivative(chart.flux, chart)
@@ -314,7 +313,6 @@ def validate_chart(chart, n=8, tol=1e-9, seed=0):
         curvature_closed_residual=curv_res,
         zero_holonomy=_check_zero_holonomy(chart),
         invariant_coefficients=invariant,
-        tol=tol,
     )
 
 
@@ -326,15 +324,14 @@ class PairReport:
     nondegenerate: bool
     unimodular: bool | None
     min_abs_det: float
-    tol: float
 
     @property
     def ok(self):
         return (self.chart_m.ok and self.chart_mt.ok and self.nondegenerate
-                and self.flux_difference_residual <= self.tol)
+                and self.flux_difference_residual <= 1e-9)
 
 
-def validate_pair(corr, n=8, tol=1e-9, seed=0):
+def validate_pair(corr, n=8, seed=0):
     """Residual of dF = H - Ht, fiber-block nondegeneracy, unimodularity."""
     rng = np.random.default_rng(seed)
     points = corr.total.domain.sample_many(rng, n)
@@ -350,16 +347,15 @@ def validate_pair(corr, n=8, tol=1e-9, seed=0):
     unimodular = None
     if constant:
         vals = np.array([[float(e.value) for e in row] for row in block])
-        is_int = np.allclose(vals, np.round(vals), atol=tol)
-        unimodular = bool(is_int and abs(abs(np.linalg.det(np.round(vals))) - 1.0) <= tol)
+        is_int = np.allclose(vals, np.round(vals), atol=1e-9)
+        unimodular = bool(is_int and abs(abs(np.linalg.det(np.round(vals))) - 1.0) <= 1e-9)
     return PairReport(
-        chart_m=validate_chart(corr.chart_m, n=n, tol=tol, seed=seed),
-        chart_mt=validate_chart(corr.chart_mt, n=n, tol=tol, seed=seed + 1),
+        chart_m=validate_chart(corr.chart_m, n=n, seed=seed),
+        chart_mt=validate_chart(corr.chart_mt, n=n, seed=seed + 1),
         flux_difference_residual=res,
-        nondegenerate=min_det > tol,
+        nondegenerate=min_det > 1e-9,
         unimodular=unimodular,
         min_abs_det=min_det,
-        tol=tol,
     )
 
 

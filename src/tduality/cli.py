@@ -1,11 +1,15 @@
 """Command-line scenario runner.
 
-    tduality run <scenario> [--seed N] [--samples N] [--tol X] [--out PATH]
+    tduality run <scenario> [--seed N] [--samples N] [--out PATH]
     tduality list
 
 Prints a human-readable summary table to stdout and writes one JSON record
-per check to the output path.  Exit status is zero exactly when every check
-passes.  Reports are bit-identical across runs with the same seed and flags.
+per check to the output path.  Each check owns its tolerance: a measured
+check records its residual and the tolerance it was compared with, and a
+pass/fail check records both as null.  Exit status is zero exactly when every
+check passes, one when a check fails, and two for a usage error (an unknown
+scenario or ``--samples`` below 1), which writes no report.  Reports are
+bit-identical across runs with the same seed and flags.
 """
 from __future__ import annotations
 
@@ -25,8 +29,6 @@ def build_parser():
     runp.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     runp.add_argument("--samples", type=int, default=8,
                       help="randomized instances per check (default 8)")
-    runp.add_argument("--tol", type=float, default=1e-9,
-                      help="base tolerance for structural residuals (default 1e-9)")
     runp.add_argument("--out", type=str, default=None,
                       help="report path (default <scenario>.report.jsonl)")
     sub.add_parser("list", help="list registered scenarios")
@@ -53,8 +55,10 @@ def main(argv=None):
         for name in sorted(SCENARIOS):
             print(f"  {name}", file=sys.stderr)
         return 2
-    report = run_scenario(args.scenario, seed=args.seed, samples=args.samples,
-                          tol=args.tol)
+    if args.samples < 1:
+        print(f"samples must be at least 1, got {args.samples}", file=sys.stderr)
+        return 2
+    report = run_scenario(args.scenario, seed=args.seed, samples=args.samples)
     out_path = Path(args.out) if args.out else Path(f"{args.scenario}.report.jsonl")
     out_path.write_text(report.to_jsonl())
     print(report.summary_table())

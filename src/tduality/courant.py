@@ -213,7 +213,7 @@ def bracket_spinor_residual(v, w, rho, chart, points):
     return form_residual(lhs - rhs, chart.domain, points)
 
 
-def check_lift_splitting(x, xi, chart, points, tol=1e-9):
+def check_lift_splitting(x, xi, chart, points):
     """True when i_X H = d xi at the sample points.
 
     This is the condition for the adjoint action of X + xi to preserve the
@@ -221,4 +221,4 @@ def check_lift_splitting(x, xi, chart, points, tol=1e-9):
     with a B-field transform.
     """
     residual = contract(x, chart.flux) - exterior_derivative(xi, chart)
-    return form_residual(residual, chart.domain, points) <= tol
+    return form_residual(residual, chart.domain, points) <= 1e-9

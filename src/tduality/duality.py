@@ -82,8 +82,8 @@ class DualityPair:
             object.__setattr__(self, "_fiber_block", block)
         return block
 
-    def validate(self, n=8, tol=1e-9, seed=0):
-        return validate_pair(self.corr, n=n, tol=tol, seed=seed)
+    def validate(self, n=8, seed=0):
+        return validate_pair(self.corr, n=n, seed=seed)
 
     def swap(self):
         """The same duality read from the dual side: F changes sign and the

@@ -1,9 +1,10 @@
 """Structured check records and deterministic report output.
 
 One record per check: the name, the identity it certifies (the anchor),
-the measured residual against its tolerance, and any convention notes
-(signs fixed by the package).  Reports serialize to JSON lines plus a
-human-readable table, bit-identical across runs with the same seed.
+the measured residual against the tolerance the check sets (both null for a
+pass/fail check), and any convention notes (signs fixed by the package).
+Reports serialize to JSON lines plus a human-readable table, bit-identical
+across runs with the same seed.
 """
 from __future__ import annotations
 
@@ -44,7 +45,6 @@ class Report:
     scenario: str
     seed: int
     samples: int
-    tol: float
     checks: list = field(default_factory=list)
     conventions: str = ("fiber volume extracted rightmost; F = -sum theta_i^thetat_i "
                         "for constructed duals; bracket flux term i_X i_Y H; "
@@ -55,7 +55,7 @@ class Report:
             if residual is None or tol is None:
                 raise ValueError("explicit pass/fail needed without residual+tol")
             passed = residual <= tol
-        self.checks.append(CheckRecord(name, anchor, residual, tol, passed, notes))
+        self.checks.append(CheckRecord(name, anchor, residual, tol, bool(passed), notes))
         return self.checks[-1]
 
     @property
@@ -67,7 +67,6 @@ class Report:
             "scenario": self.scenario,
             "seed": self.seed,
             "samples": self.samples,
-            "tol": fmt_float(self.tol),
             "conventions": self.conventions,
             "passed": self.ok,
         }, sort_keys=True)]
@@ -77,8 +76,7 @@ class Report:
 
     def summary_table(self):
         width = max((len(c.name) for c in self.checks), default=4)
-        out = [f"scenario {self.scenario}  (seed={self.seed}, samples={self.samples}, "
-               f"tol={self.tol:g})"]
+        out = [f"scenario {self.scenario}  (seed={self.seed}, samples={self.samples})"]
         out.append("-" * (width + 34))
         for c in self.checks:
             res = "      --" if c.residual is None else f"{c.residual:8.2e}"

@@ -630,17 +630,16 @@ def _parse_tokens(tokens, pos):
         raise ValueError(f"unknown operator {head!r}")
     if tok == ")":
         raise ValueError("unbalanced parenthesis")
-    # atom: rational, named constant, or variable
-    if "/" in tok and tok not in ("/",):
-        num, den = tok.split("/")
-        return rat(int(num), int(den)), pos + 1
+    # atom: exact number (integer, ratio, decimal), named constant, or variable
     try:
-        return rat(int(tok)), pos + 1
-    except ValueError:
+        return rat(Fraction(tok)), pos + 1
+    except (ValueError, ZeroDivisionError):
         pass
     if tok in _NAMED_CONSTANTS:
         return const(tok), pos + 1
-    return var(tok), pos + 1
+    if tok.isidentifier():
+        return var(tok), pos + 1
+    raise ValueError(f"cannot parse atom {tok!r} in scalar text")
 
 
 def scalar_from_text(text):

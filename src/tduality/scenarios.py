@@ -62,12 +62,12 @@ def _double_quotient_defect(pair, points):
     return worst
 
 
-def _standard_pair_checks(report, pair, rng, points, samples, tol):
+def _standard_pair_checks(report, pair, rng, points, samples):
     """Shared suite: validation, transform identities, bracket transport."""
     chart = pair.chart
-    rep = pair.validate(n=len(points), tol=tol, seed=int(rng.integers(2**31)))
+    rep = pair.validate(n=len(points), seed=int(rng.integers(2**31)))
     report.add("pair-validation", "dF equals the flux difference; fiber block invertible",
-               residual=rep.flux_difference_residual, tol=tol,
+               residual=rep.flux_difference_residual, tol=1e-9,
                passed=rep.ok, notes=f"unimodular={rep.unimodular}")
     worst = 0.0
     for _ in range(samples):
@@ -123,7 +123,7 @@ def _standard_pair_checks(report, pair, rng, points, samples, tol):
     return report
 
 
-def _dual_of_dual_check(report, pair, points, tol):
+def _dual_of_dual_check(report, pair, points):
     chart = pair.chart
     ddual, _ = build_dual_chart(pair.dual)
     # dualization suffixes fiber names with "t"; strip two rounds of it
@@ -135,11 +135,11 @@ def _dual_of_dual_check(report, pair, points, tol):
         res = max(res, form_residual(back - chart.curvature_of(gen),
                                      chart.domain, points))
     report.add("dual-of-dual", "double dualization returns the original data",
-               residual=res, tol=tol)
+               residual=res, tol=1e-9)
 
 
-def scenario_s3_hopf(seed, samples, tol):
-    report = Report("s3-hopf", seed, samples, tol)
+def scenario_s3_hopf(seed, samples):
+    report = Report("s3-hopf", seed, samples)
     rng = np.random.default_rng(seed)
     chart = load_chart("s3_hopf.cfg")
     pair = DualityPair.from_chart(chart)
@@ -149,11 +149,10 @@ def scenario_s3_hopf(seed, samples, tol):
     report.add("dual-is-product-with-flux",
                "trivial-flux circle bundle dualizes to the product with flux "
                "curvature ^ dual fiber",
-               residual=0.0 if dual.flux == sigma_tht and not dual.curvature_of("tht").coeffs
-               else 1.0,
-               tol=tol, notes="structural equality")
-    _standard_pair_checks(report, pair, rng, points, samples, tol)
-    _dual_of_dual_check(report, pair, points, tol)
+               passed=dual.flux == sigma_tht and not dual.curvature_of("tht").coeffs,
+               notes="structural equality")
+    _standard_pair_checks(report, pair, rng, points, samples)
+    _dual_of_dual_check(report, pair, points)
     # metric transport against the closed form
     t, u = var("t"), var("u")
     g0 = sadd(ONE, smul(t, t))
@@ -177,14 +176,14 @@ def scenario_s3_hopf(seed, samples, tol):
                residual=spread, tol=1e-9, passed=ok)
     # lift splitting predicate on the flux chart
     x = FrameVector.basis(chart.coframe, "th")
-    ok = check_lift_splitting(x, Form.zero(chart.coframe), chart, points, tol=tol)
+    ok = check_lift_splitting(x, Form.zero(chart.coframe), chart, points)
     report.add("fiber-lift-splitting", "fiber generators satisfy i_X H = d xi with xi = 0",
-               residual=0.0 if ok else 1.0, tol=tol, passed=ok)
+               passed=ok)
     return report
 
 
-def scenario_s3_selfdual(seed, samples, tol):
-    report = Report("s3-selfdual", seed, samples, tol)
+def scenario_s3_selfdual(seed, samples):
+    report = Report("s3-selfdual", seed, samples)
     rng = np.random.default_rng(seed)
     chart = load_chart("s3_flux.cfg")
     pair = DualityPair.from_chart(chart)
@@ -192,17 +191,17 @@ def scenario_s3_selfdual(seed, samples, tol):
     sigma = Form.monomial(chart.coframe, ("dt", "du"))
     ct, h = split_flux(chart)
     report.add("flux-splitting", "H = curvature-part ^ fiber + basic part",
-               residual=0.0 if ct["th"] == sigma and h.is_zero() else 1.0, tol=tol,
+               passed=ct["th"] == sigma and h.is_zero(),
                notes="dual curvature equals the original curvature (self-dual shape); "
                      "sign fixed by the curvature-first splitting convention")
     dual = pair.dual
     same_shape = (dual.curvature_of("tht") == sigma.map_to(dual.coframe)
                   and dual.flux == Form.monomial(dual.coframe, ("dt", "du", "tht")))
     report.add("self-dual-shape", "dual chart carries the same curvature and flux pattern",
-               residual=0.0 if same_shape else 1.0, tol=tol,
+               passed=same_shape,
                notes="structural equality")
-    _standard_pair_checks(report, pair, rng, points, samples, tol)
-    _dual_of_dual_check(report, pair, points, tol)
+    _standard_pair_checks(report, pair, rng, points, samples)
+    _dual_of_dual_check(report, pair, points)
     return report
 
 
@@ -218,8 +217,8 @@ def _s2_setup():
     return chart, t, w, b, spinor
 
 
-def scenario_s2_annulus(seed, samples, tol):
-    report = Report("s2-annulus", seed, samples, tol)
+def scenario_s2_annulus(seed, samples):
+    report = Report("s2-annulus", seed, samples)
     rng = np.random.default_rng(seed)
     chart, t, w, b, spinor = _s2_setup()
     pair = DualityPair.from_chart(chart)
@@ -231,14 +230,14 @@ def scenario_s2_annulus(seed, samples, tol):
     report.add("dual-spinor-formula",
                "the symplectic exponential dualizes to the fiber form plus "
                "(b + i w) dt",
-               residual=0.0 if dual_spinor == expected else 1.0, tol=tol,
+               passed=dual_spinor == expected,
                notes="structural equality")
     types = {spinor_type_at(PureSpinor(dual_spinor), p) for p in points}
     report.add("dual-type-one", "the dual structure has type one at every sample",
-               residual=0.0 if types == {1} else 1.0, tol=tol)
+               passed=types == {1})
     tj = [dual_type_at(spinor, pair, p) for p in points]
     report.add("type-shift", "type changes by 2j - k with j from the fiber integral",
-               residual=0.0 if all(x == (1, 1) for x in tj) else 1.0, tol=tol,
+               passed=all(x == (1, 1) for x in tj),
                notes="j = 1 everywhere: the lowest factor is basic")
     # annulus radii: closed-form antiderivative vs Gauss-Legendre quadrature,
     # whose 2 nodes integrate the quadratic w exactly (exact through degree 3)
@@ -290,7 +289,7 @@ def scenario_s2_annulus(seed, samples, tol):
           and dual_met.b.is_zero())
     report.add("round-metric-dual",
                "round fiber radius inverts: dual metric is (1/(1-t^2))(dthetat^2 + dt^2)",
-               residual=0.0 if ok else 1.0, tol=tol)
+               passed=ok)
     tm = transport_metric(assemble_metric(chart, g0, zero1, g2, zero1, zero1), pair)
     report.add("metric-transport-matches",
                "eigenspace transport reproduces the closed-form dual metric",
@@ -319,26 +318,22 @@ def _hopf_surface_family(chart, eps):
     return PureSpinor.from_data(Form.zero(cof), Form.zero(cof), wedge(alpha, beta))
 
 
-def scenario_hopf_surface(seed, samples, tol):
-    report = Report("hopf-surface", seed, samples, tol)
+def scenario_hopf_surface(seed, samples):
+    report = Report("hopf-surface", seed, samples)
     rng = np.random.default_rng(seed)
     chart = load_chart("hopf_surface.cfg")
     pair = DualityPair.from_chart(chart)
     points = chart.domain.sample_many(rng, 6)
     s2v = var("s2")
     spinor = _hopf_surface_family(chart, s2v)
-    rep = pair.validate(n=len(points), tol=tol, seed=seed)
+    rep = pair.validate(n=len(points), seed=seed)
     report.add("pair-validation", "dF equals the flux difference; fiber block invertible",
-               residual=rep.flux_difference_residual, tol=tol, passed=rep.ok)
-    worst = 0.0
-    for p in points:
-        if mukai_norm_at(spinor, p) < 1e-6:
-            worst = 1.0
-        if not is_decomposable_at(spinor.lowest, p):
-            worst = 1.0
+               residual=rep.flux_difference_residual, tol=1e-9, passed=rep.ok)
+    valid = all(mukai_norm_at(spinor, p) >= 1e-6 and is_decomposable_at(spinor.lowest, p)
+                for p in points)
     report.add("family-validity",
                "the invariant family is nondegenerate and decomposable on the chart",
-               residual=worst, tol=tol,
+               passed=valid,
                notes="family a1 != a2; phases are real tori away from the "
                      "excluded loci at s2 = 0")
     res = check_integrable(spinor, chart, points)
@@ -360,7 +355,7 @@ def scenario_hopf_surface(seed, samples, tol):
     report.add("generic-dual-type",
                "dual type is zero (symplectic) at every interior sample, and "
                "matches the transported spinor's type",
-               residual=0.0 if set(types) == {0} else 1.0, tol=tol,
+               passed=set(types) == {0},
                notes=f"j per sample: {sorted(set(js))}")
     # continuation toward the excluded locus: the surviving integral decays
     # linearly and the limit member jumps to j = 1 (complex dual type 2)
@@ -380,9 +375,7 @@ def scenario_hopf_surface(seed, samples, tol):
     report.add("type-jump-at-locus",
                "continuing the family to the excluded fibers flips the fiber "
                "integral order and the dual type jumps 0 -> 2",
-               residual=0.0 if (linear and (tt_limit, j_limit) == (2, 1) and degenerate)
-               else 1.0,
-               tol=tol,
+               passed=linear and (tt_limit, j_limit) == (2, 1) and degenerate,
                notes=f"surviving integral decays linearly ({decay[0]:.3g}, "
                      f"{decay[1]:.3g}, {decay[2]:.3g}); limit member is "
                      f"degenerate with j = {j_limit}")
@@ -404,8 +397,8 @@ def _gh_data(chart):
     return v_pot, b1
 
 
-def scenario_gibbons_hawking(seed, samples, tol):
-    report = Report("gibbons-hawking", seed, samples, tol)
+def scenario_gibbons_hawking(seed, samples):
+    report = Report("gibbons-hawking", seed, samples)
     rng = np.random.default_rng(seed)
     chart = load_chart("gibbons_hawking.cfg")
     pair = DualityPair.from_chart(chart)
@@ -500,12 +493,12 @@ def scenario_gibbons_hawking(seed, samples, tol):
     report.add("tangent-structure-transport",
                "dual tangent structures square to minus one; one side keeps "
                "the orientation, the other flips it",
-               residual=0.0 if ok else 1.0, tol=tol)
+               passed=ok)
     return report
 
 
-def scenario_buscher_random(seed, samples, tol):
-    report = Report("buscher-random", seed, samples, tol)
+def scenario_buscher_random(seed, samples):
+    report = Report("buscher-random", seed, samples)
     rng = np.random.default_rng(seed)
     charts = [
         BundleChart.build("b1d", [("t", -0.9, 0.9)], ["th"]),
@@ -536,7 +529,7 @@ def scenario_buscher_random(seed, samples, tol):
                residual=worst_match, tol=1e-9, notes=f"{count} instances")
     report.add("fiber-coefficient-inversion",
                "the fiber metric coefficient inverts exactly",
-               residual=0.0 if structural else 1.0, tol=tol,
+               passed=structural,
                notes="structural: dual entry is the literal quotient 1/g0")
     report.add("involution", "applying the rules twice returns the original data",
                residual=worst_invol, tol=1e-9)
@@ -564,17 +557,17 @@ def twisted_rank_two_pair():
     return DualityPair.from_charts(chart, dual, flux_maker)
 
 
-def scenario_reduction_suite(seed, samples, tol):
-    report = Report("reduction-suite", seed, samples, tol)
+def scenario_reduction_suite(seed, samples):
+    report = Report("reduction-suite", seed, samples)
     rng = np.random.default_rng(seed)
     hopf = DualityPair.from_chart(load_chart("s3_hopf.cfg"))
     s2 = DualityPair.from_chart(load_chart("s2.cfg"))
     mixed = twisted_rank_two_pair()
-    rep = mixed.validate(n=5, tol=tol, seed=seed)
+    rep = mixed.validate(n=5, seed=seed)
     report.add("mixed-pair-validation",
                "the twisted rank-two pair satisfies the duality identity with a "
                "mixed correspondence form",
-               residual=rep.flux_difference_residual, tol=tol, passed=rep.ok,
+               residual=rep.flux_difference_residual, tol=1e-9, passed=rep.ok,
                notes=f"fiber block [[0,-1],[-1,0]], unimodular={rep.unimodular}")
     npts = max(4, samples // 4)
     worst = max(_double_quotient_defect(pair, pair.chart.domain.sample_many(rng, npts))
@@ -589,13 +582,13 @@ def scenario_reduction_suite(seed, samples, tol):
     scaled = DualityPair.from_charts(hopf.chart, hopf.dual, scaled_flux)
     p = scaled.chart.domain.sample_many(rng, 1)[0]
     red = double_quotient_report(scaled, p)
-    ok = (red.split_signature_ok and red.rank_ok
-          and max(red.isometry_defect_m, red.isometry_defect_mt) <= 1e-9)
-    vrep = scaled.validate(n=4, tol=tol, seed=seed)
+    defect = max(red.isometry_defect_m, red.isometry_defect_mt)
+    vrep = scaled.validate(n=4, seed=seed)
     report.add("scaled-form-reduces",
                "a non-unimodular correspondence form still reduces pointwise",
-               residual=0.0 if ok else 1.0, tol=tol,
-               passed=ok and vrep.unimodular is False,
+               residual=defect, tol=1e-9,
+               passed=(defect <= 1e-9 and red.split_signature_ok and red.rank_ok
+                       and vrep.unimodular is False),
                notes="unimodularity fails, nondegeneracy and isometry survive")
     # exactness iff isotropy on randomized pointwise actions
     agree = True
@@ -620,7 +613,7 @@ def scenario_reduction_suite(seed, samples, tol):
             agree = agree and np.abs(red.radical.conj().T @ g @ red.perp).max() <= 1e-9
     report.add("exact-iff-isotropic",
                "pointwise reduction is exact precisely for isotropic actions",
-               residual=0.0 if agree else 1.0, tol=tol, notes="32 randomized actions")
+               passed=agree, notes="32 randomized actions")
     # transversality of the correspondence tangent space
     pts2 = s2.chart.domain.sample_many(rng, 2)
     t_ok = True
@@ -635,7 +628,7 @@ def scenario_reduction_suite(seed, samples, tol):
     report.add("graph-transversality",
                "the correspondence tangent space meets either factor trivially "
                "iff the fiber block is invertible",
-               residual=0.0 if t_ok else 1.0, tol=tol)
+               passed=t_ok)
     # the two duality criteria agree, positive and negative instances
     agree = True
     positives = negatives = skipped = 0
@@ -662,7 +655,6 @@ def scenario_reduction_suite(seed, samples, tol):
     report.add("product-criterion-equivalence",
                "invariance of the correspondence tangent space under the product "
                "structure agrees with conjugation by the section transform",
-               residual=0.0 if agree else 1.0, tol=tol,
                passed=agree and negatives >= 12,
                notes=f"{positives} positive, {negatives} negative instances; "
                      f"{skipped} near-dual negatives skipped (at least 12 of 16 "
@@ -681,7 +673,9 @@ SCENARIOS = {
 }
 
 
-def run_scenario(name, seed=0, samples=8, tol=1e-9):
+def run_scenario(name, seed=0, samples=8):
     if name not in SCENARIOS:
         raise KeyError(f"unknown scenario {name!r}; known: {', '.join(sorted(SCENARIOS))}")
-    return SCENARIOS[name](seed, samples, tol)
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    return SCENARIOS[name](seed, samples)

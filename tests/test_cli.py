@@ -1,5 +1,8 @@
 import json
 
+import numpy as np
+import pytest
+
 from tduality.cli import main
 from tduality.report import Report
 from tduality.scenarios import SCENARIOS, load_chart, run_scenario
@@ -64,14 +67,40 @@ def test_report_records_have_anchors():
     assert all(c.anchor for c in rep.checks)
 
 
+def test_report_add_stores_plain_bool():
+    rep = Report("synthetic", 0, 1)
+    assert rep.add("flag", "numpy outcome", passed=np.bool_(True)).passed is True
+    assert rep.add("measured", "numpy residual", residual=np.float64(2e-9),
+                   tol=1e-9).passed is False
+
+
 def test_failed_check_sets_exit_code(tmp_path, monkeypatch):
     import tduality.cli as cli
 
-    def fake_run(name, seed, samples, tol):
-        rep = Report(name, seed, samples, tol)
+    def fake_run(name, seed, samples):
+        rep = Report(name, seed, samples)
         rep.add("broken", "synthetic failure", residual=1.0, tol=1e-9)
         return rep
 
     monkeypatch.setattr(cli, "run_scenario", fake_run)
     out = tmp_path / "f.jsonl"
     assert cli.main(["run", "s2-annulus", "--out", str(out)]) == 1
+
+
+def test_samples_below_one_rejected(tmp_path, capsys):
+    for bad in (0, -4):
+        with pytest.raises(ValueError, match=f"samples must be at least 1, got {bad}"):
+            run_scenario("s3-selfdual", samples=bad)
+        out = tmp_path / f"s{bad}.jsonl"
+        assert main(["run", "s3-selfdual", "--samples", str(bad),
+                     "--out", str(out)]) == 2
+        assert f"samples must be at least 1, got {bad}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_tol_flag_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "s3-hopf", "--tol", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+

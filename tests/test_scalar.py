@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,15 @@ def test_serialization_exact_atoms():
     assert scalar_from_text("-2/5") == rat(-2, 5)
     assert scalar_from_text("pi") == PI
     assert scalar_from_text("t") == T
+
+
+def test_serialization_numeric_atoms_exact():
+    assert scalar_from_text("0.5") == rat(1, 2)
+    assert scalar_from_text("1e-3") == rat(1, 1000)
+    assert scalar_from_text("(* 0.5 t)") == smul(rat(1, 2), T)
+    for bad in ("1/0", "0.5.1", "t-1", "@"):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            scalar_from_text(f"(+ 1 {bad})")
 
 
 def test_cscalar_field_identities(rng):

@@ -5,6 +5,9 @@ it and believe it took effect.  The allow-list holds the parameters that an
 interface fixes: ``form_residual``'s ``domain``, which callers still pass
 positionally, and the ``(coframe, chart, dual)`` flux-maker callbacks whose
 signature ``make_correspondence`` dictates.
+
+Tolerances belong to the checks that compare against them: ``Report.add``
+carries each check's own tolerance, and no other function takes a ``tol``.
 """
 import ast
 from pathlib import Path
@@ -21,24 +24,38 @@ ALLOWED = {
 }
 
 
+def _functions():
+    """(module, function node) for every function in the package."""
+    for path in sorted(Path(tduality.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield path.stem, node
+
+
+def _parameters(node):
+    args = node.args
+    params = args.posonlyargs + args.args + args.kwonlyargs
+    return params + [a for a in (args.vararg, args.kwarg) if a is not None]
+
+
 def unread_parameters():
     """(module, function, parameter) for every parameter never loaded in
     its function, nested functions included."""
     out = set()
-    for path in sorted(Path(tduality.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            read = {n.id for n in ast.walk(node)
-                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-            args = node.args
-            params = args.posonlyargs + args.args + args.kwonlyargs
-            params += [a for a in (args.vararg, args.kwarg) if a is not None]
-            for p in params:
-                if p.arg not in ("self", "cls") and p.arg not in read:
-                    out.add((path.stem, node.name, p.arg))
+    for module, node in _functions():
+        read = {n.id for n in ast.walk(node)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for p in _parameters(node):
+            if p.arg not in ("self", "cls") and p.arg not in read:
+                out.add((module, node.name, p.arg))
     return out
 
 
 def test_every_parameter_is_read():
     assert unread_parameters() == ALLOWED
+
+
+def test_only_report_add_takes_tol():
+    takes_tol = [(module, node.name) for module, node in _functions()
+                 if any(p.arg == "tol" for p in _parameters(node))]
+    assert takes_tol == [("report", "add")]
