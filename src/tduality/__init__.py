@@ -5,7 +5,8 @@ Layers, bottom up:
 * ``scalar``     exact symbolic coefficients with sampled numeric equality
 * ``exterior``   graded forms over a tagged coframe; Clifford action, pairing
   of spinors, exponentials, fiber integration
-* ``bundle``     charts with structure equations, flux splitting, dual charts
+* ``bundle``     charts with structure equations, flux splitting, dual charts,
+  the correspondence of a dual pair
 * ``courant``    sections of T+T*, the twisted bracket, B-field transforms
 * ``structures`` pure spinors, generalized complex structures and metrics,
   pointwise linear algebra
@@ -20,7 +21,7 @@ from .scalar import (CScalar, Domain, Scalar, diff, equal_numeric, evaluate,
 from .exterior import (Coframe, Form, FrameVector, clifford_act, contract,
                        exp_form, fiber_integrate, mukai_pairing, reversal,
                        wedge)
-from .bundle import (BundleChart, CorrespondenceChart, build_dual_chart,
+from .bundle import (BundleChart, DualityPair, build_dual_chart,
                      exterior_derivative, split_flux, twisted_derivative,
                      validate_chart, validate_pair)
 from .courant import (Section, b_transform, bracket_spinor_residual,
@@ -29,7 +30,7 @@ from .structures import (GeneralizedMetric, PureSpinor, SymTensor,
                          annihilator_at, check_integrable, gb_from_cplus,
                          gcs_matrix_at, metric_matrix_at, spinor_type_at,
                          uk_spaces_at)
-from .duality import (DualityPair, buscher_rules, dual_type_at, dualize_form,
+from .duality import (buscher_rules, dual_type_at, dualize_form,
                       dualize_section, transport_metric, transport_spinor,
                       uk_transport_residual)
 from .reduction import (LiftedActionPoint, double_quotient_report,

@@ -5,14 +5,15 @@ A chart is a coordinate box on the base together with a coframe
 d(theta_i) = c_i for closed basic curvature 2-forms c_i.  The flux H is an
 invariant closed 3-form with no component along two fiber directions
 (zero holonomy), which is exactly the condition under which a dual chart
-exists.  A correspondence chart glues a chart and its dual over the shared
-base with the 2-form F realizing dF = H - Ht.
+exists.  A duality pair glues a chart and its dual over the shared base into
+the correspondence chart, which carries the 2-form F realizing dF = H - Ht.
 
 Frame conventions used throughout the package: the frame dual to the coframe
 consists of horizontal lifts E_a of the base coordinate fields plus the fiber
-generators E_theta; consistently with the structure equations this forces
-[E_a, E_b] = -sum_i c_i(E_a, E_b) E_theta_i, while fiber generators are
-central (see courant.lie_bracket).
+generators E_theta.  The structure equations fix their brackets, since
+e^b([X, Y]) = X(Y^b) - Y(X^b) - (d e^b)(X, Y): [E_a, E_b] =
+-sum_i c_i(E_a, E_b) E_theta_i, and fiber generators are central
+(courant.lie_bracket computes the bracket from exterior_derivative).
 """
 from __future__ import annotations
 
@@ -25,9 +26,9 @@ from .scalar import CScalar, Domain, ZERO, diff, evaluate_all
 from .exterior import Coframe, Form, contract_sign, strip_rightmost, wedge
 
 __all__ = [
-    "BundleChart", "CorrespondenceChart",
+    "BundleChart", "DualityPair", "base_generator", "dual_fiber_name",
     "exterior_derivative", "twisted_derivative",
-    "split_flux", "build_dual_chart", "make_correspondence",
+    "split_flux", "build_dual_chart",
     "validate_chart", "validate_pair", "ChartReport", "PairReport",
     "chart_to_text", "chart_from_text", "standard_correspondence_flux",
     "form_residual",
@@ -70,12 +71,6 @@ class BundleChart:
     @property
     def dim(self):
         return self.coframe.dim
-
-    def var_of_generator(self, name):
-        i = self.coframe.index(name)
-        if self.coframe.tags[i] != "base":
-            raise ValueError(f"{name!r} is not a base generator")
-        return self.base_vars[[base_generator(v) for v in self.base_vars].index(name)]
 
     def curvature_of(self, gen):
         return self.curvature.get(gen, Form.zero(self.coframe))
@@ -176,11 +171,11 @@ def dual_fiber_name(name):
 
 
 def build_dual_chart(chart):
-    """Construct the dual chart and the correspondence realizing the duality.
+    """Construct the dual chart.
 
     The dual carries curvature ct_i from the flux splitting and flux
-    Ht = sum_i c_i ^ thetat_i + h; the correspondence form is
-    F = -sum_i theta_i ^ thetat_i, for which dF = H - Ht holds structurally.
+    Ht = sum_i c_i ^ thetat_i + h, so that the standard correspondence form
+    F = -sum_i theta_i ^ thetat_i satisfies dF = H - Ht structurally.
     """
     ct, h = split_flux(chart)
     dual_fibers = tuple(dual_fiber_name(n) for n in chart.fiber_names)
@@ -194,10 +189,8 @@ def build_dual_chart(chart):
     for n in chart.fiber_names:
         c_n = chart.curvature_of(n).map_to(dual_cof, rename)
         flux_t = flux_t + wedge(c_n, Form.monomial(dual_cof, (dual_fiber_name(n),)))
-    dual = BundleChart(chart.name + "~", chart.base_vars, chart.domain,
+    return BundleChart(chart.name + "~", chart.base_vars, chart.domain,
                        dual_cof, dual_curv, flux_t)
-    corr = make_correspondence(chart, dual, standard_correspondence_flux)
-    return dual, corr
 
 
 def standard_correspondence_flux(total_coframe, chart, dual):
@@ -208,54 +201,9 @@ def standard_correspondence_flux(total_coframe, chart, dual):
     return F
 
 
-@dataclass(frozen=True)
-class CorrespondenceChart:
-    """Fiber product of two charts over the shared base, carrying F."""
-
-    chart_m: BundleChart
-    chart_mt: BundleChart
-    total: BundleChart         # combined coframe; flux is the pullback of H
-    F: Form
-
-    @property
-    def fiber_names(self):
-        return self.chart_m.fiber_names
-
-    @property
-    def dual_fiber_names(self):
-        return self.chart_mt.fiber_names
-
-    def pull(self, rho):
-        """Pull a form on either chart back to the correspondence."""
-        return rho.map_to(self.total.coframe)
-
-    def push_mt(self, rho):
-        """Forms with no M-fiber legs descend to the dual chart."""
-        return rho.map_to(self.chart_mt.coframe)
-
-    def push_m(self, rho):
-        return rho.map_to(self.chart_m.coframe)
-
-    def flux_difference_residual(self):
-        """p*H - pt*Ht - dF as a form on the correspondence."""
-        lhs = self.pull(self.chart_m.flux) - self.pull(self.chart_mt.flux)
-        return lhs - exterior_derivative(self.F, self.total)
-
-    def fiber_block(self):
-        """k x k matrix of Scalars F(E_theta_i, E_thetat_j)."""
-        k = len(self.fiber_names)
-        block = [[ZERO] * k for _ in range(k)]
-        cof = self.total.coframe
-        for i, ni in enumerate(self.fiber_names):
-            for j, nj in enumerate(self.dual_fiber_names):
-                c = self.F.coeff(cof.mask_of((ni, nj)))
-                if not c.im.is_zero():
-                    raise ValueError("correspondence form must be real")
-                block[i][j] = c.re
-        return block
-
-
-def make_correspondence(chart, dual, flux_maker):
+def _correspondence_chart(chart, dual):
+    """The fiber product over the shared base: base, fiber and cofiber
+    generators, both curvatures, and flux the pullback of H."""
     if chart.base_vars != dual.base_vars:
         raise ValueError("charts must share the base")
     base = tuple(base_generator(v) for v in chart.base_vars)
@@ -265,11 +213,77 @@ def make_correspondence(chart, dual, flux_maker):
     cof = Coframe(names, tags)
     curv = {n: chart.curvature_of(n).map_to(cof) for n in chart.fiber_names}
     curv.update({n: dual.curvature_of(n).map_to(cof) for n in dual.fiber_names})
-    total = BundleChart(f"{chart.name}x{dual.name}", chart.base_vars,
-                        chart.domain.merge(dual.domain), cof, curv,
-                        chart.flux.map_to(cof))
-    F = flux_maker(cof, chart, dual) if callable(flux_maker) else flux_maker.map_to(cof)
-    return CorrespondenceChart(chart, dual, total, F)
+    return BundleChart(f"{chart.name}x{dual.name}", chart.base_vars,
+                       chart.domain.merge(dual.domain), cof, curv,
+                       chart.flux.map_to(cof))
+
+
+@dataclass(frozen=True)
+class DualityPair:
+    """A chart and its dual glued over the shared base: the correspondence
+    chart ``total`` carrying the 2-form ``F``."""
+
+    chart: BundleChart
+    dual: BundleChart
+    total: BundleChart         # combined coframe; flux is the pullback of H
+    F: Form
+
+    @staticmethod
+    def from_chart(chart):
+        """The dual chart with the standard correspondence form."""
+        return DualityPair.from_charts(chart, build_dual_chart(chart),
+                                       standard_correspondence_flux)
+
+    @staticmethod
+    def from_charts(chart, dual, flux_maker):
+        """``flux_maker(total_coframe, chart, dual)`` returns F."""
+        total = _correspondence_chart(chart, dual)
+        return DualityPair(chart, dual, total, flux_maker(total.coframe, chart, dual))
+
+    @property
+    def k(self):
+        return self.chart.k
+
+    def swap(self):
+        """The same duality read from the dual side: F changes sign and the
+        fiber/cofiber roles are exchanged."""
+        total = _correspondence_chart(self.dual, self.chart)
+        return DualityPair(self.dual, self.chart, total, (-self.F).map_to(total.coframe))
+
+    def pull(self, rho):
+        """Pull a form on either chart back to the correspondence."""
+        return rho.map_to(self.total.coframe)
+
+    def push_mt(self, rho):
+        """Forms with no M-fiber legs descend to the dual chart."""
+        return rho.map_to(self.dual.coframe)
+
+    def push_m(self, rho):
+        return rho.map_to(self.chart.coframe)
+
+    def flux_difference_residual(self):
+        """p*H - pt*Ht - dF as a form on the correspondence."""
+        lhs = self.pull(self.chart.flux) - self.pull(self.dual.flux)
+        return lhs - exterior_derivative(self.F, self.total)
+
+    def fiber_block(self):
+        """k x k matrix of Scalars F(E_theta_i, E_thetat_j), built once."""
+        block = getattr(self, "_fiber_block", None)
+        if block is None:
+            k = self.k
+            block = [[ZERO] * k for _ in range(k)]
+            cof = self.total.coframe
+            for i, ni in enumerate(self.chart.fiber_names):
+                for j, nj in enumerate(self.dual.fiber_names):
+                    c = self.F.coeff(cof.mask_of((ni, nj)))
+                    if not c.im.is_zero():
+                        raise ValueError("correspondence form must be real")
+                    block[i][j] = c.re
+            object.__setattr__(self, "_fiber_block", block)
+        return block
+
+    def validate(self, n=8, seed=0):
+        return validate_pair(self, n=n, seed=seed)
 
 
 # -- validation ---------------------------------------------------------------------
@@ -331,12 +345,12 @@ class PairReport:
                 and self.flux_difference_residual <= 1e-9)
 
 
-def validate_pair(corr, n=8, seed=0):
+def validate_pair(pair, n=8, seed=0):
     """Residual of dF = H - Ht, fiber-block nondegeneracy, unimodularity."""
     rng = np.random.default_rng(seed)
-    points = corr.total.domain.sample_many(rng, n)
-    res = form_residual(corr.flux_difference_residual(), corr.total.domain, points)
-    block = corr.fiber_block()
+    points = pair.total.domain.sample_many(rng, n)
+    res = form_residual(pair.flux_difference_residual(), pair.total.domain, points)
+    block = pair.fiber_block()
     k = len(block)
     min_det = float("inf")
     for p in points:
@@ -350,8 +364,8 @@ def validate_pair(corr, n=8, seed=0):
         is_int = np.allclose(vals, np.round(vals), atol=1e-9)
         unimodular = bool(is_int and abs(abs(np.linalg.det(np.round(vals))) - 1.0) <= 1e-9)
     return PairReport(
-        chart_m=validate_chart(corr.chart_m, n=n, seed=seed),
-        chart_mt=validate_chart(corr.chart_mt, n=n, seed=seed + 1),
+        chart_m=validate_chart(pair.chart, n=n, seed=seed),
+        chart_mt=validate_chart(pair.dual, n=n, seed=seed + 1),
         flux_difference_residual=res,
         nondegenerate=min_det > 1e-9,
         unimodular=unimodular,

@@ -8,7 +8,8 @@ per check to the output path.  Each check owns its tolerance: a measured
 check records its residual and the tolerance it was compared with, and a
 pass/fail check records both as null.  Exit status is zero exactly when every
 check passes, one when a check fails, and two for a usage error (an unknown
-scenario or ``--samples`` below 1), which writes no report.  Reports are
+scenario, a negative ``--seed`` or ``--samples`` below 1), which writes no
+report.  Reports are
 bit-identical across runs with the same seed and flags.
 """
 from __future__ import annotations
@@ -26,7 +27,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command")
     runp = sub.add_parser("run", help="run a registered scenario")
     runp.add_argument("scenario", nargs="?", help="scenario name (see 'tduality list')")
-    runp.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    runp.add_argument("--seed", type=int, default=0, help="non-negative RNG seed (default 0)")
     runp.add_argument("--samples", type=int, default=8,
                       help="randomized instances per check (default 8)")
     runp.add_argument("--out", type=str, default=None,
@@ -54,6 +55,9 @@ def main(argv=None):
               file=sys.stderr)
         for name in sorted(SCENARIOS):
             print(f"  {name}", file=sys.stderr)
+        return 2
+    if args.seed < 0:
+        print(f"seed must be non-negative, got {args.seed}", file=sys.stderr)
         return 2
     if args.samples < 1:
         print(f"samples must be at least 1, got {args.samples}", file=sys.stderr)

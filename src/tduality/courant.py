@@ -14,10 +14,11 @@ unique choice under which the duality section transform preserves brackets
 given the package's F and dual-flux conventions.  The opposite flux sign is
 common in the literature; it corresponds to H -> -H throughout.
 
-Frame vector fields obey [E_a, E_b] = -sum_i c_i(E_a, E_b) E_theta_i for
-base generators (horizontal lifts of coordinate fields) while fiber
-generators are central; this is the unique convention compatible with
-d(theta_i) = c_i.
+The bracket of frame vector fields is read off the structure equations
+d(dx^a) = 0, d(theta_i) = c_i through
+e^b([X, Y]) = X(Y^b) - Y(X^b) - (d e^b)(X, Y); for the frame this gives
+[E_a, E_b] = -sum_i c_i(E_a, E_b) E_theta_i on base generators (horizontal
+lifts of coordinate fields), while fiber generators are central.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalar import CScalar, diff, rat
+from .scalar import CScalar, rat
 from .exterior import Form, FrameVector, clifford_act, contract, eval_complex
 from .bundle import exterior_derivative, twisted_derivative, form_residual
 
@@ -137,39 +138,20 @@ def section_residual(s, points):
     return max((float(np.abs(s.eval_vector(p)).max()) for p in points), default=0.0)
 
 
-def _frame_derivative(chart, name, c):
-    """E_alpha applied to an invariant coefficient: d/dx for base lifts, 0 on fibers."""
-    i = chart.coframe.index(name)
-    if chart.coframe.tags[i] != "base":
-        return CScalar()
-    v = chart.var_of_generator(name)
-    return CScalar(diff(c.re, v), diff(c.im, v))
-
-
 def lie_bracket(x, y, chart):
-    """Lie bracket of invariant frame vector fields on the chart."""
+    """Lie bracket of invariant frame vector fields on the chart:
+    e^b([X, Y]) = X(Y^b) - Y(X^b) - (d e^b)(X, Y) with the structure-equation d."""
     cof = chart.coframe
-    comps = [CScalar() for _ in cof.names]
-    # derivative terms: X^a E_a(Y^b) - Y^a E_a(X^b)
-    for a, name_a in enumerate(cof.names):
-        xa, ya = x.components[a], y.components[a]
-        for b in range(cof.dim):
-            if not xa.is_zero():
-                comps[b] = comps[b] + xa * _frame_derivative(chart, name_a, y.components[b])
-            if not ya.is_zero():
-                comps[b] = comps[b] - ya * _frame_derivative(chart, name_a, x.components[b])
-    # curvature obstruction of the horizontal lifts: [E_a, E_b] = -c(E_a, E_b) E_theta
-    base_idx = cof.indices_with_tag("base")
-    for gen, c_form in chart.curvature.items():
-        g = cof.index(gen)
-        for ai in range(len(base_idx)):
-            for bi in range(ai + 1, len(base_idx)):
-                a, b = base_idx[ai], base_idx[bi]
-                cab = c_form.coeff((1 << a) | (1 << b))
-                if cab.is_zero():
-                    continue
-                cross = x.components[a] * y.components[b] - x.components[b] * y.components[a]
-                comps[g] = comps[g] - cross * cab
+
+    def d(c):
+        return exterior_derivative(Form.scalar(cof, c), chart)
+
+    comps = []
+    for b, name in enumerate(cof.names):
+        de_b = exterior_derivative(Form.monomial(cof, (name,)), chart)
+        comp = (contract(x, d(y.components[b])) - contract(y, d(x.components[b]))
+                - contract(y, contract(x, de_b)))
+        comps.append(comp.coeff(0))
     return FrameVector(cof, tuple(comps))
 
 

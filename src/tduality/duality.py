@@ -1,6 +1,8 @@
 """Transport of differential forms and generalized structures across a duality.
 
-The two transforms of a dual pair:
+A dual pair is the correspondence object ``bundle.DualityPair`` (re-exported
+here): the chart, its dual, and the correspondence chart carrying F.  The
+two transforms of a dual pair:
 
 * ``dualize_form``: rho -> integral over the torus fibers of e^F ^ rho,
   an isomorphism of invariant twisted de Rham complexes;
@@ -20,16 +22,13 @@ is (-1)^(k(k+3)/2)).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .scalar import (CScalar, ZERO, ONE, rat, sadd, sdiv, smul, sneg, ssub,
                      solve_linear_symbolic, sym_matrix_inverse)
 from .exterior import (Form, FrameVector, contract, exp_form,
                        fiber_integrate, strip_rightmost, wedge)
-from .bundle import (CorrespondenceChart, build_dual_chart, form_residual,
-                     make_correspondence, validate_pair)
+from .bundle import DualityPair, form_residual
 from .courant import Section, section_basis
 from .structures import GeneralizedMetric, PureSpinor, SymTensor
 
@@ -43,77 +42,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DualityPair:
-    """A dual pair of charts with its correspondence data."""
-
-    corr: CorrespondenceChart
-
-    @staticmethod
-    def from_chart(chart):
-        """Construct the dual chart and wrap the resulting pair."""
-        _, corr = build_dual_chart(chart)
-        return DualityPair(corr)
-
-    @staticmethod
-    def from_charts(chart, dual, flux_maker):
-        return DualityPair(make_correspondence(chart, dual, flux_maker))
-
-    @property
-    def chart(self):
-        return self.corr.chart_m
-
-    @property
-    def dual(self):
-        return self.corr.chart_mt
-
-    @property
-    def total(self):
-        return self.corr.total
-
-    @property
-    def k(self):
-        return len(self.corr.fiber_names)
-
-    def fiber_block(self):
-        block = getattr(self, "_fiber_block", None)
-        if block is None:
-            block = self.corr.fiber_block()
-            object.__setattr__(self, "_fiber_block", block)
-        return block
-
-    def validate(self, n=8, seed=0):
-        return validate_pair(self.corr, n=n, seed=seed)
-
-    def swap(self):
-        """The same duality read from the dual side: F changes sign and the
-        fiber/cofiber roles are exchanged."""
-        corr = self.corr
-
-        def flux_maker(cof, chart, dual):
-            return (-corr.F).map_to(cof)
-
-        return DualityPair(make_correspondence(corr.chart_mt, corr.chart_m, flux_maker))
-
-
 # -- the form transform ---------------------------------------------------------------
 
 def dualize_form(rho, pair):
     """Integral over the fibers of e^F ^ (pullback of rho), as a form on the dual."""
-    corr = pair.corr
-    lifted = corr.pull(rho)
-    integrand = wedge(exp_form(corr.F), lifted)
+    lifted = pair.pull(rho)
+    integrand = wedge(exp_form(pair.F), lifted)
     down = fiber_integrate(integrand, ("fiber",))
-    return corr.push_mt(down)
+    return pair.push_mt(down)
 
 
 def dualize_form_reverse(rho_t, pair):
     """The reverse-direction transform: e^(-F), integrating the dual fibers."""
-    corr = pair.corr
-    lifted = corr.pull(rho_t)
-    integrand = wedge(exp_form(-corr.F), lifted)
+    lifted = pair.pull(rho_t)
+    integrand = wedge(exp_form(-pair.F), lifted)
     down = fiber_integrate(integrand, ("cofiber",))
-    return corr.push_m(down)
+    return pair.push_m(down)
 
 
 def reverse_sign(pair):
@@ -143,14 +87,13 @@ def dualize_section(v, pair):
     xi(E_theta_i) = F(Xhat, E_theta_i) for every fiber generator, which makes
     the covector part basic for the projection to the dual side.
     """
-    corr = pair.corr
-    cof = corr.total.coframe
+    cof = pair.total.coframe
     w = v.map_to(cof)
-    cofibers = corr.dual_fiber_names
+    cofibers = pair.dual.fiber_names
     # right-hand side: xi(E_theta_i) - F(X_known, E_theta_i)
-    known = contract(w.x, corr.F)
+    known = contract(w.x, pair.F)
     rhs = [w.xi.coeff(bit) - known.coeff(bit)
-           for bit in (1 << cof.index(n) for n in corr.fiber_names)]
+           for bit in (1 << cof.index(n) for n in pair.chart.fiber_names)]
     # F(E_thetat_j, E_theta_i) = -F(E_theta_i, E_thetat_j)
     block = [[sneg(e) for e in row] for row in pair.fiber_block()]
     lift_re = solve_linear_symbolic(block, [r.re for r in rhs])
@@ -158,7 +101,7 @@ def dualize_section(v, pair):
     lift = FrameVector(cof, tuple(
         w.x.components[idx] + _delta(cof, cofibers, idx, lift_re, lift_im)
         for idx in range(cof.dim)))
-    eta = w.xi - contract(lift, corr.F)
+    eta = w.xi - contract(lift, pair.F)
     # the fiber components of eta vanish by construction; drop them structurally
     fiber_mask = cof.tag_mask("fiber")
     eta = Form(cof, {m: c for m, c in eta.coeffs.items() if not m & fiber_mask})
@@ -346,10 +289,9 @@ def dual_type_at(spinor, pair, point):
     """
     if spinor.lowest is None:
         raise ValueError("spinor carries no construction data")
-    corr = pair.corr
-    cof = corr.total.coframe
-    two_form = corr.F + corr.pull(spinor.b + spinor.omega.scale(CScalar.i()))
-    omega_big = corr.pull(spinor.lowest)
+    cof = pair.total.coframe
+    two_form = pair.F + pair.pull(spinor.b + spinor.omega.scale(CScalar.i()))
+    omega_big = pair.pull(spinor.lowest)
     k = pair.k
     base_type = spinor.lowest.max_degree()
     power = Form.scalar(cof, 1)

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalar import CScalar, evaluate_all, rat
+from .scalar import (CScalar, _parse_tokens, _token, _tokenize, evaluate_all,
+                     rat, scalar_to_text)
 
 __all__ = [
     "Coframe", "Form", "FrameVector",
@@ -61,9 +62,6 @@ class Coframe:
             if t in tags:
                 m |= 1 << i
         return m
-
-    def indices_with_tag(self, *tags):
-        return tuple(i for i, t in enumerate(self.tags) if t in tags)
 
 
 def _wedge_sign(a, b):
@@ -392,31 +390,13 @@ def fiber_integrate(rho, coframe_tags=("fiber",)):
 
 
 # -- text serialization ---------------------------------------------------------------
-# A form is a sum of terms "{sexpr} g1^g2^..." (degree 0 uses "1" for the
-# generator list); complex coefficients use the (cplx re im) head.
+# A form is a sum of terms "{sexpr} g1^g2^..." joined by " + " (degree 0 uses
+# "1" for the generator list); complex coefficients use the (cplx re im) head.
 
 def _cs_to_text(c):
-    from .scalar import scalar_to_text
     if c.im.is_zero():
         return scalar_to_text(c.re)
     return f"(cplx {scalar_to_text(c.re)} {scalar_to_text(c.im)})"
-
-
-def _cs_from_text(text):
-    from .scalar import scalar_from_text, _tokenize
-    toks = _tokenize(text)
-    if len(toks) >= 2 and toks[0] == "(" and toks[1] == "cplx":
-        inner = text.strip()[1:-1].strip()[4:].strip()
-        depth = 0
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == " " and depth == 0:
-                return CScalar(scalar_from_text(inner[:i]), scalar_from_text(inner[i:]))
-        raise ValueError(f"malformed complex coefficient: {text}")
-    return CScalar(scalar_from_text(text))
 
 
 def form_to_text(form):
@@ -430,49 +410,33 @@ def form_to_text(form):
     return " + ".join(parts)
 
 
-def _split_top_level(text):
-    """Split at the " + " separators outside parentheses."""
-    sep = " + "
-    parts = []
-    depth = 0
-    start = 0
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and text.startswith(sep, i):
-            parts.append(text[start:i])
-            i += len(sep)
-            start = i
-            continue
-        i += 1
-    parts.append(text[start:])
-    return parts
+def _coefficient_tokens(tokens, pos):
+    """A real scalar, or (cplx re im), starting at ``pos``."""
+    if _token(tokens, pos) == "(" and _token(tokens, pos + 1) == "cplx":
+        re, pos = _parse_tokens(tokens, pos + 2)
+        im, pos = _parse_tokens(tokens, pos)
+        if _token(tokens, pos) != ")":
+            raise ValueError("complex coefficient takes exactly two parts")
+        return CScalar(re, im), pos + 1
+    re, pos = _parse_tokens(tokens, pos)
+    return CScalar(re), pos
 
 
 def form_from_text(coframe, text):
+    """Read form_to_text output; empty text is the zero form."""
+    tokens = _tokenize(text)
     total = Form.zero(coframe)
-    for part in _split_top_level(text.strip()):
-        part = part.strip()
-        if not part:
-            continue
-        idx = len(part)
-        depth = 0
-        # coefficient is everything before the final whitespace-separated token
-        for i, ch in enumerate(part):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == " " and depth == 0:
-                idx = i
-        coeff_text, gens_text = part[:idx].strip(), part[idx:].strip()
-        coeff = _cs_from_text(coeff_text)
-        if gens_text == "1":
+    pos = 0
+    while pos < len(tokens):
+        if pos:
+            if tokens[pos] != "+":
+                raise ValueError(f"expected '+' between terms, got {tokens[pos]!r}")
+            pos += 1
+        coeff, pos = _coefficient_tokens(tokens, pos)
+        gens = _token(tokens, pos)
+        pos += 1
+        if gens == "1":
             total = total + Form.scalar(coframe, coeff)
         else:
-            total = total + Form.monomial(coframe, gens_text.split("^"), coeff)
+            total = total + Form.monomial(coframe, gens.split("^"), coeff)
     return total

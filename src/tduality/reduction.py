@@ -16,6 +16,7 @@ import numpy as np
 
 from .scalar import evaluate
 from .exterior import Form, FrameVector, contract
+from .bundle import base_generator
 from .courant import Section, pairing, split_pairing_matrix
 from .duality import section_transform_matrix_at
 from .structures import RANK_TOL, PointFrame, gcs_matrix_at, two_form_matrix_at
@@ -110,10 +111,10 @@ def duality_lift_sections(pair):
     for the first factor and E_thetat_j for the second."""
     cof = pair.total.coframe
     lifts = []
-    for n in pair.corr.fiber_names:
+    for n in pair.chart.fiber_names:
         x = FrameVector.basis(cof, n)
-        lifts.append(Section(x, -contract(x, pair.corr.F)))
-    for n in pair.corr.dual_fiber_names:
+        lifts.append(Section(x, -contract(x, pair.F)))
+    for n in pair.dual.fiber_names:
         lifts.append(Section(FrameVector.basis(cof, n), Form.zero(cof)))
     return lifts
 
@@ -137,7 +138,6 @@ def double_quotient_report(pair, point):
     components after the F-shear maps the orthogonal complement isometrically
     onto the invariant T+T* fibers of either side.
     """
-    corr = pair.corr
     total_cof = pair.total.coframe
     mt = total_cof.dim
     g_total = split_pairing_matrix(mt)
@@ -153,8 +153,8 @@ def double_quotient_report(pair, point):
     split_ok = sig[:2] == (k, k)
     perp = PointFrame.nullspace(kk.T @ g_total)
 
-    fiber_idx = [total_cof.index(n) for n in corr.fiber_names]
-    cofiber_idx = [total_cof.index(n) for n in corr.dual_fiber_names]
+    fiber_idx = [total_cof.index(n) for n in pair.chart.fiber_names]
+    cofiber_idx = [total_cof.index(n) for n in pair.dual.fiber_names]
 
     def project(vectors, drop_vec_idx, keep_idx):
         """Drop the given vector components; keep the listed slots (vector
@@ -177,7 +177,7 @@ def double_quotient_report(pair, point):
 
     # route onto the second factor: shear by F so the first-factor lift
     # becomes tangent, then drop its fiber components
-    f_mat = two_form_matrix_at(corr.F, point)
+    f_mat = two_form_matrix_at(pair.F, point)
     shear = np.eye(2 * mt) + np.block([[np.zeros((mt, mt)), np.zeros((mt, mt))],
                                        [f_mat.T, np.zeros((mt, mt))]])
     sheared = shear @ perp
@@ -207,15 +207,14 @@ def generalized_tangent_basis(pair, point, f_scale=1.0):
     The base diagonal realizes the fiber product; covectors annihilating it
     are added as the pure-covector part of the space.
     """
-    corr = pair.corr
     cof_m = pair.chart.coframe
     cof_t = pair.dual.coframe
     total_cof = pair.total.coframe
     m, mt, dim = _product_layout(pair)
     n = m + mt
-    f_mat = f_scale * two_form_matrix_at(corr.F, point)
-    base_idx_m = [cof_m.index("d" + v) for v in pair.chart.base_vars]
-    base_idx_t = [cof_t.index("d" + v) for v in pair.dual.base_vars]
+    f_mat = f_scale * two_form_matrix_at(pair.F, point)
+    base_idx_m = [cof_m.index(base_generator(v)) for v in pair.chart.base_vars]
+    base_idx_t = [cof_t.index(base_generator(v)) for v in pair.dual.base_vars]
     total_of_m = [total_cof.index(nm) for nm in cof_m.names]
     total_of_t = [total_cof.index(nm) for nm in cof_t.names]
 
@@ -227,15 +226,15 @@ def generalized_tangent_basis(pair, point, f_scale=1.0):
         vec[base_idx_m[a]] = 1.0
         vec[m + base_idx_t[a]] = 1.0
         lift = np.zeros(total_cof.dim)
-        lift[total_cof.index("d" + v)] = 1.0
+        lift[total_cof.index(base_generator(v))] = 1.0
         tangent_dirs.append((vec, lift))
-    for nm in corr.fiber_names:
+    for nm in pair.chart.fiber_names:
         vec = np.zeros(dim)
         vec[cof_m.index(nm)] = 1.0
         lift = np.zeros(total_cof.dim)
         lift[total_cof.index(nm)] = 1.0
         tangent_dirs.append((vec, lift))
-    for nm in corr.dual_fiber_names:
+    for nm in pair.dual.fiber_names:
         vec = np.zeros(dim)
         vec[m + cof_t.index(nm)] = 1.0
         lift = np.zeros(total_cof.dim)

@@ -597,13 +597,19 @@ def _tokenize(text):
     return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
+def _token(tokens, pos):
+    if pos >= len(tokens):
+        raise ValueError("unexpected end of text")
+    return tokens[pos]
+
+
 def _parse_tokens(tokens, pos):
-    tok = tokens[pos]
+    tok = _token(tokens, pos)
     if tok == "(":
-        head = tokens[pos + 1]
+        head = _token(tokens, pos + 1)
         args = []
         pos += 2
-        while tokens[pos] != ")":
+        while _token(tokens, pos) != ")":
             node, pos = _parse_tokens(tokens, pos)
             args.append(node)
         pos += 1
@@ -654,49 +660,21 @@ def scalar_from_text(text):
 # Used for the fiber-block solve of the section transform and for rewriting
 # transported metric graphs.  Sizes never exceed 4x4.
 
-def _all_rational(matrix):
-    return all(e.kind == "rat" for row in matrix for e in row)
-
-
 def solve_linear_symbolic(matrix, rhs):
-    """Solve A x = rhs for symbolic entries.
+    """Solve A x = rhs for symbolic entries as x = A^-1 rhs.
 
-    Exact Gaussian elimination over the rationals when every entry of A is a
-    rational constant (the common case: unimodular fiber blocks); Cramer's
-    rule otherwise.
+    For a rational A (the common case: unimodular fiber blocks) the inverse
+    is exact rational, so each x_i is a rational combination of the rhs.
     """
-    k = len(matrix)
-    if k == 0:
-        return []
-    if _all_rational(matrix):
-        a = [[e.value for e in row] for row in matrix]
-        x = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-        # invert A exactly, then combine rhs terms symbolically
-        for col in range(k):
-            piv = next((r for r in range(col, k) if a[r][col] != 0), None)
-            if piv is None:
-                raise ValueError("fiber block is singular")
-            a[col], a[piv] = a[piv], a[col]
-            x[col], x[piv] = x[piv], x[col]
-            inv = 1 / a[col][col]
-            a[col] = [v * inv for v in a[col]]
-            x[col] = [v * inv for v in x[col]]
-            for r in range(k):
-                if r != col and a[r][col] != 0:
-                    f = a[r][col]
-                    a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-                    x[r] = [v - f * w for v, w in zip(x[r], x[col])]
-        return [sadd(*[smul(rat(x[i][j]), rhs[j]) for j in range(k)]) for i in range(k)]
-    det = sym_det(matrix)
-    out = []
-    for i in range(k):
-        replaced = [[rhs[r] if c == i else matrix[r][c] for c in range(k)] for r in range(k)]
-        out.append(sdiv(sym_det(replaced), det))
-    return out
+    inv = sym_matrix_inverse(matrix)
+    return [sadd(*[smul(inv[i][j], rhs[j]) for j in range(len(rhs))])
+            for i in range(len(inv))]
 
 
 def sym_det(matrix):
     n = len(matrix)
+    if n == 0:
+        return ONE
     if n == 1:
         return matrix[0][0]
     if n == 2:
@@ -710,9 +688,12 @@ def sym_det(matrix):
 
 
 def sym_matrix_inverse(matrix):
-    """Adjugate inverse; entries are Scalars, sizes <= 4."""
+    """Adjugate inverse; entries are Scalars, sizes <= 4.  A structurally
+    zero determinant raises ValueError."""
     n = len(matrix)
     det = sym_det(matrix)
+    if det.is_zero():
+        raise ValueError("matrix is singular: its determinant is structurally zero")
     if n == 1:
         return [[sdiv(ONE, matrix[0][0])]]
     out = [[None] * n for _ in range(n)]

@@ -18,8 +18,8 @@ from .scalar import (CScalar, PI, ZERO, ONE, diff, equal_numeric, evaluate,
 from .exterior import (Coframe, Form, FrameVector, exp_form, fiber_integrate,
                        mukai_pairing, wedge)
 from .bundle import (BundleChart, build_dual_chart, chart_from_text,
-                     exterior_derivative, form_residual, split_flux,
-                     twisted_derivative)
+                     dual_fiber_name, exterior_derivative, form_residual,
+                     split_flux, twisted_derivative)
 from .courant import (bracket_spinor_residual, courant_bracket,
                       check_lift_splitting, pairing, section_residual,
                       split_pairing_matrix)
@@ -125,13 +125,13 @@ def _standard_pair_checks(report, pair, rng, points, samples):
 
 def _dual_of_dual_check(report, pair, points):
     chart = pair.chart
-    ddual, _ = build_dual_chart(pair.dual)
-    # dualization suffixes fiber names with "t"; strip two rounds of it
-    rename = {gen: gen[:-2] for gen in ddual.fiber_names}
+    ddual = build_dual_chart(pair.dual)
+    twice = {gen: dual_fiber_name(dual_fiber_name(gen)) for gen in chart.fiber_names}
+    rename = {back: gen for gen, back in twice.items()}
     res = form_residual(ddual.flux.map_to(chart.coframe, rename) - chart.flux,
                         chart.domain, points)
     for gen in chart.fiber_names:
-        back = ddual.curvature_of(gen + "tt").map_to(chart.coframe, rename)
+        back = ddual.curvature_of(twice[gen]).map_to(chart.coframe, rename)
         res = max(res, form_residual(back - chart.curvature_of(gen),
                                      chart.domain, points))
     report.add("dual-of-dual", "double dualization returns the original data",
@@ -362,8 +362,7 @@ def scenario_hopf_surface(seed, samples):
     decay = []
     for s2val in (0.4, 0.2, 0.1):
         member = _hopf_surface_family(chart, rat(int(s2val * 100), 100))
-        corr = pair.corr
-        integrand = corr.pull(member.form)
+        integrand = pair.pull(member.form)
         integral = fiber_integrate(integrand, ("fiber",))
         p = dict(points[0])
         vals = integral.eval_coeffs(p)
@@ -676,6 +675,8 @@ SCENARIOS = {
 def run_scenario(name, seed=0, samples=8):
     if name not in SCENARIOS:
         raise KeyError(f"unknown scenario {name!r}; known: {', '.join(sorted(SCENARIOS))}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     return SCENARIOS[name](seed, samples)

@@ -3,11 +3,10 @@ import pytest
 
 from tduality.scalar import rat, var
 from tduality.exterior import Form, wedge
-from tduality.bundle import (build_dual_chart, chart_from_text,
+from tduality.bundle import (DualityPair, build_dual_chart, chart_from_text,
                              chart_to_text, exterior_derivative, form_residual,
-                             make_correspondence, split_flux,
-                             standard_correspondence_flux, twisted_derivative,
-                             validate_chart, validate_pair)
+                             split_flux, standard_correspondence_flux,
+                             twisted_derivative, validate_chart, validate_pair)
 from tduality.randomgen import random_form
 
 
@@ -112,23 +111,25 @@ def test_build_dual_hopf(hopf_pair):
 
 
 def test_build_dual_trivial(circle_chart):
-    dual, corr = build_dual_chart(circle_chart)
+    pair = DualityPair.from_chart(circle_chart)
+    dual = pair.dual
     assert dual.flux.is_zero()
     assert not dual.curvature_of("tht").coeffs
-    assert corr.flux_difference_residual().is_zero()
+    assert pair.flux_difference_residual().is_zero()
 
 
 def test_build_dual_selfdual_flux(hopf_flux_chart):
-    dual, corr = build_dual_chart(hopf_flux_chart)
+    pair = DualityPair.from_chart(hopf_flux_chart)
+    dual = pair.dual
     sigma = Form.monomial(dual.coframe, ("dt", "du"))
     assert dual.curvature_of("tht") == sigma
     assert dual.flux == Form.monomial(dual.coframe, ("dt", "du", "tht"))
-    assert corr.flux_difference_residual().is_zero()
+    assert pair.flux_difference_residual().is_zero()
 
 
 def test_dual_of_dual_roundtrip(rng, hopf_flux_chart):
-    dual, _ = build_dual_chart(hopf_flux_chart)
-    ddual, _ = build_dual_chart(dual)
+    dual = build_dual_chart(hopf_flux_chart)
+    ddual = build_dual_chart(dual)
     rename = {g: g[:-2] for g in ddual.fiber_names}
     pts = hopf_flux_chart.domain.sample_many(rng, 4)
     back_flux = ddual.flux.map_to(hopf_flux_chart.coframe, rename)
@@ -142,16 +143,15 @@ def test_dual_of_dual_roundtrip(rng, hopf_flux_chart):
 def test_scaled_form_not_unimodular(hopf_chart):
     def doubled(cof, chart, dual):
         return standard_correspondence_flux(cof, chart, dual).scale(rat(2))
-    dual, _ = build_dual_chart(hopf_chart)
-    corr = make_correspondence(hopf_chart, dual, doubled)
-    rep = validate_pair(corr, n=3)
+    pair = DualityPair.from_charts(hopf_chart, build_dual_chart(hopf_chart), doubled)
+    rep = validate_pair(pair, n=3)
     assert rep.nondegenerate
     assert rep.unimodular is False
     assert rep.flux_difference_residual > 1e-9  # the doubled form breaks dF = H - Ht
 
 
 def test_validate_pair_hopf_clean(hopf_pair):
-    rep = validate_pair(hopf_pair.corr, n=4)
+    rep = validate_pair(hopf_pair, n=4)
     assert rep.flux_difference_residual <= 1e-12
     assert rep.nondegenerate and rep.unimodular and rep.ok
 

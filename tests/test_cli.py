@@ -98,6 +98,15 @@ def test_samples_below_one_rejected(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_negative_seed_rejected(tmp_path, capsys):
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        run_scenario("s2-annulus", seed=-1)
+    out = tmp_path / "neg.jsonl"
+    assert main(["run", "s2-annulus", "--seed", "-1", "--out", str(out)]) == 2
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_tol_flag_removed(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "s3-hopf", "--tol", "1"])

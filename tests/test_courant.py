@@ -1,11 +1,13 @@
+import numpy as np
+
 from tduality.scalar import CScalar, diff, rat, scos, ssin, var
 from tduality.exterior import Form, FrameVector
-from tduality.bundle import exterior_derivative
+from tduality.bundle import BundleChart, exterior_derivative
 from tduality.courant import (Section, b_transform, bracket_spinor_residual,
                               check_lift_splitting, courant_bracket,
                               lie_bracket, pairing, section_residual,
                               split_pairing_matrix)
-from tduality.randomgen import random_form, random_section
+from tduality.randomgen import random_form, random_scalar, random_section
 
 
 def test_pairing_values(plane_chart):
@@ -179,3 +181,28 @@ def test_lift_splitting_generic_failure(hopf_flux_chart, rng):
     x = FrameVector.basis(ch.coframe, "th")
     xi = Form.monomial(ch.coframe, ("du",), scos(var("t")))
     assert not check_lift_splitting(x, xi, ch, pts)
+
+
+def _jacobi_residual(rng, chart):
+    def field():
+        return FrameVector(chart.coframe, tuple(
+            CScalar(random_scalar(rng, chart.base_vars)) for _ in chart.coframe.names))
+
+    x, y, z = field(), field(), field()
+    jac = (lie_bracket(x, lie_bracket(y, z, chart), chart)
+           + lie_bracket(y, lie_bracket(z, x, chart), chart)
+           + lie_bracket(z, lie_bracket(x, y, chart), chart))
+    pts = chart.domain.sample_many(rng, 3)
+    return max(float(np.abs(jac.eval_vector(p)).max()) for p in pts)
+
+
+def test_lie_bracket_jacobi_curved_circle(hopf_chart, rng):
+    assert _jacobi_residual(rng, hopf_chart) <= 1e-10
+
+
+def test_lie_bracket_jacobi_two_curvatures(rng):
+    chart = BundleChart.build(
+        "t2c", [("t", -0.8, 0.8), ("u", 0.1, 0.9)], ["th1", "th2"],
+        curvature={"th1": lambda c: Form.monomial(c, ("dt", "du")),
+                   "th2": lambda c: Form.monomial(c, ("dt", "du"), ssin(var("t")))})
+    assert _jacobi_residual(rng, chart) <= 1e-10

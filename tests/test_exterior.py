@@ -223,6 +223,18 @@ def test_form_text_roundtrip(rng, cof4):
         assert form_residual(f - back, dom, pts) <= 1e-12
 
 
+def test_malformed_form_text_rejected():
+    cof = Coframe(("dt", "th"), ("base", "fiber"))
+    for text in ("(cplx 1", "1 dt +"):
+        with pytest.raises(ValueError, match="unexpected end of text"):
+            form_from_text(cof, text)
+    with pytest.raises(ValueError, match="expected '\\+' between terms"):
+        form_from_text(cof, "1 dt th")
+    with pytest.raises(ValueError):
+        form_from_text(cof, "(cplx 1 2) extra th")
+    assert form_from_text(cof, "").is_zero()
+
+
 def test_form_map_to_renames_and_signs():
     cof = Coframe(("dt", "th"), ("base", "fiber"))
     big = Coframe(("dt", "th", "tht"), ("base", "fiber", "cofiber"))

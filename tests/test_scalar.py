@@ -137,6 +137,12 @@ def test_serialization_exact_atoms():
     assert scalar_from_text("t") == T
 
 
+def test_truncated_scalar_text_rejected():
+    for text in ("(+ 1", "(", ""):
+        with pytest.raises(ValueError, match="unexpected end of text"):
+            scalar_from_text(text)
+
+
 def test_serialization_numeric_atoms_exact():
     assert scalar_from_text("0.5") == rat(1, 2)
     assert scalar_from_text("1e-3") == rat(1, 1000)
@@ -157,13 +163,21 @@ def test_cscalar_field_identities(rng):
     assert a.conj().evaluate(p) == pytest.approx(za.conjugate())
 
 
-def test_symbolic_solve_rational_block():
+def test_symbolic_solve_rational_block(rng):
     a = [[rat(0), rat(-1)], [rat(-1), rat(0)]]
     rhs = [T, ssin(T)]
     x = solve_linear_symbolic(a, rhs)
     assert x[0] == -ssin(T) if x[0].kind == "mul" else True
     assert equal_numeric(x[0], -ssin(T), DOM)
     assert equal_numeric(x[1], -T, DOM)
+    # a symbolic block goes through the same inverse: A x = rhs at samples
+    a = [[2 + T ** 2, T], [T, ONE]]
+    x = solve_linear_symbolic(a, rhs)
+    for p in DOM.sample_many(rng, 4):
+        a_num = np.array([[evaluate(e, p) for e in row] for row in a])
+        x_num = np.array([evaluate(e, p) for e in x])
+        rhs_num = np.array([evaluate(e, p) for e in rhs])
+        assert np.abs(a_num @ x_num - rhs_num).max() < 1e-12
 
 
 def test_symbolic_matrix_inverse(rng):

@@ -4,7 +4,7 @@ A parameter that nothing reads is a knob that does nothing: a caller may set
 it and believe it took effect.  The allow-list holds the parameters that an
 interface fixes: ``form_residual``'s ``domain``, which callers still pass
 positionally, and the ``(coframe, chart, dual)`` flux-maker callbacks whose
-signature ``make_correspondence`` dictates.
+signature ``DualityPair.from_charts`` dictates.
 
 Tolerances belong to the checks that compare against them: ``Report.add``
 carries each check's own tolerance, and no other function takes a ``tol``.
@@ -17,8 +17,6 @@ import tduality
 ALLOWED = {
     ("bundle", "form_residual", "domain"),
     ("bundle", "standard_correspondence_flux", "dual"),
-    ("duality", "flux_maker", "chart"),
-    ("duality", "flux_maker", "dual"),
     ("scenarios", "flux_maker", "c"),
     ("scenarios", "flux_maker", "d"),
 }
