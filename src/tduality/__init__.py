@@ -25,7 +25,7 @@ from .bundle import (BundleChart, DualityPair, build_dual_chart,
                      exterior_derivative, split_flux, twisted_derivative,
                      validate_chart, validate_pair)
 from .courant import (Section, b_transform, bracket_spinor_residual,
-                      check_lift_splitting, courant_bracket, pairing)
+                      courant_bracket, lift_splitting_residual, pairing)
 from .structures import (GeneralizedMetric, PureSpinor, SymTensor,
                          annihilator_at, check_integrable, gb_from_cplus,
                          gcs_matrix_at, metric_matrix_at, spinor_type_at,

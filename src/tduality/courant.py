@@ -33,7 +33,7 @@ from .bundle import exterior_derivative, twisted_derivative, form_residual
 __all__ = [
     "Section", "pairing", "split_pairing_matrix", "lie_bracket", "lie_derivative",
     "courant_bracket", "b_transform", "bracket_spinor_residual",
-    "check_lift_splitting", "section_basis", "section_residual",
+    "lift_splitting_residual", "section_basis", "section_residual",
 ]
 
 
@@ -195,12 +195,12 @@ def bracket_spinor_residual(v, w, rho, chart, points):
     return form_residual(lhs - rhs, chart.domain, points)
 
 
-def check_lift_splitting(x, xi, chart, points):
-    """True when i_X H = d xi at the sample points.
+def lift_splitting_residual(x, xi, chart, points):
+    """Max-abs residual of i_X H = d xi at the sample points.
 
-    This is the condition for the adjoint action of X + xi to preserve the
-    splitting of T + T*, i.e. to act as an infinitesimal symmetry together
-    with a B-field transform.
+    Its vanishing is the condition for the adjoint action of X + xi to
+    preserve the splitting of T + T*, i.e. to act as an infinitesimal
+    symmetry together with a B-field transform.
     """
     residual = contract(x, chart.flux) - exterior_derivative(xi, chart)
-    return form_residual(residual, chart.domain, points) <= 1e-9
+    return form_residual(residual, chart.domain, points)
