@@ -694,8 +694,6 @@ def sym_matrix_inverse(matrix):
     det = sym_det(matrix)
     if det.is_zero():
         raise ValueError("matrix is singular: its determinant is structurally zero")
-    if n == 1:
-        return [[sdiv(ONE, matrix[0][0])]]
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
