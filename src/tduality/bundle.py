@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scalar import CScalar, Domain, ZERO, diff, evaluate_all
-from .exterior import Coframe, Form, contract_sign, strip_rightmost, wedge
+from .exterior import (Coframe, Form, contract_sign, form_from_text, form_to_text,
+                       strip_rightmost, wedge)
 
 __all__ = [
     "BundleChart", "DualityPair", "base_generator", "dual_fiber_name",
@@ -332,12 +333,16 @@ def validate_chart(chart, n=8, seed=0):
 
 @dataclass
 class PairReport:
+    """``fiber_rank`` is the size k of the k x k fiber block; at 0 the block is
+    empty, and its determinant is the empty product 1."""
+
     chart_m: ChartReport
     chart_mt: ChartReport
     flux_difference_residual: float
     nondegenerate: bool
     unimodular: bool | None
     min_abs_det: float
+    fiber_rank: int
 
     @property
     def ok(self):
@@ -360,7 +365,7 @@ def validate_pair(pair, n=8, seed=0):
     constant = all(e.is_rational() for row in block for e in row)
     unimodular = None
     if constant:
-        vals = np.array([[float(e.value) for e in row] for row in block])
+        vals = np.array([[float(e.value) for e in row] for row in block]).reshape(k, k)
         is_int = np.allclose(vals, np.round(vals), atol=1e-9)
         unimodular = bool(is_int and abs(abs(np.linalg.det(np.round(vals))) - 1.0) <= 1e-9)
     return PairReport(
@@ -370,6 +375,7 @@ def validate_pair(pair, n=8, seed=0):
         nondegenerate=min_det > 1e-9,
         unimodular=unimodular,
         min_abs_det=min_det,
+        fiber_rank=k,
     )
 
 
@@ -382,7 +388,6 @@ def validate_pair(pair, n=8, seed=0):
 #   flux = <form text>
 
 def chart_to_text(chart):
-    from .exterior import form_to_text
     lines = [f"chart {chart.name}"]
     for v in chart.base_vars:
         lo, hi = chart.domain.intervals[v]
@@ -401,15 +406,25 @@ def chart_to_text(chart):
     return "\n".join(lines) + "\n"
 
 
+def _form_reader(form_text, lineno, line):
+    """Reads a form line of a chart config once the coframe exists; a
+    malformed form raises ValueError naming the line."""
+    def read(cof):
+        try:
+            return form_from_text(cof, form_text)
+        except ValueError as exc:
+            raise ValueError(f"{exc} (chart config line {lineno}: {line!r})") from None
+    return read
+
+
 def chart_from_text(text):
-    from .exterior import form_from_text
     name = None
     bases = []
     exclusions = []
     fibers = []
     curv_lines = {}
-    flux_line = None
-    for raw in text.splitlines():
+    flux = None
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -430,16 +445,19 @@ def chart_from_text(text):
             fibers.extend(rest.split())
         elif head == "curv":
             gen, _, form_text = rest.partition("=")
-            curv_lines[gen.strip()] = form_text.strip()
+            curv_lines[gen.strip()] = (form_text.strip(), lineno, line)
         elif head == "flux":
-            flux_line = rest.partition("=")[2].strip() if "=" in line else rest.strip()
+            form_text = (rest.partition("=")[2] if "=" in line else rest).strip()
+            flux = _form_reader(form_text, lineno, line) if form_text else None
         else:
             raise ValueError(f"unknown chart directive {head!r}")
     if name is None:
         raise ValueError("chart file must name the chart")
-    chart = BundleChart.build(
-        name, bases, fibers,
-        curvature={g: (lambda cof, t=t: form_from_text(cof, t)) for g, t in curv_lines.items()},
-        flux=(lambda cof: form_from_text(cof, flux_line)) if flux_line else None,
-        exclusions=exclusions)
-    return chart
+    curvature = {}
+    for gen, (form_text, lineno, line) in curv_lines.items():
+        if gen not in fibers:
+            raise ValueError(f"curvature of undeclared fiber generator {gen!r} "
+                             f"(chart config line {lineno}: {line!r})")
+        curvature[gen] = _form_reader(form_text, lineno, line)
+    return BundleChart.build(name, bases, fibers, curvature=curvature, flux=flux,
+                             exclusions=exclusions)

@@ -45,7 +45,11 @@ class Coframe:
         return len(self.names)
 
     def index(self, name):
-        return self.names.index(name)
+        try:
+            return self.names.index(name)
+        except ValueError:
+            raise ValueError(f"unknown generator {name!r} in coframe "
+                             f"({' '.join(self.names)})") from None
 
     def mask_of(self, names):
         m = 0

@@ -21,7 +21,7 @@ __all__ = [
     "Scalar", "CScalar", "Domain", "EvaluationError", "SamplingError",
     "rat", "const", "var", "sadd", "smul", "sdiv", "spow", "sneg", "ssub",
     "ssin", "scos", "sexp", "slog", "ssqrt", "as_scalar",
-    "ZERO", "ONE", "PI",
+    "ZERO", "ONE", "MINUS_ONE", "PI",
     "diff", "evaluate", "evaluate_all", "equal_numeric",
     "scalar_to_text", "scalar_from_text",
     "solve_linear_symbolic", "sym_matrix_inverse", "sym_det",
@@ -45,18 +45,29 @@ class Scalar:
     """Immutable expression node.
 
     kind is one of: rat, const, var, add, mul, div, pow, sin, cos, exp,
-    log, sqrt.  ``value`` holds the Fraction for rat nodes and the integer
-    exponent for pow nodes; ``name`` holds variable / named-constant names.
+    log, sqrt.  ``value`` holds the rational constant of a rat node, an
+    ``int`` whenever it is integral and a normalised ``Fraction`` only for a
+    true ratio, and the integer exponent of a pow node; ``name`` holds
+    variable / named-constant names.
+
+    ``_d`` caches derivatives, ``{variable: derivative}``, filled by
+    ``diff``.  It lives on the node it indexes and dies with it, so no cached
+    derivative can outlive its expression.
+
+    Construction keeps two invariants that ``sadd`` and ``smul`` rely on: an
+    add node has no add argument, a mul node no mul argument, and a rat
+    argument of either, if any, is the single leading one.
     """
 
-    __slots__ = ("kind", "args", "value", "name", "_hash")
+    __slots__ = ("kind", "args", "value", "name", "_hash", "_d")
 
     def __init__(self, kind, args=(), value=None, name=None):
         self.kind = kind
-        self.args = tuple(args)
+        self.args = args
         self.value = value
         self.name = name
         self._hash = None
+        self._d = None
 
     # Scalars are immutable by convention; hash/eq are structural.
     def __hash__(self):
@@ -134,12 +145,24 @@ class Scalar:
         return out
 
 
+# Shared nodes for the small integers, which most rational constants are.
+_SMALL_INTS = {n: Scalar("rat", value=n) for n in range(-16, 17)}
+
+
 def rat(p, q=1):
-    return Scalar("rat", value=Fraction(p, q))
+    """Rational constant p/q; its value is an int whenever it is integral."""
+    if q != 1 or type(p) is not int:
+        v = p if q == 1 and type(p) is Fraction else Fraction(p, q)
+        if v.denominator != 1:
+            return Scalar("rat", value=v)
+        p = v.numerator
+    node = _SMALL_INTS.get(p)
+    return node if node is not None else Scalar("rat", value=p)
 
 
 ZERO = rat(0)
 ONE = rat(1)
+MINUS_ONE = rat(-1)
 
 
 def const(name):
@@ -167,66 +190,56 @@ def as_scalar(x):
 
 
 def _mul_split(term):
-    """Split a term into (rational coefficient, non-rational factor tuple)."""
-    if term.kind == "rat":
-        return term.value, ()
+    """Split a non-rat term into (rational coefficient, non-rational factor
+    tuple), reading the single leading rat of a mul node."""
     if term.kind == "mul":
-        coeff = Fraction(1)
-        rest = []
-        for a in term.args:
-            if a.kind == "rat":
-                coeff *= a.value
-            else:
-                rest.append(a)
-        return coeff, tuple(rest)
-    return Fraction(1), (term,)
+        args = term.args
+        if args[0].kind == "rat":
+            return args[0].value, args[1:]
+        return 1, args
+    return 1, (term,)
 
 
 def _make_term(coeff, rest):
-    if coeff == 0:
-        return None
+    """The term coeff * rest for a nonzero coefficient."""
     if not rest:
         return rat(coeff)
-    if coeff == 1 and len(rest) == 1:
-        return rest[0]
     if coeff == 1:
-        return Scalar("mul", rest)
+        return rest[0] if len(rest) == 1 else Scalar("mul", rest)
     return Scalar("mul", (rat(coeff),) + rest)
 
 
 def sadd(*terms):
     """Sum with rational folding and like-term collection."""
-    flat = []
+    # rest -> [coefficient, the term itself while it is the only one]
+    collected = {}
+    const_part = 0
     for t in terms:
-        if t.kind == "add":
-            flat.extend(t.args)
-        else:
-            flat.append(t)
-    collected: dict = {}
-    const_part = Fraction(0)
-    order = []
-    for t in flat:
-        coeff, rest = _mul_split(t)
-        if not rest:
-            const_part += coeff
-            continue
-        if rest not in collected:
-            collected[rest] = coeff
-            order.append(rest)
-        else:
-            collected[rest] += coeff
+        for u in (t.args if t.kind == "add" else (t,)):
+            if u.kind == "rat":
+                const_part += u.value
+                continue
+            coeff, rest = _mul_split(u)
+            entry = collected.get(rest)
+            if entry is None:
+                collected[rest] = [coeff, u]
+            else:
+                entry[0] += coeff
+                entry[1] = None
     out = []
-    for rest in order:
-        term = _make_term(collected[rest], rest)
-        if term is not None:
-            out.append(term)
     if const_part != 0:
-        out.insert(0, rat(const_part))
+        out.append(rat(const_part))
+    for rest, (coeff, term) in collected.items():
+        if term is None:
+            if coeff == 0:
+                continue
+            term = _make_term(coeff, rest)
+        out.append(term)
     if not out:
         return ZERO
     if len(out) == 1:
         return out[0]
-    return Scalar("add", out)
+    return Scalar("add", tuple(out))
 
 
 def ssub(a, b):
@@ -234,27 +247,28 @@ def ssub(a, b):
 
 
 def sneg(a):
-    return smul(rat(-1), a)
+    return smul(MINUS_ONE, a)
 
 
 def smul(*factors):
-    flat = []
-    for f in factors:
-        if f.kind == "mul":
-            flat.extend(f.args)
-        else:
-            flat.append(f)
-    coeff = Fraction(1)
+    coeff = 1
     rest = []
-    for f in flat:
-        if f.kind == "rat":
+    for f in factors:
+        kind = f.kind
+        if kind == "rat":
             coeff *= f.value
+        elif kind == "mul":
+            args = f.args
+            if args[0].kind == "rat":
+                coeff *= args[0].value
+                rest.extend(args[1:])
+            else:
+                rest.extend(args)
         else:
             rest.append(f)
     if coeff == 0:
         return ZERO
-    term = _make_term(coeff, tuple(rest))
-    return term if term is not None else ZERO
+    return _make_term(coeff, tuple(rest))
 
 
 def sdiv(a, b):
@@ -263,7 +277,7 @@ def sdiv(a, b):
     if a.is_zero():
         return ZERO
     if b.kind == "rat":
-        return smul(rat(1 / b.value), a)
+        return smul(rat(1, b.value), a)
     if a == b:
         return ONE
     return Scalar("div", (a, b))
@@ -276,7 +290,8 @@ def spow(base, n):
     if n == 1:
         return base
     if base.kind == "rat":
-        return rat(base.value ** n)
+        v = base.value
+        return rat(v ** n if n > 0 else Fraction(v) ** n)
     return Scalar("pow", (base,), value=n)
 
 
@@ -292,7 +307,10 @@ def _func(kind, x):
         if kind == "log" and v == 1:
             return ZERO
         if kind == "sqrt" and v >= 0:
-            root = Fraction(math.isqrt(v.numerator), math.isqrt(v.denominator))
+            if type(v) is int:
+                root = math.isqrt(v)
+            else:
+                root = Fraction(math.isqrt(v.numerator), math.isqrt(v.denominator))
             if root * root == v:
                 return rat(root)
     return Scalar(kind, (x,))
@@ -401,49 +419,58 @@ def _eval(node, point, memo):
 # -- differentiation -------------------------------------------------------------
 
 def diff(expr, name):
-    """Symbolic partial derivative with respect to variable ``name``."""
-    return _diff(expr, name, {})
+    """Symbolic partial derivative with respect to variable ``name``.
+
+    Each node keeps its derivatives in its ``_d`` cache, so a subexpression
+    shared within or between expressions is differentiated once per variable.
+    """
+    return _diff(expr, name)
 
 
-def _diff(node, name, memo):
-    got = memo.get(id(node))
-    if got is not None:
-        return got
+def _diff(node, name):
     kind = node.kind
+    if kind == "var":
+        return ONE if node.name == name else ZERO
     if kind in ("rat", "const"):
-        out = ZERO
-    elif kind == "var":
-        out = ONE if node.name == name else ZERO
-    elif kind == "add":
-        out = sadd(*[_diff(a, name, memo) for a in node.args])
+        return ZERO
+    cache = node._d
+    if cache is None:
+        cache = node._d = {}
+    else:
+        got = cache.get(name)
+        if got is not None:
+            return got
+    if kind == "add":
+        out = sadd(*[_diff(a, name) for a in node.args])
     elif kind == "mul":
+        args = node.args
         terms = []
-        for i, a in enumerate(node.args):
-            da = _diff(a, name, memo)
+        for i, a in enumerate(args):
+            da = _diff(a, name)
             if da.is_zero():
                 continue
-            terms.append(smul(*(node.args[:i] + (da,) + node.args[i + 1:])))
+            terms.append(smul(*(args[:i] + (da,) + args[i + 1:])))
         out = sadd(*terms) if terms else ZERO
     elif kind == "div":
         a, b = node.args
-        da, db = _diff(a, name, memo), _diff(b, name, memo)
+        da, db = _diff(a, name), _diff(b, name)
         out = sdiv(ssub(smul(da, b), smul(a, db)), spow(b, 2))
     elif kind == "pow":
         base, n = node.args[0], node.value
-        out = smul(rat(n), spow(base, n - 1), _diff(base, name, memo))
+        out = smul(rat(n), spow(base, n - 1), _diff(base, name))
     elif kind == "sin":
-        out = smul(scos(node.args[0]), _diff(node.args[0], name, memo))
+        out = smul(scos(node.args[0]), _diff(node.args[0], name))
     elif kind == "cos":
-        out = smul(rat(-1), ssin(node.args[0]), _diff(node.args[0], name, memo))
+        out = smul(MINUS_ONE, ssin(node.args[0]), _diff(node.args[0], name))
     elif kind == "exp":
-        out = smul(node, _diff(node.args[0], name, memo))
+        out = smul(node, _diff(node.args[0], name))
     elif kind == "log":
-        out = sdiv(_diff(node.args[0], name, memo), node.args[0])
+        out = sdiv(_diff(node.args[0], name), node.args[0])
     elif kind == "sqrt":
-        out = sdiv(_diff(node.args[0], name, memo), smul(rat(2), node))
+        out = sdiv(_diff(node.args[0], name), smul(rat(2), node))
     else:  # pragma: no cover
         raise AssertionError(f"unknown node kind {kind}")
-    memo[id(node)] = out
+    cache[name] = out
     return out
 
 
@@ -574,8 +601,7 @@ class CScalar:
 def scalar_to_text(node):
     kind = node.kind
     if kind == "rat":
-        v = node.value
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        return str(node.value)
     if kind == "const":
         return node.name
     if kind == "var":

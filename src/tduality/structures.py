@@ -8,6 +8,7 @@ reported, not treated as errors.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -150,28 +151,38 @@ class GeneralizedMetric:
 
 # -- pointwise frames --------------------------------------------------------------
 
+@functools.cache
+def _clifford_matrices(m):
+    """(wedge, contraction) matrices of the m generators on the 2^m forms,
+    read-only and shared by every PointFrame with m generators."""
+    nforms = 1 << m
+    wedges, contractions = [], []
+    for i in range(m):
+        w = np.zeros((nforms, nforms))
+        c = np.zeros((nforms, nforms))
+        bit = 1 << i
+        for mask in range(nforms):
+            if not mask & bit:
+                sign = float(contract_sign(mask, i))
+                w[mask | bit, mask] = sign
+                c[mask, mask | bit] = sign
+        w.setflags(write=False)
+        c.setflags(write=False)
+        wedges.append(w)
+        contractions.append(c)
+    return tuple(wedges), tuple(contractions)
+
+
 class PointFrame:
     """Clifford action matrices on the 2^m forms at a point of a coframe with
-    m generators; they do not depend on the point."""
+    m generators; they depend only on m, so frames of the same size share them."""
 
     def __init__(self, coframe):
         self.coframe = coframe
         m = coframe.dim
         self.m = m
         self.nforms = 1 << m
-        self._wedge = []
-        self._contract = []
-        for i in range(m):
-            w = np.zeros((self.nforms, self.nforms))
-            c = np.zeros((self.nforms, self.nforms))
-            bit = 1 << i
-            for mask in range(self.nforms):
-                if not mask & bit:
-                    sign = float(contract_sign(mask, i))
-                    w[mask | bit, mask] = sign
-                    c[mask, mask | bit] = sign
-            self._wedge.append(w)
-            self._contract.append(c)
+        self._wedge, self._contract = _clifford_matrices(m)
 
     def section_action(self, comps):
         """Clifford action matrix of numeric section components (X, xi)."""

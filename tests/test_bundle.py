@@ -156,6 +156,13 @@ def test_validate_pair_hopf_clean(hopf_pair):
     assert rep.nondegenerate and rep.unimodular and rep.ok
 
 
+def test_validate_pair_rank_zero_reports_empty_block(plane_chart):
+    rep = DualityPair.from_chart(plane_chart).validate(n=3)
+    assert rep.fiber_rank == 0
+    assert rep.min_abs_det == 1.0  # the determinant of the empty block
+    assert rep.nondegenerate and rep.ok
+
+
 def test_chart_config_roundtrip(hopf_flux_chart, rng):
     text = chart_to_text(hopf_flux_chart)
     back = chart_from_text(text)

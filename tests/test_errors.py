@@ -1,13 +1,15 @@
 """Declared failure modes: mismatched coframes, vanishing spinors,
 excluded domains, singular data."""
+import re
+
 import numpy as np
 import pytest
 
 from tduality.scalar import (CScalar, Domain, SamplingError, rat,
                              solve_linear_symbolic, var)
 from tduality.exterior import (Coframe, Form, FrameVector, clifford_act,
-                               contract, exp_form, wedge)
-from tduality.bundle import BundleChart, exterior_derivative
+                               contract, exp_form, form_from_text, wedge)
+from tduality.bundle import BundleChart, chart_from_text, exterior_derivative
 from tduality.courant import Section, courant_bracket, pairing
 from tduality.structures import (PureSpinor, annihilator_at, gcs_matrix_at,
                                  spinor_type_at)
@@ -103,3 +105,18 @@ def test_chart_requires_generator_naming():
     with pytest.raises(ValueError):
         BundleChart("bad", ("t",), Domain({"t": (0.0, 1.0)}), cof, {},
                     Form.zero(cof))
+
+
+def test_unknown_generator_in_form_text_is_named(two_coframes):
+    a, _ = two_coframes
+    with pytest.raises(ValueError, match=r"unknown generator 'extra' in coframe \(dx dy\)"):
+        form_from_text(a, "(cplx 1 2) extra dx")
+
+
+def test_unknown_generator_in_chart_config_names_the_line():
+    head = "chart bad\nvar t = 0.0 .. 1.0\nvar u = 0.0 .. 1.0\nfiber th\n"
+    for line, named in (("curv th = 1 dt^thx", r"unknown generator 'thx'"),
+                        ("flux = 1 dt^du^thx", r"unknown generator 'thx'"),
+                        ("curv tx = 1 dt^du", r"undeclared fiber generator 'tx'")):
+        with pytest.raises(ValueError, match=named + f".*line 5: {re.escape(repr(line))}"):
+            chart_from_text(head + line + "\n")

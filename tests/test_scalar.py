@@ -1,13 +1,15 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from tduality.scalar import (CScalar, Domain, EvaluationError, ONE, PI,
                              diff, equal_numeric, evaluate, evaluate_all, rat,
-                             scalar_from_text, scalar_to_text, scos, sdiv,
-                             sexp, slog, smul, spow, ssin, ssqrt,
+                             sadd, scalar_from_text, scalar_to_text, scos, sdiv,
+                             sexp, slog, smul, sneg, spow, ssin, ssqrt,
                              solve_linear_symbolic, sym_matrix_inverse, var)
+from tduality.scenarios import run_scenario
 
 T = var("t")
 DOM = Domain({"t": (-0.9, 0.9)})
@@ -187,3 +189,59 @@ def test_symbolic_matrix_inverse(rng):
         a = np.array([[evaluate(e, p) for e in row] for row in m])
         b = np.array([[evaluate(e, p) for e in row] for row in inv])
         assert np.abs(a @ b - np.eye(2)).max() < 1e-12
+
+
+def _nodes(expr):
+    """Every distinct node of an expression DAG."""
+    seen, stack = {}, [expr]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.args)
+    return list(seen.values())
+
+
+def test_integral_rationals_are_ints():
+    exprs = [
+        rat(4, 2), rat(Fraction(6, 3)), smul(rat(1, 2), rat(4)),
+        sdiv(T, rat(1, 3)), spow(rat(1, 2), -2), spow(rat(3), -1),
+        ssqrt(rat(4)), ssqrt(rat(9, 4)), sadd(rat(1, 2), rat(1, 2), T),
+        sadd(smul(rat(1, 2), T), smul(rat(3, 2), T)), sneg(rat(-1, 1)),
+        diff(spow(T, 3) * ssin(rat(1, 2) * T) / (T + 2), "t"),
+        scalar_from_text("(+ 4/2 (* 6/3 t) (^ t 2))"),
+    ]
+    for e in exprs:
+        for node in _nodes(e):
+            if node.kind == "rat":
+                v = node.value
+                assert type(v) is int or (type(v) is Fraction and v.denominator != 1)
+    assert scalar_to_text(rat(4, 2)) == "2"
+    assert scalar_to_text(rat(2, 6)) == "1/3"
+    for text in ("2", "1/3", "(+ 2 (* 1/3 t))"):
+        assert scalar_to_text(scalar_from_text(text)) == text
+
+
+def test_diff_is_cached_on_the_node():
+    text = "(+ (* t (sin (^ t 2))) (/ (exp t) (+ 1 (^ t 2))) (sqrt (+ 2 t)))"
+    e = scalar_from_text(text)
+    d = diff(e, "t")
+    assert diff(e, "t") is d
+    assert scalar_to_text(d) == scalar_to_text(diff(scalar_from_text(text), "t"))
+    assert diff(e, "u").is_zero()
+    assert diff(e, "t") is d
+
+
+def test_diff_of_shared_dag_is_linear():
+    e = T
+    for level in range(1, 41):
+        e = e * e + ssin(e)
+        # the tree has 2^level paths; its derivative DAG grows by 8 nodes a level
+        assert len(_nodes(diff(e, "t"))) <= 8 * level + 5
+    # e(0) = 0 at every level, so de/dt(0) = 1; evaluating a DAG is linear too
+    assert evaluate(diff(e, "t"), {"t": 0.0}) == 1.0
+
+
+def test_warm_caches_do_not_change_a_report():
+    first = run_scenario("s3-hopf", seed=1, samples=8).to_jsonl()
+    assert run_scenario("s3-hopf", seed=1, samples=8).to_jsonl() == first

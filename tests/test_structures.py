@@ -5,7 +5,7 @@ from tduality.scalar import CScalar, rat, var
 from tduality.exterior import Form, wedge
 from tduality.bundle import BundleChart
 from tduality.courant import split_pairing_matrix
-from tduality.structures import (GeneralizedMetric, PureSpinor,
+from tduality.structures import (GeneralizedMetric, PointFrame, PureSpinor,
                                  SymTensor, annihilator_at, check_integrable,
                                  commute_at, gb_from_cplus, gcs_matrix_at,
                                  is_decomposable_at, metric_matrix_at,
@@ -262,3 +262,10 @@ def test_commuting_pair_detection(plane_chart, point):
     cof = plane_chart.coframe
     dz = Form.monomial(cof, ("dx",)) + Form.monomial(cof, ("dy",), CScalar.i())
     assert commute_at(sp1, PureSpinor(dz), plane_chart, point) <= 1e-9
+
+
+def test_point_frames_of_equal_size_share_read_only_matrices(plane_chart, circle_chart):
+    a, b = PointFrame(plane_chart.coframe), PointFrame(circle_chart.coframe)
+    assert a._wedge is b._wedge and a._contract is b._contract
+    for mat in a._wedge + a._contract:
+        assert not mat.flags.writeable
