@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalar import CScalar, Domain, ZERO, diff, evaluate_all
-from .exterior import (Coframe, Form, contract_sign, form_from_text, form_to_text,
-                       strip_rightmost, wedge)
+from .scalar import CScalar, Domain, ZERO, diff, evaluate_points
+from .exterior import (Coframe, Form, contract_sign, eval_complex_points,
+                       form_from_text, form_to_text, strip_rightmost, wedge)
 
 __all__ = [
     "BundleChart", "DualityPair", "base_generator", "dual_fiber_name",
@@ -267,20 +267,29 @@ class DualityPair:
         lhs = self.pull(self.chart.flux) - self.pull(self.dual.flux)
         return lhs - exterior_derivative(self.F, self.total)
 
+    def cache(self, name, build):
+        """``build()``, stored on the pair under ``name`` by its first call:
+        point-independent data of the pair, which dies with the pair."""
+        got = self.__dict__.get(name)
+        if got is None:
+            got = build()
+            object.__setattr__(self, name, got)
+        return got
+
     def fiber_block(self):
         """k x k matrix of Scalars F(E_theta_i, E_thetat_j), built once."""
-        block = getattr(self, "_fiber_block", None)
-        if block is None:
-            k = self.k
-            block = [[ZERO] * k for _ in range(k)]
-            cof = self.total.coframe
-            for i, ni in enumerate(self.chart.fiber_names):
-                for j, nj in enumerate(self.dual.fiber_names):
-                    c = self.F.coeff(cof.mask_of((ni, nj)))
-                    if not c.im.is_zero():
-                        raise ValueError("correspondence form must be real")
-                    block[i][j] = c.re
-            object.__setattr__(self, "_fiber_block", block)
+        return self.cache("_fiber_block", self._build_fiber_block)
+
+    def _build_fiber_block(self):
+        k = self.k
+        block = [[ZERO] * k for _ in range(k)]
+        cof = self.total.coframe
+        for i, ni in enumerate(self.chart.fiber_names):
+            for j, nj in enumerate(self.dual.fiber_names):
+                c = self.F.coeff(cof.mask_of((ni, nj)))
+                if not c.im.is_zero():
+                    raise ValueError("correspondence form must be real")
+                block[i][j] = c.re
         return block
 
     def validate(self, n=8, seed=0):
@@ -292,8 +301,8 @@ class DualityPair:
 def form_residual(form, domain, points):
     """Max over points of the max absolute coefficient value (``domain`` is
     not used; the points carry all the information)."""
-    return max((abs(v) for p in points for v in form.eval_coeffs(p).values()),
-               default=0.0)
+    return max((abs(z) for zs in eval_complex_points(form.coeffs.values(), points)
+                for z in zs), default=0.0)
 
 
 @dataclass
@@ -358,9 +367,9 @@ def validate_pair(pair, n=8, seed=0):
     block = pair.fiber_block()
     k = len(block)
     min_det = float("inf")
-    for p in points:
-        mat = np.array(evaluate_all([e for row in block for e in row], p),
-                       dtype=float).reshape(k, k)
+    vals = evaluate_points([e for row in block for e in row], points)
+    for i in range(len(points)):
+        mat = np.array([v[i] for v in vals], dtype=float).reshape(k, k)
         min_det = min(min_det, abs(np.linalg.det(mat)))
     constant = all(e.is_rational() for row in block for e in row)
     unimodular = None

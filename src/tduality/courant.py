@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scalar import CScalar, rat
-from .exterior import Form, FrameVector, clifford_act, contract, eval_complex
+from .exterior import (Form, FrameVector, clifford_act, contract, eval_complex,
+                       eval_complex_points)
 from .bundle import exterior_derivative, twisted_derivative, form_residual
 
 __all__ = [
@@ -92,11 +93,14 @@ class Section:
         """Clifford action (X + xi) . rho."""
         return clifford_act(self.x, self.xi, rho)
 
+    def coordinates(self):
+        """Symbolic components (X_1..X_m, xi_1..xi_m)."""
+        m = self.coframe.dim
+        return self.x.components + tuple(self.xi.coeff(1 << i) for i in range(m))
+
     def eval_vector(self, point):
         """Numeric components (X_1..X_m, xi_1..xi_m)."""
-        m = self.coframe.dim
-        comps = self.x.components + tuple(self.xi.coeff(1 << i) for i in range(m))
-        return np.array(eval_complex(comps, point), dtype=complex)
+        return np.array(eval_complex(self.coordinates(), point), dtype=complex)
 
     def map_to(self, coframe, rename=None):
         return Section(self.x.map_to(coframe, rename), self.xi.map_to(coframe, rename))
@@ -135,7 +139,9 @@ def split_pairing_matrix(m):
 
 def section_residual(s, points):
     """Max over points of the largest absolute component of a section."""
-    return max((float(np.abs(s.eval_vector(p)).max()) for p in points), default=0.0)
+    comps = eval_complex_points(s.coordinates(), points)
+    return max((float(np.abs(np.array(zs, dtype=complex)).max()) for zs in zip(*comps)),
+               default=0.0)
 
 
 def lie_bracket(x, y, chart):

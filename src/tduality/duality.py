@@ -26,7 +26,7 @@ import numpy as np
 
 from .scalar import (CScalar, ZERO, ONE, rat, sadd, sdiv, smul, sneg, ssub,
                      solve_linear_symbolic, sym_matrix_inverse)
-from .exterior import (Form, FrameVector, contract, exp_form,
+from .exterior import (Form, FrameVector, contract, eval_complex, exp_form,
                        fiber_integrate, strip_rightmost, wedge)
 from .bundle import DualityPair, form_residual
 from .courant import Section, section_basis
@@ -69,13 +69,25 @@ def reverse_sign(pair):
     return back.coeff(0).evaluate(point)
 
 
+def _form_columns(pair):
+    """The transforms of the 2^m basis monomials of the chart, in mask order."""
+    cof = pair.chart.coframe
+    return pair.cache("_form_columns", lambda: tuple(
+        dualize_form(Form(cof, {mask: CScalar.one()}), pair)
+        for mask in range(1 << cof.dim)))
+
+
 def transform_matrix_at(pair, point):
     """Pointwise matrix of the form transform on coefficient vectors: column
-    ``mask`` is the transform of the basis monomial e_mask at the point."""
-    cof = pair.chart.coframe
-    cols = [dualize_form(Form(cof, {mask: CScalar.one()}), pair).eval_vector(point)
-            for mask in range(1 << cof.dim)]
-    return np.stack(cols, axis=1)
+    ``mask`` is the transform of the basis monomial e_mask at the point.  The
+    symbolic columns are built once per pair; only their values are per point."""
+    cols = _form_columns(pair)
+    out = np.zeros((1 << pair.dual.coframe.dim, len(cols)), dtype=complex)
+    cells = [(m, j) for j, col in enumerate(cols) for m in col.coeffs]
+    vals = eval_complex([c for col in cols for c in col.coeffs.values()], point)
+    for (m, j), z in zip(cells, vals):
+        out[m, j] = z
+    return out
 
 
 # -- the section transform --------------------------------------------------------------
@@ -120,11 +132,18 @@ def _delta(cof, cofibers, idx, lift_re, lift_im):
     return CScalar()
 
 
+def _section_columns(pair):
+    """The transforms of the 2m sections of ``section_basis``, in order."""
+    return pair.cache("_section_columns", lambda: tuple(
+        dualize_section(s, pair) for s in section_basis(pair.chart.coframe)))
+
+
 def section_transform_matrix_at(pair, point):
-    """Numeric 2m x 2m matrix of the section transform at a base point."""
-    basis = section_basis(pair.chart.coframe)
-    cols = [dualize_section(s, pair).eval_vector(point) for s in basis]
-    return np.stack(cols, axis=1)
+    """Numeric 2m x 2m matrix of the section transform at a base point; the
+    symbolic columns are built once per pair."""
+    cols = _section_columns(pair)
+    vals = eval_complex([c for s in cols for c in s.coordinates()], point)
+    return np.array(vals, dtype=complex).reshape(len(cols), -1).T.copy()
 
 
 def compatibility_residual(v, rho, pair, points):

@@ -11,13 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalar import (CScalar, _parse_tokens, _token, _tokenize, evaluate_all,
+from .scalar import (CScalar, _parse_tokens, _token, _tokenize, evaluate_points,
                      rat, scalar_to_text)
 
 __all__ = [
     "Coframe", "Form", "FrameVector",
     "wedge", "contract", "clifford_act", "reversal", "mukai_pairing",
     "exp_form", "fiber_integrate", "strip_rightmost", "contract_sign", "eval_complex",
+    "eval_complex_points",
     "form_to_text", "form_from_text",
 ]
 
@@ -290,10 +291,16 @@ class FrameVector:
 
 
 def eval_complex(cscalars, point):
-    """Complex values of CScalars at one point, as a list, from a single
-    ``evaluate_all`` over their real and imaginary parts."""
-    vals = evaluate_all([s for c in cscalars for s in (c.re, c.im)], point)
-    return [complex(re, im) for re, im in zip(vals[0::2], vals[1::2])]
+    """Complex values of CScalars at one point, as a list."""
+    return [zs[0] for zs in eval_complex_points(cscalars, (point,))]
+
+
+def eval_complex_points(cscalars, points):
+    """Complex values of CScalars at several points, one list per CScalar,
+    from a single ``evaluate_points`` over their real and imaginary parts."""
+    vals = evaluate_points([s for c in cscalars for s in (c.re, c.im)], points)
+    return [[complex(x, y) for x, y in zip(re, im)]
+            for re, im in zip(vals[0::2], vals[1::2])]
 
 
 # -- products and actions -----------------------------------------------------------

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isfinite
+from operator import add as _add, mul as _mul, truediv as _truediv
 
 import numpy as np
 
@@ -22,7 +24,7 @@ __all__ = [
     "rat", "const", "var", "sadd", "smul", "sdiv", "spow", "sneg", "ssub",
     "ssin", "scos", "sexp", "slog", "ssqrt", "as_scalar",
     "ZERO", "ONE", "MINUS_ONE", "PI",
-    "diff", "evaluate", "evaluate_all", "equal_numeric",
+    "diff", "evaluate", "evaluate_all", "evaluate_points", "equal_numeric",
     "scalar_to_text", "scalar_from_text",
     "solve_linear_symbolic", "sym_matrix_inverse", "sym_det",
 ]
@@ -34,7 +36,16 @@ _FUNC_KINDS = ("sin", "cos", "exp", "log", "sqrt")
 
 
 class EvaluationError(ValueError):
-    """Unbound variable or singular evaluation (zero division, bad log/sqrt)."""
+    """Unbound variable or singular evaluation (zero division, bad log/sqrt,
+    overflow).  ``index`` and ``point`` are the sample point that failed:
+    its position in the points evaluated together, and its assignment."""
+
+    def __init__(self, message, index=None, point=None):
+        if point is not None:
+            message = f"{message} at sample point {index}: {point}"
+        super().__init__(message)
+        self.index = index
+        self.point = point
 
 
 class SamplingError(RuntimeError):
@@ -54,9 +65,10 @@ class Scalar:
     ``diff``.  It lives on the node it indexes and dies with it, so no cached
     derivative can outlive its expression.
 
-    Construction keeps two invariants that ``sadd`` and ``smul`` rely on: an
-    add node has no add argument, a mul node no mul argument, and a rat
-    argument of either, if any, is the single leading one.
+    Construction keeps invariants that ``sadd`` and ``smul`` rely on: a mul
+    node has no mul argument, and a rat argument of an add or mul node, if
+    any, is the single leading one.  An add node has no add argument unless
+    a like-term merge left a sum with coefficient 1 (``_collect_sum``).
     """
 
     __slots__ = ("kind", "args", "value", "name", "_hash", "_d")
@@ -121,7 +133,13 @@ class Scalar:
         return sneg(self)
 
     def __repr__(self):
-        return f"Scalar({scalar_to_text(self)})"
+        """The text of the expression while its tree has at most
+        ``_REPR_TREE_NODES`` nodes, else the node counts: the text spells out
+        the tree, which can be exponentially larger than the DAG."""
+        distinct, tree = _node_counts(self)
+        if tree <= _REPR_TREE_NODES:
+            return f"Scalar({scalar_to_text(self)})"
+        return f"Scalar(<{self.kind}: {distinct} distinct nodes, {tree} as a tree>)"
 
     # -- queries --------------------------------------------------------------
     def is_zero(self):
@@ -143,6 +161,24 @@ class Scalar:
                 out.add(node.name)
             stack.extend(node.args)
         return out
+
+
+_REPR_TREE_NODES = 500
+
+
+def _node_counts(root):
+    """(distinct nodes, nodes as a tree) of an expression, in one pass."""
+    tree = {}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        pending = [a for a in node.args if id(a) not in tree]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        tree[id(node)] = 1 + sum(tree[id(a)] for a in node.args)
+    return len(tree), tree[id(root)]
 
 
 # Shared nodes for the small integers, which most rational constants are.
@@ -210,7 +246,18 @@ def _make_term(coeff, rest):
 
 
 def sadd(*terms):
-    """Sum with rational folding and like-term collection."""
+    """Sum with rational folding and like-term collection.
+
+    ZERO terms are dropped at once, and a lone term is returned as it is:
+    collecting it would build it again."""
+    live = [t for t in terms if t is not ZERO]
+    if len(live) < 2:
+        return live[0] if live else ZERO
+    return _collect_sum(live)
+
+
+def _collect_sum(terms):
+    """The general sum: folds the rationals and collects like terms."""
     # rest -> [coefficient, the term itself while it is the only one]
     collected = {}
     const_part = 0
@@ -251,6 +298,20 @@ def sneg(a):
 
 
 def smul(*factors):
+    """Product with rational folding.  A pair with a ZERO or ONE factor
+    returns at once what folding it would build."""
+    if len(factors) == 2:
+        a, b = factors
+        if a is ONE or b is ZERO:
+            return b
+        if b is ONE or a is ZERO:
+            return a
+    return _collect_product(factors)
+
+
+def _collect_product(factors):
+    """The general product: folds the rationals into one leading coefficient
+    and flattens nested products."""
     coeff = 1
     rest = []
     for f in factors:
@@ -343,77 +404,146 @@ def evaluate(expr, point):
 
     Raises EvaluationError for unbound variables and singular operations.
     """
-    return _eval(expr, point, {})
+    return evaluate_points((expr,), (point,))[0][0]
 
 
 def evaluate_all(exprs, point):
-    """Values of several expressions at one point, as a list.
+    """Values of several expressions at one point, as a list; subexpressions
+    shared between them are evaluated once (``evaluate_points``)."""
+    return [vals[0] for vals in evaluate_points(exprs, (point,))]
 
-    Subexpressions shared between the expressions are evaluated once.  The
-    memo behind the sharing is keyed by node identity and lives only for this
-    call, while ``exprs`` keeps every node alive, so no cached value can
-    outlive the node it belongs to.
+
+def evaluate_points(exprs, points):
+    """Values of several expressions at several points: one list per
+    expression, holding its value at each point in order.
+
+    Each node of the expressions' DAG is visited once per call and computes
+    its values at every point together, and each rational constant is
+    converted to a float once.  The arithmetic is Python float arithmetic
+    and ``math`` per element, so every value equals, bit for bit, the one
+    that evaluating its point alone gives.  The memo behind the sharing is
+    keyed by node identity and lives only for this call, while ``exprs``
+    keeps every node alive, so no value can outlive the node it belongs to.
+
+    Raises EvaluationError for an unbound variable or a singular operation:
+    division by zero, log or sqrt out of its domain, or a non-finite value.
+    The error names the first point, in order, at which evaluation fails,
+    and is the error that evaluating that point alone raises.
     """
+    exprs, points = tuple(exprs), tuple(points)
+    if not points:
+        return [[] for _ in exprs]
     memo = {}
-    return [_eval(e, point, memo) for e in exprs]
+    try:
+        return [memo.get(id(e)) or _values(e, points, memo) for e in exprs]
+    except _Singular as err:
+        message, index = err.args
+    # the walk stopped at the first node that fails at some point; a node
+    # after it may fail at an earlier point, which then raises here
+    if index:
+        evaluate_points(exprs, points[:index])
+    raise EvaluationError(message, index, points[index])
 
 
-def _eval(node, point, memo):
-    got = memo.get(id(node))
-    if got is not None:
-        return got
+class _Singular(Exception):
+    """(message, index of the first failing point) inside ``_values``."""
+
+
+_OVERFLOW = "evaluation overflowed to a non-finite value"
+
+
+def _raise_nonfinite(vals):
+    """Raise _Singular for the first non-finite value, if there is one (a
+    sum of finite values may overflow too)."""
+    for i, v in enumerate(vals):
+        if not isfinite(v):
+            raise _Singular(_OVERFLOW, i)
+
+
+def _overflow_index(fn, xs):
+    """Position of the first x at which fn overflows."""
+    for i, x in enumerate(xs):
+        try:
+            fn(x)
+        except OverflowError:
+            return i
+    raise AssertionError("no value overflows")  # pragma: no cover
+
+
+def _values(node, points, memo):
+    """Values of ``node`` at every point, once stored in ``memo``; a stored
+    list is never empty, so ``memo.get(...) or _values(...)`` reads it.
+
+    Elementwise float operators and ``math`` functions are mapped over the
+    points.  Only the arithmetic nodes and variables can make a finite input
+    non-finite, so only they are checked."""
     kind = node.kind
     if kind == "rat":
-        val = float(node.value)
-    elif kind == "const":
-        val = _NAMED_CONSTANTS[node.name]
+        vals = [float(node.value)] * len(points)
     elif kind == "var":
+        name = node.name
         try:
-            val = float(point[node.name])
+            vals = [float(p[name]) for p in points]
         except KeyError:
-            raise EvaluationError(f"unbound variable {node.name!r}") from None
-    elif kind == "add":
-        val = 0.0
+            raise _Singular(f"unbound variable {name!r}",
+                            next(i for i, p in enumerate(points) if name not in p)) from None
+        if not isfinite(sum(vals)):
+            _raise_nonfinite(vals)
+    elif kind == "const":
+        vals = [_NAMED_CONSTANTS[node.name]] * len(points)
+    elif kind == "mul" or kind == "add":
+        op = _mul if kind == "mul" else _add
+        vals = None
         for a in node.args:
-            val += _eval(a, point, memo)
-    elif kind == "mul":
-        val = 1.0
-        for a in node.args:
-            val *= _eval(a, point, memo)
+            ys = memo.get(id(a)) or _values(a, points, memo)
+            vals = ys if vals is None else list(map(op, vals, ys))
+        if kind == "add" and 0.0 in vals:
+            # the sum runs from 0.0, so it is never -0.0: 0.0 + -0.0 is 0.0
+            vals = [0.0 + x for x in vals]
+        if not isfinite(sum(vals)):
+            _raise_nonfinite(vals)
     elif kind == "div":
-        num = _eval(node.args[0], point, memo)
-        den = _eval(node.args[1], point, memo)
-        if den == 0.0:
-            raise EvaluationError("singular evaluation: division by zero")
-        val = num / den
-    elif kind == "pow":
-        base = _eval(node.args[0], point, memo)
-        n = node.value
-        if base == 0.0 and n < 0:
-            raise EvaluationError("singular evaluation: zero to negative power")
-        val = base ** n
-    elif kind == "sin":
-        val = math.sin(_eval(node.args[0], point, memo))
-    elif kind == "cos":
-        val = math.cos(_eval(node.args[0], point, memo))
-    elif kind == "exp":
-        val = math.exp(_eval(node.args[0], point, memo))
-    elif kind == "log":
-        x = _eval(node.args[0], point, memo)
-        if x <= 0.0:
-            raise EvaluationError("singular evaluation: log of nonpositive value")
-        val = math.log(x)
-    elif kind == "sqrt":
-        x = _eval(node.args[0], point, memo)
-        if x < 0.0:
-            raise EvaluationError("singular evaluation: sqrt of negative value")
-        val = math.sqrt(x)
-    else:  # pragma: no cover
-        raise AssertionError(f"unknown node kind {kind}")
-    if not math.isfinite(val):
-        raise EvaluationError("evaluation overflowed to a non-finite value")
-    memo[id(node)] = val
-    return val
+        num, den = [memo.get(id(a)) or _values(a, points, memo) for a in node.args]
+        if 0.0 in den:
+            raise _Singular("singular evaluation: division by zero", den.index(0.0))
+        vals = list(map(_truediv, num, den))
+        if not isfinite(sum(vals)):
+            _raise_nonfinite(vals)
+    else:
+        a = node.args[0]
+        xs = memo.get(id(a)) or _values(a, points, memo)
+        if kind == "sin":
+            vals = list(map(math.sin, xs))
+        elif kind == "cos":
+            vals = list(map(math.cos, xs))
+        elif kind == "pow":
+            n = node.value
+            if n < 0 and 0.0 in xs:
+                raise _Singular("singular evaluation: zero to negative power",
+                                xs.index(0.0))
+            try:
+                vals = [x ** n for x in xs]
+            except OverflowError:
+                raise _Singular(_OVERFLOW, _overflow_index(lambda x: x ** n, xs)) from None
+        elif kind == "exp":
+            try:
+                vals = list(map(math.exp, xs))
+            except OverflowError:
+                raise _Singular(_OVERFLOW, _overflow_index(math.exp, xs)) from None
+        elif kind == "log":
+            if min(xs) <= 0.0:
+                raise _Singular("singular evaluation: log of nonpositive value",
+                                next(i for i, x in enumerate(xs) if x <= 0.0))
+            vals = list(map(math.log, xs))
+        elif kind == "sqrt":
+            if min(xs) < 0.0:
+                raise _Singular("singular evaluation: sqrt of negative value",
+                                next(i for i, x in enumerate(xs) if x < 0.0))
+            vals = list(map(math.sqrt, xs))
+        else:  # pragma: no cover
+            raise AssertionError(f"unknown node kind {kind}")
+    memo[id(node)] = vals
+    return vals
 
 
 # -- differentiation -------------------------------------------------------------
@@ -561,22 +691,39 @@ class CScalar:
     def conj(self):
         return CScalar(self.re, sneg(self.im))
 
+    # The arithmetic skips every sum and product with a structurally zero
+    # imaginary part.  Each shortcut builds what the general formula builds:
+    # a product or sum with ZERO folds away, and the sum of one term is that
+    # term (``sadd``).
+
     def __add__(self, other):
         other = CScalar.of(other)
+        if self.im is ZERO and other.im is ZERO:
+            return CScalar(sadd(self.re, other.re), ZERO)
         return CScalar(sadd(self.re, other.re), sadd(self.im, other.im))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = CScalar.of(other)
+        if self.im is ZERO and other.im is ZERO:
+            return CScalar(ssub(self.re, other.re), ZERO)
         return CScalar(ssub(self.re, other.re), ssub(self.im, other.im))
 
     def __neg__(self):
+        if self.im is ZERO:
+            return CScalar(sneg(self.re), ZERO)
         return CScalar(sneg(self.re), sneg(self.im))
 
     def __mul__(self, other):
         other = CScalar.of(other)
         a, b, c, d = self.re, self.im, other.re, other.im
+        if b is ZERO:
+            if d is ZERO:
+                return CScalar(sadd(smul(a, c)), ZERO)
+            return CScalar(sadd(smul(a, c)), sadd(smul(a, d)))
+        if d is ZERO:
+            return CScalar(sadd(smul(a, c)), sadd(smul(b, c)))
         return CScalar(ssub(smul(a, c), smul(b, d)), sadd(smul(a, d), smul(b, c)))
 
     __rmul__ = __mul__

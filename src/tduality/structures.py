@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalar import CScalar, ZERO, as_scalar, evaluate_all
+from .scalar import CScalar, ZERO, as_scalar, evaluate_points
 from .exterior import (Form, FrameVector, contract, contract_sign, exp_form,
                        mukai_pairing, wedge)
 from .bundle import form_residual, twisted_derivative
@@ -72,11 +72,19 @@ class SymTensor:
         return SymTensor(self.coframe, {k: v * s for k, v in self.entries.items()})
 
     def eval_matrix(self, point):
+        return self.eval_matrices((point,))[0]
+
+    def eval_matrices(self, points):
+        """The symmetric matrix at each point, as a list."""
         m = self.coframe.dim
-        out = np.zeros((m, m))
-        for (i, j), v in zip(self.entries, evaluate_all(self.entries.values(), point)):
-            out[i, j] = v
-            out[j, i] = v
+        vals = evaluate_points(self.entries.values(), points)
+        out = []
+        for k in range(len(points)):
+            mat = np.zeros((m, m))
+            for (i, j), v in zip(self.entries, vals):
+                mat[i, j] = v[k]
+                mat[j, i] = v[k]
+            out.append(mat)
         return out
 
     def apply(self, x):
@@ -365,8 +373,8 @@ def two_form_matrix_at(form, point):
 def metric_residual(a, b, points):
     """Max coefficientwise deviation of two (g, b) packages at the points."""
     worst = form_residual(a.b - b.b, None, points)
-    for p in points:
-        worst = max(worst, float(np.abs(a.g.eval_matrix(p) - b.g.eval_matrix(p)).max()))
+    for ga, gb in zip(a.g.eval_matrices(points), b.g.eval_matrices(points)):
+        worst = max(worst, float(np.abs(ga - gb).max()))
     return worst
 
 

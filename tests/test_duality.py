@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from tduality import duality
 from tduality.scalar import (CScalar, ONE, ZERO, equal_numeric, rat, sadd,
                              scos, sdiv, smul, sneg, ssin, var)
 from tduality.exterior import Form, wedge
 from tduality.bundle import form_residual, twisted_derivative
-from tduality.courant import (Section, courant_bracket, pairing,
+from tduality.courant import (Section, courant_bracket, pairing, section_basis,
                               section_residual)
 from tduality.structures import (PureSpinor, SymTensor, check_integrable,
                                  metric_residual, spinor_type_at)
@@ -14,6 +15,7 @@ from tduality.duality import (DualityPair, assemble_metric,
                               compatibility_residual, dual_type_at,
                               dualize_form, dualize_form_reverse,
                               dualize_section, orientation_sign, reverse_sign,
+                              section_transform_matrix_at,
                               split_metric, split_two_form,
                               transform_matrix_at, transport_metric,
                               transport_spinor, uk_transport_residual)
@@ -66,6 +68,35 @@ def test_transform_matrix_matches_symbolic(rng, hopf_pair):
         rhs = dualize_form(rho, hopf_pair).eval_vector(p)
         assert np.abs(lhs - rhs).max() <= 1e-10
 
+
+
+def test_transform_columns_are_built_once_per_pair(rng, torus_chart, monkeypatch):
+    built = {"forms": 0, "sections": 0}
+    real_form, real_section = duality.dualize_form, duality.dualize_section
+
+    def counted_form(rho, pair):
+        built["forms"] += 1
+        return real_form(rho, pair)
+
+    def counted_section(v, pair):
+        built["sections"] += 1
+        return real_section(v, pair)
+
+    monkeypatch.setattr(duality, "dualize_form", counted_form)
+    monkeypatch.setattr(duality, "dualize_section", counted_section)
+    cof = torus_chart.coframe
+    for _ in range(2):      # a new pair builds its own columns
+        pair = DualityPair.from_chart(torus_chart)
+        before = dict(built)
+        for p in torus_chart.domain.sample_many(rng, 3):
+            uncached = np.stack([real_form(Form(cof, {mask: CScalar.one()}), pair)
+                                 .eval_vector(p) for mask in range(1 << cof.dim)], axis=1)
+            assert np.array_equal(transform_matrix_at(pair, p), uncached)
+            uncached = np.stack([real_section(s, pair).eval_vector(p)
+                                 for s in section_basis(cof)], axis=1)
+            assert np.array_equal(section_transform_matrix_at(pair, p), uncached)
+        assert built["forms"] - before["forms"] == 1 << cof.dim
+        assert built["sections"] - before["sections"] == 2 * cof.dim
 
 # -- the section transform -----------------------------------------------------
 

@@ -5,8 +5,9 @@ import re
 import numpy as np
 import pytest
 
-from tduality.scalar import (CScalar, Domain, SamplingError, rat,
-                             solve_linear_symbolic, var)
+from tduality.scalar import (CScalar, Domain, EvaluationError, SamplingError,
+                             evaluate_points, rat, sexp, slog, solve_linear_symbolic,
+                             ssqrt, var)
 from tduality.exterior import (Coframe, Form, FrameVector, clifford_act,
                                contract, exp_form, form_from_text, wedge)
 from tduality.bundle import BundleChart, chart_from_text, exterior_derivative
@@ -120,3 +121,30 @@ def test_unknown_generator_in_chart_config_names_the_line():
                         ("curv tx = 1 dt^du", r"undeclared fiber generator 'tx'")):
         with pytest.raises(ValueError, match=named + f".*line 5: {re.escape(repr(line))}"):
             chart_from_text(head + line + "\n")
+
+
+@pytest.mark.parametrize("expr, values, message", [
+    (lambda t: rat(1) / t, (0.5, -0.25, 0.0, 0.75), "division by zero"),
+    (lambda t: slog(t), (0.5, 0.25, -0.5, 0.75), "log of nonpositive value"),
+    (lambda t: ssqrt(t), (0.5, 0.25, -0.5, 0.75), "sqrt of negative value"),
+    (lambda t: sexp(t * t), (0.5, 0.25, 30.0, 0.75), "non-finite value"),
+    (lambda t: t * var("u"), (0.5, 0.25, 1e200, 0.75), "non-finite value"),
+    (lambda t: t ** 2, (0.5, 0.25, 1e200, 0.75), "non-finite value"),
+])
+def test_evaluation_error_names_the_sample_point(expr, values, message):
+    t = var("t")
+    points = [{"t": v, "u": v} for v in values]
+    with pytest.raises(EvaluationError, match=f"{message} at sample point 2: "
+                       + re.escape(repr(points[2]))) as err:
+        evaluate_points([t + 1, expr(t)], points)
+    assert err.value.index == 2 and err.value.point == points[2]
+
+
+def test_evaluation_error_names_the_first_failing_point():
+    # the walk meets log(t) first, which fails only at the last point; the
+    # division fails earlier, at point 1, and that is the point named
+    t = var("t")
+    points = [{"t": 0.25}, {"t": 0.5}, {"t": -1.0}]
+    with pytest.raises(EvaluationError, match="division by zero at sample point 1") as err:
+        evaluate_points([slog(t), rat(1) / (t - rat(1, 2))], points)
+    assert err.value.index == 1

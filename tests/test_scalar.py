@@ -1,13 +1,16 @@
+import math
 import re
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from tduality.scalar import (CScalar, Domain, EvaluationError, ONE, PI,
-                             diff, equal_numeric, evaluate, evaluate_all, rat,
-                             sadd, scalar_from_text, scalar_to_text, scos, sdiv,
-                             sexp, slog, smul, sneg, spow, ssin, ssqrt,
+from tduality.scalar import (CScalar, Domain, EvaluationError, MINUS_ONE, ONE, PI,
+                             ZERO, _collect_product, _collect_sum, diff,
+                             equal_numeric, evaluate, evaluate_all, evaluate_points,
+                             rat, sadd, scalar_from_text, scalar_to_text, scos,
+                             sdiv, sexp, slog, smul, sneg, spow, ssin, ssqrt, ssub,
                              solve_linear_symbolic, sym_matrix_inverse, var)
 from tduality.scenarios import run_scenario
 
@@ -245,3 +248,153 @@ def test_diff_of_shared_dag_is_linear():
 def test_warm_caches_do_not_change_a_report():
     first = run_scenario("s3-hopf", seed=1, samples=8).to_jsonl()
     assert run_scenario("s3-hopf", seed=1, samples=8).to_jsonl() == first
+
+
+def test_repr_of_shared_dag_is_short():
+    e = T
+    for _ in range(40):
+        e = e * e + ssin(e)
+    text = repr(e)
+    assert len(text) < 100 and "121 distinct nodes" in text
+    assert repr(ssin(T) * 2 + 1) == "Scalar((+ 1 (* 2 (sin t))))"
+
+
+# -- the evaluation kernel ------------------------------------------------------
+
+U = var("u")
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+def _reference(node, point):
+    """Plain recursive float evaluation at one point: the semantics the
+    kernel must keep (a running sum from 0.0, a running product from 1.0)."""
+    kind, args = node.kind, node.args
+    if kind == "rat":
+        return float(node.value)
+    if kind == "const":
+        return math.pi
+    if kind == "var":
+        return float(point[node.name])
+    vals = [_reference(a, point) for a in args]
+    if kind == "add":
+        out = 0.0
+        for v in vals:
+            out += v
+        return out
+    if kind == "mul":
+        out = 1.0
+        for v in vals:
+            out *= v
+        return out
+    if kind == "div":
+        return vals[0] / vals[1]
+    if kind == "pow":
+        return vals[0] ** node.value
+    return getattr(math, kind)(vals[0])
+
+
+def _every_kind():
+    """Expressions over t and u with every node kind and shared subexpressions,
+    regular on [-1, 1]^2; the last is -t - u, a sum of two -0.0 at the origin."""
+    shared = ssin(T) * sexp(U) + rat(1, 3)
+    q = 2 + T ** 2
+    return [
+        shared * shared + T * U * rat(-7, 5),
+        sdiv(shared, q) - scos(shared) + PI,
+        slog(q) * ssqrt(3 + U) + spow(3 + T, -2),
+        sadd(T, U, shared, rat(5, 2), smul(rat(2), T, U)),
+        sexp(sdiv(U, q)) * spow(shared, 3),
+        sadd(sneg(T), sneg(U)),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 6, 64])
+def test_evaluate_points_matches_evaluate_bitwise(n):
+    rng = np.random.default_rng(n)
+    points = [{"t": float(t), "u": float(u)} for t, u in rng.uniform(-1, 1, (n, 2))]
+    points[0] = {"t": 0.0, "u": 0.0}
+    exprs = _every_kind()
+    got = evaluate_points(exprs, points)
+    for e, vals in zip(exprs, got):
+        assert len(vals) == n
+        for p, v in zip(points, vals):
+            assert _bits(v) == _bits(evaluate(e, p)) == _bits(_reference(e, p))
+    assert _bits(got[-1][0]) == _bits(0.0)
+
+
+def test_kernel_keeps_math_values_where_numpy_differs():
+    # numpy's exp, log and integer power may round differently from math and
+    # Python's **; the kernel must give the math values at every point
+    rng = np.random.default_rng(11)
+    xs = rng.uniform(0.01, 5.0, 20000)
+    exprs = [sexp(T), slog(T), spow(T, 2), spow(T, 3), spow(T, -2)]
+    numpy_values = [np.exp(xs), np.log(xs), np.power(xs, 2), np.power(xs, 3),
+                    np.power(xs, -2)]
+    math_values = [[fn(x) for x in xs.tolist()] for fn in (
+        math.exp, math.log, lambda x: x ** 2, lambda x: x ** 3, lambda x: x ** -2)]
+    differ = sorted({i for np_vals, py_vals in zip(numpy_values, math_values)
+                     for i in np.flatnonzero(np_vals != np.array(py_vals))[:20]})
+    points = [{"t": float(xs[i])} for i in differ + [0, 1, 2]]
+    got = evaluate_points(exprs, points)
+    for vals, py_vals in zip(got, math_values):
+        assert [_bits(v) for v in vals] == [_bits(py_vals[i]) for i in differ + [0, 1, 2]]
+
+
+def test_evaluate_points_with_no_points():
+    assert evaluate_points([T, sdiv(ONE, T)], []) == [[], []]
+
+
+# -- shortcuts on structural zeros and ones --------------------------------------
+
+def _general_mul(a, b):
+    neg = lambda s: _collect_product((MINUS_ONE, s))  # noqa: E731
+    p, q, r, s = a.re, a.im, b.re, b.im
+    return CScalar(_collect_sum((_collect_product((p, r)), neg(_collect_product((q, s))))),
+                   _collect_sum((_collect_product((p, s)), _collect_product((q, r)))))
+
+
+def _general_add(a, b):
+    return CScalar(_collect_sum((a.re, b.re)), _collect_sum((a.im, b.im)))
+
+
+def _general_neg(a):
+    return CScalar(_collect_product((MINUS_ONE, a.re)), _collect_product((MINUS_ONE, a.im)))
+
+
+def _random_scalars(rng, n):
+    """Random expressions built by the public constructors, with a sum that
+    holds a sum (a like-term merge left it there with coefficient 1)."""
+    nested = sadd(smul(rat(2), T + U), smul(MINUS_ONE, T + U), ssin(T))
+    assert any(a.kind == "add" for a in nested.args)
+    pool = [T, U, PI, rat(3), rat(-2, 7), ONE, MINUS_ONE, nested, ssin(U) * T]
+    for _ in range(n):
+        a, b = (pool[i] for i in rng.integers(len(pool), size=2))
+        op = int(rng.integers(6))
+        pool.append([sadd(a, b), smul(a, b), ssub(a, b), sdiv(a, 2 + U ** 2),
+                     smul(rat(int(rng.integers(-3, 4)), 5), a), scos(a)][op])
+    return pool
+
+
+def test_shortcuts_build_what_the_general_formula_builds():
+    rng = np.random.default_rng(7)
+    scalars = _random_scalars(rng, 60)
+    for x in scalars:
+        assert sadd(x) == _collect_sum((x,))
+        assert sadd(x, ZERO) == sadd(ZERO, x) == _collect_sum((x, ZERO))
+        assert sadd(ZERO, x, ZERO) == _collect_sum((ZERO, x, ZERO))
+        assert smul(x, ONE) == smul(ONE, x) == _collect_product((ONE, x))
+        assert smul(x, ZERO) == smul(ZERO, x) == _collect_product((x, ZERO)) == ZERO
+    assert sadd() == sadd(ZERO, ZERO) == _collect_sum((ZERO, ZERO)) == ZERO
+    cscalars = []
+    for _ in range(60):
+        re, im = (scalars[i] for i in rng.integers(len(scalars), size=2))
+        cscalars.append(CScalar(re, im if rng.random() < 0.5 else ZERO))
+    for a in cscalars:
+        assert -a == _general_neg(a)
+        for b in cscalars[:20]:
+            assert a * b == _general_mul(a, b)
+            assert a + b == _general_add(a, b)
+            assert a - b == _general_add(a, _general_neg(b))
