@@ -4,9 +4,11 @@ The goldens are the behavioural oracle for refactors: a change that alters
 any report line must regenerate them with ``tests/make_goldens.py`` and
 explain each changed line.
 """
+import json
+
 import pytest
 
-from make_goldens import SAMPLES, SEEDS, golden_path
+from make_goldens import SAMPLES, SEEDS, golden_path, report_diff
 from tduality.scenarios import SCENARIOS, run_scenario
 
 GRID = [(scenario, seed, samples) for scenario in SCENARIOS
@@ -18,3 +20,23 @@ GRID = [(scenario, seed, samples) for scenario in SCENARIOS
 def test_report_matches_golden(scenario, seed, samples):
     expected = golden_path(scenario, seed, samples).read_text()
     assert run_scenario(scenario, seed=seed, samples=samples).to_jsonl() == expected
+
+
+def _report(*checks):
+    header = json.dumps({"scenario": "s"})
+    return "\n".join([header] + [json.dumps(c) for c in checks]) + "\n"
+
+
+def test_report_diff_flags_flips_and_lost_checks():
+    a = {"name": "a", "residual": 1e-16, "passed": True, "notes": ""}
+    b = {"name": "b", "residual": None, "passed": True, "notes": ""}
+    old = _report(a, b)
+    assert report_diff("s/0/8", old, old) == ([], False)
+    moved = _report(dict(a, residual=0.0, notes="frame"), b)
+    assert report_diff("s/0/8", old, moved) == (
+        ["s/0/8/a: notes '' -> 'frame'; residual 1e-16 -> 0.0"], False)
+    assert report_diff("s/0/8", old, _report(a, dict(b, passed=False)))[1]
+    lines, broken = report_diff("s/0/8", old, _report(a))
+    assert broken and lines == ["s/0/8/b: disappeared"]
+    lines, broken = report_diff("s/0/8", _report(a), old)
+    assert not broken and lines == ["s/0/8/b: new check"]
