@@ -402,15 +402,18 @@ def uk_transport_residual(spinor, pair, point):
 
     For each level, the pointwise form transform of a basis of the source
     eigenspace must land in the span of the dual eigenspace computed
-    independently from the transported spinor.
+    independently from the transported spinor.  The transported spinor is
+    built once per (spinor, pair) and kept on the pair; its entry holds the
+    spinor, so the ``id`` that keys it cannot be reused while the pair lives.
     """
     from .structures import uk_spaces_at
     t = transform_matrix_at(pair, point)
     src = uk_spaces_at(spinor, pair.chart, point)
-    dual_spinor = transport_spinor(spinor, pair)
-    dst = dict()
-    for level, basis in uk_spaces_at(dual_spinor, pair.dual, point):
-        dst[level] = basis
+    transported = pair.cache("_transported_spinors", dict)
+    if id(spinor) not in transported:
+        transported[id(spinor)] = (spinor, transport_spinor(spinor, pair))
+    dual_spinor = transported[id(spinor)][1]
+    dst = dict(uk_spaces_at(dual_spinor, pair.dual, point))
     worst = 0.0
     for level, basis in src:
         target = dst[level]

@@ -231,8 +231,11 @@ def _rank(s):
 
 def annihilator_at(spinor, chart, point):
     """Basis (2m x d complex) of {v : v . rho(p) = 0}; maximal isotropic."""
-    fr = PointFrame(chart.coframe)
-    rho = spinor.form.eval_vector(point)
+    return _annihilator(PointFrame(chart.coframe), spinor.form.eval_vector(point))
+
+
+def _annihilator(fr, rho):
+    """``annihilator_at`` of the spinor whose value at the point is ``rho``."""
     norm = np.abs(rho).max()
     if norm <= RANK_TOL:
         raise ValueError("spinor vanishes at the sample point")
@@ -404,8 +407,8 @@ def uk_spaces_at(spinor, chart, point):
         raise ValueError("generalized complex structures need an even-dimensional chart")
     half = m // 2
     rho = spinor.form.eval_vector(point)
+    lbar = _annihilator(fr, rho).conj()
     rho = rho / np.abs(rho).max()
-    lbar = annihilator_at(spinor, chart, point).conj()
     actions = [fr.section_action(lbar[:, i]) for i in range(m)]
     out = []
     total = 0

@@ -21,6 +21,7 @@ from tduality.duality import (DualityPair, assemble_metric,
                               transport_spinor, uk_transport_residual)
 from tduality.randomgen import (random_form, random_metric, random_pure_spinor,
                                 random_section)
+from tduality import scenarios
 from tduality.scenarios import twisted_rank_two_pair
 
 
@@ -433,3 +434,18 @@ def test_bihermitian_requires_metric_connection(circle_chart):
     i_mat = np.array([[0.0, -1.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
         bihermitian_dual_at(i_mat, met, circle_chart, {"t": 0.3}, +1)
+
+
+def test_uk_transport_builds_the_transported_spinor_once(monkeypatch):
+    chart, *_, spinor = scenarios._s2_setup()
+    pair = DualityPair.from_chart(chart)
+    built = []
+    real = duality.dualize_form
+    monkeypatch.setattr(duality, "dualize_form",
+                        lambda rho, p: built.append(rho) or real(rho, p))
+    points = chart.domain.sample_many(np.random.default_rng(3), 3)
+    residuals = [uk_transport_residual(spinor, pair, p) for p in points]
+    # the 2^m transform columns, then the transported spinor, once
+    assert len(built) == (1 << chart.coframe.dim) + 1
+    assert built[-1] is spinor.form
+    assert max(residuals) <= 1e-8
