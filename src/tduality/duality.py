@@ -62,7 +62,11 @@ def dualize_form_reverse(rho_t, pair):
 
 def reverse_sign(pair):
     """Global constant c with reverse(forward(rho)) = c rho, measured on the
-    constant probe at the midpoint of the chart box."""
+    constant probe at the midpoint of the chart box; measured once per pair."""
+    return pair.cache("_reverse_sign", lambda: _measure_reverse_sign(pair))
+
+
+def _measure_reverse_sign(pair):
     probe = Form.scalar(pair.chart.coframe, 1)
     back = dualize_form_reverse(dualize_form(probe, pair), pair)
     point = {v: (lo + hi) / 2 for v, (lo, hi) in pair.chart.domain.intervals.items()}

@@ -15,30 +15,27 @@ import numpy as np
 from .scalar import (CScalar, PI, ZERO, ONE, diff, equal_numeric, evaluate,
                      evaluate_all, evaluate_points, rat, sadd, scos, sdiv, smul,
                      sneg, sexp, ssin, ssqrt, var)
-from .exterior import (Coframe, Form, FrameVector, eval_complex_points, exp_form,
-                       fiber_integrate, mukai_pairing, wedge)
+from .exterior import (Coframe, Form, FrameVector, exp_form, fiber_integrate,
+                       mukai_pairing, wedge)
 from .bundle import (BundleChart, build_dual_chart, chart_from_text,
                      dual_fiber_name, exterior_derivative, form_residual,
-                     split_flux, twisted_derivative)
-from .courant import (bracket_spinor_residual, courant_bracket,
-                      lift_splitting_residual, pairing, section_residual,
-                      split_pairing_matrix)
+                     split_flux)
+from .courant import lift_splitting_residual, split_pairing_matrix
 from .structures import (GeneralizedMetric, PureSpinor, SymTensor,
                          check_integrable, commute_at, gcs_matrix_at,
                          is_decomposable_at, metric_matrix_at, metric_residual,
                          mukai_norm_at, spinor_type_at)
 from .duality import (DualityPair, assemble_metric, bihermitian_dual_at,
-                      buscher_rules, compatibility_residual, dual_type_at,
-                      dualize_form, dualize_form_reverse, dualize_section,
+                      buscher_rules, dual_type_at, dualize_form,
                       orientation_sign, reverse_sign, split_metric,
                       split_two_form, transport_metric, transport_spinor,
                       uk_transport_residual)
+from .certify import frame_certificate
 from .reduction import (LiftedActionPoint, double_quotient_report,
                         duality_lift_sections, fourier_mukai_check,
                         pairing_constant_check, reduce_pointwise,
                         transversality_check)
-from .randomgen import (random_form, random_metric, random_pure_spinor,
-                        random_section)
+from .randomgen import random_metric, random_pure_spinor
 from .report import Report
 
 __all__ = ["SCENARIOS", "run_scenario", "load_chart", "twisted_rank_two_pair"]
@@ -62,64 +59,32 @@ def _double_quotient_defect(pair, points):
     return worst
 
 
-def _standard_pair_checks(report, pair, rng, points, samples):
-    """Shared suite: validation, transform identities, bracket transport."""
-    chart = pair.chart
+def _standard_pair_checks(report, pair, rng, points):
+    """Shared suite: validation, then the six transform identities, each
+    certified on the frame with its Leibniz and linearity side conditions
+    (``certify.frame_certificate``)."""
     rep = pair.validate(n=len(points), seed=int(rng.integers(2**31)))
     report.add("pair-validation", "dF equals the flux difference; fiber block invertible",
                residual=rep.flux_difference_residual, tol=1e-9,
                passed=rep.ok, notes=f"unimodular={rep.unimodular}")
-    worst = 0.0
-    for _ in range(samples):
-        rho = random_form(rng, chart.coframe, chart.base_vars, density=0.35)
-        lhs = dualize_form(twisted_derivative(rho, chart), pair)
-        rhs = twisted_derivative(dualize_form(rho, pair), pair.dual)
-        worst = max(worst, form_residual(lhs - rhs, pair.dual.domain, points))
-    report.add("transform-intertwines-differentials",
-               "form transform commutes with the twisted differentials",
-               residual=worst, tol=1e-8)
-    worst_pair = 0.0
-    worst_bracket = 0.0
-    for _ in range(samples):
-        v = random_section(rng, chart)
-        w = random_section(rng, chart)
-        pv, pw = dualize_section(v, pair), dualize_section(w, pair)
-        gap = pairing(pv, pw) - pairing(v, w)
-        for z in eval_complex_points([gap], points)[0]:
-            worst_pair = max(worst_pair, abs(z))
-        lhs = dualize_section(courant_bracket(v, w, chart), pair)
-        rhs = courant_bracket(pv, pw, pair.dual)
-        worst_bracket = max(worst_bracket, section_residual(lhs - rhs, points))
-    report.add("section-transform-orthogonal",
-               "section transform preserves the natural pairing",
-               residual=worst_pair, tol=1e-9)
-    report.add("section-transform-bracket",
-               "section transform preserves the twisted bracket",
-               residual=worst_bracket, tol=1e-8)
-    worst_compat = 0.0
-    worst_oracle = 0.0
-    for _ in range(samples):
-        v = random_section(rng, chart)
-        w = random_section(rng, chart)
-        rho = random_form(rng, chart.coframe, chart.base_vars, density=0.3)
-        worst_compat = max(worst_compat,
-                           compatibility_residual(v, rho, pair, points))
-        worst_oracle = max(worst_oracle,
-                           bracket_spinor_residual(v, w, rho, chart, points))
-    report.add("clifford-compatibility",
-               "transform of v.rho equals transformed v acting on transformed rho",
-               residual=worst_compat, tol=1e-8)
-    report.add("spinor-bracket-oracle",
-               "bracket equals the derived commutator on the spinor module",
-               residual=worst_oracle, tol=1e-8)
-    probe = random_form(rng, chart.coframe, chart.base_vars, density=0.4)
+    cert = frame_certificate(pair, points)
     sign = reverse_sign(pair)
-    back = dualize_form_reverse(dualize_form(probe, pair), pair)
-    diffr = back - probe.scale(CScalar.of(rat(round(sign.real))))
-    report.add("transform-invertible",
-               "reverse transform returns the input up to the recorded sign",
-               residual=form_residual(diffr, chart.domain, points), tol=1e-9,
-               notes=f"global sign {sign.real:+.0f}")
+    for name, anchor, tol, notes in (
+            ("transform-intertwines-differentials",
+             "form transform commutes with the twisted differentials", 1e-8, ""),
+            ("section-transform-orthogonal",
+             "section transform preserves the natural pairing", 1e-9, ""),
+            ("section-transform-bracket",
+             "section transform preserves the twisted bracket", 1e-8, ""),
+            ("clifford-compatibility",
+             "transform of v.rho equals transformed v acting on transformed rho", 1e-8, ""),
+            ("spinor-bracket-oracle",
+             "bracket equals the derived commutator on the spinor module", 1e-8, ""),
+            ("transform-invertible",
+             "reverse transform returns the input up to the recorded sign", 1e-9,
+             f"global sign {sign.real:+.0f}; ")):
+        report.add(name, anchor, residual=cert[name].residual, tol=tol,
+                   notes=notes + cert[name].notes)
     return report
 
 
@@ -151,7 +116,7 @@ def scenario_s3_hopf(seed, samples):
                "curvature ^ dual fiber",
                passed=dual.flux == sigma_tht and not dual.curvature_of("tht").coeffs,
                notes="structural equality")
-    _standard_pair_checks(report, pair, rng, points, samples)
+    _standard_pair_checks(report, pair, rng, points)
     _dual_of_dual_check(report, pair, points)
     # metric transport against the closed form
     t, u = var("t"), var("u")
@@ -200,7 +165,7 @@ def scenario_s3_selfdual(seed, samples):
     report.add("self-dual-shape", "dual chart carries the same curvature and flux pattern",
                passed=same_shape,
                notes="structural equality")
-    _standard_pair_checks(report, pair, rng, points, samples)
+    _standard_pair_checks(report, pair, rng, points)
     _dual_of_dual_check(report, pair, points)
     return report
 
