@@ -12,6 +12,8 @@ Layers, bottom up:
   pointwise linear algebra
 * ``duality``    the form and section transforms, metric transport, the
   closed-form dual metric rules, type change, tangent-structure transport
+* ``certify``    the transform identities of a dual pair, certified on the
+  frame with their Leibniz and linearity side conditions
 * ``reduction``  pointwise quotients and the product-space duality criteria
 * ``scenarios``  end-to-end reproductions of the worked examples (CLI-driven)
 """

@@ -29,7 +29,9 @@ def build_parser():
     runp.add_argument("scenario", nargs="?", help="scenario name (see 'tduality list')")
     runp.add_argument("--seed", type=int, default=0, help="non-negative RNG seed (default 0)")
     runp.add_argument("--samples", type=int, default=8,
-                      help="randomized instances per check (default 8)")
+                      help="sample points per scenario (default 8); buscher-random "
+                           "checks max(16, N) random metrics and reduction-suite "
+                           "max(4, N // 4) points per pair")
     runp.add_argument("--out", type=str, default=None,
                       help="report path (default <scenario>.report.jsonl)")
     sub.add_parser("list", help="list registered scenarios")

@@ -2,6 +2,12 @@
 
 Each scenario loads its chart from the packaged config directory, builds the
 dual pair, runs its check list with a seeded RNG, and returns a Report.
+``samples`` is the number of sample points in every point-based scenario;
+buscher-random checks max(16, samples) random metrics, and reduction-suite
+max(4, samples // 4) points per pair.  The transform identities of a pair
+(``_standard_pair_checks``) do not draw instances: they are certified on the
+frame (``certify``), and the points serve only the residuals that do not
+cancel structurally.
 Registered scenarios: s3-hopf, s3-selfdual, s2-annulus, hopf-surface,
 gibbons-hawking, buscher-random, reduction-suite.
 """
@@ -108,7 +114,7 @@ def scenario_s3_hopf(seed, samples):
     rng = np.random.default_rng(seed)
     chart = load_chart("s3_hopf.cfg")
     pair = DualityPair.from_chart(chart)
-    points = chart.domain.sample_many(rng, 6)
+    points = chart.domain.sample_many(rng, samples)
     dual = pair.dual
     sigma_tht = Form.monomial(dual.coframe, ("dt", "du", "tht"))
     report.add("dual-is-product-with-flux",
@@ -152,7 +158,7 @@ def scenario_s3_selfdual(seed, samples):
     rng = np.random.default_rng(seed)
     chart = load_chart("s3_flux.cfg")
     pair = DualityPair.from_chart(chart)
-    points = chart.domain.sample_many(rng, 6)
+    points = chart.domain.sample_many(rng, samples)
     sigma = Form.monomial(chart.coframe, ("dt", "du"))
     ct, h = split_flux(chart)
     report.add("flux-splitting", "H = curvature-part ^ fiber + basic part",
@@ -187,7 +193,7 @@ def scenario_s2_annulus(seed, samples):
     rng = np.random.default_rng(seed)
     chart, t, w, b, spinor = _s2_setup()
     pair = DualityPair.from_chart(chart)
-    points = chart.domain.sample_many(rng, 8)
+    points = chart.domain.sample_many(rng, samples)
     dual = pair.dual
     dual_spinor = dualize_form(spinor.form, pair)
     expected = (Form.monomial(dual.coframe, ("tht",))
@@ -288,7 +294,7 @@ def scenario_hopf_surface(seed, samples):
     rng = np.random.default_rng(seed)
     chart = load_chart("hopf_surface.cfg")
     pair = DualityPair.from_chart(chart)
-    points = chart.domain.sample_many(rng, 6)
+    points = chart.domain.sample_many(rng, samples)
     s2v = var("s2")
     spinor = _hopf_surface_family(chart, s2v)
     rep = pair.validate(n=len(points), seed=seed)
@@ -367,7 +373,7 @@ def scenario_gibbons_hawking(seed, samples):
     chart = load_chart("gibbons_hawking.cfg")
     pair = DualityPair.from_chart(chart)
     cof = chart.coframe
-    points = chart.domain.sample_many(rng, 6)
+    points = chart.domain.sample_many(rng, samples)
     v_pot, b1 = _gh_data(chart)
     lap = sadd(*[diff(diff(v_pot, n), n) for n in ("x1", "x2", "x3")])
     report.add("harmonic-potential", "the conformal factor is harmonic on the box",

@@ -113,3 +113,24 @@ def test_tol_flag_removed(capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("samples", [1, 5])
+def test_samples_count_the_points(monkeypatch, samples):
+    """In the five point-based scenarios every set of sample points has
+    ``samples`` points; buscher-random and reduction-suite count instances."""
+    from tduality.scalar import Domain
+    drawn = []
+    real = Domain.sample_many
+
+    def spy(self, rng, n):
+        drawn.append(n)
+        return real(self, rng, n)
+
+    monkeypatch.setattr(Domain, "sample_many", spy)
+    for name in ("s3-hopf", "s3-selfdual", "s2-annulus", "hopf-surface",
+                 "gibbons-hawking"):
+        drawn.clear()
+        report = run_scenario(name, seed=1, samples=samples)
+        assert drawn and set(drawn) == {samples}, name
+        assert report.ok, name
