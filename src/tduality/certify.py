@@ -38,7 +38,6 @@ others are evaluated together, at every sample point, in one
 """
 from __future__ import annotations
 
-import functools
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -118,14 +117,12 @@ def _combine(weights, columns, size):
     return [_sum(t) for t in out]
 
 
-@functools.cache
-def _frame_action(coframe):
-    """For each section of ``section_basis`` and each mask, (mask', sign)
-    with s . e_mask = sign e_mask', or None where the action is zero; read
-    off the Clifford action itself."""
-    monomials = [Form(coframe, {mask: CScalar.one()}) for mask in range(1 << coframe.dim)]
+def _frame_action(basis, monomials):
+    """For each frame section s and each mask, (mask', sign) with
+    s . e_mask = sign e_mask', or None where the action is zero; read off
+    the Clifford action itself."""
     table = []
-    for s in section_basis(coframe):
+    for s in basis:
         row = []
         for e in monomials:
             image = s.act(e)
@@ -176,7 +173,7 @@ def frame_certificate(pair, points):
     dh = [twisted_derivative(e, chart) for e in monomials]
     brackets = [[courant_bracket(a, b, chart) for b in basis] for a in basis]
     coords = [[b.coordinates() for b in row] for row in brackets]
-    table = _frame_action(cof)
+    table = _frame_action(basis, monomials)
     sign = round(reverse_sign(pair).real)
     multiples = [(CScalar(var(v)), exterior_derivative(Form.scalar(cof, var(v)), chart),
                   exterior_derivative(Form.scalar(dcof, var(v)), dual))
