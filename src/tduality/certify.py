@@ -98,22 +98,20 @@ def _coordinate_residual(a, b):
     return [_sum(((1, x), (-1, y))) for x, y in zip(a, b)]
 
 
-def _transform(form, columns, coframe):
-    """sum_I c_I columns[I] for form = sum_I c_I e_I, with the columns Forms."""
+def _transform(form, images):
+    """sum_I c_I images[I] for form = sum_I c_I e_I."""
+    coframe = images[0].coframe
     return Form(coframe, dict(enumerate(_combine(
-        ((mask, c) for mask, c in form.coeffs.items()),
-        [col.coeffs for col in columns], 1 << coframe.dim))))
+        form.coeffs.items(), [image.coeffs for image in images], 1 << coframe.dim))))
 
 
 def _combine(weights, columns, size):
-    """sum_k w_k columns[k] for (k, w_k) pairs; a column is a dict or tuple of
-    CScalars indexed 0..size-1, and the result a list."""
+    """sum_k w_k columns[k] over (k, w_k) pairs, as a list of ``size``
+    CScalars; a column is a dict {index: CScalar}."""
     out = [[] for _ in range(size)]
     for k, w in weights:
-        col = columns[k]
-        for r, c in (col.items() if isinstance(col, dict) else enumerate(col)):
-            if not c.is_zero():
-                out[r].append((1, w * c))
+        for r, c in columns[k].items():
+            out[r].append((1, w * c))
     return [_sum(t) for t in out]
 
 
@@ -169,7 +167,8 @@ def frame_certificate(pair, points):
     monomials = [Form(cof, {mask: CScalar.one()}) for mask in range(nforms)]
     basis = section_basis(cof)
     cols = _form_columns(pair)
-    scols = [s.coordinates() for s in _section_columns(pair)]
+    sections = _section_columns(pair)
+    scols = [s.coordinates() for s in sections]
     dh = [twisted_derivative(e, chart) for e in monomials]
     brackets = [[courant_bracket(a, b, chart) for b in basis] for a in basis]
     coords = [[b.coordinates() for b in row] for row in brackets]
@@ -192,17 +191,16 @@ def frame_certificate(pair, points):
 
     name = "transform-intertwines-differentials"
     for mask in range(nforms):
-        frame[name].append(_form_residual([(1, _transform(dh[mask], cols, dcof)),
+        frame[name].append(_form_residual([(1, _transform(dh[mask], cols)),
                                            (-1, twisted_derivative(cols[mask], dual))]))
     for x, _, _ in multiples:
         for mask, e in enumerate(monomials):
-            lhs = _transform(twisted_derivative(e.scale(x), chart), cols, dcof)
+            lhs = _transform(twisted_derivative(e.scale(x), chart), cols)
             rhs = twisted_derivative(cols[mask].scale(x), dual)
             side[name].append(_form_residual([(1, lhs), (-1, rhs)]))
     side[name] += form_linear
 
     name = "section-transform-orthogonal"
-    sections = _section_columns(pair)
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
             frame[name].append([_sum(((1, pairing(sections[i], sections[j])),
@@ -210,38 +208,35 @@ def frame_certificate(pair, points):
     side[name] += section_linear
 
     name = "section-transform-bracket"
+    scol_dicts = [dict(enumerate(c)) for c in scols]
     for i in range(2 * m):
         for j in range(2 * m):
-            lhs = _combine(enumerate(coords[i][j]), scols, 2 * m)
+            lhs = _combine(enumerate(coords[i][j]), scol_dicts, 2 * m)
             rhs = courant_bracket(sections[i], sections[j], dual).coordinates()
             frame[name].append(_coordinate_residual(lhs, rhs))
     leibniz = []
-    for x, dx, _ in multiples:
-        zero_x = FrameVector.zero(cof)
-        df = Section(zero_x, dx)
+    for x, dx, dx_dual in multiples:
+        df = Section(FrameVector.zero(cof), dx)
+        along = [contract(s.x, dx).coeff(0) for s in basis]    # pi(s)(x)
         for i, a in enumerate(basis):
             for j, b in enumerate(basis):
-                along_b = contract(b.x, dx).coeff(0)
-                along_a = contract(a.x, dx).coeff(0)
                 twice = pairing(a, b) * CScalar.of(2)
-                expected = brackets[i][j].scale(x) - a.scale(along_b) + df.scale(twice)
+                expected = brackets[i][j].scale(x) - a.scale(along[j]) + df.scale(twice)
                 leibniz.append(_coordinate_residual(
                     courant_bracket(a.scale(x), b, chart).coordinates(),
                     expected.coordinates()))
-                expected = brackets[i][j].scale(x) + b.scale(along_a)
+                expected = brackets[i][j].scale(x) + b.scale(along[i])
                 leibniz.append(_coordinate_residual(
                     courant_bracket(a, b.scale(x), chart).coordinates(),
                     expected.coordinates()))
-    side[name] += leibniz
-    for x, dx, dx_dual in multiples:
-        for i, a in enumerate(basis):
-            image_x = FrameVector(dcof, scols[i][:m])
-            side[name].append([_sum(((1, contract(image_x, dx_dual).coeff(0)),
-                                     (-1, contract(a.x, dx).coeff(0))))])
-        image = dualize_section(Section(FrameVector.zero(cof), dx), pair)
+        # phi preserves the anchor on x, and phi(dx) = dx
+        for i, image in enumerate(sections):
+            side[name].append([_sum(((1, contract(image.x, dx_dual).coeff(0)),
+                                     (-1, along[i])))])
+        image = dualize_section(df, pair)
         side[name].append(_coordinate_residual(
             image.coordinates(), Section(FrameVector.zero(dcof), dx_dual).coordinates()))
-    side[name] += section_linear
+    side[name] += leibniz + section_linear
 
     name = "clifford-compatibility"
     for i in range(2 * m):
@@ -252,6 +247,8 @@ def frame_certificate(pair, points):
             frame[name].append(_form_residual(lhs + [(-1, rhs)]))
     side[name] += form_linear + section_linear
 
+    # [s_i, s_j] . e_I - (d_H(s_i . s_j . e_I) + s_i . d_H(s_j . e_I)
+    #                    - s_j . d_H(s_i . e_I) - s_j . s_i . d_H e_I)
     name = "spinor-bracket-oracle"
     acted = [[_act(row, d) for d in dh] for row in table]   # s_i . d_H e_L
     for i in range(2 * m):
