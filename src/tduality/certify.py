@@ -39,7 +39,7 @@ others are evaluated together, at every sample point, in one
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .scalar import CScalar, ZERO, sadd, sneg, var
 from .exterior import Form, FrameVector, contract, eval_complex_points, wedge
@@ -51,8 +51,7 @@ from .duality import (_form_columns, _section_columns, dualize_form,
 __all__ = ["Certified", "frame_certificate"]
 
 
-@dataclass(frozen=True)
-class Certified:
+class Certified(NamedTuple):
     """Worst residual of one identity over its frame instances and side
     conditions, with how many of each cancelled structurally."""
 

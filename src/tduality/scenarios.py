@@ -8,6 +8,7 @@ max(4, samples // 4) points per pair.  The transform identities of a pair
 (``_standard_pair_checks``) do not draw instances: they are certified on the
 frame (``certify``), and the points serve only the residuals that do not
 cancel structurally.
+
 Registered scenarios: s3-hopf, s3-selfdual, s2-annulus, hopf-surface,
 gibbons-hawking, buscher-random, reduction-suite.
 """

@@ -2,7 +2,8 @@
 
 The goldens are the behavioural oracle for refactors: a change that alters
 any report line must regenerate them with ``tests/make_goldens.py`` and
-explain each changed line.
+explain each changed line; ``make_goldens.py --diff`` lists those lines
+without writing anything.
 """
 import json
 
