@@ -62,7 +62,7 @@ def dualize_form_reverse(rho_t, pair):
 
 def reverse_sign(pair):
     """Global constant c with reverse(forward(rho)) = c rho, measured on the
-    constant probe at the midpoint of the chart box; measured once per pair."""
+    constant probe at the midpoint of the chart box, once per pair."""
     return pair.cache("_reverse_sign", lambda: _measure_reverse_sign(pair))
 
 
