@@ -99,29 +99,40 @@ def transposed_block(real):
     return block
 
 
+def install_flux_term_sign(mp):
+    bracket = flipped_flux_bracket(courant.courant_bracket)
+    for module in (courant, certify):
+        mp.setattr(module, "courant_bracket", bracket)
+
+
+def install_f_zero(mp):
+    for module in (duality, certify):
+        mp.setattr(module, "dualize_form", transform_without_f)
+
+
+def install_dropped_term(mp):
+    mp.setattr(courant, "lie_bracket", lie_bracket_without_y_of_xb(courant.lie_bracket))
+
+
+def install_transposed_block(mp):
+    mp.setattr(DualityPair, "fiber_block", transposed_block(DualityPair.fiber_block))
+
+
+# mutant -> (installer, {pair: the checks it must fail there})
 MUTANTS = {
-    "flux-term-sign": (
-        lambda mp: [mp.setattr(mod, "courant_bracket",
-                               flipped_flux_bracket(courant.courant_bracket))
-                    for mod in (courant, certify)],
-        {"s3_hopf": {"section-transform-bracket"},
-         "s3_flux": {"section-transform-bracket", "spinor-bracket-oracle"},
-         "t2_twisted": {"section-transform-bracket"}}),
-    "f-zero-in-dualize-form": (
-        lambda mp: [mp.setattr(mod, "dualize_form", transform_without_f)
-                    for mod in (duality, certify)],
-        {name: {"transform-intertwines-differentials", "clifford-compatibility",
-                "transform-invertible"} for name in ("s3_hopf", "s3_flux", "t2_twisted")}),
-    "lie-bracket-drops-y-of-xb": (
-        lambda mp: mp.setattr(courant, "lie_bracket",
-                              lie_bracket_without_y_of_xb(courant.lie_bracket)),
-        {name: {"section-transform-bracket", "spinor-bracket-oracle"}
-         for name in ("s3_hopf", "s3_flux", "t2_twisted")}),
-    "fiber-block-transposed": (
-        lambda mp: mp.setattr(DualityPair, "fiber_block",
-                              transposed_block(DualityPair.fiber_block)),
-        {"t2_twisted": set(),      # a symmetric block: the mutant is the same code
-         "sheared": {"section-transform-orthogonal", "clifford-compatibility"}}),
+    "flux-term-sign": (install_flux_term_sign, {
+        "s3_hopf": {"section-transform-bracket"},
+        "s3_flux": {"section-transform-bracket", "spinor-bracket-oracle"},
+        "t2_twisted": {"section-transform-bracket"}}),
+    "f-zero-in-dualize-form": (install_f_zero, {
+        name: {"transform-intertwines-differentials", "clifford-compatibility",
+               "transform-invertible"} for name in ("s3_hopf", "s3_flux", "t2_twisted")}),
+    "lie-bracket-drops-y-of-xb": (install_dropped_term, {
+        name: {"section-transform-bracket", "spinor-bracket-oracle"}
+        for name in ("s3_hopf", "s3_flux", "t2_twisted")}),
+    "fiber-block-transposed": (install_transposed_block, {
+        "t2_twisted": set(),      # a symmetric block: the mutant is the same code
+        "sheared": {"section-transform-orthogonal", "clifford-compatibility"}}),
 }
 
 
