@@ -13,7 +13,7 @@ consists of horizontal lifts E_a of the base coordinate fields plus the fiber
 generators E_theta.  The structure equations fix their brackets, since
 e^b([X, Y]) = X(Y^b) - Y(X^b) - (d e^b)(X, Y): [E_a, E_b] =
 -sum_i c_i(E_a, E_b) E_theta_i, and fiber generators are central
-(courant.lie_bracket computes the bracket from exterior_derivative).
+(courant.lie_bracket reads d e^b off these structure equations).
 """
 from __future__ import annotations
 

@@ -214,19 +214,21 @@ def frame_certificate(pair, points):
             rhs = courant_bracket(sections[i], sections[j], dual).coordinates()
             frame[name].append(_coordinate_residual(lhs, rhs))
     leibniz = []
+    twice = [[pairing(a, b) * CScalar.of(2) for b in basis] for a in basis]
     for x, dx, dx_dual in multiples:
         df = Section(FrameVector.zero(cof), dx)
         along = [contract(s.x, dx).coeff(0) for s in basis]    # pi(s)(x)
+        scaled = [s.scale(x) for s in basis]
         for i, a in enumerate(basis):
             for j, b in enumerate(basis):
-                twice = pairing(a, b) * CScalar.of(2)
-                expected = brackets[i][j].scale(x) - a.scale(along[j]) + df.scale(twice)
+                bracket = brackets[i][j].scale(x)
+                expected = bracket - a.scale(along[j]) + df.scale(twice[i][j])
                 leibniz.append(_coordinate_residual(
-                    courant_bracket(a.scale(x), b, chart).coordinates(),
+                    courant_bracket(scaled[i], b, chart).coordinates(),
                     expected.coordinates()))
-                expected = brackets[i][j].scale(x) + b.scale(along[i])
+                expected = bracket + b.scale(along[i])
                 leibniz.append(_coordinate_residual(
-                    courant_bracket(a, b.scale(x), chart).coordinates(),
+                    courant_bracket(a, scaled[j], chart).coordinates(),
                     expected.coordinates()))
         # phi preserves the anchor on x, and phi(dx) = dx
         for i, image in enumerate(sections):
@@ -291,20 +293,22 @@ def _evaluate(frame, side, points):
     """Worst residual of each check, from one evaluation of every residual
     coefficient that did not cancel structurally."""
     live, owner = [], []
-    for name in frame:
-        for group in (frame[name], side[name]):
-            for residual in group:
-                for c in residual:
-                    if not c.is_zero():
-                        live.append(c)
-                        owner.append(name)
+
+    def collect(name, group):
+        """Queue the live coefficients of a group; return how many of its
+        residuals cancelled structurally."""
+        zero = 0
+        for residual in group:
+            before = len(live)
+            live.extend(c for c in residual if not c.is_zero())
+            owner.extend([name] * (len(live) - before))
+            zero += len(live) == before
+        return zero
+
+    counts = {name: (len(frame[name]), collect(name, frame[name]),
+                     len(side[name]), collect(name, side[name]))
+              for name in frame}
     worst = dict.fromkeys(frame, 0.0)
     for name, zs in zip(owner, eval_complex_points(live, points)):
         worst[name] = max(worst[name], max(abs(z) for z in zs))
-
-    def zero(group):
-        return sum(1 for residual in group if all(c.is_zero() for c in residual))
-
-    return {name: Certified(worst[name], len(frame[name]), zero(frame[name]),
-                            len(side[name]), zero(side[name]))
-            for name in frame}
+    return {name: Certified(worst[name], *counts[name]) for name in frame}

@@ -18,7 +18,10 @@ The bracket of frame vector fields is read off the structure equations
 d(dx^a) = 0, d(theta_i) = c_i through
 e^b([X, Y]) = X(Y^b) - Y(X^b) - (d e^b)(X, Y); for the frame this gives
 [E_a, E_b] = -sum_i c_i(E_a, E_b) E_theta_i on base generators (horizontal
-lifts of coordinate fields), while fiber generators are central.
+lifts of coordinate fields), while fiber generators are central.  d e^b is
+read straight off the chart: nothing for a base generator and
+``chart.curvature[theta_i]`` for a fiber generator, the same structure
+equations that ``bundle.exterior_derivative`` applies.
 """
 from __future__ import annotations
 
@@ -146,7 +149,8 @@ def section_residual(s, points):
 
 def lie_bracket(x, y, chart):
     """Lie bracket of invariant frame vector fields on the chart:
-    e^b([X, Y]) = X(Y^b) - Y(X^b) - (d e^b)(X, Y) with the structure-equation d."""
+    e^b([X, Y]) = X(Y^b) - Y(X^b) - (d e^b)(X, Y), with d e^b read off the
+    structure equations; a term whose factor is structurally zero is skipped."""
     cof = chart.coframe
 
     def d(c):
@@ -154,9 +158,14 @@ def lie_bracket(x, y, chart):
 
     comps = []
     for b, name in enumerate(cof.names):
-        de_b = exterior_derivative(Form.monomial(cof, (name,)), chart)
-        comp = (contract(x, d(y.components[b])) - contract(y, d(x.components[b]))
-                - contract(y, contract(x, de_b)))
+        comp = Form.zero(cof)
+        if not y.components[b].is_zero():
+            comp = contract(x, d(y.components[b]))
+        if not x.components[b].is_zero():
+            comp = comp - contract(y, d(x.components[b]))
+        de_b = chart.curvature.get(name)    # d(dx^a) = 0, d(theta_i) = c_i
+        if de_b is not None:
+            comp = comp - contract(y, contract(x, de_b))
         comps.append(comp.coeff(0))
     return FrameVector(cof, tuple(comps))
 
@@ -172,9 +181,12 @@ def courant_bracket(v, w, chart):
     if v.coframe != chart.coframe or w.coframe != chart.coframe:
         raise ValueError("chart mismatch")
     vec = lie_bracket(v.x, w.x, chart)
-    form = (lie_derivative(v.x, w.xi, chart)
-            - contract(w.x, exterior_derivative(v.xi, chart))
-            + contract(v.x, contract(w.x, chart.flux)))
+    form = Form.zero(chart.coframe)
+    if not w.xi.is_zero():
+        form = lie_derivative(v.x, w.xi, chart)
+    if not v.xi.is_zero():
+        form = form - contract(w.x, exterior_derivative(v.xi, chart))
+    form = form + contract(v.x, contract(w.x, chart.flux))
     return Section(vec, form)
 
 

@@ -104,8 +104,8 @@ def random_metric(rng, chart, points):
     g = SymTensor(cof, entries)
     b = random_form(rng, cof, variables, degrees=(2,), complex_coeffs=False)
     metric = GeneralizedMetric(g, b)
-    for p in points:
-        w = np.linalg.eigvalsh(g.eval_matrix(p))
+    for mat in g.eval_matrices(points):
+        w = np.linalg.eigvalsh(mat)
         if w.min() <= 0:
             raise AssertionError("random metric lost positivity")
     return metric

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scalar import evaluate
-from .exterior import Form, FrameVector, contract
+from .exterior import Form, FrameVector, contract, eval_complex_points
 from .bundle import base_generator
 from .courant import Section, pairing, split_pairing_matrix
 from .duality import section_transform_matrix_at
@@ -98,8 +98,9 @@ def pairing_constant_check(sections, points):
     """True when all pairwise pairings of the lift generators are constant
     across the sampled points, up to 1e-9 relative (a lifted action induces
     a fixed symmetric form on the acting algebra); also returns the spread."""
-    stack = np.stack([np.array([[pairing(a, b).evaluate(p) for b in sections]
-                                for a in sections]) for p in points])
+    n = len(sections)
+    vals = eval_complex_points([pairing(a, b) for a in sections for b in sections], points)
+    stack = np.array(vals).T.reshape(len(points), n, n)
     spread = np.abs(stack - stack.mean(axis=0)).max()
     return bool(spread <= 1e-9 * (1.0 + np.abs(stack).max())), float(spread)
 

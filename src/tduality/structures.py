@@ -376,9 +376,11 @@ def two_form_matrix_at(form, point):
 def metric_residual(a, b, points):
     """Max coefficientwise deviation of two (g, b) packages at the points."""
     worst = form_residual(a.b - b.b, None, points)
-    for ga, gb in zip(a.g.eval_matrices(points), b.g.eval_matrices(points)):
-        worst = max(worst, float(np.abs(ga - gb).max()))
-    return worst
+    keys = a.g.entries.keys() | b.g.entries.keys()
+    vals = evaluate_points([g.entries.get(key, ZERO) for key in keys for g in (a.g, b.g)],
+                           points)
+    return max(worst, max((abs(x - y) for va, vb in zip(vals[0::2], vals[1::2])
+                           for x, y in zip(va, vb)), default=0.0))
 
 
 def gb_from_cplus(basis):

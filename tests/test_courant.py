@@ -1,13 +1,16 @@
+from importlib import resources
+
 import numpy as np
 
 from tduality.scalar import CScalar, diff, rat, scos, ssin, var
-from tduality.exterior import Form, FrameVector
-from tduality.bundle import BundleChart, exterior_derivative
+from tduality.exterior import Form, FrameVector, contract
+from tduality.bundle import BundleChart, build_dual_chart, exterior_derivative
 from tduality.courant import (Section, b_transform, bracket_spinor_residual,
                               courant_bracket, lift_splitting_residual,
-                              lie_bracket, pairing, section_residual,
+                              lie_bracket, lie_derivative, pairing, section_residual,
                               split_pairing_matrix)
 from tduality.randomgen import random_form, random_scalar, random_section
+from tduality.scenarios import load_chart
 
 
 def test_pairing_values(plane_chart):
@@ -206,3 +209,90 @@ def test_lie_bracket_jacobi_two_curvatures(rng):
         curvature={"th1": lambda c: Form.monomial(c, ("dt", "du")),
                    "th2": lambda c: Form.monomial(c, ("dt", "du"), ssin(var("t")))})
     assert _jacobi_residual(rng, chart) <= 1e-10
+
+
+# The bracket as it was first written, kept as the reference: d e^b rebuilt
+# with exterior_derivative for every component, and no term skipped.
+def _reference_lie_bracket(x, y, chart):
+    cof = chart.coframe
+
+    def d(c):
+        return exterior_derivative(Form.scalar(cof, c), chart)
+
+    comps = []
+    for b, name in enumerate(cof.names):
+        de_b = exterior_derivative(Form.monomial(cof, (name,)), chart)
+        comp = (contract(x, d(y.components[b])) - contract(y, d(x.components[b]))
+                - contract(y, contract(x, de_b)))
+        comps.append(comp.coeff(0))
+    return FrameVector(cof, tuple(comps))
+
+
+def _reference_courant_bracket(v, w, chart):
+    if v.coframe != chart.coframe or w.coframe != chart.coframe:
+        raise ValueError("chart mismatch")
+    vec = _reference_lie_bracket(v.x, w.x, chart)
+    form = (lie_derivative(v.x, w.xi, chart)
+            - contract(w.x, exterior_derivative(v.xi, chart))
+            + contract(v.x, contract(w.x, chart.flux)))
+    return Section(vec, form)
+
+
+CONFIGS = sorted(f.name for f in resources.files("tduality.configs").iterdir()
+                 if f.name.endswith(".cfg"))
+
+
+def _random_curved_chart(rng):
+    """Rank-2 chart over a 2d base with random curvatures and a random flux
+    with at most one fiber leg."""
+    base = ("t", "u")
+
+    def coefficient():
+        return CScalar(random_scalar(rng, base))
+
+    def flux(cof):
+        out = Form.zero(cof)
+        for fiber in ("th1", "th2"):
+            out = out + Form.monomial(cof, ("dt", "du", fiber), coefficient())
+        return out
+
+    return BundleChart.build(
+        "random-curved", [("t", -0.8, 0.8), ("u", 0.1, 0.9)], ["th1", "th2"],
+        curvature={f: (lambda c, k=coefficient(): Form.monomial(c, ("dt", "du"), k))
+                   for f in ("th1", "th2")},
+        flux=flux)
+
+
+def _sections(rng, chart):
+    """Random sections, a frame section of each kind, and the zero section."""
+    cof = chart.coframe
+    out = []
+    for _ in range(3):
+        s = random_section(rng, chart)
+        out += [s, Section(s.x, Form.zero(cof)), Section(FrameVector.zero(cof), s.xi)]
+    out += [Section.vector_basis(cof, cof.names[-1]),
+            Section.covector_basis(cof, cof.names[0]),
+            Section(FrameVector.zero(cof), Form.zero(cof))]
+    return out
+
+
+def test_brackets_match_the_reference(rng):
+    charts = [load_chart(name) for name in ("s3_hopf.cfg", "s3_flux.cfg", "t2_twisted.cfg")]
+    charts.append(_random_curved_chart(rng))
+    for chart in charts:
+        sections = _sections(rng, chart)
+        for v in sections:
+            for w in sections:
+                assert lie_bracket(v.x, w.x, chart) == _reference_lie_bracket(v.x, w.x, chart)
+                assert (courant_bracket(v, w, chart)
+                        == _reference_courant_bracket(v, w, chart))
+
+
+def test_curvature_is_the_structure_equation():
+    assert CONFIGS
+    charts = [load_chart(name) for name in CONFIGS]
+    charts += [build_dual_chart(chart) for chart in charts]
+    for chart in charts:
+        cof = chart.coframe
+        for g in cof.names:
+            assert chart.curvature_of(g) == exterior_derivative(Form.monomial(cof, (g,)), chart)
