@@ -1,7 +1,8 @@
 """Sections of T + T*, the natural pairing, and the twisted Courant bracket.
 
 Sections are pairs (X, xi) of a frame vector and a 1-form over a chart
-coframe, with invariant (base-variable) coefficients.  The bracket
+coframe, with invariant (base-variable) coefficients; ``Section`` is a
+``__slots__`` class, immutable by convention.  The bracket
 
     [X + xi, Y + eta] = [X, Y] + L_X eta - i_Y d xi + i_X i_Y H
 
@@ -25,8 +26,6 @@ equations that ``bundle.exterior_derivative`` applies.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .scalar import CScalar, rat
@@ -41,18 +40,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Section:
     """X + xi in the chart frame; coefficients may be complex."""
 
-    x: FrameVector
-    xi: Form
+    __slots__ = ("x", "xi")
 
-    def __post_init__(self):
-        if self.x.coframe != self.xi.coframe:
+    def __init__(self, x, xi):
+        if x.coframe != xi.coframe:
             raise ValueError("vector and covector parts must share the coframe")
-        if not all(d == 1 for d in self.xi.degrees()):
-            raise ValueError("covector part must have degree one")
+        for mask in xi.coeffs:
+            if not mask or mask & (mask - 1):
+                raise ValueError("covector part must have degree one")
+        self.x = x
+        self.xi = xi
+
+    def __repr__(self):
+        return f"Section(x={self.x!r}, xi={self.xi!r})"
 
     @property
     def coframe(self):
@@ -136,8 +139,9 @@ def pairing(v, w):
 def split_pairing_matrix(m):
     """Matrix of the pairing on the 2m section coordinates (X, xi) of
     section_basis: off-diagonal halves."""
-    half = 0.5 * np.eye(m)
-    return np.block([[np.zeros((m, m)), half], [half, np.zeros((m, m))]])
+    out = np.zeros((2 * m, 2 * m))
+    out[:m, m:] = out[m:, :m] = 0.5 * np.eye(m)
+    return out
 
 
 def section_residual(s, points):

@@ -3,10 +3,13 @@
 Forms are sparse maps from generator-index bitmasks to CScalar coefficients.
 Generators carry a tag (base / fiber / cofiber) so that fiber integration and
 pullback along the two legs of a correspondence space are bitmask operations.
-All operations are pure; forms are immutable by convention.
+All operations are pure.  ``Form`` and ``FrameVector`` are ``__slots__``
+classes, immutable by convention: no operation assigns to one after it is
+built.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +19,7 @@ from .scalar import (CScalar, _parse_tokens, _token, _tokenize, evaluate_points,
 
 __all__ = [
     "Coframe", "Form", "FrameVector",
-    "wedge", "contract", "clifford_act", "reversal", "mukai_pairing",
+    "wedge", "contract", "clifford_act", "reversal", "mukai_pairing", "mukai_signs",
     "exp_form", "fiber_integrate", "strip_rightmost", "contract_sign", "eval_complex",
     "eval_complex_points",
     "form_to_text", "form_from_text",
@@ -40,6 +43,14 @@ class Coframe:
         for t in self.tags:
             if t not in TAGS:
                 raise ValueError(f"unknown tag {t!r}")
+
+    def __eq__(self, other):
+        # forms and sections almost always compare a coframe with itself
+        if self is other:
+            return True
+        if other.__class__ is not Coframe:
+            return NotImplemented
+        return self.names == other.names and self.tags == other.tags
 
     @property
     def dim(self):
@@ -227,12 +238,26 @@ class Form:
             raise ValueError("coframe mismatch")
 
 
-@dataclass(frozen=True)
 class FrameVector:
-    """Element of the frame dual to the coframe, with CScalar components."""
+    """Element of the frame dual to the coframe, with CScalar components;
+    equality and hash are structural."""
 
-    coframe: Coframe
-    components: tuple
+    __slots__ = ("coframe", "components")
+
+    def __init__(self, coframe, components):
+        self.coframe = coframe
+        self.components = components
+
+    def __eq__(self, other):
+        if other.__class__ is not FrameVector:
+            return NotImplemented
+        return self.coframe == other.coframe and self.components == other.components
+
+    def __hash__(self):
+        return hash((self.coframe, self.components))
+
+    def __repr__(self):
+        return f"FrameVector(coframe={self.coframe!r}, components={self.components!r})"
 
     @staticmethod
     def basis(coframe, name):
@@ -350,18 +375,35 @@ def clifford_act(x, xi, rho):
     return contract(x, rho) + wedge(xi, rho)
 
 
+def _reversal_sign(mask):
+    """(-1)^(k(k-1)/2) for a basis form e_mask of degree k."""
+    k = bin(mask).count("1")
+    return -1 if (k * (k - 1) // 2) % 2 else 1
+
+
 def reversal(rho):
     """Reverse the order of factors: degree-k part picks up (-1)^(k(k-1)/2)."""
     out = {}
     for mask, c in rho.coeffs.items():
-        k = bin(mask).count("1")
-        out[mask] = -c if (k * (k - 1) // 2) % 2 else c
+        out[mask] = -c if _reversal_sign(mask) < 0 else c
     return Form(rho.coframe, out)
 
 
 def mukai_pairing(a, b):
     """Top-degree component of reversal(a) ^ b."""
     return wedge(reversal(a), b).top_component()
+
+
+@functools.cache
+def mukai_signs(m):
+    """The Mukai pairing of basis forms on m generators: the tuple, indexed
+    by mask, of (mask, complementary mask, sign) with
+    mukai_pairing(e_mask, e_comp) = sign * e_1 ^ ... ^ e_m.  The sign is the
+    reversal sign of e_mask times the wedge sign, the two signs that
+    ``mukai_pairing`` applies; the table is constant and shared per m."""
+    full = (1 << m) - 1
+    return tuple((mask, full ^ mask, _reversal_sign(mask) * _wedge_sign(mask, full ^ mask))
+                 for mask in range(1 << m))
 
 
 def exp_form(b):

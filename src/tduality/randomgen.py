@@ -10,10 +10,10 @@ import itertools
 
 import numpy as np
 
-from .scalar import CScalar, rat, var, ssin, scos, smul, sadd
-from .exterior import Form, FrameVector, wedge
+from .scalar import CScalar, EvaluationError, rat, var, ssin, scos, smul, sadd
+from .exterior import Form, FrameVector, eval_complex_points, wedge
 from .courant import Section
-from .structures import GeneralizedMetric, PureSpinor, SymTensor, mukai_norm_at
+from .structures import GeneralizedMetric, PureSpinor, SymTensor, mukai_norm
 
 __all__ = [
     "random_scalar", "random_cscalar", "random_form", "random_section",
@@ -30,7 +30,7 @@ def random_scalar(rng, variables):
     constant plus one random term (c v, c v^2, c sin v or c cos v)."""
     parts = [_coeff(rng)]
     if variables:
-        v = var(str(rng.choice(list(variables))))
+        v = var(variables[int(rng.integers(0, len(variables)))])
         kind = rng.integers(0, 4)
         if kind == 0:
             parts.append(smul(_coeff(rng), v))
@@ -137,14 +137,15 @@ def random_pure_spinor(rng, chart, points):
         if lowest.is_zero():
             continue
         spinor = PureSpinor.from_data(b, omega, lowest)
+        coeffs = spinor.form.coeffs
         try:
-            norms = [mukai_norm_at(spinor, p) for p in points]
-        except Exception:
+            values = eval_complex_points(coeffs.values(), points)
+        except EvaluationError:
             continue
-        ref = max(max(abs(v) for v in spinor.form.eval_coeffs(p).values())
-                  for p in points)
+        at_points = [dict(zip(coeffs, zs)) for zs in zip(*values)]
+        ref = max(max(abs(v) for v in vals.values()) for vals in at_points)
         if ref == 0:
             continue
-        if min(norms) > 1e-3 * ref * ref:
+        if min(mukai_norm(vals, m) for vals in at_points) > 1e-3 * ref * ref:
             return spinor
     raise AssertionError("could not sample a nondegenerate spinor")

@@ -179,8 +179,8 @@ def double_quotient_report(pair, point):
     # route onto the second factor: shear by F so the first-factor lift
     # becomes tangent, then drop its fiber components
     f_mat = two_form_matrix_at(pair.F, point)
-    shear = np.eye(2 * mt) + np.block([[np.zeros((mt, mt)), np.zeros((mt, mt))],
-                                       [f_mat.T, np.zeros((mt, mt))]])
+    shear = np.eye(2 * mt)
+    shear[mt:, :mt] += f_mat.T
     sheared = shear @ perp
     keep_t = [i for i in range(mt) if i not in fiber_idx]
     mapped_t = project(sheared, fiber_idx, keep_t)

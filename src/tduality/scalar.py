@@ -8,11 +8,15 @@ scalars is decided numerically by sampling a domain box with a seeded RNG
 arithmetic, dropping zeros/ones, collecting like terms with rational
 coefficients) so that exact cancellations such as ``g - g`` produce a
 structural zero.
+
+The value types ``Scalar`` and ``CScalar`` are ``__slots__`` classes,
+immutable by convention: nothing assigns to a node or a complex scalar after
+it is built, and equality and hash are structural.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite
 from operator import add as _add, mul as _mul, truediv as _truediv
@@ -664,12 +668,28 @@ def equal_numeric(a, b, domain, seed=0):
 
 # -- complex scalars --------------------------------------------------------------
 
-@dataclass(frozen=True)
 class CScalar:
-    """Complex scalar with symbolic real and imaginary parts."""
+    """Complex scalar with symbolic real and imaginary parts.
 
-    re: Scalar = field(default=ZERO)
-    im: Scalar = field(default=ZERO)
+    Immutable by convention, like ``Scalar``; equality and hash are
+    structural, on the pair of parts."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=ZERO, im=ZERO):
+        self.re = re
+        self.im = im
+
+    def __eq__(self, other):
+        if other.__class__ is not CScalar:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"CScalar(re={self.re!r}, im={self.im!r})"
 
     @staticmethod
     def of(x, y=0):
@@ -720,10 +740,10 @@ class CScalar:
         a, b, c, d = self.re, self.im, other.re, other.im
         if b is ZERO:
             if d is ZERO:
-                return CScalar(sadd(smul(a, c)), ZERO)
-            return CScalar(sadd(smul(a, c)), sadd(smul(a, d)))
+                return CScalar(smul(a, c), ZERO)
+            return CScalar(smul(a, c), smul(a, d))
         if d is ZERO:
-            return CScalar(sadd(smul(a, c)), sadd(smul(b, c)))
+            return CScalar(smul(a, c), smul(b, c))
         return CScalar(ssub(smul(a, c), smul(b, d)), sadd(smul(a, d), smul(b, c)))
 
     __rmul__ = __mul__

@@ -16,7 +16,7 @@ import numpy as np
 
 from .scalar import CScalar, ZERO, as_scalar, evaluate_points
 from .exterior import (Form, FrameVector, contract, contract_sign, exp_form,
-                       mukai_pairing, wedge)
+                       mukai_signs, wedge)
 from .bundle import form_residual, twisted_derivative
 from .courant import Section
 
@@ -24,7 +24,7 @@ __all__ = [
     "PureSpinor", "GeneralizedMetric", "SymTensor", "PointFrame",
     "annihilator_at", "spinor_type_at", "check_integrable", "IntegrabilityResult",
     "gcs_matrix_at", "metric_matrix_at", "two_form_matrix_at", "gb_from_cplus",
-    "uk_spaces_at", "mukai_norm_at", "is_decomposable_at", "commute_at",
+    "uk_spaces_at", "mukai_norm_at", "mukai_norm", "is_decomposable_at", "commute_at",
     "metric_residual", "RANK_TOL",
 ]
 
@@ -244,9 +244,21 @@ def _annihilator(fr, rho):
 
 def mukai_norm_at(spinor, point):
     """|(rho, conj rho)| at a point; zero detects type-change loci."""
-    pair = mukai_pairing(spinor.form, spinor.form.conj())
-    vals = pair.eval_coeffs(point)
-    return max((abs(v) for v in vals.values()), default=0.0)
+    return mukai_norm(spinor.form.eval_coeffs(point), spinor.coframe.dim)
+
+
+def mukai_norm(values, m):
+    """|(rho, conj rho)| of a form on m generators from its values at one
+    point, {mask: complex}: the sum of sign * rho_mask * conj(rho_comp) over
+    the ``mukai_signs(m)`` table."""
+    signs = mukai_signs(m)
+    total = 0j
+    for mask, v in values.items():
+        _, comp, sign = signs[mask]
+        w = values.get(comp)
+        if w is not None:
+            total += sign * v * w.conjugate()
+    return abs(total)
 
 
 def spinor_type_at(spinor, point):

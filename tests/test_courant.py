@@ -1,6 +1,7 @@
 from importlib import resources
 
 import numpy as np
+import pytest
 
 from tduality.scalar import CScalar, diff, rat, scos, ssin, var
 from tduality.exterior import Form, FrameVector, contract
@@ -20,6 +21,22 @@ def test_pairing_values(plane_chart):
     assert pairing(ex, dx) == CScalar.of(rat(1, 2))
     assert pairing(ex, ex).is_zero()
     assert pairing(ex + dx, ex + dx) == CScalar.of(rat(1))
+
+
+def test_section_checks_its_parts(plane_chart, flat3_chart):
+    cof = plane_chart.coframe
+    with pytest.raises(ValueError, match="share the coframe"):
+        Section(FrameVector.zero(flat3_chart.coframe), Form.zero(cof))
+    for xi in (Form.scalar(cof, 1), Form.monomial(cof, ("dx", "dy")),
+               Form.monomial(cof, ("dx",)) + Form.scalar(cof, 2)):
+        with pytest.raises(ValueError, match="degree one"):
+            Section(FrameVector.zero(cof), xi)
+    xi = Form.monomial(cof, ("dx",)) + Form.monomial(cof, ("dy",), 3)
+    assert Section(FrameVector.zero(cof), xi).xi == xi
+    assert repr(Section.covector_basis(cof, "dy")) == (
+        "Section(x=FrameVector(coframe=Coframe(names=('dx', 'dy'), tags=('base', 'base')), "
+        "components=(CScalar(re=Scalar(0), im=Scalar(0)), CScalar(re=Scalar(0), "
+        "im=Scalar(0)))), xi=Form(1 dy))")
 
 
 def test_pairing_split_signature(plane_chart, rng):

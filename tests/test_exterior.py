@@ -4,7 +4,7 @@ from tduality.scalar import CScalar, rat, ssin, var
 from tduality.exterior import (Coframe, Form, FrameVector, clifford_act,
                                contract, exp_form, fiber_integrate,
                                form_from_text, form_to_text, mukai_pairing,
-                               reversal, wedge)
+                               mukai_signs, reversal, wedge)
 from tduality.bundle import form_residual
 from tduality.courant import Section, pairing
 from tduality.randomgen import random_form
@@ -22,6 +22,25 @@ def mono(cof, *names):
 def cof4():
     return Coframe(("dx", "dy", "dz", "dw"),
                    ("base", "base", "base", "base"))
+
+
+def test_frame_vector_is_a_structural_value(cof4):
+    q = var("q")
+    a = FrameVector.from_dict(cof4, {"dx": 2, "dz": ssin(q)})
+    b = FrameVector.from_dict(Coframe(cof4.names, cof4.tags), {"dz": ssin(var("q")), "dx": 2})
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: "value"}[b] == "value"
+    assert a != vec(cof4, "dx")
+    assert a != (a.coframe, a.components)
+    assert repr(vec(Coframe(("dx",), ("base",)), "dx")) == (
+        "FrameVector(coframe=Coframe(names=('dx',), tags=('base',)), "
+        "components=(CScalar(re=Scalar(1), im=Scalar(0)),))")
+
+
+def test_value_types_have_slots_and_no_instance_dict(cof4):
+    for value in (CScalar(), vec(cof4, "dx"), Section.vector_basis(cof4, "dx")):
+        assert "__slots__" in type(value).__dict__
+        assert not hasattr(value, "__dict__")
 
 
 def test_wedge_square_vanishes(cof4):
@@ -141,6 +160,20 @@ def test_mukai_basic_values():
     cof = Coframe(("dx", "dy"), ("base", "base"))
     assert mukai_pairing(Form.scalar(cof, 1), mono(cof, "dx", "dy")) == mono(cof, "dx", "dy")
     assert mukai_pairing(mono(cof, "dx"), mono(cof, "dy")) == mono(cof, "dx", "dy")
+
+
+def test_mukai_signs_are_the_pairing_of_basis_forms():
+    for m in range(7):
+        cof = Coframe(tuple(f"e{i}" for i in range(m)), ("base",) * m)
+        full = (1 << m) - 1
+        table = mukai_signs(m)
+        assert [mask for mask, _, _ in table] == list(range(1 << m))
+        for mask, comp, sign in table:
+            assert comp == full ^ mask and sign in (1, -1)
+            pair = mukai_pairing(Form(cof, {mask: CScalar.one()}),
+                                 Form(cof, {comp: CScalar.one()}))
+            assert pair == Form(cof, {full: CScalar.of(sign)})
+        assert mukai_signs(m) is table
 
 
 def test_mukai_b_invariance_random(rng, cof4):

@@ -12,6 +12,7 @@ from tduality.scalar import (CScalar, Domain, EvaluationError, MINUS_ONE, ONE, P
                              rat, sadd, scalar_from_text, scalar_to_text, scos,
                              sdiv, sexp, slog, smul, sneg, spow, ssin, ssqrt, ssub,
                              solve_linear_symbolic, sym_matrix_inverse, var)
+from tduality import randomgen
 from tduality.scenarios import run_scenario
 
 T = var("t")
@@ -166,6 +167,39 @@ def test_cscalar_field_identities(rng):
     assert (a + b).evaluate(p) == pytest.approx(za + zb)
     assert (a / b).evaluate(p) == pytest.approx(za / zb)
     assert a.conj().evaluate(p) == pytest.approx(za.conjugate())
+
+
+def test_cscalar_is_a_structural_value():
+    a, b = CScalar(T, scos(T)), CScalar(var("t"), scos(var("t")))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: "value"}[b] == "value"
+    assert a != CScalar(T, ssin(T))
+    assert CScalar(ONE) == CScalar(ONE, ZERO) == CScalar.one()
+    assert CScalar(ONE) != (ONE, ZERO)
+    assert CScalar(ONE).__eq__((ONE, ZERO)) is NotImplemented
+    assert repr(CScalar(ONE, T)) == "CScalar(re=Scalar(1), im=Scalar(t))"
+    assert repr(CScalar()) == "CScalar(re=Scalar(0), im=Scalar(0))"
+
+
+def _random_scalar_by_choice(rng, variables):
+    """``random_scalar`` drawing its variable with ``rng.choice``."""
+    parts = [randomgen._coeff(rng)]
+    if variables:
+        v = var(str(rng.choice(list(variables))))
+        factors = [(v,), (v, v), (ssin(v),), (scos(v),)][rng.integers(0, 4)]
+        parts.append(smul(randomgen._coeff(rng), *factors))
+    return sadd(*parts)
+
+
+def test_random_scalar_draws_the_variable_of_rng_choice():
+    """Indexing the variables with ``rng.integers`` takes the same draw from
+    the stream as ``rng.choice`` over their list, so seeded data is unchanged."""
+    for variables in ((), ("t",), ("s1", "s2"), ("a", "b", "c", "d", "e")):
+        ours, ref = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(200):
+            assert randomgen.random_scalar(ours, variables) == _random_scalar_by_choice(
+                ref, variables)
+        assert ours.random() == ref.random()
 
 
 def test_symbolic_solve_rational_block(rng):

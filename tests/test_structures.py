@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from tduality.scalar import CScalar, rat, var
-from tduality.exterior import Form, wedge
+from tduality.exterior import Coframe, Form, mukai_pairing, wedge
 from tduality.bundle import BundleChart
 from tduality.courant import split_pairing_matrix
 from tduality.structures import (GeneralizedMetric, PointFrame, PureSpinor,
                                  SymTensor, annihilator_at, check_integrable,
                                  commute_at, gb_from_cplus, gcs_matrix_at,
                                  is_decomposable_at, metric_matrix_at,
-                                 mukai_norm_at, spinor_type_at, uk_spaces_at)
-from tduality.randomgen import random_metric, random_pure_spinor
+                                 mukai_norm, mukai_norm_at, spinor_type_at,
+                                 uk_spaces_at)
+from tduality.randomgen import random_form, random_metric, random_pure_spinor
 
 
 def omega_spinor(chart, *pairs):
@@ -103,6 +104,24 @@ def test_mukai_nondegeneracy_matches_annihilator_split(rng, torus_chart):
     basis = annihilator_at(degenerate, torus_chart, p)
     stacked = np.concatenate([basis, basis.conj()], axis=1)
     assert np.linalg.matrix_rank(stacked, tol=1e-8) < stacked.shape[1]
+
+
+def test_numeric_mukai_norm_is_the_evaluated_pairing(rng):
+    variables = ("q", "r")
+    for m in range(2, 7):
+        cof = Coframe(tuple(f"e{i}" for i in range(m)), ("base",) * m)
+        for _ in range(8):
+            rho = random_form(rng, cof, variables, density=0.6)
+            p = {v: float(rng.uniform(-1.0, 1.0)) for v in variables}
+            values = rho.eval_coeffs(p)
+            symbolic = mukai_pairing(rho, rho.conj()).eval_coeffs(p)
+            want = max((abs(v) for v in symbolic.values()), default=0.0)
+            got = mukai_norm_at(PureSpinor(rho), p)
+            assert got == mukai_norm(values, m)
+            if want:
+                assert abs(got - want) <= 1e-12 * want
+            else:
+                assert got <= 1e-12 * max(abs(v) for v in values.values()) ** 2
 
 
 def test_decomposability(plane_chart, point):
