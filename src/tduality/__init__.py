@@ -26,8 +26,8 @@ from .exterior import (Coframe, Form, FrameVector, clifford_act, contract,
 from .bundle import (BundleChart, DualityPair, build_dual_chart,
                      exterior_derivative, split_flux, twisted_derivative,
                      validate_chart, validate_pair)
-from .courant import (Section, b_transform, bracket_spinor_residual,
-                      courant_bracket, lift_splitting_residual, pairing)
+from .courant import (Section, b_transform, courant_bracket,
+                      lift_splitting_residual, pairing)
 from .structures import (GeneralizedMetric, PureSpinor, SymTensor,
                          annihilator_at, check_integrable, gb_from_cplus,
                          gcs_matrix_at, metric_matrix_at, spinor_type_at,

@@ -30,7 +30,7 @@ def build_parser():
     runp.add_argument("--seed", type=int, default=0, help="non-negative RNG seed (default 0)")
     runp.add_argument("--samples", type=int, default=8,
                       help="sample points per scenario (default 8); buscher-random "
-                           "checks max(16, N) random metrics and reduction-suite "
+                           "takes N entry-space points per chart and reduction-suite "
                            "max(4, N // 4) points per pair")
     runp.add_argument("--out", type=str, default=None,
                       help="report path (default <scenario>.report.jsonl)")

@@ -31,12 +31,12 @@ import numpy as np
 from .scalar import CScalar, rat
 from .exterior import (Form, FrameVector, clifford_act, contract, eval_complex,
                        eval_complex_points)
-from .bundle import exterior_derivative, twisted_derivative, form_residual
+from .bundle import exterior_derivative, form_residual
 
 __all__ = [
     "Section", "pairing", "split_pairing_matrix", "lie_bracket", "lie_derivative",
-    "courant_bracket", "b_transform", "bracket_spinor_residual",
-    "lift_splitting_residual", "section_basis", "section_residual",
+    "courant_bracket", "b_transform", "lift_splitting_residual", "section_basis",
+    "section_residual",
 ]
 
 
@@ -204,17 +204,6 @@ def b_transform(b, v):
     if not all(d == 2 for d in b.degrees()):
         raise ValueError("B must be a 2-form")
     return Section(v.x, v.xi - contract(v.x, b))
-
-
-def bracket_spinor_residual(v, w, rho, chart, points):
-    """Max-abs residual of [v,w]_H . rho = [[d_H, v], w] . rho at sample points."""
-
-    def d_h_comm(u, sigma):
-        return twisted_derivative(u.act(sigma), chart) + u.act(twisted_derivative(sigma, chart))
-
-    lhs = courant_bracket(v, w, chart).act(rho)
-    rhs = d_h_comm(v, w.act(rho)) - w.act(d_h_comm(v, rho))
-    return form_residual(lhs - rhs, chart.domain, points)
 
 
 def lift_splitting_residual(x, xi, chart, points):

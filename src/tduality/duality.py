@@ -28,14 +28,14 @@ from .scalar import (CScalar, ZERO, ONE, rat, sadd, sdiv, smul, sneg, ssub,
                      solve_linear_symbolic, sym_matrix_inverse)
 from .exterior import (Form, FrameVector, contract, eval_complex, exp_form,
                        fiber_integrate, strip_rightmost, wedge)
-from .bundle import DualityPair, form_residual
+from .bundle import DualityPair
 from .courant import Section, section_basis
 from .structures import GeneralizedMetric, PureSpinor, SymTensor
 
 __all__ = [
     "DualityPair", "dualize_form", "dualize_form_reverse", "dualize_section",
     "transform_matrix_at", "section_transform_matrix_at",
-    "compatibility_residual", "transport_spinor", "transport_metric",
+    "transport_spinor", "transport_metric",
     "buscher_rules", "split_metric", "split_two_form", "assemble_metric",
     "dual_type_at", "bihermitian_dual_at", "orientation_sign",
     "uk_transport_residual", "reverse_sign",
@@ -148,13 +148,6 @@ def section_transform_matrix_at(pair, point):
     cols = _section_columns(pair)
     vals = eval_complex([c for s in cols for c in s.coordinates()], point)
     return np.array(vals, dtype=complex).reshape(len(cols), -1).T.copy()
-
-
-def compatibility_residual(v, rho, pair, points):
-    """Max-abs residual of dualize_form(v . rho) = dualize_section(v) . dualize_form(rho)."""
-    lhs = dualize_form(v.act(rho), pair)
-    rhs = dualize_section(v, pair).act(dualize_form(rho, pair))
-    return form_residual(lhs - rhs, pair.dual.domain, points)
 
 
 def transport_spinor(spinor, pair):

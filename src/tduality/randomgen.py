@@ -8,16 +8,14 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
 from .scalar import CScalar, EvaluationError, rat, var, ssin, scos, smul, sadd
 from .exterior import Form, FrameVector, eval_complex_points, wedge
 from .courant import Section
-from .structures import GeneralizedMetric, PureSpinor, SymTensor, mukai_norm
+from .structures import PureSpinor, mukai_norm
 
 __all__ = [
     "random_scalar", "random_cscalar", "random_form", "random_section",
-    "random_metric", "random_pure_spinor",
+    "random_pure_spinor",
 ]
 
 
@@ -81,34 +79,6 @@ def random_section(rng, chart):
     for n in cof.names:
         xi = xi + Form.monomial(cof, (n,), CScalar(random_scalar(rng, variables)))
     return Section(x, xi)
-
-
-def random_metric(rng, chart, points):
-    """Random invariant positive-definite metric plus 2-form.
-
-    Built as delta + A^T A with small random A entries, so it stays positive
-    definite; positivity is asserted on the given sample points.
-    """
-    cof = chart.coframe
-    m = cof.dim
-    variables = chart.base_vars
-    a = [[random_scalar(rng, variables) for _ in range(m)] for _ in range(m)]
-    entries = {}
-    scale = rat(1, 8)
-    for i in range(m):
-        for j in range(i, m):
-            s = sadd(*[smul(scale, a[k][i], a[k][j]) for k in range(m)])
-            if i == j:
-                s = sadd(rat(1), s)
-            entries[(i, j)] = s
-    g = SymTensor(cof, entries)
-    b = random_form(rng, cof, variables, degrees=(2,), complex_coeffs=False)
-    metric = GeneralizedMetric(g, b)
-    for mat in g.eval_matrices(points):
-        w = np.linalg.eigvalsh(mat)
-        if w.min() <= 0:
-            raise AssertionError("random metric lost positivity")
-    return metric
 
 
 def random_pure_spinor(rng, chart, points):

@@ -1,9 +1,50 @@
+"""Shared fixtures, and helpers that only the tests use: the random metric
+and the Clifford-compatibility residual, kept as reference oracles beside
+the frame certificate and the generic Buscher instance that replaced them."""
 import numpy as np
 import pytest
 
-from tduality.bundle import BundleChart
+from tduality.scalar import rat, sadd, smul
+from tduality.bundle import BundleChart, form_residual
 from tduality.exterior import Form
-from tduality.duality import DualityPair
+from tduality.structures import GeneralizedMetric, SymTensor
+from tduality.duality import DualityPair, dualize_form, dualize_section
+from tduality.randomgen import random_form, random_scalar
+
+
+def random_metric(rng, chart, points):
+    """Random invariant positive-definite metric plus 2-form.
+
+    Built as delta + A^T A with small random A entries, so it stays positive
+    definite; positivity is asserted on the given sample points.
+    """
+    cof = chart.coframe
+    m = cof.dim
+    variables = chart.base_vars
+    a = [[random_scalar(rng, variables) for _ in range(m)] for _ in range(m)]
+    entries = {}
+    scale = rat(1, 8)
+    for i in range(m):
+        for j in range(i, m):
+            s = sadd(*[smul(scale, a[k][i], a[k][j]) for k in range(m)])
+            if i == j:
+                s = sadd(rat(1), s)
+            entries[(i, j)] = s
+    g = SymTensor(cof, entries)
+    b = random_form(rng, cof, variables, degrees=(2,), complex_coeffs=False)
+    metric = GeneralizedMetric(g, b)
+    for mat in g.eval_matrices(points):
+        w = np.linalg.eigvalsh(mat)
+        if w.min() <= 0:
+            raise AssertionError("random metric lost positivity")
+    return metric
+
+
+def compatibility_residual(v, rho, pair, points):
+    """Max-abs residual of dualize_form(v . rho) = dualize_section(v) . dualize_form(rho)."""
+    lhs = dualize_form(v.act(rho), pair)
+    rhs = dualize_section(v, pair).act(dualize_form(rho, pair))
+    return form_residual(lhs - rhs, pair.dual.domain, points)
 
 
 @pytest.fixture

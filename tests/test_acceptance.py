@@ -15,16 +15,16 @@ from tduality.courant import (Section, courant_bracket, pairing,
                               section_residual, split_pairing_matrix)
 from tduality.structures import (PureSpinor, check_integrable, metric_residual,
                                  spinor_type_at)
-from tduality.duality import (DualityPair, buscher_rules,
-                              compatibility_residual, dual_type_at,
+from tduality.duality import (DualityPair, buscher_rules, dual_type_at,
                               dualize_form, dualize_section, split_metric,
                               split_two_form, transport_metric,
                               transport_spinor, uk_transport_residual)
-from tduality.randomgen import (random_form, random_metric, random_pure_spinor,
-                                random_section)
+from tduality.randomgen import random_form, random_pure_spinor, random_section
 from tduality.reduction import (LiftedActionPoint, double_quotient_report,
                                 fourier_mukai_check, reduce_pointwise)
 from tduality.scenarios import twisted_rank_two_pair, load_chart, run_scenario
+
+from conftest import compatibility_residual, random_metric
 
 SEED = 20240817
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from tduality import scenarios
 from tduality.cli import main
 from tduality.report import Report
 from tduality.scenarios import SCENARIOS, load_chart, run_scenario
@@ -117,8 +118,10 @@ def test_tol_flag_removed(capsys):
 
 @pytest.mark.parametrize("samples", [1, 5])
 def test_samples_count_the_points(monkeypatch, samples):
-    """In the five point-based scenarios every set of sample points has
-    ``samples`` points; buscher-random and reduction-suite count instances."""
+    """Every set of sample points has ``samples`` points: points of the chart
+    in the five point-based scenarios, and in buscher-random points of the
+    generic metric's entry space, one set per chart and no chart points.
+    reduction-suite takes max(4, samples // 4) points per pair."""
     from tduality.scalar import Domain
     drawn = []
     real = Domain.sample_many
@@ -134,3 +137,17 @@ def test_samples_count_the_points(monkeypatch, samples):
         report = run_scenario(name, seed=1, samples=samples)
         assert drawn and set(drawn) == {samples}, name
         assert report.ok, name
+    entry = []
+    real_entry = scenarios._entry_points
+
+    def entry_spy(rng, m, n):
+        points = real_entry(rng, m, n)
+        entry.append((m, len(points)))
+        return points
+
+    monkeypatch.setattr(scenarios, "_entry_points", entry_spy)
+    drawn.clear()
+    report = run_scenario("buscher-random", seed=1, samples=samples)
+    assert entry == [(2, samples), (3, samples)]
+    assert not drawn
+    assert report.ok

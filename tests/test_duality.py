@@ -2,27 +2,27 @@ import numpy as np
 import pytest
 
 from tduality import duality
-from tduality.scalar import (CScalar, ONE, ZERO, equal_numeric, rat, sadd,
-                             scos, sdiv, smul, sneg, ssin, var)
+from tduality.scalar import (CScalar, EvaluationError, ONE, ZERO, equal_numeric,
+                             rat, sadd, scos, sdiv, smul, sneg, ssin, var)
 from tduality.exterior import Form, wedge
 from tduality.bundle import form_residual, twisted_derivative
 from tduality.courant import (Section, courant_bracket, pairing, section_basis,
                               section_residual)
-from tduality.structures import (PureSpinor, SymTensor, check_integrable,
-                                 metric_residual, spinor_type_at)
+from tduality.structures import (GeneralizedMetric, PureSpinor, SymTensor,
+                                 check_integrable, metric_residual, spinor_type_at)
 from tduality.duality import (DualityPair, assemble_metric,
-                              bihermitian_dual_at, buscher_rules,
-                              compatibility_residual, dual_type_at,
+                              bihermitian_dual_at, buscher_rules, dual_type_at,
                               dualize_form, dualize_form_reverse,
                               dualize_section, orientation_sign, reverse_sign,
                               section_transform_matrix_at,
                               split_metric, split_two_form,
                               transform_matrix_at, transport_metric,
                               transport_spinor, uk_transport_residual)
-from tduality.randomgen import (random_form, random_metric, random_pure_spinor,
-                                random_section)
+from tduality.randomgen import random_form, random_pure_spinor, random_section
 from tduality import scenarios
 from tduality.scenarios import twisted_rank_two_pair
+
+from conftest import compatibility_residual, random_metric
 
 
 # -- the form transform -------------------------------------------------------
@@ -268,6 +268,53 @@ def test_transport_matches_buscher_random(rng, hopf_pair):
         closed = buscher_rules(g0, g1, g2, b1, b2, hopf_pair)
         transported = transport_metric(met, hopf_pair)
         assert metric_residual(transported, closed, pts) <= 1e-9
+
+
+def bt_term_sign_flipped(real):
+    """The rules with the sign of the g1 ^ b1 / g0 term of bt flipped."""
+    def rules(g0, g1, g2, b1, b2, pair):
+        out = real(g0, g1, g2, b1, b2, pair)
+        cof = pair.dual.coframe
+        term = wedge(g1.map_to(cof), b1.map_to(cof)).scale(CScalar(sdiv(ONE, g0)))
+        return GeneralizedMetric(out.g, out.b - term.scale(2))
+    return rules
+
+
+def gt_with_extra_term(real):
+    """The rules with an extra 1/g0 on the first base diagonal entry of gt."""
+    def rules(g0, g1, g2, b1, b2, pair):
+        out = real(g0, g1, g2, b1, b2, pair)
+        extra = SymTensor(pair.dual.coframe, {(0, 0): sdiv(ONE, g0)})
+        return GeneralizedMetric(out.g + extra, out.b)
+    return rules
+
+
+def gt_with_base_variable(real):
+    """The rules plus sin^2 t + cos^2 t - 1 on an entry of gt: zero at every
+    base point, but not an expression in the entries of (g, b) alone."""
+    def rules(g0, g1, g2, b1, b2, pair):
+        out = real(g0, g1, g2, b1, b2, pair)
+        t = var("t")
+        zero = sadd(smul(ssin(t), ssin(t)), smul(scos(t), scos(t)), rat(-1))
+        return GeneralizedMetric(out.g + SymTensor(pair.dual.coframe, {(0, 0): zero}),
+                                 out.b)
+    return rules
+
+
+@pytest.mark.parametrize("mutant,failing", [
+    (bt_term_sign_flipped, {"transport-matches-closed-form"}),
+    (gt_with_extra_term, {"transport-matches-closed-form", "involution"}),
+])
+def test_buscher_mutant_fails_the_scenario(mutant, failing, monkeypatch):
+    monkeypatch.setattr(scenarios, "buscher_rules", mutant(buscher_rules))
+    report = scenarios.run_scenario("buscher-random", seed=0, samples=1)
+    assert {c.name for c in report.checks if not c.passed} == failing
+
+
+def test_buscher_scenario_binds_no_base_variable(monkeypatch):
+    monkeypatch.setattr(scenarios, "buscher_rules", gt_with_base_variable(buscher_rules))
+    with pytest.raises(EvaluationError, match="unbound variable 't'"):
+        scenarios.run_scenario("buscher-random", seed=0, samples=1)
 
 
 # -- type change ------------------------------------------------------------------

@@ -11,7 +11,9 @@ from tduality.structures import (GeneralizedMetric, PointFrame, PureSpinor,
                                  is_decomposable_at, metric_matrix_at,
                                  mukai_norm, mukai_norm_at, spinor_type_at,
                                  uk_spaces_at)
-from tduality.randomgen import random_form, random_metric, random_pure_spinor
+from tduality.randomgen import random_form, random_pure_spinor
+
+from conftest import random_metric
 
 
 def omega_spinor(chart, *pairs):
