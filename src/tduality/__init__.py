@@ -29,9 +29,8 @@ from .bundle import (BundleChart, DualityPair, build_dual_chart,
 from .courant import (Section, b_transform, courant_bracket,
                       lift_splitting_residual, pairing)
 from .structures import (GeneralizedMetric, PureSpinor, SymTensor,
-                         annihilator_at, check_integrable, gb_from_cplus,
-                         gcs_matrix_at, metric_matrix_at, spinor_type_at,
-                         uk_spaces_at)
+                         annihilator_at, check_integrable, gcs_matrix_at,
+                         metric_matrix_at, spinor_type_at, uk_spaces_at)
 from .duality import (buscher_rules, dual_type_at, dualize_form,
                       dualize_section, transport_metric, transport_spinor,
                       uk_transport_residual)

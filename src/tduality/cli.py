@@ -8,9 +8,9 @@ per check to the output path.  Each check owns its tolerance: a measured
 check records its residual and the tolerance it was compared with, and a
 pass/fail check records both as null.  Exit status is zero exactly when every
 check passes, one when a check fails, and two for a usage error (an unknown
-scenario, a negative ``--seed`` or ``--samples`` below 1), which writes no
-report.  Reports are
-bit-identical across runs with the same seed and flags.
+scenario, a negative ``--seed``, ``--samples`` below 1 or an ``--out`` whose
+directory does not exist), which runs nothing and writes no report.  Reports
+are bit-identical across runs with the same seed and flags.
 """
 from __future__ import annotations
 
@@ -64,8 +64,11 @@ def main(argv=None):
     if args.samples < 1:
         print(f"samples must be at least 1, got {args.samples}", file=sys.stderr)
         return 2
-    report = run_scenario(args.scenario, seed=args.seed, samples=args.samples)
     out_path = Path(args.out) if args.out else Path(f"{args.scenario}.report.jsonl")
+    if not out_path.parent.is_dir():
+        print(f"output directory {out_path.parent} does not exist", file=sys.stderr)
+        return 2
+    report = run_scenario(args.scenario, seed=args.seed, samples=args.samples)
     out_path.write_text(report.to_jsonl())
     print(report.summary_table())
     print(f"report written to {out_path}")

@@ -29,14 +29,12 @@ from __future__ import annotations
 import numpy as np
 
 from .scalar import CScalar, rat
-from .exterior import (Form, FrameVector, clifford_act, contract, eval_complex,
-                       eval_complex_points)
+from .exterior import Form, FrameVector, clifford_act, contract, eval_complex
 from .bundle import exterior_derivative, form_residual
 
 __all__ = [
     "Section", "pairing", "split_pairing_matrix", "lie_bracket", "lie_derivative",
     "courant_bracket", "b_transform", "lift_splitting_residual", "section_basis",
-    "section_residual",
 ]
 
 
@@ -142,13 +140,6 @@ def split_pairing_matrix(m):
     out = np.zeros((2 * m, 2 * m))
     out[:m, m:] = out[m:, :m] = 0.5 * np.eye(m)
     return out
-
-
-def section_residual(s, points):
-    """Max over points of the largest absolute component of a section."""
-    comps = eval_complex_points(s.coordinates(), points)
-    return max((float(np.abs(np.array(zs, dtype=complex)).max()) for zs in zip(*comps)),
-               default=0.0)
 
 
 def lie_bracket(x, y, chart):

@@ -30,7 +30,7 @@ from .exterior import (Form, FrameVector, contract, eval_complex, exp_form,
                        fiber_integrate, strip_rightmost, wedge)
 from .bundle import DualityPair
 from .courant import Section, section_basis
-from .structures import GeneralizedMetric, PureSpinor, SymTensor
+from .structures import GeneralizedMetric, PointFrame, PureSpinor, SymTensor
 
 __all__ = [
     "DualityPair", "dualize_form", "dualize_form_reverse", "dualize_section",
@@ -374,22 +374,13 @@ def bihermitian_dual_at(i_matrix, metric, chart, point, side):
 
 
 def orientation_sign(j_matrix):
-    """Orientation induced by an almost complex structure: sign of det of a
-    basis (v1, J v1, v2, J v2, ...) built greedily."""
+    """Orientation induced by an almost complex structure J: the sign of
+    det(u1, J u1, ..., un, J un), where the uk are the real parts of a basis
+    of the +i eigenspace of J, so that (u1, ..., un) is a complex basis."""
     j = np.asarray(j_matrix, dtype=float)
-    m = j.shape[0]
-    cols = []
-    for i in range(m):
-        v = np.zeros(m)
-        v[i] = 1.0
-        test = cols + [v, j @ v]
-        a = np.stack(test, axis=1)
-        if np.linalg.matrix_rank(a, tol=1e-10) == len(test):
-            cols = test
-        if len(cols) == m:
-            break
-    det = np.linalg.det(np.stack(cols, axis=1))
-    return 1 if det > 0 else -1
+    u = PointFrame.nullspace(j - 1j * np.eye(len(j))).real
+    basis = np.stack([u, j @ u], axis=2).reshape(len(j), -1)
+    return 1 if np.linalg.det(basis) > 0 else -1
 
 
 # -- eigenspace-ladder transport ------------------------------------------------------------

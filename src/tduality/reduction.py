@@ -7,6 +7,11 @@ generalized tangent space of the correspondence inside the product, and the
 two equivalent duality criteria for pointwise structures (invariance of that
 tangent space under the product structure, and conjugation of the structure
 endomorphisms by the section transform).
+
+The product space M x Mt has coordinates (TM, TMt, T*M, T*Mt), each factor in
+its own coframe order.  The correspondence's generalized tangent space is a
+kernel, tau_F = {(E x, xi) : E^T xi = i_x F}, with E the embedding of the
+correspondence's generators into TM + TMt read off their names.
 """
 from __future__ import annotations
 
@@ -16,10 +21,10 @@ import numpy as np
 
 from .scalar import evaluate
 from .exterior import Form, FrameVector, contract, eval_complex_points
-from .bundle import base_generator
 from .courant import Section, pairing, split_pairing_matrix
 from .duality import section_transform_matrix_at
-from .structures import RANK_TOL, PointFrame, gcs_matrix_at, two_form_matrix_at
+from .structures import (RANK_TOL, PointFrame, _rank, gcs_matrix_at,
+                         two_form_matrix_at)
 
 __all__ = [
     "LiftedActionPoint", "ReducedSpace", "reduce_pointwise",
@@ -63,7 +68,8 @@ class ReducedSpace:
 
 
 def _intersect(a, b):
-    """Orthonormal basis of span(a) intersect span(b)."""
+    """Orthonormal basis of span(a) intersect span(b); a and b need only
+    span, their columns may be dependent."""
     null = PointFrame.nullspace(np.concatenate([a, -b], axis=1))
     return PointFrame.orthonormal_span(a @ null[:a.shape[1]])
 
@@ -77,8 +83,7 @@ def reduce_pointwise(action):
     g = action.pairing
     k = action.generators
     perp = PointFrame.nullspace(k.T @ g)
-    k_orth = np.linalg.qr(k)[0] if k.shape[1] else k
-    radical = _intersect(k_orth, perp)
+    radical = _intersect(k, perp)
     # quotient representatives: complement of the radical inside K-perp
     if radical.shape[1]:
         coords = radical.conj().T @ perp    # radical expressed against perp basis
@@ -154,127 +159,58 @@ def double_quotient_report(pair, point):
     split_ok = sig[:2] == (k, k)
     perp = PointFrame.nullspace(kk.T @ g_total)
 
-    fiber_idx = [total_cof.index(n) for n in pair.chart.fiber_names]
-    cofiber_idx = [total_cof.index(n) for n in pair.dual.fiber_names]
-
-    def project(vectors, drop_vec_idx, keep_idx):
-        """Drop the given vector components; keep the listed slots (vector
-        then covector) as the target-side section coordinates."""
-        out = []
-        for col in range(vectors.shape[1]):
-            v = vectors[:, col]
-            for i in drop_vec_idx:
-                if abs(v[mt + i]) > 1e-7:
-                    raise AssertionError("covector leg survived where it must vanish")
-            out.append(np.concatenate([v[keep_idx], v[[mt + i for i in keep_idx]]]))
-        return np.stack(out, axis=1)
-
-    # route onto the first factor: perp already has no cofiber covector legs
-    keep_m = [i for i in range(mt) if i not in cofiber_idx]
-    mapped_m = project(perp, cofiber_idx, keep_m)
-    g_m = split_pairing_matrix(len(keep_m))
-    defect_m = float(np.abs(mapped_m.T @ g_m @ mapped_m - perp.T @ g_total @ perp).max())
-    rank_m = np.linalg.matrix_rank(mapped_m, tol=1e-9) == 2 * len(keep_m)
-
-    # route onto the second factor: shear by F so the first-factor lift
-    # becomes tangent, then drop its fiber components
-    f_mat = two_form_matrix_at(pair.F, point)
+    # onto the first factor: perp already has no cofiber covector legs;
+    # onto the second: shear by F so the first-factor lift becomes tangent
     shear = np.eye(2 * mt)
-    shear[mt:, :mt] += f_mat.T
-    sheared = shear @ perp
-    keep_t = [i for i in range(mt) if i not in fiber_idx]
-    mapped_t = project(sheared, fiber_idx, keep_t)
-    g_t = split_pairing_matrix(len(keep_t))
-    defect_t = float(np.abs(mapped_t.T @ g_t @ mapped_t - perp.T @ g_total @ perp).max())
-    rank_t = np.linalg.matrix_rank(mapped_t, tol=1e-9) == 2 * len(keep_t)
+    shear[mt:, :mt] += two_form_matrix_at(pair.F, point).T
+    routes = ((pair.dual.fiber_names, perp), (pair.chart.fiber_names, shear @ perp))
+    g_perp = perp.T @ g_total @ perp
+    defects, rank_ok = [], True
+    for dropped, vectors in routes:
+        drop = [total_cof.index(n) for n in dropped]
+        if (np.abs(vectors[[mt + i for i in drop]]) > 1e-7).any():
+            raise AssertionError("covector leg survived where it must vanish")
+        keep = [i for i in range(mt) if i not in drop]
+        mapped = vectors[keep + [mt + i for i in keep]]
+        g_side = split_pairing_matrix(len(keep))
+        defects.append(float(np.abs(mapped.T @ g_side @ mapped - g_perp).max()))
+        rank_ok = rank_ok and _rank(np.linalg.svd(mapped, compute_uv=False)) == 2 * len(keep)
 
     return ReductionReport(iso_k, iso_kt, bool(split_ok), float(np.linalg.det(gram)),
-                           defect_m, defect_t, bool(rank_m and rank_t))
+                           defects[0], defects[1], rank_ok)
 
 
 # -- generalized tangent space of the correspondence inside the product -----------------
 
-def _product_layout(pair):
-    m = pair.chart.coframe.dim
-    mt = pair.dual.coframe.dim
-    return m, mt, 2 * (m + mt)
-
-
 def generalized_tangent_basis(pair, point, f_scale=1.0):
-    """Basis of tau_F = {X + xi : X tangent to the correspondence,
-    xi restricting there to i_X F} inside the product space.
+    """Orthonormal basis of tau_F = {(E x, xi) : E^T xi = A^T x} inside the
+    product space, where A^T x = i_x F for F scaled by ``f_scale``.
 
-    Product coordinates: (TM, TMt, T*M, T*Mt) with M's base frame first.
-    The base diagonal realizes the fiber product; covectors annihilating it
-    are added as the pure-covector part of the space.
+    E embeds the correspondence's generators into TM + TMt by name, so a
+    base generator lands in both factors; E^T xi is the pullback of the
+    product covector xi.  tau_F is the image of the kernel of [-A^T | E^T]
+    under diag(E, 1).
     """
-    cof_m = pair.chart.coframe
-    cof_t = pair.dual.coframe
-    total_cof = pair.total.coframe
-    m, mt, dim = _product_layout(pair)
-    n = m + mt
-    f_mat = f_scale * two_form_matrix_at(pair.F, point)
-    base_idx_m = [cof_m.index(base_generator(v)) for v in pair.chart.base_vars]
-    base_idx_t = [cof_t.index(base_generator(v)) for v in pair.dual.base_vars]
-    total_of_m = [total_cof.index(nm) for nm in cof_m.names]
-    total_of_t = [total_cof.index(nm) for nm in cof_t.names]
-
-    basis = []
-    # tangent directions of the fiber product with their F-images
-    tangent_dirs = []
-    for a, v in enumerate(pair.chart.base_vars):
-        vec = np.zeros(dim)
-        vec[base_idx_m[a]] = 1.0
-        vec[m + base_idx_t[a]] = 1.0
-        lift = np.zeros(total_cof.dim)
-        lift[total_cof.index(base_generator(v))] = 1.0
-        tangent_dirs.append((vec, lift))
-    for nm in pair.chart.fiber_names:
-        vec = np.zeros(dim)
-        vec[cof_m.index(nm)] = 1.0
-        lift = np.zeros(total_cof.dim)
-        lift[total_cof.index(nm)] = 1.0
-        tangent_dirs.append((vec, lift))
-    for nm in pair.dual.fiber_names:
-        vec = np.zeros(dim)
-        vec[m + cof_t.index(nm)] = 1.0
-        lift = np.zeros(total_cof.dim)
-        lift[total_cof.index(nm)] = 1.0
-        tangent_dirs.append((vec, lift))
-    for vec, lift in tangent_dirs:
-        ixf = lift @ f_mat               # 1-form on the correspondence coframe
-        covec = np.zeros(dim)
-        for i, nm in enumerate(cof_m.names):
-            covec[n + i] += ixf[total_of_m[i]]
-        for j, nm in enumerate(cof_t.names):
-            if total_cof.tags[total_of_t[j]] != "base":
-                covec[n + m + j] += ixf[total_of_t[j]]
-        basis.append(vec + covec)
-    # annihilator of the diagonal: dx_M - dx_Mt
-    for a in range(len(base_idx_m)):
-        covec = np.zeros(dim)
-        covec[n + base_idx_m[a]] = 1.0
-        covec[n + m + base_idx_t[a]] = -1.0
-        basis.append(covec)
-    return np.stack(basis, axis=1)
+    names = pair.chart.coframe.names + pair.dual.coframe.names
+    e = np.array([[float(a == b) for b in pair.total.coframe.names] for a in names])
+    a = f_scale * two_form_matrix_at(pair.F, point)
+    kernel = PointFrame.nullspace(np.concatenate([-a.T, e.T], axis=1))
+    x, xi = kernel[:e.shape[1]], kernel[e.shape[1]:]
+    return PointFrame.orthonormal_span(np.concatenate([e @ x, xi]))
 
 
-def tau_side_basis(pair):
-    """T M + T* M of the first factor inside the product coordinates."""
-    m, mt, dim = _product_layout(pair)
-    cols = [np.zeros(dim) for _ in range(2 * m)]
-    for i in range(m):
-        cols[i][i] = 1.0
-        cols[m + i][m + mt + i] = 1.0
-    return np.stack(cols, axis=1)
+def _first_factor(pair):
+    """Product coordinates (TM, TMt, T*M, T*Mt) of the first factor's TM + T*M."""
+    m = pair.chart.coframe.dim
+    n = m + pair.dual.coframe.dim
+    return list(range(m)) + list(range(n, n + m))
 
 
 def transversality_check(pair, point, f_scale=1.0):
     """tau_F meets TM + T*M trivially iff the fiber block of F is invertible;
     both sides are computed independently and returned."""
     tf = generalized_tangent_basis(pair, point, f_scale)
-    tm = tau_side_basis(pair)
-    inter = _intersect(np.linalg.qr(tf)[0], tm)
+    inter = _intersect(tf, np.eye(tf.shape[0])[:, _first_factor(pair)])
     transversal = inter.shape[1] == 0
     mat = np.array([[evaluate(e, point) for e in row] for row in pair.fiber_block()])
     block_invertible = abs(np.linalg.det(f_scale * mat)) > RANK_TOL
@@ -292,17 +228,15 @@ def fourier_mukai_check(spinor_m, spinor_t, pair, point):
     """
     j_m = gcs_matrix_at(spinor_m, pair.chart, point)
     j_t = gcs_matrix_at(spinor_t, pair.dual, point)
-    m, mt, dim = _product_layout(pair)
-    n = m + mt
+    mt = pair.dual.coframe.dim
     c = np.diag([1.0] * mt + [-1.0] * mt)
-    j_t_conj = c @ j_t @ c
-    # assemble the product structure in (TM, TMt, T*M, T*Mt) coordinates
-    big = np.zeros((dim, dim))
-    idx_m = list(range(m)) + list(range(n, n + m))
-    idx_t = list(range(m, m + mt)) + list(range(n + m, n + m + mt))
+    tf = generalized_tangent_basis(pair, point)
+    # the product structure in (TM, TMt, T*M, T*Mt) coordinates
+    idx_m = _first_factor(pair)
+    idx_t = [i for i in range(tf.shape[0]) if i not in idx_m]
+    big = np.zeros((tf.shape[0], tf.shape[0]))
     big[np.ix_(idx_m, idx_m)] = j_m
-    big[np.ix_(idx_t, idx_t)] = j_t_conj
-    tf = np.linalg.qr(generalized_tangent_basis(pair, point))[0]
+    big[np.ix_(idx_t, idx_t)] = c @ j_t @ c
     proj = tf @ tf.conj().T
     image = big @ tf
     defect1 = float(np.abs(image - proj @ image).max())

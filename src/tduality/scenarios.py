@@ -29,7 +29,7 @@ from .bundle import (BundleChart, build_dual_chart, chart_from_text,
                      split_flux)
 from .courant import lift_splitting_residual, split_pairing_matrix
 from .structures import (GeneralizedMetric, PureSpinor, SymTensor,
-                         check_integrable, commute_at, gcs_matrix_at,
+                         check_integrable, gcs_matrix_at,
                          is_decomposable_at, metric_matrix_at, metric_residual,
                          mukai_norm_at, spinor_type_at)
 from .duality import (DualityPair, assemble_metric, bihermitian_dual_at,
@@ -438,9 +438,9 @@ def scenario_gibbons_hawking(seed, samples):
                             b_total)
     worst = 0.0
     for p in points[:3]:
-        worst = max(worst, commute_at(sp1, sp2, chart, p))
         j1 = gcs_matrix_at(sp1, chart, p)
         j2 = gcs_matrix_at(sp2, chart, p)
+        worst = max(worst, float(np.abs(j1 @ j2 - j2 @ j1).max()))
         g_endo = -j1 @ j2
         worst = max(worst, float(np.abs(g_endo - metric_matrix_at(met, p)).max()))
     report.add("kahler-pair",

@@ -23,8 +23,8 @@ from .courant import Section
 __all__ = [
     "PureSpinor", "GeneralizedMetric", "SymTensor", "PointFrame",
     "annihilator_at", "spinor_type_at", "check_integrable", "IntegrabilityResult",
-    "gcs_matrix_at", "metric_matrix_at", "two_form_matrix_at", "gb_from_cplus",
-    "uk_spaces_at", "mukai_norm_at", "mukai_norm", "is_decomposable_at", "commute_at",
+    "gcs_matrix_at", "metric_matrix_at", "two_form_matrix_at",
+    "uk_spaces_at", "mukai_norm_at", "mukai_norm", "is_decomposable_at",
     "metric_residual", "RANK_TOL",
 ]
 
@@ -277,35 +277,21 @@ def spinor_type_at(spinor, point):
 
 
 def is_decomposable_at(form, point):
-    """Pluecker test of the lowest degree component at the point."""
+    """Pluecker test of the lowest degree component at the point: a nonzero
+    p-form is decomposable iff the 1-forms xi with xi ^ rho = 0 span p
+    dimensions (they never span more)."""
     coeffs = form.eval_coeffs(point)
     degs = {bin(m).count("1") for m, v in coeffs.items() if abs(v) > 0}
     if not degs:
         return True
     degree = min(degs)
-    m = form.coframe.dim
     fr = PointFrame(form.coframe)
     vec = np.zeros(fr.nforms, dtype=complex)
     for mask, v in coeffs.items():
         if bin(mask).count("1") == degree:
             vec[mask] = v
-    scale = np.abs(vec).max()
-    if scale == 0.0 or degree <= 1:
-        return True
-    vec = vec / scale
-    # contract by all (degree-1)-fold products of frame vectors, wedge back
-    for combo in itertools.combinations(range(m), degree - 1):
-        w = vec
-        for i in combo:
-            w = fr._contract[i] @ w
-        # w is a 1-form component; decomposability needs w ^ vec = 0
-        out = np.zeros(fr.nforms, dtype=complex)
-        for i in range(m):
-            if w[1 << i] != 0:
-                out = out + w[1 << i] * (fr._wedge[i] @ vec)
-        if np.abs(out).max() > RANK_TOL:
-            return False
-    return True
+    wedges = np.stack([w @ vec for w in fr._wedge], axis=1)
+    return fr.nullspace(wedges).shape[1] == degree
 
 
 @dataclass
@@ -346,7 +332,7 @@ def gcs_matrix_at(spinor, chart, point):
     if l_basis.shape[1] != n:
         raise ValueError(f"annihilator has dimension {l_basis.shape[1]}, expected {n}")
     b = np.concatenate([l_basis, l_basis.conj()], axis=1)
-    if np.linalg.matrix_rank(b, tol=RANK_TOL) < 2 * n:
+    if _rank(np.linalg.svd(b, compute_uv=False)) < 2 * n:
         raise ValueError("annihilator meets its conjugate: no almost complex structure")
     d = np.diag([1j] * n + [-1j] * n)
     j = b @ d @ np.linalg.inv(b)
@@ -395,19 +381,6 @@ def metric_residual(a, b, points):
                            for x, y in zip(va, vb)), default=0.0))
 
 
-def gb_from_cplus(basis):
-    """Recover (g, b) from a numeric basis (2m x m) of the graph of b+g."""
-    two_m, m = basis.shape
-    if two_m != 2 * m:
-        raise ValueError("graph basis must be 2m x m")
-    v = basis[:m]
-    w = basis[m:]
-    if abs(np.linalg.det(v)) < RANK_TOL:
-        raise ValueError("subspace is not a graph over the tangent space")
-    a = w @ np.linalg.inv(v)
-    return (a + a.T) / 2, (a - a.T) / 2
-
-
 def uk_spaces_at(spinor, chart, point):
     """Eigenspace ladder of forms at a point: U_n down to U_{-n}.
 
@@ -443,10 +416,3 @@ def uk_spaces_at(spinor, chart, point):
         raise ValueError("eigenspace dimensions do not exhaust the form space")
     return out
 
-
-def commute_at(spinor1, spinor2, chart, point):
-    """Commutator norm of the two structures at a point (generalized
-    Hermitian pairs commute)."""
-    j1 = gcs_matrix_at(spinor1, chart, point)
-    j2 = gcs_matrix_at(spinor2, chart, point)
-    return float(np.abs(j1 @ j2 - j2 @ j1).max())

@@ -1,12 +1,13 @@
 """Shared fixtures, and helpers that only the tests use: the random metric
 and the Clifford-compatibility residual, kept as reference oracles beside
-the frame certificate and the generic Buscher instance that replaced them."""
+the frame certificate and the generic Buscher instance that replaced them,
+and the componentwise residual of a section."""
 import numpy as np
 import pytest
 
 from tduality.scalar import rat, sadd, smul
 from tduality.bundle import BundleChart, form_residual
-from tduality.exterior import Form
+from tduality.exterior import Form, eval_complex_points
 from tduality.structures import GeneralizedMetric, SymTensor
 from tduality.duality import DualityPair, dualize_form, dualize_section
 from tduality.randomgen import random_form, random_scalar
@@ -45,6 +46,13 @@ def compatibility_residual(v, rho, pair, points):
     lhs = dualize_form(v.act(rho), pair)
     rhs = dualize_section(v, pair).act(dualize_form(rho, pair))
     return form_residual(lhs - rhs, pair.dual.domain, points)
+
+
+def section_residual(s, points):
+    """Max over points of the largest absolute component of a section."""
+    comps = eval_complex_points(s.coordinates(), points)
+    return max((float(np.abs(np.array(zs, dtype=complex)).max()) for zs in zip(*comps)),
+               default=0.0)
 
 
 @pytest.fixture

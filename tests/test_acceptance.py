@@ -11,8 +11,7 @@ from tduality.scalar import (CScalar, Domain, ONE, ZERO, equal_numeric, rat,
 from tduality.exterior import (Coframe, Form, FrameVector, exp_form,
                                mukai_pairing, wedge)
 from tduality.bundle import BundleChart, form_residual, twisted_derivative
-from tduality.courant import (Section, courant_bracket, pairing,
-                              section_residual, split_pairing_matrix)
+from tduality.courant import Section, courant_bracket, pairing, split_pairing_matrix
 from tduality.structures import (PureSpinor, check_integrable, metric_residual,
                                  spinor_type_at)
 from tduality.duality import (DualityPair, buscher_rules, dual_type_at,
@@ -24,7 +23,7 @@ from tduality.reduction import (LiftedActionPoint, double_quotient_report,
                                 fourier_mukai_check, reduce_pointwise)
 from tduality.scenarios import twisted_rank_two_pair, load_chart, run_scenario
 
-from conftest import compatibility_residual, random_metric
+from conftest import compatibility_residual, random_metric, section_residual
 
 SEED = 20240817
 

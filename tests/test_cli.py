@@ -108,6 +108,15 @@ def test_negative_seed_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_out_directory_must_exist(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr("tduality.cli.run_scenario", lambda *a, **k: ran.append(a))
+    out = tmp_path / "missing" / "r.jsonl"
+    assert main(["run", "s3-selfdual", "--out", str(out)]) == 2
+    assert f"output directory {out.parent} does not exist" in capsys.readouterr().err
+    assert not ran and not out.parent.exists()
+
+
 def test_tol_flag_removed(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "s3-hopf", "--tol", "1"])

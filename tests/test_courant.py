@@ -9,9 +9,11 @@ from tduality.bundle import (BundleChart, build_dual_chart, exterior_derivative,
                              form_residual, twisted_derivative)
 from tduality.courant import (Section, b_transform, courant_bracket,
                               lift_splitting_residual, lie_bracket, lie_derivative,
-                              pairing, section_residual, split_pairing_matrix)
+                              pairing, split_pairing_matrix)
 from tduality.randomgen import random_form, random_scalar, random_section
 from tduality.scenarios import load_chart
+
+from conftest import section_residual
 
 
 def test_pairing_values(plane_chart):

@@ -6,8 +6,7 @@ from tduality.scalar import (CScalar, EvaluationError, ONE, ZERO, equal_numeric,
                              rat, sadd, scos, sdiv, smul, sneg, ssin, var)
 from tduality.exterior import Form, wedge
 from tduality.bundle import form_residual, twisted_derivative
-from tduality.courant import (Section, courant_bracket, pairing, section_basis,
-                              section_residual)
+from tduality.courant import Section, courant_bracket, pairing, section_basis
 from tduality.structures import (GeneralizedMetric, PureSpinor, SymTensor,
                                  check_integrable, metric_residual, spinor_type_at)
 from tduality.duality import (DualityPair, assemble_metric,
@@ -22,7 +21,7 @@ from tduality.randomgen import random_form, random_pure_spinor, random_section
 from tduality import scenarios
 from tduality.scenarios import twisted_rank_two_pair
 
-from conftest import compatibility_residual, random_metric
+from conftest import compatibility_residual, random_metric, section_residual
 
 
 # -- the form transform -------------------------------------------------------
@@ -460,6 +459,37 @@ def test_bihermitian_transport_properties(rng, circle_chart):
     minus = bihermitian_dual_at(i_mat, met, chart, p, -1)
     assert orientation_sign(plus) == orientation_sign(i_mat)
     assert orientation_sign(minus) == -orientation_sign(i_mat)
+
+
+# The orientation as it was first written, kept as the reference: a basis
+# (v1, J v1, v2, J v2, ...) built greedily from the standard basis.
+def _reference_orientation_sign(j_matrix):
+    j = np.asarray(j_matrix, dtype=float)
+    m = j.shape[0]
+    cols = []
+    for i in range(m):
+        v = np.zeros(m)
+        v[i] = 1.0
+        test = cols + [v, j @ v]
+        if np.linalg.matrix_rank(np.stack(test, axis=1), tol=1e-10) == len(test):
+            cols = test
+        if len(cols) == m:
+            break
+    return 1 if np.linalg.det(np.stack(cols, axis=1)) > 0 else -1
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_orientation_matches_the_reference(rng, m):
+    """J = A J0 A^-1 induces the orientation of J0 times sign det A; J0 and
+    -J0 cover both orientations when m / 2 is odd, and the sign of A does
+    for every m."""
+    j0 = np.kron(np.eye(m // 2), np.array([[0.0, -1.0], [1.0, 0.0]]))
+    for trial in range(200):
+        a = rng.standard_normal((m, m))
+        base = j0 if trial % 2 else -j0
+        j = a @ base @ np.linalg.inv(a)
+        want = int(np.sign(np.linalg.det(a))) * (1 if trial % 2 else (-1) ** (m // 2))
+        assert orientation_sign(j) == _reference_orientation_sign(j) == want
 
 
 def test_bihermitian_unit_fiber_identification(circle_chart):

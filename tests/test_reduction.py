@@ -3,8 +3,9 @@ import pytest
 
 from tduality.scalar import CScalar, rat, var
 from tduality.exterior import Form
+from tduality.bundle import base_generator, standard_correspondence_flux
 from tduality.courant import split_pairing_matrix
-from tduality.structures import PureSpinor
+from tduality.structures import PureSpinor, two_form_matrix_at
 from tduality.duality import DualityPair, transport_spinor
 from tduality.randomgen import random_pure_spinor, random_section
 from tduality.reduction import (LiftedActionPoint, double_quotient_report,
@@ -217,3 +218,73 @@ def test_pairing_constant_check_nonconstant_sections():
         mats.append(vecs.T @ g @ vecs)
     stack = np.stack(mats)
     assert spread == pytest.approx(np.abs(stack - stack.mean(axis=0)).max(), rel=1e-12)
+
+
+# The tangent space as it was first written, kept as the reference: tangent
+# directions of the fiber product in three loops, each with the covector
+# i_X F spread over the two factors, plus the annihilator of the diagonal.
+def _reference_tangent_basis(pair, point, f_scale=1.0):
+    cof_m = pair.chart.coframe
+    cof_t = pair.dual.coframe
+    total_cof = pair.total.coframe
+    m, mt = cof_m.dim, cof_t.dim
+    n = m + mt
+    dim = 2 * n
+    f_mat = f_scale * two_form_matrix_at(pair.F, point)
+    base_idx_m = [cof_m.index(base_generator(v)) for v in pair.chart.base_vars]
+    base_idx_t = [cof_t.index(base_generator(v)) for v in pair.dual.base_vars]
+    total_of_m = [total_cof.index(nm) for nm in cof_m.names]
+    total_of_t = [total_cof.index(nm) for nm in cof_t.names]
+    tangent_dirs = []
+    for a, v in enumerate(pair.chart.base_vars):
+        vec = np.zeros(dim)
+        vec[base_idx_m[a]] = 1.0
+        vec[m + base_idx_t[a]] = 1.0
+        lift = np.zeros(total_cof.dim)
+        lift[total_cof.index(base_generator(v))] = 1.0
+        tangent_dirs.append((vec, lift))
+    for nm in pair.chart.fiber_names:
+        vec = np.zeros(dim)
+        vec[cof_m.index(nm)] = 1.0
+        lift = np.zeros(total_cof.dim)
+        lift[total_cof.index(nm)] = 1.0
+        tangent_dirs.append((vec, lift))
+    for nm in pair.dual.fiber_names:
+        vec = np.zeros(dim)
+        vec[m + cof_t.index(nm)] = 1.0
+        lift = np.zeros(total_cof.dim)
+        lift[total_cof.index(nm)] = 1.0
+        tangent_dirs.append((vec, lift))
+    basis = []
+    for vec, lift in tangent_dirs:
+        ixf = lift @ f_mat
+        covec = np.zeros(dim)
+        for i in range(m):
+            covec[n + i] += ixf[total_of_m[i]]
+        for j in range(mt):
+            if total_cof.tags[total_of_t[j]] != "base":
+                covec[n + m + j] += ixf[total_of_t[j]]
+        basis.append(vec + covec)
+    for a in range(len(base_idx_m)):
+        covec = np.zeros(dim)
+        covec[n + base_idx_m[a]] = 1.0
+        covec[n + m + base_idx_t[a]] = -1.0
+        basis.append(covec)
+    return np.stack(basis, axis=1)
+
+
+def test_tangent_basis_matches_the_reference(rng, hopf_pair, circle_pair, torus_pair):
+    def doubled(cof, chart, dual):
+        return standard_correspondence_flux(cof, chart, dual).scale(rat(2))
+
+    pairs = (hopf_pair, circle_pair, torus_pair,
+             DualityPair.from_chart(load_chart("t2_twisted.cfg")), twisted_rank_two_pair(),
+             DualityPair.from_charts(hopf_pair.chart, hopf_pair.dual, doubled))
+    for pair in pairs:
+        for p in pair.chart.domain.sample_many(rng, 2):
+            for f_scale in (0.0, 1.0, float(rng.uniform(0.3, 2.5))):
+                basis = generalized_tangent_basis(pair, p, f_scale)
+                assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max() <= 1e-12
+                ref = np.linalg.qr(_reference_tangent_basis(pair, p, f_scale))[0]
+                assert basis.shape == ref.shape
+                assert np.abs(basis @ basis.T - ref @ ref.T).max() <= 1e-12

@@ -8,6 +8,8 @@ signature ``DualityPair.from_charts`` dictates.
 
 Tolerances belong to the checks that compare against them: ``Report.add``
 carries each check's own tolerance, and no other function takes a ``tol``.
+Numerical rank has one rule, ``structures._rank`` (relative to the largest
+singular value), so nothing in the package calls ``matrix_rank``.
 """
 import ast
 from pathlib import Path
@@ -57,3 +59,15 @@ def test_only_report_add_takes_tol():
     takes_tol = [(module, node.name) for module, node in _functions()
                  if any(p.arg == "tol" for p in _parameters(node))]
     assert takes_tol == [("report", "add")]
+
+
+def test_one_rank_rule():
+    """No attribute, name, import or definition called ``matrix_rank``."""
+    calls = []
+    for path in sorted(Path(tduality.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (getattr(node, "attr", None) or getattr(node, "id", None)
+                    or getattr(node, "name", None))
+            if name == "matrix_rank":
+                calls.append((path.stem, node.lineno))
+    assert calls == []

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,7 @@ from tduality.bundle import BundleChart
 from tduality.courant import split_pairing_matrix
 from tduality.structures import (GeneralizedMetric, PointFrame, PureSpinor,
                                  SymTensor, annihilator_at, check_integrable,
-                                 commute_at, gb_from_cplus, gcs_matrix_at,
-                                 is_decomposable_at, metric_matrix_at,
+                                 gcs_matrix_at, is_decomposable_at, metric_matrix_at,
                                  mukai_norm, mukai_norm_at, spinor_type_at,
                                  uk_spaces_at)
 from tduality.randomgen import random_form, random_pure_spinor
@@ -140,6 +141,59 @@ def test_decomposability(plane_chart, point):
     assert not is_decomposable_at(sympl, p4)
 
 
+# The Pluecker test as it was first written, kept as the reference: every
+# (p-1)-fold contraction w of the lowest component rho must satisfy w ^ rho = 0.
+def _reference_is_decomposable(form, point):
+    coeffs = form.eval_coeffs(point)
+    degs = {bin(m).count("1") for m, v in coeffs.items() if abs(v) > 0}
+    if not degs:
+        return True
+    degree = min(degs)
+    m = form.coframe.dim
+    fr = PointFrame(form.coframe)
+    vec = np.zeros(fr.nforms, dtype=complex)
+    for mask, v in coeffs.items():
+        if bin(mask).count("1") == degree:
+            vec[mask] = v
+    scale = np.abs(vec).max()
+    if scale == 0.0 or degree <= 1:
+        return True
+    vec = vec / scale
+    for combo in itertools.combinations(range(m), degree - 1):
+        w = vec
+        for i in combo:
+            w = fr._contract[i] @ w
+        out = np.zeros(fr.nforms, dtype=complex)
+        for i in range(m):
+            if w[1 << i] != 0:
+                out = out + w[1 << i] * (fr._wedge[i] @ vec)
+        if np.abs(out).max() > 1e-8:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("m", [4, 6])
+@pytest.mark.parametrize("p", [2, 3])
+def test_decomposability_matches_the_reference(rng, m, p):
+    """Wedges of p random 1-forms are decomposable; a random p-form is not,
+    unless p = m - 1, where every p-form is."""
+    chart = BundleChart.build("flat", [(f"x{i}", -1, 1) for i in range(m)], [])
+    cof = chart.coframe
+    point = chart.domain.sample_many(rng, 1)[0]
+
+    def draw(degree):
+        return random_form(rng, cof, chart.base_vars, degrees=(degree,), density=1.0)
+
+    for _ in range(10):
+        wedged = Form.scalar(cof, 1)
+        for _ in range(p):
+            wedged = wedge(wedged, draw(1))
+        generic = draw(p)
+        for test in (is_decomposable_at, _reference_is_decomposable):
+            assert test(wedged, point)
+            assert test(generic, point) == (p == m - 1)
+
+
 def test_integrability_closed_symplectic(plane_chart, rng):
     pts = plane_chart.domain.sample_many(rng, 4)
     sp = omega_spinor(plane_chart, ("dx", "dy"))
@@ -218,19 +272,6 @@ def test_metric_matrix_properties(rng, hopf_chart):
     assert np.linalg.eigvalsh((quad + quad.T) / 2).min() > 0
 
 
-def test_gb_roundtrip(rng):
-    for _ in range(6):
-        m = int(rng.integers(2, 5))
-        g = rng.standard_normal((m, m))
-        g = g @ g.T + m * np.eye(m)
-        b = rng.standard_normal((m, m))
-        b = b - b.T
-        basis = np.concatenate([np.eye(m), b + g], axis=0)
-        g2, b2 = gb_from_cplus(basis)
-        assert np.abs(g2 - g).max() <= 1e-9
-        assert np.abs(b2 - b).max() <= 1e-9
-
-
 def test_uk_ladder_dimensions(plane_chart, point):
     sp = omega_spinor(plane_chart, ("dx", "dy"))
     ladder = uk_spaces_at(sp, plane_chart, point)
@@ -282,7 +323,9 @@ def test_commuting_pair_detection(plane_chart, point):
     sp1 = omega_spinor(plane_chart, ("dx", "dy"))
     cof = plane_chart.coframe
     dz = Form.monomial(cof, ("dx",)) + Form.monomial(cof, ("dy",), CScalar.i())
-    assert commute_at(sp1, PureSpinor(dz), plane_chart, point) <= 1e-9
+    j1 = gcs_matrix_at(sp1, plane_chart, point)
+    j2 = gcs_matrix_at(PureSpinor(dz), plane_chart, point)
+    assert np.abs(j1 @ j2 - j2 @ j1).max() <= 1e-9
 
 
 def test_point_frames_of_equal_size_share_read_only_matrices(plane_chart, circle_chart):
