@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scalar import CScalar, Domain, ZERO, diff, evaluate_points
-from .exterior import (Coframe, Form, contract_sign, eval_complex_points,
-                       form_from_text, form_to_text, strip_rightmost, wedge)
+from .exterior import (Coframe, Form, _accumulate, _wedge_sign, contract_sign,
+                       eval_complex_points, form_from_text, form_to_text,
+                       strip_rightmost, wedge)
 
 __all__ = [
     "BundleChart", "DualityPair", "base_generator", "dual_fiber_name",
@@ -98,36 +99,51 @@ class BundleChart:
 
 # -- differential ------------------------------------------------------------------
 
-def _d_coefficient(chart, c):
-    """d of a CScalar coefficient as a 1-form sum over base generators."""
-    out = Form.zero(chart.coframe)
-    for v in chart.base_vars:
-        dre = diff(c.re, v)
-        dim = diff(c.im, v)
-        if dre.is_zero() and dim.is_zero():
-            continue
-        out = out + Form.monomial(chart.coframe, (base_generator(v),), CScalar(dre, dim))
-    return out
-
-
 def exterior_derivative(rho, chart):
-    """Structure-equation d: d(dx^a)=0, d(theta_i)=c_i, Leibniz on coefficients."""
+    """Structure-equation d: d(dx^a)=0, d(theta_i)=c_i, Leibniz on coefficients.
+
+    One pass into one {mask: CScalar} dict.  For each term c e_I of rho, in
+    order: the terms d_v c dx^v ^ e_I in base-variable order, then the
+    curvature terms c_i ^ (e_I without theta_i), signed, in generator order.
+    """
     if rho.coframe != chart.coframe:
         raise ValueError("coframe mismatch")
     cof = chart.coframe
-    out = Form.zero(cof)
+    bases = [(v, 1 << cof.index(base_generator(v))) for v in chart.base_vars]
+    curved = []
+    for i, name in enumerate(cof.names):
+        dgen = chart.curvature.get(name)
+        if dgen is not None and dgen.coeffs:
+            curved.append((i, dgen.coeffs.items()))
+    out = {}
     for mask, c in rho.coeffs.items():
-        mono = Form(cof, {mask: CScalar.one()})
-        out = out + wedge(_d_coefficient(chart, c), mono)
+        for v, bit in bases:
+            if bit & mask:
+                continue
+            dre = diff(c.re, v)
+            dim = diff(c.im, v)
+            if dre.is_zero() and dim.is_zero():
+                continue
+            term = CScalar(dre, dim)
+            _accumulate(out, bit | mask, -term if _wedge_sign(bit, mask) < 0 else term)
         # Leibniz over generators; d(gen) is even so it moves freely to the front
-        for i in range(cof.dim):
+        for i, dgen in curved:
             if not mask >> i & 1:
                 continue
-            dgen = chart.curvature.get(cof.names[i])
-            if dgen is not None and not dgen.is_zero():
-                term = wedge(dgen, Form(cof, {mask & ~(1 << i): c}))
-                out = out + (term if contract_sign(mask, i) > 0 else -term)
-    return out
+            rest = mask & ~(1 << i)
+            flip = contract_sign(mask, i) < 0
+            # each sign is its own negation and a product that cancels is
+            # dropped, as in wedge(c_i, c e_rest) negated: the same trees
+            for m, cg in dgen:
+                if m & rest:
+                    continue
+                term = cg * c
+                if _wedge_sign(m, rest) < 0:
+                    term = -term
+                if term.is_zero():
+                    continue
+                _accumulate(out, m | rest, -term if flip else term)
+    return Form(cof, out)
 
 
 def twisted_derivative(rho, chart):
@@ -360,17 +376,24 @@ class PairReport:
 
 
 def validate_pair(pair, n=8, seed=0):
-    """Residual of dF = H - Ht, fiber-block nondegeneracy, unimodularity."""
+    """Residual of dF = H - Ht, fiber-block nondegeneracy, unimodularity.
+
+    The block is nondegenerate when it has full rank at every point by the
+    package's rank rule (``structures._rank``); ``min_abs_det`` is the
+    smallest |det| seen, a measure only."""
+    from .structures import _rank    # structures imports this module
     rng = np.random.default_rng(seed)
     points = pair.total.domain.sample_many(rng, n)
     res = form_residual(pair.flux_difference_residual(), pair.total.domain, points)
     block = pair.fiber_block()
     k = len(block)
     min_det = float("inf")
+    nondegenerate = True
     vals = evaluate_points([e for row in block for e in row], points)
     for i in range(len(points)):
         mat = np.array([v[i] for v in vals], dtype=float).reshape(k, k)
         min_det = min(min_det, abs(np.linalg.det(mat)))
+        nondegenerate = nondegenerate and _rank(np.linalg.svd(mat, compute_uv=False)) == k
     constant = all(e.is_rational() for row in block for e in row)
     unimodular = None
     if constant:
@@ -381,7 +404,7 @@ def validate_pair(pair, n=8, seed=0):
         chart_m=validate_chart(pair.chart, n=n, seed=seed),
         chart_mt=validate_chart(pair.dual, n=n, seed=seed + 1),
         flux_difference_residual=res,
-        nondegenerate=min_det > 1e-9,
+        nondegenerate=nondegenerate,
         unimodular=unimodular,
         min_abs_det=min_det,
         fiber_rank=k,

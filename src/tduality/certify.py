@@ -94,7 +94,8 @@ def _form_residual(terms):
 
 def _coordinate_residual(a, b):
     """Coordinates of a - b for coordinate tuples of two sections."""
-    return [_sum(((1, x), (-1, y))) for x, y in zip(a, b)]
+    return [CScalar() if x.is_zero() and y.is_zero() else _sum(((1, x), (-1, y)))
+            for x, y in zip(a, b)]
 
 
 def _transform(form, images):
@@ -221,12 +222,19 @@ def frame_certificate(pair, points):
         scaled = [s.scale(x) for s in basis]
         for i, a in enumerate(basis):
             for j, b in enumerate(basis):
+                # a structurally zero multiple of a section is skipped
                 bracket = brackets[i][j].scale(x)
-                expected = bracket - a.scale(along[j]) + df.scale(twice[i][j])
+                expected = bracket
+                if not along[j].is_zero():
+                    expected = expected - a.scale(along[j])
+                if not twice[i][j].is_zero():
+                    expected = expected + df.scale(twice[i][j])
                 leibniz.append(_coordinate_residual(
                     courant_bracket(scaled[i], b, chart).coordinates(),
                     expected.coordinates()))
-                expected = bracket + b.scale(along[i])
+                expected = bracket
+                if not along[i].is_zero():
+                    expected = expected + b.scale(along[i])
                 leibniz.append(_coordinate_residual(
                     courant_bracket(a, scaled[j], chart).coordinates(),
                     expected.coordinates()))

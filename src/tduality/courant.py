@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .scalar import CScalar, rat
+from .scalar import CScalar, diff, rat
 from .exterior import Form, FrameVector, clifford_act, contract, eval_complex
-from .bundle import exterior_derivative, form_residual
+from .bundle import base_generator, exterior_derivative, form_residual
 
 __all__ = [
     "Section", "pairing", "split_pairing_matrix", "lie_bracket", "lie_derivative",
@@ -123,14 +123,20 @@ def section_basis(coframe):
 
 
 def pairing(v, w):
-    """<X+xi, Y+eta> = (eta(X) + xi(Y)) / 2, a CScalar."""
+    """<X+xi, Y+eta> = (eta(X) + xi(Y)) / 2, a CScalar; a product with a
+    structurally zero factor is skipped, as is adding it."""
     if v.coframe != w.coframe:
         raise ValueError("chart mismatch")
     total = CScalar()
     for i in range(v.coframe.dim):
         bit = 1 << i
-        total = total + v.x.components[i] * w.xi.coeff(bit)
-        total = total + w.x.components[i] * v.xi.coeff(bit)
+        for x, xi in ((v.x, w.xi), (w.x, v.xi)):
+            a = x.components[i]
+            b = xi.coeffs.get(bit)
+            if b is None or a.is_zero():
+                continue
+            term = a * b
+            total = term if total.is_zero() else total + term
     return total * CScalar.of(rat(1, 2))
 
 
@@ -142,26 +148,52 @@ def split_pairing_matrix(m):
     return out
 
 
+def _derivative(x, f, bases):
+    """X(f) = sum_a (d_a f) X^a over the base generators a, summed in
+    ascending generator index; None where no term survives or the sum
+    cancels structurally.  ``bases`` lists (index, variable) pairs."""
+    total = None
+    for i, v in bases:
+        xa = x.components[i]
+        if xa.is_zero():
+            continue
+        dre = diff(f.re, v)
+        dim = diff(f.im, v)
+        if dre.is_zero() and dim.is_zero():
+            continue
+        term = CScalar(dre, dim) * xa
+        total = term if total is None else total + term
+    return None if total is None or total.is_zero() else total
+
+
+def _minus(acc, c):
+    """acc - c for optional CScalars (None is zero); None where the
+    difference cancels structurally."""
+    if c is None:
+        return acc
+    if acc is None:
+        return -c
+    total = acc + (-c)
+    return None if total.is_zero() else total
+
+
 def lie_bracket(x, y, chart):
     """Lie bracket of invariant frame vector fields on the chart:
     e^b([X, Y]) = X(Y^b) - Y(X^b) - (d e^b)(X, Y), with d e^b read off the
     structure equations; a term whose factor is structurally zero is skipped."""
     cof = chart.coframe
-
-    def d(c):
-        return exterior_derivative(Form.scalar(cof, c), chart)
-
+    bases = [(cof.index(base_generator(v)), v) for v in chart.base_vars]
     comps = []
     for b, name in enumerate(cof.names):
-        comp = Form.zero(cof)
+        comp = None
         if not y.components[b].is_zero():
-            comp = contract(x, d(y.components[b]))
+            comp = _derivative(x, y.components[b], bases)
         if not x.components[b].is_zero():
-            comp = comp - contract(y, d(x.components[b]))
+            comp = _minus(comp, _derivative(y, x.components[b], bases))
         de_b = chart.curvature.get(name)    # d(dx^a) = 0, d(theta_i) = c_i
         if de_b is not None:
-            comp = comp - contract(y, contract(x, de_b))
-        comps.append(comp.coeff(0))
+            comp = _minus(comp, contract(y, contract(x, de_b)).coeffs.get(0))
+        comps.append(CScalar() if comp is None else comp)
     return FrameVector(cof, tuple(comps))
 
 

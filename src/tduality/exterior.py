@@ -6,6 +6,14 @@ pullback along the two legs of a correspondence space are bitmask operations.
 All operations are pure.  ``Form`` and ``FrameVector`` are ``__slots__``
 classes, immutable by convention: no operation assigns to one after it is
 built.
+
+``Form.coeffs`` never holds a structural zero (``CScalar.is_zero``): the
+constructor prunes them.  ``Form.__add__`` relies on this to check only the
+masks it touches and to return the other operand for an empty one;
+``__neg__``, ``conj`` and ``component`` rely on it to skip the pruning pass,
+as do ``Form.is_zero`` (an empty dict) and every caller that reads a missing
+mask as zero.  ``Form._pruned`` builds a form from a dict that already keeps
+the invariant and is used in this module only.
 """
 from __future__ import annotations
 
@@ -107,6 +115,20 @@ def strip_rightmost(mask, c, right):
     return rest, (-c if _wedge_sign(rest, right) < 0 else c)
 
 
+def _accumulate(out, mask, c):
+    """Add c to out[mask] in a {mask: CScalar} dict; a mask whose sum cancels
+    structurally is deleted, so a later term for it lands at the end."""
+    prev = out.get(mask)
+    if prev is None:
+        out[mask] = c
+        return
+    total = prev + c
+    if total.is_zero():
+        del out[mask]
+    else:
+        out[mask] = total
+
+
 class Form:
     """Sparse multivector: {bitmask: CScalar}, structural zeros pruned."""
 
@@ -120,6 +142,15 @@ class Form:
                 if not c.is_zero():
                     pruned[mask] = c
         self.coeffs = pruned
+
+    @classmethod
+    def _pruned(cls, coframe, coeffs):
+        """A form on ``coeffs`` as given: the caller guarantees that no
+        coefficient is a structural zero."""
+        form = object.__new__(cls)
+        form.coframe = coframe
+        form.coeffs = coeffs
+        return form
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -148,24 +179,29 @@ class Form:
 
     # -- linear structure ----------------------------------------------------
     def __add__(self, other):
+        """Sum; only a mask both operands hold can cancel (``_accumulate``)."""
         self._check(other)
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
         out = dict(self.coeffs)
         for mask, c in other.coeffs.items():
-            out[mask] = out[mask] + c if mask in out else c
-        return Form(self.coframe, out)
+            _accumulate(out, mask, c)
+        return Form._pruned(self.coframe, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Form(self.coframe, {m: -c for m, c in self.coeffs.items()})
+        return Form._pruned(self.coframe, {m: -c for m, c in self.coeffs.items()})
 
     def scale(self, c):
         c = CScalar.of(c)
         return Form(self.coframe, {m: v * c for m, v in self.coeffs.items()})
 
     def conj(self):
-        return Form(self.coframe, {m: v.conj() for m, v in self.coeffs.items()})
+        return Form._pruned(self.coframe, {m: v.conj() for m, v in self.coeffs.items()})
 
     # -- queries ----------------------------------------------------------------
     def is_zero(self):
@@ -185,8 +221,8 @@ class Form:
         return degs[-1] if degs else 0
 
     def component(self, degree):
-        return Form(self.coframe,
-                    {m: c for m, c in self.coeffs.items() if bin(m).count("1") == degree})
+        return Form._pruned(self.coframe, {m: c for m, c in self.coeffs.items()
+                                           if bin(m).count("1") == degree})
 
     def top_component(self):
         return self.component(self.coframe.dim)
@@ -276,16 +312,23 @@ class FrameVector:
             out[coframe.index(name)] = CScalar.of(c)
         return FrameVector(coframe, tuple(out))
 
+    # A structurally zero summand or factor is skipped: the sum is then the
+    # other operand and the product the zero operand, which is what ``sadd``
+    # and ``smul`` return for it.
+
     def __add__(self, other):
-        return FrameVector(self.coframe,
-                           tuple(a + b for a, b in zip(self.components, other.components)))
+        return FrameVector(self.coframe, tuple(
+            b if a.is_zero() else a if b.is_zero() else a + b
+            for a, b in zip(self.components, other.components)))
 
     def __neg__(self):
-        return FrameVector(self.coframe, tuple(-a for a in self.components))
+        return FrameVector(self.coframe, tuple(
+            a if a.is_zero() else -a for a in self.components))
 
     def scale(self, c):
         c = CScalar.of(c)
-        return FrameVector(self.coframe, tuple(a * c for a in self.components))
+        return FrameVector(self.coframe, tuple(
+            a if a.is_zero() else a * c for a in self.components))
 
     def conj(self):
         return FrameVector(self.coframe, tuple(a.conj() for a in self.components))

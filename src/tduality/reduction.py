@@ -23,8 +23,8 @@ from .scalar import evaluate
 from .exterior import Form, FrameVector, contract, eval_complex_points
 from .courant import Section, pairing, split_pairing_matrix
 from .duality import section_transform_matrix_at
-from .structures import (RANK_TOL, PointFrame, _rank, gcs_matrix_at,
-                         two_form_matrix_at)
+from .structures import (RANK_TOL, PointFrame, _rank, _two_form_matrix,
+                         gcs_matrix_at, two_form_matrix_at)
 
 __all__ = [
     "LiftedActionPoint", "ReducedSpace", "reduce_pointwise",
@@ -136,48 +136,60 @@ class ReductionReport:
     rank_ok: bool
 
 
-def double_quotient_report(pair, point):
-    """Check that the correspondence reduces isometrically onto both sides.
+def double_quotient_report(pair, points):
+    """Check that the correspondence reduces isometrically onto both sides;
+    one ``ReductionReport`` per point.
 
     (i) the two halves of the lift are isotropic, (ii) their sum carries a
     nondegenerate split pairing, (iii) dropping the appropriate fiber
     components after the F-shear maps the orthogonal complement isometrically
-    onto the invariant T+T* fibers of either side.
+    onto the invariant T+T* fibers of either side.  The lift coordinates and
+    the coefficients of F are evaluated at every point in one pass.
     """
     total_cof = pair.total.coframe
     mt = total_cof.dim
     g_total = split_pairing_matrix(mt)
-    lifts = [s.eval_vector(point) for s in duality_lift_sections(pair)]
+    lifts = duality_lift_sections(pair)
+    coords = [c for s in lifts for c in s.coordinates()]
+    vals = eval_complex_points(coords + list(pair.F.coeffs.values()), points)
     k = pair.k
-    k_vecs = np.stack(lifts[:k], axis=1)
-    kt_vecs = np.stack(lifts[k:], axis=1)
-    iso_k = float(np.abs(k_vecs.T @ g_total @ k_vecs).max())
-    iso_kt = float(np.abs(kt_vecs.T @ g_total @ kt_vecs).max())
-    kk = np.concatenate([k_vecs, kt_vecs], axis=1)
-    gram = (kk.T @ g_total @ kk).real
-    sig = signature_of(gram)
-    split_ok = sig[:2] == (k, k)
-    perp = PointFrame.nullspace(kk.T @ g_total)
-
     # onto the first factor: perp already has no cofiber covector legs;
     # onto the second: shear by F so the first-factor lift becomes tangent
-    shear = np.eye(2 * mt)
-    shear[mt:, :mt] += two_form_matrix_at(pair.F, point).T
-    routes = ((pair.dual.fiber_names, perp), (pair.chart.fiber_names, shear @ perp))
-    g_perp = perp.T @ g_total @ perp
-    defects, rank_ok = [], True
-    for dropped, vectors in routes:
+    routes = []
+    for dropped in (pair.dual.fiber_names, pair.chart.fiber_names):
         drop = [total_cof.index(n) for n in dropped]
-        if (np.abs(vectors[[mt + i for i in drop]]) > 1e-7).any():
-            raise AssertionError("covector leg survived where it must vanish")
         keep = [i for i in range(mt) if i not in drop]
-        mapped = vectors[keep + [mt + i for i in keep]]
-        g_side = split_pairing_matrix(len(keep))
-        defects.append(float(np.abs(mapped.T @ g_side @ mapped - g_perp).max()))
-        rank_ok = rank_ok and _rank(np.linalg.svd(mapped, compute_uv=False)) == 2 * len(keep)
-
-    return ReductionReport(iso_k, iso_kt, bool(split_ok), float(np.linalg.det(gram)),
-                           defects[0], defects[1], rank_ok)
+        routes.append(([mt + i for i in drop], keep + [mt + i for i in keep],
+                       split_pairing_matrix(len(keep))))
+    reports = []
+    for p in range(len(points)):
+        at = [zs[p] for zs in vals]
+        vecs = [np.array(at[i:i + 2 * mt], dtype=complex)
+                for i in range(0, len(coords), 2 * mt)]
+        k_vecs = np.stack(vecs[:k], axis=1)
+        kt_vecs = np.stack(vecs[k:], axis=1)
+        iso_k = float(np.abs(k_vecs.T @ g_total @ k_vecs).max())
+        iso_kt = float(np.abs(kt_vecs.T @ g_total @ kt_vecs).max())
+        kk = np.concatenate([k_vecs, kt_vecs], axis=1)
+        gram = (kk.T @ g_total @ kk).real
+        sig = signature_of(gram)
+        split_ok = sig[:2] == (k, k)
+        perp = PointFrame.nullspace(kk.T @ g_total)
+        shear = np.eye(2 * mt)
+        shear[mt:, :mt] += _two_form_matrix(pair.F, at[len(coords):]).T
+        g_perp = perp.T @ g_total @ perp
+        defects, rank_ok = [], True
+        for (drop, keep, g_side), vectors in zip(routes, (perp, shear @ perp)):
+            if (np.abs(vectors[drop]) > 1e-7).any():
+                raise AssertionError("covector leg survived where it must vanish")
+            mapped = vectors[keep]
+            defects.append(float(np.abs(mapped.T @ g_side @ mapped - g_perp).max()))
+            rank_ok = (rank_ok and _rank(np.linalg.svd(mapped, compute_uv=False))
+                       == len(keep))
+        reports.append(ReductionReport(iso_k, iso_kt, bool(split_ok),
+                                       float(np.linalg.det(gram)),
+                                       defects[0], defects[1], rank_ok))
+    return reports
 
 
 # -- generalized tangent space of the correspondence inside the product -----------------
@@ -212,9 +224,11 @@ def transversality_check(pair, point, f_scale=1.0):
     tf = generalized_tangent_basis(pair, point, f_scale)
     inter = _intersect(tf, np.eye(tf.shape[0])[:, _first_factor(pair)])
     transversal = inter.shape[1] == 0
-    mat = np.array([[evaluate(e, point) for e in row] for row in pair.fiber_block()])
-    block_invertible = abs(np.linalg.det(f_scale * mat)) > RANK_TOL
-    return transversal, block_invertible
+    block = pair.fiber_block()
+    mat = np.array([[evaluate(e, point) for e in row] for row in block]).reshape(
+        len(block), len(block))
+    s = np.linalg.svd(f_scale * mat, compute_uv=False)
+    return transversal, _rank(s) == len(block)
 
 
 def fourier_mukai_check(spinor_m, spinor_t, pair, point):

@@ -706,7 +706,9 @@ class CScalar:
         return CScalar(ZERO, ONE)
 
     def is_zero(self):
-        return self.re.is_zero() and self.im.is_zero()
+        re, im = self.re, self.im
+        return (re.kind == "rat" and re.value == 0
+                and im.kind == "rat" and im.value == 0)
 
     def conj(self):
         return CScalar(self.re, sneg(self.im))

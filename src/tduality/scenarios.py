@@ -57,8 +57,7 @@ def _double_quotient_defect(pair, points):
     """Worst double-quotient residual at the points; 1.0 when the split
     signature or the rank test fails."""
     worst = 0.0
-    for p in points:
-        red = double_quotient_report(pair, p)
+    for red in double_quotient_report(pair, points):
         worst = max(worst, red.isotropy_residual_k, red.isotropy_residual_kt,
                     red.isometry_defect_m, red.isometry_defect_mt)
         if not (red.split_signature_ok and red.rank_ok):
@@ -582,8 +581,7 @@ def scenario_reduction_suite(seed, samples):
         from .bundle import standard_correspondence_flux
         return standard_correspondence_flux(cof_total, c, d).scale(rat(2))
     scaled = DualityPair.from_charts(hopf.chart, hopf.dual, scaled_flux)
-    p = scaled.chart.domain.sample_many(rng, 1)[0]
-    red = double_quotient_report(scaled, p)
+    (red,) = double_quotient_report(scaled, scaled.chart.domain.sample_many(rng, 1))
     defect = max(red.isometry_defect_m, red.isometry_defect_mt)
     vrep = scaled.validate(n=4, seed=seed)
     report.add("scaled-form-reduces",

@@ -359,9 +359,15 @@ def metric_matrix_at(metric, point):
 def two_form_matrix_at(form, point):
     """Antisymmetric matrix A of a real 2-form at a point, with
     (i_X form)_b = sum_a X^a A[a, b]."""
+    return _two_form_matrix(form, form.eval_coeffs(point).values())
+
+
+def _two_form_matrix(form, values):
+    """``two_form_matrix_at`` from the values of the form's coefficients at
+    the point, in ``form.coeffs`` order."""
     m = form.coframe.dim
     out = np.zeros((m, m))
-    for mask, c in form.eval_coeffs(point).items():
+    for mask, c in zip(form.coeffs, values):
         idx = [i for i in range(m) if mask >> i & 1]
         if len(idx) != 2:
             raise ValueError("expected a 2-form")

@@ -1,13 +1,16 @@
 """Shared fixtures, and helpers that only the tests use: the random metric
 and the Clifford-compatibility residual, kept as reference oracles beside
 the frame certificate and the generic Buscher instance that replaced them,
-and the componentwise residual of a section."""
+the componentwise residual of a section, and the term-by-term bodies of
+``Form.__add__``, ``exterior_derivative``, ``lie_bracket`` and ``pairing``
+(``_reference_*``), which the one-pass kernels must match tree for tree."""
 import numpy as np
 import pytest
 
-from tduality.scalar import rat, sadd, smul
-from tduality.bundle import BundleChart, form_residual
-from tduality.exterior import Form, eval_complex_points
+from tduality.scalar import CScalar, diff, rat, sadd, smul
+from tduality.bundle import BundleChart, base_generator, form_residual
+from tduality.exterior import (Form, FrameVector, contract, contract_sign,
+                               eval_complex_points, wedge)
 from tduality.structures import GeneralizedMetric, SymTensor
 from tduality.duality import DualityPair, dualize_form, dualize_section
 from tduality.randomgen import random_form, random_scalar
@@ -53,6 +56,79 @@ def section_residual(s, points):
     comps = eval_complex_points(s.coordinates(), points)
     return max((float(np.abs(np.array(zs, dtype=complex)).max()) for zs in zip(*comps)),
                default=0.0)
+
+
+def _reference_form_add(a, b):
+    """Form sum that adds every shared mask and then prunes the whole dict."""
+    a._check(b)
+    out = dict(a.coeffs)
+    for mask, c in b.coeffs.items():
+        out[mask] = out[mask] + c if mask in out else c
+    return Form(a.coframe, out)
+
+
+def _reference_d_coefficient(chart, c):
+    """d of a CScalar coefficient as a 1-form sum over base generators."""
+    out = Form.zero(chart.coframe)
+    for v in chart.base_vars:
+        dre = diff(c.re, v)
+        dim = diff(c.im, v)
+        if dre.is_zero() and dim.is_zero():
+            continue
+        out = _reference_form_add(
+            out, Form.monomial(chart.coframe, (base_generator(v),), CScalar(dre, dim)))
+    return out
+
+
+def _reference_exterior_derivative(rho, chart):
+    """Structure-equation d built form by form: Leibniz on coefficients, then
+    d(theta_i) = c_i generator by generator."""
+    cof = chart.coframe
+    out = Form.zero(cof)
+    for mask, c in rho.coeffs.items():
+        mono = Form(cof, {mask: CScalar.one()})
+        out = _reference_form_add(out, wedge(_reference_d_coefficient(chart, c), mono))
+        for i in range(cof.dim):
+            if not mask >> i & 1:
+                continue
+            dgen = chart.curvature.get(cof.names[i])
+            if dgen is not None and not dgen.is_zero():
+                term = wedge(dgen, Form(cof, {mask & ~(1 << i): c}))
+                out = _reference_form_add(
+                    out, term if contract_sign(mask, i) > 0 else -term)
+    return out
+
+
+def _reference_lie_bracket(x, y, chart):
+    """e^b([X, Y]) = X(Y^b) - Y(X^b) - (d e^b)(X, Y) with X(f) read as the
+    contraction of X with the 1-form df."""
+    cof = chart.coframe
+
+    def d(c):
+        return _reference_exterior_derivative(Form.scalar(cof, c), chart)
+
+    comps = []
+    for b, name in enumerate(cof.names):
+        comp = Form.zero(cof)
+        if not y.components[b].is_zero():
+            comp = contract(x, d(y.components[b]))
+        if not x.components[b].is_zero():
+            comp = _reference_form_add(comp, -contract(y, d(x.components[b])))
+        de_b = chart.curvature.get(name)
+        if de_b is not None:
+            comp = _reference_form_add(comp, -contract(y, contract(x, de_b)))
+        comps.append(comp.coeff(0))
+    return FrameVector(cof, tuple(comps))
+
+
+def _reference_pairing(v, w):
+    """<X+xi, Y+eta> = (eta(X) + xi(Y)) / 2 with every product and sum made."""
+    total = CScalar()
+    for i in range(v.coframe.dim):
+        bit = 1 << i
+        total = total + v.x.components[i] * w.xi.coeff(bit)
+        total = total + w.x.components[i] * v.xi.coeff(bit)
+    return total * CScalar.of(rat(1, 2))
 
 
 @pytest.fixture

@@ -317,8 +317,7 @@ def test_criterion_10_reduction(rng, hopf_pair, circle_pair, mixed_pair, torus_p
     worst = 0.0
     for pair in (hopf_pair, circle_pair, mixed_pair):
         pts = pair.chart.domain.sample_many(rng, 32)
-        for p in pts:
-            rep = double_quotient_report(pair, p)
+        for rep in double_quotient_report(pair, pts):
             worst = max(worst, rep.isotropy_residual_k, rep.isotropy_residual_kt,
                         rep.isometry_defect_m, rep.isometry_defect_mt)
             if not (rep.split_signature_ok and rep.rank_ok):

@@ -163,6 +163,20 @@ def test_validate_pair_rank_zero_reports_empty_block(plane_chart):
     assert rep.nondegenerate and rep.ok
 
 
+def test_validate_pair_small_block_is_nondegenerate(torus_pair):
+    """Nondegeneracy is full rank by the relative rank rule: a block of
+    1e-5 I has |det| 1e-10 and is still invertible; the zero block is not."""
+    def scaled(factor):
+        def flux(cof, chart, dual):
+            return standard_correspondence_flux(cof, chart, dual).scale(factor)
+        return DualityPair.from_charts(torus_pair.chart, torus_pair.dual, flux)
+
+    rep = scaled(rat(1, 100000)).validate(n=3)
+    assert rep.nondegenerate is True
+    assert rep.min_abs_det == pytest.approx(1e-10)
+    assert scaled(0).validate(n=3).nondegenerate is False
+
+
 def test_chart_config_roundtrip(hopf_flux_chart, rng):
     text = chart_to_text(hopf_flux_chart)
     back = chart_from_text(text)

@@ -1,0 +1,198 @@
+"""The one-pass kernels against their term-by-term reference bodies
+(``conftest._reference_*``), and the invariant that ``Form.coeffs`` holds no
+structural zero.
+
+A kernel matches its reference when the results are ``==``, the coefficient
+dicts list their masks in the same order and every coefficient has the same
+repr: the same trees, collected in the same order.  The inputs are seeded
+random forms, frame vectors and sections on every shipped chart and its
+dual (real and complex coefficients, density below 1, zero components) and
+the coordinate multiples x_a of the frame that the certificate's Leibniz
+conditions use.
+"""
+from importlib import resources
+
+import pytest
+
+from tduality.scalar import CScalar, var
+from tduality.exterior import Form, FrameVector, contract, wedge
+from tduality.bundle import BundleChart, exterior_derivative, twisted_derivative
+from tduality.courant import (Section, courant_bracket, lie_bracket, pairing,
+                              section_basis)
+from tduality.duality import DualityPair
+from tduality.randomgen import random_cscalar, random_form, random_scalar
+from tduality.scenarios import load_chart
+
+from conftest import (_reference_exterior_derivative, _reference_form_add,
+                      _reference_lie_bracket, _reference_pairing)
+
+CONFIGS = sorted(p.name for p in resources.files("tduality.configs").iterdir()
+                 if p.name.endswith(".cfg"))
+
+
+def _charts(config):
+    chart = load_chart(config)
+    return chart, DualityPair.from_chart(chart).dual
+
+
+def assert_same_form(new, ref):
+    assert new == ref
+    assert list(new.coeffs) == list(ref.coeffs)
+    assert [repr(c) for c in new.coeffs.values()] == [repr(c) for c in ref.coeffs.values()]
+
+
+def assert_same_scalars(new, ref):
+    assert list(new) == list(ref)
+    assert [repr(c) for c in new] == [repr(c) for c in ref]
+
+
+def _coefficient(rng, chart):
+    """Zero, real or complex, with equal odds."""
+    kind = rng.integers(0, 3)
+    if kind == 0:
+        return CScalar()
+    if kind == 1:
+        return CScalar(random_scalar(rng, chart.base_vars))
+    return random_cscalar(rng, chart.base_vars)
+
+
+def _forms(rng, chart):
+    """Random forms of every degree, then x_a e_I for every base variable
+    and monomial."""
+    cof = chart.coframe
+    out = [random_form(rng, cof, chart.base_vars, complex_coeffs=bool(i % 2), density=0.6)
+           for i in range(4)]
+    out += [Form(cof, {mask: CScalar(var(v))})
+            for v in chart.base_vars for mask in range(1 << cof.dim)]
+    return out
+
+
+def _vectors(rng, chart):
+    """Random frame vectors with zero components, then x_a E_b."""
+    cof = chart.coframe
+    out = [FrameVector(cof, tuple(_coefficient(rng, chart) for _ in cof.names))
+           for _ in range(4)]
+    out += [FrameVector.basis(cof, n).scale(var(v))
+            for v in chart.base_vars for n in cof.names]
+    return out
+
+
+def _sections(rng, chart):
+    """Random sections with zero components, then x_a s for each frame
+    section s."""
+    cof = chart.coframe
+    out = [Section(x, random_form(rng, cof, chart.base_vars, degrees=(1,),
+                                  complex_coeffs=bool(i % 2), density=0.6))
+           for i, x in enumerate(_vectors(rng, chart)[:4])]
+    out += [s.scale(var(v)) for v in chart.base_vars for s in section_basis(cof)]
+    return out
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_exterior_derivative_matches_reference(rng, config):
+    for chart in _charts(config):
+        forms = _forms(rng, chart) + list(chart.curvature.values()) + [chart.flux]
+        for rho in forms:
+            assert_same_form(exterior_derivative(rho, chart),
+                             _reference_exterior_derivative(rho, chart))
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_form_add_matches_reference(rng, config):
+    for chart in _charts(config):
+        forms = _forms(rng, chart)[:4] + [Form.zero(chart.coframe)]
+        for a in forms:
+            for b in forms:
+                # b - a cancels every mask of a that b lacks
+                for other in (b, -a, _reference_form_add(b, -a)):
+                    assert_same_form(a + other, _reference_form_add(a, other))
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_lie_bracket_matches_reference(rng, config):
+    for chart in _charts(config):
+        vectors = _vectors(rng, chart)
+        for x in vectors:
+            for y in vectors:
+                new = lie_bracket(x, y, chart)
+                ref = _reference_lie_bracket(x, y, chart)
+                assert new == ref
+                assert_same_scalars(new.components, ref.components)
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_pairing_matches_reference(rng, config):
+    for chart in _charts(config):
+        sections = _sections(rng, chart)
+        for v in sections:
+            for w in sections:
+                assert_same_scalars([pairing(v, w)], [_reference_pairing(v, w)])
+
+
+@pytest.fixture
+def curved_r3():
+    """A circle bundle over a 3d box with curvature dx^dy and flux
+    -dx^dy^dz."""
+    return BundleChart.build(
+        "r3c", [("x", -1.0, 1.0), ("y", -1.0, 1.0), ("z", -1.0, 1.0)], ["th"],
+        curvature={"th": lambda c: Form.monomial(c, ("dx", "dy"))},
+        flux=lambda c: Form.monomial(c, ("dx", "dy", "dz"), -1))
+
+
+def test_cancelled_mask_reappears_at_the_end(curved_r3):
+    """d(x dy) = dx^dy, d(y dz) = dy^dz, d(y dx) = -dx^dy cancels the first,
+    and d(th) = dx^dy brings the mask back: after dy^dz, not before it."""
+    cof = curved_r3.coframe
+    x, y = var("x"), var("y")
+    rho = Form(cof, {cof.mask_of(["dy"]): CScalar(x), cof.mask_of(["dz"]): CScalar(y),
+                     cof.mask_of(["dx"]): CScalar(y), cof.mask_of(["th"]): CScalar.one()})
+    d = exterior_derivative(rho, curved_r3)
+    assert list(d.coeffs) == [cof.mask_of(["dy", "dz"]), cof.mask_of(["dx", "dy"])]
+    assert d.coeff_of("dx", "dy") == CScalar.one()
+    assert_same_form(d, _reference_exterior_derivative(rho, curved_r3))
+
+
+def test_no_structural_zero_survives(rng, curved_r3):
+    """Every operation that builds a form prunes what cancels, including
+    complex cancellations such as (1+i)(1-i) - 2 and a + (-a)."""
+    cof = curved_r3.coframe
+    x, y = var("x"), var("y")
+    p, q = CScalar.of(1, 1), CScalar.of(1, -1)
+    dx, dy = Form.monomial(cof, ("dx",)), Form.monomial(cof, ("dy",))
+    ex, ey = FrameVector.basis(cof, "dx"), FrameVector.basis(cof, "dy")
+    # a sum coefficient does not cancel against its negative (no sum is
+    # distributed), so the coefficients of ``a`` are monomials
+    a = (Form.monomial(cof, ("dx",), CScalar(x, y))
+         + Form.monomial(cof, ("dy", "th"), CScalar(x * y)))
+    cancelling = {
+        "a + (-a)": a + (-a),
+        "a - a": a - a,
+        "(1+i)(1-i) dx - 2 dx": dx.scale(p).scale(q) + dx.scale(-2),
+        "scale by 0": a.scale(0),
+        "wedge": wedge(dx.scale(p) + dy.scale(q), dx.scale(p) + dy.scale(q)),
+        "contract": contract(ex.scale(p) + ey,
+                             Form.monomial(cof, ("dx", "th"), q)
+                             + Form.monomial(cof, ("dy", "th"), -2)),
+        "d": exterior_derivative(Form(cof, {cof.mask_of(["dy"]): CScalar(x, x),
+                                            cof.mask_of(["dx"]): CScalar(y, y)}),
+                                 curved_r3),
+        "d_H": twisted_derivative(Form.scalar(cof, 1) + Form.monomial(cof, ("dx", "dy"),
+                                                                     var("z")),
+                                  curved_r3),
+        "bracket form": courant_bracket(Section(ey, Form.zero(cof)),
+                                        Section(FrameVector.zero(cof), dy.scale(CScalar(x, x))),
+                                        curved_r3).xi,
+    }
+    for name, form in cancelling.items():
+        assert form.is_zero(), name
+    a = random_form(rng, cof, curved_r3.base_vars, density=0.6)
+    b = random_form(rng, cof, curved_r3.base_vars, density=0.6)
+    v, w = (Section(FrameVector(cof, tuple(random_cscalar(rng, curved_r3.base_vars)
+                                           for _ in cof.names)),
+                    random_form(rng, cof, curved_r3.base_vars, degrees=(1,)))
+            for _ in range(2))
+    built = [a + b, a - b, -a, a.scale(p), a.scale(CScalar(x)), wedge(a, b),
+             contract(v.x, a), exterior_derivative(a, curved_r3),
+             twisted_derivative(a, curved_r3), courant_bracket(v, w, curved_r3).xi]
+    for form in built + list(cancelling.values()):
+        assert not any(c.is_zero() for c in form.coeffs.values())

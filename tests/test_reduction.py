@@ -108,8 +108,9 @@ def test_lift_pairing_nonconstant_detected(rng, hopf_pair):
 def test_double_quotient_on_pairs(rng, hopf_pair, circle_pair):
     for pair in (hopf_pair, circle_pair, twisted_rank_two_pair()):
         pts = pair.chart.domain.sample_many(rng, 3)
-        for p in pts:
-            rep = double_quotient_report(pair, p)
+        reports = double_quotient_report(pair, pts)
+        assert len(reports) == len(pts)
+        for rep in reports:
             assert rep.isotropy_residual_k <= 1e-9
             assert rep.isotropy_residual_kt <= 1e-9
             assert rep.split_signature_ok
@@ -119,8 +120,7 @@ def test_double_quotient_on_pairs(rng, hopf_pair, circle_pair):
 
 
 def test_double_quotient_dimension_count(rng, hopf_pair):
-    p = hopf_pair.chart.domain.sample_many(rng, 1)[0]
-    rep = double_quotient_report(hopf_pair, p)
+    (rep,) = double_quotient_report(hopf_pair, hopf_pair.chart.domain.sample_many(rng, 1))
     # the perp of the 2k-dim lift inside dim 2(b + 2k) matches both sides
     b = len(hopf_pair.chart.base_vars)
     k = hopf_pair.k
@@ -134,8 +134,7 @@ def test_double_quotient_scaled_form(rng, hopf_pair):
         return standard_correspondence_flux(cof, chart, dual).scale(rat(2))
 
     scaled = DualityPair.from_charts(hopf_pair.chart, hopf_pair.dual, doubled)
-    p = scaled.chart.domain.sample_many(rng, 1)[0]
-    rep = double_quotient_report(scaled, p)
+    (rep,) = double_quotient_report(scaled, scaled.chart.domain.sample_many(rng, 1))
     assert rep.split_signature_ok and rep.rank_ok
     assert max(rep.isometry_defect_m, rep.isometry_defect_mt) <= 1e-9
 
@@ -149,6 +148,15 @@ def test_transversality(rng, circle_pair):
     scale = float(rng.uniform(0.3, 2.5))
     trans1, invertible1 = transversality_check(circle_pair, p, f_scale=scale)
     assert trans1 and invertible1
+
+
+def test_transversality_small_block(torus_pair):
+    """Both sides use the relative rank rule, so a small but invertible
+    block (det 1e-10 at f_scale 1e-5) counts as invertible, and they agree."""
+    point = {"s1": 0.3, "s2": 0.5}
+    small = transversality_check(torus_pair, point, f_scale=1e-5)
+    assert small == (True, True) and all(type(side) is bool for side in small)
+    assert transversality_check(torus_pair, point, f_scale=0.0) == (False, False)
 
 
 def test_tangent_space_dimension(rng, hopf_pair):

@@ -9,7 +9,8 @@ signature ``DualityPair.from_charts`` dictates.
 Tolerances belong to the checks that compare against them: ``Report.add``
 carries each check's own tolerance, and no other function takes a ``tol``.
 Numerical rank has one rule, ``structures._rank`` (relative to the largest
-singular value), so nothing in the package calls ``matrix_rank``.
+singular value), so nothing in the package calls ``matrix_rank``.  The
+unpruned form constructor ``Form._pruned`` stays inside ``exterior.py``.
 """
 import ast
 from pathlib import Path
@@ -71,3 +72,20 @@ def test_one_rank_rule():
             if name == "matrix_rank":
                 calls.append((path.stem, node.lineno))
     assert calls == []
+
+
+def test_pruned_constructor_stays_in_exterior():
+    """``Form._pruned`` skips the pruning that keeps structural zeros out of
+    ``Form.coeffs``, so it is referenced only in ``exterior.py``, whose
+    operations keep that invariant by construction; no other package module
+    or test uses it."""
+    files = sorted(Path(tduality.__file__).parent.glob("*.py"))
+    files += sorted(Path(__file__).parent.glob("*.py"))
+    users = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (getattr(node, "attr", None) or getattr(node, "id", None)
+                    or getattr(node, "name", None))
+            if name == "_pruned":
+                users.add(path.stem)
+    assert users == {"exterior"}
