@@ -381,19 +381,12 @@ def validate_pair(pair, n=8, seed=0):
     The block is nondegenerate when it has full rank at every point by the
     package's rank rule (``structures._rank``); ``min_abs_det`` is the
     smallest |det| seen, a measure only."""
-    from .structures import _rank    # structures imports this module
     rng = np.random.default_rng(seed)
     points = pair.total.domain.sample_many(rng, n)
     res = form_residual(pair.flux_difference_residual(), pair.total.domain, points)
     block = pair.fiber_block()
     k = len(block)
-    min_det = float("inf")
-    nondegenerate = True
-    vals = evaluate_points([e for row in block for e in row], points)
-    for i in range(len(points)):
-        mat = np.array([v[i] for v in vals], dtype=float).reshape(k, k)
-        min_det = min(min_det, abs(np.linalg.det(mat)))
-        nondegenerate = nondegenerate and _rank(np.linalg.svd(mat, compute_uv=False)) == k
+    min_det, nondegenerate = _block_nondegeneracy(block, points)
     constant = all(e.is_rational() for row in block for e in row)
     unimodular = None
     if constant:
@@ -409,6 +402,20 @@ def validate_pair(pair, n=8, seed=0):
         min_abs_det=min_det,
         fiber_rank=k,
     )
+
+
+def _block_nondegeneracy(block, points):
+    """(smallest |det|, full rank at every point) of a k x k block of
+    Scalars, from one determinant and one SVD over the stack of its values
+    at the points."""
+    from .structures import _rank    # structures imports this module
+    k = len(block)
+    vals = evaluate_points([e for row in block for e in row], points)
+    npts = len(points)
+    mats = np.array(vals, dtype=float).reshape(k * k, npts).T.reshape(npts, k, k)
+    min_det = float(np.abs(np.linalg.det(mats)).min(initial=np.inf))
+    ranks = _rank(np.linalg.svd(mats, compute_uv=False))
+    return min_det, bool((ranks == k).all())
 
 
 # -- chart config serialization ------------------------------------------------------

@@ -29,7 +29,8 @@ from __future__ import annotations
 import numpy as np
 
 from .scalar import CScalar, diff, rat
-from .exterior import Form, FrameVector, clifford_act, contract, eval_complex
+from .exterior import (Form, FrameVector, clifford_act, contract, contract_sign,
+                       eval_complex)
 from .bundle import base_generator, exterior_derivative, form_residual
 
 __all__ = [
@@ -122,6 +123,9 @@ def section_basis(coframe):
     return vecs + covs
 
 
+_HALF = CScalar.of(rat(1, 2))
+
+
 def pairing(v, w):
     """<X+xi, Y+eta> = (eta(X) + xi(Y)) / 2, a CScalar; a product with a
     structurally zero factor is skipped, as is adding it."""
@@ -137,7 +141,7 @@ def pairing(v, w):
                 continue
             term = a * b
             total = term if total.is_zero() else total + term
-    return total * CScalar.of(rat(1, 2))
+    return total * _HALF
 
 
 def split_pairing_matrix(m):
@@ -192,9 +196,37 @@ def lie_bracket(x, y, chart):
             comp = _minus(comp, _derivative(y, x.components[b], bases))
         de_b = chart.curvature.get(name)    # d(dx^a) = 0, d(theta_i) = c_i
         if de_b is not None:
-            comp = _minus(comp, contract(y, contract(x, de_b)).coeffs.get(0))
+            comp = _minus(comp, _on_pair(de_b, x, y))
         comps.append(CScalar() if comp is None else comp)
     return FrameVector(cof, tuple(comps))
+
+
+def _on_pair(two_form, x, y):
+    """The 2-form evaluated on (X, Y), i.e. i_Y i_X of it, with the products,
+    negations and sums of ``contract(y, contract(x, two_form))`` made in the
+    same order but no intermediate form built; None where nothing survives or
+    the sum cancels structurally."""
+    ix = {}    # the 1-form i_X two_form, by mask
+    for i, comp in enumerate(x.components):
+        if comp.is_zero():
+            continue
+        bit = 1 << i
+        for mask, c in two_form.coeffs.items():
+            if not mask & bit:
+                continue
+            term = c * comp
+            if contract_sign(mask, i) < 0:
+                term = -term
+            m = mask & ~bit
+            ix[m] = ix[m] + term if m in ix else term
+    total = None
+    for j, comp in enumerate(y.components):
+        c = ix.get(1 << j)
+        if c is None or c.is_zero() or comp.is_zero():
+            continue
+        term = c * comp
+        total = term if total is None else total + term
+    return None if total is None or total.is_zero() else total
 
 
 def lie_derivative(x, eta, chart):
@@ -213,7 +245,8 @@ def courant_bracket(v, w, chart):
         form = lie_derivative(v.x, w.xi, chart)
     if not v.xi.is_zero():
         form = form - contract(w.x, exterior_derivative(v.xi, chart))
-    form = form + contract(v.x, contract(w.x, chart.flux))
+    if not (chart.flux.is_zero() or v.x.is_zero() or w.x.is_zero()):
+        form = form + contract(v.x, contract(w.x, chart.flux))
     return Section(vec, form)
 
 

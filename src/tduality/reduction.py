@@ -8,6 +8,12 @@ two equivalent duality criteria for pointwise structures (invariance of that
 tangent space under the product structure, and conjugation of the structure
 endomorphisms by the section transform).
 
+``double_quotient_report`` takes a list of points.  Its pointwise linear
+algebra runs once on the stack of all of them (numpy's batched ``svd``,
+``eigvalsh``, ``det`` and ``@``), not point by point; the orthogonal
+complement, whose dimension may differ between points, is taken once per
+group of points with the same nullspace rank.
+
 The product space M x Mt has coordinates (TM, TMt, T*M, T*Mt), each factor in
 its own coframe order.  The correspondence's generalized tangent space is a
 kernel, tau_F = {(E x, xi) : E^T xi = i_x F}, with E the embedding of the
@@ -35,14 +41,14 @@ __all__ = [
 
 
 def signature_of(sym_matrix):
-    """(positive, negative, null) eigenvalue counts of a symmetric matrix."""
-    if sym_matrix.size == 0:
-        return 0, 0, 0
-    w = np.linalg.eigvalsh((sym_matrix + sym_matrix.T) / 2)
-    scale = max(np.abs(w).max(), 1.0)
-    pos = int(np.sum(w > RANK_TOL * scale))
-    neg = int(np.sum(w < -RANK_TOL * scale))
-    return pos, neg, len(w) - pos - neg
+    """(positive, negative, null) eigenvalue counts of a symmetric matrix; a
+    stack with leading axes gives an int array of such triples."""
+    w = np.linalg.eigvalsh((sym_matrix + np.swapaxes(sym_matrix, -1, -2)) / 2)
+    scale = np.abs(w).max(axis=-1, initial=1.0, keepdims=True)
+    pos = np.sum(w > RANK_TOL * scale, axis=-1)
+    neg = np.sum(w < -RANK_TOL * scale, axis=-1)
+    counts = np.stack([pos, neg, w.shape[-1] - pos - neg], axis=-1)
+    return tuple(int(c) for c in counts) if w.ndim == 1 else counts
 
 
 @dataclass
@@ -144,15 +150,35 @@ def double_quotient_report(pair, points):
     nondegenerate split pairing, (iii) dropping the appropriate fiber
     components after the F-shear maps the orthogonal complement isometrically
     onto the invariant T+T* fibers of either side.  The lift coordinates and
-    the coefficients of F are evaluated at every point in one pass.
+    the coefficients of F are evaluated at every point in one pass, and each
+    step of the linear algebra runs once on the stack of all points; the
+    orthogonal complement does so once per distinct nullspace rank.
     """
+    npts = len(points)
+    if not npts:
+        return []
     total_cof = pair.total.coframe
     mt = total_cof.dim
     g_total = split_pairing_matrix(mt)
     lifts = duality_lift_sections(pair)
     coords = [c for s in lifts for c in s.coordinates()]
-    vals = eval_complex_points(coords + list(pair.F.coeffs.values()), points)
+    vals = np.array(eval_complex_points(coords + list(pair.F.coeffs.values()), points),
+                    dtype=complex).reshape(-1, npts)
     k = pair.k
+    # kk[p] has the lift vectors at point p as columns, K then Kt; each matrix
+    # is C-contiguous, as a single matrix would be, so matmul runs the same
+    # BLAS kernels on it
+    kk = np.ascontiguousarray(
+        vals[:len(coords)].reshape(len(lifts), 2 * mt, npts).transpose(2, 1, 0))
+    iso_k, iso_kt = (np.abs(_transpose(v) @ g_total @ v).max(axis=(1, 2))
+                     for v in (np.ascontiguousarray(kk[:, :, :k]),
+                               np.ascontiguousarray(kk[:, :, k:])))
+    gram = (_transpose(kk) @ g_total @ kk).real
+    sig = signature_of(gram)
+    split_ok = (sig[:, 0] == k) & (sig[:, 1] == k)
+    kk_det = np.linalg.det(gram)
+    shear = np.broadcast_to(np.eye(2 * mt), (npts, 2 * mt, 2 * mt)).copy()
+    shear[:, mt:, :mt] += _transpose(_two_form_matrix(pair.F, vals[len(coords):]))
     # onto the first factor: perp already has no cofiber covector legs;
     # onto the second: shear by F so the first-factor lift becomes tangent
     routes = []
@@ -161,35 +187,31 @@ def double_quotient_report(pair, points):
         keep = [i for i in range(mt) if i not in drop]
         routes.append(([mt + i for i in drop], keep + [mt + i for i in keep],
                        split_pairing_matrix(len(keep))))
-    reports = []
-    for p in range(len(points)):
-        at = [zs[p] for zs in vals]
-        vecs = [np.array(at[i:i + 2 * mt], dtype=complex)
-                for i in range(0, len(coords), 2 * mt)]
-        k_vecs = np.stack(vecs[:k], axis=1)
-        kt_vecs = np.stack(vecs[k:], axis=1)
-        iso_k = float(np.abs(k_vecs.T @ g_total @ k_vecs).max())
-        iso_kt = float(np.abs(kt_vecs.T @ g_total @ kt_vecs).max())
-        kk = np.concatenate([k_vecs, kt_vecs], axis=1)
-        gram = (kk.T @ g_total @ kk).real
-        sig = signature_of(gram)
-        split_ok = sig[:2] == (k, k)
-        perp = PointFrame.nullspace(kk.T @ g_total)
-        shear = np.eye(2 * mt)
-        shear[mt:, :mt] += _two_form_matrix(pair.F, at[len(coords):]).T
-        g_perp = perp.T @ g_total @ perp
-        defects, rank_ok = [], True
-        for (drop, keep, g_side), vectors in zip(routes, (perp, shear @ perp)):
-            if (np.abs(vectors[drop]) > 1e-7).any():
+    # perp = kernel of kk^T g_total, whose dimension may differ between points
+    _, s, vh = np.linalg.svd(_transpose(kk) @ g_total)
+    ranks = _rank(s)
+    defects = np.zeros((2, npts))
+    rank_ok = np.ones(npts, dtype=bool)
+    for r in sorted(set(ranks.tolist())):
+        at = np.flatnonzero(ranks == r)
+        perp = _transpose(vh[at, r:].conj())
+        g_perp = _transpose(perp) @ g_total @ perp
+        for route, ((drop, keep, g_side), vectors) in enumerate(
+                zip(routes, (perp, shear[at] @ perp))):
+            if (np.abs(vectors[:, drop]) > 1e-7).any():
                 raise AssertionError("covector leg survived where it must vanish")
-            mapped = vectors[keep]
-            defects.append(float(np.abs(mapped.T @ g_side @ mapped - g_perp).max()))
-            rank_ok = (rank_ok and _rank(np.linalg.svd(mapped, compute_uv=False))
-                       == len(keep))
-        reports.append(ReductionReport(iso_k, iso_kt, bool(split_ok),
-                                       float(np.linalg.det(gram)),
-                                       defects[0], defects[1], rank_ok))
-    return reports
+            mapped = vectors[:, keep]
+            defects[route, at] = np.abs(_transpose(mapped) @ g_side @ mapped
+                                        - g_perp).max(axis=(1, 2))
+            rank_ok[at] &= _rank(np.linalg.svd(mapped, compute_uv=False)) == len(keep)
+    return [ReductionReport(*fields) for fields in zip(
+        iso_k.tolist(), iso_kt.tolist(), split_ok.tolist(), kk_det.tolist(),
+        defects[0].tolist(), defects[1].tolist(), rank_ok.tolist())]
+
+
+def _transpose(stack):
+    """The matrices of a (points, n, m) stack, each transposed (no conjugation)."""
+    return stack.transpose(0, 2, 1)
 
 
 # -- generalized tangent space of the correspondence inside the product -----------------

@@ -225,8 +225,13 @@ class PointFrame:
 
 
 def _rank(s):
-    """Numerical rank from descending singular values, relative to the largest."""
-    return int(np.sum(s > RANK_TOL * s.max(initial=0.0)))
+    """Numerical rank from descending singular values, relative to the largest.
+
+    Singular values with leading stack axes give an int array of ranks, each
+    relative to its own matrix's largest singular value."""
+    s = np.asarray(s)
+    ranks = np.sum(s > RANK_TOL * s.max(axis=-1, initial=0.0, keepdims=True), axis=-1)
+    return int(ranks) if s.ndim == 1 else ranks
 
 
 def annihilator_at(spinor, chart, point):
@@ -359,21 +364,23 @@ def metric_matrix_at(metric, point):
 def two_form_matrix_at(form, point):
     """Antisymmetric matrix A of a real 2-form at a point, with
     (i_X form)_b = sum_a X^a A[a, b]."""
-    return _two_form_matrix(form, form.eval_coeffs(point).values())
+    return _two_form_matrix(form, list(form.eval_coeffs(point).values()))
 
 
 def _two_form_matrix(form, values):
-    """``two_form_matrix_at`` from the values of the form's coefficients at
-    the point, in ``form.coeffs`` order."""
+    """``two_form_matrix_at`` from the values of the form's coefficients, one
+    row per coefficient in ``form.coeffs`` order: a row of values over points
+    gives the stack of matrices at those points, points first."""
     m = form.coframe.dim
-    out = np.zeros((m, m))
+    values = np.real(np.asarray(values, dtype=complex))
+    out = np.zeros(values.shape[1:] + (m, m))
     for mask, c in zip(form.coeffs, values):
         idx = [i for i in range(m) if mask >> i & 1]
         if len(idx) != 2:
             raise ValueError("expected a 2-form")
         a, b = idx
-        out[a, b] = c.real
-        out[b, a] = -c.real
+        out[..., a, b] = c
+        out[..., b, a] = -c
     return out
 
 

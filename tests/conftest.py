@@ -1,17 +1,24 @@
 """Shared fixtures, and helpers that only the tests use: the random metric
 and the Clifford-compatibility residual, kept as reference oracles beside
 the frame certificate and the generic Buscher instance that replaced them,
-the componentwise residual of a section, and the term-by-term bodies of
-``Form.__add__``, ``exterior_derivative``, ``lie_bracket`` and ``pairing``
-(``_reference_*``), which the one-pass kernels must match tree for tree."""
+the componentwise residual of a section, the term-by-term bodies of
+``Form.__add__``, ``exterior_derivative``, ``lie_bracket``,
+``courant_bracket`` and ``pairing`` (``_reference_*``), which the one-pass
+kernels must match tree for tree, and the point-by-point bodies of
+``double_quotient_report`` and of the fiber-block checks of ``validate_pair``,
+which the stacked linear algebra must match report for report."""
 import numpy as np
 import pytest
 
-from tduality.scalar import CScalar, diff, rat, sadd, smul
-from tduality.bundle import BundleChart, base_generator, form_residual
+from tduality import reduction
+from tduality.scalar import CScalar, diff, evaluate_points, rat, sadd, smul
+from tduality.bundle import (BundleChart, base_generator, exterior_derivative,
+                             form_residual)
 from tduality.exterior import (Form, FrameVector, contract, contract_sign,
                                eval_complex_points, wedge)
-from tduality.structures import GeneralizedMetric, SymTensor
+from tduality.structures import GeneralizedMetric, RANK_TOL, SymTensor
+from tduality.courant import Section, lie_derivative, split_pairing_matrix
+from tduality.reduction import ReductionReport
 from tduality.duality import DualityPair, dualize_form, dualize_section
 from tduality.randomgen import random_form, random_scalar
 
@@ -121,6 +128,18 @@ def _reference_lie_bracket(x, y, chart):
     return FrameVector(cof, tuple(comps))
 
 
+def _reference_courant_bracket(v, w, chart):
+    """[X+xi, Y+eta] with the flux term i_X i_Y H built on every call."""
+    vec = _reference_lie_bracket(v.x, w.x, chart)
+    form = Form.zero(chart.coframe)
+    if not w.xi.is_zero():
+        form = lie_derivative(v.x, w.xi, chart)
+    if not v.xi.is_zero():
+        form = form - contract(w.x, exterior_derivative(v.xi, chart))
+    form = form + contract(v.x, contract(w.x, chart.flux))
+    return Section(vec, form)
+
+
 def _reference_pairing(v, w):
     """<X+xi, Y+eta> = (eta(X) + xi(Y)) / 2 with every product and sum made."""
     total = CScalar()
@@ -129,6 +148,98 @@ def _reference_pairing(v, w):
         total = total + v.x.components[i] * w.xi.coeff(bit)
         total = total + w.x.components[i] * v.xi.coeff(bit)
     return total * CScalar.of(rat(1, 2))
+
+
+def _reference_double_quotient_report(pair, points):
+    """``double_quotient_report`` computed point by point, one small matrix at
+    a time; the lift sections are looked up on the module, so a test that
+    replaces them replaces them here too."""
+    total_cof = pair.total.coframe
+    mt = total_cof.dim
+    g_total = split_pairing_matrix(mt)
+    lifts = reduction.duality_lift_sections(pair)
+    coords = [c for s in lifts for c in s.coordinates()]
+    vals = eval_complex_points(coords + list(pair.F.coeffs.values()), points)
+    k = pair.k
+    routes = []
+    for dropped in (pair.dual.fiber_names, pair.chart.fiber_names):
+        drop = [total_cof.index(n) for n in dropped]
+        keep = [i for i in range(mt) if i not in drop]
+        routes.append(([mt + i for i in drop], keep + [mt + i for i in keep],
+                       split_pairing_matrix(len(keep))))
+    reports = []
+    for p in range(len(points)):
+        at = [zs[p] for zs in vals]
+        vecs = [np.array(at[i:i + 2 * mt], dtype=complex)
+                for i in range(0, len(coords), 2 * mt)]
+        k_vecs = np.stack(vecs[:k], axis=1)
+        kt_vecs = np.stack(vecs[k:], axis=1)
+        iso_k = float(np.abs(k_vecs.T @ g_total @ k_vecs).max())
+        iso_kt = float(np.abs(kt_vecs.T @ g_total @ kt_vecs).max())
+        kk = np.concatenate([k_vecs, kt_vecs], axis=1)
+        gram = (kk.T @ g_total @ kk).real
+        sig = _reference_signature(gram)
+        split_ok = sig[:2] == (k, k)
+        _, s, vh = np.linalg.svd(kk.T @ g_total)
+        perp = vh[_reference_rank(s):].conj().T
+        shear = np.eye(2 * mt)
+        shear[mt:, :mt] += _reference_two_form_matrix(pair.F, at[len(coords):]).T
+        g_perp = perp.T @ g_total @ perp
+        defects, rank_ok = [], True
+        for (drop, keep, g_side), vectors in zip(routes, (perp, shear @ perp)):
+            if (np.abs(vectors[drop]) > 1e-7).any():
+                raise AssertionError("covector leg survived where it must vanish")
+            mapped = vectors[keep]
+            defects.append(float(np.abs(mapped.T @ g_side @ mapped - g_perp).max()))
+            rank_ok = (rank_ok and _reference_rank(np.linalg.svd(mapped, compute_uv=False))
+                       == len(keep))
+        reports.append(ReductionReport(iso_k, iso_kt, bool(split_ok),
+                                       float(np.linalg.det(gram)),
+                                       defects[0], defects[1], rank_ok))
+    return reports
+
+
+def _reference_signature(sym_matrix):
+    """(positive, negative, null) eigenvalue counts of one symmetric matrix."""
+    if sym_matrix.size == 0:
+        return 0, 0, 0
+    w = np.linalg.eigvalsh((sym_matrix + sym_matrix.T) / 2)
+    scale = max(np.abs(w).max(), 1.0)
+    pos = int(np.sum(w > RANK_TOL * scale))
+    neg = int(np.sum(w < -RANK_TOL * scale))
+    return pos, neg, len(w) - pos - neg
+
+
+def _reference_rank(s):
+    """Numerical rank of one matrix from its descending singular values."""
+    return int(np.sum(s > RANK_TOL * s.max(initial=0.0)))
+
+
+def _reference_two_form_matrix(form, values):
+    """Antisymmetric matrix of a real 2-form from its coefficient values at
+    one point, in ``form.coeffs`` order."""
+    m = form.coframe.dim
+    out = np.zeros((m, m))
+    for mask, c in zip(form.coeffs, values):
+        a, b = [i for i in range(m) if mask >> i & 1]
+        out[a, b] = c.real
+        out[b, a] = -c.real
+    return out
+
+
+def _reference_block_nondegeneracy(block, points):
+    """(smallest |det|, full rank at every point) of a k x k block of
+    Scalars, one determinant and one SVD per point."""
+    k = len(block)
+    min_det = float("inf")
+    nondegenerate = True
+    vals = evaluate_points([e for row in block for e in row], points)
+    for i in range(len(points)):
+        mat = np.array([v[i] for v in vals], dtype=float).reshape(k, k)
+        min_det = min(min_det, abs(np.linalg.det(mat)))
+        nondegenerate = (nondegenerate
+                         and _reference_rank(np.linalg.svd(mat, compute_uv=False)) == k)
+    return min_det, nondegenerate
 
 
 @pytest.fixture

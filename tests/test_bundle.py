@@ -3,11 +3,14 @@ import pytest
 
 from tduality.scalar import rat, var
 from tduality.exterior import Form, wedge
-from tduality.bundle import (DualityPair, build_dual_chart, chart_from_text,
-                             chart_to_text, exterior_derivative, form_residual,
-                             split_flux, standard_correspondence_flux,
+from tduality.bundle import (DualityPair, _block_nondegeneracy, build_dual_chart,
+                             chart_from_text, chart_to_text, exterior_derivative,
+                             form_residual, split_flux, standard_correspondence_flux,
                              twisted_derivative, validate_chart, validate_pair)
 from tduality.randomgen import random_form
+from tduality.scenarios import twisted_rank_two_pair
+
+from conftest import _reference_block_nondegeneracy
 
 
 def mono(cof, *names, coeff=1):
@@ -202,3 +205,27 @@ flux = 0 1
     rng = np.random.default_rng(3)
     for p in chart.domain.sample_many(rng, 20):
         assert abs(p["t"]) > 0.1
+
+
+def test_block_checks_match_the_reference(rng, hopf_pair, torus_pair, plane_chart):
+    """One stacked det and SVD give the point-by-point minimum |det| and
+    nondegeneracy, also with no points and for the empty block."""
+    pairs = (hopf_pair, torus_pair, twisted_rank_two_pair(),
+             DualityPair.from_chart(plane_chart))
+    for pair in pairs:
+        for n in (0, 1, 8, 64):
+            pts = pair.total.domain.sample_many(rng, n)
+            assert (_block_nondegeneracy(pair.fiber_block(), pts)
+                    == _reference_block_nondegeneracy(pair.fiber_block(), pts))
+
+
+def test_block_singular_at_one_point_of_many(rng):
+    """[[s1, 1], [s1 s2, s2 + 1]] has det s1; at the one point with s1 = 0 the
+    stacked rank test fails and the smallest |det| is 0."""
+    s1, s2 = var("s1"), var("s2")
+    block = [[s1, rat(1)], [s1 * s2, s2 + rat(1)]]
+    pts = [{"s1": float(a), "s2": float(b)} for a, b in rng.uniform(0.1, 1.0, (32, 2))]
+    assert _block_nondegeneracy(block, pts)[1] is True
+    pts[17] = {**pts[17], "s1": 0.0}
+    assert _block_nondegeneracy(block, pts) == (0.0, False)
+    assert _block_nondegeneracy(block, pts) == _reference_block_nondegeneracy(block, pts)

@@ -23,8 +23,8 @@ from tduality.duality import DualityPair
 from tduality.randomgen import random_cscalar, random_form, random_scalar
 from tduality.scenarios import load_chart
 
-from conftest import (_reference_exterior_derivative, _reference_form_add,
-                      _reference_lie_bracket, _reference_pairing)
+from conftest import (_reference_courant_bracket, _reference_exterior_derivative,
+                      _reference_form_add, _reference_lie_bracket, _reference_pairing)
 
 CONFIGS = sorted(p.name for p in resources.files("tduality.configs").iterdir()
                  if p.name.endswith(".cfg"))
@@ -118,6 +118,20 @@ def test_lie_bracket_matches_reference(rng, config):
                 ref = _reference_lie_bracket(x, y, chart)
                 assert new == ref
                 assert_same_scalars(new.components, ref.components)
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_courant_bracket_matches_reference(rng, config):
+    """The flux term i_X i_Y H is skipped only where it is the empty form:
+    no flux, or a structurally zero vector part."""
+    for chart in _charts(config):
+        sections = _sections(rng, chart)[:4] + section_basis(chart.coframe)
+        for v in sections:
+            for w in sections:
+                new = courant_bracket(v, w, chart)
+                ref = _reference_courant_bracket(v, w, chart)
+                assert_same_scalars(new.x.components, ref.x.components)
+                assert_same_form(new.xi, ref.xi)
 
 
 @pytest.mark.parametrize("config", CONFIGS)

@@ -1,11 +1,14 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
+from tduality import reduction
 from tduality.scalar import CScalar, rat, var
-from tduality.exterior import Form
+from tduality.exterior import Form, FrameVector
 from tduality.bundle import base_generator, standard_correspondence_flux
-from tduality.courant import split_pairing_matrix
-from tduality.structures import PureSpinor, two_form_matrix_at
+from tduality.courant import Section, split_pairing_matrix
+from tduality.structures import PureSpinor, _rank, two_form_matrix_at
 from tduality.duality import DualityPair, transport_spinor
 from tduality.randomgen import random_pure_spinor, random_section
 from tduality.reduction import (LiftedActionPoint, double_quotient_report,
@@ -14,6 +17,9 @@ from tduality.reduction import (LiftedActionPoint, double_quotient_report,
                                 pairing_constant_check, reduce_pointwise,
                                 signature_of, transversality_check)
 from tduality.scenarios import load_chart, twisted_rank_two_pair
+
+from conftest import (_reference_double_quotient_report, _reference_rank,
+                      _reference_signature)
 
 
 def test_isotropic_reduction_dimensions(rng):
@@ -87,7 +93,6 @@ def test_lift_pairing_constant(rng, hopf_pair):
 
 def test_lift_pairing_constant_vector_lift(rng, hopf_flux_chart):
     # a pure vector lift with trivial covector part pairs to zero identically
-    from tduality.courant import Section
     cof = hopf_flux_chart.coframe
     secs = [Section.vector_basis(cof, "th")]
     pts = hopf_flux_chart.domain.sample_many(rng, 4)
@@ -96,7 +101,6 @@ def test_lift_pairing_constant_vector_lift(rng, hopf_flux_chart):
 
 
 def test_lift_pairing_nonconstant_detected(rng, hopf_pair):
-    from tduality.courant import Section
     cof = hopf_pair.total.coframe
     t = var("t")
     bad = [Section.of(cof, vector={"th": rat(1)}, covector={"th": t * t})]
@@ -296,3 +300,78 @@ def test_tangent_basis_matches_the_reference(rng, hopf_pair, circle_pair, torus_
                 ref = np.linalg.qr(_reference_tangent_basis(pair, p, f_scale))[0]
                 assert basis.shape == ref.shape
                 assert np.abs(basis @ basis.T - ref @ ref.T).max() <= 1e-12
+
+
+def _oracle_pairs():
+    """Every shipped config pair, the mixed pair, reduction-suite's scaled-form
+    pair and the sheared torus pair with a non-symmetric fiber block."""
+    from test_certify import sheared_torus_pair
+
+    def doubled(cof, chart, dual):
+        return standard_correspondence_flux(cof, chart, dual).scale(rat(2))
+
+    configs = sorted(p.name for p in resources.files("tduality.configs").iterdir()
+                     if p.name.endswith(".cfg"))
+    pairs = {name: DualityPair.from_chart(load_chart(name)) for name in configs}
+    hopf = pairs["s3_hopf.cfg"]
+    pairs["mixed"] = twisted_rank_two_pair()
+    pairs["scaled"] = DualityPair.from_charts(hopf.chart, hopf.dual, doubled)
+    pairs["sheared"] = sheared_torus_pair()
+    return pairs
+
+
+@pytest.mark.parametrize("npts", [1, 8, 64])
+def test_double_quotient_matches_the_reference(npts):
+    """The stacked reports equal the point-by-point ones, repr for repr."""
+    for name, pair in _oracle_pairs().items():
+        pts = pair.chart.domain.sample_many(np.random.default_rng(npts), npts)
+        reports = double_quotient_report(pair, pts)
+        assert len(reports) == npts
+        assert repr(reports) == repr(_reference_double_quotient_report(pair, pts)), name
+
+
+def test_double_quotient_no_points(hopf_pair):
+    assert double_quotient_report(hopf_pair, []) == []
+
+
+def test_double_quotient_groups_points_by_nullspace_rank(rng, hopf_pair, monkeypatch):
+    """The lift sections of a pair always have independent vector parts, so
+    their nullspace has one dimension at every point; scaling F by a base
+    variable does not change that.  An extra lift t E_dt vanishes at t = 0
+    only, so one call sees two nullspace ranks and runs two groups."""
+    lifts = reduction.duality_lift_sections
+
+    def with_extra_lift(pair):
+        cof = pair.total.coframe
+        extra = FrameVector.basis(cof, "dt").scale(var("t"))
+        return lifts(pair) + [Section(extra, Form.zero(cof))]
+
+    monkeypatch.setattr(reduction, "duality_lift_sections", with_extra_lift)
+    pts = hopf_pair.chart.domain.sample_many(rng, 6)
+    pts[3] = {**pts[3], "t": 0.0}
+    reports = double_quotient_report(hopf_pair, pts)
+    assert repr(reports) == repr(_reference_double_quotient_report(hopf_pair, pts))
+    # the perp is one dimension larger at t = 0, where it still maps onto
+    # both sides with full rank
+    assert [rep.rank_ok for rep in reports] == [p["t"] == 0.0 for p in pts]
+
+
+def test_rank_of_a_stack_is_the_rank_of_each_row(rng):
+    s = np.sort(np.abs(rng.standard_normal((6, 4))), axis=1)[:, ::-1].copy()
+    s[1, 2:] = 1e-12 * s[1, 0]
+    s[2] = 0.0
+    s[3, 1:] = 0.0
+    ranks = _rank(s)
+    assert ranks.tolist() == [_reference_rank(row) for row in s] == [4, 2, 0, 1, 4, 4]
+    assert isinstance(_rank(s[0]), int)
+    assert _rank(np.zeros((0, 3))).shape == (0,)
+    assert _rank(np.zeros((2, 0))).tolist() == [0, 0]
+
+
+def test_signature_of_a_stack_is_the_signature_of_each_matrix(rng):
+    a = rng.standard_normal((5, 4, 4))
+    stack = a + a.transpose(0, 2, 1)
+    stack[1] = np.diag([2.0, -1.0, 0.0, 0.0])
+    sigs = signature_of(stack)
+    assert [tuple(s) for s in sigs.tolist()] == [_reference_signature(m) for m in stack]
+    assert signature_of(np.zeros((0, 0))) == (0, 0, 0)
