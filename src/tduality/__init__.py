@@ -28,12 +28,11 @@ from .bundle import (BundleChart, DualityPair, build_dual_chart,
                      validate_chart, validate_pair)
 from .courant import (Section, b_transform, courant_bracket,
                       lift_splitting_residual, pairing)
-from .structures import (GeneralizedMetric, PureSpinor, SymTensor,
-                         annihilator_at, check_integrable, gcs_matrix_at,
-                         metric_matrix_at, spinor_type_at, uk_spaces_at)
-from .duality import (buscher_rules, dual_type_at, dualize_form,
-                      dualize_section, transport_metric, transport_spinor,
-                      uk_transport_residual)
+from .structures import (GeneralizedMetric, PureSpinor, SymTensor, annihilators,
+                         check_integrable, gcs_matrices, metric_matrices,
+                         spinor_types, uk_spaces)
+from .duality import (buscher_rules, dual_types, dualize_form, dualize_section,
+                      transport_metric, transport_spinor, uk_transport_residuals)
 from .reduction import (LiftedActionPoint, double_quotient_report,
                         fourier_mukai_check, reduce_pointwise,
                         transversality_check)

@@ -19,6 +19,10 @@ standard correspondence form is F = -sum_i theta_i ^ thetat_i.  The
 reverse-direction transform uses e^(-F) and integrates over the dual fibers;
 the composite is a global constant recorded per pair (for the standard F it
 is (-1)^(k(k+3)/2)).
+
+The pointwise functions take a list of points and stack their linear algebra
+over them, as in ``structures``; ``transform_matrix_at`` and
+``uk_transport_residual`` are the one-point forms the benchmark calls.
 """
 from __future__ import annotations
 
@@ -26,19 +30,20 @@ import numpy as np
 
 from .scalar import (CScalar, ZERO, ONE, rat, sadd, sdiv, smul, sneg, ssub,
                      solve_linear_symbolic, sym_matrix_inverse)
-from .exterior import (Form, FrameVector, contract, eval_complex, exp_form,
+from .exterior import (Form, FrameVector, _eval_array, contract, exp_form,
                        fiber_integrate, strip_rightmost, wedge)
 from .bundle import DualityPair
 from .courant import Section, section_basis
-from .structures import GeneralizedMetric, PointFrame, PureSpinor, SymTensor
+from .structures import (GeneralizedMetric, PointFrame, PureSpinor, SymTensor,
+                         _first_failure, _transpose, uk_spaces)
 
 __all__ = [
     "DualityPair", "dualize_form", "dualize_form_reverse", "dualize_section",
-    "transform_matrix_at", "section_transform_matrix_at",
+    "transform_matrices", "transform_matrix_at", "section_transform_matrices",
     "transport_spinor", "transport_metric",
     "buscher_rules", "split_metric", "split_two_form", "assemble_metric",
-    "dual_type_at", "bihermitian_dual_at", "orientation_sign",
-    "uk_transport_residual", "reverse_sign",
+    "dual_types", "bihermitian_dual", "orientation_sign",
+    "uk_transport_residuals", "uk_transport_residual", "reverse_sign",
 ]
 
 
@@ -81,17 +86,22 @@ def _form_columns(pair):
         for mask in range(1 << cof.dim)))
 
 
-def transform_matrix_at(pair, point):
-    """Pointwise matrix of the form transform on coefficient vectors: column
-    ``mask`` is the transform of the basis monomial e_mask at the point.  The
-    symbolic columns are built once per pair; only their values are per point."""
+def transform_matrices(pair, points):
+    """Matrices (points, 2^mt, 2^m) of the form transform on coefficient
+    vectors: column ``mask`` is the transform of e_mask at the point.  The
+    symbolic columns are built once per pair and evaluated once per call."""
     cols = _form_columns(pair)
-    out = np.zeros((1 << pair.dual.coframe.dim, len(cols)), dtype=complex)
-    cells = [(m, j) for j, col in enumerate(cols) for m in col.coeffs]
-    vals = eval_complex([c for col in cols for c in col.coeffs.values()], point)
-    for (m, j), z in zip(cells, vals):
-        out[m, j] = z
+    out = np.zeros((len(points), 1 << pair.dual.coframe.dim, len(cols)), dtype=complex)
+    rows = [m for col in cols for m in col.coeffs]
+    js = [j for j, col in enumerate(cols) for _ in col.coeffs]
+    out[:, rows, js] = _eval_array([c for col in cols for c in col.coeffs.values()],
+                                   points).T
     return out
+
+
+def transform_matrix_at(pair, point):
+    """``transform_matrices`` at one point."""
+    return transform_matrices(pair, [point])[0]
 
 
 # -- the section transform --------------------------------------------------------------
@@ -142,12 +152,12 @@ def _section_columns(pair):
         dualize_section(s, pair) for s in section_basis(pair.chart.coframe)))
 
 
-def section_transform_matrix_at(pair, point):
-    """Numeric 2m x 2m matrix of the section transform at a base point; the
-    symbolic columns are built once per pair."""
+def section_transform_matrices(pair, points):
+    """Numeric (points, 2m, 2m) matrices of the section transform; the
+    symbolic columns are built once per pair and evaluated once per call."""
     cols = _section_columns(pair)
-    vals = eval_complex([c for s in cols for c in s.coordinates()], point)
-    return np.array(vals, dtype=complex).reshape(len(cols), -1).T.copy()
+    vals = _eval_array([c for s in cols for c in s.coordinates()], points)
+    return np.ascontiguousarray(vals.reshape(len(cols), -1, len(points)).transpose(2, 1, 0))
 
 
 def transport_spinor(spinor, pair):
@@ -295,13 +305,14 @@ def buscher_rules(g0, g1, g2, b1, b2, pair):
 
 # -- type change -------------------------------------------------------------------------
 
-def dual_type_at(spinor, pair, point):
-    """Dual type via the smallest j with a surviving fiber integral.
+def dual_types(spinor, pair, points):
+    """Dual type at each point via the smallest j with a surviving fiber integral.
 
     Computed as type + 2j - k where j is the least power of (F + B + i omega)
     whose wedge with the decomposable factor has a nonzero fiber integral at
     the point, relative to 1e-9 of the integrand.  Requires construction data
-    on the spinor.  Returns (type, j).
+    on the spinor.  Returns [(type, j)], one per point.  Each power and its
+    fiber integral is built once, and only while some point has no j yet.
     """
     if spinor.lowest is None:
         raise ValueError("spinor carries no construction data")
@@ -310,28 +321,35 @@ def dual_type_at(spinor, pair, point):
     omega_big = pair.pull(spinor.lowest)
     k = pair.k
     base_type = spinor.lowest.max_degree()
+    js = np.full(len(points), -1)
     power = Form.scalar(cof, 1)
     for j in range(0, k + 1):
+        pending = np.flatnonzero(js < 0)
+        if not pending.size:
+            break
         if j > 0:
             power = wedge(power, two_form)
         integrand = wedge(power, omega_big)
-        scale = max((abs(v) for v in integrand.eval_coeffs(point).values()),
-                    default=0.0)
-        if scale == 0.0:
-            continue
-        integral = fiber_integrate(integrand, ("fiber",))
-        vals = integral.eval_coeffs(point)
-        magnitude = max((abs(v) for v in vals.values()), default=0.0)
-        if magnitude > 1e-9 * scale:
-            return base_type + 2 * j - k, j
-    raise ValueError("no power of the correspondence data survives integration; "
-                     "the spinor degenerates against the fibers at this point")
+        at = [points[i] for i in pending]
+        scale = _magnitudes(integrand, at)
+        if scale.any():
+            magnitude = _magnitudes(fiber_integrate(integrand, ("fiber",)), at)
+            js[pending[magnitude > 1e-9 * scale]] = j
+    _first_failure(js < 0, "no power of the correspondence data survives integration; "
+                   "the spinor degenerates against the fibers", points)
+    return [(base_type + 2 * j - k, j) for j in js.tolist()]
+
+
+def _magnitudes(form, points):
+    """Largest coefficient modulus of a form at each point."""
+    return np.abs(_eval_array(form.coeffs.values(), points)).max(axis=0, initial=0.0)
 
 
 # -- bi-Hermitian transport ---------------------------------------------------------------
 
-def bihermitian_dual_at(i_matrix, metric, chart, point, side):
-    """Dual tangent complex structure under the metric-connection identification.
+def bihermitian_dual(i_matrix, metric, chart, points, side):
+    """Dual tangent complex structure under the metric-connection
+    identification, at each point: (points, m, m).
 
     For w orthogonal to span{E_theta, I E_theta}: unchanged; the fiber
     direction maps by +-(1/g0) I E_theta and I E_theta by -+ g0 E_theta.
@@ -344,18 +362,18 @@ def bihermitian_dual_at(i_matrix, metric, chart, point, side):
         raise ValueError("bi-Hermitian transport is for circle bundles")
     cof = chart.coframe
     i_th = cof.index(chart.fiber_names[0])
-    g = metric.g.eval_matrix(point)
+    g = metric.g.eval_matrices(points)
     base_idx = [i for i in range(cof.dim) if i != i_th]
-    if np.abs(g[i_th, base_idx]).max() > 1e-9:
-        raise ValueError("connection is not the metric connection "
-                         "(mixed fiber/base metric term present)")
-    g0 = g[i_th, i_th]
+    _first_failure(np.abs(g[:, i_th, base_idx]).max(axis=-1) > 1e-9,
+                   "connection is not the metric connection "
+                   "(mixed fiber/base metric term present)", points)
+    g0 = g[:, i_th, i_th, None]
     m = cof.dim
     i_mat = np.asarray(i_matrix, dtype=float)
     if np.abs(i_mat @ i_mat + np.eye(m)).max() > 1e-9:
         raise ValueError("input is not an almost complex structure")
-    if np.abs(i_mat.T @ g @ i_mat - g).max() > 1e-6:
-        raise ValueError("complex structure is not compatible with the metric")
+    _first_failure(np.abs(i_mat.T @ g @ i_mat - g).max(axis=(-2, -1)) > 1e-6,
+                   "complex structure is not compatible with the metric", points)
     e_th = np.zeros(m)
     e_th[i_th] = 1.0
     ie = i_mat @ e_th
@@ -365,11 +383,10 @@ def bihermitian_dual_at(i_matrix, metric, chart, point, side):
     proj = span @ np.linalg.inv(gram) @ span.T @ g
     perp = np.eye(m) - proj
     out = i_mat @ perp
-    jt_eth = side * (1.0 / g0) * ie
-    jt_ie = -side * g0 * e_th
     # the rule on the distinguished plane, in plane coordinates (e_th, I e_th)
     coeff = np.linalg.inv(gram) @ span.T @ g
-    out += np.outer(jt_eth, coeff[0]) + np.outer(jt_ie, coeff[1])
+    out += ((side * (1.0 / g0) * ie)[:, :, None] * coeff[:, None, 0]
+            + (-side * g0 * e_th)[:, :, None] * coeff[:, None, 1])
     return out
 
 
@@ -385,32 +402,36 @@ def orientation_sign(j_matrix):
 
 # -- eigenspace-ladder transport ------------------------------------------------------------
 
-def uk_transport_residual(spinor, pair, point):
-    """Max membership defect of the transported ladder in the dual ladder.
+def uk_transport_residuals(spinor, pair, points):
+    """Max membership defect of the transported ladder in the dual ladder, at
+    each point.
 
     For each level, the pointwise form transform of a basis of the source
     eigenspace must land in the span of the dual eigenspace computed
-    independently from the transported spinor.  The transported spinor is
-    built once per (spinor, pair) and kept on the pair; its entry holds the
-    spinor, so the ``id`` that keys it cannot be reused while the pair lives.
+    independently from the transported spinor, which is built once per call.
     """
-    from .structures import uk_spaces_at
-    t = transform_matrix_at(pair, point)
-    src = uk_spaces_at(spinor, pair.chart, point)
-    transported = pair.cache("_transported_spinors", dict)
-    if id(spinor) not in transported:
-        transported[id(spinor)] = (spinor, transport_spinor(spinor, pair))
-    dual_spinor = transported[id(spinor)][1]
-    dst = dict(uk_spaces_at(dual_spinor, pair.dual, point))
-    worst = 0.0
+    t = transform_matrices(pair, points)
+    src = uk_spaces(pair.chart.coframe, spinor.form.eval_vectors(points), points)
+    dual_rho = dualize_form(spinor.form, pair).eval_vectors(points)
+    dst = dict(uk_spaces(pair.dual.coframe, dual_rho, points))
+    worst = np.zeros(len(points))
     for level, basis in src:
         target = dst[level]
-        proj = target @ target.conj().T
-        for col in range(basis.shape[1]):
-            image = t @ basis[:, col]
-            norm = np.linalg.norm(image)
-            if norm == 0:
-                raise ValueError("transform annihilated an eigenspace member")
-            defect = np.linalg.norm(image - proj @ image) / norm
-            worst = max(worst, float(defect))
-    return worst
+        proj = target @ _transpose(target.conj())
+        for col in range(basis.shape[-1]):
+            image = t @ basis[..., col, None]
+            norm = _norms(image)
+            _first_failure(norm == 0, "transform annihilated an eigenspace member", points)
+            worst = np.maximum(worst, _norms(image - proj @ image) / norm)
+    return worst.tolist()
+
+
+def uk_transport_residual(spinor, pair, point):
+    """``uk_transport_residuals`` at one point."""
+    return uk_transport_residuals(spinor, pair, [point])[0]
+
+
+def _norms(columns):
+    """Norm of each (n, 1) column of a stack, summed as ``np.linalg.norm`` sums one."""
+    re, im = columns.real, columns.imag
+    return np.sqrt(np.vecdot(re, re, axis=-2) + np.vecdot(im, im, axis=-2))[:, 0]

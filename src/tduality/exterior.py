@@ -248,9 +248,13 @@ class Form:
 
     def eval_vector(self, point):
         """Dense complex vector of length 2^dim indexed by bitmask."""
-        v = np.zeros(1 << self.coframe.dim, dtype=complex)
-        for m, c in self.eval_coeffs(point).items():
-            v[m] = c
+        return self.eval_vectors((point,))[0]
+
+    def eval_vectors(self, points):
+        """``eval_vector`` at every point, one row each: (points, 2^dim),
+        from one ``eval_complex_points`` call."""
+        v = np.zeros((len(points), 1 << self.coframe.dim), dtype=complex)
+        v[:, list(self.coeffs)] = _eval_array(self.coeffs.values(), points).T
         return v
 
     # -- moving between coframes --------------------------------------------------
@@ -369,6 +373,12 @@ def eval_complex_points(cscalars, points):
     vals = evaluate_points([s for c in cscalars for s in (c.re, c.im)], points)
     return [[complex(x, y) for x, y in zip(re, im)]
             for re, im in zip(vals[0::2], vals[1::2])]
+
+
+def _eval_array(cscalars, points):
+    """``eval_complex_points`` as a (CScalars, points) complex array."""
+    vals = eval_complex_points(cscalars, points)
+    return np.array(vals, dtype=complex).reshape(len(vals), len(points))
 
 
 # -- products and actions -----------------------------------------------------------

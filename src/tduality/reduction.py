@@ -8,11 +8,12 @@ two equivalent duality criteria for pointwise structures (invariance of that
 tangent space under the product structure, and conjugation of the structure
 endomorphisms by the section transform).
 
-``double_quotient_report`` takes a list of points.  Its pointwise linear
-algebra runs once on the stack of all of them (numpy's batched ``svd``,
-``eigvalsh``, ``det`` and ``@``), not point by point; the orthogonal
-complement, whose dimension may differ between points, is taken once per
-group of points with the same nullspace rank.
+The pointwise functions take a list of points (``fourier_mukai_check`` the
+spinors' values at them, one row per point).  Each evaluates what it needs
+once for all points and runs its linear algebra once on the stack of all of
+them (numpy's batched ``svd``, ``eigvalsh``, ``det``, ``inv`` and ``@``), not
+point by point; a basis whose dimension may differ between points comes
+grouped by rank (``structures._by_rank``).
 
 The product space M x Mt has coordinates (TM, TMt, T*M, T*Mt), each factor in
 its own coframe order.  The correspondence's generalized tangent space is a
@@ -25,12 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalar import evaluate
-from .exterior import Form, FrameVector, contract, eval_complex_points
+from .scalar import evaluate_points
+from .exterior import Form, FrameVector, _eval_array, contract
 from .courant import Section, pairing, split_pairing_matrix
-from .duality import section_transform_matrix_at
-from .structures import (RANK_TOL, PointFrame, _rank, _two_form_matrix,
-                         gcs_matrix_at, two_form_matrix_at)
+from .duality import section_transform_matrices
+from .structures import (RANK_TOL, PointFrame, _rank, _transpose, _two_form_matrix,
+                         _uniform, gcs_matrices)
 
 __all__ = [
     "LiftedActionPoint", "ReducedSpace", "reduce_pointwise",
@@ -73,13 +74,6 @@ class ReducedSpace:
         return self.quotient.shape[1]
 
 
-def _intersect(a, b):
-    """Orthonormal basis of span(a) intersect span(b); a and b need only
-    span, their columns may be dependent."""
-    null = PointFrame.nullspace(np.concatenate([a, -b], axis=1))
-    return PointFrame.orthonormal_span(a @ null[:a.shape[1]])
-
-
 def reduce_pointwise(action):
     """Quotient K-perp / (K intersect K-perp) with its induced pairing.
 
@@ -89,7 +83,9 @@ def reduce_pointwise(action):
     g = action.pairing
     k = action.generators
     perp = PointFrame.nullspace(k.T @ g)
-    radical = _intersect(k, perp)
+    # the radical K intersect K-perp, from the kernel of [K | -perp]
+    null = PointFrame.nullspace(np.concatenate([k, -perp], axis=1))
+    radical = PointFrame.orthonormal_span(k @ null[:k.shape[1]])
     # quotient representatives: complement of the radical inside K-perp
     if radical.shape[1]:
         coords = radical.conj().T @ perp    # radical expressed against perp basis
@@ -110,8 +106,8 @@ def pairing_constant_check(sections, points):
     across the sampled points, up to 1e-9 relative (a lifted action induces
     a fixed symmetric form on the acting algebra); also returns the spread."""
     n = len(sections)
-    vals = eval_complex_points([pairing(a, b) for a in sections for b in sections], points)
-    stack = np.array(vals).T.reshape(len(points), n, n)
+    vals = _eval_array([pairing(a, b) for a in sections for b in sections], points)
+    stack = vals.T.reshape(len(points), n, n)
     spread = np.abs(stack - stack.mean(axis=0)).max()
     return bool(spread <= 1e-9 * (1.0 + np.abs(stack).max())), float(spread)
 
@@ -162,8 +158,7 @@ def double_quotient_report(pair, points):
     g_total = split_pairing_matrix(mt)
     lifts = duality_lift_sections(pair)
     coords = [c for s in lifts for c in s.coordinates()]
-    vals = np.array(eval_complex_points(coords + list(pair.F.coeffs.values()), points),
-                    dtype=complex).reshape(-1, npts)
+    vals = _eval_array(coords + list(pair.F.coeffs.values()), points)
     k = pair.k
     # kk[p] has the lift vectors at point p as columns, K then Kt; each matrix
     # is C-contiguous, as a single matrix would be, so matmul runs the same
@@ -188,13 +183,9 @@ def double_quotient_report(pair, points):
         routes.append(([mt + i for i in drop], keep + [mt + i for i in keep],
                        split_pairing_matrix(len(keep))))
     # perp = kernel of kk^T g_total, whose dimension may differ between points
-    _, s, vh = np.linalg.svd(_transpose(kk) @ g_total)
-    ranks = _rank(s)
     defects = np.zeros((2, npts))
     rank_ok = np.ones(npts, dtype=bool)
-    for r in sorted(set(ranks.tolist())):
-        at = np.flatnonzero(ranks == r)
-        perp = _transpose(vh[at, r:].conj())
+    for at, perp in PointFrame.nullspace(_transpose(kk) @ g_total):
         g_perp = _transpose(perp) @ g_total @ perp
         for route, ((drop, keep, g_side), vectors) in enumerate(
                 zip(routes, (perp, shear[at] @ perp))):
@@ -209,16 +200,12 @@ def double_quotient_report(pair, points):
         defects[0].tolist(), defects[1].tolist(), rank_ok.tolist())]
 
 
-def _transpose(stack):
-    """The matrices of a (points, n, m) stack, each transposed (no conjugation)."""
-    return stack.transpose(0, 2, 1)
-
-
 # -- generalized tangent space of the correspondence inside the product -----------------
 
-def generalized_tangent_basis(pair, point, f_scale=1.0):
-    """Orthonormal basis of tau_F = {(E x, xi) : E^T xi = A^T x} inside the
-    product space, where A^T x = i_x F for F scaled by ``f_scale``.
+def generalized_tangent_basis(pair, points, f_scale=1.0):
+    """Orthonormal bases (points, 2n, n) of tau_F = {(E x, xi) : E^T xi = A^T x}
+    inside the product space, where A^T x = i_x F for F scaled by ``f_scale``
+    (a number, or one per point).
 
     E embeds the correspondence's generators into TM + TMt by name, so a
     base generator lands in both factors; E^T xi is the pullback of the
@@ -227,10 +214,15 @@ def generalized_tangent_basis(pair, point, f_scale=1.0):
     """
     names = pair.chart.coframe.names + pair.dual.coframe.names
     e = np.array([[float(a == b) for b in pair.total.coframe.names] for a in names])
-    a = f_scale * two_form_matrix_at(pair.F, point)
-    kernel = PointFrame.nullspace(np.concatenate([-a.T, e.T], axis=1))
-    x, xi = kernel[:e.shape[1]], kernel[e.shape[1]:]
-    return PointFrame.orthonormal_span(np.concatenate([e @ x, xi]))
+    n, nt = e.shape
+    a = np.reshape(f_scale, (-1, 1, 1)) * _two_form_matrix(
+        pair.F, _eval_array(pair.F.coeffs.values(), points))
+    e_t = np.broadcast_to(e.T, (len(points), nt, n))
+    kernel = _uniform(PointFrame.nullspace(np.concatenate([-_transpose(a), e_t], axis=-1)),
+                      n, "tau_F", points)
+    x, xi = kernel[:, :nt], kernel[:, nt:]
+    return _uniform(PointFrame.orthonormal_span(np.concatenate([e @ x, xi], axis=-2)),
+                    n, "tau_F", points)
 
 
 def _first_factor(pair):
@@ -240,42 +232,49 @@ def _first_factor(pair):
     return list(range(m)) + list(range(n, n + m))
 
 
-def transversality_check(pair, point, f_scale=1.0):
+def transversality_check(pair, points, f_scale=1.0):
     """tau_F meets TM + T*M trivially iff the fiber block of F is invertible;
-    both sides are computed independently and returned."""
-    tf = generalized_tangent_basis(pair, point, f_scale)
-    inter = _intersect(tf, np.eye(tf.shape[0])[:, _first_factor(pair)])
-    transversal = inter.shape[1] == 0
+    both sides are computed independently and returned, one pair per point.
+    ``f_scale`` scales F: a number, or one per point."""
+    tf = generalized_tangent_basis(pair, points, f_scale)
+    first = np.eye(tf.shape[-2])[:, _first_factor(pair)]
+    both = np.concatenate([tf, np.broadcast_to(-first, tf.shape[:1] + first.shape)], axis=-1)
+    # the two spans meet trivially iff the columns of [tf | -first] are independent
+    transversal = _rank(np.linalg.svd(both, compute_uv=False)) == both.shape[-1]
     block = pair.fiber_block()
-    mat = np.array([[evaluate(e, point) for e in row] for row in block]).reshape(
-        len(block), len(block))
-    s = np.linalg.svd(f_scale * mat, compute_uv=False)
-    return transversal, _rank(s) == len(block)
+    k = len(block)
+    mats = np.array(evaluate_points([e for row in block for e in row], points)).T.reshape(-1, k, k)
+    s = np.linalg.svd(np.reshape(f_scale, (-1, 1, 1)) * mats, compute_uv=False)
+    return list(zip(transversal.tolist(), (_rank(s) == k).tolist()))
 
 
-def fourier_mukai_check(spinor_m, spinor_t, pair, point):
-    """Two independent duality criteria for pointwise structures.
+def fourier_mukai_check(pair, rho_m, rho_t, points):
+    """Two independent duality criteria for pointwise structures, at each point.
 
-    Route one: tau_F is invariant under the product structure (J, c Jt c^-1)
-    with c = diag(1, -1) on the second factor.  Route two: Jt equals the
-    conjugate of J by the section transform.  Returns (route1, route2,
-    defect1, defect2), each route passing with a defect up to 1e-8; the
-    routes agree for valid inputs.
+    ``rho_m`` (points, 2^m) and ``rho_t`` (points, 2^mt) are the values of a
+    pure spinor on each side at the points.  Route one: tau_F is invariant
+    under the product structure (J, c Jt c^-1) with c = diag(1, -1) on the
+    second factor.  Route two: Jt equals the conjugate of J by the section
+    transform.  Returns [(route1, route2, defect1, defect2)], one per point,
+    each route passing with a defect up to 1e-8; the routes agree for valid
+    inputs.
     """
-    j_m = gcs_matrix_at(spinor_m, pair.chart, point)
-    j_t = gcs_matrix_at(spinor_t, pair.dual, point)
+    j_m = gcs_matrices(pair.chart.coframe, rho_m, points)
+    j_t = gcs_matrices(pair.dual.coframe, rho_t, points)
     mt = pair.dual.coframe.dim
     c = np.diag([1.0] * mt + [-1.0] * mt)
-    tf = generalized_tangent_basis(pair, point)
+    tf = generalized_tangent_basis(pair, points)
     # the product structure in (TM, TMt, T*M, T*Mt) coordinates
+    dim = tf.shape[-2]
     idx_m = _first_factor(pair)
-    idx_t = [i for i in range(tf.shape[0]) if i not in idx_m]
-    big = np.zeros((tf.shape[0], tf.shape[0]))
-    big[np.ix_(idx_m, idx_m)] = j_m
-    big[np.ix_(idx_t, idx_t)] = c @ j_t @ c
-    proj = tf @ tf.conj().T
+    idx_t = [i for i in range(dim) if i not in idx_m]
+    big = np.zeros((len(points), dim, dim))
+    big[(slice(None),) + np.ix_(idx_m, idx_m)] = j_m
+    big[(slice(None),) + np.ix_(idx_t, idx_t)] = c @ j_t @ c
+    proj = tf @ _transpose(tf.conj())
     image = big @ tf
-    defect1 = float(np.abs(image - proj @ image).max())
-    phi = section_transform_matrix_at(pair, point).real
-    defect2 = float(np.abs(j_t - phi @ j_m @ np.linalg.inv(phi)).max())
-    return defect1 <= 1e-8, defect2 <= 1e-8, defect1, defect2
+    defect1 = np.abs(image - proj @ image).max(axis=(-2, -1))
+    phi = section_transform_matrices(pair, points).real
+    defect2 = np.abs(j_t - phi @ j_m @ np.linalg.inv(phi)).max(axis=(-2, -1))
+    return [(d1 <= 1e-8, d2 <= 1e-8, d1, d2)
+            for d1, d2 in zip(defect1.tolist(), defect2.tolist())]

@@ -20,23 +20,23 @@ import math
 import numpy as np
 
 from .scalar import (CScalar, PI, ZERO, ONE, diff, equal_numeric, evaluate,
-                     evaluate_all, evaluate_points, rat, sadd, scos, sdiv, smul,
-                     sneg, sexp, ssin, ssqrt, var)
-from .exterior import (Coframe, Form, FrameVector, exp_form, fiber_integrate,
-                       mukai_pairing, wedge)
+                     evaluate_points, rat, sadd, scos, sdiv, smul, sneg, sexp,
+                     ssin, ssqrt, var)
+from .exterior import (Coframe, Form, FrameVector, eval_complex_points, exp_form,
+                       fiber_integrate, mukai_pairing, wedge)
 from .bundle import (BundleChart, build_dual_chart, chart_from_text,
                      dual_fiber_name, exterior_derivative, form_residual,
                      split_flux)
 from .courant import lift_splitting_residual, split_pairing_matrix
 from .structures import (GeneralizedMetric, PureSpinor, SymTensor,
-                         check_integrable, gcs_matrix_at,
-                         is_decomposable_at, metric_matrix_at, metric_residual,
-                         mukai_norm_at, spinor_type_at)
-from .duality import (DualityPair, assemble_metric, bihermitian_dual_at,
-                      buscher_rules, dual_type_at, dualize_form,
+                         check_integrable, gcs_matrices, is_decomposable,
+                         metric_matrices, metric_residual, mukai_norms,
+                         spinor_types)
+from .duality import (DualityPair, assemble_metric, bihermitian_dual,
+                      buscher_rules, dual_types, dualize_form,
                       orientation_sign, reverse_sign, split_metric,
                       split_two_form, transport_metric, transport_spinor,
-                      uk_transport_residual)
+                      uk_transport_residuals)
 from .certify import frame_certificate
 from .reduction import (LiftedActionPoint, double_quotient_report,
                         duality_lift_sections, fourier_mukai_check,
@@ -203,10 +203,10 @@ def scenario_s2_annulus(seed, samples):
                "(b + i w) dt",
                passed=dual_spinor == expected,
                notes="structural equality")
-    types = {spinor_type_at(PureSpinor(dual_spinor), p) for p in points}
+    types = set(spinor_types(PureSpinor(dual_spinor), points))
     report.add("dual-type-one", "the dual structure has type one at every sample",
                passed=types == {1})
-    tj = [dual_type_at(spinor, pair, p) for p in points]
+    tj = dual_types(spinor, pair, points)
     report.add("type-shift", "type changes by 2j - k with j from the fiber integral",
                passed=all(x == (1, 1) for x in tj),
                notes="j = 1 everywhere: the lowest factor is basic")
@@ -230,18 +230,14 @@ def scenario_s2_annulus(seed, samples):
     z_re = smul(sexp(sneg(w_shift)), scos(sadd(tht, antib)))
     z_im = smul(sexp(sneg(w_shift)), ssin(sadd(tht, antib)))
     dual_chart = pair.dual
+    envs = [dict(p, tht_angle=angle) for p in points for angle in (0.3, 2.1)]
+    rho = eval_complex_points((dual_spinor.coeff_of("dt"), dual_spinor.coeff_of("tht")), envs)
     worst = 0.0
-    for p in points:
-        for angle in (0.3, 2.1):
-            env = dict(p)
-            env["tht_angle"] = angle
-            z = complex(*evaluate_all((z_re, z_im), env))
-            # dz = z (i thetat - (w - i b) dt)
-            dz_dt = z * (-(evaluate(w, env) - 1j * evaluate(b, env)))
-            dz_tht = z * 1j
-            rho_dt = dual_spinor.coeff_of("dt").evaluate(p)
-            rho_tht = dual_spinor.coeff_of("tht").evaluate(p)
-            worst = max(worst, abs(dz_dt * rho_tht - dz_tht * rho_dt))
+    for x, y, w_val, b_val, rho_dt, rho_tht in zip(
+            *evaluate_points((z_re, z_im, w, b), envs), *rho):
+        z = complex(x, y)
+        # dz = z (i thetat - (w - i b) dt)
+        worst = max(worst, abs(z * (-(w_val - 1j * b_val)) * rho_tht - z * 1j * rho_dt))
     report.add("holomorphic-coordinate",
                "the dual spinor line agrees with the differential of the "
                "annulus coordinate",
@@ -272,7 +268,7 @@ def scenario_s2_annulus(seed, samples):
     report.add("integrability-transported",
                "the dual structure is integrable (transport preserves integrability)",
                residual=res_dual.residual, tol=1e-8)
-    worst = max(uk_transport_residual(spinor, pair, p) for p in points[:4])
+    worst = max(uk_transport_residuals(spinor, pair, points[:4]))
     report.add("eigenspace-ladder-transport",
                "the form transform maps each eigenspace level onto its dual level",
                residual=worst, tol=1e-8)
@@ -300,8 +296,8 @@ def scenario_hopf_surface(seed, samples):
     rep = pair.validate(n=len(points), seed=seed)
     report.add("pair-validation", "dF equals the flux difference; fiber block invertible",
                residual=rep.flux_difference_residual, tol=1e-9, passed=rep.ok)
-    valid = all(mukai_norm_at(spinor, p) >= 1e-6 and is_decomposable_at(spinor.lowest, p)
-                for p in points)
+    valid = (min(mukai_norms(spinor, points)) >= 1e-6
+             and all(is_decomposable(spinor.lowest, points)))
     report.add("family-validity",
                "the invariant family is nondegenerate and decomposable on the chart",
                passed=valid,
@@ -315,18 +311,11 @@ def scenario_hopf_surface(seed, samples):
     report.add("integrability-transported",
                "the transported family stays integrable",
                residual=res_d.residual, tol=1e-8)
-    types = []
-    js = []
-    for p in points:
-        tt, j = dual_type_at(spinor, pair, p)
-        types.append(tt)
-        js.append(j)
-        if spinor_type_at(dual_spinor, p) != tt:
-            types.append(-99)
+    types, js = zip(*dual_types(spinor, pair, points))
     report.add("generic-dual-type",
                "dual type is zero (symplectic) at every interior sample, and "
                "matches the transported spinor's type",
-               passed=set(types) == {0},
+               passed=set(types) == {0} and list(types) == spinor_types(dual_spinor, points),
                notes=f"j per sample: {sorted(set(js))}")
     # continuation toward the excluded locus: the surviving integral decays
     # linearly and the limit member jumps to j = 1 (complex dual type 2)
@@ -340,8 +329,8 @@ def scenario_hopf_surface(seed, samples):
         decay.append(max(abs(v) for v in vals.values()) / (4 * math.pi ** 2))
     linear = all(abs(decay[i] / decay[i + 1] - 2.0) < 1e-9 for i in range(2))
     limit = _hopf_surface_family(chart, ZERO)
-    tt_limit, j_limit = dual_type_at(limit, pair, points[0])
-    degenerate = mukai_norm_at(limit, points[0]) < 1e-12
+    ((tt_limit, j_limit),) = dual_types(limit, pair, points[:1])
+    degenerate = mukai_norms(limit, points[:1])[0] < 1e-12
     report.add("type-jump-at-locus",
                "continuing the family to the excluded fibers flips the fiber "
                "integral order and the dual type jumps 0 -> 2",
@@ -349,7 +338,7 @@ def scenario_hopf_surface(seed, samples):
                notes=f"surviving integral decays linearly ({decay[0]:.3g}, "
                      f"{decay[1]:.3g}, {decay[2]:.3g}); limit member is "
                      f"degenerate with j = {j_limit}")
-    worst = max(uk_transport_residual(spinor, pair, p) for p in points[:3])
+    worst = max(uk_transport_residuals(spinor, pair, points[:3]))
     report.add("eigenspace-ladder-transport",
                "the form transform maps each eigenspace level onto its dual level",
                residual=worst, tol=1e-8)
@@ -435,13 +424,11 @@ def scenario_gibbons_hawking(seed, samples):
     sp1, sp2 = PureSpinor(rho1), PureSpinor(rho2)
     met = GeneralizedMetric(SymTensor(cof, {(i, i): v_pot for i in range(cof.dim)}),
                             b_total)
-    worst = 0.0
-    for p in points[:3]:
-        j1 = gcs_matrix_at(sp1, chart, p)
-        j2 = gcs_matrix_at(sp2, chart, p)
-        worst = max(worst, float(np.abs(j1 @ j2 - j2 @ j1).max()))
-        g_endo = -j1 @ j2
-        worst = max(worst, float(np.abs(g_endo - metric_matrix_at(met, p)).max()))
+    near = points[:3]
+    j1 = gcs_matrices(cof, sp1.form.eval_vectors(near), near)
+    j2 = gcs_matrices(cof, sp2.form.eval_vectors(near), near)
+    worst = max(float(np.abs(j1 @ j2 - j2 @ j1).max()),
+                float(np.abs(-j1 @ j2 - metric_matrices(met, near)).max()))
     report.add("kahler-pair",
                "the two structures commute and their product recovers the metric",
                residual=worst, tol=1e-7,
@@ -454,8 +441,8 @@ def scenario_gibbons_hawking(seed, samples):
     iplus[ix["th"], ix["dx3"]] = -1.0
     iplus[ix["dx1"], ix["dx2"]] = 1.0
     iplus[ix["dx2"], ix["dx1"]] = -1.0
-    it_plus = bihermitian_dual_at(iplus, met, chart, p, +1)
-    it_minus = bihermitian_dual_at(iplus, met, chart, p, -1)
+    (it_plus,) = bihermitian_dual(iplus, met, chart, [p], +1)
+    (it_minus,) = bihermitian_dual(iplus, met, chart, [p], -1)
     ok = (np.abs(it_plus @ it_plus + np.eye(4)).max() <= 1e-9
           and np.abs(it_minus @ it_minus + np.eye(4)).max() <= 1e-9
           and orientation_sign(it_plus) == orientation_sign(iplus)
@@ -617,41 +604,37 @@ def scenario_reduction_suite(seed, samples):
                passed=agree, notes="32 randomized actions")
     # transversality of the correspondence tangent space
     pts2 = s2.chart.domain.sample_many(rng, 2)
-    t_ok = True
-    for p in pts2:
-        a, b = transversality_check(s2, p)
-        t_ok = t_ok and a and b
-        a0, b0 = transversality_check(s2, p, f_scale=0.0)
-        t_ok = t_ok and (not a0) and (not b0)
-        scale = float(rng.uniform(0.5, 3.0))
-        a1, b1_ = transversality_check(s2, p, f_scale=scale)
-        t_ok = t_ok and a1 and b1_
+    scales = [float(rng.uniform(0.5, 3.0)) for _ in pts2]
+    t_ok = (all(a and b for a, b in transversality_check(s2, pts2))
+            and not any(a or b for a, b in transversality_check(s2, pts2, f_scale=0.0))
+            and all(a and b for a, b in transversality_check(s2, pts2, f_scale=scales)))
     report.add("graph-transversality",
                "the correspondence tangent space meets either factor trivially "
                "iff the fiber block is invertible",
                passed=t_ok)
-    # the two duality criteria agree, positive and negative instances
-    agree = True
-    positives = negatives = skipped = 0
+    # the two duality criteria agree, positive and negative instances: even
+    # trials pair a spinor on s2 with its transport, odd trials one on the
+    # hopf surface with an unrelated random spinor.  Each trial keeps the two
+    # spinors' values at its point, and each pair runs one stacked check.
     pairs_for_fm = (s2, DualityPair.from_chart(load_chart("hopf_surface.cfg")))
+    draws = ([], [])
     for trial in range(32):
         pair = pairs_for_fm[trial % 2]
         points = pair.chart.domain.sample_many(rng, 1)
-        p = points[0]
         sp = random_pure_spinor(rng, pair.chart, points)
-        if trial % 2 == 0:
-            other = transport_spinor(sp, pair)
-            r1, r2, d1, d2 = fourier_mukai_check(sp, other, pair, p)
-            agree = agree and r1 and r2
-            positives += 1
-        else:
-            other = random_pure_spinor(rng, pair.dual, points)
-            r1, r2, d1, d2 = fourier_mukai_check(sp, other, pair, p)
-            if max(d1, d2) < 1e-4:
-                skipped += 1  # accidental near-duality; skip rather than misjudge
-                continue
-            agree = agree and (not r1) and (not r2)
-            negatives += 1
+        other = (transport_spinor(sp, pair) if trial % 2 == 0
+                 else random_pure_spinor(rng, pair.dual, points))
+        draws[trial % 2].append((points[0], sp.form.eval_vectors(points)[0],
+                                 other.form.eval_vectors(points)[0]))
+    dual_side, other_side = (
+        fourier_mukai_check(pair, np.array(rho_m), np.array(rho_t), list(points))
+        for pair, (points, rho_m, rho_t) in zip(pairs_for_fm, (zip(*d) for d in draws)))
+    # accidental near-duality: skip rather than misjudge
+    kept = [(r1, r2) for r1, r2, d1, d2 in other_side if max(d1, d2) >= 1e-4]
+    positives, negatives = len(dual_side), len(kept)
+    skipped = len(other_side) - negatives
+    agree = (all(r1 and r2 for r1, r2, _, _ in dual_side)
+             and not any(r1 or r2 for r1, r2 in kept))
     # too many skips would leave the negative side of the equivalence untested
     report.add("product-criterion-equivalence",
                "invariance of the correspondence tangent space under the product "

@@ -1,10 +1,13 @@
 """Pure spinors, generalized complex structures, and generalized metrics.
 
 Everything pointwise is plain linear algebra on the 2^m-dimensional space of
-forms at a base point, with the Clifford action realized as matrices.
-Nullspaces use rank-revealing SVD with a relative threshold of 1e-8, which is
-robust near type-change loci; points where the spinor norm degenerates are
-reported, not treated as errors.
+forms at a base point, with the Clifford action realized as matrices.  The
+pointwise functions take a list of points (the values-level ones a spinor's
+values, one row per point): each evaluates once for all points and runs each
+step on the stack of all of them, points first, and a check that fails raises
+a ValueError naming the first failing point.  Nullspaces use rank-revealing
+SVD with a relative threshold of 1e-8 (``_rank``), which is robust near
+type-change loci; a stack's bases come grouped by rank (``_by_rank``).
 """
 from __future__ import annotations
 
@@ -15,17 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scalar import CScalar, ZERO, as_scalar, evaluate_points
-from .exterior import (Form, FrameVector, contract, contract_sign, exp_form,
-                       mukai_signs, wedge)
+from .exterior import (Form, FrameVector, _eval_array, contract, contract_sign,
+                       exp_form, mukai_signs, wedge)
 from .bundle import form_residual, twisted_derivative
 from .courant import Section
 
 __all__ = [
     "PureSpinor", "GeneralizedMetric", "SymTensor", "PointFrame",
-    "annihilator_at", "spinor_type_at", "check_integrable", "IntegrabilityResult",
-    "gcs_matrix_at", "metric_matrix_at", "two_form_matrix_at",
-    "uk_spaces_at", "mukai_norm_at", "mukai_norm", "is_decomposable_at",
-    "metric_residual", "RANK_TOL",
+    "annihilators", "spinor_types", "check_integrable", "IntegrabilityResult",
+    "gcs_matrices", "gcs_matrix_at", "metric_matrices", "uk_spaces",
+    "mukai_norms", "mukai_norm", "is_decomposable", "metric_residual", "RANK_TOL",
 ]
 
 RANK_TOL = 1e-8
@@ -75,16 +77,12 @@ class SymTensor:
         return self.eval_matrices((point,))[0]
 
     def eval_matrices(self, points):
-        """The symmetric matrix at each point, as a list."""
+        """The symmetric matrices at the points, stacked: (points, m, m)."""
         m = self.coframe.dim
-        vals = evaluate_points(self.entries.values(), points)
-        out = []
-        for k in range(len(points)):
-            mat = np.zeros((m, m))
-            for (i, j), v in zip(self.entries, vals):
-                mat[i, j] = v[k]
-                mat[j, i] = v[k]
-            out.append(mat)
+        out = np.zeros((len(points), m, m))
+        for (i, j), v in zip(self.entries, evaluate_points(self.entries.values(), points)):
+            out[:, i, j] = v
+            out[:, j, i] = v
         return out
 
     def apply(self, x):
@@ -183,45 +181,41 @@ def _clifford_matrices(m):
 
 class PointFrame:
     """Clifford action matrices on the 2^m forms at a point of a coframe with
-    m generators; they depend only on m, so frames of the same size share them."""
+    m generators; they depend only on m, so frames of the same size share them.
+    Every method takes one row (or matrix) per point, points first."""
 
     def __init__(self, coframe):
-        self.coframe = coframe
         m = coframe.dim
         self.m = m
         self.nforms = 1 << m
         self._wedge, self._contract = _clifford_matrices(m)
 
     def section_action(self, comps):
-        """Clifford action matrix of numeric section components (X, xi)."""
-        a = np.zeros((self.nforms, self.nforms), dtype=complex)
+        """Clifford action matrices (points, 2^m, 2^m) of numeric section
+        components (points, 2m), (X, xi) in each row."""
+        a = np.zeros(comps.shape[:-1] + (self.nforms, self.nforms), dtype=complex)
         for i in range(self.m):
-            if comps[i] != 0:
-                a += comps[i] * self._contract[i]
-            if comps[self.m + i] != 0:
-                a += comps[self.m + i] * self._wedge[i]
+            a += comps[..., i, None, None] * self._contract[i]
+            a += comps[..., self.m + i, None, None] * self._wedge[i]
         return a
 
-    def spinor_action_matrix(self, rho_vec):
-        """Matrix of v -> v . rho over the 2m section coordinates."""
-        cols = []
-        for i in range(self.m):
-            cols.append(self._contract[i] @ rho_vec)
-        for i in range(self.m):
-            cols.append(self._wedge[i] @ rho_vec)
-        return np.stack(cols, axis=1)
+    def spinor_action_matrix(self, rhos):
+        """Matrices (points, 2^m, 2m) of v -> v . rho over the 2m section
+        coordinates, for form values ``rhos`` (points, 2^m)."""
+        cols = rhos[..., None]
+        return np.concatenate([c @ cols for c in self._contract + self._wedge], axis=-1)
 
     @staticmethod
     def nullspace(a):
-        """Orthonormal basis (columns) of the kernel of a."""
+        """Orthonormal basis (columns) of the kernel of a, per rank for a stack."""
         _, s, vh = np.linalg.svd(a)
-        return vh[_rank(s):].conj().T
+        return _by_rank(s, lambda at, r: _transpose(vh[at][..., r:, :].conj()))
 
     @staticmethod
     def orthonormal_span(a):
-        """Orthonormal basis (columns) of the column span of a."""
+        """Orthonormal basis (columns) of the span of a, per rank for a stack."""
         u, s, _ = np.linalg.svd(a, full_matrices=False)
-        return u[:, :_rank(s)]
+        return _by_rank(s, lambda at, r: u[at][..., :r])
 
 
 def _rank(s):
@@ -234,22 +228,58 @@ def _rank(s):
     return int(ranks) if s.ndim == 1 else ranks
 
 
-def annihilator_at(spinor, chart, point):
-    """Basis (2m x d complex) of {v : v . rho(p) = 0}; maximal isotropic."""
-    return _annihilator(PointFrame(chart.coframe), spinor.form.eval_vector(point))
+def _by_rank(s, basis):
+    """``basis(at, r)``, the bases of the matrices ``at`` (an index) of rank
+    r, from their singular values ``s``: for one matrix that basis (``at`` is
+    ``...``); for a stack, [(indices, stacked bases)] in increasing rank."""
+    ranks = _rank(s)
+    if np.ndim(ranks) == 0:
+        return basis(..., ranks)
+    return [(np.flatnonzero(ranks == r), basis(ranks == r, r))
+            for r in sorted(set(ranks.tolist()))]
 
 
-def _annihilator(fr, rho):
-    """``annihilator_at`` of the spinor whose value at the point is ``rho``."""
-    norm = np.abs(rho).max()
-    if norm <= RANK_TOL:
-        raise ValueError("spinor vanishes at the sample point")
-    return fr.nullspace(fr.spinor_action_matrix(rho / norm))
+def _uniform(groups, dim, what, points):
+    """The stacked bases of ``_by_rank`` groups when each point has ``dim``
+    columns; otherwise a ValueError that names the first point without."""
+    bad = [(int(at[0]), bases.shape[-1]) for at, bases in groups if bases.shape[-1] != dim]
+    if bad:
+        i, got = min(bad)
+        raise _at_point(f"{what} has dimension {got}, expected {dim}", points, i)
+    return groups[0][1]
 
 
-def mukai_norm_at(spinor, point):
-    """|(rho, conj rho)| at a point; zero detects type-change loci."""
-    return mukai_norm(spinor.form.eval_coeffs(point), spinor.coframe.dim)
+def _at_point(message, points, i):
+    """ValueError naming sample point i, in ``EvaluationError``'s format."""
+    return ValueError(f"{message} at sample point {i}: {points[i]}")
+
+
+def _first_failure(bad, message, points):
+    """Raise ``_at_point`` for the first point whose entry of ``bad`` is true."""
+    if bad.any():
+        raise _at_point(message, points, int(np.argmax(bad)))
+
+
+def _transpose(stack):
+    """Each matrix of a stack transposed (no conjugation)."""
+    return np.swapaxes(stack, -1, -2)
+
+
+def annihilators(coframe, rhos, points):
+    """Bases (points, 2m, m) of {v : v . rho = 0} from a pure spinor's values
+    ``rhos`` (points, 2^m) at the points; each is maximal isotropic."""
+    fr = PointFrame(coframe)
+    norms = np.abs(rhos).max(axis=-1)
+    _first_failure(norms <= RANK_TOL, "spinor vanishes", points)
+    return _uniform(fr.nullspace(fr.spinor_action_matrix(rhos / norms[:, None])),
+                    fr.m, "annihilator", points)
+
+
+def mukai_norms(spinor, points):
+    """|(rho, conj rho)| at each point; zero detects type-change loci."""
+    coeffs = spinor.form.coeffs
+    return [mukai_norm(dict(zip(coeffs, zs)), spinor.coframe.dim)
+            for zs in _eval_array(coeffs.values(), points).T.tolist()]
 
 
 def mukai_norm(values, m):
@@ -266,37 +296,30 @@ def mukai_norm(values, m):
     return abs(total)
 
 
-def spinor_type_at(spinor, point):
-    """Degree of the lowest component that survives numerically at the point."""
-    coeffs = spinor.form.eval_coeffs(point)
+def spinor_types(spinor, points):
+    """Degree of the lowest component that survives numerically, per point."""
+    coeffs = spinor.form.coeffs
     if not coeffs:
         raise ValueError("spinor vanishes identically")
-    top = max(abs(v) for v in coeffs.values())
-    if top == 0.0:
-        raise ValueError("spinor vanishes at the sample point")
-    by_degree = {}
-    for mask, v in coeffs.items():
-        d = bin(mask).count("1")
-        by_degree[d] = max(by_degree.get(d, 0.0), abs(v))
-    return min(d for d, v in by_degree.items() if v > RANK_TOL * top)
+    size = np.abs(_eval_array(coeffs.values(), points))
+    top = size.max(axis=0)
+    _first_failure(top == 0.0, "spinor vanishes", points)
+    degrees = np.array([[bin(mask).count("1")] for mask in coeffs])
+    return np.where(size > RANK_TOL * top, degrees, spinor.coframe.dim + 1).min(axis=0).tolist()
 
 
-def is_decomposable_at(form, point):
-    """Pluecker test of the lowest degree component at the point: a nonzero
+def is_decomposable(form, points):
+    """Pluecker test of the lowest degree component at each point: a nonzero
     p-form is decomposable iff the 1-forms xi with xi ^ rho = 0 span p
-    dimensions (they never span more)."""
-    coeffs = form.eval_coeffs(point)
-    degs = {bin(m).count("1") for m, v in coeffs.items() if abs(v) > 0}
-    if not degs:
-        return True
-    degree = min(degs)
+    dimensions (they never span more).  A vanishing form passes."""
     fr = PointFrame(form.coframe)
-    vec = np.zeros(fr.nforms, dtype=complex)
-    for mask, v in coeffs.items():
-        if bin(mask).count("1") == degree:
-            vec[mask] = v
-    wedges = np.stack([w @ vec for w in fr._wedge], axis=1)
-    return fr.nullspace(wedges).shape[1] == degree
+    vals = form.eval_vectors(points)
+    degree = np.array([bin(mask).count("1") for mask in range(fr.nforms)])
+    lowest = np.where(np.abs(vals) > 0, degree, fr.m + 1).min(axis=-1, keepdims=True)
+    vecs = np.where(degree == lowest, vals, 0)[..., None]
+    wedges = np.concatenate([w @ vecs for w in fr._wedge], axis=-1)
+    kernel = fr.m - _rank(np.linalg.svd(wedges, compute_uv=False))
+    return ((lowest[:, 0] > fr.m) | (kernel == lowest[:, 0])).tolist()
 
 
 @dataclass
@@ -314,63 +337,55 @@ def check_integrable(spinor, chart, points):
     structure is integrable when the residual stays below 1e-8 everywhere.
     """
     drho = twisted_derivative(spinor.form, chart)
-    fr = PointFrame(chart.coframe)
-    worst = 0.0
-    witnesses = []
-    for p in points:
-        rho = spinor.form.eval_vector(p)
-        scale = np.abs(rho).max()
-        if scale == 0:
-            raise ValueError("spinor vanishes at a sample point")
-        a = fr.spinor_action_matrix(rho)
-        b = drho.eval_vector(p)
-        x, *_ = np.linalg.lstsq(a, b, rcond=None)
-        witnesses.append(x)
-        worst = max(worst, float(np.abs(a @ x - b).max() / scale))
-    return IntegrabilityResult(worst, worst <= 1e-8, witnesses, list(points))
+    rhos = spinor.form.eval_vectors(points)
+    scale = np.abs(rhos).max(axis=-1)
+    _first_failure(scale == 0, "spinor vanishes", points)
+    a = PointFrame(chart.coframe).spinor_action_matrix(rhos)
+    b = drho.eval_vectors(points)
+    x = np.array([np.linalg.lstsq(ap, bp, rcond=None)[0] for ap, bp in zip(a, b)])
+    res = np.abs(a @ x[..., None] - b[..., None]).max(axis=(-2, -1)) / scale
+    worst = float(res.max(initial=0.0))
+    return IntegrabilityResult(worst, worst <= 1e-8, list(x), list(points))
 
 
-def gcs_matrix_at(spinor, chart, point):
-    """Real 2m x 2m matrix: +i on the annihilator, -i on its conjugate."""
-    l_basis = annihilator_at(spinor, chart, point)
-    n = chart.coframe.dim
-    if l_basis.shape[1] != n:
-        raise ValueError(f"annihilator has dimension {l_basis.shape[1]}, expected {n}")
-    b = np.concatenate([l_basis, l_basis.conj()], axis=1)
-    if _rank(np.linalg.svd(b, compute_uv=False)) < 2 * n:
-        raise ValueError("annihilator meets its conjugate: no almost complex structure")
+def gcs_matrices(coframe, rhos, points):
+    """Real (points, 2m, 2m) stack from a pure spinor's values ``rhos``
+    (points, 2^m): +i on the annihilator, -i on its conjugate."""
+    l_basis = annihilators(coframe, rhos, points)
+    n = coframe.dim
+    b = np.concatenate([l_basis, l_basis.conj()], axis=-1)
+    _first_failure(_rank(np.linalg.svd(b, compute_uv=False)) < 2 * n,
+                   "annihilator meets its conjugate: no almost complex structure", points)
     d = np.diag([1j] * n + [-1j] * n)
     j = b @ d @ np.linalg.inv(b)
-    if np.abs(j.imag).max() > 1e-7:
-        raise ValueError("eigenspace construction produced a non-real structure")
+    _first_failure(np.abs(j.imag).max(axis=(-2, -1)) > 1e-7,
+                   "eigenspace construction produced a non-real structure", points)
     return j.real
 
 
-def metric_matrix_at(metric, point):
-    """+1 on the graph of b+g, -1 on the graph of b-g."""
-    g = metric.g.eval_matrix(point)
-    b = two_form_matrix_at(metric.b, point)
+def gcs_matrix_at(spinor, chart, point):
+    """``gcs_matrices`` of a spinor at one point."""
+    return gcs_matrices(chart.coframe, spinor.form.eval_vectors([point]), [point])[0]
+
+
+def metric_matrices(metric, points):
+    """(points, 2m, 2m): +1 on the graph of b+g, -1 on the graph of b-g."""
+    g = metric.g.eval_matrices(points)
+    b = _two_form_matrix(metric.b, _eval_array(metric.b.coeffs.values(), points))
     m = metric.coframe.dim
-    eigvals = np.linalg.eigvalsh(g)
-    if eigvals.min() <= 0:
-        raise ValueError("metric not positive definite at the sample point")
-    cplus = np.concatenate([np.eye(m), b + g], axis=0)
-    cminus = np.concatenate([np.eye(m), b - g], axis=0)
-    p = np.concatenate([cplus, cminus], axis=1)
+    _first_failure(np.linalg.eigvalsh(g).min(axis=-1) <= 0,
+                   "metric not positive definite", points)
+    eye = np.broadcast_to(np.eye(m), g.shape)
+    p = np.concatenate([np.concatenate([eye, b + g], axis=-2),
+                        np.concatenate([eye, b - g], axis=-2)], axis=-1)
     d = np.diag([1.0] * m + [-1.0] * m)
     return p @ d @ np.linalg.inv(p)
 
 
-def two_form_matrix_at(form, point):
-    """Antisymmetric matrix A of a real 2-form at a point, with
-    (i_X form)_b = sum_a X^a A[a, b]."""
-    return _two_form_matrix(form, list(form.eval_coeffs(point).values()))
-
-
 def _two_form_matrix(form, values):
-    """``two_form_matrix_at`` from the values of the form's coefficients, one
-    row per coefficient in ``form.coeffs`` order: a row of values over points
-    gives the stack of matrices at those points, points first."""
+    """Antisymmetric matrices A of a real 2-form, (i_X form)_b = sum_a X^a A[a, b],
+    from its coefficient values: one row per coefficient in ``form.coeffs``
+    order and one column per point give the stack at those points, points first."""
     m = form.coframe.dim
     values = np.real(np.asarray(values, dtype=complex))
     out = np.zeros(values.shape[1:] + (m, m))
@@ -394,24 +409,23 @@ def metric_residual(a, b, points):
                            for x, y in zip(va, vb)), default=0.0))
 
 
-def uk_spaces_at(spinor, chart, point):
-    """Eigenspace ladder of forms at a point: U_n down to U_{-n}.
+def uk_spaces(coframe, rhos, points):
+    """Eigenspace ladder of forms at each point: U_n down to U_{-n}, from a
+    pure spinor's values ``rhos`` (points, 2^m).
 
     U_n is the canonical line span(rho); U_{n-k} is spanned by k-fold Clifford
     products of conjugate-annihilator elements acting on rho.  Returns a list
-    of (level, orthonormal basis matrix) with levels n, n-1, ..., -n.
+    of (level, orthonormal bases (points, 2^m, dim)) with levels n, ..., -n;
+    the dimensions add up to 2^m.
     """
-    fr = PointFrame(chart.coframe)
+    fr = PointFrame(coframe)
     m = fr.m
     if m % 2:
         raise ValueError("generalized complex structures need an even-dimensional chart")
-    half = m // 2
-    rho = spinor.form.eval_vector(point)
-    lbar = _annihilator(fr, rho).conj()
-    rho = rho / np.abs(rho).max()
-    actions = [fr.section_action(lbar[:, i]) for i in range(m)]
+    lbar = annihilators(coframe, rhos, points).conj()
+    rho = (rhos / np.abs(rhos).max(axis=-1, keepdims=True))[..., None]
+    actions = [fr.section_action(lbar[..., i]) for i in range(m)]
     out = []
-    total = 0
     for k in range(0, m + 1):
         vecs = []
         for combo in itertools.combinations(range(m), k):
@@ -419,13 +433,7 @@ def uk_spaces_at(spinor, chart, point):
             for i in combo:
                 w = actions[i] @ w
             vecs.append(w)
-        basis = fr.orthonormal_span(np.stack(vecs, axis=1))
-        if basis.shape[1] != len(vecs):
-            raise ValueError(f"level {half - k}: expected dimension {len(vecs)}, "
-                             f"got {basis.shape[1]}")
-        out.append((half - k, basis))
-        total += basis.shape[1]
-    if total != fr.nforms:
-        raise ValueError("eigenspace dimensions do not exhaust the form space")
+        level = m // 2 - k
+        out.append((level, _uniform(fr.orthonormal_span(np.concatenate(vecs, axis=-1)),
+                                    len(vecs), f"level {level}", points)))
     return out
-

@@ -5,21 +5,30 @@ the componentwise residual of a section, the term-by-term bodies of
 ``Form.__add__``, ``exterior_derivative``, ``lie_bracket``,
 ``courant_bracket`` and ``pairing`` (``_reference_*``), which the one-pass
 kernels must match tree for tree, and the point-by-point bodies of
-``double_quotient_report`` and of the fiber-block checks of ``validate_pair``,
-which the stacked linear algebra must match report for report."""
+``double_quotient_report``, of the fiber-block checks of ``validate_pair``
+and of the one-point functions that the point-list forms replaced (spinor
+types, Mukai norms, the Pluecker test, integrability, the GC-structure and
+metric matrices, the eigenspace ladder and its transport, the transform
+matrices, type change, the bi-Hermitian transport, the tangent space of the
+correspondence, transversality and the Fourier-Mukai check), which the
+stacked linear algebra must match result for result."""
+import itertools
+
 import numpy as np
 import pytest
 
 from tduality import reduction
-from tduality.scalar import CScalar, diff, evaluate_points, rat, sadd, smul
+from tduality.scalar import CScalar, diff, evaluate, evaluate_points, rat, sadd, smul
 from tduality.bundle import (BundleChart, base_generator, exterior_derivative,
-                             form_residual)
+                             form_residual, twisted_derivative)
 from tduality.exterior import (Form, FrameVector, contract, contract_sign,
-                               eval_complex_points, wedge)
-from tduality.structures import GeneralizedMetric, RANK_TOL, SymTensor
+                               eval_complex_points, fiber_integrate, wedge)
+from tduality.structures import (GeneralizedMetric, RANK_TOL, SymTensor,
+                                 _clifford_matrices, mukai_norm)
 from tduality.courant import Section, lie_derivative, split_pairing_matrix
-from tduality.reduction import ReductionReport
-from tduality.duality import DualityPair, dualize_form, dualize_section
+from tduality.reduction import ReductionReport, _first_factor
+from tduality.duality import (DualityPair, _form_columns, _section_columns,
+                              dualize_form, dualize_section)
 from tduality.randomgen import random_form, random_scalar
 
 
@@ -240,6 +249,279 @@ def _reference_block_nondegeneracy(block, points):
         nondegenerate = (nondegenerate
                          and _reference_rank(np.linalg.svd(mat, compute_uv=False)) == k)
     return min_det, nondegenerate
+
+
+def _reference_vector(form, point):
+    """Dense coefficient vector of a form at one point."""
+    v = np.zeros(1 << form.coframe.dim, dtype=complex)
+    for m, c in form.eval_coeffs(point).items():
+        v[m] = c
+    return v
+
+
+def _reference_nullspace(a):
+    _, s, vh = np.linalg.svd(a)
+    return vh[_reference_rank(s):].conj().T
+
+
+def _reference_orthonormal_span(a):
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return u[:, :_reference_rank(s)]
+
+
+def _reference_section_action(m, comps):
+    """Clifford action matrix of one point's section components (X, xi)."""
+    wedges, contractions = _clifford_matrices(m)
+    a = np.zeros((1 << m, 1 << m), dtype=complex)
+    for i in range(m):
+        if comps[i] != 0:
+            a += comps[i] * contractions[i]
+        if comps[m + i] != 0:
+            a += comps[m + i] * wedges[i]
+    return a
+
+
+def _reference_spinor_action_matrix(m, rho):
+    wedges, contractions = _clifford_matrices(m)
+    return np.stack([c @ rho for c in contractions + wedges], axis=1)
+
+
+def _reference_annihilator(coframe, rho):
+    """Annihilator basis of the spinor whose value at the point is ``rho``."""
+    norm = np.abs(rho).max()
+    if norm <= RANK_TOL:
+        raise ValueError("spinor vanishes at the sample point")
+    return _reference_nullspace(_reference_spinor_action_matrix(coframe.dim, rho / norm))
+
+
+def _reference_gcs_matrix(coframe, rho):
+    """The GC-structure matrix of the spinor whose value at the point is ``rho``."""
+    l_basis = _reference_annihilator(coframe, rho)
+    n = coframe.dim
+    if l_basis.shape[1] != n:
+        raise ValueError(f"annihilator has dimension {l_basis.shape[1]}, expected {n}")
+    b = np.concatenate([l_basis, l_basis.conj()], axis=1)
+    if _reference_rank(np.linalg.svd(b, compute_uv=False)) < 2 * n:
+        raise ValueError("annihilator meets its conjugate: no almost complex structure")
+    d = np.diag([1j] * n + [-1j] * n)
+    j = b @ d @ np.linalg.inv(b)
+    if np.abs(j.imag).max() > 1e-7:
+        raise ValueError("eigenspace construction produced a non-real structure")
+    return j.real
+
+
+def _reference_metric_matrix_at(metric, point):
+    m = metric.coframe.dim
+    g = np.zeros((m, m))
+    for (i, j), s in metric.g.entries.items():
+        g[i, j] = g[j, i] = evaluate(s, point)
+    b = _reference_two_form_matrix(metric.b, list(metric.b.eval_coeffs(point).values()))
+    if np.linalg.eigvalsh(g).min() <= 0:
+        raise ValueError("metric not positive definite at the sample point")
+    cplus = np.concatenate([np.eye(m), b + g], axis=0)
+    cminus = np.concatenate([np.eye(m), b - g], axis=0)
+    p = np.concatenate([cplus, cminus], axis=1)
+    d = np.diag([1.0] * m + [-1.0] * m)
+    return p @ d @ np.linalg.inv(p)
+
+
+def _reference_spinor_type_at(spinor, point):
+    coeffs = spinor.form.eval_coeffs(point)
+    if not coeffs:
+        raise ValueError("spinor vanishes identically")
+    top = max(abs(v) for v in coeffs.values())
+    if top == 0.0:
+        raise ValueError("spinor vanishes at the sample point")
+    by_degree = {}
+    for mask, v in coeffs.items():
+        d = bin(mask).count("1")
+        by_degree[d] = max(by_degree.get(d, 0.0), abs(v))
+    return min(d for d, v in by_degree.items() if v > RANK_TOL * top)
+
+
+def _reference_mukai_norm_at(spinor, point):
+    return mukai_norm(spinor.form.eval_coeffs(point), spinor.coframe.dim)
+
+
+def _reference_is_decomposable_at(form, point):
+    """The Pluecker test as a kernel dimension, at one point."""
+    coeffs = form.eval_coeffs(point)
+    degs = {bin(m).count("1") for m, v in coeffs.items() if abs(v) > 0}
+    if not degs:
+        return True
+    degree = min(degs)
+    wedges, _ = _clifford_matrices(form.coframe.dim)
+    vec = np.zeros(1 << form.coframe.dim, dtype=complex)
+    for mask, v in coeffs.items():
+        if bin(mask).count("1") == degree:
+            vec[mask] = v
+    return _reference_nullspace(np.stack([w @ vec for w in wedges], axis=1)).shape[1] == degree
+
+
+def _reference_check_integrable(spinor, chart, points):
+    """(worst residual, witnesses) of the least-squares solve, point by point."""
+    drho = twisted_derivative(spinor.form, chart)
+    m = chart.coframe.dim
+    worst = 0.0
+    witnesses = []
+    for p in points:
+        rho = _reference_vector(spinor.form, p)
+        scale = np.abs(rho).max()
+        if scale == 0:
+            raise ValueError("spinor vanishes at a sample point")
+        a = _reference_spinor_action_matrix(m, rho)
+        b = _reference_vector(drho, p)
+        x, *_ = np.linalg.lstsq(a, b, rcond=None)
+        witnesses.append(x)
+        worst = max(worst, float(np.abs(a @ x - b).max() / scale))
+    return worst, witnesses
+
+
+def _reference_uk_spaces(coframe, rho):
+    """[(level, basis)] of the eigenspace ladder of the spinor whose value at
+    the point is ``rho``."""
+    m = coframe.dim
+    half = m // 2
+    lbar = _reference_annihilator(coframe, rho).conj()
+    rho = rho / np.abs(rho).max()
+    actions = [_reference_section_action(m, lbar[:, i]) for i in range(m)]
+    out = []
+    for k in range(0, m + 1):
+        vecs = []
+        for combo in itertools.combinations(range(m), k):
+            w = rho
+            for i in combo:
+                w = actions[i] @ w
+            vecs.append(w)
+        basis = _reference_orthonormal_span(np.stack(vecs, axis=1))
+        if basis.shape[1] != len(vecs):
+            raise ValueError(f"level {half - k}: expected dimension {len(vecs)}, "
+                             f"got {basis.shape[1]}")
+        out.append((half - k, basis))
+    return out
+
+
+def _reference_transform_matrix_at(pair, point):
+    cols = _form_columns(pair)
+    return np.stack([_reference_vector(col, point) for col in cols], axis=1)
+
+
+def _reference_section_transform_matrix_at(pair, point):
+    cols = _section_columns(pair)
+    vals = [z for s in cols for z in eval_complex_points(s.coordinates(), [point])]
+    return np.array(vals, dtype=complex).reshape(len(cols), -1).T.copy()
+
+
+def _reference_uk_transport_residual(spinor, pair, point, dual_spinor):
+    t = _reference_transform_matrix_at(pair, point)
+    src = _reference_uk_spaces(pair.chart.coframe, _reference_vector(spinor.form, point))
+    dst = dict(_reference_uk_spaces(pair.dual.coframe,
+                                    _reference_vector(dual_spinor.form, point)))
+    worst = 0.0
+    for level, basis in src:
+        target = dst[level]
+        proj = target @ target.conj().T
+        for col in range(basis.shape[1]):
+            image = t @ basis[:, col]
+            norm = np.linalg.norm(image)
+            if norm == 0:
+                raise ValueError("transform annihilated an eigenspace member")
+            defect = np.linalg.norm(image - proj @ image) / norm
+            worst = max(worst, float(defect))
+    return worst
+
+
+def _reference_dual_type_at(spinor, pair, point):
+    """(type, j) with every power rebuilt at the point and the loop stopping
+    at the first surviving fiber integral."""
+    cof = pair.total.coframe
+    two_form = pair.F + pair.pull(spinor.b + spinor.omega.scale(CScalar.i()))
+    omega_big = pair.pull(spinor.lowest)
+    k = pair.k
+    power = Form.scalar(cof, 1)
+    for j in range(0, k + 1):
+        if j > 0:
+            power = wedge(power, two_form)
+        integrand = wedge(power, omega_big)
+        scale = max((abs(v) for v in integrand.eval_coeffs(point).values()), default=0.0)
+        if scale == 0.0:
+            continue
+        vals = fiber_integrate(integrand, ("fiber",)).eval_coeffs(point)
+        if max((abs(v) for v in vals.values()), default=0.0) > 1e-9 * scale:
+            return spinor.lowest.max_degree() + 2 * j - k, j
+    raise ValueError("no power of the correspondence data survives integration")
+
+
+def _reference_bihermitian_dual_at(i_matrix, metric, chart, point, side):
+    cof = chart.coframe
+    i_th = cof.index(chart.fiber_names[0])
+    m = cof.dim
+    g = np.zeros((m, m))
+    for (i, j), s in metric.g.entries.items():
+        g[i, j] = g[j, i] = evaluate(s, point)
+    base_idx = [i for i in range(m) if i != i_th]
+    if np.abs(g[i_th, base_idx]).max() > 1e-9:
+        raise ValueError("connection is not the metric connection")
+    g0 = g[i_th, i_th]
+    i_mat = np.asarray(i_matrix, dtype=float)
+    if np.abs(i_mat @ i_mat + np.eye(m)).max() > 1e-9:
+        raise ValueError("input is not an almost complex structure")
+    if np.abs(i_mat.T @ g @ i_mat - g).max() > 1e-6:
+        raise ValueError("complex structure is not compatible with the metric")
+    e_th = np.zeros(m)
+    e_th[i_th] = 1.0
+    ie = i_mat @ e_th
+    span = np.stack([e_th, ie], axis=1)
+    gram = span.T @ g @ span
+    proj = span @ np.linalg.inv(gram) @ span.T @ g
+    out = i_mat @ (np.eye(m) - proj)
+    coeff = np.linalg.inv(gram) @ span.T @ g
+    out += (np.outer(side * (1.0 / g0) * ie, coeff[0])
+            + np.outer(-side * g0 * e_th, coeff[1]))
+    return out
+
+
+def _reference_generalized_tangent_basis(pair, point, f_scale=1.0):
+    names = pair.chart.coframe.names + pair.dual.coframe.names
+    e = np.array([[float(a == b) for b in pair.total.coframe.names] for a in names])
+    a = f_scale * _reference_two_form_matrix(pair.F, list(pair.F.eval_coeffs(point).values()))
+    kernel = _reference_nullspace(np.concatenate([-a.T, e.T], axis=1))
+    x, xi = kernel[:e.shape[1]], kernel[e.shape[1]:]
+    return _reference_orthonormal_span(np.concatenate([e @ x, xi]))
+
+
+def _reference_transversality_check(pair, point, f_scale=1.0):
+    """The intersection of tau_F with TM + T*M computed as a subspace, and
+    the fiber block's rank, at one point."""
+    tf = _reference_generalized_tangent_basis(pair, point, f_scale)
+    b = np.eye(tf.shape[0])[:, _first_factor(pair)]
+    null = _reference_nullspace(np.concatenate([tf, -b], axis=1))
+    inter = _reference_orthonormal_span(tf @ null[:tf.shape[1]])
+    block = pair.fiber_block()
+    mat = np.array([[evaluate(e, point) for e in row] for row in block])
+    s = np.linalg.svd(f_scale * mat, compute_uv=False)
+    return inter.shape[1] == 0, _reference_rank(s) == len(block)
+
+
+def _reference_fourier_mukai_check(pair, rho_m, rho_t, point):
+    """(route1, route2, defect1, defect2) from the two spinors' values at one
+    point."""
+    j_m = _reference_gcs_matrix(pair.chart.coframe, rho_m)
+    j_t = _reference_gcs_matrix(pair.dual.coframe, rho_t)
+    mt = pair.dual.coframe.dim
+    c = np.diag([1.0] * mt + [-1.0] * mt)
+    tf = _reference_generalized_tangent_basis(pair, point)
+    idx_m = _first_factor(pair)
+    idx_t = [i for i in range(tf.shape[0]) if i not in idx_m]
+    big = np.zeros((tf.shape[0], tf.shape[0]))
+    big[np.ix_(idx_m, idx_m)] = j_m
+    big[np.ix_(idx_t, idx_t)] = c @ j_t @ c
+    proj = tf @ tf.conj().T
+    image = big @ tf
+    defect1 = float(np.abs(image - proj @ image).max())
+    phi = _reference_section_transform_matrix_at(pair, point).real
+    defect2 = float(np.abs(j_t - phi @ j_m @ np.linalg.inv(phi)).max())
+    return defect1 <= 1e-8, defect2 <= 1e-8, defect1, defect2
 
 
 @pytest.fixture

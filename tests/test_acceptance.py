@@ -13,11 +13,11 @@ from tduality.exterior import (Coframe, Form, FrameVector, exp_form,
 from tduality.bundle import BundleChart, form_residual, twisted_derivative
 from tduality.courant import Section, courant_bracket, pairing, split_pairing_matrix
 from tduality.structures import (PureSpinor, check_integrable, metric_residual,
-                                 spinor_type_at)
-from tduality.duality import (DualityPair, buscher_rules, dual_type_at,
+                                 spinor_types)
+from tduality.duality import (DualityPair, buscher_rules, dual_types,
                               dualize_form, dualize_section, split_metric,
                               split_two_form, transport_metric,
-                              transport_spinor, uk_transport_residual)
+                              transport_spinor, uk_transport_residuals)
 from tduality.randomgen import random_form, random_pure_spinor, random_section
 from tduality.reduction import (LiftedActionPoint, double_quotient_report,
                                 fourier_mukai_check, reduce_pointwise)
@@ -212,9 +212,8 @@ def test_criterion_7_type_change(rng, circle_pair, torus_pair):
         for _ in range(32):
             sp = random_pure_spinor(rng, chart, pts)
             dual_sp = transport_spinor(sp, pair)
-            for p in pts:
-                tt, _ = dual_type_at(sp, pair, p)
-                ok = ok and tt == spinor_type_at(dual_sp, p)
+            types = [tt for tt, _ in dual_types(sp, pair, pts)]
+            ok = ok and types == spinor_types(dual_sp, pts)
     # the four stated fiber geometries of a rank-two duality
     chart = torus_pair.chart
     cof = chart.coframe
@@ -233,8 +232,8 @@ def test_criterion_7_type_change(rng, circle_pair, torus_pair):
     lag = Form.monomial(cof, ("th1", "ds1")) + Form.monomial(cof, ("th2", "ds2"))
     rows.append((PureSpinor.from_data(zero, lag, Form.scalar(cof, 1)), 0, 2))
     for sp, start, expected in rows:
-        ok = ok and spinor_type_at(sp, p) == start
-        tt, _ = dual_type_at(sp, torus_pair, p)
+        ok = ok and spinor_types(sp, [p]) == [start]
+        ((tt, _),) = dual_types(sp, torus_pair, [p])
         ok = ok and tt == expected
     announce(7, "dual type equals the transported spinor's type (32 random "
                 "spinors per pair); the four model fiber geometries reproduce "
@@ -347,12 +346,14 @@ def test_criterion_10_reduction(rng, hopf_pair, circle_pair, mixed_pair, torus_p
         sp = random_pure_spinor(rng, pair.chart, pts)
         if trial % 4 < 2:
             other = transport_spinor(sp, pair)
-            r1, r2, d1, d2 = fourier_mukai_check(sp, other, pair, pts[0])
+            ((r1, r2, d1, d2),) = fourier_mukai_check(
+                pair, sp.form.eval_vectors(pts), other.form.eval_vectors(pts), pts)
             fm_agree = fm_agree and r1 and r2
             positives += 1
         else:
             other = random_pure_spinor(rng, pair.dual, pts)
-            r1, r2, d1, d2 = fourier_mukai_check(sp, other, pair, pts[0])
+            ((r1, r2, d1, d2),) = fourier_mukai_check(
+                pair, sp.form.eval_vectors(pts), other.form.eval_vectors(pts), pts)
             if max(d1, d2) < 1e-4:
                 continue
             fm_agree = fm_agree and (not r1) and (not r2)
@@ -371,13 +372,12 @@ def test_criterion_11_uk_transport(rng, circle_pair, torus_pair):
     omega = Form.monomial(cof, ("dt", "th"), sadd(rat(1, 2), smul(t, t)))
     bfield = Form.monomial(cof, ("dt", "th"), smul(rat(1, 4), t))
     sphere_spinor = PureSpinor.from_data(bfield, omega, Form.scalar(cof, 1))
-    worst = 0.0
-    for p in chart.domain.sample_many(rng, 4):
-        worst = max(worst, uk_transport_residual(sphere_spinor, circle_pair, p))
+    worst = max(uk_transport_residuals(sphere_spinor, circle_pair,
+                                       chart.domain.sample_many(rng, 4)))
     from tduality.scenarios import _hopf_surface_family
     family = _hopf_surface_family(torus_pair.chart, var("s2"))
-    for p in torus_pair.chart.domain.sample_many(rng, 3):
-        worst = max(worst, uk_transport_residual(family, torus_pair, p))
+    worst = max(worst, *uk_transport_residuals(family, torus_pair,
+                                               torus_pair.chart.domain.sample_many(rng, 3)))
     announce(11, "every eigenspace level transports into its dual level on the "
                  "sphere and invariant-surface scenarios", worst, 1e-8,
              worst <= 1e-8)

@@ -8,15 +8,15 @@ from tduality.exterior import Form, wedge
 from tduality.bundle import form_residual, twisted_derivative
 from tduality.courant import Section, courant_bracket, pairing, section_basis
 from tduality.structures import (GeneralizedMetric, PureSpinor, SymTensor,
-                                 check_integrable, metric_residual, spinor_type_at)
+                                 check_integrable, metric_residual, spinor_types)
 from tduality.duality import (DualityPair, assemble_metric,
-                              bihermitian_dual_at, buscher_rules, dual_type_at,
+                              bihermitian_dual, buscher_rules, dual_types,
                               dualize_form, dualize_form_reverse,
                               dualize_section, orientation_sign, reverse_sign,
-                              section_transform_matrix_at,
+                              section_transform_matrices,
                               split_metric, split_two_form,
                               transform_matrix_at, transport_metric,
-                              transport_spinor, uk_transport_residual)
+                              transport_spinor, uk_transport_residuals)
 from tduality.randomgen import random_form, random_pure_spinor, random_section
 from tduality import scenarios
 from tduality.scenarios import twisted_rank_two_pair
@@ -94,7 +94,7 @@ def test_transform_columns_are_built_once_per_pair(rng, torus_chart, monkeypatch
             assert np.array_equal(transform_matrix_at(pair, p), uncached)
             uncached = np.stack([real_section(s, pair).eval_vector(p)
                                  for s in section_basis(cof)], axis=1)
-            assert np.array_equal(section_transform_matrix_at(pair, p), uncached)
+            assert np.array_equal(section_transform_matrices(pair, [p])[0], uncached)
         assert built["forms"] - before["forms"] == 1 << cof.dim
         assert built["sections"] - before["sections"] == 2 * cof.dim
 
@@ -325,7 +325,7 @@ def test_dual_type_circle_basic_factor(circle_pair, rng):
     omega = Form.monomial(cof, ("dt", "th"), sadd(rat(1, 2), smul(t, t)))
     sp = PureSpinor.from_data(Form.zero(cof), omega, Form.scalar(cof, 1))
     p = chart.domain.sample_many(rng, 1)[0]
-    assert dual_type_at(sp, circle_pair, p) == (1, 1)   # type 0 -> 1, basic factor
+    assert dual_types(sp, circle_pair, [p]) == [(1, 1)]   # type 0 -> 1, basic factor
 
 
 def test_dual_type_circle_fiber_factor(circle_pair, rng):
@@ -334,7 +334,7 @@ def test_dual_type_circle_fiber_factor(circle_pair, rng):
     lowest = Form.monomial(cof, ("th",)) + Form.monomial(cof, ("dt",), CScalar.i())
     sp = PureSpinor.from_data(Form.zero(cof), Form.zero(cof), lowest)
     p = chart.domain.sample_many(rng, 1)[0]
-    assert dual_type_at(sp, circle_pair, p) == (0, 0)   # type 1 -> 0, fiber leg
+    assert dual_types(sp, circle_pair, [p]) == [(0, 0)]   # type 1 -> 0, fiber leg
 
 
 def test_dual_type_matches_transported_type(rng, circle_pair, torus_pair):
@@ -344,9 +344,8 @@ def test_dual_type_matches_transported_type(rng, circle_pair, torus_pair):
         for _ in range(8):
             sp = random_pure_spinor(rng, chart, pts)
             dual_sp = transport_spinor(sp, pair)
-            for p in pts:
-                tt, j = dual_type_at(sp, pair, p)
-                assert tt == spinor_type_at(dual_sp, p)
+            types = [tt for tt, _ in dual_types(sp, pair, pts)]
+            assert types == spinor_types(dual_sp, pts)
 
 
 def _table_pair():
@@ -368,23 +367,23 @@ def test_type_change_table(rng):
     omega_fiber = wedge(Form.monomial(cof, ("th1",)) + Form.monomial(cof, ("th2",), i_unit),
                         Form.monomial(cof, ("ds1",)) + Form.monomial(cof, ("ds2",), i_unit))
     sp = PureSpinor.from_data(zero, zero, omega_fiber)
-    assert dual_type_at(sp, pair, p) == (2, 1)
+    assert dual_types(sp, pair, [p]) == [(2, 1)]
 
     # complex structure, real fibers -> symplectic
     omega_real = wedge(Form.monomial(cof, ("ds1",)) + Form.monomial(cof, ("th1",), i_unit),
                        Form.monomial(cof, ("ds2",)) + Form.monomial(cof, ("th2",), i_unit))
     sp = PureSpinor.from_data(zero, zero, omega_real)
-    assert dual_type_at(sp, pair, p) == (0, 0)
+    assert dual_types(sp, pair, [p]) == [(0, 0)]
 
     # symplectic structure, symplectic fibers -> symplectic
     omega = Form.monomial(cof, ("th1", "th2")) + Form.monomial(cof, ("ds1", "ds2"))
     sp = PureSpinor.from_data(zero, omega, Form.scalar(cof, 1))
-    assert dual_type_at(sp, pair, p) == (0, 1)
+    assert dual_types(sp, pair, [p]) == [(0, 1)]
 
     # symplectic structure, isotropic fibers -> complex
     omega = Form.monomial(cof, ("th1", "ds1")) + Form.monomial(cof, ("th2", "ds2"))
     sp = PureSpinor.from_data(zero, omega, Form.scalar(cof, 1))
-    assert dual_type_at(sp, pair, p) == (2, 2)
+    assert dual_types(sp, pair, [p]) == [(2, 2)]
 
 
 def test_dual_type_degenerate_flagged(circle_pair):
@@ -396,7 +395,7 @@ def test_dual_type_degenerate_flagged(circle_pair):
     lowest = Form.monomial(cof, ("dt",), t)
     sp = PureSpinor.from_data(Form.zero(cof), Form.zero(cof), lowest)
     with pytest.raises(ValueError):
-        dual_type_at(sp, circle_pair, {"t": 0.0})
+        dual_types(sp, circle_pair, [{"t": 0.0}])
 
 
 # -- integrability transport --------------------------------------------------------
@@ -435,8 +434,7 @@ def test_uk_transport(rng, circle_pair, torus_pair):
         pts = chart.domain.sample_many(rng, 2)
         for _ in range(3):
             sp = random_pure_spinor(rng, chart, pts)
-            for p in pts:
-                assert uk_transport_residual(sp, pair, p) <= 1e-8
+            assert max(uk_transport_residuals(sp, pair, pts)) <= 1e-8
 
 
 def test_bihermitian_transport_properties(rng, circle_chart):
@@ -453,10 +451,10 @@ def test_bihermitian_transport_properties(rng, circle_chart):
     lam = np.sqrt(gmat[0, 0] / gmat[1, 1])
     i_mat = np.array([[0.0, -1.0 / lam], [lam, 0.0]])
     for side in (+1, -1):
-        out = bihermitian_dual_at(i_mat, met, chart, p, side)
+        (out,) = bihermitian_dual(i_mat, met, chart, [p], side)
         assert np.abs(out @ out + np.eye(2)).max() <= 1e-9
-    plus = bihermitian_dual_at(i_mat, met, chart, p, +1)
-    minus = bihermitian_dual_at(i_mat, met, chart, p, -1)
+    (plus,) = bihermitian_dual(i_mat, met, chart, [p], +1)
+    (minus,) = bihermitian_dual(i_mat, met, chart, [p], -1)
     assert orientation_sign(plus) == orientation_sign(i_mat)
     assert orientation_sign(minus) == -orientation_sign(i_mat)
 
@@ -498,7 +496,7 @@ def test_bihermitian_unit_fiber_identification(circle_chart):
     g2 = SymTensor.from_names(cof, {("dt", "dt"): ONE})
     met = assemble_metric(circle_chart, ONE, zero, g2, zero, zero)
     i_mat = np.array([[0.0, -1.0], [1.0, 0.0]])
-    out = bihermitian_dual_at(i_mat, met, circle_chart, {"t": 0.2}, +1)
+    (out,) = bihermitian_dual(i_mat, met, circle_chart, [{"t": 0.2}], +1)
     assert np.abs(out - i_mat).max() <= 1e-12
 
 
@@ -510,7 +508,7 @@ def test_bihermitian_requires_metric_connection(circle_chart):
     met = assemble_metric(circle_chart, rat(2), g1, g2, Form.zero(cof), Form.zero(cof))
     i_mat = np.array([[0.0, -1.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
-        bihermitian_dual_at(i_mat, met, circle_chart, {"t": 0.3}, +1)
+        bihermitian_dual(i_mat, met, circle_chart, [{"t": 0.3}], +1)
 
 
 def test_uk_transport_builds_the_transported_spinor_once(monkeypatch):
@@ -521,8 +519,8 @@ def test_uk_transport_builds_the_transported_spinor_once(monkeypatch):
     monkeypatch.setattr(duality, "dualize_form",
                         lambda rho, p: built.append(rho) or real(rho, p))
     points = chart.domain.sample_many(np.random.default_rng(3), 3)
-    residuals = [uk_transport_residual(spinor, pair, p) for p in points]
-    # the 2^m transform columns, then the transported spinor, once
+    residuals = uk_transport_residuals(spinor, pair, points)
+    # the 2^m transform columns, then the transported spinor, once per call
     assert len(built) == (1 << chart.coframe.dim) + 1
     assert built[-1] is spinor.form
     assert max(residuals) <= 1e-8

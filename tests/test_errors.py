@@ -12,8 +12,11 @@ from tduality.exterior import (Coframe, Form, FrameVector, clifford_act,
                                contract, exp_form, form_from_text, wedge)
 from tduality.bundle import BundleChart, chart_from_text, exterior_derivative
 from tduality.courant import Section, courant_bracket, pairing
-from tduality.structures import (PureSpinor, annihilator_at, gcs_matrix_at,
-                                 spinor_type_at)
+from tduality.structures import (GeneralizedMetric, PureSpinor, SymTensor,
+                                 annihilators, check_integrable, gcs_matrices,
+                                 gcs_matrix_at, metric_matrices, spinor_types,
+                                 uk_spaces)
+from tduality import duality
 
 
 @pytest.fixture
@@ -75,9 +78,9 @@ def test_vanishing_spinor_rejected(plane_chart):
     sp = PureSpinor(Form.monomial(plane_chart.coframe, ("dx",), t))
     point = {"x": 0.0, "y": 0.2}
     with pytest.raises(ValueError):
-        annihilator_at(sp, plane_chart, point)
+        annihilators(plane_chart.coframe, sp.form.eval_vectors([point]), [point])
     with pytest.raises(ValueError):
-        spinor_type_at(sp, point)
+        spinor_types(sp, [point])
 
 
 def test_gcs_rejects_degenerate_annihilator(torus_chart, rng):
@@ -87,6 +90,97 @@ def test_gcs_rejects_degenerate_annihilator(torus_chart, rng):
     p = torus_chart.domain.sample_many(rng, 1)[0]
     with pytest.raises(ValueError):
         gcs_matrix_at(degenerate, torus_chart, p)
+
+
+BAD = 5     # the one bad point among eight
+
+
+def _points(good, bad):
+    """Eight points of the plane chart: x = ``good`` except at ``BAD``."""
+    return [{"x": bad if i == BAD else good, "y": 0.1 * i - 0.35} for i in range(8)]
+
+
+def _names_the_bad_point(message, points):
+    return pytest.raises(ValueError, match=re.escape(message) + f" at sample point {BAD}: "
+                         + re.escape(repr(points[BAD])))
+
+
+def test_vanishing_spinor_names_the_point(plane_chart):
+    cof = plane_chart.coframe
+    sp = PureSpinor(Form.monomial(cof, ("dx",), var("x")) + Form.monomial(cof, ("dy",)))
+    points = _points(0.5, 0.0)
+    vanishing = PureSpinor(Form.monomial(cof, ("dx",), var("x")))
+    rhos = vanishing.form.eval_vectors(points)
+    for call in (lambda: annihilators(cof, rhos, points),
+                 lambda: gcs_matrices(cof, rhos, points),
+                 lambda: uk_spaces(cof, rhos, points),
+                 lambda: check_integrable(vanishing, plane_chart, points),
+                 lambda: spinor_types(vanishing, points)):
+        with _names_the_bad_point("spinor vanishes", points):
+            call()
+    assert spinor_types(sp, points) == [1] * 8
+
+
+def test_annihilator_dimension_names_the_point(plane_chart):
+    # 1 + x dx is not pure: its annihilator is 2-dimensional at x = 0 only
+    cof = plane_chart.coframe
+    form = Form.scalar(cof, 1) + Form.monomial(cof, ("dx",), var("x"))
+    points = _points(0.0, 0.5)
+    with _names_the_bad_point("annihilator has dimension 1, expected 2", points):
+        gcs_matrices(cof, form.eval_vectors(points), points)
+
+
+def test_real_annihilator_names_the_point(plane_chart):
+    # dx + i x dy is real at x = 0, where its annihilator meets its conjugate
+    cof = plane_chart.coframe
+    form = Form.monomial(cof, ("dx",)) + Form.monomial(cof, ("dy",),
+                                                       CScalar(rat(0), var("x")))
+    points = _points(0.5, 0.0)
+    with _names_the_bad_point("annihilator meets its conjugate: no almost complex structure",
+                              points):
+        gcs_matrices(cof, form.eval_vectors(points), points)
+
+
+def test_non_real_structure_names_the_point(plane_chart):
+    # exp(0.3 + i x) dx^dy: at x = 1e-6 the eigenbasis is so ill-conditioned
+    # that J picks up an imaginary part above 1e-7
+    cof = plane_chart.coframe
+    form = Form.scalar(cof, 1) + Form.monomial(cof, ("dx", "dy"),
+                                               CScalar(rat(3, 10), var("x")))
+    points = _points(0.5, 1e-6)
+    with _names_the_bad_point("eigenspace construction produced a non-real structure",
+                              points):
+        gcs_matrices(cof, form.eval_vectors(points), points)
+
+
+def test_indefinite_metric_names_the_point(plane_chart):
+    cof = plane_chart.coframe
+    metric = GeneralizedMetric(SymTensor.from_names(cof, {("dx", "dx"): var("x"),
+                                                          ("dy", "dy"): rat(1)}),
+                               Form.zero(cof))
+    points = _points(0.5, -0.5)
+    with _names_the_bad_point("metric not positive definite", points):
+        metric_matrices(metric, points)
+
+
+def test_annihilated_ladder_member_names_the_point(monkeypatch):
+    """A form transform that is zero at one point annihilates every ladder
+    member there."""
+    from tduality.scenarios import _s2_setup
+    chart, *_, spinor = _s2_setup()
+    pair = duality.DualityPair.from_chart(chart)
+    real = duality.transform_matrices
+
+    def zero_at_bad(pair, points):
+        out = real(pair, points)
+        out[BAD] = 0
+        return out
+
+    monkeypatch.setattr(duality, "transform_matrices", zero_at_bad)
+    points = [{"t": 0.1 * i - 0.35} for i in range(8)]
+    with pytest.raises(ValueError, match="transform annihilated an eigenspace member at "
+                       f"sample point {BAD}: " + re.escape(repr(points[BAD]))):
+        duality.uk_transport_residuals(spinor, pair, points)
 
 
 def test_singular_fiber_block_rejected():

@@ -11,12 +11,18 @@ carries each check's own tolerance, and no other function takes a ``tol``.
 Numerical rank has one rule, ``structures._rank`` (relative to the largest
 singular value), so nothing in the package calls ``matrix_rank``.  The
 unpruned form constructor ``Form._pruned`` stays inside ``exterior.py``.
+
+The benchmark's tracer (``perfbench/tracer.py``) wraps package functions by
+name, and its workloads call three one-point forms; the last test keeps
+those names alive.
 """
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import tduality
 
@@ -110,3 +116,27 @@ def test_scenarios_do_not_import_numpy_ma():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+def test_the_benchmark_harness_finds_every_name_it_uses():
+    """Entering the tracer looks up every function it wraps, so a renamed or
+    deleted one fails here instead of in every traced benchmark run; the
+    workloads' one-point calls run once on a circle chart."""
+    bench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        import tracer
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    with tracer.Tracer([workloads]):
+        pass
+    from tduality import duality, structures
+    from tduality.scenarios import _s2_setup
+    chart, *_, spinor = _s2_setup()
+    pair = duality.DualityPair.from_chart(chart)
+    point = {"t": 0.3}
+    j = structures.gcs_matrix_at(spinor, chart, point)
+    assert np.abs(j @ j + np.eye(4)).max() <= 1e-9
+    assert duality.uk_transport_residual(spinor, pair, point) <= 1e-8
+    assert duality.transform_matrix_at(pair, point).shape == (4, 4)

@@ -8,10 +8,10 @@ from tduality.exterior import Coframe, Form, mukai_pairing, wedge
 from tduality.bundle import BundleChart
 from tduality.courant import split_pairing_matrix
 from tduality.structures import (GeneralizedMetric, PointFrame, PureSpinor,
-                                 SymTensor, annihilator_at, check_integrable,
-                                 gcs_matrix_at, is_decomposable_at, metric_matrix_at,
-                                 mukai_norm, mukai_norm_at, spinor_type_at,
-                                 uk_spaces_at)
+                                 SymTensor, annihilators, check_integrable,
+                                 gcs_matrices, gcs_matrix_at, is_decomposable,
+                                 metric_matrices, mukai_norm, mukai_norms,
+                                 spinor_types, uk_spaces)
 from tduality.randomgen import random_form, random_pure_spinor
 
 from conftest import random_metric
@@ -32,7 +32,7 @@ def point():
 
 def test_annihilator_symplectic(plane_chart, point):
     sp = omega_spinor(plane_chart, ("dx", "dy"))
-    basis = annihilator_at(sp, plane_chart, point)
+    (basis,) = annihilators(plane_chart.coframe, sp.form.eval_vectors([point]), [point])
     assert basis.shape == (4, 2)
     # isotropic: all mutual pairings vanish
     assert np.abs(basis.T @ split_pairing_matrix(2) @ basis).max() <= 1e-10
@@ -45,7 +45,7 @@ def test_annihilator_symplectic(plane_chart, point):
 def test_annihilator_complex(plane_chart, point):
     cof = plane_chart.coframe
     dz = Form.monomial(cof, ("dx",)) + Form.monomial(cof, ("dy",), CScalar.i())
-    basis = annihilator_at(PureSpinor(dz), plane_chart, point)
+    (basis,) = annihilators(plane_chart.coframe, dz.eval_vectors([point]), [point])
     assert basis.shape[1] == 2
     # spans (E_x + i E_y)/norm and dz-direction
     proj = basis @ basis.conj().T
@@ -56,17 +56,17 @@ def test_annihilator_complex(plane_chart, point):
 
 
 def test_spinor_types(plane_chart, circle_chart, point):
-    assert spinor_type_at(omega_spinor(plane_chart, ("dx", "dy")), point) == 0
+    assert spinor_types(omega_spinor(plane_chart, ("dx", "dy")), [point]) == [0]
     cof = plane_chart.coframe
     dz = Form.monomial(cof, ("dx",)) + Form.monomial(cof, ("dy",), CScalar.i())
-    assert spinor_type_at(PureSpinor(dz), point) == 1
+    assert spinor_types(PureSpinor(dz), [point]) == [1]
     # four-dimensional decomposable two-form: type two
     ch4 = BundleChart.build("c4", [("x", -1, 1), ("y", -1, 1),
                                    ("z", -1, 1), ("w", -1, 1)], [])
     z1 = Form.monomial(ch4.coframe, ("dx",)) + Form.monomial(ch4.coframe, ("dy",), CScalar.i())
     z2 = Form.monomial(ch4.coframe, ("dz",)) + Form.monomial(ch4.coframe, ("dw",), CScalar.i())
     sp = PureSpinor(wedge(z1, z2))
-    assert spinor_type_at(sp, {"x": .1, "y": .2, "z": .3, "w": -.1}) == 2
+    assert spinor_types(sp, [{"x": .1, "y": .2, "z": .3, "w": -.1}]) == [2]
 
 
 def test_type_of_circle_dual_spinor(circle_chart):
@@ -75,7 +75,7 @@ def test_type_of_circle_dual_spinor(circle_chart):
     t = var("t")
     rho = (Form.monomial(cof, ("th",))
            + Form.monomial(cof, ("dt",), CScalar(rat(1, 4) * t, rat(1, 2) + t * t)))
-    assert spinor_type_at(PureSpinor(rho), {"t": 0.4}) == 1
+    assert spinor_types(PureSpinor(rho), [{"t": 0.4}]) == [1]
 
 
 def test_hint_type_matches_lowest_degree(rng, torus_chart):
@@ -83,8 +83,7 @@ def test_hint_type_matches_lowest_degree(rng, torus_chart):
     for _ in range(6):
         sp = random_pure_spinor(rng, torus_chart, pts)
         expected = sp.lowest.max_degree()
-        for p in pts:
-            assert spinor_type_at(sp, p) == expected
+        assert spinor_types(sp, pts) == [expected] * len(pts)
 
 
 def test_mukai_nondegeneracy_matches_annihilator_split(rng, torus_chart):
@@ -92,19 +91,19 @@ def test_mukai_nondegeneracy_matches_annihilator_split(rng, torus_chart):
     pts = torus_chart.domain.sample_many(rng, 2)
     for _ in range(4):
         sp = random_pure_spinor(rng, torus_chart, pts)
-        for p in pts:
-            basis = annihilator_at(sp, torus_chart, p)
+        for basis, norm in zip(annihilators(torus_chart.coframe, sp.form.eval_vectors(pts),
+                                            pts), mukai_norms(sp, pts)):
             stacked = np.concatenate([basis, basis.conj()], axis=1)
             rank = np.linalg.matrix_rank(stacked, tol=1e-8)
-            assert mukai_norm_at(sp, p) > 1e-9
+            assert norm > 1e-9
             assert rank == stacked.shape[1]
     # degenerate example: a decomposable 1-form wedge exp(0) on the torus chart
     cof = torus_chart.coframe
     degenerate = PureSpinor(Form.monomial(cof, ("ds1",))
                             + Form.monomial(cof, ("th1",), CScalar.i()))
     p = pts[0]
-    assert mukai_norm_at(degenerate, p) <= 1e-12
-    basis = annihilator_at(degenerate, torus_chart, p)
+    assert mukai_norms(degenerate, [p])[0] <= 1e-12
+    (basis,) = annihilators(torus_chart.coframe, degenerate.form.eval_vectors([p]), [p])
     stacked = np.concatenate([basis, basis.conj()], axis=1)
     assert np.linalg.matrix_rank(stacked, tol=1e-8) < stacked.shape[1]
 
@@ -119,7 +118,7 @@ def test_numeric_mukai_norm_is_the_evaluated_pairing(rng):
             values = rho.eval_coeffs(p)
             symbolic = mukai_pairing(rho, rho.conj()).eval_coeffs(p)
             want = max((abs(v) for v in symbolic.values()), default=0.0)
-            got = mukai_norm_at(PureSpinor(rho), p)
+            (got,) = mukai_norms(PureSpinor(rho), [p])
             assert got == mukai_norm(values, m)
             if want:
                 assert abs(got - want) <= 1e-12 * want
@@ -129,16 +128,16 @@ def test_numeric_mukai_norm_is_the_evaluated_pairing(rng):
 
 def test_decomposability(plane_chart, point):
     cof = plane_chart.coframe
-    assert is_decomposable_at(Form.monomial(cof, ("dx",)), point)
+    assert is_decomposable(Form.monomial(cof, ("dx",)), [point]) == [True]
     ch4 = BundleChart.build("c4", [("x", -1, 1), ("y", -1, 1),
                                    ("z", -1, 1), ("w", -1, 1)], [])
     c4 = ch4.coframe
     p4 = {"x": .1, "y": .2, "z": .3, "w": -.1}
     dec = wedge(Form.monomial(c4, ("dx",)) + Form.monomial(c4, ("dy",), CScalar.i()),
                 Form.monomial(c4, ("dz",)))
-    assert is_decomposable_at(dec, p4)
+    assert is_decomposable(dec, [p4]) == [True]
     sympl = Form.monomial(c4, ("dx", "dy")) + Form.monomial(c4, ("dz", "dw"))
-    assert not is_decomposable_at(sympl, p4)
+    assert is_decomposable(sympl, [p4]) == [False]
 
 
 # The Pluecker test as it was first written, kept as the reference: every
@@ -189,9 +188,10 @@ def test_decomposability_matches_the_reference(rng, m, p):
         for _ in range(p):
             wedged = wedge(wedged, draw(1))
         generic = draw(p)
-        for test in (is_decomposable_at, _reference_is_decomposable):
-            assert test(wedged, point)
-            assert test(generic, point) == (p == m - 1)
+        assert is_decomposable(wedged, [point]) == [True]
+        assert is_decomposable(generic, [point]) == [p == m - 1]
+        assert _reference_is_decomposable(wedged, point)
+        assert _reference_is_decomposable(generic, point) == (p == m - 1)
 
 
 def test_integrability_closed_symplectic(plane_chart, rng):
@@ -226,7 +226,7 @@ def test_integrability_failure(rng):
 
 def test_gcs_matrix_symplectic(plane_chart, point):
     sp = omega_spinor(plane_chart, ("dx", "dy"))
-    j = gcs_matrix_at(sp, plane_chart, point)
+    (j,) = gcs_matrices(plane_chart.coframe, sp.form.eval_vectors([point]), [point])
     w = np.array([[0.0, -1.0], [1.0, 0.0]])   # matrix of X -> i_X omega
     expected = np.block([[np.zeros((2, 2)), -np.linalg.inv(w)],
                          [w, np.zeros((2, 2))]])
@@ -236,7 +236,7 @@ def test_gcs_matrix_symplectic(plane_chart, point):
 def test_gcs_matrix_complex(plane_chart, point):
     cof = plane_chart.coframe
     dz = Form.monomial(cof, ("dx",)) + Form.monomial(cof, ("dy",), CScalar.i())
-    j = gcs_matrix_at(PureSpinor(dz), plane_chart, point)
+    (j,) = gcs_matrices(plane_chart.coframe, dz.eval_vectors([point]), [point])
     i_mat = np.array([[0.0, -1.0], [1.0, 0.0]])
     expected = np.block([[-i_mat, np.zeros((2, 2))],
                          [np.zeros((2, 2)), i_mat.T]])
@@ -248,7 +248,7 @@ def test_gcs_matrix_properties(rng, torus_chart):
     g = split_pairing_matrix(torus_chart.coframe.dim)
     for _ in range(4):
         sp = random_pure_spinor(rng, torus_chart, pts)
-        j = gcs_matrix_at(sp, torus_chart, pts[0])
+        (j,) = gcs_matrices(torus_chart.coframe, sp.form.eval_vectors(pts[:1]), pts[:1])
         assert np.abs(j @ j + np.eye(8)).max() <= 1e-9
         assert np.abs(j.T @ g @ j - g).max() <= 1e-9
 
@@ -257,7 +257,7 @@ def test_metric_matrix_identity(plane_chart, point):
     g = SymTensor.from_names(plane_chart.coframe,
                              {("dx", "dx"): rat(1), ("dy", "dy"): rat(1)})
     met = GeneralizedMetric(g, Form.zero(plane_chart.coframe))
-    endo = metric_matrix_at(met, point)
+    (endo,) = metric_matrices(met, [point])
     expected = np.block([[np.zeros((2, 2)), np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
     assert np.abs(endo - expected).max() <= 1e-12
 
@@ -265,7 +265,7 @@ def test_metric_matrix_identity(plane_chart, point):
 def test_metric_matrix_properties(rng, hopf_chart):
     pts = hopf_chart.domain.sample_many(rng, 2)
     met = random_metric(rng, hopf_chart, pts)
-    endo = metric_matrix_at(met, pts[0])
+    (endo,) = metric_matrices(met, pts[:1])
     m = hopf_chart.coframe.dim
     assert np.abs(endo @ endo - np.eye(2 * m)).max() <= 1e-9
     quad = split_pairing_matrix(m) @ endo
@@ -274,7 +274,8 @@ def test_metric_matrix_properties(rng, hopf_chart):
 
 def test_uk_ladder_dimensions(plane_chart, point):
     sp = omega_spinor(plane_chart, ("dx", "dy"))
-    ladder = uk_spaces_at(sp, plane_chart, point)
+    ladder = [(k, b[0]) for k, b in uk_spaces(plane_chart.coframe,
+                                              sp.form.eval_vectors([point]), [point])]
     assert [(k, b.shape[1]) for k, b in ladder] == [(1, 1), (0, 2), (-1, 1)]
     top = ladder[0][1]
     rho = sp.form.eval_vector(point)
@@ -286,7 +287,8 @@ def test_uk_ladder_dimensions(plane_chart, point):
 def test_uk_ladder_exhausts_forms(rng, torus_chart):
     pts = torus_chart.domain.sample_many(rng, 1)
     sp = random_pure_spinor(rng, torus_chart, pts)
-    ladder = uk_spaces_at(sp, torus_chart, pts[0])
+    ladder = [(k, b[0]) for k, b in uk_spaces(torus_chart.coframe,
+                                              sp.form.eval_vectors(pts), pts)]
     dims = [b.shape[1] for _, b in ladder]
     assert sum(dims) == 2 ** torus_chart.coframe.dim
     stacked = np.concatenate([b for _, b in ladder], axis=1)
@@ -297,7 +299,8 @@ def test_uk_symplectic_formula(plane_chart, point):
     # U^k = e^{i omega} e^{-Lambda/(2i)} wedge^{n-k} with Lambda the
     # bivector contraction normalized by Lambda(dx^dy) = 1 for omega = dx^dy
     sp = omega_spinor(plane_chart, ("dx", "dy"))
-    ladder = dict((k, b) for k, b in uk_spaces_at(sp, plane_chart, point))
+    ladder = {k: b[0] for k, b in uk_spaces(plane_chart.coframe,
+                                           sp.form.eval_vectors([point]), [point])}
     lam = np.zeros((4, 4))
     lam[0, 3] = 1.0
     # e^{i omega} acts by adding i * (dx^dy) component of the wedge
@@ -324,7 +327,7 @@ def test_commuting_pair_detection(plane_chart, point):
     cof = plane_chart.coframe
     dz = Form.monomial(cof, ("dx",)) + Form.monomial(cof, ("dy",), CScalar.i())
     j1 = gcs_matrix_at(sp1, plane_chart, point)
-    j2 = gcs_matrix_at(PureSpinor(dz), plane_chart, point)
+    (j2,) = gcs_matrices(plane_chart.coframe, dz.eval_vectors([point]), [point])
     assert np.abs(j1 @ j2 - j2 @ j1).max() <= 1e-9
 
 
@@ -333,3 +336,18 @@ def test_point_frames_of_equal_size_share_read_only_matrices(plane_chart, circle
     assert a._wedge is b._wedge and a._contract is b._contract
     for mat in a._wedge + a._contract:
         assert not mat.flags.writeable
+
+
+def test_stacked_bases_are_grouped_by_rank(rng):
+    """A stack of matrices with ranks 2, 1 and 2 gives one group per rank, in
+    increasing rank, each basis equal to that of its matrix alone."""
+    a = rng.standard_normal((3, 3, 4))
+    a[1, 0] = -a[1, 1]
+    a[:, 2] = a[:, 0] + a[:, 1]
+    for method, dims in ((PointFrame.nullspace, (3, 2)), (PointFrame.orthonormal_span, (1, 2))):
+        groups = method(a)
+        assert [at.tolist() for at, _ in groups] == [[1], [0, 2]]
+        assert [bases.shape[-1] for _, bases in groups] == list(dims)
+        for at, bases in groups:
+            for i, basis in zip(at, bases):
+                assert np.array_equal(basis, method(a[i]))
