@@ -24,14 +24,15 @@ import numpy as np
 
 from .scalar import CScalar, Domain, ZERO, diff, evaluate_points
 from .exterior import (Coframe, Form, _accumulate, _wedge_sign, contract_sign,
-                       eval_complex_points, form_from_text, strip_rightmost, wedge)
+                       eval_complex_points, form_from_text, form_to_text,
+                       strip_rightmost, wedge)
 
 __all__ = [
     "BundleChart", "DualityPair", "base_generator", "dual_fiber_name",
     "exterior_derivative", "twisted_derivative",
     "split_flux", "build_dual_chart",
     "validate_chart", "validate_pair", "ChartReport", "PairReport",
-    "chart_from_text", "standard_correspondence_flux",
+    "chart_to_text", "chart_from_text", "standard_correspondence_flux",
     "form_residual",
 ]
 
@@ -424,6 +425,25 @@ def _block_nondegeneracy(block, points):
 #   fiber <gen> [<gen> ...]
 #   curv <gen> = <form text>
 #   flux = <form text>
+
+def chart_to_text(chart):
+    lines = [f"chart {chart.name}"]
+    for v in chart.base_vars:
+        lo, hi = chart.domain.intervals[v]
+        line = f"var {v} = {lo!r} .. {hi!r}"
+        for name, value, radius in chart.domain.exclusions:
+            if name == v:
+                line += f" exclude {value!r} {radius!r}"
+        lines.append(line)
+    if chart.fiber_names:
+        lines.append("fiber " + " ".join(chart.fiber_names))
+    for gen in chart.fiber_names:
+        c = chart.curvature_of(gen)
+        if not c.is_zero():
+            lines.append(f"curv {gen} = {form_to_text(c)}")
+    lines.append(f"flux = {form_to_text(chart.flux)}")
+    return "\n".join(lines) + "\n"
+
 
 def _form_reader(form_text, lineno, line):
     """Reads a form line of a chart config once the coframe exists; a

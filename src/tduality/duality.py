@@ -157,7 +157,8 @@ def section_transform_matrices(pair, points):
     symbolic columns are built once per pair and evaluated once per call."""
     cols = _section_columns(pair)
     vals = _eval_array([c for s in cols for c in s.coordinates()], points)
-    return np.ascontiguousarray(vals.reshape(len(cols), -1, len(points)).transpose(2, 1, 0))
+    return np.ascontiguousarray(vals.reshape(len(cols), 2 * pair.dual.coframe.dim,
+                                             len(points)).transpose(2, 1, 0))
 
 
 def transport_spinor(spinor, pair):
@@ -432,6 +433,7 @@ def uk_transport_residual(spinor, pair, point):
 
 
 def _norms(columns):
-    """Norm of each (n, 1) column of a stack, summed as ``np.linalg.norm`` sums one."""
+    """Norm of each (n, 1) column of a stack, summed as ``np.linalg.norm`` sums
+    one (a (1, n) @ (n, 1) product is the same strided dot)."""
     re, im = columns.real, columns.imag
-    return np.sqrt(np.vecdot(re, re, axis=-2) + np.vecdot(im, im, axis=-2))[:, 0]
+    return np.sqrt(_transpose(re) @ re + _transpose(im) @ im)[:, 0, 0]

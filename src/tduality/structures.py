@@ -231,22 +231,24 @@ def _rank(s):
 def _by_rank(s, basis):
     """``basis(at, r)``, the bases of the matrices ``at`` (an index) of rank
     r, from their singular values ``s``: for one matrix that basis (``at`` is
-    ``...``); for a stack, [(indices, stacked bases)] in increasing rank."""
+    ``...``); for a stack, [(indices, stacked bases)] in increasing rank.  An
+    empty stack gives an empty group of every rank, so any dimension has one."""
     ranks = _rank(s)
     if np.ndim(ranks) == 0:
         return basis(..., ranks)
     return [(np.flatnonzero(ranks == r), basis(ranks == r, r))
-            for r in sorted(set(ranks.tolist()))]
+            for r in sorted(set(ranks.tolist())) or range(s.shape[-1] + 1)]
 
 
 def _uniform(groups, dim, what, points):
     """The stacked bases of ``_by_rank`` groups when each point has ``dim``
     columns; otherwise a ValueError that names the first point without."""
-    bad = [(int(at[0]), bases.shape[-1]) for at, bases in groups if bases.shape[-1] != dim]
+    bad = [(int(at[0]), bases.shape[-1]) for at, bases in groups
+           if len(at) and bases.shape[-1] != dim]
     if bad:
         i, got = min(bad)
         raise _at_point(f"{what} has dimension {got}, expected {dim}", points, i)
-    return groups[0][1]
+    return next(bases for _, bases in groups if bases.shape[-1] == dim)
 
 
 def _at_point(message, points, i):
@@ -342,7 +344,8 @@ def check_integrable(spinor, chart, points):
     _first_failure(scale == 0, "spinor vanishes", points)
     a = PointFrame(chart.coframe).spinor_action_matrix(rhos)
     b = drho.eval_vectors(points)
-    x = np.array([np.linalg.lstsq(ap, bp, rcond=None)[0] for ap, bp in zip(a, b)])
+    x = np.reshape([np.linalg.lstsq(ap, bp, rcond=None)[0] for ap, bp in zip(a, b)],
+                   (len(points), a.shape[-1]))
     res = np.abs(a @ x[..., None] - b[..., None]).max(axis=(-2, -1)) / scale
     worst = float(res.max(initial=0.0))
     return IntegrabilityResult(worst, worst <= 1e-8, list(x), list(points))

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from tduality.scalar import rat, var
-from tduality.exterior import Form, form_to_text, wedge
+from tduality.exterior import Form, wedge
 from tduality.bundle import (DualityPair, _block_nondegeneracy, build_dual_chart,
-                             chart_from_text, exterior_derivative,
+                             chart_from_text, chart_to_text, exterior_derivative,
                              form_residual, split_flux, standard_correspondence_flux,
                              twisted_derivative, validate_chart, validate_pair)
 from tduality.randomgen import random_form
@@ -178,26 +178,6 @@ def test_validate_pair_small_block_is_nondegenerate(torus_pair):
     assert rep.nondegenerate is True
     assert rep.min_abs_det == pytest.approx(1e-10)
     assert scaled(0).validate(n=3).nondegenerate is False
-
-
-def chart_to_text(chart):
-    """The config text of a chart, in the format ``chart_from_text`` reads."""
-    lines = [f"chart {chart.name}"]
-    for v in chart.base_vars:
-        lo, hi = chart.domain.intervals[v]
-        line = f"var {v} = {lo!r} .. {hi!r}"
-        for name, value, radius in chart.domain.exclusions:
-            if name == v:
-                line += f" exclude {value!r} {radius!r}"
-        lines.append(line)
-    if chart.fiber_names:
-        lines.append("fiber " + " ".join(chart.fiber_names))
-    for gen in chart.fiber_names:
-        c = chart.curvature_of(gen)
-        if not c.is_zero():
-            lines.append(f"curv {gen} = {form_to_text(c)}")
-    lines.append(f"flux = {form_to_text(chart.flux)}")
-    return "\n".join(lines) + "\n"
 
 
 def test_chart_config_roundtrip(hopf_flux_chart, rng):

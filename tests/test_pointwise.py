@@ -15,8 +15,8 @@ from tduality.structures import (PureSpinor, SymTensor, annihilators, check_inte
 from tduality.duality import (assemble_metric, bihermitian_dual, dual_types,
                               section_transform_matrices, transform_matrices,
                               transport_spinor, uk_transport_residuals)
-from tduality.reduction import (fourier_mukai_check, generalized_tangent_basis,
-                                transversality_check)
+from tduality.reduction import (double_quotient_report, fourier_mukai_check,
+                                generalized_tangent_basis, transversality_check)
 from tduality.randomgen import random_form, random_pure_spinor
 
 from conftest import (_reference_annihilator, _reference_bihermitian_dual_at,
@@ -124,16 +124,19 @@ def test_structures_match_the_reference(name, npts):
             for rm, rt, p in zip(rho, rho_t, points)])
 
 
-@pytest.mark.parametrize("npts", [1, 8, 32])
-def test_bihermitian_dual_matches_the_reference(circle_chart, npts):
+def _conformal_circle_metric(chart):
     """A conformally flat metric, with which the rotation by a right angle is
     compatible at every point."""
-    cof = circle_chart.coframe
     t = var("t")
-    zero = Form.zero(cof)
+    zero = Form.zero(chart.coframe)
     conformal = 2 + t * t
-    g2 = SymTensor.from_names(cof, {("dt", "dt"): conformal})
-    met = assemble_metric(circle_chart, conformal, zero, g2, zero, zero)
+    g2 = SymTensor.from_names(chart.coframe, {("dt", "dt"): conformal})
+    return assemble_metric(chart, conformal, zero, g2, zero, zero)
+
+
+@pytest.mark.parametrize("npts", [1, 8, 32])
+def test_bihermitian_dual_matches_the_reference(circle_chart, npts):
+    met = _conformal_circle_metric(circle_chart)
     points = circle_chart.domain.sample_many(np.random.default_rng(npts), npts)
     i_mat = np.array([[0.0, -1.0], [1.0, 0.0]])
     for side in (+1, -1):
@@ -161,3 +164,40 @@ def test_fourier_mukai_matches_the_reference_on_the_suite_draws(seed, monkeypatc
         assert repr(out) == repr([_reference_fourier_mukai_check(pair, rm, rt, p)
                                   for rm, rt, p in zip(rho_m, rho_t, points)])
     assert {c.name: c.passed for c in report.checks}["product-criterion-equivalence"]
+
+
+def test_an_empty_point_list_gives_empty_results(circle_chart):
+    """Every point-list function accepts no points and returns no values; the
+    stacks keep their matrix shape."""
+    pair = PAIRS[EVEN[0]]
+    cof = pair.chart.coframe
+    m, mt = cof.dim, pair.dual.coframe.dim
+    rng = np.random.default_rng(0)
+    spinor = random_pure_spinor(rng, pair.chart, pair.chart.domain.sample_many(rng, 3))
+    rho = spinor.form.eval_vectors([])
+    rho_t = transport_spinor(spinor, pair).form.eval_vectors([])
+    assert rho.shape == (0, 1 << m) and rho_t.shape == (0, 1 << mt)
+    rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
+    for stack, shape in [
+            (annihilators(cof, rho, []), (2 * m, m)),
+            (gcs_matrices(cof, rho, []), (2 * m, 2 * m)),
+            (metric_matrices(random_metric(rng, pair.chart, []), []), (2 * m, 2 * m)),
+            (transform_matrices(pair, []), (1 << mt, 1 << m)),
+            (section_transform_matrices(pair, []), (2 * mt, 2 * m)),
+            (generalized_tangent_basis(pair, []), (2 * (m + mt), m + mt)),
+            (bihermitian_dual(rotation, _conformal_circle_metric(circle_chart),
+                              circle_chart, [], +1), (2, 2))]:
+        assert stack.shape == (0,) + shape
+    levels = uk_spaces(cof, rho, [])
+    assert [level for level, _ in levels] == list(range(m // 2, -m // 2 - 1, -1))
+    assert sum(bases.shape[-1] for _, bases in levels) == 1 << m
+    assert all(bases.shape[:2] == (0, 1 << m) for _, bases in levels)
+    for values in (spinor_types(spinor, []), mukai_norms(spinor, []),
+                   is_decomposable(spinor.form, []), dual_types(spinor, pair, []),
+                   uk_transport_residuals(spinor, pair, []),
+                   transversality_check(pair, []), fourier_mukai_check(pair, rho, rho_t, []),
+                   double_quotient_report(pair, [])):
+        assert values == []
+    integrable = check_integrable(spinor, pair.chart, [])
+    assert (integrable.residual, integrable.integrable, integrable.witnesses,
+            integrable.points) == (0.0, True, [], [])
