@@ -2,20 +2,23 @@
 
 Coefficients are small smooth expressions (polynomials plus sin/cos leaves)
 in the chart base variables; everything is reproducible from the RNG handed
-in, and callers record the seed.
+in, and callers record the seed.  ``random_spinor_values`` draws a pure
+spinor directly as its values at one point, for checks that use nothing else.
 """
 from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from .scalar import CScalar, EvaluationError, rat, var, ssin, scos, smul, sadd
 from .exterior import Form, FrameVector, eval_complex_points, wedge
 from .courant import Section
-from .structures import PureSpinor, mukai_norm
+from .structures import PureSpinor, _clifford_matrices, mukai_norm
 
 __all__ = [
     "random_scalar", "random_cscalar", "random_form", "random_section",
-    "random_pure_spinor",
+    "random_pure_spinor", "random_spinor_values",
 ]
 
 
@@ -82,7 +85,8 @@ def random_section(rng, chart):
 
 
 def random_pure_spinor(rng, chart, points):
-    """Random nondegenerate spinor with construction data.
+    """Random nondegenerate spinor with construction data: the symbolic
+    test-data generator, used by the tests and named by perfbench's tracer.
 
     Rejection-samples (B, omega, Omega), up to 40 draws, until the pairing
     with the conjugate survives at every given point.
@@ -118,4 +122,30 @@ def random_pure_spinor(rng, chart, points):
             continue
         if min(mukai_norm(vals, m) for vals in at_points) > 1e-3 * ref * ref:
             return spinor
+    raise AssertionError("could not sample a nondegenerate spinor")
+
+
+def random_spinor_values(rng, m):
+    """Values (2^m,) at one point of a random nondegenerate pure spinor on m
+    generators: ``random_pure_spinor``'s draw with numbers for coefficients,
+    rho = exp(B + i omega) . Omega built from the wedge matrices."""
+    if m % 2:
+        raise ValueError("chart dimension must be even")
+    wedges, _ = _clifford_matrices(m)
+    two = np.array([wedges[i] @ wedges[j] for i, j in itertools.combinations(range(m), 2)])
+
+    def draw(n, density, parts=(1.0,)):
+        return (rng.random(n) <= density) * (rng.standard_normal((n, len(parts))) @ parts)
+    for _ in range(40):
+        exponent = np.tensordot(draw(len(two), 0.4) + 1j * draw(len(two), 0.7), two, axes=1)
+        rho = np.eye(1 << m, dtype=complex)[0]
+        for _ in range(int(rng.integers(0, m // 2 + 1))):
+            rho = np.tensordot(draw(m, 0.8, (1, 1j)), wedges, axes=1) @ rho
+        term = rho
+        for j in range(1, m // 2 + 1):   # exact: the exponent is nilpotent
+            term = exponent @ term / j
+            rho = rho + term
+        ref = np.abs(rho).max()
+        if ref and mukai_norm(dict(enumerate(rho.tolist())), m) > 1e-3 * ref * ref:
+            return rho
     raise AssertionError("could not sample a nondegenerate spinor")

@@ -35,14 +35,14 @@ from .structures import (GeneralizedMetric, PureSpinor, SymTensor,
 from .duality import (DualityPair, assemble_metric, bihermitian_dual,
                       buscher_rules, dual_types, dualize_form,
                       orientation_sign, reverse_sign, split_metric,
-                      split_two_form, transport_metric, transport_spinor,
-                      uk_transport_residuals)
+                      split_two_form, transform_matrices, transport_metric,
+                      transport_spinor, uk_transport_residuals)
 from .certify import frame_certificate
 from .reduction import (LiftedActionPoint, double_quotient_report,
                         duality_lift_sections, fourier_mukai_check,
                         pairing_constant_check, reduce_pointwise,
                         transversality_check)
-from .randomgen import random_pure_spinor
+from .randomgen import random_spinor_values
 from .report import Report
 
 __all__ = ["SCENARIOS", "run_scenario", "load_chart", "twisted_rank_two_pair"]
@@ -614,21 +614,22 @@ def scenario_reduction_suite(seed, samples):
                passed=t_ok)
     # the two duality criteria agree, positive and negative instances: even
     # trials pair a spinor on s2 with its transport, odd trials one on the
-    # hopf surface with an unrelated random spinor.  Each trial keeps the two
-    # spinors' values at its point, and each pair runs one stacked check.
+    # hopf surface with an unrelated random spinor.  The checks use a spinor
+    # only through its values at the trial's point, so they are drawn as such;
+    # each pair runs one stacked check.
     pairs_for_fm = (s2, DualityPair.from_chart(load_chart("hopf_surface.cfg")))
-    draws = ([], [])
+    pts, rho_m, rho_t = ([], []), ([], []), []
     for trial in range(32):
-        pair = pairs_for_fm[trial % 2]
-        points = pair.chart.domain.sample_many(rng, 1)
-        sp = random_pure_spinor(rng, pair.chart, points)
-        other = (transport_spinor(sp, pair) if trial % 2 == 0
-                 else random_pure_spinor(rng, pair.dual, points))
-        draws[trial % 2].append((points[0], sp.form.eval_vectors(points)[0],
-                                 other.form.eval_vectors(points)[0]))
+        side, pair = trial % 2, pairs_for_fm[trial % 2]
+        pts[side].extend(pair.chart.domain.sample_many(rng, 1))
+        rho_m[side].append(random_spinor_values(rng, pair.chart.coframe.dim))
+        if side:
+            rho_t.append(random_spinor_values(rng, pair.dual.coframe.dim))
+    # the transport's values: the form transform is C-infinity(base)-linear
+    partners = (transform_matrices(s2, pts[0]) @ np.array(rho_m[0])[..., None])[..., 0]
     dual_side, other_side = (
-        fourier_mukai_check(pair, np.array(rho_m), np.array(rho_t), list(points))
-        for pair, (points, rho_m, rho_t) in zip(pairs_for_fm, (zip(*d) for d in draws)))
+        fourier_mukai_check(pair, np.array(rm), np.array(rt), p)
+        for pair, rm, rt, p in zip(pairs_for_fm, rho_m, (partners, rho_t), pts))
     # accidental near-duality: skip rather than misjudge
     kept = [(r1, r2) for r1, r2, d1, d2 in other_side if max(d1, d2) >= 1e-4]
     positives, negatives = len(dual_side), len(kept)

@@ -1,16 +1,17 @@
+import re
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from tduality import reduction
+from tduality import reduction, scenarios
 from tduality.scalar import CScalar, rat, var
 from tduality.exterior import Form, FrameVector
 from tduality.bundle import base_generator, standard_correspondence_flux
 from tduality.courant import Section, split_pairing_matrix
-from tduality.structures import PureSpinor, _rank
-from tduality.duality import DualityPair, transport_spinor
-from tduality.randomgen import random_pure_spinor, random_section
+from tduality.structures import PureSpinor, _rank, annihilators, mukai_norm
+from tduality.duality import DualityPair, transform_matrices, transport_spinor
+from tduality.randomgen import random_pure_spinor, random_section, random_spinor_values
 from tduality.reduction import (LiftedActionPoint, double_quotient_report,
                                 duality_lift_sections, fourier_mukai_check,
                                 generalized_tangent_basis,
@@ -210,6 +211,71 @@ def test_fourier_mukai_routes_agree(rng, circle_pair, torus_pair):
         if max(d1, d2) < 1e-4 and not (r1 and r2):
             continue  # borderline random instance: skip the verdict
         assert r1 == r2
+
+
+@pytest.mark.parametrize("chart_name", ["circle_chart", "torus_chart"])
+def test_random_spinor_values_are_seeded_nondegenerate_and_pure(chart_name, request):
+    chart = request.getfixturevalue(chart_name)
+    m = chart.coframe.dim
+    points = chart.domain.sample_many(np.random.default_rng(0), 1)
+    for seed in range(20):
+        rho = random_spinor_values(np.random.default_rng(seed), m)
+        assert rho.shape == (1 << m,)
+        assert np.array_equal(rho, random_spinor_values(np.random.default_rng(seed), m))
+        ref = np.abs(rho).max()
+        assert mukai_norm(dict(enumerate(rho.tolist())), m) > 1e-3 * ref * ref
+        assert annihilators(chart.coframe, rho[None], points).shape == (1, 2 * m, m)
+
+
+def test_random_spinor_values_need_an_even_dimension():
+    with pytest.raises(ValueError):
+        random_spinor_values(np.random.default_rng(0), 3)
+
+
+@pytest.mark.parametrize("config", ["s2.cfg", "hopf_surface.cfg"])
+def test_transform_matrices_give_the_transported_spinor(config):
+    """The form transform is C-infinity(base)-linear: the transform matrices
+    applied to a spinor's values are its transport's values, bit for bit."""
+    pair = DualityPair.from_chart(load_chart(config))
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        pts = pair.chart.domain.sample_many(rng, 3)
+        sp = random_pure_spinor(rng, pair.chart, pts)
+        partner = transform_matrices(pair, pts) @ sp.form.eval_vectors(pts)[..., None]
+        assert np.array_equal(partner[..., 0], transport_spinor(sp, pair).form.eval_vectors(pts))
+
+
+def _product_criterion(seed):
+    report = scenarios.run_scenario("reduction-suite", seed=seed, samples=8)
+    (check,) = [c for c in report.checks if c.name == "product-criterion-equivalence"]
+    return report, check
+
+
+def _negate_column(mats):
+    mats = mats.copy()
+    mats[..., 1] *= -1
+    return mats
+
+
+@pytest.mark.parametrize("corrupt", [lambda mats: np.broadcast_to(np.eye(4), mats.shape),
+                                     _negate_column], ids=["identity", "negated-column"])
+def test_product_criterion_fails_with_a_broken_partner(corrupt, monkeypatch):
+    """Positive partners taken from a corrupted transform are not the
+    transport, so the check cannot pass on them.  (s2's transform is a
+    symmetric permutation, so transposing it would change nothing.)"""
+    real = scenarios.transform_matrices
+    monkeypatch.setattr(scenarios, "transform_matrices",
+                        lambda pair, points: corrupt(real(pair, points)))
+    for seed in range(3):
+        assert not _product_criterion(seed)[1].passed
+
+
+@pytest.mark.parametrize("seeds", [range(0, 25), range(25, 50)])
+def test_product_criterion_keeps_its_negatives(seeds):
+    for seed in seeds:
+        report, check = _product_criterion(seed)
+        negatives = int(re.search(r"(\d+) negative instances", check.notes).group(1))
+        assert report.ok and check.passed and negatives >= 12, (seed, check.notes)
 
 
 def test_signature_helper():
