@@ -142,3 +142,52 @@ def test_mutant_fails_the_certificate(mutant, monkeypatch):
     install(monkeypatch)
     for name, checks in expected.items():
         assert failing_checks(PAIRS[name]()) == checks, name
+
+
+# frame_certificate at rng seed 7 and 8 points: pair, check, repr of the
+# residual, then frame instances, of them structurally zero, side conditions,
+# of them structurally zero.  Only t2_twisted leaves coefficients to evaluate.
+PINNED = """
+s3_flux clifford-compatibility 0.0 48 48 28 28
+s3_flux section-transform-bracket 0.0 36 36 170 170
+s3_flux section-transform-orthogonal 0.0 36 36 12 12
+s3_flux spinor-bracket-oracle 0.0 288 288 160 160
+s3_flux transform-intertwines-differentials 0.0 8 8 32 32
+s3_flux transform-invertible 0.0 8 8 32 32
+s3_hopf clifford-compatibility 0.0 48 48 28 28
+s3_hopf section-transform-bracket 0.0 36 36 170 170
+s3_hopf section-transform-orthogonal 0.0 36 36 12 12
+s3_hopf spinor-bracket-oracle 0.0 288 288 160 160
+s3_hopf transform-intertwines-differentials 0.0 8 8 32 32
+s3_hopf transform-invertible 0.0 8 8 32 32
+sheared clifford-compatibility 0.0 128 128 48 48
+sheared section-transform-bracket 0.0 64 64 290 290
+sheared section-transform-orthogonal 0.0 64 64 16 16
+sheared spinor-bracket-oracle 0.0 1024 1024 288 288
+sheared transform-intertwines-differentials 0.0 16 16 64 64
+sheared transform-invertible 0.0 16 16 64 64
+t2_twisted clifford-compatibility 0.0 128 128 48 48
+t2_twisted section-transform-bracket 1.1102230246251565e-16 64 60 290 290
+t2_twisted section-transform-orthogonal 0.0 64 64 16 16
+t2_twisted spinor-bracket-oracle 1.1102230246251565e-16 1024 966 288 288
+t2_twisted transform-intertwines-differentials 1.1102230246251565e-16 16 15 64 64
+t2_twisted transform-invertible 0.0 16 16 64 64
+"""
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_certificate_is_pinned(name):
+    """The residual and the notes of every check stay as pinned, including
+    which instances cancel structurally and which are evaluated."""
+    pair = PAIRS[name]()
+    points = pair.chart.domain.sample_many(np.random.default_rng(7), 8)
+    cert = certify.frame_certificate(pair, points)
+    got = {check: (repr(c.residual), c.notes) for check, c in cert.items()}
+    expected = {}
+    for line in PINNED.split("\n"):
+        if line.startswith(name + " "):
+            _, check, residual, frame, frame_zero, side, side_zero = line.split()
+            expected[check] = (residual, f"frame: {frame} instances, {frame_zero} "
+                               f"structurally zero; side conditions: {side} instances, "
+                               f"{side_zero} structurally zero")
+    assert got == expected
