@@ -30,21 +30,24 @@ phi(x_a s_i) = x_a phi(s_i).  These Leibniz and linearity instances are the
 side conditions of a check.
 
 Every instance is built from tables made once per pair: d_H of each
-monomial, the signed monomial s . e_I for each frame section s, each frame
-bracket, and the transform columns that ``duality`` caches on the pair.  An
-instance whose residual cancels structurally holds for every base point; the
-others are evaluated together, at every sample point, in one
-``evaluate_points`` call.
+monomial, the signed monomial s . e_I for each frame section s, four bracket
+tables (``courant_brackets``: frame x frame, dual sections x dual sections,
+and (x_a s_i) x frame and frame x (x_a s_j) for each coordinate), and the
+transform columns and e^(+-F) that ``duality`` caches on the pair.  x_a e_I,
+d_H(x_a e_I) and x_a phi(e_I) are built once and shared by every check that
+uses them.  An instance whose residual cancels structurally holds for every
+base point; the others are evaluated together, at every sample point, in one
+``evaluate_points`` call, each shared residual once.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from typing import NamedTuple
 
-from .scalar import CScalar, ZERO, sadd, sneg, var
+from .scalar import CScalar, ZERO, _mul_split, _sum_node, sneg, var
 from .exterior import Form, FrameVector, contract, eval_complex_points, wedge
 from .bundle import exterior_derivative, twisted_derivative
-from .courant import Section, courant_bracket, pairing, section_basis
+from .courant import Section, courant_brackets, pairing, section_basis
 from .duality import (_form_columns, _section_columns, dualize_form,
                       dualize_form_reverse, dualize_section, reverse_sign)
 
@@ -69,33 +72,65 @@ class Certified(NamedTuple):
 
 
 def _sum(terms):
-    """sign * c summed over (sign, CScalar) pairs, one ``sadd`` per part.  A
-    negated sum is spread over its terms, so a term and its negative cancel."""
-    re, im = [], []
+    """sign * c summed over (sign, CScalar) pairs: the CScalar that ``sadd``
+    makes of the signed parts, with a negated sum spread over its terms, so
+    a term and its negative cancel."""
+    re, im = [], []    # (sign, term) as sadd sees them
     for sign, c in terms:
-        for part, out in ((c.re, re), (c.im, im)):
+        for part, units in ((c.re, re), (c.im, im)):
             if part is ZERO:
                 continue
             if sign > 0:
-                out.append(part)
+                units.append((1, part))
             else:
-                out.extend(sneg(t) for t in (part.args if part.kind == "add" else (part,)))
-    return CScalar(sadd(*re), sadd(*im))
+                units.extend((-1, t) for t in (part.args if part.kind == "add" else (part,)))
+    return CScalar(_signed_sum(re), _signed_sum(im))
+
+
+def _signed_sum(units):
+    """``sadd`` of the signed terms, collected from the signs: a negated term
+    is built only where no other term combines with it."""
+    if len(units) < 2:    # sadd returns a lone term as it is
+        return ZERO if not units else units[0][1] if units[0][0] > 0 else sneg(units[0][1])
+    const, collected = 0, {}
+    for sign, u in units:
+        if sign < 0 and u.kind != "rat":
+            coeff, rest = _mul_split(u)
+            if coeff != -1 or len(rest) > 1 or rest[0].kind != "add":
+                entry = collected.setdefault(rest, [0, None])
+                entry[0] -= coeff
+                entry[1] = None
+                continue
+            sign, u = 1, rest[0]    # sneg(-A) is the sum A, which sadd flattens
+        for t in (u.args if sign > 0 and u.kind == "add" else (u,)):
+            if t.kind == "rat":
+                const += sign * t.value
+                continue
+            coeff, rest = _mul_split(t)    # t is a positive term here
+            entry = collected.get(rest)
+            if entry is None:
+                collected[rest] = [coeff, t]
+            else:
+                entry[0] += coeff
+                entry[1] = None
+    return _sum_node(const, collected)
 
 
 def _form_residual(terms):
-    """Coefficients of sign * form summed over (sign, Form) pairs."""
+    """The coefficients of sign * form summed over (sign, Form) pairs that do
+    not cancel structurally."""
     by_mask = defaultdict(list)
     for sign, form in terms:
         for mask, c in form.coeffs.items():
             by_mask[mask].append((sign, c))
-    return [_sum(cs) for cs in by_mask.values()]
+    return [c for c in map(_sum, by_mask.values()) if not c.is_zero()]
 
 
 def _coordinate_residual(a, b):
-    """Coordinates of a - b for coordinate tuples of two sections."""
-    return [CScalar() if x.is_zero() and y.is_zero() else _sum(((1, x), (-1, y)))
-            for x, y in zip(a, b)]
+    """The coordinates of a - b, for coordinate tuples of two sections, that
+    do not cancel structurally."""
+    return [d for d in (_sum(((1, x), (-1, y))) for x, y in zip(a, b)
+                        if not (x.is_zero() and y.is_zero())) if not d.is_zero()]
 
 
 def _transform(form, images):
@@ -170,56 +205,40 @@ def frame_certificate(pair, points):
     sections = _section_columns(pair)
     scols = [s.coordinates() for s in sections]
     dh = [twisted_derivative(e, chart) for e in monomials]
-    brackets = [[courant_bracket(a, b, chart) for b in basis] for a in basis]
+    brackets = courant_brackets(basis, basis, chart)
     coords = [[b.coordinates() for b in row] for row in brackets]
     table = _frame_action(basis, monomials)
     sign = round(reverse_sign(pair).real)
-    multiples = [(CScalar(var(v)), exterior_derivative(Form.scalar(cof, var(v)), chart),
-                  exterior_derivative(Form.scalar(dcof, var(v)), dual))
-                 for v in chart.base_vars]
+    twice = [[pairing(a, b) * CScalar.of(2) for b in basis] for a in basis]
 
+    # the side conditions on the multiples of each base coordinate x
     frame = defaultdict(list)
     side = defaultdict(list)
-    # C-infinity-linearity of both transforms on coordinate multiples
-    form_linear = [_form_residual([(1, dualize_form(e.scale(x), pair)),
-                                   (-1, cols[mask].scale(x))])
-                   for x, _, _ in multiples for mask, e in enumerate(monomials)]
-    section_linear = [_coordinate_residual(
-        dualize_section(s.scale(x), pair).coordinates(),
-        tuple(x * c for c in scols[i]))
-        for x, _, _ in multiples for i, s in enumerate(basis)]
-
-    name = "transform-intertwines-differentials"
-    for mask in range(nforms):
-        frame[name].append(_form_residual([(1, _transform(dh[mask], cols)),
-                                           (-1, twisted_derivative(cols[mask], dual))]))
-    for x, _, _ in multiples:
+    form_linear, section_linear, leibniz = [], [], []
+    for v in chart.base_vars:
+        x = CScalar(var(v))
+        dx = exterior_derivative(Form.scalar(cof, var(v)), chart)
+        dx_dual = exterior_derivative(Form.scalar(dcof, var(v)), dual)
+        # x e_I, d_H(x e_I) and x phi(e_I) are built once, for every check
         for mask, e in enumerate(monomials):
-            lhs = _transform(twisted_derivative(e.scale(x), chart), cols)
-            rhs = twisted_derivative(cols[mask].scale(x), dual)
-            side[name].append(_form_residual([(1, lhs), (-1, rhs)]))
-    side[name] += form_linear
-
-    name = "section-transform-orthogonal"
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            frame[name].append([_sum(((1, pairing(sections[i], sections[j])),
-                                      (-1, pairing(a, b))))])
-    side[name] += section_linear
-
-    name = "section-transform-bracket"
-    scol_dicts = [dict(enumerate(c)) for c in scols]
-    for i in range(2 * m):
-        for j in range(2 * m):
-            lhs = _combine(enumerate(coords[i][j]), scol_dicts, 2 * m)
-            rhs = courant_bracket(sections[i], sections[j], dual).coordinates()
-            frame[name].append(_coordinate_residual(lhs, rhs))
-    leibniz = []
-    twice = [[pairing(a, b) * CScalar.of(2) for b in basis] for a in basis]
-    for x, dx, dx_dual in multiples:
+            xe, image = Form(cof, {mask: x}), cols[mask].scale(x)
+            dh_xe = twisted_derivative(xe, chart)
+            form_linear.append(_form_residual([(1, dualize_form(xe, pair)), (-1, image)]))
+            side["transform-intertwines-differentials"].append(_form_residual(
+                [(1, _transform(dh_xe, cols)), (-1, twisted_derivative(image, dual))]))
+            side["spinor-bracket-oracle"].append(_form_residual(
+                [(1, dh_xe), (-1, wedge(dx, e)), (-1, dh[mask].scale(x))]))
+            side["transform-invertible"].append(_form_residual(
+                [(1, dualize_form_reverse(image, pair)), (-sign, xe)]))
+        scaled = [s.scale(x) for s in basis]
+        section_linear += [_coordinate_residual(dualize_section(s, pair).coordinates(),
+                                                tuple(x * c for c in col))
+                           for s, col in zip(scaled, scols)]
+        # the bracket's Leibniz rules on (x s_i, s_j) and (s_i, x s_j)
         df = Section(FrameVector.zero(cof), dx)
         along = [contract(s.x, dx).coeff(0) for s in basis]    # pi(s)(x)
-        scaled = [s.scale(x) for s in basis]
+        left = courant_brackets(scaled, basis, chart)
+        right = courant_brackets(basis, scaled, chart)
         for i, a in enumerate(basis):
             for j, b in enumerate(basis):
                 # a structurally zero multiple of a section is skipped
@@ -229,22 +248,44 @@ def frame_certificate(pair, points):
                     expected = expected - a.scale(along[j])
                 if not twice[i][j].is_zero():
                     expected = expected + df.scale(twice[i][j])
-                leibniz.append(_coordinate_residual(
-                    courant_bracket(scaled[i], b, chart).coordinates(),
-                    expected.coordinates()))
+                leibniz.append(_coordinate_residual(left[i][j].coordinates(),
+                                                    expected.coordinates()))
                 expected = bracket
                 if not along[i].is_zero():
                     expected = expected + b.scale(along[i])
-                leibniz.append(_coordinate_residual(
-                    courant_bracket(a, scaled[j], chart).coordinates(),
-                    expected.coordinates()))
+                leibniz.append(_coordinate_residual(right[i][j].coordinates(),
+                                                    expected.coordinates()))
         # phi preserves the anchor on x, and phi(dx) = dx
+        name = "section-transform-bracket"
         for i, image in enumerate(sections):
-            side[name].append([_sum(((1, contract(image.x, dx_dual).coeff(0)),
-                                     (-1, along[i])))])
-        image = dualize_section(df, pair)
+            side[name].append(_coordinate_residual(
+                (contract(image.x, dx_dual).coeff(0),), (along[i],)))
         side[name].append(_coordinate_residual(
-            image.coordinates(), Section(FrameVector.zero(dcof), dx_dual).coordinates()))
+            dualize_section(df, pair).coordinates(),
+            Section(FrameVector.zero(dcof), dx_dual).coordinates()))
+
+    name = "transform-intertwines-differentials"
+    for mask in range(nforms):
+        frame[name].append(_form_residual([(1, _transform(dh[mask], cols)),
+                                           (-1, twisted_derivative(cols[mask], dual))]))
+    side[name] += form_linear
+
+    name = "section-transform-orthogonal"
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            frame[name].append(_coordinate_residual(
+                (pairing(sections[i], sections[j]),), (pairing(a, b),)))
+    side[name] += section_linear
+
+    name = "section-transform-bracket"
+    # a structurally zero weight or column entry adds nothing
+    scol_dicts = [{r: c for r, c in enumerate(col) if not c.is_zero()} for col in scols]
+    dual_brackets = courant_brackets(sections, sections, dual)
+    for i in range(2 * m):
+        for j in range(2 * m):
+            lhs = _combine([(k, w) for k, w in enumerate(coords[i][j]) if not w.is_zero()],
+                           scol_dicts, 2 * m)
+            frame[name].append(_coordinate_residual(lhs, dual_brackets[i][j].coordinates()))
     side[name] += leibniz + section_linear
 
     name = "clifford-compatibility"
@@ -276,47 +317,34 @@ def frame_certificate(pair, points):
                     terms.append((hit_i[1], acted[j][hit_i[0]]))
                 terms.append((1, _act(table[j], acted[i][mask])))
                 frame[name].append(_form_residual(terms))
-    for x, dx, _ in multiples:
-        for mask, e in enumerate(monomials):
-            side[name].append(_form_residual(
-                [(1, twisted_derivative(e.scale(x), chart)),
-                 (-1, wedge(dx, e)), (-1, dh[mask].scale(x))]))
     side[name] += leibniz
 
     name = "transform-invertible"
     for mask, e in enumerate(monomials):
         frame[name].append(_form_residual([(1, dualize_form_reverse(cols[mask], pair)),
                                            (-sign, e)]))
-    for x, _, _ in multiples:
-        for mask, e in enumerate(monomials):
-            side[name].append(_form_residual(
-                [(1, dualize_form_reverse(cols[mask].scale(x), pair)),
-                 (-sign, e.scale(x))]))
     side[name] += form_linear
 
     return _evaluate(frame, side, points)
 
 
 def _evaluate(frame, side, points):
-    """Worst residual of each check, from one evaluation of every residual
-    coefficient that did not cancel structurally."""
-    live, owner = [], []
-
-    def collect(name, group):
-        """Queue the live coefficients of a group; return how many of its
-        residuals cancelled structurally."""
-        zero = 0
+    """Worst residual of each check, from one evaluation of the coefficients
+    that did not cancel structurally; a residual that several checks share
+    is queued once."""
+    live, spans = [], {}
+    for group in (*frame.values(), *side.values()):
         for residual in group:
-            before = len(live)
-            live.extend(c for c in residual if not c.is_zero())
-            owner.extend([name] * (len(live) - before))
-            zero += len(live) == before
-        return zero
-
-    counts = {name: (len(frame[name]), collect(name, frame[name]),
-                     len(side[name]), collect(name, side[name]))
-              for name in frame}
-    worst = dict.fromkeys(frame, 0.0)
-    for name, zs in zip(owner, eval_complex_points(live, points)):
-        worst[name] = max(worst[name], max(abs(z) for z in zs))
-    return {name: Certified(worst[name], *counts[name]) for name in frame}
+            if residual and id(residual) not in spans:
+                spans[id(residual)] = (len(live), len(live) + len(residual))
+                live.extend(residual)
+    mags = [max(abs(z) for z in zs) for zs in eval_complex_points(live, points)]
+    out = {}
+    for name, group in frame.items():
+        worst = 0.0
+        for residual in group + side[name]:
+            if residual:
+                worst = max(worst, *mags[slice(*spans[id(residual)])])
+        out[name] = Certified(worst, len(group), sum(not r for r in group),
+                              len(side[name]), sum(not r for r in side[name]))
+    return out

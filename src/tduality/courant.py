@@ -6,7 +6,10 @@ coframe, with invariant (base-variable) coefficients; ``Section`` is a
 
     [X + xi, Y + eta] = [X, Y] + L_X eta - i_Y d xi + i_X i_Y H
 
-is evaluated with the chart structure equations.  The sign of the flux term
+is evaluated with the chart structure equations; ``courant_brackets`` makes a
+whole table of brackets, with the parts that depend on one section only
+(d xi, d eta, i_Y H) built once per section, and ``courant_bracket`` is its
+one-entry case.  The sign of the flux term
 is the derived-bracket convention: it is the unique choice for which the
 spinor identity [v, w]_H . rho = [[d_H, v], w] . rho holds with the canonical
 super-commutators (inner anticommutator of the two odd operators, outer
@@ -35,7 +38,7 @@ from .bundle import base_generator, exterior_derivative, form_residual
 
 __all__ = [
     "Section", "pairing", "split_pairing_matrix", "lie_bracket", "lie_derivative",
-    "courant_bracket", "b_transform", "lift_splitting_residual", "section_basis",
+    "courant_bracket", "courant_brackets", "b_transform", "lift_splitting_residual", "section_basis",
 ]
 
 
@@ -237,17 +240,39 @@ def lie_derivative(x, eta, chart):
 
 def courant_bracket(v, w, chart):
     """[X+xi, Y+eta] = [X,Y] + L_X eta - i_Y d xi + i_X i_Y H."""
-    if v.coframe != chart.coframe or w.coframe != chart.coframe:
+    return courant_brackets([v], [w], chart)[0][0]
+
+
+def courant_brackets(vs, ws, chart):
+    """The table [[courant_bracket(v, w) for w in ws] for v in vs], with
+    d xi, d eta and i_Y H built once per section.  Where X or Y is
+    structurally zero, the terms that would be empty are skipped: [X, Y],
+    L_X eta, i_Y d xi and i_X i_Y H."""
+    cof = chart.coframe
+    if any(s.coframe != cof for s in (*vs, *ws)):
         raise ValueError("chart mismatch")
-    vec = lie_bracket(v.x, w.x, chart)
-    form = Form.zero(chart.coframe)
-    if not w.xi.is_zero():
-        form = lie_derivative(v.x, w.xi, chart)
-    if not v.xi.is_zero():
-        form = form - contract(w.x, exterior_derivative(v.xi, chart))
-    if not (chart.flux.is_zero() or v.x.is_zero() or w.x.is_zero()):
-        form = form + contract(v.x, contract(w.x, chart.flux))
-    return Section(vec, form)
+    flux = not chart.flux.is_zero()
+    d_xi = [None if v.xi.is_zero() else exterior_derivative(v.xi, chart) for v in vs]
+    d_eta = [None if w.xi.is_zero() else exterior_derivative(w.xi, chart) for w in ws]
+    y_live = [not w.x.is_zero() for w in ws]
+    i_h = [contract(w.x, chart.flux) if flux and y else None for w, y in zip(ws, y_live)]
+    table = []
+    for v, dv in zip(vs, d_xi):
+        x_live = not v.x.is_zero()
+        row = []
+        for w, dw, y, iyh in zip(ws, d_eta, y_live, i_h):
+            form = Form.zero(cof)
+            if dw is not None and x_live:    # L_X eta, by the Cartan formula
+                form = (exterior_derivative(contract(v.x, w.xi), chart)
+                        + contract(v.x, dw))
+            if dv is not None and y:
+                form = form - contract(w.x, dv)
+            if iyh is not None and x_live:
+                form = form + contract(v.x, iyh)
+            vec = lie_bracket(v.x, w.x, chart) if x_live and y else FrameVector.zero(cof)
+            row.append(Section(vec, form))
+        table.append(row)
+    return table
 
 
 def b_transform(b, v):

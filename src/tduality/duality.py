@@ -50,17 +50,19 @@ __all__ = [
 # -- the form transform ---------------------------------------------------------------
 
 def dualize_form(rho, pair):
-    """Integral over the fibers of e^F ^ (pullback of rho), as a form on the dual."""
+    """Integral over the fibers of e^F ^ (pullback of rho), as a form on the
+    dual; e^F is built once per pair."""
     lifted = pair.pull(rho)
-    integrand = wedge(exp_form(pair.F), lifted)
+    integrand = wedge(pair.cache("_exp_F", lambda: exp_form(pair.F)), lifted)
     down = fiber_integrate(integrand, ("fiber",))
     return pair.push_mt(down)
 
 
 def dualize_form_reverse(rho_t, pair):
-    """The reverse-direction transform: e^(-F), integrating the dual fibers."""
+    """The reverse-direction transform: e^(-F), built once per pair,
+    integrating the dual fibers."""
     lifted = pair.pull(rho_t)
-    integrand = wedge(exp_form(-pair.F), lifted)
+    integrand = wedge(pair.cache("_exp_minus_F", lambda: exp_form(-pair.F)), lifted)
     down = fiber_integrate(integrand, ("cofiber",))
     return pair.push_m(down)
 

@@ -277,6 +277,13 @@ def _collect_sum(terms):
             else:
                 entry[0] += coeff
                 entry[1] = None
+    return _sum_node(const_part, collected)
+
+
+def _sum_node(const_part, collected):
+    """The sum of a rational and the collected terms, {rest: [coefficient,
+    the term while it is the only one, else None]}, in insertion order; a
+    term held as None is built from its coefficient, or dropped at zero."""
     out = []
     if const_part != 0:
         out.append(rat(const_part))
@@ -715,8 +722,8 @@ class CScalar:
 
     # The arithmetic skips every sum and product with a structurally zero
     # imaginary part.  Each shortcut builds what the general formula builds:
-    # a product or sum with ZERO folds away, and the sum of one term is that
-    # term (``sadd``).
+    # a product or sum with ZERO folds away, a product with one is the other
+    # factor (``smul``), and the sum of one term is that term (``sadd``).
 
     def __add__(self, other):
         other = CScalar.of(other)
@@ -740,6 +747,8 @@ class CScalar:
     def __mul__(self, other):
         other = CScalar.of(other)
         a, b, c, d = self.re, self.im, other.re, other.im
+        if c is ONE and d is ZERO:
+            return self
         if b is ZERO:
             if d is ZERO:
                 return CScalar(smul(a, c), ZERO)

@@ -4,7 +4,8 @@ the frame certificate and the generic Buscher instance that replaced them,
 the componentwise residual of a section, the term-by-term bodies of
 ``Form.__add__``, ``exterior_derivative``, ``lie_bracket``,
 ``courant_bracket`` and ``pairing`` (``_reference_*``), which the one-pass
-kernels must match tree for tree, and the point-by-point bodies of
+kernels must match tree for tree, the spreading body of ``certify._sum``,
+which the signed collection must match, and the point-by-point bodies of
 ``double_quotient_report``, of the fiber-block checks of ``validate_pair``
 and of the one-point functions that the point-list forms replaced (spinor
 types, Mukai norms, the Pluecker test, integrability, the GC-structure and
@@ -18,7 +19,8 @@ import numpy as np
 import pytest
 
 from tduality import reduction
-from tduality.scalar import CScalar, diff, evaluate, evaluate_points, rat, sadd, smul
+from tduality.scalar import (CScalar, ZERO, diff, evaluate, evaluate_points, rat, sadd,
+                             smul, sneg)
 from tduality.bundle import (BundleChart, base_generator, exterior_derivative,
                              form_residual, twisted_derivative)
 from tduality.exterior import (Form, FrameVector, contract, contract_sign,
@@ -147,6 +149,21 @@ def _reference_courant_bracket(v, w, chart):
         form = form - contract(w.x, exterior_derivative(v.xi, chart))
     form = form + contract(v.x, contract(w.x, chart.flux))
     return Section(vec, form)
+
+
+def _reference_sum(terms):
+    """sign * c summed over (sign, CScalar) pairs, one ``sadd`` per part, with
+    every negated term built: a negated sum is spread over its terms."""
+    re, im = [], []
+    for sign, c in terms:
+        for part, out in ((c.re, re), (c.im, im)):
+            if part is ZERO:
+                continue
+            if sign > 0:
+                out.append(part)
+            else:
+                out.extend(sneg(t) for t in (part.args if part.kind == "add" else (part,)))
+    return CScalar(sadd(*re), sadd(*im))
 
 
 def _reference_pairing(v, w):

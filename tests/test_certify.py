@@ -6,14 +6,18 @@ transposition needs a rank-2 pair whose block is not symmetric: the block of
 ``twisted_rank_two_pair`` is [[0, -1], [-1, 0]], so transposing it changes
 nothing there, and the sheared trivial torus pair below is used instead.
 """
+import sys
+
 import numpy as np
 import pytest
 
-from tduality import certify, courant, duality
+from conftest import _reference_courant_bracket, _reference_sum
+from tduality import bundle, certify, courant, duality
 from tduality.bundle import (BundleChart, DualityPair, build_dual_chart,
                              exterior_derivative, standard_correspondence_flux)
-from tduality.courant import Section
+from tduality.courant import Section, section_basis
 from tduality.exterior import Form, FrameVector, contract, fiber_integrate
+from tduality.scalar import CScalar, ONE, sadd, scalar_to_text, sneg, spow, var
 from tduality.scenarios import load_chart, twisted_rank_two_pair
 
 # the tolerances the scenarios compare each certified residual with
@@ -69,12 +73,12 @@ def test_certificate_holds_and_counts_its_instances(name):
                             f"instances, {oracle.side_zero} structurally zero")
 
 
-def flipped_flux_bracket(real):
-    """The bracket with the sign of its flux term i_X i_Y H flipped."""
-    def bracket(v, w, chart):
-        b = real(v, w, chart)
-        return Section(b.x, b.xi - contract(v.x, contract(w.x, chart.flux)).scale(2))
-    return bracket
+def flipped_flux_brackets(real):
+    """The bracket tables with the sign of the flux term i_X i_Y H flipped."""
+    def brackets(vs, ws, chart):
+        return [[Section(b.x, b.xi - contract(v.x, contract(w.x, chart.flux)).scale(2))
+                 for w, b in zip(ws, row)] for v, row in zip(vs, real(vs, ws, chart))]
+    return brackets
 
 
 def transform_without_f(rho, pair):
@@ -100,9 +104,9 @@ def transposed_block(real):
 
 
 def install_flux_term_sign(mp):
-    bracket = flipped_flux_bracket(courant.courant_bracket)
+    brackets = flipped_flux_brackets(courant.courant_brackets)
     for module in (courant, certify):
-        mp.setattr(module, "courant_bracket", bracket)
+        mp.setattr(module, "courant_brackets", brackets)
 
 
 def install_f_zero(mp):
@@ -191,3 +195,95 @@ def test_certificate_is_pinned(name):
                                f"structurally zero; side conditions: {side} instances, "
                                f"{side_zero} structurally zero")
     assert got == expected
+
+
+def bracket_tables(pair):
+    """(vs, ws, chart) of the four bracket-table shapes of the certificate:
+    frame x frame, dual sections x dual sections, and for each base
+    coordinate x, (x s_i) x frame and frame x (x s_j)."""
+    chart = pair.chart
+    basis = section_basis(chart.coframe)
+    sections = list(duality._section_columns(pair))
+    shapes = [(basis, basis, chart), (sections, sections, pair.dual)]
+    for v in chart.base_vars:
+        scaled = [s.scale(CScalar(var(v))) for s in basis]
+        shapes += [(scaled, basis, chart), (basis, scaled, chart)]
+    return shapes
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_bracket_tables_match_the_reference(name):
+    for vs, ws, chart in bracket_tables(PAIRS[name]()):
+        table = courant.courant_brackets(vs, ws, chart)
+        assert [len(row) for row in table] == [len(ws)] * len(vs)
+        for v, row in zip(vs, table):
+            for w, got in zip(ws, row):
+                ref = _reference_courant_bracket(v, w, chart)
+                assert got == ref
+                assert got.coordinates() == ref.coordinates()
+
+
+def test_bracket_table_rejects_a_section_on_another_coframe():
+    pair = PAIRS["s3_hopf"]()
+    basis = section_basis(pair.chart.coframe)
+    other = section_basis(pair.total.coframe)
+    for vs, ws in ((other, basis), (basis, other[:1]), (basis[:1], other)):
+        with pytest.raises(ValueError, match="chart mismatch"):
+            courant.courant_brackets(vs, ws, pair.chart)
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_signed_sum_matches_the_reference(name, monkeypatch):
+    """Every residual sum of a certificate is the tree the spreading sum
+    builds, with each negated term made."""
+    calls = []
+    real = certify._sum
+
+    def recorded(terms):
+        terms = list(terms)
+        out = real(terms)
+        calls.append((terms, out))
+        return out
+
+    monkeypatch.setattr(certify, "_sum", recorded)
+    pair = PAIRS[name]()
+    certify.frame_certificate(pair, pair.chart.domain.sample_many(np.random.default_rng(7), 2))
+    assert calls
+    for terms, out in calls:
+        assert type(out) is CScalar and out == _reference_sum(terms)
+
+
+def test_signed_sum_keeps_the_negated_sum_quirk():
+    """sneg(-A) is the sum A, which the sum flattens: c - c is left
+    uncancelled for c = -(1 + u^2), by both sums alike."""
+    c = CScalar(sneg(sadd(ONE, spow(var("u"), 2))))
+    out = certify._sum([(1, c), (-1, c)])
+    assert out == _reference_sum([(1, c), (-1, c)])
+    assert scalar_to_text(out.re) == "(+ 1 (* -1 (+ 1 (^ u 2))) (^ u 2))"
+    assert out.im.is_zero()
+
+
+def count_calls(mp, module, name):
+    """Count the calls of ``module.name`` through every package module that
+    holds it; returns the one-element list the count is kept in."""
+    real, calls = getattr(module, name), [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    for mod in [m for key, m in sys.modules.items() if key.startswith("tduality")]:
+        if getattr(mod, name, None) is real:
+            mp.setattr(mod, name, counted)
+    return calls
+
+
+def test_certificate_builds_its_shared_pieces_once(monkeypatch):
+    """A fresh s3_hopf certificate builds e^F and e^(-F) once each, and no
+    more exterior derivatives than its shared tables need."""
+    exps = count_calls(monkeypatch, duality, "exp_form")
+    derivatives = count_calls(monkeypatch, bundle, "exterior_derivative")
+    pair = PAIRS["s3_hopf"]()
+    certify.frame_certificate(pair, pair.chart.domain.sample_many(np.random.default_rng(7), 8))
+    assert exps[0] <= 2
+    assert derivatives[0] <= 142
