@@ -129,8 +129,9 @@ def _form_residual(terms):
 def _coordinate_residual(a, b):
     """The coordinates of a - b, for coordinate tuples of two sections, that
     do not cancel structurally."""
-    return [d for d in (_sum(((1, x), (-1, y))) for x, y in zip(a, b)
-                        if not (x.is_zero() and y.is_zero())) if not d.is_zero()]
+    diffs = (_sum(((1, x), (-1, y))) for x, y in zip(a, b)
+             if not (x.is_zero() and y.is_zero()))
+    return [d for d in diffs if not d.is_zero()]
 
 
 def _transform(form, images):
@@ -211,9 +212,9 @@ def frame_certificate(pair, points):
     sign = round(reverse_sign(pair).real)
     twice = [[pairing(a, b) * CScalar.of(2) for b in basis] for a in basis]
 
-    # the side conditions on the multiples of each base coordinate x
     frame = defaultdict(list)
     side = defaultdict(list)
+    # the side conditions, on the multiples of each base coordinate x
     form_linear, section_linear, leibniz = [], [], []
     for v in chart.base_vars:
         x = CScalar(var(v))

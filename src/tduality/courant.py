@@ -6,12 +6,12 @@ coframe, with invariant (base-variable) coefficients; ``Section`` is a
 
     [X + xi, Y + eta] = [X, Y] + L_X eta - i_Y d xi + i_X i_Y H
 
-is evaluated with the chart structure equations; ``courant_brackets`` makes a
-whole table of brackets, with the parts that depend on one section only
-(d xi, d eta, i_Y H) built once per section, and ``courant_bracket`` is its
-one-entry case.  The sign of the flux term
-is the derived-bracket convention: it is the unique choice for which the
-spinor identity [v, w]_H . rho = [[d_H, v], w] . rho holds with the canonical
+is evaluated with the chart structure equations.  ``courant_brackets`` makes
+a table of brackets and builds the parts that depend on one section only
+(d xi, d eta, i_Y H) once per section; ``courant_bracket`` is its one-entry
+case.  The sign of the flux term is the derived-bracket convention: it is
+the unique choice for which the spinor identity
+[v, w]_H . rho = [[d_H, v], w] . rho holds with the canonical
 super-commutators (inner anticommutator of the two odd operators, outer
 plain commutator of the even result with the odd Clifford action), and the
 unique choice under which the duality section transform preserves brackets
@@ -38,7 +38,8 @@ from .bundle import base_generator, exterior_derivative, form_residual
 
 __all__ = [
     "Section", "pairing", "split_pairing_matrix", "lie_bracket", "lie_derivative",
-    "courant_bracket", "courant_brackets", "b_transform", "lift_splitting_residual", "section_basis",
+    "courant_bracket", "courant_brackets", "b_transform", "lift_splitting_residual",
+    "section_basis",
 ]
 
 

@@ -5,6 +5,10 @@ fail on it, on a pair where the broken piece shows.  The fiber-block
 transposition needs a rank-2 pair whose block is not symmetric: the block of
 ``twisted_rank_two_pair`` is [[0, -1], [-1, 0]], so transposing it changes
 nothing there, and the sheared trivial torus pair below is used instead.
+
+The certificates of the four test pairs are pinned; the bracket tables and
+the signed residual sum are checked against their reference bodies, and a
+call count guards against rebuilding the shared pieces per instance.
 """
 import sys
 
