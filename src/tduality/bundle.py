@@ -53,22 +53,26 @@ class BundleChart:
     flux: Form               # invariant 3-form H
 
     def __post_init__(self):
+        cof = self.coframe
         expected = tuple(base_generator(v) for v in self.base_vars)
-        base_names = tuple(n for n, t in zip(self.coframe.names, self.coframe.tags)
-                           if t == "base")
+        base_names = tuple(n for n, t in zip(cof.names, cof.tags) if t == "base")
         if base_names != expected:
             raise ValueError("base generators must be d<var> in base-variable order")
         for gen in self.curvature:
-            if self.coframe.tags[self.coframe.index(gen)] == "base":
+            if cof.tags[cof.index(gen)] == "base":
                 raise ValueError("curvature is attached to fiber generators only")
+        # what d and the frame bracket read on every call: (variable, index,
+        # bit) of each base generator, and the nonzero curvatures by index
+        object.__setattr__(self, "fiber_names", tuple(
+            n for n, t in zip(cof.names, cof.tags) if t == "fiber"))
+        object.__setattr__(self, "base_bits", tuple(
+            (v, i, 1 << i) for v, i in zip(self.base_vars, map(cof.index, expected))))
+        object.__setattr__(self, "curved", dict(sorted(
+            (cof.index(n), c) for n, c in self.curvature.items() if c.coeffs)))
 
     @property
     def k(self):
-        return sum(1 for t in self.coframe.tags if t == "fiber")
-
-    @property
-    def fiber_names(self):
-        return tuple(n for n, t in zip(self.coframe.names, self.coframe.tags) if t == "fiber")
+        return len(self.fiber_names)
 
     @property
     def dim(self):
@@ -109,15 +113,9 @@ def exterior_derivative(rho, chart):
     if rho.coframe != chart.coframe:
         raise ValueError("coframe mismatch")
     cof = chart.coframe
-    bases = [(v, 1 << cof.index(base_generator(v))) for v in chart.base_vars]
-    curved = []
-    for i, name in enumerate(cof.names):
-        dgen = chart.curvature.get(name)
-        if dgen is not None and dgen.coeffs:
-            curved.append((i, dgen.coeffs.items()))
     out = {}
     for mask, c in rho.coeffs.items():
-        for v, bit in bases:
+        for v, _, bit in chart.base_bits:
             if bit & mask:
                 continue
             dre = diff(c.re, v)
@@ -127,14 +125,14 @@ def exterior_derivative(rho, chart):
             term = CScalar(dre, dim)
             _accumulate(out, bit | mask, -term if _wedge_sign(bit, mask) < 0 else term)
         # Leibniz over generators; d(gen) is even so it moves freely to the front
-        for i, dgen in curved:
+        for i, dgen in chart.curved.items():
             if not mask >> i & 1:
                 continue
             rest = mask & ~(1 << i)
             flip = contract_sign(mask, i) < 0
             # each sign is its own negation and a product that cancels is
             # dropped, as in wedge(c_i, c e_rest) negated: the same trees
-            for m, cg in dgen:
+            for m, cg in dgen.coeffs.items():
                 if m & rest:
                     continue
                 term = cg * c

@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .scalar import CScalar, diff, rat
+from .scalar import CZERO, CScalar, diff, rat
 from .exterior import (Form, FrameVector, clifford_act, contract, contract_sign,
                        eval_complex)
-from .bundle import base_generator, exterior_derivative, form_residual
+from .bundle import exterior_derivative, form_residual
 
 __all__ = [
     "Section", "pairing", "split_pairing_matrix", "lie_bracket", "lie_derivative",
@@ -135,7 +135,7 @@ def pairing(v, w):
     structurally zero factor is skipped, as is adding it."""
     if v.coframe != w.coframe:
         raise ValueError("chart mismatch")
-    total = CScalar()
+    total = CZERO
     for i in range(v.coframe.dim):
         bit = 1 << i
         for x, xi in ((v.x, w.xi), (w.x, v.xi)):
@@ -159,9 +159,10 @@ def split_pairing_matrix(m):
 def _derivative(x, f, bases):
     """X(f) = sum_a (d_a f) X^a over the base generators a, summed in
     ascending generator index; None where no term survives or the sum
-    cancels structurally.  ``bases`` lists (index, variable) pairs."""
+    cancels structurally.  ``bases`` is the chart's ``base_bits`` table of
+    (variable, index, bit)."""
     total = None
-    for i, v in bases:
+    for v, i, _ in bases:
         xa = x.components[i]
         if xa.is_zero():
             continue
@@ -189,20 +190,19 @@ def lie_bracket(x, y, chart):
     """Lie bracket of invariant frame vector fields on the chart:
     e^b([X, Y]) = X(Y^b) - Y(X^b) - (d e^b)(X, Y), with d e^b read off the
     structure equations; a term whose factor is structurally zero is skipped."""
-    cof = chart.coframe
-    bases = [(cof.index(base_generator(v)), v) for v in chart.base_vars]
+    bases = chart.base_bits
     comps = []
-    for b, name in enumerate(cof.names):
+    for b in range(chart.coframe.dim):
         comp = None
         if not y.components[b].is_zero():
             comp = _derivative(x, y.components[b], bases)
         if not x.components[b].is_zero():
             comp = _minus(comp, _derivative(y, x.components[b], bases))
-        de_b = chart.curvature.get(name)    # d(dx^a) = 0, d(theta_i) = c_i
+        de_b = chart.curved.get(b)    # d(dx^a) = 0, d(theta_i) = c_i
         if de_b is not None:
             comp = _minus(comp, _on_pair(de_b, x, y))
-        comps.append(CScalar() if comp is None else comp)
-    return FrameVector(cof, tuple(comps))
+        comps.append(CZERO if comp is None else comp)
+    return FrameVector(chart.coframe, tuple(comps))
 
 
 def _on_pair(two_form, x, y):

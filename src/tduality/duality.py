@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .scalar import (CScalar, ZERO, ONE, rat, sadd, sdiv, smul, sneg, ssub,
+from .scalar import (CZERO, CScalar, ZERO, ONE, rat, sadd, sdiv, smul, sneg, ssub,
                      solve_linear_symbolic, sym_matrix_inverse)
 from .exterior import (Form, FrameVector, _eval_array, contract, exp_form,
                        fiber_integrate, strip_rightmost, wedge)
@@ -134,7 +134,7 @@ def dualize_section(v, pair):
     fiber_mask = cof.tag_mask("fiber")
     eta = Form(cof, {m: c for m, c in eta.coeffs.items() if not m & fiber_mask})
     pushed_x = FrameVector(cof, tuple(
-        CScalar() if cof.tags[i] == "fiber" else lift.components[i]
+        CZERO if cof.tags[i] == "fiber" else lift.components[i]
         for i in range(cof.dim)))
     out = Section(pushed_x, eta)
     return out.map_to(pair.dual.coframe)
@@ -145,7 +145,7 @@ def _delta(cof, cofibers, idx, lift_re, lift_im):
     if name in cofibers:
         j = cofibers.index(name)
         return CScalar(lift_re[j], lift_im[j])
-    return CScalar()
+    return CZERO
 
 
 def _section_columns(pair):

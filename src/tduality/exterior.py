@@ -12,8 +12,15 @@ constructor prunes them.  ``Form.__add__`` relies on this to check only the
 masks it touches and to return the other operand for an empty one;
 ``__neg__``, ``conj`` and ``component`` rely on it to skip the pruning pass,
 as do ``Form.is_zero`` (an empty dict) and every caller that reads a missing
-mask as zero.  ``Form._pruned`` builds a form from a dict that already keeps
-the invariant and is used in this module only.
+mask as zero; such a read returns the one shared ``CZERO``, which is safe
+because CScalars are immutable by convention.  ``Form._pruned`` builds a form
+from a dict that already keeps the invariant and is used in this module only.
+
+A ``Coframe`` keeps what it would otherwise re-derive on every call in its
+instance dict, so that it dies with the coframe: the name -> index dict, and
+in ``Coframe.table`` the tag masks, each mask's (image, sign) for ``map_to``
+per target names, tags and rename, and each mask's (rest, sign) for
+``fiber_integrate``.  No table refers back to its coframe.
 """
 from __future__ import annotations
 
@@ -22,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalar import (CScalar, _parse_tokens, _token, _tokenize, evaluate_points,
-                     rat, scalar_to_text)
+from .scalar import (CZERO, CScalar, _parse_tokens, _token, _tokenize,
+                     evaluate_points, rat, scalar_to_text)
 
 __all__ = [
     "Coframe", "Form", "FrameVector",
@@ -51,6 +58,8 @@ class Coframe:
         for t in self.tags:
             if t not in TAGS:
                 raise ValueError(f"unknown tag {t!r}")
+        object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.names)})
+        object.__setattr__(self, "_tables", {})
 
     def __eq__(self, other):
         # forms and sections almost always compare a coframe with itself
@@ -66,8 +75,8 @@ class Coframe:
 
     def index(self, name):
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._index[name]
+        except KeyError:
             raise ValueError(f"unknown generator {name!r} in coframe "
                              f"({' '.join(self.names)})") from None
 
@@ -80,12 +89,16 @@ class Coframe:
     def names_of(self, mask):
         return tuple(n for i, n in enumerate(self.names) if mask >> i & 1)
 
+    def table(self, key, build):
+        """``build()``, kept on the coframe under ``key`` by its first call."""
+        got = self._tables.get(key)
+        if got is None:
+            got = self._tables[key] = build()
+        return got
+
     def tag_mask(self, *tags):
-        m = 0
-        for i, t in enumerate(self.tags):
-            if t in tags:
-                m |= 1 << i
-        return m
+        return self.table(("tags", tags), lambda: sum(
+            1 << i for i, t in enumerate(self.tags) if t in tags))
 
 
 def _wedge_sign(a, b):
@@ -113,6 +126,19 @@ def strip_rightmost(mask, c, right):
     ``mask``; returns (rest, c')."""
     rest = mask & ~right
     return rest, (-c if _wedge_sign(rest, right) < 0 else c)
+
+
+def _image(names, coframe):
+    """(mask, sign) of n1 ^ n2 ^ ... on ``coframe``; sign 0 if a name repeats."""
+    mask = 0
+    sign = 1
+    for n in names:
+        bit = 1 << coframe.index(n)
+        if mask & bit:
+            return 0, 0
+        sign *= _wedge_sign(mask, bit)
+        mask |= bit
+    return mask, sign
 
 
 def _accumulate(out, mask, c):
@@ -164,18 +190,11 @@ class Form:
     @staticmethod
     def monomial(coframe, names, coeff=1):
         """coeff * n1 ^ n2 ^ ... with names listed in wedge order."""
-        mask = 0
-        sign = 1
-        for n in names:
-            bit = 1 << coframe.index(n)
-            if mask & bit:
-                return Form(coframe)
-            sign *= _wedge_sign(mask, bit)
-            mask |= bit
+        mask, sign = _image(names, coframe)
+        if not sign:
+            return Form(coframe)
         c = CScalar.of(coeff)
-        if sign < 0:
-            c = -c
-        return Form(coframe, {mask: c})
+        return Form(coframe, {mask: -c if sign < 0 else c})
 
     # -- linear structure ----------------------------------------------------
     def __add__(self, other):
@@ -208,7 +227,7 @@ class Form:
         return not self.coeffs
 
     def coeff(self, mask):
-        return self.coeffs.get(mask, CScalar())
+        return self.coeffs.get(mask, CZERO)
 
     def coeff_of(self, *names):
         return self.coeff(self.coframe.mask_of(names))
@@ -265,12 +284,18 @@ class Form:
         target coframe; relative order may change, signs follow.
         """
         rename = rename or {}
+        images = self.coframe.table(
+            ("map", coframe.names, coframe.tags, tuple(rename.items())), dict)
         out = {}
         for mask, c in self.coeffs.items():
-            names = [rename.get(n, n) for n in self.coframe.names_of(mask)]
-            mono = Form.monomial(coframe, names, c)
-            for m2, c2 in mono.coeffs.items():
-                out[m2] = out[m2] + c2 if m2 in out else c2
+            image = images.get(mask)
+            if image is None:
+                image = images[mask] = _image(
+                    [rename.get(n, n) for n in self.coframe.names_of(mask)], coframe)
+            m2, sign = image
+            if sign:
+                c = -c if sign < 0 else c
+                out[m2] = out[m2] + c if m2 in out else c
         return Form(coframe, out)
 
     def _check(self, other):
@@ -301,17 +326,17 @@ class FrameVector:
 
     @staticmethod
     def basis(coframe, name):
-        comps = [CScalar() for _ in coframe.names]
+        comps = [CZERO] * coframe.dim
         comps[coframe.index(name)] = CScalar.one()
         return FrameVector(coframe, tuple(comps))
 
     @staticmethod
     def zero(coframe):
-        return FrameVector(coframe, tuple(CScalar() for _ in coframe.names))
+        return FrameVector(coframe, (CZERO,) * coframe.dim)
 
     @staticmethod
     def from_dict(coframe, comps):
-        out = [CScalar() for _ in coframe.names]
+        out = [CZERO] * coframe.dim
         for name, c in comps.items():
             out[coframe.index(name)] = CScalar.of(c)
         return FrameVector(coframe, tuple(out))
@@ -351,7 +376,7 @@ class FrameVector:
 
     def map_to(self, coframe, rename=None):
         rename = rename or {}
-        out = [CScalar() for _ in coframe.names]
+        out = [CZERO] * coframe.dim
         for i, c in enumerate(self.components):
             if c.is_zero():
                 continue
@@ -485,14 +510,18 @@ def fiber_integrate(rho, coframe_tags=("fiber",)):
     zero.  Invariance of coefficients is implicit: coefficients are functions
     of base variables only.
     """
-    vol = rho.coframe.tag_mask(*coframe_tags)
+    cof = rho.coframe
+    vol = cof.tag_mask(*coframe_tags)
+    strips = cof.table(("strip", vol), lambda: {    # (rest, sign) of each mask
+        mask: (mask & ~vol, _wedge_sign(mask & ~vol, vol))
+        for mask in range(1 << cof.dim) if mask & vol == vol})
     out = {}
     for mask, c in rho.coeffs.items():
-        if mask & vol != vol:
-            continue
-        rest, term = strip_rightmost(mask, c, vol)
-        out[rest] = out[rest] + term if rest in out else term
-    return Form(rho.coframe, out)
+        rest, sign = strips.get(mask, (0, 0))
+        if sign:
+            term = -c if sign < 0 else c
+            out[rest] = out[rest] + term if rest in out else term
+    return Form(cof, out)
 
 
 # -- text serialization ---------------------------------------------------------------

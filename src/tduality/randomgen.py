@@ -14,7 +14,7 @@ import numpy as np
 from .scalar import CScalar, EvaluationError, rat, var, ssin, scos, smul, sadd
 from .exterior import Form, FrameVector, eval_complex_points, wedge
 from .courant import Section
-from .structures import PureSpinor, _clifford_matrices, mukai_norm
+from .structures import PureSpinor, _clifford_matrices, _two_wedges, mukai_norm
 
 __all__ = [
     "random_scalar", "random_cscalar", "random_form", "random_section",
@@ -132,7 +132,7 @@ def random_spinor_values(rng, m):
     if m % 2:
         raise ValueError("chart dimension must be even")
     wedges, _ = _clifford_matrices(m)
-    two = np.array([wedges[i] @ wedges[j] for i, j in itertools.combinations(range(m), 2)])
+    two = _two_wedges(m)
 
     def draw(n, density, parts=(1.0,)):
         return (rng.random(n) <= density) * (rng.standard_normal((n, len(parts))) @ parts)

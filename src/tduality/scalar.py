@@ -27,7 +27,7 @@ __all__ = [
     "Scalar", "CScalar", "Domain", "EvaluationError", "SamplingError",
     "rat", "const", "var", "sadd", "smul", "sdiv", "spow", "sneg", "ssub",
     "ssin", "scos", "sexp", "slog", "ssqrt", "as_scalar",
-    "ZERO", "ONE", "MINUS_ONE", "PI",
+    "ZERO", "ONE", "MINUS_ONE", "PI", "CZERO",
     "diff", "evaluate", "evaluate_all", "evaluate_points", "equal_numeric",
     "scalar_to_text", "scalar_from_text",
     "solve_linear_symbolic", "sym_matrix_inverse", "sym_det",
@@ -639,20 +639,31 @@ class Domain:
 
     def sample(self, rng):
         """One interior point avoiding all exclusions (200 draws per variable)."""
-        point = {}
-        for name, (lo, hi) in self.intervals.items():
-            excl = [(v, r) for (n, v, r) in self.exclusions if n == name]
+        return self.sample_many(rng, 1)[0]
+
+    def sample_many(self, rng, n):
+        """n points, each variable drawn as lo + (hi - lo) u until it avoids
+        the exclusions.  The u come from ``rng.random`` in buffers of one draw
+        per value still unset, all used unless it raises: the rng consumes
+        exactly the stream of one ``rng.uniform(lo, hi)`` per draw, bit for bit."""
+        spec = [(name, float(lo), float(hi) - float(lo),
+                 [(v, r) for x, v, r in self.exclusions if x == name])
+                for name, (lo, hi) in self.intervals.items()]
+        k = len(spec)
+        values, buf, pos = [], [], 0
+        for slot in range(n * k):
+            name, lo, span, excl = spec[slot % k]
             for _ in range(200):
-                x = float(rng.uniform(lo, hi))
-                if all(abs(x - v) > r for v, r in excl):
-                    point[name] = x
+                if pos == len(buf):
+                    buf, pos = rng.random(n * k - slot).tolist(), 0
+                x = lo + span * buf[pos]
+                pos += 1
+                if not excl or all(abs(x - v) > r for v, r in excl):
+                    values.append(x)
                     break
             else:
                 raise SamplingError(f"cannot sample variable {name!r} outside exclusions")
-        return point
-
-    def sample_many(self, rng, n):
-        return [self.sample(rng) for _ in range(n)]
+        return [dict(zip(self.intervals, values[i * k:(i + 1) * k])) for i in range(n)]
 
     def merge(self, other):
         both = dict(self.intervals)
@@ -772,6 +783,9 @@ class CScalar:
 
     def variables(self):
         return self.re.variables() | self.im.variables()
+
+
+CZERO = CScalar()    # immutable by convention: every missing entry shares it
 
 
 # -- text serialization (prefix notation) ------------------------------------------

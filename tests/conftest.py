@@ -4,7 +4,10 @@ the frame certificate and the generic Buscher instance that replaced them,
 the componentwise residual of a section, the term-by-term bodies of
 ``Form.__add__``, ``exterior_derivative``, ``lie_bracket``,
 ``courant_bracket`` and ``pairing`` (``_reference_*``), which the one-pass
-kernels must match tree for tree, the spreading body of ``certify._sum``,
+kernels must match tree for tree, the mask-by-mask bodies of
+``Form.map_to`` and ``fiber_integrate``, which the coframe tables must
+match, the draw-by-draw body of ``Domain.sample``, which the buffered
+``sample_many`` must match bit for bit, the spreading body of ``certify._sum``,
 which the signed collection must match, and the point-by-point bodies of
 ``double_quotient_report``, of the fiber-block checks of ``validate_pair``
 and of the one-point functions that the point-list forms replaced (spinor
@@ -19,12 +22,13 @@ import numpy as np
 import pytest
 
 from tduality import reduction
-from tduality.scalar import (CScalar, ZERO, diff, evaluate, evaluate_points, rat, sadd,
-                             smul, sneg)
+from tduality.scalar import (CScalar, SamplingError, ZERO, diff, evaluate,
+                             evaluate_points, rat, sadd, smul, sneg)
 from tduality.bundle import (BundleChart, base_generator, exterior_derivative,
                              form_residual, twisted_derivative)
 from tduality.exterior import (Form, FrameVector, contract, contract_sign,
-                               eval_complex_points, fiber_integrate, wedge)
+                               eval_complex_points, fiber_integrate, strip_rightmost,
+                               wedge)
 from tduality.structures import (GeneralizedMetric, RANK_TOL, SymTensor,
                                  _clifford_matrices, mukai_norm)
 from tduality.courant import Section, lie_derivative, split_pairing_matrix
@@ -83,6 +87,45 @@ def _reference_form_add(a, b):
     for mask, c in b.coeffs.items():
         out[mask] = out[mask] + c if mask in out else c
     return Form(a.coframe, out)
+
+
+def _reference_map_to(form, coframe, rename=None):
+    """``Form.map_to`` with each term rebuilt as a monomial on the target."""
+    rename = rename or {}
+    out = {}
+    for mask, c in form.coeffs.items():
+        names = [rename.get(n, n) for n in form.coframe.names_of(mask)]
+        mono = Form.monomial(coframe, names, c)
+        for m2, c2 in mono.coeffs.items():
+            out[m2] = out[m2] + c2 if m2 in out else c2
+    return Form(coframe, out)
+
+
+def _reference_fiber_integrate(rho, coframe_tags=("fiber",)):
+    """``fiber_integrate`` with each term's sign worked out anew."""
+    vol = rho.coframe.tag_mask(*coframe_tags)
+    out = {}
+    for mask, c in rho.coeffs.items():
+        if mask & vol != vol:
+            continue
+        rest, term = strip_rightmost(mask, c, vol)
+        out[rest] = out[rest] + term if rest in out else term
+    return Form(rho.coframe, out)
+
+
+def _reference_sample(domain, rng):
+    """One point of ``domain``, one ``rng.uniform`` call per draw."""
+    point = {}
+    for name, (lo, hi) in domain.intervals.items():
+        excl = [(v, r) for (n, v, r) in domain.exclusions if n == name]
+        for _ in range(200):
+            x = float(rng.uniform(lo, hi))
+            if all(abs(x - v) > r for v, r in excl):
+                point[name] = x
+                break
+        else:
+            raise SamplingError(f"cannot sample variable {name!r} outside exclusions")
+    return point
 
 
 def _reference_d_coefficient(chart, c):

@@ -8,20 +8,27 @@ nothing there, and the sheared trivial torus pair below is used instead.
 
 The certificates of the four test pairs are pinned; the bracket tables and
 the signed residual sum are checked against their reference bodies, and a
-call count guards against rebuilding the shared pieces per instance.
+call count guards against rebuilding the shared pieces per instance.  The
+coframe tables of ``Form.map_to`` and ``fiber_integrate`` are checked against
+their mask-by-mask bodies on every coframe move of the four pairs, and with
+the cycle collector off a certified pair must die by reference counting.
 """
+import gc
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
-from conftest import _reference_courant_bracket, _reference_sum
+from conftest import (_reference_courant_bracket, _reference_fiber_integrate,
+                      _reference_map_to, _reference_sum)
 from tduality import bundle, certify, courant, duality
 from tduality.bundle import (BundleChart, DualityPair, build_dual_chart,
                              exterior_derivative, standard_correspondence_flux)
 from tduality.courant import Section, section_basis
 from tduality.exterior import Form, FrameVector, contract, fiber_integrate
 from tduality.scalar import CScalar, ONE, sadd, scalar_to_text, sneg, spow, var
+from tduality.randomgen import random_form
 from tduality.scenarios import load_chart, twisted_rank_two_pair
 
 # the tolerances the scenarios compare each certified residual with
@@ -291,3 +298,76 @@ def test_certificate_builds_its_shared_pieces_once(monkeypatch):
     certify.frame_certificate(pair, pair.chart.domain.sample_many(np.random.default_rng(7), 8))
     assert exps[0] <= 2
     assert derivatives[0] <= 142
+
+
+def coframe_moves(pair):
+    """(source, target, rename) of every move of a form between the coframes
+    of the pair: chart or dual to total, total to dual or chart, the
+    dual-of-dual rename back to the chart, and the fold of each dual fiber
+    generator onto its fiber generator, under which masks collide and a
+    monomial holding both repeats a generator."""
+    chart, dual, total = pair.chart.coframe, pair.dual.coframe, pair.total.coframe
+    ddual = build_dual_chart(pair.dual)
+    back = dict(zip(ddual.fiber_names, pair.chart.fiber_names))
+    fold = dict(zip(pair.dual.fiber_names, pair.chart.fiber_names))
+    return [(chart, total, None), (dual, total, None), (total, dual, None),
+            (total, chart, None), (ddual.coframe, chart, back), (total, chart, fold)]
+
+
+def same_form(got, ref):
+    return repr(got) == repr(ref) and list(got.coeffs) == list(ref.coeffs)
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_coframe_tables_match_the_reference(name):
+    """``Form.map_to`` and ``fiber_integrate`` read masks, signs and images
+    from tables kept on the coframe; on seeded random forms they build what
+    the mask-by-mask bodies build, in the same mask order, with the tables
+    empty and then filled."""
+    pair = PAIRS[name]()
+    rng = np.random.default_rng(11)
+    variables = pair.chart.base_vars
+    for source, target, rename in coframe_moves(pair):
+        names = [(rename or {}).get(n, n) for n in source.names]
+        outside = sum(1 << i for i, n in enumerate(names) if n not in target.names)
+        for _ in range(3):
+            form = random_form(rng, source, variables)
+            form = Form(source, {m: c for m, c in form.coeffs.items() if not m & outside})
+            assert same_form(form.map_to(target, rename),
+                             _reference_map_to(form, target, rename))
+        if outside:
+            leg = Form.monomial(source, (source.names[outside.bit_length() - 1],))
+            with pytest.raises(ValueError) as got:
+                leg.map_to(target, rename)
+            with pytest.raises(ValueError) as ref:
+                _reference_map_to(leg, target, rename)
+            assert str(got.value) == str(ref.value)
+    total = pair.total.coframe
+    folded = Form.monomial(total, (pair.chart.fiber_names[0], pair.dual.fiber_names[0]))
+    assert folded.map_to(pair.chart.coframe, coframe_moves(pair)[-1][2]).is_zero()
+    for cof, tags in ((total, ("fiber",)), (total, ("cofiber",)),
+                      (total, ("fiber", "cofiber")), (total, ("base",)),
+                      (pair.chart.coframe, ("fiber",)), (pair.dual.coframe, ("fiber",))):
+        for _ in range(3):
+            form = random_form(rng, cof, variables)
+            assert same_form(fiber_integrate(form, tags),
+                             _reference_fiber_integrate(form, tags))
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_no_table_outlives_its_pair(name):
+    """With the cycle collector off, a certified pair, its charts and their
+    coframes die by reference counting alone once the pair is dropped: no
+    table kept on them refers back to its owner."""
+    gc.disable()
+    try:
+        pair = PAIRS[name]()
+        cert = certify.frame_certificate(
+            pair, pair.chart.domain.sample_many(np.random.default_rng(7), 2))
+        assert all(c.residual <= TOLS[check] for check, c in cert.items())
+        charts = (pair.chart, pair.dual, pair.total)
+        refs = [weakref.ref(o) for o in (pair, *charts, *(c.coframe for c in charts))]
+        del pair, charts
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()

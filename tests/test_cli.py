@@ -140,6 +140,9 @@ def test_samples_count_the_points(monkeypatch, samples):
         return real(self, rng, n)
 
     monkeypatch.setattr(Domain, "sample_many", spy)
+    # ``Domain.sample`` is the one-point case of ``sample_many``; its callers
+    # (``equal_numeric``'s 16 fixed probe points) draw no ``samples`` set
+    monkeypatch.setattr(Domain, "sample", lambda self, rng: real(self, rng, 1)[0])
     for name in ("s3-hopf", "s3-selfdual", "s2-annulus", "hopf-surface",
                  "gibbons-hawking"):
         drawn.clear()

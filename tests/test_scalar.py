@@ -6,14 +6,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import _reference_sample
 from tduality.scalar import (CScalar, Domain, EvaluationError, MINUS_ONE, ONE, PI,
+                             SamplingError,
                              ZERO, _collect_product, _collect_sum, diff,
                              equal_numeric, evaluate, evaluate_all, evaluate_points,
                              rat, sadd, scalar_from_text, scalar_to_text, scos,
                              sdiv, sexp, slog, smul, sneg, spow, ssin, ssqrt, ssub,
                              solve_linear_symbolic, sym_matrix_inverse, var)
 from tduality import randomgen
-from tduality.scenarios import run_scenario
+from tduality.scenarios import load_chart, run_scenario
 
 T = var("t")
 DOM = Domain({"t": (-0.9, 0.9)})
@@ -116,6 +118,39 @@ def test_domain_exclusions():
     rng = np.random.default_rng(0)
     for p in d.sample_many(rng, 50):
         assert abs(p["t"]) > 0.2
+
+
+SAMPLED_DOMAINS = {
+    "plain": lambda: Domain({"t": (-0.9, 0.9)}),
+    "gibbons_hawking": lambda: load_chart("gibbons_hawking.cfg").domain,
+    # 90% of the x draws and 56% of the y draws land in an exclusion
+    "rejecting": lambda: Domain({"x": (0.0, 1.0), "y": (-1.0, 1.5)},
+                                (("x", 0.5, 0.45), ("y", 0.0, 0.6), ("y", 1.2, 0.1))),
+    "integer": lambda: Domain({"a": (0, 3), "b": (-2, 5)}, (("b", 1, 0.5),)),
+}
+
+
+@pytest.mark.parametrize("n", [0, 1, 64])
+@pytest.mark.parametrize("name", sorted(SAMPLED_DOMAINS))
+def test_sample_many_consumes_the_per_draw_stream(name, n):
+    """The buffered ``sample_many`` gives the points of one ``rng.uniform``
+    per draw bit for bit, and leaves the rng in the same state."""
+    domain = SAMPLED_DOMAINS[name]()
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    got = domain.sample_many(rng, n)
+    ref = [_reference_sample(domain, ref_rng) for _ in range(n)]
+    assert [{k: x.hex() for k, x in p.items()} for p in got] == \
+        [{k: x.hex() for k, x in p.items()} for p in ref]
+    assert all(type(x) is float for p in got for x in p.values())
+    assert rng.random() == ref_rng.random()
+    assert domain.sample(rng) == _reference_sample(domain, ref_rng)
+
+
+def test_sample_many_raises_where_an_exclusion_covers_the_interval():
+    d = Domain({"s": (0.0, 1.0), "t": (-0.1, 0.1)}, exclusions=(("t", 0.0, 0.5),))
+    for n in (1, 5):
+        with pytest.raises(SamplingError, match="'t'"):
+            d.sample_many(np.random.default_rng(0), n)
 
 
 def test_domain_empty_interior_rejected():

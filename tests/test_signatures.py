@@ -11,6 +11,8 @@ carries each check's own tolerance, and no other function takes a ``tol``.
 Numerical rank has one rule, ``structures._rank`` (relative to the largest
 singular value), so nothing in the package calls ``matrix_rank``.  The
 unpruned form constructor ``Form._pruned`` stays inside ``exterior.py``.
+A ``functools.cache`` takes only an int ``m``: structural tables live on the
+coframe or chart they index and die with it.
 
 The benchmark's tracer (``perfbench/tracer.py``) wraps package functions by
 name, and its workloads call three one-point forms; the last test keeps
@@ -81,6 +83,23 @@ def test_one_rank_rule():
             if name == "matrix_rank":
                 calls.append((path.stem, node.lineno))
     assert calls == []
+
+
+def test_module_caches_are_keyed_by_m_only():
+    """Every ``functools.cache`` (or ``lru_cache``) in the package takes one
+    parameter, the int ``m``.  A table keyed by a coframe, chart or form at
+    module level would outlive the pass that built it and speed up only a
+    repeated pass; such tables are kept on their owner instead."""
+    cached = {}
+    for module, node in _functions():
+        for dec in node.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            name = getattr(target, "attr", None) or getattr(target, "id", None)
+            if name in ("cache", "lru_cache"):
+                cached[(module, node.name)] = [p.arg for p in _parameters(node)]
+    assert cached == {("exterior", "mukai_signs"): ["m"],
+                      ("structures", "_clifford_matrices"): ["m"],
+                      ("structures", "_two_wedges"): ["m"]}
 
 
 def test_pruned_constructor_stays_in_exterior():
