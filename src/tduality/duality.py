@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .scalar import (CZERO, CScalar, ZERO, ONE, rat, sadd, sdiv, smul, sneg, ssub,
-                     solve_linear_symbolic, sym_matrix_inverse)
+                     sym_matrix_inverse)
 from .exterior import (Form, FrameVector, _eval_array, contract, exp_form,
                        fiber_integrate, strip_rightmost, wedge)
 from .bundle import DualityPair
@@ -122,10 +122,11 @@ def dualize_section(v, pair):
     known = contract(w.x, pair.F)
     rhs = [w.xi.coeff(bit) - known.coeff(bit)
            for bit in (1 << cof.index(n) for n in pair.chart.fiber_names)]
-    # F(E_thetat_j, E_theta_i) = -F(E_theta_i, E_thetat_j)
-    block = [[sneg(e) for e in row] for row in pair.fiber_block()]
-    lift_re = solve_linear_symbolic(block, [r.re for r in rhs])
-    lift_im = solve_linear_symbolic(block, [r.im for r in rhs])
+    # the inverse of F(E_thetat_j, E_theta_i) = -F(E_theta_i, E_thetat_j), kept on the pair
+    inv = pair.cache("_neg_fiber_block_inverse", lambda: sym_matrix_inverse(
+        [[sneg(e) for e in row] for row in pair.fiber_block()]))
+    lift_re, lift_im = ([sadd(*map(smul, row, part)) for row in inv]
+                        for part in ([r.re for r in rhs], [r.im for r in rhs]))
     lift = FrameVector(cof, tuple(
         w.x.components[idx] + _delta(cof, cofibers, idx, lift_re, lift_im)
         for idx in range(cof.dim)))

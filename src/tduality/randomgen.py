@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 
 from .scalar import CScalar, EvaluationError, rat, var, ssin, scos, smul, sadd
-from .exterior import Form, FrameVector, eval_complex_points, wedge
+from .exterior import Form, FrameVector, eval_complex_points, mukai_signs, wedge
 from .courant import Section
 from .structures import PureSpinor, _clifford_matrices, _two_wedges, mukai_norm
 
@@ -131,21 +131,25 @@ def random_spinor_values(rng, m):
     rho = exp(B + i omega) . Omega built from the wedge matrices."""
     if m % 2:
         raise ValueError("chart dimension must be even")
-    wedges, _ = _clifford_matrices(m)
-    two = _two_wedges(m)
+    size = 1 << m
+    # one row per matrix, so that a combination of them is one product
+    two = _two_wedges(m).reshape(-1, size * size)
+    wedges = np.asarray(_clifford_matrices(m)[0]).reshape(m, size * size)
+    signs = np.array([sign for _, _, sign in mukai_signs(m)])   # mask i pairs with 2^m-1-i
 
     def draw(n, density, parts=(1.0,)):
         return (rng.random(n) <= density) * (rng.standard_normal((n, len(parts))) @ parts)
     for _ in range(40):
-        exponent = np.tensordot(draw(len(two), 0.4) + 1j * draw(len(two), 0.7), two, axes=1)
-        rho = np.eye(1 << m, dtype=complex)[0]
+        exponent = ((draw(len(two), 0.4) + 1j * draw(len(two), 0.7)) @ two).reshape(size, size)
+        rho = np.zeros(size, dtype=complex)
+        rho[0] = 1.0
         for _ in range(int(rng.integers(0, m // 2 + 1))):
-            rho = np.tensordot(draw(m, 0.8, (1, 1j)), wedges, axes=1) @ rho
+            rho = (draw(m, 0.8, (1, 1j)) @ wedges).reshape(size, size) @ rho
         term = rho
         for j in range(1, m // 2 + 1):   # exact: the exponent is nilpotent
             term = exponent @ term / j
             rho = rho + term
         ref = np.abs(rho).max()
-        if ref and mukai_norm(dict(enumerate(rho.tolist())), m) > 1e-3 * ref * ref:
+        if ref and abs(np.dot(signs * rho, rho[::-1].conj())) > 1e-3 * ref * ref:
             return rho
     raise AssertionError("could not sample a nondegenerate spinor")

@@ -9,11 +9,11 @@ tangent space under the product structure, and conjugation of the structure
 endomorphisms by the section transform).
 
 The pointwise functions take a list of points (``fourier_mukai_check`` the
-spinors' values at them, one row per point).  Each evaluates what it needs
-once for all points and runs its linear algebra once on the stack of all of
-them (numpy's batched ``svd``, ``eigvalsh``, ``det``, ``inv`` and ``@``), not
-point by point; a basis whose dimension may differ between points comes
-grouped by rank (``structures._by_rank``).
+spinors' values at them, one row per point; ``reduce_pointwise`` a list of
+actions).  Each evaluates what it needs once for all points and runs its
+linear algebra once on the stack of all of them (once per shape of action),
+with numpy's batched ``svd``, ``eigvalsh``, ``det``, ``inv`` and ``@``; a
+basis whose dimension may differ comes grouped by rank (``_by_rank``).
 
 The product space M x Mt has coordinates (TM, TMt, T*M, T*Mt), each factor in
 its own coframe order.  The correspondence's generalized tangent space is a
@@ -74,31 +74,50 @@ class ReducedSpace:
         return self.quotient.shape[1]
 
 
-def reduce_pointwise(action):
-    """Quotient K-perp / (K intersect K-perp) with its induced pairing.
+def reduce_pointwise(actions):
+    """Quotients K-perp / (K intersect K-perp) with their induced pairings,
+    one ``ReducedSpace`` per action, in order.
 
     The reduction is exact precisely when K is isotropic; the induced pairing
     is well defined because the radical pairs to zero against all of K-perp.
+    Actions of one shape run each step once on their stack, split by rank
+    wherever a basis dimension may differ between them.
     """
-    g = action.pairing
-    k = action.generators
-    perp = PointFrame.nullspace(k.T @ g)
-    # the radical K intersect K-perp, from the kernel of [K | -perp]
-    null = PointFrame.nullspace(np.concatenate([k, -perp], axis=1))
-    radical = PointFrame.orthonormal_span(k @ null[:k.shape[1]])
-    # quotient representatives: complement of the radical inside K-perp
-    if radical.shape[1]:
-        coords = radical.conj().T @ perp    # radical expressed against perp basis
-        complement = PointFrame.nullspace(coords)
-        quotient = perp @ complement
-    else:
-        quotient = perp
-    induced = quotient.conj().T @ g @ quotient
-    gram_k = k.T @ g @ k
-    exact = (bool(np.abs(gram_k).max() <= RANK_TOL * max(1.0, np.abs(g).max()))
-             if k.size else True)
-    return ReducedSpace(perp, radical, quotient, induced.real, exact,
-                        signature_of(induced.real))
+    out = [None] * len(actions)
+    shapes = {}
+    for i, act in enumerate(actions):
+        shapes.setdefault((act.pairing.shape, act.generators.shape), []).append(i)
+    for rows in shapes.values():
+        g = np.stack([actions[i].pairing for i in rows])
+        k = np.stack([actions[i].generators for i in rows])
+        exact = (np.abs(_transpose(k) @ g @ k).max(axis=(-2, -1), initial=0.0)
+                 <= RANK_TOL * np.maximum(1.0, np.abs(g).max(axis=(-2, -1), initial=0.0)))
+        for at, perp in PointFrame.nullspace(_transpose(k) @ g):
+            for sub, radical in _radical(k[at], perp):
+                for sub2, quotient in _quotient(perp[sub], radical):
+                    local = at[sub][sub2]
+                    induced = (_transpose(quotient.conj()) @ g[local] @ quotient).real
+                    for fields in zip(local.tolist(), perp[sub][sub2], radical[sub2],
+                                      quotient, induced, signature_of(induced).tolist()):
+                        i, *spaces, sig = fields
+                        out[rows[i]] = ReducedSpace(*spaces, bool(exact[i]), tuple(sig))
+    return out
+
+
+def _radical(k, perp):
+    """Bases of K intersect K-perp from the kernel of [K | -perp], by rank."""
+    return [(at[sub], radical)
+            for at, null in PointFrame.nullspace(np.concatenate([k, -perp], axis=-1))
+            for sub, radical in PointFrame.orthonormal_span(k[at] @ null[:, :k.shape[-1]])]
+
+
+def _quotient(perp, radical):
+    """Quotient representatives, the radical's complement in K-perp, by rank."""
+    if not radical.shape[-1]:
+        return [(slice(None), perp)]
+    coords = _transpose(radical.conj()) @ perp    # radical against the perp basis
+    return [(at, perp[at] @ complement)
+            for at, complement in PointFrame.nullspace(coords)]
 
 
 def pairing_constant_check(sections, points):

@@ -15,7 +15,10 @@ types, Mukai norms, the Pluecker test, integrability, the GC-structure and
 metric matrices, the eigenspace ladder and its transport, the transform
 matrices, type change, the bi-Hermitian transport, the tangent space of the
 correspondence, transversality and the Fourier-Mukai check), which the
-stacked linear algebra must match result for result."""
+stacked linear algebra must match result for result, the one-action body of
+``reduce_pointwise``, which the reduction of a list of actions must match
+bit for bit, and the ``tensordot`` body of ``random_spinor_values``, whose
+draws the flattened products must match byte for byte."""
 import itertools
 
 import numpy as np
@@ -30,9 +33,9 @@ from tduality.exterior import (Form, FrameVector, contract, contract_sign,
                                eval_complex_points, fiber_integrate, strip_rightmost,
                                wedge)
 from tduality.structures import (GeneralizedMetric, RANK_TOL, SymTensor,
-                                 _clifford_matrices, mukai_norm)
+                                 _clifford_matrices, _two_wedges, mukai_norm)
 from tduality.courant import Section, lie_derivative, split_pairing_matrix
-from tduality.reduction import ReductionReport, _first_factor
+from tduality.reduction import ReducedSpace, ReductionReport, _first_factor
 from tduality.duality import (DualityPair, _form_columns, _section_columns,
                               dualize_form, dualize_section)
 from tduality.randomgen import random_form, random_scalar
@@ -582,6 +585,54 @@ def _reference_fourier_mukai_check(pair, rho_m, rho_t, point):
     phi = _reference_section_transform_matrix_at(pair, point).real
     defect2 = float(np.abs(j_t - phi @ j_m @ np.linalg.inv(phi)).max())
     return defect1 <= 1e-8, defect2 <= 1e-8, defect1, defect2
+
+
+def _reference_reduce_pointwise(action):
+    """``reduce_pointwise`` of one action, one small matrix at a time."""
+    g = action.pairing
+    k = action.generators
+    perp = _reference_nullspace(k.T @ g)
+    # the radical K intersect K-perp, from the kernel of [K | -perp]
+    null = _reference_nullspace(np.concatenate([k, -perp], axis=1))
+    radical = _reference_orthonormal_span(k @ null[:k.shape[1]])
+    # quotient representatives: complement of the radical inside K-perp
+    if radical.shape[1]:
+        coords = radical.conj().T @ perp    # radical expressed against perp basis
+        complement = _reference_nullspace(coords)
+        quotient = perp @ complement
+    else:
+        quotient = perp
+    induced = quotient.conj().T @ g @ quotient
+    gram_k = k.T @ g @ k
+    exact = (bool(np.abs(gram_k).max() <= RANK_TOL * max(1.0, np.abs(g).max()))
+             if k.size else True)
+    return ReducedSpace(perp, radical, quotient, induced.real, exact,
+                        _reference_signature(induced.real))
+
+
+def _reference_random_spinor_values(rng, m):
+    """``random_spinor_values`` with ``np.tensordot`` combinations of the
+    wedge matrices and the Mukai norm summed mask by mask."""
+    if m % 2:
+        raise ValueError("chart dimension must be even")
+    wedges, _ = _clifford_matrices(m)
+    two = _two_wedges(m)
+
+    def draw(n, density, parts=(1.0,)):
+        return (rng.random(n) <= density) * (rng.standard_normal((n, len(parts))) @ parts)
+    for _ in range(40):
+        exponent = np.tensordot(draw(len(two), 0.4) + 1j * draw(len(two), 0.7), two, axes=1)
+        rho = np.eye(1 << m, dtype=complex)[0]
+        for _ in range(int(rng.integers(0, m // 2 + 1))):
+            rho = np.tensordot(draw(m, 0.8, (1, 1j)), wedges, axes=1) @ rho
+        term = rho
+        for j in range(1, m // 2 + 1):   # exact: the exponent is nilpotent
+            term = exponent @ term / j
+            rho = rho + term
+        ref = np.abs(rho).max()
+        if ref and mukai_norm(dict(enumerate(rho.tolist())), m) > 1e-3 * ref * ref:
+            return rho
+    raise AssertionError("could not sample a nondegenerate spinor")
 
 
 @pytest.fixture

@@ -335,7 +335,7 @@ def test_criterion_10_reduction(rng, hopf_pair, circle_pair, mixed_pair, torus_p
                              [bmat, np.eye(n)]]) @ vecs
         else:
             vecs = rng.standard_normal((2 * n, 2))
-        red = reduce_pointwise(LiftedActionPoint(g, vecs))
+        (red,) = reduce_pointwise([LiftedActionPoint(g, vecs)])
         iso = bool(np.abs(vecs.T @ g @ vecs).max() <= 1e-9)
         agree = agree and red.exact == iso
     fm_agree = True

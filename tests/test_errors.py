@@ -189,6 +189,19 @@ def test_singular_fiber_block_rejected():
                               [rat(1), rat(1)])
 
 
+def test_singular_fiber_block_rejected_by_every_section_transform(hopf_pair):
+    """With F = 0 the fiber block is structurally singular: the first section
+    transform raises, and so does the next, since a failed inverse is not
+    kept on the pair."""
+    pair = duality.DualityPair.from_charts(hopf_pair.chart, hopf_pair.dual,
+                                           lambda cof, chart, dual: Form.zero(cof))
+    section = Section.vector_basis(pair.chart.coframe, "th")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="matrix is singular: its determinant is "
+                           "structurally zero"):
+            duality.dualize_section(section, pair)
+
+
 def test_exp_form_degree_zero_component_rejected(two_coframes):
     a, _ = two_coframes
     with pytest.raises(ValueError):

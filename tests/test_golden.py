@@ -6,6 +6,7 @@ explain each changed line; ``make_goldens.py --diff`` lists those lines
 without writing anything.
 """
 import json
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,20 @@ GRID = [(scenario, seed, samples) for scenario in SCENARIOS
 def test_report_matches_golden(scenario, seed, samples):
     expected = golden_path(scenario, seed, samples).read_text()
     assert run_scenario(scenario, seed=seed, samples=samples).to_jsonl() == expected
+
+
+EXPECTED_CHECKS = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "expected_checks.json").read_text())
+
+
+@pytest.mark.parametrize("scenario", list(EXPECTED_CHECKS))
+def test_checks_are_the_ones_the_benchmark_expects(scenario):
+    """The benchmark counts a check it does not find as failed; a renamed,
+    dropped or added check or scenario fails here instead."""
+    assert list(SCENARIOS) == list(EXPECTED_CHECKS)
+    report = run_scenario(scenario, seed=0, samples=8)
+    assert [c.name for c in report.checks] == EXPECTED_CHECKS[scenario]
+    assert all(c.passed for c in report.checks)
 
 
 def _report(*checks):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from importlib import resources
 
@@ -19,8 +20,9 @@ from tduality.reduction import (LiftedActionPoint, double_quotient_report,
                                 signature_of, transversality_check)
 from tduality.scenarios import load_chart, twisted_rank_two_pair
 
-from conftest import (_reference_double_quotient_report, _reference_rank,
-                      _reference_signature, _reference_two_form_matrix)
+from conftest import (_reference_double_quotient_report, _reference_random_spinor_values,
+                      _reference_rank, _reference_reduce_pointwise, _reference_signature,
+                      _reference_two_form_matrix)
 
 
 def test_isotropic_reduction_dimensions(rng):
@@ -31,7 +33,7 @@ def test_isotropic_reduction_dimensions(rng):
     vecs = np.zeros((2 * n, 2))
     vecs[:n, 0] = rng.standard_normal(n)
     vecs[:n, 1] = rng.standard_normal(n)
-    red = reduce_pointwise(LiftedActionPoint(g, vecs))
+    (red,) = reduce_pointwise([LiftedActionPoint(g, vecs)])
     assert red.exact
     assert red.dim == 2 * n - 4
     assert red.signature == (n - 2, n - 2, 0)
@@ -44,7 +46,7 @@ def test_split_k_reduction(rng):
     vecs = np.zeros((2 * n, 2))
     vecs[0, 0] = 1.0        # E_1
     vecs[n, 1] = 1.0        # e^1
-    red = reduce_pointwise(LiftedActionPoint(g, vecs))
+    (red,) = reduce_pointwise([LiftedActionPoint(g, vecs)])
     assert not red.exact
     assert red.radical.shape[1] == 0
     assert red.dim == 2 * n - 2
@@ -60,7 +62,7 @@ def test_mixed_null_but_not_isotropic(rng):
     vecs[0, 0] = 1.0
     vecs[n, 1] = 1.0
     act = LiftedActionPoint(g, vecs)
-    red = reduce_pointwise(act)
+    (red,) = reduce_pointwise([act])
     assert not red.exact
 
 
@@ -68,9 +70,9 @@ def test_reduction_basis_independence(rng):
     n = 4
     g = split_pairing_matrix(n)
     vecs = rng.standard_normal((2 * n, 3))
-    red1 = reduce_pointwise(LiftedActionPoint(g, vecs))
     mix = rng.standard_normal((3, 3)) + 3 * np.eye(3)
-    red2 = reduce_pointwise(LiftedActionPoint(g, vecs @ mix))
+    red1, red2 = reduce_pointwise([LiftedActionPoint(g, vecs),
+                                   LiftedActionPoint(g, vecs @ mix)])
     assert red1.dim == red2.dim
     assert red1.signature == red2.signature
 
@@ -81,9 +83,121 @@ def test_quotient_pairing_well_defined(rng):
     vecs = np.zeros((2 * n, 2))
     vecs[:n, 0] = rng.standard_normal(n)
     vecs[:n, 1] = rng.standard_normal(n)
-    red = reduce_pointwise(LiftedActionPoint(g, vecs))
+    (red,) = reduce_pointwise([LiftedActionPoint(g, vecs)])
     if red.radical.shape[1]:
         assert np.abs(red.radical.conj().T @ g @ red.perp).max() <= 1e-10
+
+
+def _actions(rng, n):
+    """One action of each kind on a split pairing space of dimension 2n:
+    isotropic, mixed-null (as in ``test_mixed_null_but_not_isotropic``),
+    generic, and with no generators."""
+    g = split_pairing_matrix(n)
+    shear = np.eye(2 * n)
+    bmat = rng.standard_normal((n, n))
+    shear[n:, :n] = bmat - bmat.T
+    isotropic = shear @ np.concatenate([rng.standard_normal((n, 2)), np.zeros((n, 2))])
+    mixed = np.zeros((2 * n, 2))
+    mixed[0, 0] = mixed[n, 1] = 1.0
+    return [LiftedActionPoint(g, vecs) for vecs in (
+        isotropic, mixed, rng.standard_normal((2 * n, int(rng.integers(1, 4)))),
+        np.zeros((2 * n, 0)))]
+
+
+def _assert_same_reduction(got, ref):
+    for field in ("perp", "radical", "quotient", "induced_pairing"):
+        a, b = getattr(got, field), getattr(ref, field)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+    assert got.exact is ref.exact and got.signature == ref.signature
+    assert all(type(c) is int for c in got.signature)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_reduce_pointwise_matches_the_reference(n):
+    """Each kind of action, alone and several times in one stack, reduces
+    to the one-action result bit for bit."""
+    rng = np.random.default_rng(n)
+    actions = [act for _ in range(5) for act in _actions(rng, n)]
+    for act in actions[:4]:
+        (red,) = reduce_pointwise([act])
+        _assert_same_reduction(red, _reference_reduce_pointwise(act))
+    reds = reduce_pointwise(actions)
+    assert len(reds) == len(actions)
+    for red, act in zip(reds, actions):
+        _assert_same_reduction(red, _reference_reduce_pointwise(act))
+
+
+def test_reduce_pointwise_keeps_the_order_of_mixed_shapes():
+    rng = np.random.default_rng(7)
+    actions = [act for _ in range(30)
+               for act in _actions(rng, int(rng.integers(1, 5)))]
+    rng.shuffle(actions)
+    reds = reduce_pointwise(actions)
+    assert len(reds) == len(actions)
+    for red, act in zip(reds, actions):
+        _assert_same_reduction(red, _reference_reduce_pointwise(act))
+
+
+def test_reduce_pointwise_of_no_actions():
+    assert reduce_pointwise([]) == []
+
+
+def _verdicts(seed):
+    """reduction-suite's pass/fail by check name, at samples 8."""
+    report = scenarios.run_scenario("reduction-suite", seed=seed, samples=8)
+    return {c.name: c.passed for c in report.checks}
+
+
+def test_exact_iff_isotropic_fails_when_every_action_is_exact(monkeypatch):
+    real = scenarios.reduce_pointwise
+    monkeypatch.setattr(scenarios, "reduce_pointwise", lambda actions: [
+        dataclasses.replace(red, exact=True) for red in real(actions)])
+    for seed in range(3):
+        assert not _verdicts(seed)["exact-iff-isotropic"]
+
+
+def test_exact_iff_isotropic_fails_when_a_shape_group_comes_back_reversed(monkeypatch):
+    real = scenarios.reduce_pointwise
+
+    def reversed_within_shapes(actions):
+        reds = real(actions)
+        out = list(reds)
+        shapes = {}
+        for i, act in enumerate(actions):
+            shapes.setdefault(act.generators.shape, []).append(i)
+        for rows in shapes.values():
+            for i, j in zip(rows, reversed(rows)):
+                out[i] = reds[j]
+        return out
+
+    monkeypatch.setattr(scenarios, "reduce_pointwise", reversed_within_shapes)
+    for seed in range(3):
+        assert not _verdicts(seed)["exact-iff-isotropic"]
+
+
+def test_graph_transversality_fails_with_one_scale_for_every_point(monkeypatch):
+    real = scenarios.transversality_check
+    monkeypatch.setattr(scenarios, "transversality_check",
+                        lambda pair, points, f_scale=1.0:
+                        real(pair, points, float(np.ravel(f_scale)[0])))
+    for seed in range(3):
+        assert not _verdicts(seed)["graph-transversality"]
+
+
+@pytest.mark.parametrize("scenario", ["s3-hopf", "reduction-suite"])
+def test_double_quotient_failure_keeps_the_measured_residual(scenario, monkeypatch):
+    """A failed split signature fails the check but leaves its residual the
+    measured defect, not a stand-in 1.0."""
+    def residual(report):
+        (check,) = [c for c in report.checks if c.name == "double-quotient"]
+        return check.residual, check.passed
+
+    measured, passed = residual(scenarios.run_scenario(scenario, seed=0, samples=8))
+    assert passed and measured <= 1e-9
+    real = scenarios.double_quotient_report
+    monkeypatch.setattr(scenarios, "double_quotient_report", lambda pair, points: [
+        dataclasses.replace(rep, split_signature_ok=False) for rep in real(pair, points)])
+    assert residual(scenarios.run_scenario(scenario, seed=0, samples=8)) == (measured, False)
 
 
 def test_lift_pairing_constant(rng, hopf_pair):
@@ -230,6 +344,17 @@ def test_random_spinor_values_are_seeded_nondegenerate_and_pure(chart_name, requ
 def test_random_spinor_values_need_an_even_dimension():
     with pytest.raises(ValueError):
         random_spinor_values(np.random.default_rng(0), 3)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_random_spinor_values_match_the_reference(m):
+    """The flattened products draw the same values as the ``tensordot``
+    body, byte for byte, and leave the generator in the same state."""
+    for seed in range(200):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert (random_spinor_values(rng, m).tobytes()
+                == _reference_random_spinor_values(ref, m).tobytes()), seed
+        assert rng.random() == ref.random()
 
 
 @pytest.mark.parametrize("config", ["s2.cfg", "hopf_surface.cfg"])
