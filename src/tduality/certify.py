@@ -32,11 +32,14 @@ side conditions of a check.
 Every instance is built from tables made once per pair: d_H of each
 monomial, the signed monomial s . e_I for each frame section s, four bracket
 tables (``courant_brackets``: frame x frame, dual sections x dual sections,
-and (x_a s_i) x frame and frame x (x_a s_j) for each coordinate), and the
-transform columns and e^(+-F) that ``duality`` caches on the pair.  x_a e_I,
-d_H(x_a e_I) and x_a phi(e_I) are built once and shared by every check that
-uses them.  An instance whose residual cancels structurally holds for every
-base point; the others are evaluated together, at every sample point, in one
+and (x_a s_i) x frame and frame x (x_a s_j) for each coordinate), the frame
+pairings, and the transform columns and e^(+-F) that ``duality`` caches on
+the pair.  x_a e_I, d_H(x_a e_I) and x_a phi(e_I) are built once and shared
+by every check that uses them.  The expected side of a Leibniz rule is built
+on the coordinate tuple of x_a [s_i, s_j], with no section or form made for
+it, and a zero test is an identity test against the shared ``ZERO``.  An
+instance whose residual cancels structurally holds for every base point; the
+others are evaluated together, at every sample point, in one
 ``evaluate_points`` call, each shared residual once.
 """
 from __future__ import annotations
@@ -44,7 +47,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import NamedTuple
 
-from .scalar import CScalar, ZERO, _mul_split, _sum_node, sneg, var
+from .scalar import CZERO, CScalar, ZERO, _mul_split, _sum_node, sneg, var
 from .exterior import Form, FrameVector, contract, eval_complex_points, wedge
 from .bundle import exterior_derivative, twisted_derivative
 from .courant import Section, courant_brackets, pairing, section_basis
@@ -129,9 +132,15 @@ def _form_residual(terms):
 def _coordinate_residual(a, b):
     """The coordinates of a - b, for coordinate tuples of two sections, that
     do not cancel structurally."""
-    diffs = (_sum(((1, x), (-1, y))) for x, y in zip(a, b)
-             if not (x.is_zero() and y.is_zero()))
+    diffs = [_sum(((1, x), (-1, y))) for x, y in zip(a, b)
+             if not (x.is_zero() and y.is_zero())]
     return [d for d in diffs if not d.is_zero()]
+
+
+def _add_at(coords, k, c):
+    """Add c at coordinate k as ``Section`` arithmetic does: a zero takes c."""
+    a = coords[k]
+    coords[k] = c if a.is_zero() else a + c
 
 
 def _transform(form, images):
@@ -148,7 +157,7 @@ def _combine(weights, columns, size):
     for k, w in weights:
         for r, c in columns[k].items():
             out[r].append((1, w * c))
-    return [_sum(t) for t in out]
+    return [_sum(t) if t else CZERO for t in out]
 
 
 def _frame_action(basis, monomials):
@@ -182,14 +191,12 @@ def _act(row, form):
     return Form(form.coframe, out)
 
 
-def _act_section(table, coords, mask, coframe):
-    """Section with coordinates ``coords`` acting on e_mask."""
-    out = {}
-    for k, c in enumerate(coords):
-        hit = table[k][mask]
-        if hit is not None and not c.is_zero():
-            out[hit[0]] = c if hit[1] > 0 else -c
-    return Form(coframe, out)
+def _act_sections(table, coords, coframe):
+    """Section with coordinates ``coords`` acting on each e_mask, by mask."""
+    live = [(row, c) for row, c in zip(table, coords) if not c.is_zero()]
+    return [Form(coframe, {hit[0]: c if hit[1] > 0 else -c
+                           for row, c in live if (hit := row[mask]) is not None})
+            for mask in range(1 << coframe.dim)]
 
 
 def frame_certificate(pair, points):
@@ -210,7 +217,8 @@ def frame_certificate(pair, points):
     coords = [[b.coordinates() for b in row] for row in brackets]
     table = _frame_action(basis, monomials)
     sign = round(reverse_sign(pair).real)
-    twice = [[pairing(a, b) * CScalar.of(2) for b in basis] for a in basis]
+    pairings = [[pairing(a, b) for b in basis] for a in basis]
+    twice = [[p * CScalar.of(2) for p in row] for row in pairings]
 
     frame = defaultdict(list)
     side = defaultdict(list)
@@ -233,36 +241,35 @@ def frame_certificate(pair, points):
                 [(1, dualize_form_reverse(image, pair)), (-sign, xe)]))
         scaled = [s.scale(x) for s in basis]
         section_linear += [_coordinate_residual(dualize_section(s, pair).coordinates(),
-                                                tuple(x * c for c in col))
+                                                [x * c for c in col])
                            for s, col in zip(scaled, scols)]
-        # the bracket's Leibniz rules on (x s_i, s_j) and (s_i, x s_j)
-        df = Section(FrameVector.zero(cof), dx)
+        # the bracket's Leibniz rules on (x s_i, s_j) and (s_i, x s_j), each
+        # expected side built on the coordinates of x [s_i, s_j]
         along = [contract(s.x, dx).coeff(0) for s in basis]    # pi(s)(x)
+        at_dx = [(m + mask.bit_length() - 1, c) for mask, c in dx.coeffs.items()]
         left = courant_brackets(scaled, basis, chart)
         right = courant_brackets(basis, scaled, chart)
-        for i, a in enumerate(basis):
-            for j, b in enumerate(basis):
+        for i, row in enumerate(coords):
+            for j, frame_coords in enumerate(row):
                 # a structurally zero multiple of a section is skipped
-                bracket = brackets[i][j].scale(x)
-                expected = bracket
+                bracket = [c if c.is_zero() else c * x for c in frame_coords]
+                expected = list(bracket)
                 if not along[j].is_zero():
-                    expected = expected - a.scale(along[j])
+                    _add_at(expected, i, -along[j])
                 if not twice[i][j].is_zero():
-                    expected = expected + df.scale(twice[i][j])
-                leibniz.append(_coordinate_residual(left[i][j].coordinates(),
-                                                    expected.coordinates()))
-                expected = bracket
+                    for k, c in at_dx:
+                        _add_at(expected, k, c * twice[i][j])
+                leibniz.append(_coordinate_residual(left[i][j].coordinates(), expected))
                 if not along[i].is_zero():
-                    expected = expected + b.scale(along[i])
-                leibniz.append(_coordinate_residual(right[i][j].coordinates(),
-                                                    expected.coordinates()))
+                    _add_at(bracket, j, along[i])
+                leibniz.append(_coordinate_residual(right[i][j].coordinates(), bracket))
         # phi preserves the anchor on x, and phi(dx) = dx
         name = "section-transform-bracket"
         for i, image in enumerate(sections):
             side[name].append(_coordinate_residual(
                 (contract(image.x, dx_dual).coeff(0),), (along[i],)))
         side[name].append(_coordinate_residual(
-            dualize_section(df, pair).coordinates(),
+            dualize_section(Section(FrameVector.zero(cof), dx), pair).coordinates(),
             Section(FrameVector.zero(dcof), dx_dual).coordinates()))
 
     name = "transform-intertwines-differentials"
@@ -272,21 +279,18 @@ def frame_certificate(pair, points):
     side[name] += form_linear
 
     name = "section-transform-orthogonal"
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            frame[name].append(_coordinate_residual(
-                (pairing(sections[i], sections[j]),), (pairing(a, b),)))
+    frame[name] = [_coordinate_residual((pairing(a, b),), (p,))
+                   for a, row in zip(sections, pairings) for b, p in zip(sections, row)]
     side[name] += section_linear
 
     name = "section-transform-bracket"
     # a structurally zero weight or column entry adds nothing
     scol_dicts = [{r: c for r, c in enumerate(col) if not c.is_zero()} for col in scols]
     dual_brackets = courant_brackets(sections, sections, dual)
-    for i in range(2 * m):
-        for j in range(2 * m):
-            lhs = _combine([(k, w) for k, w in enumerate(coords[i][j]) if not w.is_zero()],
-                           scol_dicts, 2 * m)
-            frame[name].append(_coordinate_residual(lhs, dual_brackets[i][j].coordinates()))
+    for frame_row, dual_row in zip(coords, dual_brackets):
+        for c, b in zip(frame_row, dual_row):
+            lhs = _combine([(k, w) for k, w in enumerate(c) if not w.is_zero()], scol_dicts, 2 * m)
+            frame[name].append(_coordinate_residual(lhs, b.coordinates()))
     side[name] += leibniz + section_linear
 
     name = "clifford-compatibility"
@@ -304,8 +308,9 @@ def frame_certificate(pair, points):
     acted = [[_act(row, d) for d in dh] for row in table]   # s_i . d_H e_L
     for i in range(2 * m):
         for j in range(2 * m):
+            bracket_acts = _act_sections(table, coords[i][j], cof)
             for mask in range(nforms):
-                terms = [(1, _act_section(table, coords[i][j], mask, cof))]
+                terms = [(1, bracket_acts[mask])]
                 hit_j = table[j][mask]
                 if hit_j is not None:
                     inner, sj = hit_j

@@ -49,7 +49,7 @@ class Section:
     __slots__ = ("x", "xi")
 
     def __init__(self, x, xi):
-        if x.coframe != xi.coframe:
+        if x.coframe is not xi.coframe and x.coframe != xi.coframe:
             raise ValueError("vector and covector parts must share the coframe")
         for mask in xi.coeffs:
             if not mask or mask & (mask - 1):
@@ -104,8 +104,8 @@ class Section:
 
     def coordinates(self):
         """Symbolic components (X_1..X_m, xi_1..xi_m)."""
-        m = self.coframe.dim
-        return self.x.components + tuple(self.xi.coeff(1 << i) for i in range(m))
+        get = self.xi.coeffs.get
+        return self.x.components + tuple([get(1 << i, CZERO) for i in range(self.x.coframe.dim)])
 
     def eval_vector(self, point):
         """Numeric components (X_1..X_m, xi_1..xi_m)."""

@@ -7,20 +7,20 @@ All operations are pure.  ``Form`` and ``FrameVector`` are ``__slots__``
 classes, immutable by convention: no operation assigns to one after it is
 built.
 
-``Form.coeffs`` never holds a structural zero (``CScalar.is_zero``): the
-constructor prunes them.  ``Form.__add__`` relies on this to check only the
-masks it touches and to return the other operand for an empty one;
-``__neg__``, ``conj`` and ``component`` rely on it to skip the pruning pass,
-as do ``Form.is_zero`` (an empty dict) and every caller that reads a missing
-mask as zero; such a read returns the one shared ``CZERO``, which is safe
-because CScalars are immutable by convention.  ``Form._pruned`` builds a form
+``Form.coeffs`` never holds a structural zero (both parts the shared
+``ZERO``): the constructor prunes them.  ``Form.__add__`` relies on this to
+check only the masks it touches and to return the other operand for an empty
+one; ``__neg__``, ``conj`` and ``component`` rely on it to skip the pruning
+pass, as do ``Form.is_zero`` (an empty dict) and every caller that reads a
+missing mask as zero; such a read returns the one shared ``CZERO``, which is
+safe because CScalars are immutable by convention.  ``Form._pruned`` builds a form
 from a dict that already keeps the invariant and is used in this module only.
 
 A ``Coframe`` keeps what it would otherwise re-derive on every call in its
-instance dict, so that it dies with the coframe: the name -> index dict, and
-in ``Coframe.table`` the tag masks, each mask's (image, sign) for ``map_to``
-per target names, tags and rename, and each mask's (rest, sign) for
-``fiber_integrate``.  No table refers back to its coframe.
+instance dict, so that it dies with the coframe: the dimension, the name ->
+index dict, and in ``Coframe.table`` the tag masks, each mask's (image, sign)
+for ``map_to`` per target names, tags and rename, and each mask's (rest, sign)
+for ``fiber_integrate``.  No table refers back to its coframe.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalar import (CZERO, CScalar, _parse_tokens, _token, _tokenize,
+from .scalar import (CZERO, CScalar, ZERO, _parse_tokens, _token, _tokenize,
                      evaluate_points, rat, scalar_to_text)
 
 __all__ = [
@@ -60,6 +60,7 @@ class Coframe:
                 raise ValueError(f"unknown tag {t!r}")
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.names)})
         object.__setattr__(self, "_tables", {})
+        object.__setattr__(self, "dim", len(self.names))
 
     def __eq__(self, other):
         # forms and sections almost always compare a coframe with itself
@@ -68,10 +69,6 @@ class Coframe:
         if other.__class__ is not Coframe:
             return NotImplemented
         return self.names == other.names and self.tags == other.tags
-
-    @property
-    def dim(self):
-        return len(self.names)
 
     def index(self, name):
         try:
@@ -162,12 +159,10 @@ class Form:
 
     def __init__(self, coframe, coeffs=None):
         self.coframe = coframe
-        pruned = {}
-        if coeffs:
-            for mask, c in coeffs.items():
-                if not c.is_zero():
-                    pruned[mask] = c
-        self.coeffs = pruned
+        self.coeffs = pruned = {}
+        for mask, c in (coeffs or {}).items():
+            if c.re is not ZERO or c.im is not ZERO:
+                pruned[mask] = c
 
     @classmethod
     def _pruned(cls, coframe, coeffs):
@@ -299,7 +294,7 @@ class Form:
         return Form(coframe, out)
 
     def _check(self, other):
-        if self.coframe != other.coframe:
+        if self.coframe is not other.coframe and self.coframe != other.coframe:
             raise ValueError("coframe mismatch")
 
 
@@ -427,7 +422,7 @@ def wedge(a, b):
 
 def contract(x, form):
     """Interior product i_X, a degree -1 antiderivation."""
-    if x.coframe != form.coframe:
+    if x.coframe is not form.coframe and x.coframe != form.coframe:
         raise ValueError("coframe mismatch")
     out = {}
     for i, comp in enumerate(x.components):

@@ -7,6 +7,7 @@ spinor directly as its values at one point, for checks that use nothing else.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -14,7 +15,7 @@ import numpy as np
 from .scalar import CScalar, EvaluationError, rat, var, ssin, scos, smul, sadd
 from .exterior import Form, FrameVector, eval_complex_points, mukai_signs, wedge
 from .courant import Section
-from .structures import PureSpinor, _clifford_matrices, _two_wedges, mukai_norm
+from .structures import PureSpinor, _clifford_matrices, mukai_norm
 
 __all__ = [
     "random_scalar", "random_cscalar", "random_form", "random_section",
@@ -125,6 +126,19 @@ def random_pure_spinor(rng, chart, points):
     raise AssertionError("could not sample a nondegenerate spinor")
 
 
+@functools.cache
+def _spinor_tables(m):
+    """The read-only tables of ``random_spinor_values`` on m generators: the
+    products wedge_i wedge_j (i < j) and the wedge matrices, (matrices, 2^m,
+    2^m) each, and the Mukai sign of each mask (paired with 2^m - 1 - mask)."""
+    wedges = np.array(_clifford_matrices(m)[0]).reshape(m, 1 << m, 1 << m)
+    tables = (np.array([wedges[i] @ wedges[j] for i, j in itertools.combinations(range(m), 2)]),
+              wedges, np.array([sign for _, _, sign in mukai_signs(m)]))
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
 def random_spinor_values(rng, m):
     """Values (2^m,) at one point of a random nondegenerate pure spinor on m
     generators: ``random_pure_spinor``'s draw with numbers for coefficients,
@@ -132,10 +146,9 @@ def random_spinor_values(rng, m):
     if m % 2:
         raise ValueError("chart dimension must be even")
     size = 1 << m
+    two, wedges, signs = _spinor_tables(m)
     # one row per matrix, so that a combination of them is one product
-    two = _two_wedges(m).reshape(-1, size * size)
-    wedges = np.asarray(_clifford_matrices(m)[0]).reshape(m, size * size)
-    signs = np.array([sign for _, _, sign in mukai_signs(m)])   # mask i pairs with 2^m-1-i
+    two, wedges = two.reshape(-1, size * size), wedges.reshape(m, size * size)
 
     def draw(n, density, parts=(1.0,)):
         return (rng.random(n) <= density) * (rng.standard_normal((n, len(parts))) @ parts)

@@ -7,7 +7,8 @@ scalars is decided numerically by sampling a domain box with a seeded RNG
 (``equal_numeric``).  Construction applies only cheap local folding (rational
 arithmetic, dropping zeros/ones, collecting like terms with rational
 coefficients) so that exact cancellations such as ``g - g`` produce a
-structural zero.
+structural zero.  Every rational zero is ``ZERO`` itself: only ``rat`` builds rat
+nodes, and it returns the shared small integers, so a zero test tests identity.
 
 The value types ``Scalar`` and ``CScalar`` are ``__slots__`` classes,
 immutable by convention: nothing assigns to a node or a complex scalar after
@@ -101,10 +102,6 @@ class Scalar:
         return (self.kind == other.kind and self.value == other.value
                 and self.name == other.name and self.args == other.args)
 
-    def __ne__(self, other):
-        res = self.__eq__(other)
-        return res if res is NotImplemented else not res
-
     # -- arithmetic sugar ---------------------------------------------------
     def __add__(self, other):
         return sadd(self, as_scalar(other))
@@ -147,7 +144,7 @@ class Scalar:
 
     # -- queries --------------------------------------------------------------
     def is_zero(self):
-        return self.kind == "rat" and self.value == 0
+        return self is ZERO
 
     def is_rational(self):
         return self.kind == "rat"
@@ -724,9 +721,7 @@ class CScalar:
         return CScalar(ZERO, ONE)
 
     def is_zero(self):
-        re, im = self.re, self.im
-        return (re.kind == "rat" and re.value == 0
-                and im.kind == "rat" and im.value == 0)
+        return self.re is ZERO and self.im is ZERO
 
     def conj(self):
         return CScalar(self.re, sneg(self.im))
@@ -756,7 +751,8 @@ class CScalar:
         return CScalar(sneg(self.re), sneg(self.im))
 
     def __mul__(self, other):
-        other = CScalar.of(other)
+        if other.__class__ is not CScalar:
+            other = CScalar.of(other)
         a, b, c, d = self.re, self.im, other.re, other.im
         if c is ONE and d is ZERO:
             return self

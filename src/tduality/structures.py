@@ -179,15 +179,6 @@ def _clifford_matrices(m):
     return tuple(wedges), tuple(contractions)
 
 
-@functools.cache
-def _two_wedges(m):
-    """The products wedge_i wedge_j, i < j, read-only and shared per m."""
-    wedges, _ = _clifford_matrices(m)
-    two = np.array([wedges[i] @ wedges[j] for i, j in itertools.combinations(range(m), 2)])
-    two.setflags(write=False)
-    return two
-
-
 class PointFrame:
     """Clifford action matrices on the 2^m forms at a point of a coframe with
     m generators; they depend only on m, so frames of the same size share them.

@@ -4,7 +4,9 @@ the frame certificate and the generic Buscher instance that replaced them,
 the componentwise residual of a section, the term-by-term bodies of
 ``Form.__add__``, ``exterior_derivative``, ``lie_bracket``,
 ``courant_bracket`` and ``pairing`` (``_reference_*``), which the one-pass
-kernels must match tree for tree, the mask-by-mask bodies of
+kernels must match tree for tree, the ``Section``-arithmetic Leibniz body and
+the per-mask action of a bracket of ``certify``, which the expected sides
+built on coordinate tuples must match residual for residual, the mask-by-mask bodies of
 ``Form.map_to`` and ``fiber_integrate``, which the coframe tables must
 match, the draw-by-draw body of ``Domain.sample``, which the buffered
 ``sample_many`` must match bit for bit, the spreading body of ``certify._sum``,
@@ -18,23 +20,26 @@ correspondence, transversality and the Fourier-Mukai check), which the
 stacked linear algebra must match result for result, the one-action body of
 ``reduce_pointwise``, which the reduction of a list of actions must match
 bit for bit, and the ``tensordot`` body of ``random_spinor_values``, whose
-draws the flattened products must match byte for byte."""
+draws the flattened products must match byte for byte.  ``count_python_calls``
+counts the Python-level calls of a function."""
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
-from tduality import reduction
+from tduality import certify, reduction
 from tduality.scalar import (CScalar, SamplingError, ZERO, diff, evaluate,
-                             evaluate_points, rat, sadd, smul, sneg)
+                             evaluate_points, rat, sadd, smul, sneg, var)
 from tduality.bundle import (BundleChart, base_generator, exterior_derivative,
                              form_residual, twisted_derivative)
 from tduality.exterior import (Form, FrameVector, contract, contract_sign,
                                eval_complex_points, fiber_integrate, strip_rightmost,
                                wedge)
 from tduality.structures import (GeneralizedMetric, RANK_TOL, SymTensor,
-                                 _clifford_matrices, _two_wedges, mukai_norm)
-from tduality.courant import Section, lie_derivative, split_pairing_matrix
+                                 _clifford_matrices, mukai_norm)
+from tduality.courant import (Section, courant_brackets, lie_derivative, pairing,
+                              section_basis, split_pairing_matrix)
 from tduality.reduction import ReducedSpace, ReductionReport, _first_factor
 from tduality.duality import (DualityPair, _form_columns, _section_columns,
                               dualize_form, dualize_section)
@@ -220,6 +225,78 @@ def _reference_pairing(v, w):
         total = total + v.x.components[i] * w.xi.coeff(bit)
         total = total + w.x.components[i] * v.xi.coeff(bit)
     return total * CScalar.of(rat(1, 2))
+
+
+def _reference_leibniz(pair):
+    """The residuals of the bracket's Leibniz side conditions of the pair's
+    certificate, for each base coordinate x and frame pair (i, j) on
+    (x s_i, s_j) and then on (s_i, x s_j), with each expected side built by
+    ``Section`` arithmetic: x [s_i, s_j] - s_i scaled by pi(s_j) x + dx scaled
+    by 2 <s_i, s_j>, and x [s_i, s_j] + s_j scaled by pi(s_i) x, each
+    structurally zero multiple skipped."""
+    chart = pair.chart
+    cof = chart.coframe
+    basis = section_basis(cof)
+    brackets = courant_brackets(basis, basis, chart)
+    twice = [[pairing(a, b) * CScalar.of(2) for b in basis] for a in basis]
+    out = []
+    for v in chart.base_vars:
+        x = CScalar(var(v))
+        dx = exterior_derivative(Form.scalar(cof, var(v)), chart)
+        df = Section(FrameVector.zero(cof), dx)
+        scaled = [s.scale(x) for s in basis]
+        along = [contract(s.x, dx).coeff(0) for s in basis]
+        left = courant_brackets(scaled, basis, chart)
+        right = courant_brackets(basis, scaled, chart)
+        for i, a in enumerate(basis):
+            for j, b in enumerate(basis):
+                bracket = brackets[i][j].scale(x)
+                expected = bracket
+                if not along[j].is_zero():
+                    expected = expected - a.scale(along[j])
+                if not twice[i][j].is_zero():
+                    expected = expected + df.scale(twice[i][j])
+                out.append(certify._coordinate_residual(left[i][j].coordinates(),
+                                                        expected.coordinates()))
+                expected = bracket
+                if not along[i].is_zero():
+                    expected = expected + b.scale(along[i])
+                out.append(certify._coordinate_residual(right[i][j].coordinates(),
+                                                        expected.coordinates()))
+    return out
+
+
+def _reference_act_sections(table, coords, coframe):
+    """``certify._act_sections`` with the coordinates read again for each
+    mask."""
+    out = []
+    for mask in range(1 << coframe.dim):
+        image = {}
+        for k, c in enumerate(coords):
+            hit = table[k][mask]
+            if hit is not None and not c.is_zero():
+                image[hit[0]] = c if hit[1] > 0 else -c
+        out.append(Form(coframe, image))
+    return out
+
+
+def count_python_calls(fn):
+    """The number of Python-level function calls that ``fn()`` makes: the
+    ``"call"`` events of a ``sys.setprofile`` hook, ``fn`` itself included.
+    A call of a builtin is a ``"c_call"`` event and is not counted; a
+    generator raises a ``"call"`` event each time it resumes."""
+    calls = [0]
+
+    def hook(frame, event, arg):
+        if event == "call":
+            calls[0] += 1
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return calls[0]
 
 
 def _reference_double_quotient_report(pair, points):
@@ -616,7 +693,7 @@ def _reference_random_spinor_values(rng, m):
     if m % 2:
         raise ValueError("chart dimension must be even")
     wedges, _ = _clifford_matrices(m)
-    two = _two_wedges(m)
+    two = np.array([wedges[i] @ wedges[j] for i, j in itertools.combinations(range(m), 2)])
 
     def draw(n, density, parts=(1.0,)):
         return (rng.random(n) <= density) * (rng.standard_normal((n, len(parts))) @ parts)

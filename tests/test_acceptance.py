@@ -316,11 +316,10 @@ def test_criterion_10_reduction(rng, hopf_pair, circle_pair, mixed_pair, torus_p
     worst = 0.0
     for pair in (hopf_pair, circle_pair, mixed_pair):
         pts = pair.chart.domain.sample_many(rng, 32)
-        for rep in double_quotient_report(pair, pts):
+        for k, rep in enumerate(double_quotient_report(pair, pts)):
+            assert rep.split_signature_ok and rep.rank_ok, (pair.chart.coframe.names, k)
             worst = max(worst, rep.isotropy_residual_k, rep.isotropy_residual_kt,
                         rep.isometry_defect_m, rep.isometry_defect_mt)
-            if not (rep.split_signature_ok and rep.rank_ok):
-                worst = max(worst, 1.0)
     ok = worst <= 1e-9
     agree = True
     for trial in range(32):

@@ -6,12 +6,14 @@ transposition needs a rank-2 pair whose block is not symmetric: the block of
 ``twisted_rank_two_pair`` is [[0, -1], [-1, 0]], so transposing it changes
 nothing there, and the sheared trivial torus pair below is used instead.
 
-The certificates of the four test pairs are pinned; the bracket tables and
-the signed residual sum are checked against their reference bodies, and a
-call count guards against rebuilding the shared pieces per instance.  The
-coframe tables of ``Form.map_to`` and ``fiber_integrate`` are checked against
-their mask-by-mask bodies on every coframe move of the four pairs, and with
-the cycle collector off a certified pair must die by reference counting.
+The certificates of the four test pairs are pinned; the bracket tables, the
+signed residual sum, the Leibniz expected sides and the action of a bracket
+are checked against their reference bodies, every zero a certificate tests is
+the shared ``ZERO``, and call counts guard against rebuilding the shared
+pieces per instance.  The coframe tables of ``Form.map_to`` and
+``fiber_integrate`` are checked against their mask-by-mask bodies on every
+coframe move of the four pairs, and with the cycle collector off a certified
+pair must die by reference counting.
 """
 import gc
 import sys
@@ -20,14 +22,16 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import (_reference_courant_bracket, _reference_fiber_integrate,
-                      _reference_map_to, _reference_sum)
+from conftest import (_reference_act_sections, _reference_courant_bracket,
+                      _reference_fiber_integrate, _reference_leibniz, _reference_map_to,
+                      _reference_sum, count_python_calls)
 from tduality import bundle, certify, courant, duality
 from tduality.bundle import (BundleChart, DualityPair, build_dual_chart,
                              exterior_derivative, standard_correspondence_flux)
 from tduality.courant import Section, section_basis
 from tduality.exterior import Form, FrameVector, contract, fiber_integrate
-from tduality.scalar import CScalar, ONE, sadd, scalar_to_text, sneg, spow, var
+from tduality.scalar import (CScalar, ONE, Scalar, ZERO, sadd, scalar_to_text, sneg,
+                             spow, var)
 from tduality.randomgen import random_form
 from tduality.scenarios import load_chart, twisted_rank_two_pair
 
@@ -274,15 +278,17 @@ def test_signed_sum_keeps_the_negated_sum_quirk():
     assert out.im.is_zero()
 
 
-def count_calls(mp, module, name):
-    """Count the calls of ``module.name`` through every package module that
-    holds it; returns the one-element list the count is kept in."""
-    real, calls = getattr(module, name), [0]
+def count_calls(mp, owner, name):
+    """Count the calls of ``owner.name``, a function of a module or a method
+    of a class, through its owner and every package module that holds it;
+    returns the one-element list the count is kept in."""
+    real, calls = getattr(owner, name), [0]
 
     def counted(*args):
         calls[0] += 1
         return real(*args)
 
+    mp.setattr(owner, name, counted)
     for mod in [m for key, m in sys.modules.items() if key.startswith("tduality")]:
         if getattr(mod, name, None) is real:
             mp.setattr(mod, name, counted)
@@ -290,14 +296,116 @@ def count_calls(mp, module, name):
 
 
 def test_certificate_builds_its_shared_pieces_once(monkeypatch):
-    """A fresh s3_hopf certificate builds e^F and e^(-F) once each, and no
-    more exterior derivatives than its shared tables need."""
+    """A fresh s3_hopf certificate builds e^F and e^(-F) once each, no more
+    exterior derivatives than its shared tables need, and each frame pairing
+    once; it sums no empty term list, and its zero tests and form
+    constructions stay within the counts of expected sides built on
+    coordinate tuples (7,434 zero tests and 1,990 forms when they were built
+    as sections)."""
     exps = count_calls(monkeypatch, duality, "exp_form")
     derivatives = count_calls(monkeypatch, bundle, "exterior_derivative")
+    pairings = count_calls(monkeypatch, courant, "pairing")
+    zero_tests = count_calls(monkeypatch, CScalar, "is_zero")
+    forms = count_calls(monkeypatch, Form, "__init__")
+    sizes, real = [], certify._sum
+
+    def recorded(terms):
+        sizes.append(len(terms))
+        return real(terms)
+
+    monkeypatch.setattr(certify, "_sum", recorded)
     pair = PAIRS["s3_hopf"]()
     certify.frame_certificate(pair, pair.chart.domain.sample_many(np.random.default_rng(7), 8))
     assert exps[0] <= 2
     assert derivatives[0] <= 142
+    assert pairings[0] <= 72
+    assert sizes and min(sizes) > 0
+    assert zero_tests[0] <= 6_000
+    assert forms[0] <= 1_900
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+                    reason="the count is CPython 3.11's: 3.12 inlines comprehensions")
+def test_certificate_python_call_count():
+    """An s3_hopf certificate at 64 points makes at most 29,000 Python-level
+    calls on a fresh pair after a warm certificate (36,992 when its expected
+    sides were built as sections and its zero tests compared values)."""
+    chart = load_chart("s3_hopf.cfg")
+    points = chart.domain.sample_many(np.random.default_rng(0), 64)
+    certify.frame_certificate(DualityPair.from_chart(chart), points)
+    pair = DualityPair.from_chart(chart)
+    assert count_python_calls(lambda: certify.frame_certificate(pair, points)) <= 29_000
+
+
+def residual_lists(pair):
+    """(frame, side) of the pair's certificate at rng seed 7 and 8 points:
+    {check: the residuals}, as handed to the evaluation."""
+    got = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify, "_evaluate", lambda frame, side, points: got.append((frame, side)))
+        certify.frame_certificate(pair, pair.chart.domain.sample_many(np.random.default_rng(7), 8))
+    return got[0]
+
+
+def reprs(frame, side):
+    return {(kind, check): [repr(r) for r in group]
+            for kind, groups in (("frame", frame), ("side", side))
+            for check, group in groups.items()}
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_residuals_match_the_reference_bodies(name, monkeypatch):
+    """The oracle's action of each frame bracket, read once per frame pair,
+    builds the residual lists that the per-mask body builds, element for
+    element; and the Leibniz side conditions built on coordinate tuples are
+    the ones ``Section`` arithmetic builds, also under a mutant bracket for
+    which they do not cancel."""
+    got = reprs(*residual_lists(PAIRS[name]()))
+    assert sum(map(len, got.values())) > 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify, "_act_sections", _reference_act_sections)
+        assert reprs(*residual_lists(PAIRS[name]())) == got
+    for mutant in (None, install_dropped_term):
+        if mutant:
+            mutant(monkeypatch)
+        pair = PAIRS[name]()
+        _, side = residual_lists(pair)
+        skip = len(pair.chart.base_vars) << pair.chart.coframe.dim   # the d_H Leibniz rules
+        leibniz = side["spinor-bracket-oracle"][skip:]
+        assert [repr(r) for r in leibniz] == [repr(r) for r in _reference_leibniz(pair)]
+        assert len(leibniz) == 2 * len(pair.chart.base_vars) * (2 * pair.chart.coframe.dim) ** 2
+        assert any(leibniz) == (mutant is not None)
+
+
+def value_zero(s):
+    """The zero test by value: a rational node of value 0."""
+    return s.kind == "rat" and s.value == 0
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_every_zero_of_a_certificate_is_the_shared_zero(name, monkeypatch):
+    """Every structural zero a certificate meets, in a zero test, a missed
+    ``Form.coeff`` or a cancelled ``_sum``, has both parts ``ZERO`` itself,
+    so testing zeros by identity decides what testing them by value does."""
+    seen = []
+
+    def record(owner, attr):
+        real = getattr(owner, attr)
+
+        def recorded(*args):
+            out = real(*args)
+            seen.append(args[0] if attr == "is_zero" else out)
+            return out
+        monkeypatch.setattr(owner, attr, recorded)
+    for owner, method in ((certify, "_sum"), (Form, "coeff"), (CScalar, "is_zero"),
+                          (Scalar, "is_zero")):
+        record(owner, method)
+    pair = PAIRS[name]()
+    certify.frame_certificate(pair, pair.chart.domain.sample_many(np.random.default_rng(7), 8))
+    parts = [p for c in seen for p in ((c.re, c.im) if type(c) is CScalar else (c,))]
+    zeros = [p for p in parts if value_zero(p)]
+    assert len(zeros) > 1000
+    assert all(p is ZERO for p in zeros)
 
 
 def coframe_moves(pair):

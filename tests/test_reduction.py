@@ -1,16 +1,18 @@
 import dataclasses
+import itertools
 import re
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from tduality import reduction, scenarios
+from tduality import randomgen, reduction, scenarios
 from tduality.scalar import CScalar, rat, var
-from tduality.exterior import Form, FrameVector
+from tduality.exterior import Form, FrameVector, mukai_signs
 from tduality.bundle import base_generator, standard_correspondence_flux
 from tduality.courant import Section, split_pairing_matrix
-from tduality.structures import PureSpinor, _rank, annihilators, mukai_norm
+from tduality.structures import (PureSpinor, _clifford_matrices, _rank, annihilators,
+                                 mukai_norm)
 from tduality.duality import DualityPair, transform_matrices, transport_spinor
 from tduality.randomgen import random_pure_spinor, random_section, random_spinor_values
 from tduality.reduction import (LiftedActionPoint, double_quotient_report,
@@ -346,7 +348,7 @@ def test_random_spinor_values_need_an_even_dimension():
         random_spinor_values(np.random.default_rng(0), 3)
 
 
-@pytest.mark.parametrize("m", [2, 4, 6])
+@pytest.mark.parametrize("m", [0, 2, 4, 6])
 def test_random_spinor_values_match_the_reference(m):
     """The flattened products draw the same values as the ``tensordot``
     body, byte for byte, and leave the generator in the same state."""
@@ -355,6 +357,23 @@ def test_random_spinor_values_match_the_reference(m):
         assert (random_spinor_values(rng, m).tobytes()
                 == _reference_random_spinor_values(ref, m).tobytes()), seed
         assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("m", [0, 2, 4, 6])
+def test_spinor_draw_tables_are_shared_per_m(m):
+    """A draw reshapes one read-only array of the two-generator wedge
+    products and one of the wedge matrices, (matrices, 2^m, 2^m) each, and
+    reads the Mukai sign of each mask from one read-only vector, all built
+    once per m."""
+    two, wedges, signs = tables = randomgen._spinor_tables(m)
+    assert all(a is b for a, b in zip(randomgen._spinor_tables(m), tables))
+    assert not any(t.flags.writeable for t in tables)
+    assert wedges.shape == (m, 1 << m, 1 << m)
+    assert all(np.array_equal(w, c) for w, c in zip(wedges, _clifford_matrices(m)[0]))
+    pairs = list(itertools.combinations(range(m), 2))
+    assert len(two) == len(pairs)
+    assert all(np.array_equal(t, wedges[i] @ wedges[j]) for t, (i, j) in zip(two, pairs))
+    assert signs.tolist() == [sign for _, _, sign in mukai_signs(m)]
 
 
 @pytest.mark.parametrize("config", ["s2.cfg", "hopf_surface.cfg"])

@@ -1,7 +1,9 @@
+import ast
 import math
 import re
 import struct
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +11,12 @@ import pytest
 from conftest import _reference_sample
 from tduality.scalar import (CScalar, Domain, EvaluationError, MINUS_ONE, ONE, PI,
                              SamplingError,
-                             ZERO, _collect_product, _collect_sum, diff,
+                             ZERO, _collect_product, _collect_sum, as_scalar, diff,
                              equal_numeric, evaluate, evaluate_all, evaluate_points,
                              rat, sadd, scalar_from_text, scalar_to_text, scos,
                              sdiv, sexp, slog, smul, sneg, spow, ssin, ssqrt, ssub,
                              solve_linear_symbolic, sym_matrix_inverse, var)
+import tduality
 from tduality import randomgen
 from tduality.scenarios import load_chart, run_scenario
 
@@ -467,3 +470,31 @@ def test_shortcuts_build_what_the_general_formula_builds():
             assert a * b == _general_mul(a, b)
             assert a + b == _general_add(a, b)
             assert a - b == _general_add(a, _general_neg(b))
+
+
+def test_every_rational_zero_is_the_shared_zero():
+    """``ZERO`` is the one rational zero node, which is what lets
+    ``Scalar.is_zero`` and ``CScalar.is_zero`` test identity: each way of
+    reaching zero below hands out ``ZERO`` itself."""
+    x = smul(rat(3), var("u"), ssin(var("v")))
+    zeros = [rat(0), rat(0, 7), rat(Fraction(0)), as_scalar(0.0), as_scalar(0),
+             sadd(x, sneg(x)), smul(x, ZERO), smul(ZERO, x, x), ssub(rat(1, 2), rat(1, 2)),
+             diff(rat(3, 2), "u"), diff(PI, "u"), diff(ssin(var("v")), "u"),
+             scalar_from_text("0"), scalar_from_text("(+ 1/2 -1/2)")]
+    assert all(z is ZERO for z in zeros)
+    assert all(z.is_zero() for z in zeros)
+    assert not rat(1, 7).is_zero() and not x.is_zero()
+    assert CScalar(ZERO, ZERO).is_zero() and not CScalar(ZERO, ONE).is_zero()
+
+
+def test_only_rat_builds_a_rational_node():
+    """No package code builds a rational node but ``rat`` and its shared
+    small integers, so no second zero node can arise."""
+    sites = []
+    for path in sorted(Path(tduality.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Scalar"
+                    and node.args and isinstance(node.args[0], ast.Constant)
+                    and node.args[0].value == "rat"):
+                sites.append(path.stem)
+    assert sites == ["scalar"] * 3

@@ -98,8 +98,8 @@ def test_module_caches_are_keyed_by_m_only():
             if name in ("cache", "lru_cache"):
                 cached[(module, node.name)] = [p.arg for p in _parameters(node)]
     assert cached == {("exterior", "mukai_signs"): ["m"],
-                      ("structures", "_clifford_matrices"): ["m"],
-                      ("structures", "_two_wedges"): ["m"]}
+                      ("randomgen", "_spinor_tables"): ["m"],
+                      ("structures", "_clifford_matrices"): ["m"]}
 
 
 def test_pruned_constructor_stays_in_exterior():
