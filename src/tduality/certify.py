@@ -37,17 +37,19 @@ pairings, and the transform columns and e^(+-F) that ``duality`` caches on
 the pair.  x_a e_I, d_H(x_a e_I) and x_a phi(e_I) are built once and shared
 by every check that uses them.  The expected side of a Leibniz rule is built
 on the coordinate tuple of x_a [s_i, s_j], with no section or form made for
-it, and a zero test is an identity test against the shared ``ZERO``.  An
-instance whose residual cancels structurally holds for every base point; the
-others are evaluated together, at every sample point, in one
-``evaluate_points`` call, each shared residual once.
+it, and a zero test is an identity test against the shared ``ZERO``.  A
+residual is summed by ``scalar.signed_sum``, the like-term collector behind
+``sadd``, so what cancels here is what cancels in any sum.  An instance whose
+residual cancels structurally holds for every base point; the others are
+evaluated together, at every sample point, in one ``evaluate_points`` call,
+each shared residual once.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from typing import NamedTuple
 
-from .scalar import CZERO, CScalar, ZERO, _mul_split, _sum_node, sneg, var
+from .scalar import CZERO, CScalar, ZERO, signed_sum, var
 from .exterior import Form, FrameVector, contract, eval_complex_points, wedge
 from .bundle import exterior_derivative, twisted_derivative
 from .courant import Section, courant_brackets, pairing, section_basis
@@ -77,8 +79,8 @@ class Certified(NamedTuple):
 def _sum(terms):
     """sign * c summed over (sign, CScalar) pairs: the CScalar that ``sadd``
     makes of the signed parts, with a negated sum spread over its terms, so
-    a term and its negative cancel."""
-    re, im = [], []    # (sign, term) as sadd sees them
+    a term and its negative cancel; each part is one ``signed_sum``."""
+    re, im = [], []    # (sign, term) units
     for sign, c in terms:
         for part, units in ((c.re, re), (c.im, im)):
             if part is ZERO:
@@ -87,36 +89,7 @@ def _sum(terms):
                 units.append((1, part))
             else:
                 units.extend((-1, t) for t in (part.args if part.kind == "add" else (part,)))
-    return CScalar(_signed_sum(re), _signed_sum(im))
-
-
-def _signed_sum(units):
-    """``sadd`` of the signed terms, collected from the signs: a negated term
-    is built only where no other term combines with it."""
-    if len(units) < 2:    # sadd returns a lone term as it is
-        return ZERO if not units else units[0][1] if units[0][0] > 0 else sneg(units[0][1])
-    const, collected = 0, {}
-    for sign, u in units:
-        if sign < 0 and u.kind != "rat":
-            coeff, rest = _mul_split(u)
-            if coeff != -1 or len(rest) > 1 or rest[0].kind != "add":
-                entry = collected.setdefault(rest, [0, None])
-                entry[0] -= coeff
-                entry[1] = None
-                continue
-            sign, u = 1, rest[0]    # sneg(-A) is the sum A, which sadd flattens
-        for t in (u.args if sign > 0 and u.kind == "add" else (u,)):
-            if t.kind == "rat":
-                const += sign * t.value
-                continue
-            coeff, rest = _mul_split(t)    # t is a positive term here
-            entry = collected.get(rest)
-            if entry is None:
-                collected[rest] = [coeff, t]
-            else:
-                entry[0] += coeff
-                entry[1] = None
-    return _sum_node(const, collected)
+    return CScalar(signed_sum(re), signed_sum(im))
 
 
 def _form_residual(terms):

@@ -133,10 +133,11 @@ _HALF = CScalar.of(rat(1, 2))
 def pairing(v, w):
     """<X+xi, Y+eta> = (eta(X) + xi(Y)) / 2, a CScalar; a product with a
     structurally zero factor is skipped, as is adding it."""
-    if v.coframe != w.coframe:
+    cof = v.x.coframe
+    if cof != w.x.coframe:
         raise ValueError("chart mismatch")
     total = CZERO
-    for i in range(v.coframe.dim):
+    for i in range(cof.dim):
         bit = 1 << i
         for x, xi in ((v.x, w.xi), (w.x, v.xi)):
             a = x.components[i]
@@ -182,7 +183,7 @@ def _minus(acc, c):
         return acc
     if acc is None:
         return -c
-    total = acc + (-c)
+    total = acc - c
     return None if total.is_zero() else total
 
 
@@ -248,7 +249,8 @@ def courant_brackets(vs, ws, chart):
     """The table [[courant_bracket(v, w) for w in ws] for v in vs], with
     d xi, d eta and i_Y H built once per section.  Where X or Y is
     structurally zero, the terms that would be empty are skipped: [X, Y],
-    L_X eta, i_Y d xi and i_X i_Y H."""
+    L_X eta, i_Y d xi and i_X i_Y H, and the entries share one zero form and
+    one zero frame vector."""
     cof = chart.coframe
     if any(s.coframe != cof for s in (*vs, *ws)):
         raise ValueError("chart mismatch")
@@ -257,12 +259,13 @@ def courant_brackets(vs, ws, chart):
     d_eta = [None if w.xi.is_zero() else exterior_derivative(w.xi, chart) for w in ws]
     y_live = [not w.x.is_zero() for w in ws]
     i_h = [contract(w.x, chart.flux) if flux and y else None for w, y in zip(ws, y_live)]
+    zero_form, zero_vec = Form.zero(cof), FrameVector.zero(cof)
     table = []
     for v, dv in zip(vs, d_xi):
         x_live = not v.x.is_zero()
         row = []
         for w, dw, y, iyh in zip(ws, d_eta, y_live, i_h):
-            form = Form.zero(cof)
+            form = zero_form
             if dw is not None and x_live:    # L_X eta, by the Cartan formula
                 form = (exterior_derivative(contract(v.x, w.xi), chart)
                         + contract(v.x, dw))
@@ -270,7 +273,7 @@ def courant_brackets(vs, ws, chart):
                 form = form - contract(w.x, dv)
             if iyh is not None and x_live:
                 form = form + contract(v.x, iyh)
-            vec = lie_bracket(v.x, w.x, chart) if x_live and y else FrameVector.zero(cof)
+            vec = lie_bracket(v.x, w.x, chart) if x_live and y else zero_vec
             row.append(Section(vec, form))
         table.append(row)
     return table

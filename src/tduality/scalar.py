@@ -7,8 +7,10 @@ scalars is decided numerically by sampling a domain box with a seeded RNG
 (``equal_numeric``).  Construction applies only cheap local folding (rational
 arithmetic, dropping zeros/ones, collecting like terms with rational
 coefficients) so that exact cancellations such as ``g - g`` produce a
-structural zero.  Every rational zero is ``ZERO`` itself: only ``rat`` builds rat
-nodes, and it returns the shared small integers, so a zero test tests identity.
+structural zero.  ``signed_sum`` is the one place that collects like terms:
+``sadd``, ``ssub`` and the certificate's residual sums all go through it.
+Every rational zero is ``ZERO`` itself: only ``rat`` builds rat nodes, and it
+returns the shared small integers, so a zero test tests identity.
 
 The value types ``Scalar`` and ``CScalar`` are ``__slots__`` classes,
 immutable by convention: nothing assigns to a node or a complex scalar after
@@ -26,8 +28,8 @@ import numpy as np
 
 __all__ = [
     "Scalar", "CScalar", "Domain", "EvaluationError", "SamplingError",
-    "rat", "const", "var", "sadd", "smul", "sdiv", "spow", "sneg", "ssub",
-    "ssin", "scos", "sexp", "slog", "ssqrt", "as_scalar",
+    "rat", "const", "var", "sadd", "signed_sum", "smul", "sdiv", "spow", "sneg",
+    "ssub", "ssin", "scos", "sexp", "slog", "ssqrt", "as_scalar",
     "ZERO", "ONE", "MINUS_ONE", "PI", "CZERO",
     "diff", "evaluate", "evaluate_all", "evaluate_points", "equal_numeric",
     "scalar_to_text", "scalar_from_text",
@@ -73,7 +75,7 @@ class Scalar:
     Construction keeps invariants that ``sadd`` and ``smul`` rely on: a mul
     node has no mul argument, and a rat argument of an add or mul node, if
     any, is the single leading one.  An add node has no add argument unless
-    a like-term merge left a sum with coefficient 1 (``_collect_sum``).
+    a like-term merge left a sum with coefficient 1 (``signed_sum``).
     """
 
     __slots__ = ("kind", "args", "value", "name", "_hash", "_d")
@@ -247,34 +249,41 @@ def _make_term(coeff, rest):
 
 
 def sadd(*terms):
-    """Sum with rational folding and like-term collection.
-
-    ZERO terms are dropped at once, and a lone term is returned as it is:
-    collecting it would build it again."""
-    live = [t for t in terms if t is not ZERO]
-    if len(live) < 2:
-        return live[0] if live else ZERO
-    return _collect_sum(live)
+    """Sum with rational folding and like-term collection (``signed_sum``)."""
+    return signed_sum([(1, t) for t in terms if t is not ZERO])
 
 
-def _collect_sum(terms):
-    """The general sum: folds the rationals and collects like terms."""
+def signed_sum(units):
+    """The sum of sign * term over (sign, term) units, sign +1 or -1 and no
+    term ``ZERO``: folds the rationals and collects like terms, in the order
+    of the units.  A lone unit is returned as it is, or negated: collecting
+    it would build it again.  A negated term is built only where no other
+    term combines with it, and sneg(-A) is the sum A, which is flattened."""
+    if len(units) < 2:
+        return ZERO if not units else units[0][1] if units[0][0] > 0 else sneg(units[0][1])
     # rest -> [coefficient, the term itself while it is the only one]
-    collected = {}
-    const_part = 0
-    for t in terms:
-        for u in (t.args if t.kind == "add" else (t,)):
-            if u.kind == "rat":
-                const_part += u.value
-                continue
+    const, collected = 0, {}
+    for sign, u in units:
+        if sign < 0 and u.kind != "rat":
             coeff, rest = _mul_split(u)
+            if coeff != -1 or len(rest) > 1 or rest[0].kind != "add":
+                entry = collected.setdefault(rest, [0, None])
+                entry[0] -= coeff
+                entry[1] = None
+                continue
+            sign, u = 1, rest[0]    # sneg(-A) is the sum A
+        for t in (u.args if sign > 0 and u.kind == "add" else (u,)):
+            if t.kind == "rat":
+                const += sign * t.value
+                continue
+            coeff, rest = _mul_split(t)    # t is a positive term here
             entry = collected.get(rest)
             if entry is None:
-                collected[rest] = [coeff, u]
+                collected[rest] = [coeff, t]
             else:
                 entry[0] += coeff
                 entry[1] = None
-    return _sum_node(const_part, collected)
+    return _sum_node(const, collected)
 
 
 def _sum_node(const_part, collected):
@@ -298,7 +307,7 @@ def _sum_node(const_part, collected):
 
 
 def ssub(a, b):
-    return sadd(a, sneg(b))
+    return signed_sum([u for u in ((1, a), (-1, b)) if u[1] is not ZERO])
 
 
 def sneg(a):

@@ -10,7 +10,9 @@ built on coordinate tuples must match residual for residual, the mask-by-mask bo
 ``Form.map_to`` and ``fiber_integrate``, which the coframe tables must
 match, the draw-by-draw body of ``Domain.sample``, which the buffered
 ``sample_many`` must match bit for bit, the spreading body of ``certify._sum``,
-which the signed collection must match, and the point-by-point bodies of
+which the signed collection must match, the unsigned like-term collector that
+``sadd`` ran before ``signed_sum``, the general path that the shortcuts of
+``sadd``, ``smul`` and ``CScalar`` must match, and the point-by-point bodies of
 ``double_quotient_report``, of the fiber-block checks of ``validate_pair``
 and of the one-point functions that the point-list forms replaced (spinor
 types, Mukai norms, the Pluecker test, integrability, the GC-structure and
@@ -29,8 +31,8 @@ import numpy as np
 import pytest
 
 from tduality import certify, reduction
-from tduality.scalar import (CScalar, SamplingError, ZERO, diff, evaluate,
-                             evaluate_points, rat, sadd, smul, sneg, var)
+from tduality.scalar import (CScalar, SamplingError, ZERO, _mul_split, _sum_node, diff,
+                             evaluate, evaluate_points, rat, sadd, smul, sneg, var)
 from tduality.bundle import (BundleChart, base_generator, exterior_derivative,
                              form_residual, twisted_derivative)
 from tduality.exterior import (Form, FrameVector, contract, contract_sign,
@@ -215,6 +217,26 @@ def _reference_sum(terms):
             else:
                 out.extend(sneg(t) for t in (part.args if part.kind == "add" else (part,)))
     return CScalar(sadd(*re), sadd(*im))
+
+
+def _reference_collect_sum(terms):
+    """The general sum: folds the rationals and collects like terms."""
+    # rest -> [coefficient, the term itself while it is the only one]
+    collected = {}
+    const_part = 0
+    for t in terms:
+        for u in (t.args if t.kind == "add" else (t,)):
+            if u.kind == "rat":
+                const_part += u.value
+                continue
+            coeff, rest = _mul_split(u)
+            entry = collected.get(rest)
+            if entry is None:
+                collected[rest] = [coeff, u]
+            else:
+                entry[0] += coeff
+                entry[1] = None
+    return _sum_node(const_part, collected)
 
 
 def _reference_pairing(v, w):

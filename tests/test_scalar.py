@@ -8,14 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import _reference_sample
+from conftest import _reference_collect_sum, _reference_sample
 from tduality.scalar import (CScalar, Domain, EvaluationError, MINUS_ONE, ONE, PI,
                              SamplingError,
-                             ZERO, _collect_product, _collect_sum, as_scalar, diff,
+                             ZERO, _collect_product, as_scalar, diff,
                              equal_numeric, evaluate, evaluate_all, evaluate_points,
                              rat, sadd, scalar_from_text, scalar_to_text, scos,
-                             sdiv, sexp, slog, smul, sneg, spow, ssin, ssqrt, ssub,
-                             solve_linear_symbolic, sym_matrix_inverse, var)
+                             sdiv, sexp, signed_sum, slog, smul, sneg, spow, ssin,
+                             ssqrt, ssub, solve_linear_symbolic, sym_matrix_inverse, var)
 import tduality
 from tduality import randomgen
 from tduality.scenarios import load_chart, run_scenario
@@ -423,13 +423,15 @@ def test_evaluate_points_with_no_points():
 
 def _general_mul(a, b):
     neg = lambda s: _collect_product((MINUS_ONE, s))  # noqa: E731
+    collect = _reference_collect_sum
     p, q, r, s = a.re, a.im, b.re, b.im
-    return CScalar(_collect_sum((_collect_product((p, r)), neg(_collect_product((q, s))))),
-                   _collect_sum((_collect_product((p, s)), _collect_product((q, r)))))
+    return CScalar(collect((_collect_product((p, r)), neg(_collect_product((q, s))))),
+                   collect((_collect_product((p, s)), _collect_product((q, r)))))
 
 
 def _general_add(a, b):
-    return CScalar(_collect_sum((a.re, b.re)), _collect_sum((a.im, b.im)))
+    return CScalar(_reference_collect_sum((a.re, b.re)),
+                   _reference_collect_sum((a.im, b.im)))
 
 
 def _general_neg(a):
@@ -454,12 +456,12 @@ def test_shortcuts_build_what_the_general_formula_builds():
     rng = np.random.default_rng(7)
     scalars = _random_scalars(rng, 60)
     for x in scalars:
-        assert sadd(x) == _collect_sum((x,))
-        assert sadd(x, ZERO) == sadd(ZERO, x) == _collect_sum((x, ZERO))
-        assert sadd(ZERO, x, ZERO) == _collect_sum((ZERO, x, ZERO))
+        assert sadd(x) == _reference_collect_sum((x,))
+        assert sadd(x, ZERO) == sadd(ZERO, x) == _reference_collect_sum((x, ZERO))
+        assert sadd(ZERO, x, ZERO) == _reference_collect_sum((ZERO, x, ZERO))
         assert smul(x, ONE) == smul(ONE, x) == _collect_product((ONE, x))
         assert smul(x, ZERO) == smul(ZERO, x) == _collect_product((x, ZERO)) == ZERO
-    assert sadd() == sadd(ZERO, ZERO) == _collect_sum((ZERO, ZERO)) == ZERO
+    assert sadd() == sadd(ZERO, ZERO) == _reference_collect_sum((ZERO, ZERO)) == ZERO
     cscalars = []
     for _ in range(60):
         re, im = (scalars[i] for i in rng.integers(len(scalars), size=2))
@@ -470,6 +472,32 @@ def test_shortcuts_build_what_the_general_formula_builds():
             assert a * b == _general_mul(a, b)
             assert a + b == _general_add(a, b)
             assert a - b == _general_add(a, _general_neg(b))
+
+
+def test_signed_sum_builds_what_sadd_of_the_negations_builds():
+    """``ssub`` and ``signed_sum`` collect a negated term from its sign, with
+    no negation node built for it; the tree is the one ``sadd`` makes of the
+    negations built, over random trees, rationals, lone units, ZERO operands
+    and sneg(-A), which is the sum A."""
+    rng = np.random.default_rng(21)
+    pool = [randomgen.random_scalar(rng, ("t", "u")) for _ in range(40)]
+    pool += [sadd(a, b) for a, b in zip(pool[::2], pool[1::2])]
+    quirk = sneg(sadd(ONE, spow(U, 2)))
+    assert quirk.kind == "mul" and sneg(quirk).kind == "add"
+    pool = [x for x in pool if x is not ZERO]
+    pool += [rat(3, 4), rat(-2), T, sneg(T), quirk, sneg(quirk)]
+    for a in pool:
+        assert ssub(a, ZERO) is a
+        assert ssub(ZERO, a) == sneg(a)
+        assert signed_sum([(1, a)]) is a
+        assert signed_sum([(-1, a)]) == sneg(a)
+        for b in pool[::3] + [rat(1, 2), quirk]:
+            assert ssub(a, b) == sadd(a, sneg(b))
+    assert ssub(ZERO, ZERO) is ZERO and signed_sum([]) is ZERO
+    for _ in range(300):
+        units = [(int(rng.choice((-1, 1))), pool[i])
+                 for i in rng.integers(len(pool), size=int(rng.integers(2, 6)))]
+        assert signed_sum(units) == sadd(*(t if s > 0 else sneg(t) for s, t in units))
 
 
 def test_every_rational_zero_is_the_shared_zero():

@@ -9,7 +9,10 @@ signature ``DualityPair.from_charts`` dictates.
 Tolerances belong to the checks that compare against them: ``Report.add``
 carries each check's own tolerance, and no other function takes a ``tol``.
 Numerical rank has one rule, ``structures._rank`` (relative to the largest
-singular value), so nothing in the package calls ``matrix_rank``.  The
+singular value), so nothing in the package calls ``matrix_rank``.  Like
+terms have one collector, ``scalar.signed_sum``: what cancels structurally
+decides which certificate instances count as proved, so a second collector
+built from ``scalar``'s private pieces could prove a different set.  The
 unpruned form constructor ``Form._pruned`` stays inside ``exterior.py``.
 A ``functools.cache`` takes only an int ``m``: structural tables live on the
 coframe or chart they index and die with it.
@@ -83,6 +86,23 @@ def test_one_rank_rule():
             if name == "matrix_rank":
                 calls.append((path.stem, node.lineno))
     assert calls == []
+
+
+def test_one_like_term_collector():
+    """Only ``scalar.py`` names the collector's pieces or defines a
+    collector; every other module sums through ``sadd``, ``ssub`` or
+    ``signed_sum``."""
+    private = {"_mul_split", "_sum_node", "_make_term", "_collect_sum", "_signed_sum"}
+    users = []
+    for path in sorted(Path(tduality.__file__).parent.glob("*.py")):
+        if path.stem == "scalar":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (getattr(node, "attr", None) or getattr(node, "id", None)
+                    or getattr(node, "name", None))
+            if name in private:
+                users.append(path.stem)
+    assert users == []
 
 
 def test_module_caches_are_keyed_by_m_only():
