@@ -30,14 +30,17 @@ phi(x_a s_i) = x_a phi(s_i).  These Leibniz and linearity instances are the
 side conditions of a check.
 
 Every instance is built from tables made once per pair: d_H of each
-monomial, the signed monomial s . e_I for each frame section s, four bracket
+monomial, the signed monomial s . e_I for each frame section s (made from
+``contract_sign``: E_k removes generator k, e^k puts it in front), four bracket
 tables (``courant_brackets``: frame x frame, dual sections x dual sections,
 and (x_a s_i) x frame and frame x (x_a s_j) for each coordinate), the frame
 pairings, and the transform columns and e^(+-F) that ``duality`` caches on
 the pair.  x_a e_I, d_H(x_a e_I) and x_a phi(e_I) are built once and shared
 by every check that uses them.  The expected side of a Leibniz rule is built
 on the coordinate tuple of x_a [s_i, s_j], with no section or form made for
-it, and a zero test is an identity test against the shared ``ZERO``.  A
+it, and a zero test is an identity test against the shared ``ZERO``.  The
+actions of frame sections and brackets are {mask: CScalar} dicts, not forms,
+and residuals are collected from such dicts (a form's ``coeffs``).  A
 residual is summed by ``scalar.signed_sum``, the like-term collector behind
 ``sadd``, so what cancels here is what cancels in any sum.  An instance whose
 residual cancels structurally holds for every base point; the others are
@@ -50,7 +53,8 @@ from collections import defaultdict
 from typing import NamedTuple
 
 from .scalar import CZERO, CScalar, ZERO, signed_sum, var
-from .exterior import Form, FrameVector, contract, eval_complex_points, wedge
+from .exterior import (Form, FrameVector, contract, contract_sign, eval_complex_points,
+                       wedge)
 from .bundle import exterior_derivative, twisted_derivative
 from .courant import Section, courant_brackets, pairing, section_basis
 from .duality import (_form_columns, _section_columns, dualize_form,
@@ -93,11 +97,11 @@ def _sum(terms):
 
 
 def _form_residual(terms):
-    """The coefficients of sign * form summed over (sign, Form) pairs that do
-    not cancel structurally."""
+    """The coefficients of sign * form summed over (sign, coeffs) pairs, each
+    coeffs a form's {mask: CScalar} dict, that do not cancel structurally."""
     by_mask = defaultdict(list)
-    for sign, form in terms:
-        for mask, c in form.coeffs.items():
+    for sign, coeffs in terms:
+        for mask, c in coeffs.items():
             by_mask[mask].append((sign, c))
     return [c for c in map(_sum, by_mask.values()) if not c.is_zero()]
 
@@ -106,7 +110,7 @@ def _coordinate_residual(a, b):
     """The coordinates of a - b, for coordinate tuples of two sections, that
     do not cancel structurally."""
     diffs = [_sum(((1, x), (-1, y))) for x, y in zip(a, b)
-             if not (x.is_zero() and y.is_zero())]
+             if not (x is y is CZERO or x.is_zero() and y.is_zero())]
     return [d for d in diffs if not d.is_zero()]
 
 
@@ -133,42 +137,37 @@ def _combine(weights, columns, size):
     return [_sum(t) if t else CZERO for t in out]
 
 
-def _frame_action(basis, monomials):
+def _frame_action(m):
     """For each frame section s and each mask, (mask', sign) with
-    s . e_mask = sign e_mask', or None where the action is zero; read off
-    the Clifford action itself."""
-    table = []
-    for s in basis:
-        row = []
-        for e in monomials:
-            image = s.act(e)
-            if image.is_zero():
-                row.append(None)
-                continue
-            ((mask, c),) = image.coeffs.items()
-            if c not in (CScalar.one(), -CScalar.one()):
-                raise ValueError("a frame section moved a monomial to a non-unit multiple")
-            row.append((mask, 1 if c == CScalar.one() else -1))
-        table.append(tuple(row))
-    return tuple(table)
+    s . e_mask = sign e_mask', or None where the action is zero: E_k removes
+    generator k (i_(E_k)) and e^k puts it in front (e^k ^), each with the
+    sign of moving generator k to the front."""
+    masks = range(1 << m)
+    vectors = [tuple([(mask ^ 1 << k, contract_sign(mask, k)) if mask >> k & 1 else None
+                      for mask in masks]) for k in range(m)]
+    covectors = [tuple([None if mask >> k & 1 else (mask | 1 << k, contract_sign(mask, k))
+                        for mask in masks]) for k in range(m)]
+    return tuple(vectors + covectors)
 
 
-def _act(row, form):
-    """Frame section with action row ``row`` acting on a form; distinct masks
-    have distinct images, so nothing accumulates."""
+def _act(row, coeffs):
+    """Frame section with action row ``row`` acting on the form with
+    coefficients ``coeffs``, as a {mask: CScalar} dict; distinct masks have
+    distinct images, so nothing accumulates."""
     out = {}
-    for mask, c in form.coeffs.items():
+    for mask, c in coeffs.items():
         hit = row[mask]
         if hit is not None:
             out[hit[0]] = c if hit[1] > 0 else -c
-    return Form(form.coframe, out)
+    return out
 
 
 def _act_sections(table, coords, coframe):
-    """Section with coordinates ``coords`` acting on each e_mask, by mask."""
+    """Section with coordinates ``coords`` acting on each e_mask, by mask, as
+    {mask: CScalar} dicts."""
     live = [(row, c) for row, c in zip(table, coords) if not c.is_zero()]
-    return [Form(coframe, {hit[0]: c if hit[1] > 0 else -c
-                           for row, c in live if (hit := row[mask]) is not None})
+    return [{hit[0]: c if hit[1] > 0 else -c
+             for row, c in live if (hit := row[mask]) is not None}
             for mask in range(1 << coframe.dim)]
 
 
@@ -188,7 +187,7 @@ def frame_certificate(pair, points):
     dh = [twisted_derivative(e, chart) for e in monomials]
     brackets = courant_brackets(basis, basis, chart)
     coords = [[b.coordinates() for b in row] for row in brackets]
-    table = _frame_action(basis, monomials)
+    table = _frame_action(m)
     sign = round(reverse_sign(pair).real)
     pairings = [[pairing(a, b) for b in basis] for a in basis]
     twice = [[p * CScalar.of(2) for p in row] for row in pairings]
@@ -205,13 +204,15 @@ def frame_certificate(pair, points):
         for mask, e in enumerate(monomials):
             xe, image = Form(cof, {mask: x}), cols[mask].scale(x)
             dh_xe = twisted_derivative(xe, chart)
-            form_linear.append(_form_residual([(1, dualize_form(xe, pair)), (-1, image)]))
+            form_linear.append(_form_residual([(1, dualize_form(xe, pair).coeffs),
+                                                (-1, image.coeffs)]))
             side["transform-intertwines-differentials"].append(_form_residual(
-                [(1, _transform(dh_xe, cols)), (-1, twisted_derivative(image, dual))]))
+                [(1, _transform(dh_xe, cols).coeffs),
+                 (-1, twisted_derivative(image, dual).coeffs)]))
             side["spinor-bracket-oracle"].append(_form_residual(
-                [(1, dh_xe), (-1, wedge(dx, e)), (-1, dh[mask].scale(x))]))
+                [(1, dh_xe.coeffs), (-1, wedge(dx, e).coeffs), (-1, dh[mask].scale(x).coeffs)]))
             side["transform-invertible"].append(_form_residual(
-                [(1, dualize_form_reverse(image, pair)), (-sign, xe)]))
+                [(1, dualize_form_reverse(image, pair).coeffs), (-sign, xe.coeffs)]))
         scaled = [s.scale(x) for s in basis]
         section_linear += [_coordinate_residual(dualize_section(s, pair).coordinates(),
                                                 [x * c for c in col])
@@ -247,8 +248,8 @@ def frame_certificate(pair, points):
 
     name = "transform-intertwines-differentials"
     for mask in range(nforms):
-        frame[name].append(_form_residual([(1, _transform(dh[mask], cols)),
-                                           (-1, twisted_derivative(cols[mask], dual))]))
+        frame[name].append(_form_residual([(1, _transform(dh[mask], cols).coeffs),
+                                           (-1, twisted_derivative(cols[mask], dual).coeffs)]))
     side[name] += form_linear
 
     name = "section-transform-orthogonal"
@@ -270,15 +271,15 @@ def frame_certificate(pair, points):
     for i in range(2 * m):
         for mask in range(nforms):
             hit = table[i][mask]
-            lhs = [] if hit is None else [(hit[1], cols[hit[0]])]
-            rhs = sections[i].act(cols[mask])
+            lhs = [] if hit is None else [(hit[1], cols[hit[0]].coeffs)]
+            rhs = sections[i].act(cols[mask]).coeffs
             frame[name].append(_form_residual(lhs + [(-1, rhs)]))
     side[name] += form_linear + section_linear
 
     # [s_i, s_j] . e_I - (d_H(s_i . s_j . e_I) + s_i . d_H(s_j . e_I)
     #                    - s_j . d_H(s_i . e_I) - s_j . s_i . d_H e_I)
     name = "spinor-bracket-oracle"
-    acted = [[_act(row, d) for d in dh] for row in table]   # s_i . d_H e_L
+    acted = [[_act(row, d.coeffs) for d in dh] for row in table]   # s_i . d_H e_L
     for i in range(2 * m):
         for j in range(2 * m):
             bracket_acts = _act_sections(table, coords[i][j], cof)
@@ -289,7 +290,7 @@ def frame_certificate(pair, points):
                     inner, sj = hit_j
                     hit_i = table[i][inner]
                     if hit_i is not None:
-                        terms.append((-sj * hit_i[1], dh[hit_i[0]]))
+                        terms.append((-sj * hit_i[1], dh[hit_i[0]].coeffs))
                     terms.append((-sj, acted[i][inner]))
                 hit_i = table[i][mask]
                 if hit_i is not None:
@@ -300,8 +301,8 @@ def frame_certificate(pair, points):
 
     name = "transform-invertible"
     for mask, e in enumerate(monomials):
-        frame[name].append(_form_residual([(1, dualize_form_reverse(cols[mask], pair)),
-                                           (-sign, e)]))
+        frame[name].append(_form_residual([(1, dualize_form_reverse(cols[mask], pair).coeffs),
+                                           (-sign, e.coeffs)]))
     side[name] += form_linear
 
     return _evaluate(frame, side, points)

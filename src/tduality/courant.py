@@ -250,7 +250,9 @@ def courant_brackets(vs, ws, chart):
     d xi, d eta and i_Y H built once per section.  Where X or Y is
     structurally zero, the terms that would be empty are skipped: [X, Y],
     L_X eta, i_Y d xi and i_X i_Y H, and the entries share one zero form and
-    one zero frame vector."""
+    one zero frame vector.  In L_X eta = d(i_X eta) + i_X d eta, the d is
+    skipped where i_X eta is zero or a rational constant, as it is for frame
+    sections: its derivative is the empty form, which the sum returns past."""
     cof = chart.coframe
     if any(s.coframe != cof for s in (*vs, *ws)):
         raise ValueError("chart mismatch")
@@ -267,8 +269,10 @@ def courant_brackets(vs, ws, chart):
         for w, dw, y, iyh in zip(ws, d_eta, y_live, i_h):
             form = zero_form
             if dw is not None and x_live:    # L_X eta, by the Cartan formula
-                form = (exterior_derivative(contract(v.x, w.xi), chart)
-                        + contract(v.x, dw))
+                f, form = contract(v.x, w.xi), contract(v.x, dw)
+                c = f.coeffs.get(0)
+                if c is not None and not (c.re.is_rational() and c.im.is_rational()):
+                    form = exterior_derivative(f, chart) + form
             if dv is not None and y:
                 form = form - contract(w.x, dv)
             if iyh is not None and x_live:

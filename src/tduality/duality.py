@@ -127,9 +127,14 @@ def dualize_section(v, pair):
         [[sneg(e) for e in row] for row in pair.fiber_block()]))
     lift_re, lift_im = ([sadd(*map(smul, row, part)) for row in inv]
                         for part in ([r.re for r in rhs], [r.im for r in rhs]))
-    lift = FrameVector(cof, tuple(
-        w.x.components[idx] + _delta(cof, cofibers, idx, lift_re, lift_im)
-        for idx in range(cof.dim)))
+    comps = list(w.x.components)
+    for name, re, im in zip(cofibers, lift_re, lift_im):
+        term = CScalar(re, im)
+        if not term.is_zero():
+            idx = cof.index(name)
+            a = comps[idx]
+            comps[idx] = term if a.is_zero() else a + term
+    lift = FrameVector(cof, tuple(comps))
     eta = w.xi - contract(lift, pair.F)
     # the fiber components of eta vanish by construction; drop them structurally
     fiber_mask = cof.tag_mask("fiber")
@@ -139,14 +144,6 @@ def dualize_section(v, pair):
         for i in range(cof.dim)))
     out = Section(pushed_x, eta)
     return out.map_to(pair.dual.coframe)
-
-
-def _delta(cof, cofibers, idx, lift_re, lift_im):
-    name = cof.names[idx]
-    if name in cofibers:
-        j = cofibers.index(name)
-        return CScalar(lift_re[j], lift_im[j])
-    return CZERO
 
 
 def _section_columns(pair):

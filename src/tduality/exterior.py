@@ -205,7 +205,21 @@ class Form:
         return Form._pruned(self.coframe, out)
 
     def __sub__(self, other):
-        return self + (-other)
+        """Difference, collected as ``__add__`` collects ``self + (-other)``
+        with no negated form built."""
+        self._check(other)
+        if not other.coeffs:
+            return self
+        out = dict(self.coeffs)
+        for mask, c in other.coeffs.items():
+            prev = out.get(mask)
+            if prev is None:
+                out[mask] = -c
+            elif (total := prev - c).is_zero():
+                del out[mask]
+            else:
+                out[mask] = total
+        return Form._pruned(self.coframe, out)
 
     def __neg__(self):
         return Form._pruned(self.coframe, {m: -c for m, c in self.coeffs.items()})

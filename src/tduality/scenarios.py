@@ -470,10 +470,8 @@ def _entry_points(rng, m, n):
     """n points of the entry space of ``_generic_metric``: G = I + A^T A and
     B with A and B standard normal, B read above the diagonal."""
     points = []
-    for _ in range(n):
-        a = rng.standard_normal((m, m))
+    for a, b in rng.standard_normal((n, 2, m, m)):
         g = np.eye(m) + a.T @ a
-        b = rng.standard_normal((m, m))
         point = {f"g{i}{j}": float(g[i, j]) for i in range(m) for j in range(i, m)}
         point.update((f"b{i}{j}", float(b[i, j])) for i in range(m) for j in range(i + 1, m))
         points.append(point)

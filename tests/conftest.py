@@ -6,7 +6,9 @@ the componentwise residual of a section, the term-by-term bodies of
 ``courant_bracket`` and ``pairing`` (``_reference_*``), which the one-pass
 kernels must match tree for tree, the ``Section``-arithmetic Leibniz body and
 the per-mask action of a bracket of ``certify``, which the expected sides
-built on coordinate tuples must match residual for residual, the mask-by-mask bodies of
+built on coordinate tuples must match residual for residual, the frame's
+action table read off ``clifford_act``, which the table made from
+contraction signs must equal, the mask-by-mask bodies of
 ``Form.map_to`` and ``fiber_integrate``, which the coframe tables must
 match, the draw-by-draw body of ``Domain.sample``, which the buffered
 ``sample_many`` must match bit for bit, the spreading body of ``certify._sum``,
@@ -298,8 +300,28 @@ def _reference_act_sections(table, coords, coframe):
             hit = table[k][mask]
             if hit is not None and not c.is_zero():
                 image[hit[0]] = c if hit[1] > 0 else -c
-        out.append(Form(coframe, image))
+        out.append(image)
     return out
+
+
+def _reference_frame_action(basis, monomials):
+    """For each frame section s and each mask, (mask', sign) with
+    s . e_mask = sign e_mask', or None where the action is zero; read off
+    the Clifford action itself."""
+    table = []
+    for s in basis:
+        row = []
+        for e in monomials:
+            image = s.act(e)
+            if image.is_zero():
+                row.append(None)
+                continue
+            ((mask, c),) = image.coeffs.items()
+            if c not in (CScalar.one(), -CScalar.one()):
+                raise ValueError("a frame section moved a monomial to a non-unit multiple")
+            row.append((mask, 1 if c == CScalar.one() else -1))
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def count_python_calls(fn):

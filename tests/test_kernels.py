@@ -109,6 +109,21 @@ def test_form_add_matches_reference(rng, config):
 
 
 @pytest.mark.parametrize("config", CONFIGS)
+def test_form_sub_is_the_sum_of_the_negation(rng, config):
+    """a - b builds what a + (-b) builds, with an empty operand on either
+    side, and a difference of x_a e_I forms cancels completely."""
+    for chart in _charts(config):
+        forms = _forms(rng, chart)
+        zero = Form.zero(chart.coframe)
+        for a in forms[:4] + [zero]:
+            for b in forms[:4] + [zero]:
+                assert_same_form(a - b, a + (-b))
+        for a in forms[4:]:
+            assert (a - a).is_zero() and (a + (-a)).is_zero()
+            assert_same_form(forms[0] - (forms[0] + a), forms[0] + -(forms[0] + a))
+
+
+@pytest.mark.parametrize("config", CONFIGS)
 def test_lie_bracket_matches_reference(rng, config):
     for chart in _charts(config):
         vectors = _vectors(rng, chart)

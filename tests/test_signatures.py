@@ -18,8 +18,11 @@ A ``functools.cache`` takes only an int ``m``: structural tables live on the
 coframe or chart they index and die with it.
 
 The benchmark's tracer (``perfbench/tracer.py``) wraps package functions by
-name, and its workloads call three one-point forms; the last test keeps
-those names alive.
+name, and its workloads call three one-point forms; a test keeps those names
+alive.  The traced counts must repeat from one pass to the next, or no count
+can be compared between versions: the last test runs
+``perfbench/check_counts.py`` on paper-suite and large-samples, so a table
+cached across passes fails there.
 """
 import ast
 import os
@@ -179,3 +182,12 @@ def test_the_benchmark_harness_finds_every_name_it_uses():
     assert np.abs(j @ j + np.eye(4)).max() <= 1e-9
     assert duality.uk_transport_residual(spinor, pair, point) <= 1e-8
     assert duality.transform_matrix_at(pair, point).shape == (4, 4)
+
+
+def test_the_traced_counts_repeat_across_passes():
+    """``perfbench/check_counts.py`` runs each workload's traced pass twice in
+    one process and exits 0 only when every count repeats."""
+    script = Path(__file__).resolve().parent.parent / "perfbench" / "check_counts.py"
+    out = subprocess.run([sys.executable, str(script), "--workload", "paper-suite",
+                          "large-samples"], capture_output=True, text=True)
+    assert out.returncode == 0, out.stdout + out.stderr
