@@ -30,31 +30,33 @@ phi(x_a s_i) = x_a phi(s_i).  These Leibniz and linearity instances are the
 side conditions of a check.
 
 Every instance is built from tables made once per pair: d_H of each
-monomial, the signed monomial s . e_I for each frame section s (made from
-``contract_sign``: E_k removes generator k, e^k puts it in front), four bracket
-tables (``courant_brackets``: frame x frame, dual sections x dual sections,
-and (x_a s_i) x frame and frame x (x_a s_j) for each coordinate), the frame
-pairings, and the transform columns and e^(+-F) that ``duality`` caches on
-the pair.  x_a e_I, d_H(x_a e_I) and x_a phi(e_I) are built once and shared
-by every check that uses them.  The expected side of a Leibniz rule is built
-on the coordinate tuple of x_a [s_i, s_j], with no section or form made for
-it, and a zero test is an identity test against the shared ``ZERO``.  The
-actions of frame sections and brackets are {mask: CScalar} dicts, not forms,
-and residuals are collected from such dicts (a form's ``coeffs``).  A
-residual is summed by ``scalar.signed_sum``, the like-term collector behind
-``sadd``, so what cancels here is what cancels in any sum.  An instance whose
-residual cancels structurally holds for every base point; the others are
-evaluated together, at every sample point, in one ``evaluate_points`` call,
-each shared residual once.
+monomial, the signed monomial s . e_I for each frame section s (the table of
+``exterior.frame_action``: E_k removes generator k, e^k puts it in front),
+four bracket tables (``courant_brackets``: frame x frame, dual sections x
+dual sections, and (x_a s_i) x frame and frame x (x_a s_j) for each
+coordinate), the frame pairings, and the transform columns and e^(+-F) that
+``duality`` caches on the pair.  x_a e_I, d_H(x_a e_I) and x_a phi(e_I) are
+built once and shared by every check that uses them.  A form is read as its
+{mask: CScalar} ``coeffs`` and a section once as the {index: CScalar} dict
+of its coordinates that are not structurally zero (X_1..X_m, xi_1..xi_m);
+the actions of frame sections and brackets, the transforms of the frame's
+images and the expected side of a Leibniz rule are built as such dicts, with
+no form or section made for them.  ``_form_residual`` forms every residual
+from signed dicts of either kind, summed by ``scalar.signed_sum``, the
+like-term collector behind ``sadd``, so what cancels here is what cancels in
+any sum; a zero test is an identity test against the shared ``ZERO``.  An
+instance whose residual cancels structurally holds for every base point; the
+others are evaluated together, at every sample point, in one
+``evaluate_points`` call, each shared residual once.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from typing import NamedTuple
 
-from .scalar import CZERO, CScalar, ZERO, signed_sum, var
-from .exterior import (Form, FrameVector, contract, contract_sign, eval_complex_points,
-                       wedge)
+from .scalar import CScalar, ZERO, signed_sum, var
+from .exterior import (Form, FrameVector, _accumulate, contract, eval_complex_points,
+                       frame_action, wedge)
 from .bundle import exterior_derivative, twisted_derivative
 from .courant import Section, courant_brackets, pairing, section_basis
 from .duality import (_form_columns, _section_columns, dualize_form,
@@ -97,57 +99,34 @@ def _sum(terms):
 
 
 def _form_residual(terms):
-    """The coefficients of sign * form summed over (sign, coeffs) pairs, each
-    coeffs a form's {mask: CScalar} dict, that do not cancel structurally."""
-    by_mask = defaultdict(list)
+    """The coefficients of sign * coeffs summed over (sign, coeffs) pairs that
+    do not cancel structurally; each coeffs is a {key: CScalar} dict, a
+    form's by mask or a section's coordinates by index."""
+    by_key = defaultdict(list)
     for sign, coeffs in terms:
-        for mask, c in coeffs.items():
-            by_mask[mask].append((sign, c))
-    return [c for c in map(_sum, by_mask.values()) if not c.is_zero()]
+        for key, c in coeffs.items():
+            by_key[key].append((sign, c))
+    return [c for c in map(_sum, by_key.values()) if not c.is_zero()]
 
 
-def _coordinate_residual(a, b):
-    """The coordinates of a - b, for coordinate tuples of two sections, that
-    do not cancel structurally."""
-    diffs = [_sum(((1, x), (-1, y))) for x, y in zip(a, b)
-             if not (x is y is CZERO or x.is_zero() and y.is_zero())]
-    return [d for d in diffs if not d.is_zero()]
+def _coordinates(s):
+    """The section's coordinates that are not structurally zero, as an
+    {index: CScalar} dict: X_k at k and xi_k at m + k."""
+    m = s.x.coframe.dim
+    out = {k: c for k, c in enumerate(s.x.components) if not c.is_zero()}
+    for mask, c in s.xi.coeffs.items():
+        out[m + mask.bit_length() - 1] = c
+    return out
 
 
-def _add_at(coords, k, c):
-    """Add c at coordinate k as ``Section`` arithmetic does: a zero takes c."""
-    a = coords[k]
-    coords[k] = c if a.is_zero() else a + c
-
-
-def _transform(form, images):
-    """sum_I c_I images[I] for form = sum_I c_I e_I."""
-    coframe = images[0].coframe
-    return Form(coframe, dict(enumerate(_combine(
-        form.coeffs.items(), [image.coeffs for image in images], 1 << coframe.dim))))
-
-
-def _combine(weights, columns, size):
-    """sum_k w_k columns[k] over (k, w_k) pairs, as a list of ``size``
-    CScalars; a column is a dict {index: CScalar}."""
-    out = [[] for _ in range(size)]
-    for k, w in weights:
+def _transform(weights, columns):
+    """sum_k w_k columns[k] for the weights {k: w_k}, as a {key: CScalar}
+    dict; a column is such a dict too."""
+    out = defaultdict(list)
+    for k, w in weights.items():
         for r, c in columns[k].items():
             out[r].append((1, w * c))
-    return [_sum(t) if t else CZERO for t in out]
-
-
-def _frame_action(m):
-    """For each frame section s and each mask, (mask', sign) with
-    s . e_mask = sign e_mask', or None where the action is zero: E_k removes
-    generator k (i_(E_k)) and e^k puts it in front (e^k ^), each with the
-    sign of moving generator k to the front."""
-    masks = range(1 << m)
-    vectors = [tuple([(mask ^ 1 << k, contract_sign(mask, k)) if mask >> k & 1 else None
-                      for mask in masks]) for k in range(m)]
-    covectors = [tuple([None if mask >> k & 1 else (mask | 1 << k, contract_sign(mask, k))
-                        for mask in masks]) for k in range(m)]
-    return tuple(vectors + covectors)
+    return {r: _sum(t) for r, t in out.items()}
 
 
 def _act(row, coeffs):
@@ -163,9 +142,9 @@ def _act(row, coeffs):
 
 
 def _act_sections(table, coords, coframe):
-    """Section with coordinates ``coords`` acting on each e_mask, by mask, as
-    {mask: CScalar} dicts."""
-    live = [(row, c) for row, c in zip(table, coords) if not c.is_zero()]
+    """Section with coordinate dict ``coords`` acting on each e_mask, by mask,
+    as {mask: CScalar} dicts."""
+    live = [(table[k], c) for k, c in coords.items()]
     return [{hit[0]: c if hit[1] > 0 else -c
              for row, c in live if (hit := row[mask]) is not None}
             for mask in range(1 << coframe.dim)]
@@ -182,12 +161,13 @@ def frame_certificate(pair, points):
     monomials = [Form(cof, {mask: CScalar.one()}) for mask in range(nforms)]
     basis = section_basis(cof)
     cols = _form_columns(pair)
+    fcols = [c.coeffs for c in cols]
     sections = _section_columns(pair)
-    scols = [s.coordinates() for s in sections]
+    scols = [_coordinates(s) for s in sections]
     dh = [twisted_derivative(e, chart) for e in monomials]
     brackets = courant_brackets(basis, basis, chart)
-    coords = [[b.coordinates() for b in row] for row in brackets]
-    table = _frame_action(m)
+    coords = [[_coordinates(b) for b in row] for row in brackets]
+    table = frame_action(m)
     sign = round(reverse_sign(pair).real)
     pairings = [[pairing(a, b) for b in basis] for a in basis]
     twice = [[p * CScalar.of(2) for p in row] for row in pairings]
@@ -207,15 +187,15 @@ def frame_certificate(pair, points):
             form_linear.append(_form_residual([(1, dualize_form(xe, pair).coeffs),
                                                 (-1, image.coeffs)]))
             side["transform-intertwines-differentials"].append(_form_residual(
-                [(1, _transform(dh_xe, cols).coeffs),
+                [(1, _transform(dh_xe.coeffs, fcols)),
                  (-1, twisted_derivative(image, dual).coeffs)]))
             side["spinor-bracket-oracle"].append(_form_residual(
                 [(1, dh_xe.coeffs), (-1, wedge(dx, e).coeffs), (-1, dh[mask].scale(x).coeffs)]))
             side["transform-invertible"].append(_form_residual(
                 [(1, dualize_form_reverse(image, pair).coeffs), (-sign, xe.coeffs)]))
         scaled = [s.scale(x) for s in basis]
-        section_linear += [_coordinate_residual(dualize_section(s, pair).coordinates(),
-                                                [x * c for c in col])
+        section_linear += [_form_residual([(1, _coordinates(dualize_section(s, pair))),
+                                           (-1, {k: x * c for k, c in col.items()})])
                            for s, col in zip(scaled, scols)]
         # the bracket's Leibniz rules on (x s_i, s_j) and (s_i, x s_j), each
         # expected side built on the coordinates of x [s_i, s_j]
@@ -225,46 +205,43 @@ def frame_certificate(pair, points):
         right = courant_brackets(basis, scaled, chart)
         for i, row in enumerate(coords):
             for j, frame_coords in enumerate(row):
-                # a structurally zero multiple of a section is skipped
-                bracket = [c if c.is_zero() else c * x for c in frame_coords]
-                expected = list(bracket)
+                bracket = {k: c * x for k, c in frame_coords.items()}
+                expected = dict(bracket)
                 if not along[j].is_zero():
-                    _add_at(expected, i, -along[j])
+                    _accumulate(expected, i, -along[j])
                 if not twice[i][j].is_zero():
                     for k, c in at_dx:
-                        _add_at(expected, k, c * twice[i][j])
-                leibniz.append(_coordinate_residual(left[i][j].coordinates(), expected))
+                        _accumulate(expected, k, c * twice[i][j])
+                leibniz.append(_form_residual([(1, _coordinates(left[i][j])), (-1, expected)]))
                 if not along[i].is_zero():
-                    _add_at(bracket, j, along[i])
-                leibniz.append(_coordinate_residual(right[i][j].coordinates(), bracket))
+                    _accumulate(bracket, j, along[i])
+                leibniz.append(_form_residual([(1, _coordinates(right[i][j])), (-1, bracket)]))
         # phi preserves the anchor on x, and phi(dx) = dx
         name = "section-transform-bracket"
         for i, image in enumerate(sections):
-            side[name].append(_coordinate_residual(
-                (contract(image.x, dx_dual).coeff(0),), (along[i],)))
-        side[name].append(_coordinate_residual(
-            dualize_section(Section(FrameVector.zero(cof), dx), pair).coordinates(),
-            Section(FrameVector.zero(dcof), dx_dual).coordinates()))
+            side[name].append(_form_residual([(1, contract(image.x, dx_dual).coeffs),
+                                              (-1, {0: along[i]})]))
+        side[name].append(_form_residual(
+            [(1, _coordinates(dualize_section(Section(FrameVector.zero(cof), dx), pair))),
+             (-1, _coordinates(Section(FrameVector.zero(dcof), dx_dual)))]))
 
     name = "transform-intertwines-differentials"
     for mask in range(nforms):
-        frame[name].append(_form_residual([(1, _transform(dh[mask], cols).coeffs),
+        frame[name].append(_form_residual([(1, _transform(dh[mask].coeffs, fcols)),
                                            (-1, twisted_derivative(cols[mask], dual).coeffs)]))
     side[name] += form_linear
 
     name = "section-transform-orthogonal"
-    frame[name] = [_coordinate_residual((pairing(a, b),), (p,))
+    frame[name] = [_form_residual([(1, {0: pairing(a, b)}), (-1, {0: p})])
                    for a, row in zip(sections, pairings) for b, p in zip(sections, row)]
     side[name] += section_linear
 
     name = "section-transform-bracket"
-    # a structurally zero weight or column entry adds nothing
-    scol_dicts = [{r: c for r, c in enumerate(col) if not c.is_zero()} for col in scols]
     dual_brackets = courant_brackets(sections, sections, dual)
     for frame_row, dual_row in zip(coords, dual_brackets):
         for c, b in zip(frame_row, dual_row):
-            lhs = _combine([(k, w) for k, w in enumerate(c) if not w.is_zero()], scol_dicts, 2 * m)
-            frame[name].append(_coordinate_residual(lhs, b.coordinates()))
+            frame[name].append(_form_residual([(1, _transform(c, scols)),
+                                               (-1, _coordinates(b))]))
     side[name] += leibniz + section_linear
 
     name = "clifford-compatibility"

@@ -32,8 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .scalar import CZERO, CScalar, diff, rat
-from .exterior import (Form, FrameVector, clifford_act, contract, contract_sign,
-                       eval_complex)
+from .exterior import Form, FrameVector, clifford_act, contract, eval_complex
 from .bundle import exterior_derivative, form_residual
 
 __all__ = [
@@ -190,7 +189,8 @@ def _minus(acc, c):
 def lie_bracket(x, y, chart):
     """Lie bracket of invariant frame vector fields on the chart:
     e^b([X, Y]) = X(Y^b) - Y(X^b) - (d e^b)(X, Y), with d e^b read off the
-    structure equations; a term whose factor is structurally zero is skipped."""
+    structure equations and (d e^b)(X, Y) = i_Y i_X d e^b made by
+    ``contract``; a term whose factor is structurally zero is skipped."""
     bases = chart.base_bits
     comps = []
     for b in range(chart.coframe.dim):
@@ -201,37 +201,9 @@ def lie_bracket(x, y, chart):
             comp = _minus(comp, _derivative(y, x.components[b], bases))
         de_b = chart.curved.get(b)    # d(dx^a) = 0, d(theta_i) = c_i
         if de_b is not None:
-            comp = _minus(comp, _on_pair(de_b, x, y))
+            comp = _minus(comp, contract(y, contract(x, de_b)).coeffs.get(0))
         comps.append(CZERO if comp is None else comp)
     return FrameVector(chart.coframe, tuple(comps))
-
-
-def _on_pair(two_form, x, y):
-    """The 2-form evaluated on (X, Y), i.e. i_Y i_X of it, with the products,
-    negations and sums of ``contract(y, contract(x, two_form))`` made in the
-    same order but no intermediate form built; None where nothing survives or
-    the sum cancels structurally."""
-    ix = {}    # the 1-form i_X two_form, by mask
-    for i, comp in enumerate(x.components):
-        if comp.is_zero():
-            continue
-        bit = 1 << i
-        for mask, c in two_form.coeffs.items():
-            if not mask & bit:
-                continue
-            term = c * comp
-            if contract_sign(mask, i) < 0:
-                term = -term
-            m = mask & ~bit
-            ix[m] = ix[m] + term if m in ix else term
-    total = None
-    for j, comp in enumerate(y.components):
-        c = ix.get(1 << j)
-        if c is None or c.is_zero() or comp.is_zero():
-            continue
-        term = c * comp
-        total = term if total is None else total + term
-    return None if total is None or total.is_zero() else total
 
 
 def lie_derivative(x, eta, chart):

@@ -35,8 +35,8 @@ from .scalar import (CZERO, CScalar, ZERO, _parse_tokens, _token, _tokenize,
 __all__ = [
     "Coframe", "Form", "FrameVector",
     "wedge", "contract", "clifford_act", "reversal", "mukai_pairing", "mukai_signs",
-    "exp_form", "fiber_integrate", "strip_rightmost", "contract_sign", "eval_complex",
-    "eval_complex_points",
+    "exp_form", "fiber_integrate", "strip_rightmost", "contract_sign", "frame_action",
+    "eval_complex", "eval_complex_points",
     "form_to_text", "form_from_text",
 ]
 
@@ -116,6 +116,20 @@ def contract_sign(mask, i):
     """Sign of removing generator i from e_mask by moving it to the front."""
     below = mask & ((1 << i) - 1)
     return -1 if bin(below).count("1") % 2 else 1
+
+
+def frame_action(m):
+    """The Clifford action of the 2m frame sections (E_1..E_m, e^1..e^m) on
+    the 2^m monomials: for each section s and each mask, (mask', sign) with
+    s . e_mask = sign e_mask', or None where the action is zero.  E_k removes
+    generator k (i_(E_k)) and e^k puts it in front (e^k ^), each with the
+    sign of moving generator k to the front."""
+    masks = range(1 << m)
+    vectors = [tuple([(mask ^ 1 << k, contract_sign(mask, k)) if mask >> k & 1 else None
+                      for mask in masks]) for k in range(m)]
+    covectors = [tuple([None if mask >> k & 1 else (mask | 1 << k, contract_sign(mask, k))
+                        for mask in masks]) for k in range(m)]
+    return tuple(vectors + covectors)
 
 
 def strip_rightmost(mask, c, right):

@@ -127,8 +127,8 @@ def pairing_constant_check(sections, points):
     n = len(sections)
     vals = _eval_array([pairing(a, b) for a in sections for b in sections], points)
     stack = vals.T.reshape(len(points), n, n)
-    spread = np.abs(stack - stack.mean(axis=0)).max()
-    return bool(spread <= 1e-9 * (1.0 + np.abs(stack).max())), float(spread)
+    spread = np.abs(stack - stack.mean(axis=0)).max(initial=0.0)
+    return bool(spread <= 1e-9 * (1.0 + np.abs(stack).max(initial=0.0))), float(spread)
 
 
 # -- the double-quotient picture -------------------------------------------------------
@@ -184,7 +184,7 @@ def double_quotient_report(pair, points):
     # BLAS kernels on it
     kk = np.ascontiguousarray(
         vals[:len(coords)].reshape(len(lifts), 2 * mt, npts).transpose(2, 1, 0))
-    iso_k, iso_kt = (np.abs(_transpose(v) @ g_total @ v).max(axis=(1, 2))
+    iso_k, iso_kt = (np.abs(_transpose(v) @ g_total @ v).max(axis=(1, 2), initial=0.0)
                      for v in (np.ascontiguousarray(kk[:, :, :k]),
                                np.ascontiguousarray(kk[:, :, k:])))
     gram = (_transpose(kk) @ g_total @ kk).real
@@ -262,7 +262,8 @@ def transversality_check(pair, points, f_scale=1.0):
     transversal = _rank(np.linalg.svd(both, compute_uv=False)) == both.shape[-1]
     block = pair.fiber_block()
     k = len(block)
-    mats = np.array(evaluate_points([e for row in block for e in row], points)).T.reshape(-1, k, k)
+    mats = np.array(evaluate_points([e for row in block for e in row], points)).T.reshape(
+        len(points), k, k)
     s = np.linalg.svd(np.reshape(f_scale, (-1, 1, 1)) * mats, compute_uv=False)
     return list(zip(transversal.tolist(), (_rank(s) == k).tolist()))
 

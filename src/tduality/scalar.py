@@ -880,14 +880,16 @@ def scalar_from_text(text):
 
 
 # -- small dense symbolic linear algebra -------------------------------------------
-# Used for the fiber-block solve of the section transform and for rewriting
-# transported metric graphs.  Sizes never exceed 4x4.
+# The section transform's fiber-block solve and the metric transport invert
+# with ``sym_matrix_inverse``.  Sizes never exceed 4x4.
 
 def solve_linear_symbolic(matrix, rhs):
-    """Solve A x = rhs for symbolic entries as x = A^-1 rhs.
+    """Solve A x = rhs for symbolic entries as x = A^-1 rhs.  No package
+    code calls it: it is kept for the tests and for ``perfbench/tracer.py``,
+    which wraps it by name.
 
-    For a rational A (the common case: unimodular fiber blocks) the inverse
-    is exact rational, so each x_i is a rational combination of the rhs.
+    For a rational A the inverse is exact rational, so each x_i is a
+    rational combination of the rhs.
     """
     inv = sym_matrix_inverse(matrix)
     return [sadd(*[smul(inv[i][j], rhs[j]) for j in range(len(rhs))])

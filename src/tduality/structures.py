@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scalar import CScalar, ZERO, as_scalar, evaluate_points
-from .exterior import (Form, FrameVector, _eval_array, contract, contract_sign,
-                       exp_form, mukai_signs, wedge)
+from .exterior import (Form, FrameVector, _eval_array, contract, exp_form, frame_action,
+                       mukai_signs, wedge)
 from .bundle import form_residual, twisted_derivative
 from .courant import Section
 
@@ -160,23 +160,19 @@ class GeneralizedMetric:
 @functools.cache
 def _clifford_matrices(m):
     """(wedge, contraction) matrices of the m generators on the 2^m forms,
-    read-only and shared by every PointFrame with m generators."""
+    the frame's action table (``frame_action``) as matrices: e^k and E_k
+    send e_mask to sign e_mask'.  Read-only and shared by every PointFrame
+    with m generators."""
     nforms = 1 << m
-    wedges, contractions = [], []
-    for i in range(m):
-        w = np.zeros((nforms, nforms))
-        c = np.zeros((nforms, nforms))
-        bit = 1 << i
-        for mask in range(nforms):
-            if not mask & bit:
-                sign = float(contract_sign(mask, i))
-                w[mask | bit, mask] = sign
-                c[mask, mask | bit] = sign
-        w.setflags(write=False)
-        c.setflags(write=False)
-        wedges.append(w)
-        contractions.append(c)
-    return tuple(wedges), tuple(contractions)
+    mats = []
+    for row in frame_action(m):
+        a = np.zeros((nforms, nforms))
+        for mask, hit in enumerate(row):
+            if hit is not None:
+                a[hit[0], mask] = hit[1]
+        a.setflags(write=False)
+        mats.append(a)
+    return tuple(mats[m:]), tuple(mats[:m])
 
 
 class PointFrame:

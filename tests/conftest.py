@@ -6,9 +6,9 @@ the componentwise residual of a section, the term-by-term bodies of
 ``courant_bracket`` and ``pairing`` (``_reference_*``), which the one-pass
 kernels must match tree for tree, the ``Section``-arithmetic Leibniz body and
 the per-mask action of a bracket of ``certify``, which the expected sides
-built on coordinate tuples must match residual for residual, the frame's
-action table read off ``clifford_act``, which the table made from
-contraction signs must equal, the mask-by-mask bodies of
+built on sparse coordinate dicts must match residual for residual, the
+frame's action table read off ``clifford_act``, which
+``exterior.frame_action``, made from contraction signs, must equal, the mask-by-mask bodies of
 ``Form.map_to`` and ``fiber_integrate``, which the coframe tables must
 match, the draw-by-draw body of ``Domain.sample``, which the buffered
 ``sample_many`` must match bit for bit, the spreading body of ``certify._sum``,
@@ -280,25 +280,27 @@ def _reference_leibniz(pair):
                     expected = expected - a.scale(along[j])
                 if not twice[i][j].is_zero():
                     expected = expected + df.scale(twice[i][j])
-                out.append(certify._coordinate_residual(left[i][j].coordinates(),
-                                                        expected.coordinates()))
+                out.append(certify._form_residual(
+                    [(1, dict(enumerate(left[i][j].coordinates()))),
+                     (-1, dict(enumerate(expected.coordinates())))]))
                 expected = bracket
                 if not along[i].is_zero():
                     expected = expected + b.scale(along[i])
-                out.append(certify._coordinate_residual(right[i][j].coordinates(),
-                                                        expected.coordinates()))
+                out.append(certify._form_residual(
+                    [(1, dict(enumerate(right[i][j].coordinates()))),
+                     (-1, dict(enumerate(expected.coordinates())))]))
     return out
 
 
 def _reference_act_sections(table, coords, coframe):
-    """``certify._act_sections`` with the coordinates read again for each
+    """``certify._act_sections`` with the coordinate dict read again for each
     mask."""
     out = []
     for mask in range(1 << coframe.dim):
         image = {}
-        for k, c in enumerate(coords):
+        for k, c in coords.items():
             hit = table[k][mask]
-            if hit is not None and not c.is_zero():
+            if hit is not None:
                 image[hit[0]] = c if hit[1] > 0 else -c
         out.append(image)
     return out

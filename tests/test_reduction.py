@@ -15,7 +15,7 @@ from tduality.structures import (PureSpinor, _clifford_matrices, _rank, annihila
                                  mukai_norm)
 from tduality.duality import DualityPair, transform_matrices, transport_spinor
 from tduality.randomgen import random_pure_spinor, random_section, random_spinor_values
-from tduality.reduction import (LiftedActionPoint, double_quotient_report,
+from tduality.reduction import (LiftedActionPoint, ReductionReport, double_quotient_report,
                                 duality_lift_sections, fourier_mukai_check,
                                 generalized_tangent_basis,
                                 pairing_constant_check, reduce_pointwise,
@@ -420,6 +420,19 @@ def test_product_criterion_keeps_its_negatives(seeds):
         report, check = _product_criterion(seed)
         negatives = int(re.search(r"(\d+) negative instances", check.notes).group(1))
         assert report.ok and check.passed and negatives >= 12, (seed, check.notes)
+
+
+def test_rank_zero_pair_reduces_to_empty_spaces(rng, plane_chart):
+    """A pair with no fibers, which ``validate_pair`` accepts, has no lift
+    sections and an empty fiber block: the double quotient reports the empty
+    spaces (isotropy and defects 0, split signature, Gram determinant 1),
+    the empty spans meet transversally, and the empty pairing is constant."""
+    pair = DualityPair.from_chart(plane_chart)
+    points = plane_chart.domain.sample_many(rng, 3)
+    assert (double_quotient_report(pair, points)
+            == [ReductionReport(0.0, 0.0, True, 1.0, 0.0, 0.0, True)] * 3)
+    assert transversality_check(pair, points) == [(True, True)] * 3
+    assert pairing_constant_check(duality_lift_sections(pair), points) == (True, 0.0)
 
 
 def test_signature_helper():

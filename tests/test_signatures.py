@@ -13,6 +13,9 @@ singular value), so nothing in the package calls ``matrix_rank``.  Like
 terms have one collector, ``scalar.signed_sum``: what cancels structurally
 decides which certificate instances count as proved, so a second collector
 built from ``scalar``'s private pieces could prove a different set.  The
+sign of moving a generator to the front lives in ``exterior.py``, which
+makes the frame's action table from it; only ``bundle``'s d kernel reads
+it elsewhere.  The
 unpruned form constructor ``Form._pruned`` stays inside ``exterior.py``.
 A ``functools.cache`` takes only an int ``m``: structural tables live on the
 coframe or chart they index and die with it.
@@ -106,6 +109,24 @@ def test_one_like_term_collector():
             if name in private:
                 users.append(path.stem)
     assert users == []
+
+
+def test_sign_rule_lives_in_exterior():
+    """The sign of moving a generator to the front has one home: outside
+    ``exterior.py``, only ``bundle.py``'s d kernel names ``contract_sign`` or
+    ``_wedge_sign``; the frame's action on monomials is read from
+    ``exterior.frame_action``."""
+    signs = {"contract_sign", "_wedge_sign"}
+    users = set()
+    for path in sorted(Path(tduality.__file__).parent.glob("*.py")):
+        if path.stem == "exterior":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (getattr(node, "attr", None) or getattr(node, "id", None)
+                    or getattr(node, "name", None))
+            if name in signs:
+                users.add(path.stem)
+    assert users <= {"bundle"}
 
 
 def test_module_caches_are_keyed_by_m_only():
