@@ -24,16 +24,14 @@ import numpy as np
 
 from .scalar import CScalar, Domain, ZERO, diff, evaluate_points
 from .exterior import (Coframe, Form, _accumulate, _wedge_sign, contract_sign,
-                       eval_complex_points, form_from_text, form_to_text,
-                       strip_rightmost, wedge)
+                       eval_complex_points, strip_rightmost, wedge)
 
 __all__ = [
     "BundleChart", "DualityPair", "base_generator", "dual_fiber_name",
     "exterior_derivative", "twisted_derivative",
     "split_flux", "build_dual_chart",
     "validate_chart", "validate_pair", "ChartReport", "PairReport",
-    "chart_to_text", "chart_from_text", "standard_correspondence_flux",
-    "form_residual",
+    "standard_correspondence_flux", "form_residual", "block_values",
 ]
 
 
@@ -85,13 +83,13 @@ class BundleChart:
         return dataclasses.replace(self, flux=flux)
 
     @staticmethod
-    def build(name, bases, fibers, curvature=None, flux=None, exclusions=()):
+    def build(name, bases, fibers, curvature=None, flux=None):
         """Assemble a chart; ``bases`` is a list of (var, lo, hi)."""
         base_names = tuple(base_generator(v) for v, _, _ in bases)
         names = base_names + tuple(fibers)
         tags = ("base",) * len(bases) + ("fiber",) * len(fibers)
         cof = Coframe(names, tags)
-        domain = Domain({v: (lo, hi) for v, lo, hi in bases}, tuple(exclusions))
+        domain = Domain({v: (lo, hi) for v, lo, hi in bases})
         curv = {}
         if curvature:
             for gen, maker in curvature.items():
@@ -197,12 +195,10 @@ def build_dual_chart(chart):
     dual_cof = Coframe(
         tuple(base_generator(v) for v in chart.base_vars) + dual_fibers,
         ("base",) * len(chart.base_vars) + ("fiber",) * len(dual_fibers))
-    rename = {}
-    dual_curv = {dual_fiber_name(n): ct[n].map_to(dual_cof, rename)
-                 for n in chart.fiber_names}
-    flux_t = h.map_to(dual_cof, rename)
+    dual_curv = {dual_fiber_name(n): ct[n].map_to(dual_cof) for n in chart.fiber_names}
+    flux_t = h.map_to(dual_cof)
     for n in chart.fiber_names:
-        c_n = chart.curvature_of(n).map_to(dual_cof, rename)
+        c_n = chart.curvature_of(n).map_to(dual_cof)
         flux_t = flux_t + wedge(c_n, Form.monomial(dual_cof, (dual_fiber_name(n),)))
     return BundleChart(chart.name + "~", chart.base_vars, chart.domain,
                        dual_cof, dual_curv, flux_t)
@@ -402,99 +398,21 @@ def validate_pair(pair, n=8, seed=0):
     )
 
 
+def block_values(block, points):
+    """Values of a k x k block of Scalars at the points, as a (points, k, k)
+    stack from one ``evaluate_points`` call; k = 0 gives (points, 0, 0)."""
+    k, npts = len(block), len(points)
+    vals = evaluate_points([e for row in block for e in row], points)
+    return np.array(vals, dtype=float).reshape(k * k, npts).T.reshape(npts, k, k)
+
+
 def _block_nondegeneracy(block, points):
     """(smallest |det|, full rank at every point) of a k x k block of
     Scalars, from one determinant and one SVD over the stack of its values
     at the points."""
     from .structures import _rank    # structures imports this module
     k = len(block)
-    vals = evaluate_points([e for row in block for e in row], points)
-    npts = len(points)
-    mats = np.array(vals, dtype=float).reshape(k * k, npts).T.reshape(npts, k, k)
+    mats = block_values(block, points)
     min_det = float(np.abs(np.linalg.det(mats)).min(initial=np.inf))
     ranks = _rank(np.linalg.svd(mats, compute_uv=False))
     return min_det, bool((ranks == k).all())
-
-
-# -- chart config serialization ------------------------------------------------------
-# Line format:
-#   chart <name>
-#   var <v> = <lo> .. <hi>  [exclude <value> <radius>]
-#   fiber <gen> [<gen> ...]
-#   curv <gen> = <form text>
-#   flux = <form text>
-
-def chart_to_text(chart):
-    lines = [f"chart {chart.name}"]
-    for v in chart.base_vars:
-        lo, hi = chart.domain.intervals[v]
-        line = f"var {v} = {lo!r} .. {hi!r}"
-        for name, value, radius in chart.domain.exclusions:
-            if name == v:
-                line += f" exclude {value!r} {radius!r}"
-        lines.append(line)
-    if chart.fiber_names:
-        lines.append("fiber " + " ".join(chart.fiber_names))
-    for gen in chart.fiber_names:
-        c = chart.curvature_of(gen)
-        if not c.is_zero():
-            lines.append(f"curv {gen} = {form_to_text(c)}")
-    lines.append(f"flux = {form_to_text(chart.flux)}")
-    return "\n".join(lines) + "\n"
-
-
-def _form_reader(form_text, lineno, line):
-    """Reads a form line of a chart config once the coframe exists; a
-    malformed form raises ValueError naming the line."""
-    def read(cof):
-        try:
-            return form_from_text(cof, form_text)
-        except ValueError as exc:
-            raise ValueError(f"{exc} (chart config line {lineno}: {line!r})") from None
-    return read
-
-
-def chart_from_text(text):
-    name = None
-    bases = []
-    exclusions = []
-    fibers = []
-    curv_lines = {}
-    flux = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        if head == "chart":
-            name = rest.strip()
-        elif head == "var":
-            vname, _, spec = rest.partition("=")
-            vname = vname.strip()
-            spec = spec.strip()
-            if "exclude" in spec:
-                spec, _, excl = spec.partition("exclude")
-                value, radius = excl.split()
-                exclusions.append((vname, float(value), float(radius)))
-            lo, hi = (s.strip() for s in spec.split(".."))
-            bases.append((vname, float(lo), float(hi)))
-        elif head == "fiber":
-            fibers.extend(rest.split())
-        elif head == "curv":
-            gen, _, form_text = rest.partition("=")
-            curv_lines[gen.strip()] = (form_text.strip(), lineno, line)
-        elif head == "flux":
-            form_text = (rest.partition("=")[2] if "=" in line else rest).strip()
-            flux = _form_reader(form_text, lineno, line) if form_text else None
-        else:
-            raise ValueError(f"unknown chart directive {head!r}")
-    if name is None:
-        raise ValueError("chart file must name the chart")
-    curvature = {}
-    for gen, (form_text, lineno, line) in curv_lines.items():
-        if gen not in fibers:
-            raise ValueError(f"curvature of undeclared fiber generator {gen!r} "
-                             f"(chart config line {lineno}: {line!r})")
-        curvature[gen] = _form_reader(form_text, lineno, line)
-    return BundleChart.build(name, bases, fibers, curvature=curvature, flux=flux,
-                             exclusions=exclusions)

@@ -110,8 +110,8 @@ class Section:
         """Numeric components (X_1..X_m, xi_1..xi_m)."""
         return np.array(eval_complex(self.coordinates(), point), dtype=complex)
 
-    def map_to(self, coframe, rename=None):
-        return Section(self.x.map_to(coframe, rename), self.xi.map_to(coframe, rename))
+    def map_to(self, coframe):
+        return Section(self.x.map_to(coframe), self.xi.map_to(coframe))
 
     def __eq__(self, other):
         if not isinstance(other, Section):

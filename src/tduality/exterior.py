@@ -29,15 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalar import (CZERO, CScalar, ZERO, _parse_tokens, _token, _tokenize,
-                     evaluate_points, rat, scalar_to_text)
+from .scalar import CZERO, CScalar, ZERO, evaluate_points, rat, scalar_to_text
 
 __all__ = [
     "Coframe", "Form", "FrameVector",
     "wedge", "contract", "clifford_act", "reversal", "mukai_pairing", "mukai_signs",
     "exp_form", "fiber_integrate", "strip_rightmost", "contract_sign", "frame_action",
     "eval_complex", "eval_complex_points",
-    "form_to_text", "form_from_text",
+    "form_to_text",
 ]
 
 TAGS = ("base", "fiber", "cofiber")
@@ -397,13 +396,12 @@ class FrameVector:
             out |= c.variables()
         return out
 
-    def map_to(self, coframe, rename=None):
-        rename = rename or {}
+    def map_to(self, coframe):
         out = [CZERO] * coframe.dim
         for i, c in enumerate(self.components):
             if c.is_zero():
                 continue
-            out[coframe.index(rename.get(self.coframe.names[i], self.coframe.names[i]))] = c
+            out[coframe.index(self.coframe.names[i])] = c
         return FrameVector(coframe, tuple(out))
 
     def eval_vector(self, point):
@@ -566,35 +564,3 @@ def form_to_text(form):
         gens = "^".join(names) if names else "1"
         parts.append(f"{_cs_to_text(form.coeffs[mask])} {gens}")
     return " + ".join(parts)
-
-
-def _coefficient_tokens(tokens, pos):
-    """A real scalar, or (cplx re im), starting at ``pos``."""
-    if _token(tokens, pos) == "(" and _token(tokens, pos + 1) == "cplx":
-        re, pos = _parse_tokens(tokens, pos + 2)
-        im, pos = _parse_tokens(tokens, pos)
-        if _token(tokens, pos) != ")":
-            raise ValueError("complex coefficient takes exactly two parts")
-        return CScalar(re, im), pos + 1
-    re, pos = _parse_tokens(tokens, pos)
-    return CScalar(re), pos
-
-
-def form_from_text(coframe, text):
-    """Read form_to_text output; empty text is the zero form."""
-    tokens = _tokenize(text)
-    total = Form.zero(coframe)
-    pos = 0
-    while pos < len(tokens):
-        if pos:
-            if tokens[pos] != "+":
-                raise ValueError(f"expected '+' between terms, got {tokens[pos]!r}")
-            pos += 1
-        coeff, pos = _coefficient_tokens(tokens, pos)
-        gens = _token(tokens, pos)
-        pos += 1
-        if gens == "1":
-            total = total + Form.scalar(coframe, coeff)
-        else:
-            total = total + Form.monomial(coframe, gens.split("^"), coeff)
-    return total

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalar import evaluate_points
+from .bundle import block_values
 from .exterior import Form, FrameVector, _eval_array, contract
 from .courant import Section, pairing, split_pairing_matrix
 from .duality import section_transform_matrices
@@ -260,12 +260,9 @@ def transversality_check(pair, points, f_scale=1.0):
     both = np.concatenate([tf, np.broadcast_to(-first, tf.shape[:1] + first.shape)], axis=-1)
     # the two spans meet trivially iff the columns of [tf | -first] are independent
     transversal = _rank(np.linalg.svd(both, compute_uv=False)) == both.shape[-1]
-    block = pair.fiber_block()
-    k = len(block)
-    mats = np.array(evaluate_points([e for row in block for e in row], points)).T.reshape(
-        len(points), k, k)
+    mats = block_values(pair.fiber_block(), points)
     s = np.linalg.svd(np.reshape(f_scale, (-1, 1, 1)) * mats, compute_uv=False)
-    return list(zip(transversal.tolist(), (_rank(s) == k).tolist()))
+    return list(zip(transversal.tolist(), (_rank(s) == pair.k).tolist()))
 
 
 def fourier_mukai_check(pair, rho_m, rho_t, points):

@@ -32,7 +32,7 @@ __all__ = [
     "ssub", "ssin", "scos", "sexp", "slog", "ssqrt", "as_scalar",
     "ZERO", "ONE", "MINUS_ONE", "PI", "CZERO",
     "diff", "evaluate", "evaluate_all", "evaluate_points", "equal_numeric",
-    "scalar_to_text", "scalar_from_text",
+    "scalar_to_text",
     "solve_linear_symbolic", "sym_matrix_inverse", "sym_det",
 ]
 
@@ -814,69 +814,6 @@ def scalar_to_text(node):
     if kind in _FUNC_KINDS:
         return f"({kind} {scalar_to_text(node.args[0])})"
     raise AssertionError(f"unknown node kind {kind}")  # pragma: no cover
-
-
-def _tokenize(text):
-    return text.replace("(", " ( ").replace(")", " ) ").split()
-
-
-def _token(tokens, pos):
-    if pos >= len(tokens):
-        raise ValueError("unexpected end of text")
-    return tokens[pos]
-
-
-def _parse_tokens(tokens, pos):
-    tok = _token(tokens, pos)
-    if tok == "(":
-        head = _token(tokens, pos + 1)
-        args = []
-        pos += 2
-        while _token(tokens, pos) != ")":
-            node, pos = _parse_tokens(tokens, pos)
-            args.append(node)
-        pos += 1
-        if head == "+":
-            return sadd(*args), pos
-        if head == "*":
-            return smul(*args), pos
-        if head == "/":
-            return sdiv(*args), pos
-        if head == "^":
-            if args[1].kind != "rat" or args[1].value.denominator != 1:
-                raise ValueError("power exponent must be an integer")
-            return spow(args[0], int(args[1].value)), pos
-        if head == "sin":
-            return ssin(*args), pos
-        if head == "cos":
-            return scos(*args), pos
-        if head == "exp":
-            return sexp(*args), pos
-        if head == "log":
-            return slog(*args), pos
-        if head == "sqrt":
-            return ssqrt(*args), pos
-        raise ValueError(f"unknown operator {head!r}")
-    if tok == ")":
-        raise ValueError("unbalanced parenthesis")
-    # atom: exact number (integer, ratio, decimal), named constant, or variable
-    try:
-        return rat(Fraction(tok)), pos + 1
-    except (ValueError, ZeroDivisionError):
-        pass
-    if tok in _NAMED_CONSTANTS:
-        return const(tok), pos + 1
-    if tok.isidentifier():
-        return var(tok), pos + 1
-    raise ValueError(f"cannot parse atom {tok!r} in scalar text")
-
-
-def scalar_from_text(text):
-    tokens = _tokenize(text)
-    node, pos = _parse_tokens(tokens, 0)
-    if pos != len(tokens):
-        raise ValueError(f"trailing tokens in scalar text: {' '.join(tokens[pos:])}")
-    return node
 
 
 # -- small dense symbolic linear algebra -------------------------------------------

@@ -97,14 +97,10 @@ class SymTensor:
                 out = out + Form.monomial(cof, (cof.names[j],), ci * CScalar.of(s))
         return out
 
-    def map_to(self, coframe, rename=None):
-        rename = rename or {}
-        named = {}
-        for (i, j), s in self.entries.items():
-            a = rename.get(self.coframe.names[i], self.coframe.names[i])
-            b = rename.get(self.coframe.names[j], self.coframe.names[j])
-            named[(coframe.index(a), coframe.index(b))] = s
-        return SymTensor(coframe, named)
+    def map_to(self, coframe):
+        names = self.coframe.names
+        return SymTensor(coframe, {(coframe.index(names[i]), coframe.index(names[j])): s
+                                   for (i, j), s in self.entries.items()})
 
     def variables(self):
         out = set()

@@ -25,7 +25,8 @@ stacked linear algebra must match result for result, the one-action body of
 ``reduce_pointwise``, which the reduction of a list of actions must match
 bit for bit, and the ``tensordot`` body of ``random_spinor_values``, whose
 draws the flattened products must match byte for byte.  ``count_python_calls``
-counts the Python-level calls of a function."""
+counts the Python-level calls of a function, and ``chart_id`` names the test
+parameter of a ``scenarios.CHARTS`` chart."""
 import itertools
 import sys
 
@@ -324,6 +325,13 @@ def _reference_frame_action(basis, monomials):
             row.append((mask, 1 if c == CScalar.one() else -1))
         table.append(tuple(row))
     return tuple(table)
+
+
+def chart_id(name):
+    """Test id of a ``scenarios.CHARTS`` chart: its name with a ``.cfg``
+    suffix, which keeps the ids of the tests parametrized over the charts the
+    same as when the charts were read from files of that name."""
+    return name + ".cfg"
 
 
 def count_python_calls(fn):

@@ -45,7 +45,7 @@ def rng():
 
 @pytest.fixture(scope="module")
 def hopf_pair():
-    return DualityPair.from_chart(load_chart("s3_hopf.cfg"))
+    return DualityPair.from_chart(load_chart("s3_hopf"))
 
 
 @pytest.fixture(scope="module")
@@ -55,12 +55,12 @@ def mixed_pair():
 
 @pytest.fixture(scope="module")
 def circle_pair():
-    return DualityPair.from_chart(load_chart("s2.cfg"))
+    return DualityPair.from_chart(load_chart("s2"))
 
 
 @pytest.fixture(scope="module")
 def torus_pair():
-    return DualityPair.from_chart(load_chart("hopf_surface.cfg"))
+    return DualityPair.from_chart(load_chart("hopf_surface"))
 
 
 def test_criterion_1_clifford_module(rng):

@@ -1,12 +1,11 @@
-import numpy as np
 import pytest
 
 from tduality.scalar import rat, var
 from tduality.exterior import Form, wedge
 from tduality.bundle import (DualityPair, _block_nondegeneracy, build_dual_chart,
-                             chart_from_text, chart_to_text, exterior_derivative,
-                             form_residual, split_flux, standard_correspondence_flux,
-                             twisted_derivative, validate_chart, validate_pair)
+                             exterior_derivative, form_residual, split_flux,
+                             standard_correspondence_flux, twisted_derivative,
+                             validate_chart, validate_pair)
 from tduality.randomgen import random_form
 from tduality.scenarios import twisted_rank_two_pair
 
@@ -178,33 +177,6 @@ def test_validate_pair_small_block_is_nondegenerate(torus_pair):
     assert rep.nondegenerate is True
     assert rep.min_abs_det == pytest.approx(1e-10)
     assert scaled(0).validate(n=3).nondegenerate is False
-
-
-def test_chart_config_roundtrip(hopf_flux_chart, rng):
-    text = chart_to_text(hopf_flux_chart)
-    back = chart_from_text(text)
-    assert back.base_vars == hopf_flux_chart.base_vars
-    assert back.coframe == hopf_flux_chart.coframe
-    pts = hopf_flux_chart.domain.sample_many(rng, 3)
-    assert form_residual(back.flux - hopf_flux_chart.flux,
-                         hopf_flux_chart.domain, pts) <= 1e-12
-    assert form_residual(back.curvature_of("th") - hopf_flux_chart.curvature_of("th"),
-                         hopf_flux_chart.domain, pts) <= 1e-12
-    assert back.domain.intervals == hopf_flux_chart.domain.intervals
-
-
-def test_chart_config_exclusions():
-    text = """
-chart punctured
-var t = -1.0 .. 1.0 exclude 0.0 0.1
-fiber th
-flux = 0 1
-"""
-    chart = chart_from_text(text)
-    assert chart.domain.exclusions == (("t", 0.0, 0.1),)
-    rng = np.random.default_rng(3)
-    for p in chart.domain.sample_many(rng, 20):
-        assert abs(p["t"]) > 0.1
 
 
 def test_block_checks_match_the_reference(rng, hopf_pair, torus_pair, plane_chart):

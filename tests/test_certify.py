@@ -59,8 +59,8 @@ def sheared_torus_pair():
 
 
 PAIRS = {
-    "s3_hopf": lambda: DualityPair.from_chart(load_chart("s3_hopf.cfg")),
-    "s3_flux": lambda: DualityPair.from_chart(load_chart("s3_flux.cfg")),
+    "s3_hopf": lambda: DualityPair.from_chart(load_chart("s3_hopf")),
+    "s3_flux": lambda: DualityPair.from_chart(load_chart("s3_flux")),
     "t2_twisted": twisted_rank_two_pair,
     "sheared": sheared_torus_pair,
 }
@@ -350,7 +350,7 @@ def test_certificate_python_call_count():
     sides were built as sections and its zero tests compared values, 25,216
     when it built a form for each action of a frame section, 20,096 when it
     formed section residuals on dense coordinate tuples)."""
-    chart = load_chart("s3_hopf.cfg")
+    chart = load_chart("s3_hopf")
     points = chart.domain.sample_many(np.random.default_rng(0), 64)
     certify.frame_certificate(DualityPair.from_chart(chart), points)
     pair = DualityPair.from_chart(chart)

@@ -6,7 +6,7 @@ import pytest
 from tduality import scenarios
 from tduality.cli import main
 from tduality.report import Report
-from tduality.scenarios import SCENARIOS, load_chart, run_scenario
+from tduality.scenarios import CHARTS, SCENARIOS, load_chart, run_scenario
 
 
 def test_all_scenarios_registered():
@@ -16,10 +16,15 @@ def test_all_scenarios_registered():
 
 
 def test_config_charts_load_and_validate():
+    """Every chart validates, and each load builds a new chart on a new
+    coframe, so no table kept on a coframe outlives its pass."""
     from tduality.bundle import validate_chart
-    for name in ("s3_hopf.cfg", "s3_flux.cfg", "s2.cfg", "hopf_surface.cfg",
-                 "gibbons_hawking.cfg", "t2_twisted.cfg"):
+    assert set(CHARTS) == {"s3_hopf", "s3_flux", "s2", "hopf_surface",
+                           "gibbons_hawking", "t2_twisted"}
+    for name in CHARTS:
         chart = load_chart(name)
+        again = load_chart(name)
+        assert chart is not again and chart.coframe is not again.coframe, name
         rep = validate_chart(chart, n=3)
         assert rep.ok, name
 
@@ -140,9 +145,6 @@ def test_samples_count_the_points(monkeypatch, samples):
         return real(self, rng, n)
 
     monkeypatch.setattr(Domain, "sample_many", spy)
-    # ``Domain.sample`` is the one-point case of ``sample_many``; its callers
-    # (``equal_numeric``'s 16 fixed probe points) draw no ``samples`` set
-    monkeypatch.setattr(Domain, "sample", lambda self, rng: real(self, rng, 1)[0])
     for name in ("s3-hopf", "s3-selfdual", "s2-annulus", "hopf-surface",
                  "gibbons-hawking"):
         drawn.clear()

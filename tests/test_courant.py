@@ -1,5 +1,3 @@
-from importlib import resources
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,7 @@ from tduality.courant import (Section, b_transform, courant_bracket,
                               lift_splitting_residual, lie_bracket, lie_derivative,
                               pairing, split_pairing_matrix)
 from tduality.randomgen import random_form, random_scalar, random_section
-from tduality.scenarios import load_chart
+from tduality.scenarios import CHARTS, load_chart
 
 from conftest import section_residual
 
@@ -270,8 +268,7 @@ def _reference_courant_bracket(v, w, chart):
     return Section(vec, form)
 
 
-CONFIGS = sorted(f.name for f in resources.files("tduality.configs").iterdir()
-                 if f.name.endswith(".cfg"))
+CONFIGS = sorted(CHARTS)
 
 
 def _random_curved_chart(rng):
@@ -309,7 +306,7 @@ def _sections(rng, chart):
 
 
 def test_brackets_match_the_reference(rng):
-    charts = [load_chart(name) for name in ("s3_hopf.cfg", "s3_flux.cfg", "t2_twisted.cfg")]
+    charts = [load_chart(name) for name in ("s3_hopf", "s3_flux", "t2_twisted")]
     charts.append(_random_curved_chart(rng))
     for chart in charts:
         sections = _sections(rng, chart)

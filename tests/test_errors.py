@@ -9,8 +9,8 @@ from tduality.scalar import (CScalar, Domain, EvaluationError, SamplingError,
                              evaluate_points, rat, sexp, slog, solve_linear_symbolic,
                              ssqrt, var)
 from tduality.exterior import (Coframe, Form, FrameVector, clifford_act,
-                               contract, exp_form, form_from_text, wedge)
-from tduality.bundle import BundleChart, chart_from_text, exterior_derivative
+                               contract, exp_form, wedge)
+from tduality.bundle import BundleChart, exterior_derivative
 from tduality.courant import Section, courant_bracket, pairing
 from tduality.structures import (GeneralizedMetric, PureSpinor, SymTensor,
                                  annihilators, check_integrable, gcs_matrices,
@@ -218,16 +218,7 @@ def test_chart_requires_generator_naming():
 def test_unknown_generator_in_form_text_is_named(two_coframes):
     a, _ = two_coframes
     with pytest.raises(ValueError, match=r"unknown generator 'extra' in coframe \(dx dy\)"):
-        form_from_text(a, "(cplx 1 2) extra dx")
-
-
-def test_unknown_generator_in_chart_config_names_the_line():
-    head = "chart bad\nvar t = 0.0 .. 1.0\nvar u = 0.0 .. 1.0\nfiber th\n"
-    for line, named in (("curv th = 1 dt^thx", r"unknown generator 'thx'"),
-                        ("flux = 1 dt^du^thx", r"unknown generator 'thx'"),
-                        ("curv tx = 1 dt^du", r"undeclared fiber generator 'tx'")):
-        with pytest.raises(ValueError, match=named + f".*line 5: {re.escape(repr(line))}"):
-            chart_from_text(head + line + "\n")
+        Form.monomial(a, ("extra", "dx"), CScalar(rat(1), rat(2)))
 
 
 @pytest.mark.parametrize("expr, values, message", [

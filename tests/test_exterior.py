@@ -3,7 +3,7 @@ import pytest
 from tduality.scalar import CScalar, rat, ssin, var
 from tduality.exterior import (Coframe, Form, FrameVector, clifford_act,
                                contract, exp_form, fiber_integrate,
-                               form_from_text, form_to_text, mukai_pairing,
+                               mukai_pairing,
                                mukai_signs, reversal, wedge)
 from tduality.bundle import form_residual
 from tduality.courant import Section, pairing
@@ -244,28 +244,6 @@ def test_fiber_integrate_sign_two_fibers():
     assert fiber_integrate(vol) == Form.scalar(cof, 1)
     # dt between the fiber legs picks up the reordering sign
     assert fiber_integrate(mono(cof, "th1", "dt", "th2")) == -mono(cof, "dt")
-
-
-def test_form_text_roundtrip(rng, cof4):
-    from tduality.scalar import Domain
-    dom = Domain({"q": (-0.8, 0.8)})
-    pts = dom.sample_many(rng, 3)
-    for _ in range(5):
-        f = random_form(rng, cof4, ("q",), density=0.4)
-        back = form_from_text(cof4, form_to_text(f))
-        assert form_residual(f - back, dom, pts) <= 1e-12
-
-
-def test_malformed_form_text_rejected():
-    cof = Coframe(("dt", "th"), ("base", "fiber"))
-    for text in ("(cplx 1", "1 dt +"):
-        with pytest.raises(ValueError, match="unexpected end of text"):
-            form_from_text(cof, text)
-    with pytest.raises(ValueError, match="expected '\\+' between terms"):
-        form_from_text(cof, "1 dt th")
-    with pytest.raises(ValueError):
-        form_from_text(cof, "(cplx 1 2) extra th")
-    assert form_from_text(cof, "").is_zero()
 
 
 def test_form_map_to_renames_and_signs():

@@ -10,8 +10,6 @@ dual (real and complex coefficients, density below 1, zero components) and
 the coordinate multiples x_a of the frame that the certificate's Leibniz
 conditions use.
 """
-from importlib import resources
-
 import pytest
 
 from tduality.scalar import CScalar, var
@@ -21,13 +19,13 @@ from tduality.courant import (Section, courant_bracket, lie_bracket, pairing,
                               section_basis)
 from tduality.duality import DualityPair
 from tduality.randomgen import random_cscalar, random_form, random_scalar
-from tduality.scenarios import load_chart
+from tduality.scenarios import CHARTS, load_chart
 
 from conftest import (_reference_courant_bracket, _reference_exterior_derivative,
-                      _reference_form_add, _reference_lie_bracket, _reference_pairing)
+                      _reference_form_add, _reference_lie_bracket, _reference_pairing,
+                      chart_id)
 
-CONFIGS = sorted(p.name for p in resources.files("tduality.configs").iterdir()
-                 if p.name.endswith(".cfg"))
+CONFIGS = sorted(CHARTS)
 
 
 def _charts(config):
@@ -88,7 +86,7 @@ def _sections(rng, chart):
     return out
 
 
-@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("config", CONFIGS, ids=chart_id)
 def test_exterior_derivative_matches_reference(rng, config):
     for chart in _charts(config):
         forms = _forms(rng, chart) + list(chart.curvature.values()) + [chart.flux]
@@ -97,7 +95,7 @@ def test_exterior_derivative_matches_reference(rng, config):
                              _reference_exterior_derivative(rho, chart))
 
 
-@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("config", CONFIGS, ids=chart_id)
 def test_form_add_matches_reference(rng, config):
     for chart in _charts(config):
         forms = _forms(rng, chart)[:4] + [Form.zero(chart.coframe)]
@@ -108,7 +106,7 @@ def test_form_add_matches_reference(rng, config):
                     assert_same_form(a + other, _reference_form_add(a, other))
 
 
-@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("config", CONFIGS, ids=chart_id)
 def test_form_sub_is_the_sum_of_the_negation(rng, config):
     """a - b builds what a + (-b) builds, with an empty operand on either
     side, and a difference of x_a e_I forms cancels completely."""
@@ -123,7 +121,7 @@ def test_form_sub_is_the_sum_of_the_negation(rng, config):
             assert_same_form(forms[0] - (forms[0] + a), forms[0] + -(forms[0] + a))
 
 
-@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("config", CONFIGS, ids=chart_id)
 def test_lie_bracket_matches_reference(rng, config):
     for chart in _charts(config):
         vectors = _vectors(rng, chart)
@@ -135,7 +133,7 @@ def test_lie_bracket_matches_reference(rng, config):
                 assert_same_scalars(new.components, ref.components)
 
 
-@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("config", CONFIGS, ids=chart_id)
 def test_courant_bracket_matches_reference(rng, config):
     """The flux term i_X i_Y H is skipped only where it is the empty form:
     no flux, or a structurally zero vector part."""
@@ -149,7 +147,7 @@ def test_courant_bracket_matches_reference(rng, config):
                 assert_same_form(new.xi, ref.xi)
 
 
-@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("config", CONFIGS, ids=chart_id)
 def test_pairing_matches_reference(rng, config):
     for chart in _charts(config):
         sections = _sections(rng, chart)

@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import re
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -20,11 +19,11 @@ from tduality.reduction import (LiftedActionPoint, ReductionReport, double_quoti
                                 generalized_tangent_basis,
                                 pairing_constant_check, reduce_pointwise,
                                 signature_of, transversality_check)
-from tduality.scenarios import load_chart, twisted_rank_two_pair
+from tduality.scenarios import CHARTS, load_chart, twisted_rank_two_pair
 
 from conftest import (_reference_double_quotient_report, _reference_random_spinor_values,
                       _reference_rank, _reference_reduce_pointwise, _reference_signature,
-                      _reference_two_form_matrix)
+                      _reference_two_form_matrix, chart_id)
 
 
 def test_isotropic_reduction_dimensions(rng):
@@ -376,7 +375,7 @@ def test_spinor_draw_tables_are_shared_per_m(m):
     assert signs.tolist() == [sign for _, _, sign in mukai_signs(m)]
 
 
-@pytest.mark.parametrize("config", ["s2.cfg", "hopf_surface.cfg"])
+@pytest.mark.parametrize("config", ["s2", "hopf_surface"], ids=chart_id)
 def test_transform_matrices_give_the_transported_spinor(config):
     """The form transform is C-infinity(base)-linear: the transform matrices
     applied to a spinor's values are its transport's values, bit for bit."""
@@ -445,7 +444,7 @@ def test_pairing_constant_check_nonconstant_sections():
     # matrix on sections with non-constant coefficients; each entry
     # pairing(a, b) is a fresh expression, evaluated on its own
     rng = np.random.default_rng(0)
-    chart = load_chart("s3_hopf.cfg")
+    chart = load_chart("s3_hopf")
     sections = [random_section(rng, chart) for _ in range(4)]
     points = chart.domain.sample_many(rng, 4)
     _, spread = pairing_constant_check(sections, points)
@@ -517,7 +516,7 @@ def test_tangent_basis_matches_the_reference(rng, hopf_pair, circle_pair, torus_
         return standard_correspondence_flux(cof, chart, dual).scale(rat(2))
 
     pairs = (hopf_pair, circle_pair, torus_pair,
-             DualityPair.from_chart(load_chart("t2_twisted.cfg")), twisted_rank_two_pair(),
+             DualityPair.from_chart(load_chart("t2_twisted")), twisted_rank_two_pair(),
              DualityPair.from_charts(hopf_pair.chart, hopf_pair.dual, doubled))
     for pair in pairs:
         for p in pair.chart.domain.sample_many(rng, 2):
@@ -530,17 +529,17 @@ def test_tangent_basis_matches_the_reference(rng, hopf_pair, circle_pair, torus_
 
 
 def _oracle_pairs():
-    """Every shipped config pair, the mixed pair, reduction-suite's scaled-form
-    pair and the sheared torus pair with a non-symmetric fiber block."""
+    """The pair of every ``scenarios.CHARTS`` chart, the mixed pair,
+    reduction-suite's scaled-form pair and the sheared torus pair with a
+    non-symmetric fiber block."""
     from test_certify import sheared_torus_pair
 
     def doubled(cof, chart, dual):
         return standard_correspondence_flux(cof, chart, dual).scale(rat(2))
 
-    configs = sorted(p.name for p in resources.files("tduality.configs").iterdir()
-                     if p.name.endswith(".cfg"))
-    pairs = {name: DualityPair.from_chart(load_chart(name)) for name in configs}
-    hopf = pairs["s3_hopf.cfg"]
+    pairs = {chart_id(name): DualityPair.from_chart(load_chart(name))
+             for name in sorted(CHARTS)}
+    hopf = pairs[chart_id("s3_hopf")]
     pairs["mixed"] = twisted_rank_two_pair()
     pairs["scaled"] = DualityPair.from_charts(hopf.chart, hopf.dual, doubled)
     pairs["sheared"] = sheared_torus_pair()
