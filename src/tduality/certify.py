@@ -39,14 +39,14 @@ coordinate), the frame pairings, and the transform columns and e^(+-F) that
 built once and shared by every check that uses them.  A form is read as its
 {mask: CScalar} ``coeffs`` and a section once as the {index: CScalar} dict
 of its coordinates that are not structurally zero (X_1..X_m, xi_1..xi_m);
-the actions of frame sections and brackets, the transforms of the frame's
-images and the expected side of a Leibniz rule are built as such dicts, with
-no form or section made for them.  ``_form_residual`` forms every residual
-from signed dicts of either kind, summed by ``scalar.signed_sum``, the
-like-term collector behind ``sadd``, so what cancels here is what cancels in
-any sum; a zero test is an identity test against the shared ``ZERO``.  An
-instance whose residual cancels structurally holds for every base point; the
-others are evaluated together, at every sample point, in one
+the actions of sections, the transforms of the frame's images and the
+expected side of a Leibniz rule are built as such dicts.  ``_form_residual``
+forms every residual from signed dicts of either kind, summed by
+``scalar.signed_sum`` as ``sadd`` sums, so what cancels here is what cancels
+in any sum; a zero test is an identity test against the shared ``ZERO``.
+Equal sides of opposite sign, and oracle instances of empty terms, are zero
+unsummed.  An instance whose residual cancels structurally holds for every
+base point; the others are evaluated together, at every sample point, in one
 ``evaluate_points`` call, each shared residual once.
 """
 from __future__ import annotations
@@ -102,6 +102,8 @@ def _form_residual(terms):
     """The coefficients of sign * coeffs summed over (sign, coeffs) pairs that
     do not cancel structurally; each coeffs is a {key: CScalar} dict, a
     form's by mask or a section's coordinates by index."""
+    if len(terms) == 2 and terms[0][0] == -terms[1][0] and terms[0][1] == terms[1][1]:  # a - a
+        return []
     by_key = defaultdict(list)
     for sign, coeffs in terms:
         for key, c in coeffs.items():
@@ -112,8 +114,7 @@ def _form_residual(terms):
 def _coordinates(s):
     """The section's coordinates that are not structurally zero, as an
     {index: CScalar} dict: X_k at k and xi_k at m + k."""
-    m = s.x.coframe.dim
-    out = {k: c for k, c in enumerate(s.x.components) if not c.is_zero()}
+    m, out = s.x.coframe.dim, dict(s.x.live)
     for mask, c in s.xi.coeffs.items():
         out[m + mask.bit_length() - 1] = c
     return out
@@ -138,6 +139,25 @@ def _act(row, coeffs):
         hit = row[mask]
         if hit is not None:
             out[hit[0]] = c if hit[1] > 0 else -c
+    return out
+
+
+def _clifford(table, coords, coeffs):
+    """``Section.act`` on dicts: the section with coordinates ``coords`` on the
+    form ``coeffs``, the ``contract`` and ``wedge`` parts in their factor
+    orders, each pruned, then merged as ``Form.__add__`` merges them."""
+    m, parts = len(table) // 2, ({}, {})
+    for k, a in coords.items():
+        part = parts[k >= m]
+        for mask, c in coeffs.items():
+            if (hit := table[k][mask]) is not None:
+                t, key = c * a if k < m else a * c, hit[0]
+                t = -t if hit[1] < 0 else t
+                part[key] = part[key] + t if key in part else t
+    out = {k: c for k, c in parts[0].items() if not c.is_zero()}
+    for k, c in parts[1].items():
+        if not c.is_zero():
+            _accumulate(out, k, c)
     return out
 
 
@@ -249,7 +269,7 @@ def frame_certificate(pair, points):
         for mask in range(nforms):
             hit = table[i][mask]
             lhs = [] if hit is None else [(hit[1], cols[hit[0]].coeffs)]
-            rhs = sections[i].act(cols[mask]).coeffs
+            rhs = _clifford(table, scols[i], fcols[mask])
             frame[name].append(_form_residual(lhs + [(-1, rhs)]))
     side[name] += form_linear + section_linear
 
@@ -260,20 +280,22 @@ def frame_certificate(pair, points):
     for i in range(2 * m):
         for j in range(2 * m):
             bracket_acts = _act_sections(table, coords[i][j], cof)
-            for mask in range(nforms):
-                terms = [(1, bracket_acts[mask])]
+            for mask in range(nforms):    # empty dicts are left out
+                terms = [(1, bracket_acts[mask])] if bracket_acts[mask] else []
                 hit_j = table[j][mask]
                 if hit_j is not None:
                     inner, sj = hit_j
                     hit_i = table[i][inner]
-                    if hit_i is not None:
+                    if hit_i is not None and dh[hit_i[0]].coeffs:
                         terms.append((-sj * hit_i[1], dh[hit_i[0]].coeffs))
-                    terms.append((-sj, acted[i][inner]))
+                    if acted[i][inner]:
+                        terms.append((-sj, acted[i][inner]))
                 hit_i = table[i][mask]
-                if hit_i is not None:
+                if hit_i is not None and acted[j][hit_i[0]]:
                     terms.append((hit_i[1], acted[j][hit_i[0]]))
-                terms.append((1, _act(table[j], acted[i][mask])))
-                frame[name].append(_form_residual(terms))
+                if acted[i][mask] and (both := _act(table[j], acted[i][mask])):
+                    terms.append((1, both))
+                frame[name].append(_form_residual(terms) if terms else [])
     side[name] += leibniz
 
     name = "transform-invertible"

@@ -136,15 +136,13 @@ def pairing(v, w):
     if cof != w.x.coframe:
         raise ValueError("chart mismatch")
     total = CZERO
+    sides = ((dict(v.x.live), w.xi.coeffs), (dict(w.x.live), v.xi.coeffs))
     for i in range(cof.dim):
         bit = 1 << i
-        for x, xi in ((v.x, w.xi), (w.x, v.xi)):
-            a = x.components[i]
-            b = xi.coeffs.get(bit)
-            if b is None or a.is_zero():
-                continue
-            term = a * b
-            total = term if total.is_zero() else total + term
+        for x, xi in sides:
+            if (a := x.get(i)) is not None and (b := xi.get(bit)) is not None:
+                term = a * b
+                total = term if total.is_zero() else total + term
     return total * _HALF
 
 
@@ -159,12 +157,11 @@ def split_pairing_matrix(m):
 def _derivative(x, f, bases):
     """X(f) = sum_a (d_a f) X^a over the base generators a, summed in
     ascending generator index; None where no term survives or the sum
-    cancels structurally.  ``bases`` is the chart's ``base_bits`` table of
-    (variable, index, bit)."""
+    cancels structurally.  ``x`` is dict(X.live), ``bases`` the chart's
+    ``base_bits`` table of (variable, index, bit)."""
     total = None
     for v, i, _ in bases:
-        xa = x.components[i]
-        if xa.is_zero():
+        if (xa := x.get(i)) is None:
             continue
         dre = diff(f.re, v)
         dim = diff(f.im, v)
@@ -192,13 +189,13 @@ def lie_bracket(x, y, chart):
     structure equations and (d e^b)(X, Y) = i_Y i_X d e^b made by
     ``contract``; a term whose factor is structurally zero is skipped."""
     bases = chart.base_bits
-    comps = []
+    xs, ys, comps = dict(x.live), dict(y.live), []
     for b in range(chart.coframe.dim):
         comp = None
-        if not y.components[b].is_zero():
-            comp = _derivative(x, y.components[b], bases)
-        if not x.components[b].is_zero():
-            comp = _minus(comp, _derivative(y, x.components[b], bases))
+        if b in ys:
+            comp = _derivative(xs, ys[b], bases)
+        if b in xs:
+            comp = _minus(comp, _derivative(ys, xs[b], bases))
         de_b = chart.curved.get(b)    # d(dx^a) = 0, d(theta_i) = c_i
         if de_b is not None:
             comp = _minus(comp, contract(y, contract(x, de_b)).coeffs.get(0))

@@ -327,13 +327,16 @@ class Form:
 
 class FrameVector:
     """Element of the frame dual to the coframe, with CScalar components;
-    equality and hash are structural."""
+    equality and hash are structural.  ``live`` holds the (index, component)
+    pairs that are not structural zeros, in ascending index order."""
 
-    __slots__ = ("coframe", "components")
+    __slots__ = ("coframe", "components", "live")
 
     def __init__(self, coframe, components):
         self.coframe = coframe
         self.components = components
+        self.live = tuple([(i, c) for i, c in enumerate(components)
+                           if c.re is not ZERO or c.im is not ZERO])
 
     def __eq__(self, other):
         if other.__class__ is not FrameVector:
@@ -368,39 +371,39 @@ class FrameVector:
     # and ``smul`` return for it.
 
     def __add__(self, other):
-        return FrameVector(self.coframe, tuple(
-            b if a.is_zero() else a if b.is_zero() else a + b
-            for a, b in zip(self.components, other.components)))
+        out, theirs = list(other.components), dict(other.live)
+        for i, a in self.live:
+            out[i] = a + theirs[i] if i in theirs else a
+        return FrameVector(self.coframe, tuple(out))
 
     def __neg__(self):
-        return FrameVector(self.coframe, tuple(
-            a if a.is_zero() else -a for a in self.components))
+        out = list(self.components)
+        for i, a in self.live:
+            out[i] = -a
+        return FrameVector(self.coframe, tuple(out))
 
     def scale(self, c):
         c = CScalar.of(c)
-        return FrameVector(self.coframe, tuple(
-            a if a.is_zero() else a * c for a in self.components))
+        out = list(self.components)
+        for i, a in self.live:
+            out[i] = a * c
+        return FrameVector(self.coframe, tuple(out))
 
     def conj(self):
         return FrameVector(self.coframe, tuple(a.conj() for a in self.components))
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.components)
+        return not self.live
 
     def component(self, name):
         return self.components[self.coframe.index(name)]
 
     def variables(self):
-        out = set()
-        for c in self.components:
-            out |= c.variables()
-        return out
+        return set().union(*[c.variables() for _, c in self.live])
 
     def map_to(self, coframe):
         out = [CZERO] * coframe.dim
-        for i, c in enumerate(self.components):
-            if c.is_zero():
-                continue
+        for i, c in self.live:
             out[coframe.index(self.coframe.names[i])] = c
         return FrameVector(coframe, tuple(out))
 
@@ -451,9 +454,7 @@ def contract(x, form):
     if x.coframe is not form.coframe and x.coframe != form.coframe:
         raise ValueError("coframe mismatch")
     out = {}
-    for i, comp in enumerate(x.components):
-        if comp.is_zero():
-            continue
+    for i, comp in x.live:
         bit = 1 << i
         for mask, c in form.coeffs.items():
             if not mask & bit:

@@ -8,7 +8,9 @@ repr: the same trees, collected in the same order.  The inputs are seeded
 random forms, frame vectors and sections on every shipped chart and its
 dual (real and complex coefficients, density below 1, zero components) and
 the coordinate multiples x_a of the frame that the certificate's Leibniz
-conditions use.
+conditions use.  A frame vector's ``live`` pairs must be its components that
+are not structural zeros, and the operations that read them must build what
+the bodies that test every component built.
 """
 import pytest
 
@@ -18,7 +20,7 @@ from tduality.bundle import BundleChart, exterior_derivative, twisted_derivative
 from tduality.courant import (Section, courant_bracket, lie_bracket, pairing,
                               section_basis)
 from tduality.duality import DualityPair
-from tduality.randomgen import random_cscalar, random_form, random_scalar
+from tduality.randomgen import random_cscalar, random_form, random_scalar, random_section
 from tduality.scenarios import CHARTS, load_chart
 
 from conftest import (_reference_courant_bracket, _reference_exterior_derivative,
@@ -154,6 +156,68 @@ def test_pairing_matches_reference(rng, config):
         for v in sections:
             for w in sections:
                 assert_same_scalars([pairing(v, w)], [_reference_pairing(v, w)])
+
+
+def _dense_contract(x, form):
+    """``contract`` testing every component of X for zero."""
+    out = {}
+    for i, comp in enumerate(x.components):
+        if comp.is_zero():
+            continue
+        for mask, c in form.coeffs.items():
+            if mask >> i & 1:
+                term = c * comp
+                term = -term if bin(mask & ((1 << i) - 1)).count("1") % 2 else term
+                m = mask & ~(1 << i)
+                out[m] = out[m] + term if m in out else term
+    return Form(form.coframe, out)
+
+
+def _dense_ops(x, ys, c, target):
+    """-x, x.scale(c), x.map_to(target) and x + y for each y as the bodies
+    that test every component for zero build them."""
+    cof = x.coframe
+    neg = tuple(a if a.is_zero() else -a for a in x.components)
+    scaled = tuple(a if a.is_zero() else a * c for a in x.components)
+    moved = [CScalar()] * target.dim
+    for i, a in enumerate(x.components):
+        if not a.is_zero():
+            moved[target.index(cof.names[i])] = a
+    adds = [tuple(b if a.is_zero() else a if b.is_zero() else a + b
+                  for a, b in zip(x.components, y.components)) for y in ys]
+    return [FrameVector(cof, neg), FrameVector(cof, scaled),
+            FrameVector(target, tuple(moved))] + [FrameVector(cof, v) for v in adds]
+
+
+def _live(v):
+    return [(i, c) for i, c in enumerate(v.components) if not c.is_zero()]
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=chart_id)
+def test_frame_vector_live_holds_the_nonzero_components(rng, config):
+    """``live`` lists each component that is not a structural zero, with its
+    index, in index order: on seeded random sections and frame vectors with
+    zero components, and after +, -, ``scale``, ``map_to`` and ``conj``.
+    The operations that read ``live`` build the trees that the bodies
+    testing every component built, and so does ``contract``."""
+    pair = DualityPair.from_chart(load_chart(config))
+    target = pair.total.coframe
+    for chart in (pair.chart, pair.dual):
+        cof, c = chart.coframe, random_cscalar(rng, chart.base_vars)
+        vectors = _vectors(rng, chart) + [random_section(rng, chart).x for _ in range(2)]
+        vectors += [FrameVector.zero(cof), -vectors[0]]
+        forms = _forms(rng, chart)[:4]
+        for x in vectors:
+            made = [-x, x.scale(c), x.map_to(target)] + [x + y for y in vectors]
+            for v in [x, x.conj()] + made:
+                assert type(v.live) is tuple and list(v.live) == _live(v)
+                assert all(a is v.components[i] for i, a in v.live)
+                assert v.is_zero() == (not _live(v))
+            for new, ref in zip(made, _dense_ops(x, vectors, c, target), strict=True):
+                assert new.coframe == ref.coframe
+                assert_same_scalars(new.components, ref.components)
+            for rho in forms:
+                assert_same_form(contract(x, rho), _dense_contract(x, rho))
 
 
 @pytest.fixture

@@ -18,7 +18,8 @@ makes the frame's action table from it; only ``bundle``'s d kernel reads
 it elsewhere.  The
 unpruned form constructor ``Form._pruned`` stays inside ``exterior.py``.
 A ``functools.cache`` takes only an int ``m``: structural tables live on the
-coframe or chart they index and die with it.
+coframe or chart they index and die with it.  The readers that skip zero
+frame-vector components read ``FrameVector.live``, not ``.components``.
 
 The benchmark's tracer (``perfbench/tracer.py``) wraps package functions by
 name, and its workloads call three one-point forms; a test keeps those names
@@ -144,6 +145,31 @@ def test_module_caches_are_keyed_by_m_only():
     assert cached == {("exterior", "mukai_signs"): ["m"],
                       ("randomgen", "_spinor_tables"): ["m"],
                       ("structures", "_clifford_matrices"): ["m"]}
+
+
+# functions that skip zero frame-vector components by reading ``live``
+SPARSE_READERS = {("exterior", "contract"), ("exterior", "FrameVector.is_zero"),
+                  ("exterior", "FrameVector.map_to"), ("exterior", "FrameVector.variables"),
+                  ("certify", "_coordinates"), ("courant", "pairing"),
+                  ("courant", "_derivative"), ("courant", "lie_bracket")}
+
+
+def test_sparse_readers_do_not_scan_components():
+    """The readers that skip structurally zero components of a frame vector
+    read its ``live`` pairs and never ``.components``, so none of them goes
+    back to testing every component of every vector."""
+    found = {}
+    for path in sorted(Path(tduality.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            methods = [(f"{node.name}.", n) for n in node.body] if isinstance(
+                node, ast.ClassDef) else [("", node)]
+            for prefix, fn in methods:
+                if isinstance(fn, ast.FunctionDef):
+                    found[(path.stem, prefix + fn.name)] = fn
+    assert SPARSE_READERS <= set(found)
+    dense = sorted({key for key in SPARSE_READERS for n in ast.walk(found[key])
+                    if isinstance(n, ast.Attribute) and n.attr == "components"})
+    assert dense == []
 
 
 def test_pruned_constructor_stays_in_exterior():
