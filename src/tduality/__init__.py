@@ -2,12 +2,13 @@
 
 Layers, bottom up:
 
-* ``scalar``     exact symbolic coefficients with sampled numeric equality
+* ``scalar``     exact symbolic coefficients, evaluated at points sampled from
+  a box
 * ``exterior``   graded forms over a tagged coframe; Clifford action, pairing
   of spinors, exponentials, fiber integration
 * ``bundle``     charts with structure equations, flux splitting, dual charts,
   the correspondence of a dual pair
-* ``courant``    sections of T+T*, the twisted bracket, B-field transforms
+* ``courant``    sections of T+T*, the pairing and the twisted bracket
 * ``structures`` pure spinors, generalized complex structures and metrics,
   pointwise linear algebra
 * ``duality``    the form and section transforms, metric transport, the
@@ -18,16 +19,15 @@ Layers, bottom up:
 * ``scenarios``  end-to-end reproductions of the worked examples (CLI-driven)
 """
 
-from .scalar import (CScalar, Domain, Scalar, diff, equal_numeric, evaluate,
-                     rat, var)
+from .scalar import CScalar, Domain, Scalar, diff, evaluate, rat, var
 from .exterior import (Coframe, Form, FrameVector, clifford_act, contract,
                        exp_form, fiber_integrate, mukai_pairing, reversal,
                        wedge)
 from .bundle import (BundleChart, DualityPair, build_dual_chart,
                      exterior_derivative, split_flux, twisted_derivative,
                      validate_chart, validate_pair)
-from .courant import (Section, b_transform, courant_bracket,
-                      lift_splitting_residual, pairing)
+from .courant import (Section, courant_bracket, lift_splitting_residual,
+                      pairing)
 from .structures import (GeneralizedMetric, PureSpinor, SymTensor, annihilators,
                          check_integrable, gcs_matrices, metric_matrices,
                          spinor_types, uk_spaces)

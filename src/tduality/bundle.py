@@ -72,15 +72,8 @@ class BundleChart:
     def k(self):
         return len(self.fiber_names)
 
-    @property
-    def dim(self):
-        return self.coframe.dim
-
     def curvature_of(self, gen):
         return self.curvature.get(gen, Form.zero(self.coframe))
-
-    def with_flux(self, flux):
-        return dataclasses.replace(self, flux=flux)
 
     @staticmethod
     def build(name, bases, fibers, curvature=None, flux=None):

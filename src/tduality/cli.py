@@ -18,7 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .scenarios import SCENARIOS, run_scenario
+from .scenarios import SCENARIOS, check_run, run_scenario
 
 
 def build_parser():
@@ -52,17 +52,10 @@ def main(argv=None):
     if args.command != "run" or not getattr(args, "scenario", None):
         parser.print_help()
         return 2
-    if args.scenario not in SCENARIOS:
-        print(f"unknown scenario {args.scenario!r}; registered scenarios:",
-              file=sys.stderr)
-        for name in sorted(SCENARIOS):
-            print(f"  {name}", file=sys.stderr)
-        return 2
-    if args.seed < 0:
-        print(f"seed must be non-negative, got {args.seed}", file=sys.stderr)
-        return 2
-    if args.samples < 1:
-        print(f"samples must be at least 1, got {args.samples}", file=sys.stderr)
+    try:
+        check_run(args.scenario, args.seed, args.samples)
+    except (KeyError, ValueError) as err:
+        print(err.args[0], file=sys.stderr)
         return 2
     out_path = Path(args.out) if args.out else Path(f"{args.scenario}.report.jsonl")
     if not out_path.parent.is_dir():

@@ -36,9 +36,8 @@ from .exterior import Form, FrameVector, clifford_act, contract, eval_complex
 from .bundle import exterior_derivative, form_residual
 
 __all__ = [
-    "Section", "pairing", "split_pairing_matrix", "lie_bracket", "lie_derivative",
-    "courant_bracket", "courant_brackets", "b_transform", "lift_splitting_residual",
-    "section_basis",
+    "Section", "pairing", "split_pairing_matrix", "lie_bracket",
+    "courant_bracket", "courant_brackets", "lift_splitting_residual", "section_basis",
 ]
 
 
@@ -91,14 +90,9 @@ class Section:
     def scale(self, c):
         return Section(self.x.scale(c), self.xi.scale(c))
 
-    def conj(self):
-        return Section(self.x.conj(), self.xi.conj())
-
-    def is_zero(self):
-        return self.x.is_zero() and self.xi.is_zero()
-
     def act(self, rho):
-        """Clifford action (X + xi) . rho."""
+        """Clifford action (X + xi) . rho.  Kept for the tests and the
+        dense-points workload of ``perfbench`` (ROADMAP 1b)."""
         return clifford_act(self.x, self.xi, rho)
 
     def coordinates(self):
@@ -107,7 +101,8 @@ class Section:
         return self.x.components + tuple([get(1 << i, CZERO) for i in range(self.x.coframe.dim)])
 
     def eval_vector(self, point):
-        """Numeric components (X_1..X_m, xi_1..xi_m)."""
+        """Numeric components (X_1..X_m, xi_1..xi_m).  Kept for the tests
+        and ``perfbench/tracer.py``, which wraps it by name (ROADMAP 1a)."""
         return np.array(eval_complex(self.coordinates(), point), dtype=complex)
 
     def map_to(self, coframe):
@@ -203,14 +198,9 @@ def lie_bracket(x, y, chart):
     return FrameVector(chart.coframe, tuple(comps))
 
 
-def lie_derivative(x, eta, chart):
-    """Cartan formula L_X eta = d(i_X eta) + i_X(d eta)."""
-    return (exterior_derivative(contract(x, eta), chart)
-            + contract(x, exterior_derivative(eta, chart)))
-
-
 def courant_bracket(v, w, chart):
-    """[X+xi, Y+eta] = [X,Y] + L_X eta - i_Y d xi + i_X i_Y H."""
+    """[X+xi, Y+eta] = [X,Y] + L_X eta - i_Y d xi + i_X i_Y H.  Kept for the
+    tests and ``perfbench/tracer.py``, which wraps it by name (ROADMAP 1a)."""
     return courant_brackets([v], [w], chart)[0][0]
 
 
@@ -250,18 +240,6 @@ def courant_brackets(vs, ws, chart):
             row.append(Section(vec, form))
         table.append(row)
     return table
-
-
-def b_transform(b, v):
-    """Orthogonal map X + xi -> X + xi - i_X B for a real 2-form B.
-
-    Relates brackets by [e^-B v, e^-B w]_H = e^-B [v, w]_{H + dB} - 0, i.e.
-    the flux shifts by +dB under this bracket convention; for closed B the
-    map is a Courant automorphism.
-    """
-    if not all(d == 2 for d in b.degrees()):
-        raise ValueError("B must be a 2-form")
-    return Section(v.x, v.xi - contract(v.x, b))
 
 
 def lift_splitting_residual(x, xi, chart, points):

@@ -102,7 +102,8 @@ def transform_matrices(pair, points):
 
 
 def transform_matrix_at(pair, point):
-    """``transform_matrices`` at one point."""
+    """``transform_matrices`` at one point.  Kept for the tests and
+    ``perfbench``, which wraps and calls it by name (ROADMAP 1b)."""
     return transform_matrices(pair, [point])[0]
 
 
@@ -428,7 +429,8 @@ def uk_transport_residuals(spinor, pair, points):
 
 
 def uk_transport_residual(spinor, pair, point):
-    """``uk_transport_residuals`` at one point."""
+    """``uk_transport_residuals`` at one point.  Kept for the tests and the
+    dense-points workload of ``perfbench`` (ROADMAP 1b)."""
     return uk_transport_residuals(spinor, pair, [point])[0]
 
 

@@ -288,7 +288,9 @@ class Form:
         return dict(zip(self.coeffs, eval_complex(self.coeffs.values(), point)))
 
     def eval_vector(self, point):
-        """Dense complex vector of length 2^dim indexed by bitmask."""
+        """Dense complex vector of length 2^dim indexed by bitmask.  Kept for
+        the tests and ``perfbench/tracer.py``, which wraps it by name
+        (ROADMAP 1a)."""
         return self.eval_vectors((point,))[0]
 
     def eval_vectors(self, points):
@@ -389,17 +391,8 @@ class FrameVector:
             out[i] = a * c
         return FrameVector(self.coframe, tuple(out))
 
-    def conj(self):
-        return FrameVector(self.coframe, tuple(a.conj() for a in self.components))
-
     def is_zero(self):
         return not self.live
-
-    def component(self, name):
-        return self.components[self.coframe.index(name)]
-
-    def variables(self):
-        return set().union(*[c.variables() for _, c in self.live])
 
     def map_to(self, coframe):
         out = [CZERO] * coframe.dim
@@ -408,6 +401,8 @@ class FrameVector:
         return FrameVector(coframe, tuple(out))
 
     def eval_vector(self, point):
+        """Kept for the tests and ``perfbench/tracer.py``, which wraps it by
+        name (ROADMAP 1a)."""
         return np.array(eval_complex(self.components, point))
 
 

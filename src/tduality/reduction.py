@@ -69,10 +69,6 @@ class ReducedSpace:
     exact: bool                # K isotropic
     signature: tuple
 
-    @property
-    def dim(self):
-        return self.quotient.shape[1]
-
 
 def reduce_pointwise(actions):
     """Quotients K-perp / (K intersect K-perp) with their induced pairings,

@@ -2,13 +2,14 @@
 
 Expression trees with rational constants, the named constant pi, and the
 elementary functions sin, cos, exp, log, sqrt.  These carry every coefficient
-function in the package.  There is no canonical simplification: equality of
-scalars is decided numerically by sampling a domain box with a seeded RNG
-(``equal_numeric``).  Construction applies only cheap local folding (rational
-arithmetic, dropping zeros/ones, collecting like terms with rational
-coefficients) so that exact cancellations such as ``g - g`` produce a
-structural zero.  ``signed_sum`` is the one place that collects like terms:
-``sadd``, ``ssub`` and the certificate's residual sums all go through it.
+function in the package.  There is no canonical simplification: a check
+that is not settled by a structural zero evaluates its residual at points
+drawn from a ``Domain`` box with a seeded RNG (``evaluate_points``).
+Construction applies only cheap local folding (rational arithmetic, dropping
+zeros/ones, collecting like terms with rational coefficients) so that exact
+cancellations such as ``g - g`` produce a structural zero.  ``signed_sum`` is
+the one place that collects like terms: ``sadd``, ``ssub`` and the
+certificate's residual sums all go through it.
 Every rational zero is ``ZERO`` itself: only ``rat`` builds rat nodes, and it
 returns the shared small integers, so a zero test tests identity.
 
@@ -24,14 +25,12 @@ from fractions import Fraction
 from math import isfinite
 from operator import add as _add, mul as _mul, truediv as _truediv
 
-import numpy as np
-
 __all__ = [
-    "Scalar", "CScalar", "Domain", "EvaluationError", "SamplingError",
+    "Scalar", "CScalar", "Domain", "EvaluationError",
     "rat", "const", "var", "sadd", "signed_sum", "smul", "sdiv", "spow", "sneg",
     "ssub", "ssin", "scos", "sexp", "slog", "ssqrt", "as_scalar",
     "ZERO", "ONE", "MINUS_ONE", "PI", "CZERO",
-    "diff", "evaluate", "evaluate_all", "evaluate_points", "equal_numeric",
+    "diff", "evaluate", "evaluate_points",
     "scalar_to_text",
     "solve_linear_symbolic", "sym_matrix_inverse", "sym_det",
 ]
@@ -53,10 +52,6 @@ class EvaluationError(ValueError):
         super().__init__(message)
         self.index = index
         self.point = point
-
-
-class SamplingError(RuntimeError):
-    """Domain sampling could not avoid the excluded sets."""
 
 
 class Scalar:
@@ -407,6 +402,8 @@ def sexp(x):
 
 
 def slog(x):
+    """Kept for the tests and ``perfbench/tracer.py``, which wraps it by name
+    (ROADMAP 1a)."""
     return _func("log", x)
 
 
@@ -422,12 +419,6 @@ def evaluate(expr, point):
     Raises EvaluationError for unbound variables and singular operations.
     """
     return evaluate_points((expr,), (point,))[0][0]
-
-
-def evaluate_all(exprs, point):
-    """Values of several expressions at one point, as a list; subexpressions
-    shared between them are evaluated once (``evaluate_points``)."""
-    return [vals[0] for vals in evaluate_points(exprs, (point,))]
 
 
 def evaluate_points(exprs, points):
@@ -625,69 +616,28 @@ def _diff(node, name):
 
 @dataclass(frozen=True)
 class Domain:
-    """Box of per-variable closed intervals, with excluded hyperplanes.
-
-    ``exclusions`` is a tuple of (variable, value, radius): samples keep
-    |x - value| > radius, which guards poles on coordinate hyperplanes.
-    """
+    """Box of per-variable closed intervals."""
 
     intervals: dict
-    exclusions: tuple = ()
 
     def __post_init__(self):
         for name, (lo, hi) in self.intervals.items():
             if not lo < hi:
                 raise ValueError(f"empty interior for variable {name!r}")
 
-    @property
-    def variables(self):
-        return tuple(self.intervals)
-
-    def sample(self, rng):
-        """One interior point avoiding all exclusions (200 draws per variable)."""
-        return self.sample_many(rng, 1)[0]
-
     def sample_many(self, rng, n):
-        """n points, each variable drawn as lo + (hi - lo) u until it avoids
-        the exclusions.  The u come from ``rng.random`` in buffers of one draw
-        per value still unset, all used unless it raises: the rng consumes
-        exactly the stream of one ``rng.uniform(lo, hi)`` per draw, bit for bit."""
-        spec = [(name, float(lo), float(hi) - float(lo),
-                 [(v, r) for x, v, r in self.exclusions if x == name])
+        """n points, each variable drawn as lo + (hi - lo) u, the u from one
+        ``rng.random(n * k)`` call for k variables: the rng consumes exactly
+        the stream of one ``rng.uniform(lo, hi)`` per draw, bit for bit."""
+        spec = [(name, float(lo), float(hi) - float(lo))
                 for name, (lo, hi) in self.intervals.items()]
-        k = len(spec)
-        values, buf, pos = [], [], 0
-        for slot in range(n * k):
-            name, lo, span, excl = spec[slot % k]
-            for _ in range(200):
-                if pos == len(buf):
-                    buf, pos = rng.random(n * k - slot).tolist(), 0
-                x = lo + span * buf[pos]
-                pos += 1
-                if not excl or all(abs(x - v) > r for v, r in excl):
-                    values.append(x)
-                    break
-            else:
-                raise SamplingError(f"cannot sample variable {name!r} outside exclusions")
-        return [dict(zip(self.intervals, values[i * k:(i + 1) * k])) for i in range(n)]
+        u = iter(rng.random(n * len(spec)).tolist())
+        return [{name: lo + span * next(u) for name, lo, span in spec} for _ in range(n)]
 
     def merge(self, other):
         both = dict(self.intervals)
         both.update(other.intervals)
-        return Domain(both, tuple(self.exclusions) + tuple(other.exclusions))
-
-
-def equal_numeric(a, b, domain, seed=0):
-    """Probabilistic equality: |a(p) - b(p)| <= 1e-9 * (1 + |a(p)|) at 16
-    points drawn from the domain with the seeded RNG."""
-    rng = np.random.default_rng(seed)
-    for _ in range(16):
-        p = domain.sample(rng)
-        va = evaluate(a, p)
-        vb = evaluate(b, p)
-        if abs(va - vb) > 1e-9 * (1.0 + abs(va)):
-            return False
-    return True
+        return Domain(both)
 
 
 # -- complex scalars --------------------------------------------------------------
@@ -784,7 +734,8 @@ class CScalar:
         return CScalar(sdiv(num.re, mod2), sdiv(num.im, mod2))
 
     def evaluate(self, point):
-        return complex(*evaluate_all((self.re, self.im), point))
+        (re,), (im,) = evaluate_points((self.re, self.im), (point,))
+        return complex(re, im)
 
     def variables(self):
         return self.re.variables() | self.im.variables()
@@ -823,7 +774,7 @@ def scalar_to_text(node):
 def solve_linear_symbolic(matrix, rhs):
     """Solve A x = rhs for symbolic entries as x = A^-1 rhs.  No package
     code calls it: it is kept for the tests and for ``perfbench/tracer.py``,
-    which wraps it by name.
+    which wraps it by name (ROADMAP 1a).
 
     For a rational A the inverse is exact rational, so each x_i is a
     rational combination of the rhs.

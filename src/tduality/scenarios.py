@@ -43,7 +43,8 @@ from .reduction import (LiftedActionPoint, double_quotient_report,
 from .randomgen import random_spinor_values
 from .report import Report
 
-__all__ = ["SCENARIOS", "CHARTS", "run_scenario", "load_chart", "twisted_rank_two_pair"]
+__all__ = ["SCENARIOS", "CHARTS", "check_run", "run_scenario", "load_chart",
+           "twisted_rank_two_pair"]
 
 
 def _monomial(*names, coeff=1):
@@ -694,11 +695,17 @@ SCENARIOS = {
 }
 
 
-def run_scenario(name, seed=0, samples=8):
+def check_run(name, seed, samples):
+    """Raise the usage error of a run, if any: KeyError for an unknown
+    scenario, ValueError for a negative seed or samples below 1."""
     if name not in SCENARIOS:
         raise KeyError(f"unknown scenario {name!r}; known: {', '.join(sorted(SCENARIOS))}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+
+
+def run_scenario(name, seed=0, samples=8):
+    check_run(name, seed, samples)
     return SCENARIOS[name](seed, samples)

@@ -69,11 +69,9 @@ class SymTensor:
             out[key] = out.get(key, ZERO) + s
         return SymTensor(self.coframe, out)
 
-    def scale(self, s):
-        s = as_scalar(s)
-        return SymTensor(self.coframe, {k: v * s for k, v in self.entries.items()})
-
     def eval_matrix(self, point):
+        """Kept for the tests and ``perfbench/tracer.py``, which wraps it by
+        name (ROADMAP 1a)."""
         return self.eval_matrices((point,))[0]
 
     def eval_matrices(self, points):
@@ -101,12 +99,6 @@ class SymTensor:
         names = self.coframe.names
         return SymTensor(coframe, {(coframe.index(names[i]), coframe.index(names[j])): s
                                    for (i, j), s in self.entries.items()})
-
-    def variables(self):
-        out = set()
-        for s in self.entries.values():
-            out |= s.variables()
-        return out
 
 
 @dataclass(frozen=True)
@@ -359,7 +351,8 @@ def gcs_matrices(coframe, rhos, points):
 
 
 def gcs_matrix_at(spinor, chart, point):
-    """``gcs_matrices`` of a spinor at one point."""
+    """``gcs_matrices`` of a spinor at one point.  Kept for the tests and the
+    dense-points workload of ``perfbench`` (ROADMAP 1b)."""
     return gcs_matrices(chart.coframe, spinor.form.eval_vectors([point]), [point])[0]
 
 

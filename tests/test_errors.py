@@ -1,13 +1,12 @@
 """Declared failure modes: mismatched coframes, vanishing spinors,
-excluded domains, singular data."""
+singular data."""
 import re
 
 import numpy as np
 import pytest
 
-from tduality.scalar import (CScalar, Domain, EvaluationError, SamplingError,
-                             evaluate_points, rat, sexp, slog, solve_linear_symbolic,
-                             ssqrt, var)
+from tduality.scalar import (CScalar, Domain, EvaluationError, evaluate_points, rat,
+                             sexp, slog, solve_linear_symbolic, ssqrt, var)
 from tduality.exterior import (Coframe, Form, FrameVector, clifford_act,
                                contract, exp_form, wedge)
 from tduality.bundle import BundleChart, exterior_derivative
@@ -64,13 +63,6 @@ def test_bracket_chart_mismatch(plane_chart, flat3_chart):
         courant_bracket(v, w, plane_chart)
     with pytest.raises(ValueError):
         pairing(v, w)
-
-
-def test_fully_excluded_domain_sampling():
-    d = Domain({"t": (-0.1, 0.1)}, exclusions=(("t", 0.0, 0.5),))
-    rng = np.random.default_rng(0)
-    with pytest.raises(SamplingError):
-        d.sample(rng)
 
 
 def test_vanishing_spinor_rejected(plane_chart):

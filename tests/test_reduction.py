@@ -36,7 +36,7 @@ def test_isotropic_reduction_dimensions(rng):
     vecs[:n, 1] = rng.standard_normal(n)
     (red,) = reduce_pointwise([LiftedActionPoint(g, vecs)])
     assert red.exact
-    assert red.dim == 2 * n - 4
+    assert red.quotient.shape[1] == 2 * n - 4
     assert red.signature == (n - 2, n - 2, 0)
 
 
@@ -50,7 +50,7 @@ def test_split_k_reduction(rng):
     (red,) = reduce_pointwise([LiftedActionPoint(g, vecs)])
     assert not red.exact
     assert red.radical.shape[1] == 0
-    assert red.dim == 2 * n - 2
+    assert red.quotient.shape[1] == 2 * n - 2
     assert red.signature == (n - 1, n - 1, 0)
 
 
@@ -74,7 +74,7 @@ def test_reduction_basis_independence(rng):
     mix = rng.standard_normal((3, 3)) + 3 * np.eye(3)
     red1, red2 = reduce_pointwise([LiftedActionPoint(g, vecs),
                                    LiftedActionPoint(g, vecs @ mix)])
-    assert red1.dim == red2.dim
+    assert red1.quotient.shape[1] == red2.quotient.shape[1]
     assert red1.signature == red2.signature
 
 

@@ -21,7 +21,9 @@ A ``functools.cache`` takes only an int ``m``: structural tables live on the
 coframe or chart they index and die with it.  The readers that skip zero
 frame-vector components read ``FrameVector.live``, not ``.components``.
 
-The benchmark's tracer (``perfbench/tracer.py``) wraps package functions by
+Every function in the package has a caller in the package or in the
+benchmark; a function that only tests call lives in the tests.  The
+benchmark's tracer (``perfbench/tracer.py``) wraps package functions by
 name, and its workloads call three one-point forms; a test keeps those names
 alive.  The traced counts must repeat from one pass to the next, or no count
 can be compared between versions: the last test runs
@@ -30,6 +32,7 @@ cached across passes fails there.
 """
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -75,6 +78,31 @@ def unread_parameters():
 
 def test_every_parameter_is_read():
     assert unread_parameters() == ALLOWED
+
+
+def test_every_function_has_a_caller():
+    """Every function or method defined in the package, dunders aside, is
+    referenced somewhere in the package outside its own definition, or is
+    named in ``perfbench/*.py``, whose tracer and workloads reach package
+    functions by name.  A function that only tests call belongs in the tests.
+    The check works by name: a name defined on two classes, or also used as
+    a variable, counts as used if any one of them is referenced."""
+    uses = []
+    for path in sorted(Path(tduality.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                uses.append((path.stem, node.lineno, getattr(node, "id", None) or node.attr))
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    bench_text = "\n".join(p.read_text() for p in sorted(bench.glob("*.py")))
+    unused = []
+    for module, fn in _functions():
+        name = fn.name
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        if not any(n == name and not (m == module and fn.lineno <= line <= fn.end_lineno)
+                   for m, line, n in uses) and not re.search(rf"\b{name}\b", bench_text):
+            unused.append((module, name))
+    assert unused == []
 
 
 def test_only_report_add_takes_tol():
@@ -149,7 +177,7 @@ def test_module_caches_are_keyed_by_m_only():
 
 # functions that skip zero frame-vector components by reading ``live``
 SPARSE_READERS = {("exterior", "contract"), ("exterior", "FrameVector.is_zero"),
-                  ("exterior", "FrameVector.map_to"), ("exterior", "FrameVector.variables"),
+                  ("exterior", "FrameVector.map_to"),
                   ("certify", "_coordinates"), ("courant", "pairing"),
                   ("courant", "_derivative"), ("courant", "lie_bracket")}
 
