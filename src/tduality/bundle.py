@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalar import CScalar, Domain, ZERO, diff, evaluate_points
-from .exterior import (Coframe, Form, _accumulate, _wedge_sign, contract_sign,
-                       eval_complex_points, strip_rightmost, wedge)
+from .scalar import CScalar, Domain, ZERO, diff
+from .exterior import (Coframe, Form, _accumulate, _eval_array, _value_array, _wedge_sign,
+                       contract_sign, strip_rightmost, wedge)
 
 __all__ = [
     "BundleChart", "DualityPair", "base_generator", "dual_fiber_name",
@@ -302,10 +302,11 @@ class DualityPair:
 # -- validation ---------------------------------------------------------------------
 
 def form_residual(form, domain, points):
-    """Max over points of the max absolute coefficient value (``domain`` is
-    not used; the points carry all the information)."""
-    return max((abs(z) for zs in eval_complex_points(form.coeffs.values(), points)
-                for z in zs), default=0.0)
+    """Max over points of the max absolute coefficient value, 0.0 for none
+    (``domain`` is not used; the points carry all the information).
+    ``np.hypot`` is bit for bit ``abs(complex(x, y))``."""
+    z = _eval_array(form.coeffs.values(), points)
+    return float(np.hypot(z.real, z.imag).max(initial=0.0))
 
 
 @dataclass
@@ -395,8 +396,7 @@ def block_values(block, points):
     """Values of a k x k block of Scalars at the points, as a (points, k, k)
     stack from one ``evaluate_points`` call; k = 0 gives (points, 0, 0)."""
     k, npts = len(block), len(points)
-    vals = evaluate_points([e for row in block for e in row], points)
-    return np.array(vals, dtype=float).reshape(k * k, npts).T.reshape(npts, k, k)
+    return _value_array([e for row in block for e in row], points).T.reshape(npts, k, k)
 
 
 def _block_nondegeneracy(block, points):

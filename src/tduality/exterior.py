@@ -419,10 +419,18 @@ def eval_complex_points(cscalars, points):
             for re, im in zip(vals[0::2], vals[1::2])]
 
 
+def _value_array(exprs, points):
+    """``evaluate_points`` of a list of Scalars as an (exprs, points) float array."""
+    return np.array(evaluate_points(exprs, points), dtype=float).reshape(len(exprs), len(points))
+
+
 def _eval_array(cscalars, points):
-    """``eval_complex_points`` as a (CScalars, points) complex array."""
-    vals = eval_complex_points(cscalars, points)
-    return np.array(vals, dtype=complex).reshape(len(vals), len(points))
+    """``eval_complex_points`` as a (CScalars, points) complex array, its real
+    and imaginary parts filled from one float array: bit for bit ``complex(x, y)``."""
+    parts = _value_array([s for c in cscalars for s in (c.re, c.im)], points)
+    out = np.empty((len(parts) // 2, len(points)), dtype=complex)
+    out.real, out.imag = parts[0::2], parts[1::2]
+    return out
 
 
 # -- products and actions -----------------------------------------------------------

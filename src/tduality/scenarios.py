@@ -504,14 +504,14 @@ def _generic_metric(coframe):
 
 def _entry_points(rng, m, n):
     """n points of the entry space of ``_generic_metric``: G = I + A^T A and
-    B with A and B standard normal, B read above the diagonal."""
-    points = []
-    for a, b in rng.standard_normal((n, 2, m, m)):
-        g = np.eye(m) + a.T @ a
-        point = {f"g{i}{j}": float(g[i, j]) for i in range(m) for j in range(i, m)}
-        point.update((f"b{i}{j}", float(b[i, j])) for i in range(m) for j in range(i + 1, m))
-        points.append(point)
-    return points
+    B with A and B standard normal, B read above the diagonal.  One draw of
+    every (A, B), one stacked product and one ``tolist`` give the points."""
+    a, b = np.moveaxis(rng.standard_normal((n, 2, m, m)), 1, 0)
+    g = np.eye(m) + np.swapaxes(a, -1, -2) @ a
+    (gi, gj), (bi, bj) = np.triu_indices(m), np.triu_indices(m, 1)
+    keys = [f"g{i}{j}" for i, j in zip(gi, gj)] + [f"b{i}{j}" for i, j in zip(bi, bj)]
+    rows = np.concatenate((g[:, gi, gj], b[:, bi, bj]), axis=1).tolist()
+    return [dict(zip(keys, row)) for row in rows]
 
 
 def scenario_buscher_random(seed, samples):

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scalar import CScalar, ZERO, as_scalar, evaluate_points
-from .exterior import (Form, FrameVector, _eval_array, contract, exp_form, frame_action,
-                       mukai_signs, wedge)
-from .bundle import form_residual, twisted_derivative
+from .exterior import (Form, FrameVector, _eval_array, _value_array, contract, exp_form,
+                       frame_action, mukai_signs, wedge)
+from .bundle import twisted_derivative
 from .courant import Section
 
 __all__ = [
@@ -388,13 +388,17 @@ def _two_form_matrix(form, values):
 
 
 def metric_residual(a, b, points):
-    """Max coefficientwise deviation of two (g, b) packages at the points."""
-    worst = form_residual(a.b - b.b, None, points)
+    """Max coefficientwise deviation of two (g, b) packages at the points, 0.0
+    for none.  The parts of b_a - b_b and the g entries of both are evaluated
+    in one ``evaluate_points`` call, so an EvaluationError names the first
+    point at which any of them fails."""
+    parts = [s for c in (a.b - b.b).coeffs.values() for s in (c.re, c.im)]
     keys = a.g.entries.keys() | b.g.entries.keys()
-    vals = evaluate_points([g.entries.get(key, ZERO) for key in keys for g in (a.g, b.g)],
-                           points)
-    return max(worst, max((abs(x - y) for va, vb in zip(vals[0::2], vals[1::2])
-                           for x, y in zip(va, vb)), default=0.0))
+    vals = _value_array(parts + [g.entries.get(key, ZERO) for key in keys for g in (a.g, b.g)],
+                        points)
+    k = len(parts)
+    return float(max(np.hypot(vals[0:k:2], vals[1:k:2]).max(initial=0.0),
+                     np.abs(vals[k::2] - vals[k + 1::2]).max(initial=0.0)))
 
 
 def uk_spaces(coframe, rhos, points):

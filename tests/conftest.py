@@ -27,8 +27,11 @@ matrices, type change, the bi-Hermitian transport, the tangent space of the
 correspondence, transversality and the Fourier-Mukai check), which the
 stacked linear algebra must match result for result, the one-action body of
 ``reduce_pointwise``, which the reduction of a list of actions must match
-bit for bit, and the ``tensordot`` body of ``random_spinor_values``, whose
-draws the flattened products must match byte for byte.  ``count_python_calls``
+bit for bit, the ``tensordot`` body of ``random_spinor_values``, whose
+draws the flattened products must match byte for byte, and the point-by-point
+bodies of ``scenarios._entry_points``, ``form_residual``, ``metric_residual``
+and ``exterior._eval_array``, which the whole-array reductions and the stacked
+draw must match bit for bit.  ``count_python_calls``
 counts the Python-level calls of a function, and ``chart_id`` names the test
 parameter of a ``scenarios.CHARTS`` chart."""
 import itertools
@@ -784,6 +787,41 @@ def _reference_random_spinor_values(rng, m):
         if ref and mukai_norm(dict(enumerate(rho.tolist())), m) > 1e-3 * ref * ref:
             return rho
     raise AssertionError("could not sample a nondegenerate spinor")
+
+
+def _reference_entry_points(rng, m, n):
+    """``scenarios._entry_points`` point by point: one ``a.T @ a`` and one
+    dict comprehension per draw."""
+    points = []
+    for a, b in rng.standard_normal((n, 2, m, m)):
+        g = np.eye(m) + a.T @ a
+        point = {f"g{i}{j}": float(g[i, j]) for i in range(m) for j in range(i, m)}
+        point.update((f"b{i}{j}", float(b[i, j])) for i in range(m) for j in range(i + 1, m))
+        points.append(point)
+    return points
+
+
+def _reference_form_residual(form, domain, points):
+    """``bundle.form_residual`` with one Python ``abs(complex)`` per value."""
+    return max((abs(z) for zs in eval_complex_points(form.coeffs.values(), points)
+                for z in zs), default=0.0)
+
+
+def _reference_metric_residual(a, b, points):
+    """``structures.metric_residual`` with the b difference and the g entries
+    evaluated in two calls and compared value by value."""
+    worst = _reference_form_residual(a.b - b.b, None, points)
+    keys = a.g.entries.keys() | b.g.entries.keys()
+    vals = evaluate_points([g.entries.get(key, ZERO) for key in keys for g in (a.g, b.g)],
+                           points)
+    return max(worst, max((abs(x - y) for va, vb in zip(vals[0::2], vals[1::2])
+                           for x, y in zip(va, vb)), default=0.0))
+
+
+def _reference_eval_array(cscalars, points):
+    """``exterior._eval_array`` through a list of Python complex values."""
+    vals = eval_complex_points(cscalars, points)
+    return np.array(vals, dtype=complex).reshape(len(vals), len(points))
 
 
 @pytest.fixture
