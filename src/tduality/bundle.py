@@ -17,7 +17,6 @@ e^b([X, Y]) = X(Y^b) - Y(X^b) - (d e^b)(X, Y): [E_a, E_b] =
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,13 +256,6 @@ class DualityPair:
     def pull(self, rho):
         """Pull a form on either chart back to the correspondence."""
         return rho.map_to(self.total.coframe)
-
-    def push_mt(self, rho):
-        """Forms with no M-fiber legs descend to the dual chart."""
-        return rho.map_to(self.dual.coframe)
-
-    def push_m(self, rho):
-        return rho.map_to(self.chart.coframe)
 
     def flux_difference_residual(self):
         """p*H - pt*Ht - dF as a form on the correspondence."""

@@ -11,7 +11,9 @@ two transforms of a dual pair:
   bracket-preserving map of invariant sections.
 
 They intertwine the Clifford module structure:
-dualize_form(v . rho) = dualize_section(v) . dualize_form(rho).
+dualize_form(v . rho) = dualize_section(v) . dualize_form(rho).  Each runs as
+one pass over plain dicts, reading a route table that its first call builds
+and keeps on the pair (``DualityPair.cache``), so that it dies with the pair.
 
 Sign conventions, fixed once and validated by the intertwining identity:
 fiber volumes are extracted with the fiber generators moved rightmost, and the
@@ -30,8 +32,9 @@ import numpy as np
 
 from .scalar import (CZERO, CScalar, ZERO, ONE, rat, sadd, sdiv, smul, sneg, ssub,
                      sym_matrix_inverse)
-from .exterior import (Form, FrameVector, _eval_array, contract, exp_form,
-                       fiber_integrate, strip_rightmost, wedge)
+from .exterior import (Form, FrameVector, _eval_array, contract_by_rows, contraction_rows,
+                       exp_form, fiber_integrate, fiber_routes, integral_transform,
+                       strip_rightmost, wedge)
 from .bundle import DualityPair
 from .courant import Section, section_basis
 from .structures import (GeneralizedMetric, PointFrame, PureSpinor, SymTensor,
@@ -51,20 +54,16 @@ __all__ = [
 
 def dualize_form(rho, pair):
     """Integral over the fibers of e^F ^ (pullback of rho), as a form on the
-    dual; e^F is built once per pair."""
-    lifted = pair.pull(rho)
-    integrand = wedge(pair.cache("_exp_F", lambda: exp_form(pair.F)), lifted)
-    down = fiber_integrate(integrand, ("fiber",))
-    return pair.push_mt(down)
+    dual; e^F and its route table are built once per pair."""
+    return integral_transform(rho, pair.cache("_form_routes", lambda: fiber_routes(
+        exp_form(pair.F), pair.chart.coframe, pair.dual.coframe, ("fiber",))))
 
 
 def dualize_form_reverse(rho_t, pair):
-    """The reverse-direction transform: e^(-F), built once per pair,
-    integrating the dual fibers."""
-    lifted = pair.pull(rho_t)
-    integrand = wedge(pair.cache("_exp_minus_F", lambda: exp_form(-pair.F)), lifted)
-    down = fiber_integrate(integrand, ("cofiber",))
-    return pair.push_m(down)
+    """The reverse-direction transform: e^(-F), built once per pair with its
+    route table, integrating the dual fibers."""
+    return integral_transform(rho_t, pair.cache("_reverse_routes", lambda: fiber_routes(
+        exp_form(-pair.F), pair.dual.coframe, pair.chart.coframe, ("cofiber",))))
 
 
 def reverse_sign(pair):
@@ -114,37 +113,51 @@ def dualize_section(v, pair):
 
     The unique lift Xhat of the vector part satisfies
     xi(E_theta_i) = F(Xhat, E_theta_i) for every fiber generator, which makes
-    the covector part basic for the projection to the dual side.
-    """
-    cof = pair.total.coframe
-    w = v.map_to(cof)
-    cofibers = pair.dual.fiber_names
-    # right-hand side: xi(E_theta_i) - F(X_known, E_theta_i)
-    known = contract(w.x, pair.F)
-    rhs = [w.xi.coeff(bit) - known.coeff(bit)
-           for bit in (1 << cof.index(n) for n in pair.chart.fiber_names)]
-    # the inverse of F(E_thetat_j, E_theta_i) = -F(E_theta_i, E_thetat_j), kept on the pair
-    inv = pair.cache("_neg_fiber_block_inverse", lambda: sym_matrix_inverse(
-        [[sneg(e) for e in row] for row in pair.fiber_block()]))
+    the covector part basic for the projection to the dual side.  One pass
+    over ``_section_routes``, with the trees and order of the Form operations."""
+    to_total, from_dual, base, fiber_bits, cofibers, known_rows, eta_rows, inv = pair.cache(
+        "_section_routes", lambda: _section_routes(pair))
+    if v.coframe is not pair.chart.coframe and v.coframe != pair.chart.coframe:
+        raise ValueError("coframe mismatch")
+    comps = [CZERO] * len(known_rows)
+    for i, c in v.x.live:
+        comps[to_total[i]] = c
+    # xi(E_theta_i) - F(X_known, E_theta_i); a structural zero subtracts as CZERO
+    known = contract_by_rows(comps, known_rows)
+    xi = v.xi.coeffs
+    rhs = [xi.get(bit, CZERO) - known.get(bit, CZERO) for bit in fiber_bits]
     lift_re, lift_im = ([sadd(*map(smul, row, part)) for row in inv]
                         for part in ([r.re for r in rhs], [r.im for r in rhs]))
-    comps = list(w.x.components)
-    for name, re, im in zip(cofibers, lift_re, lift_im):
+    for idx, re, im in zip(cofibers, lift_re, lift_im):
         term = CScalar(re, im)
         if not term.is_zero():
-            idx = cof.index(name)
             a = comps[idx]
             comps[idx] = term if a.is_zero() else a + term
-    lift = FrameVector(cof, tuple(comps))
-    eta = w.xi - contract(lift, pair.F)
-    # the fiber components of eta vanish by construction; drop them structurally
-    fiber_mask = cof.tag_mask("fiber")
-    eta = Form(cof, {m: c for m, c in eta.coeffs.items() if not m & fiber_mask})
-    pushed_x = FrameVector(cof, tuple(
-        CZERO if cof.tags[i] == "fiber" else lift.components[i]
-        for i in range(cof.dim)))
-    out = Section(pushed_x, eta)
-    return out.map_to(pair.dual.coframe)
+    # eta = xi - i_lift F on the dual, fiber components (zero by construction) dropped
+    dcof = pair.dual.coframe
+    eta = (Form(dcof, {base[m]: c for m, c in xi.items() if m in base})
+           - Form(dcof, contract_by_rows(comps, eta_rows)))
+    return Section(FrameVector(dcof, tuple([comps[i] for i in from_dual])), eta)
+
+
+def _section_routes(pair):
+    """The section transform's table, built by its first call on the pair:
+    chart and dual indices on the correspondence, chart -> dual bits off the
+    fibers, fiber bits, cofiber indices, i_(E_p) F at a fiber bit (on the chart)
+    and off the fibers (on the dual), and the inverse of -F(E_theta_i, E_thetat_j)."""
+    chart, cof, dcof = pair.chart.coframe, pair.total.coframe, pair.dual.coframe
+    fibers = cof.tag_mask("fiber")
+    fiber_bits = [1 << chart.index(n) for n in pair.chart.fiber_names]
+    rows = contraction_rows(pair.F)
+    return ([cof.index(n) for n in chart.names], [cof.index(n) for n in dcof.names],
+            {1 << i: dcof.mask_of((n,)) for i, n in enumerate(chart.names)
+             if chart.tags[i] != "fiber"},
+            fiber_bits, [cof.index(n) for n in pair.dual.fiber_names],
+            [[(chart.mask_of(cof.names_of(m)), s, c) for m, s, c in row if m & fibers]
+             for row in rows],
+            [[(dcof.mask_of(cof.names_of(m)), s, c) for m, s, c in row if not m & fibers]
+             for row in rows],
+            sym_matrix_inverse([[sneg(e) for e in row] for row in pair.fiber_block()]))
 
 
 def _section_columns(pair):

@@ -20,7 +20,10 @@ A ``Coframe`` keeps what it would otherwise re-derive on every call in its
 instance dict, so that it dies with the coframe: the dimension, the name ->
 index dict, and in ``Coframe.table`` the tag masks, each mask's (image, sign)
 for ``map_to`` per target names, tags and rename, and each mask's (rest, sign)
-for ``fiber_integrate``.  No table refers back to its coframe.
+for ``fiber_integrate``.  No table refers back to its coframe.  The route
+kernels (``integral_transform`` over a ``fiber_routes`` table, and
+``contract_by_rows`` over ``contraction_rows``) run a dual pair's transforms
+on plain dicts; the pair keeps their tables.
 """
 from __future__ import annotations
 
@@ -35,8 +38,8 @@ __all__ = [
     "Coframe", "Form", "FrameVector",
     "wedge", "contract", "clifford_act", "reversal", "mukai_pairing", "mukai_signs",
     "exp_form", "fiber_integrate", "strip_rightmost", "contract_sign", "frame_action",
-    "eval_complex", "eval_complex_points",
-    "form_to_text",
+    "eval_complex", "eval_complex_points", "fiber_routes", "integral_transform",
+    "contraction_rows", "contract_by_rows", "form_to_text",
 ]
 
 TAGS = ("base", "fiber", "cofiber")
@@ -547,6 +550,88 @@ def fiber_integrate(rho, coframe_tags=("fiber",)):
             term = -c if sign < 0 else c
             out[rest] = out[rest] + term if rest in out else term
     return Form(cof, out)
+
+
+# -- route kernels: the transforms of a dual pair on plain dicts ------------------------
+
+def fiber_routes(kernel, source, target, tags):
+    """An empty route table of ``integral_transform``, filled on first use:
+    ``rows[I]`` is the pull sign of e_I and, per kernel term k, the (target
+    mask, wedge sign) of e_k ^ e_I, or None where they overlap, lack the full
+    fiber volume or have no image; ``ends[J]`` is J's (strip, push) signs."""
+    return kernel, source, target, kernel.coframe.tag_mask(*tags), {}, {}
+
+
+def integral_transform(rho, routes):
+    """``fiber_integrate(wedge(kernel, rho.map_to(kernel.coframe)), tags)
+    .map_to(target)`` in one pass, with the same keys, order and trees: the
+    maps are injective, so terms group at the target mask as ``wedge`` groups
+    them, and the strip and push signs follow the sum as one negation each."""
+    kernel, source, target, _, rows, ends = routes
+    if rho.coframe is not source and rho.coframe != source:
+        raise ValueError("coframe mismatch")
+    lifted = []
+    for mask, c in rho.coeffs.items():
+        pull, row = rows.get(mask) or _route(routes, mask)
+        lifted.append((row, -c if pull < 0 else c))
+    out = {}
+    for k, ca in enumerate(kernel.coeffs.values()):
+        for row, c in lifted:
+            hit = row[k]
+            if hit is not None:
+                j, sign = hit
+                t = ca * c
+                if sign < 0:
+                    t = -t
+                out[j] = out[j] + t if j in out else t
+    result = {}
+    for j, c in out.items():
+        if c.re is not ZERO or c.im is not ZERO:
+            strip, push = ends[j]
+            if strip < 0:
+                c = -c
+            result[j] = -c if push < 0 else c
+    return Form._pruned(target, result)
+
+
+def _route(routes, mask):
+    """Add the ``rows`` entry of source mask ``mask`` (see ``fiber_routes``)."""
+    kernel, source, target, vol, rows, ends = routes
+    cof = kernel.coframe
+    pulled, pull = _image(source.names_of(mask), cof)
+    row = []
+    for ma in kernel.coeffs:
+        m = ma | pulled
+        rest = m & ~vol
+        j, push = (_image(cof.names_of(rest), target) if not ma & pulled and m & vol == vol
+                   else (0, 0))
+        if push:
+            ends[j] = (_wedge_sign(rest, vol), push)
+        row.append((j, _wedge_sign(ma, pulled)) if push else None)
+    rows[mask] = route = (pull, tuple(row))
+    return route
+
+
+def contraction_rows(form):
+    """i_(E_p) form for each generator p, as the (mask, sign, coefficient)
+    terms that ``contract`` multiplies by x_p, in ``form.coeffs`` order."""
+    return tuple(tuple((mask & ~(1 << p), contract_sign(mask, p), c)
+                       for mask, c in form.coeffs.items() if mask >> p & 1)
+                 for p in range(form.coframe.dim))
+
+
+def contract_by_rows(components, rows):
+    """``contract`` of a vector, given by components, on ``contraction_rows``: unpruned."""
+    out = {}
+    for i, comp in enumerate(components):
+        if comp.re is ZERO and comp.im is ZERO:
+            continue
+        for mask, sign, c in rows[i]:
+            term = c * comp
+            if sign < 0:
+                term = -term
+            out[mask] = out[mask] + term if mask in out else term
+    return out
 
 
 # -- text serialization ---------------------------------------------------------------

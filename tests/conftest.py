@@ -4,7 +4,9 @@ the frame certificate and the generic Buscher instance that replaced them,
 the componentwise residual of a section, the term-by-term bodies of
 ``Form.__add__``, ``exterior_derivative``, ``lie_bracket``,
 ``courant_bracket`` and ``pairing`` (``_reference_*``), which the one-pass
-kernels must match tree for tree, the ``Section``-arithmetic Leibniz body and
+kernels must match tree for tree, the composite bodies of ``dualize_form``,
+``dualize_form_reverse`` and ``dualize_section``, which the passes over the
+pair's route tables must match key for key and tree for tree, the ``Section``-arithmetic Leibniz body and
 the per-mask action of a bracket of ``certify``, which the expected sides
 built on sparse coordinate dicts must match residual for residual, the
 frame's action table read off ``clifford_act``, which
@@ -41,13 +43,14 @@ import numpy as np
 import pytest
 
 from tduality import certify, reduction
-from tduality.scalar import (CScalar, ZERO, _mul_split, _sum_node, diff, evaluate,
-                             evaluate_points, rat, sadd, smul, sneg, var)
+from tduality.scalar import (CZERO, CScalar, ZERO, _mul_split, _sum_node, diff, evaluate,
+                             evaluate_points, rat, sadd, smul, sneg, sym_matrix_inverse,
+                             var)
 from tduality.bundle import (BundleChart, base_generator, exterior_derivative,
                              form_residual, twisted_derivative)
 from tduality.exterior import (Form, FrameVector, contract, contract_sign,
-                               eval_complex_points, fiber_integrate, strip_rightmost,
-                               wedge)
+                               eval_complex_points, exp_form, fiber_integrate,
+                               strip_rightmost, wedge)
 from tduality.structures import (GeneralizedMetric, RANK_TOL, SymTensor,
                                  _clifford_matrices, mukai_norm)
 from tduality.courant import (Section, courant_brackets, pairing, section_basis,
@@ -616,6 +619,62 @@ def _reference_uk_spaces(coframe, rho):
                              f"got {basis.shape[1]}")
         out.append((half - k, basis))
     return out
+
+
+def _reference_dualize_form(rho, pair):
+    """Integral over the fibers of e^F ^ (pullback of rho), as a form on the
+    dual; e^F is built once per pair."""
+    lifted = pair.pull(rho)
+    integrand = wedge(pair.cache("_exp_F", lambda: exp_form(pair.F)), lifted)
+    down = fiber_integrate(integrand, ("fiber",))
+    return down.map_to(pair.dual.coframe)
+
+
+def _reference_dualize_form_reverse(rho_t, pair):
+    """The reverse-direction transform: e^(-F), built once per pair,
+    integrating the dual fibers."""
+    lifted = pair.pull(rho_t)
+    integrand = wedge(pair.cache("_exp_minus_F", lambda: exp_form(-pair.F)), lifted)
+    down = fiber_integrate(integrand, ("cofiber",))
+    return down.map_to(pair.chart.coframe)
+
+
+def _reference_dualize_section(v, pair):
+    """Lift, F-transform, and push a section across the duality.
+
+    The unique lift Xhat of the vector part satisfies
+    xi(E_theta_i) = F(Xhat, E_theta_i) for every fiber generator, which makes
+    the covector part basic for the projection to the dual side.
+    """
+    cof = pair.total.coframe
+    w = v.map_to(cof)
+    cofibers = pair.dual.fiber_names
+    # right-hand side: xi(E_theta_i) - F(X_known, E_theta_i)
+    known = contract(w.x, pair.F)
+    rhs = [w.xi.coeff(bit) - known.coeff(bit)
+           for bit in (1 << cof.index(n) for n in pair.chart.fiber_names)]
+    # the inverse of F(E_thetat_j, E_theta_i) = -F(E_theta_i, E_thetat_j), kept on the pair
+    inv = pair.cache("_neg_fiber_block_inverse", lambda: sym_matrix_inverse(
+        [[sneg(e) for e in row] for row in pair.fiber_block()]))
+    lift_re, lift_im = ([sadd(*map(smul, row, part)) for row in inv]
+                        for part in ([r.re for r in rhs], [r.im for r in rhs]))
+    comps = list(w.x.components)
+    for name, re, im in zip(cofibers, lift_re, lift_im):
+        term = CScalar(re, im)
+        if not term.is_zero():
+            idx = cof.index(name)
+            a = comps[idx]
+            comps[idx] = term if a.is_zero() else a + term
+    lift = FrameVector(cof, tuple(comps))
+    eta = w.xi - contract(lift, pair.F)
+    # the fiber components of eta vanish by construction; drop them structurally
+    fiber_mask = cof.tag_mask("fiber")
+    eta = Form(cof, {m: c for m, c in eta.coeffs.items() if not m & fiber_mask})
+    pushed_x = FrameVector(cof, tuple(
+        CZERO if cof.tags[i] == "fiber" else lift.components[i]
+        for i in range(cof.dim)))
+    out = Section(pushed_x, eta)
+    return out.map_to(pair.dual.coframe)
 
 
 def _reference_transform_matrix_at(pair, point):

@@ -101,7 +101,7 @@ def flipped_flux_brackets(real):
 
 def transform_without_f(rho, pair):
     """dualize_form with F = 0: the bare fiber integral."""
-    return pair.push_mt(fiber_integrate(pair.pull(rho), ("fiber",)))
+    return fiber_integrate(pair.pull(rho), ("fiber",)).map_to(pair.dual.coframe)
 
 
 def lie_bracket_without_y_of_xb(real):

@@ -1,11 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from tduality import duality
-from tduality.scalar import (CScalar, EvaluationError, ONE, ZERO, rat, sadd, scos,
-                             sdiv, smul, sneg, ssin, var)
-from tduality.exterior import Form, wedge
-from tduality.bundle import form_residual, twisted_derivative
+from tduality import duality, exterior
+from tduality.scalar import (CScalar, EvaluationError, ONE, ZERO, rat, sadd, scalar_to_text,
+                             scos, sdiv, smul, sneg, ssin, var)
+from tduality.exterior import Form, exp_form, wedge
+from tduality.bundle import (build_dual_chart, form_residual, standard_correspondence_flux,
+                             twisted_derivative)
 from tduality.courant import Section, courant_bracket, pairing, section_basis
 from tduality.structures import (GeneralizedMetric, PureSpinor, SymTensor,
                                  check_integrable, metric_residual, spinor_types)
@@ -21,8 +24,9 @@ from tduality.randomgen import random_form, random_pure_spinor, random_section
 from tduality import scenarios
 from tduality.scenarios import twisted_rank_two_pair
 
-from conftest import (compatibility_residual, equal_at_samples, random_metric,
-                      section_residual)
+from conftest import (_reference_dualize_form, _reference_dualize_form_reverse,
+                      _reference_dualize_section, _reference_map_to, compatibility_residual,
+                      equal_at_samples, random_metric, section_residual)
 
 
 # -- the form transform -------------------------------------------------------
@@ -98,6 +102,127 @@ def test_transform_columns_are_built_once_per_pair(rng, torus_chart, monkeypatch
             assert np.array_equal(section_transform_matrices(pair, [p])[0], uncached)
         assert built["forms"] - before["forms"] == 1 << cof.dim
         assert built["sections"] - before["sections"] == 2 * cof.dim
+
+# -- the route tables against the reference bodies -------------------------------
+
+def _scaled_pair():
+    """reduction-suite's s3_hopf pair with the correspondence form 2F."""
+    chart = scenarios.load_chart("s3_hopf")
+    return DualityPair.from_charts(chart, build_dual_chart(chart), lambda cof, c, d:
+                                   standard_correspondence_flux(cof, c, d).scale(rat(2)))
+
+
+TRANSFORM_PAIRS = {
+    **{name: (lambda name=name: DualityPair.from_chart(scenarios.load_chart(name)))
+       for name in scenarios.CHARTS},
+    "twisted_rank_two": twisted_rank_two_pair,
+    "scaled_2F": _scaled_pair,
+}
+
+
+def assert_same_coeffs(got, want):
+    """Same keys in the same order, structurally equal coefficients, and the
+    same text for each."""
+    assert list(got) == list(want)
+    for key, c in want.items():
+        assert got[key] == c
+        assert ((scalar_to_text(got[key].re), scalar_to_text(got[key].im))
+                == (scalar_to_text(c.re), scalar_to_text(c.im)))
+
+
+def assert_same_section(got, want):
+    assert got.x.coframe == want.x.coframe and got.xi.coframe == want.xi.coframe
+    assert_same_coeffs(dict(enumerate(got.x.components)), dict(enumerate(want.x.components)))
+    assert_same_coeffs(got.xi.coeffs, want.xi.coeffs)
+
+
+def cancelling_form(pair, cof, reference):
+    """e_I - s e_I' for the first masks I < I' and sign s whose images under
+    ``reference`` meet at a mask where their sum cancels, or None."""
+    one = CScalar.one()
+    sizes = [len(reference(Form(cof, {mask: one}), pair).coeffs) for mask in range(1 << cof.dim)]
+    for i, j in itertools.combinations(range(1 << cof.dim), 2):
+        for s in (one, -one):
+            rho = Form(cof, {i: one, j: -s})
+            if len(reference(rho, pair).coeffs) < sizes[i] + sizes[j]:
+                return rho
+    return None
+
+
+def transform_inputs(pair, cof, reference, rng):
+    """Every monomial, every x-monomial for each base coordinate x, three
+    dense random complex forms, and a form whose images cancel, if any."""
+    one = CScalar.one()
+    forms = [Form(cof, {mask: one}) for mask in range(1 << cof.dim)]
+    forms += [Form(cof, {mask: CScalar(var(v))}) for v in pair.chart.base_vars
+              for mask in range(1 << cof.dim)]
+    forms += [random_form(rng, cof, pair.chart.base_vars, density=1.0) for _ in range(3)]
+    return forms + [rho for rho in [cancelling_form(pair, cof, reference)] if rho]
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORM_PAIRS))
+@pytest.mark.parametrize("swapped", [False, True], ids=["pair", "swap"])
+def test_transforms_match_the_reference_bodies(name, swapped):
+    """Both form transforms and the section transform give the dicts that the
+    term-by-term bodies give: same keys, same order, same trees."""
+    rng = np.random.default_rng(3)
+    pair = TRANSFORM_PAIRS[name]()
+    pair = pair.swap() if swapped else pair
+    for transform, reference, source, target in (
+            (dualize_form, _reference_dualize_form, pair.chart, pair.dual),
+            (dualize_form_reverse, _reference_dualize_form_reverse, pair.dual, pair.chart)):
+        for rho in transform_inputs(pair, source.coframe, reference, rng):
+            got = transform(rho, pair)
+            assert got.coframe is target.coframe
+            assert_same_coeffs(got.coeffs, reference(rho, pair).coeffs)
+    sections = section_basis(pair.chart.coframe)
+    sections += [s.scale(CScalar(var(v))) for v in pair.chart.base_vars for s in sections]
+    sections += [random_section(rng, pair.chart) for _ in range(3)]
+    for v in sections:
+        assert_same_section(dualize_section(v, pair), _reference_dualize_section(v, pair))
+
+
+def test_the_twisted_pair_has_cancelling_images():
+    """On the twisted rank-two pair e^F has an F ^ F term, so the images of
+    two monomials can meet and cancel, in both directions: the reference test
+    above then covers a sum that is dropped."""
+    pair = twisted_rank_two_pair()
+    assert cancelling_form(pair, pair.chart.coframe, _reference_dualize_form) is not None
+    assert cancelling_form(pair, pair.dual.coframe, _reference_dualize_form_reverse) is not None
+
+
+@pytest.mark.parametrize("name", ["s3_hopf", "hopf_surface", "twisted_rank_two"])
+def test_dualize_form_builds_only_surviving_products(name, monkeypatch):
+    """The form transform calls none of wedge, fiber_integrate and
+    Form.map_to, and multiplies one e^F term by one rho term only where their
+    product survives the fiber integral."""
+    pair = TRANSFORM_PAIRS[name]()
+    cof = pair.chart.coframe
+    rho = random_form(np.random.default_rng(1), cof, pair.chart.base_vars, density=1.0)
+    dualize_form(rho, pair)                    # builds e^F and the route table
+    total = pair.total.coframe
+    vol = total.tag_mask("fiber")
+    lifted = [_reference_map_to(Form(cof, {mask: CScalar.one()}), total) for mask in rho.coeffs]
+    surviving = sum(1 for ma in exp_form(pair.F).coeffs for form in lifted
+                    for mb in form.coeffs if not ma & mb and (ma | mb) & vol == vol)
+    calls = {"wedge": 0, "fiber_integrate": 0, "map_to": 0, "mul": 0}
+
+    def counting(key, real):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    for key in ("wedge", "fiber_integrate"):
+        counted = counting(key, getattr(exterior, key))
+        for module in (exterior, duality):
+            monkeypatch.setattr(module, key, counted)
+    monkeypatch.setattr(Form, "map_to", counting("map_to", Form.map_to))
+    monkeypatch.setattr(CScalar, "__mul__", counting("mul", CScalar.__mul__))
+    dualize_form(rho, pair)
+    assert surviving > 0
+    assert calls == {"wedge": 0, "fiber_integrate": 0, "map_to": 0, "mul": surviving}
+
 
 # -- the section transform -----------------------------------------------------
 
