@@ -38,9 +38,10 @@ coordinate), the frame pairings, and the transform columns and e^(+-F) that
 ``duality`` caches on the pair.  x_a e_I, d_H(x_a e_I) and x_a phi(e_I) are
 built once and shared by every check that uses them.  A form is read as its
 {mask: CScalar} ``coeffs`` and a section once as the {index: CScalar} dict
-of its coordinates that are not structurally zero (X_1..X_m, xi_1..xi_m);
-the actions of sections, the transforms of the frame's images and the
-expected side of a Leibniz rule are built as such dicts.  ``_form_residual``
+of its coordinates that are not structurally zero (X_1..X_m, xi_1..xi_m),
+the dict that a bracket-table entry already is; the actions of sections,
+the transforms of the frame's images and the expected side of a Leibniz
+rule are built as such dicts.  ``_form_residual``
 forms every residual from signed dicts of either kind, summed by
 ``scalar.signed_sum`` as ``sadd`` sums, so what cancels here is what cancels
 in any sum; a zero test is an identity test against the shared ``ZERO``.
@@ -185,8 +186,7 @@ def frame_certificate(pair, points):
     sections = _section_columns(pair)
     scols = [_coordinates(s) for s in sections]
     dh = [twisted_derivative(e, chart) for e in monomials]
-    brackets = courant_brackets(basis, basis, chart)
-    coords = [[_coordinates(b) for b in row] for row in brackets]
+    coords = courant_brackets(basis, basis, chart)
     table = frame_action(m)
     sign = round(reverse_sign(pair).real)
     pairings = [[pairing(a, b) for b in basis] for a in basis]
@@ -232,10 +232,10 @@ def frame_certificate(pair, points):
                 if not twice[i][j].is_zero():
                     for k, c in at_dx:
                         _accumulate(expected, k, c * twice[i][j])
-                leibniz.append(_form_residual([(1, _coordinates(left[i][j])), (-1, expected)]))
+                leibniz.append(_form_residual([(1, left[i][j]), (-1, expected)]))
                 if not along[i].is_zero():
                     _accumulate(bracket, j, along[i])
-                leibniz.append(_form_residual([(1, _coordinates(right[i][j])), (-1, bracket)]))
+                leibniz.append(_form_residual([(1, right[i][j]), (-1, bracket)]))
         # phi preserves the anchor on x, and phi(dx) = dx
         name = "section-transform-bracket"
         for i, image in enumerate(sections):
@@ -260,8 +260,7 @@ def frame_certificate(pair, points):
     dual_brackets = courant_brackets(sections, sections, dual)
     for frame_row, dual_row in zip(coords, dual_brackets):
         for c, b in zip(frame_row, dual_row):
-            frame[name].append(_form_residual([(1, _transform(c, scols)),
-                                               (-1, _coordinates(b))]))
+            frame[name].append(_form_residual([(1, _transform(c, scols)), (-1, b)]))
     side[name] += leibniz + section_linear
 
     name = "clifford-compatibility"

@@ -7,16 +7,19 @@ coframe, with invariant (base-variable) coefficients; ``Section`` is a
     [X + xi, Y + eta] = [X, Y] + L_X eta - i_Y d xi + i_X i_Y H
 
 is evaluated with the chart structure equations.  ``courant_brackets`` makes
-a table of brackets and builds the parts that depend on one section only
-(d xi, d eta, i_Y H) once per section; ``courant_bracket`` is its one-entry
-case.  The sign of the flux term is the derived-bracket convention: it is
-the unique choice for which the spinor identity
-[v, w]_H . rho = [[d_H, v], w] . rho holds with the canonical
-super-commutators (inner anticommutator of the two odd operators, outer
-plain commutator of the even result with the odd Clifford action), and the
-unique choice under which the duality section transform preserves brackets
-given the package's F and dual-flux conventions.  The opposite flux sign is
-common in the literature; it corresponds to H -> -H throughout.
+a table of brackets in one pass over plain dicts: it reads each distinct
+section once per call (X's ``live`` pairs, xi's coefficients, the
+``contraction_rows`` of d xi, and of i_Y H or i_X c_i), and each entry is the
+{index: CScalar} dict of the bracket's coordinates, with no form, frame
+vector or section of its own; ``courant_bracket`` and ``lie_bracket``
+return one entry as a section and as a frame vector.  The sign of the flux
+term is the derived-bracket convention: it is the unique choice for which
+the spinor identity [v, w]_H . rho = [[d_H, v], w] . rho holds with the
+canonical super-commutators (inner anticommutator of the two odd operators,
+outer plain commutator of the even result with the odd Clifford action),
+and the unique choice under which the duality section transform preserves
+brackets given the package's F and dual-flux conventions.  The opposite
+flux sign is common in the literature; it corresponds to H -> -H throughout.
 
 The bracket of frame vector fields is read off the structure equations
 d(dx^a) = 0, d(theta_i) = c_i through
@@ -31,8 +34,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .scalar import CZERO, CScalar, diff, rat
-from .exterior import Form, FrameVector, clifford_act, contract, eval_complex
+from .scalar import CZERO, CScalar, ZERO, diff, rat
+from .exterior import (Form, FrameVector, _accumulate, _deduct, clifford_act, contract,
+                       contract_live, contraction_rows, eval_complex)
 from .bundle import exterior_derivative, form_residual
 
 __all__ = [
@@ -178,66 +182,111 @@ def _minus(acc, c):
     return None if total.is_zero() else total
 
 
+def _pair(live, coeffs):
+    """i_X of a 1-form, for X's ``live`` pairs and the form's {mask: CScalar}
+    coefficients: what ``contract`` leaves at mask 0, or None where that is
+    empty or cancels structurally."""
+    total = None
+    for i, a in live:
+        c = coeffs.get(1 << i)
+        if c is not None:
+            term = c * a
+            total = term if total is None else total + term
+    return None if total is None or total.is_zero() else total
+
+
 def lie_bracket(x, y, chart):
-    """Lie bracket of invariant frame vector fields on the chart:
-    e^b([X, Y]) = X(Y^b) - Y(X^b) - (d e^b)(X, Y), with d e^b read off the
-    structure equations and (d e^b)(X, Y) = i_Y i_X d e^b made by
-    ``contract``; a term whose factor is structurally zero is skipped."""
-    bases = chart.base_bits
-    xs, ys, comps = dict(x.live), dict(y.live), []
-    for b in range(chart.coframe.dim):
-        comp = None
-        if b in ys:
-            comp = _derivative(xs, ys[b], bases)
-        if b in xs:
-            comp = _minus(comp, _derivative(ys, xs[b], bases))
-        de_b = chart.curved.get(b)    # d(dx^a) = 0, d(theta_i) = c_i
-        if de_b is not None:
-            comp = _minus(comp, contract(y, contract(x, de_b)).coeffs.get(0))
-        comps.append(CZERO if comp is None else comp)
-    return FrameVector(chart.coframe, tuple(comps))
+    """Lie bracket of invariant frame vector fields on the chart: the vector
+    part of the ``courant_brackets`` entry of X and Y."""
+    cof = chart.coframe
+    zero = Form.zero(cof)
+    entry = courant_brackets([Section(x, zero)], [Section(y, zero)], chart)[0][0]
+    return FrameVector(cof, tuple([entry.get(b, CZERO) for b in range(cof.dim)]))
 
 
 def courant_bracket(v, w, chart):
-    """[X+xi, Y+eta] = [X,Y] + L_X eta - i_Y d xi + i_X i_Y H.  Kept for the
-    tests and ``perfbench/tracer.py``, which wraps it by name (ROADMAP 1a)."""
-    return courant_brackets([v], [w], chart)[0][0]
+    """[X+xi, Y+eta] = [X,Y] + L_X eta - i_Y d xi + i_X i_Y H as a Section:
+    ``lie_bracket`` and the 1-form of the ``courant_brackets`` entry of v
+    and w.  Kept for the tests and ``perfbench/tracer.py``, which wraps it by
+    name (ROADMAP 1a)."""
+    cof = chart.coframe
+    m = cof.dim
+    entry = courant_brackets([v], [w], chart)[0][0]
+    return Section(lie_bracket(v.x, w.x, chart),
+                   Form(cof, {1 << k - m: c for k, c in entry.items() if k >= m}))
 
 
 def courant_brackets(vs, ws, chart):
-    """The table [[courant_bracket(v, w) for w in ws] for v in vs], with
-    d xi, d eta and i_Y H built once per section.  Where X or Y is
-    structurally zero, the terms that would be empty are skipped: [X, Y],
-    L_X eta, i_Y d xi and i_X i_Y H, and the entries share one zero form and
-    one zero frame vector.  In L_X eta = d(i_X eta) + i_X d eta, the d is
-    skipped where i_X eta is zero or a rational constant, as it is for frame
-    sections: its derivative is the empty form, which the sum returns past."""
-    cof = chart.coframe
-    if any(s.coframe != cof for s in (*vs, *ws)):
-        raise ValueError("chart mismatch")
-    flux = not chart.flux.is_zero()
-    d_xi = [None if v.xi.is_zero() else exterior_derivative(v.xi, chart) for v in vs]
-    d_eta = [None if w.xi.is_zero() else exterior_derivative(w.xi, chart) for w in ws]
-    y_live = [not w.x.is_zero() for w in ws]
-    i_h = [contract(w.x, chart.flux) if flux and y else None for w, y in zip(ws, y_live)]
-    zero_form, zero_vec = Form.zero(cof), FrameVector.zero(cof)
+    """The table of brackets [v, w], v in vs by row and w in ws by column.
+    An entry is the {index: CScalar} dict of the bracket's coordinates that
+    are not structurally zero, X_k at k in ascending k, then xi_k at m + k,
+    with the trees and key order of the Section arithmetic it replaced:
+    [X, Y] where X and Y are both nonzero, then L_X eta - i_Y d xi
+    + i_X i_Y H.  In L_X eta = d(i_X eta) + i_X d eta, the d is skipped
+    where i_X eta is zero or a rational constant, as it is for frame
+    sections, and X(f) is skipped for a rational component f."""
+    cof, bases = chart.coframe, chart.base_bits
+    m = cof.dim
+    reads, i_h, i_c = {}, {}, {}    # by section id
+    for s in (*vs, *ws):
+        if id(s) not in reads:
+            if s.coframe != cof:
+                raise ValueError("chart mismatch")
+            live, xi = s.x.live, s.xi
+            d = exterior_derivative(xi, chart) if xi.coeffs else None
+            varying = {b: c for b, c in live if not (c.re.is_rational() and c.im.is_rational())}
+            # the rows of d xi are None where xi = 0 and empty where d xi = 0
+            reads[id(s)] = (live, dict(live), varying, xi.coeffs,
+                            None if d is None else d.coeffs and contraction_rows(d))
+    if chart.flux.coeffs:
+        flux = contraction_rows(chart.flux)
+        for w in ws:
+            if id(w) not in i_h and (ih := contract_live(w.x.live, flux)):
+                i_h[id(w)] = contraction_rows(Form(cof, ih))
+    curved = [(b, contraction_rows(c)) for b, c in chart.curved.items()]
+    if curved and any(w.x.live for w in ws):
+        for v in vs:
+            if v.x.live and id(v) not in i_c:
+                i_c[id(v)] = {b: ic for b, rows in curved
+                              if (ic := contract_live(v.x.live, rows))}
+    cols = [(*reads[id(w)], i_h.get(id(w))) for w in ws]
+    key = {1 << k: m + k for k in range(m)}
     table = []
-    for v, dv in zip(vs, d_xi):
-        x_live = not v.x.is_zero()
+    for v in vs:
+        x, xs, xv, _, d_xi = reads[id(v)]
+        curv = i_c.get(id(v), {})
         row = []
-        for w, dw, y, iyh in zip(ws, d_eta, y_live, i_h):
-            form = zero_form
-            if dw is not None and x_live:    # L_X eta, by the Cartan formula
-                f, form = contract(v.x, w.xi), contract(v.x, dw)
-                c = f.coeffs.get(0)
-                if c is not None and not (c.re.is_rational() and c.im.is_rational()):
-                    form = exterior_derivative(f, chart) + form
-            if dv is not None and y:
-                form = form - contract(w.x, dv)
-            if iyh is not None and x_live:
-                form = form + contract(v.x, iyh)
-            vec = lie_bracket(v.x, w.x, chart) if x_live and y else zero_vec
-            row.append(Section(vec, form))
+        for y, ys, yv, eta, d_eta, ih in cols:
+            entry = {}
+            if x and y:    # e^b([X, Y]) = X(Y^b) - Y(X^b) - (i_Y i_X c_b)
+                for b in range(m):
+                    comp = _derivative(xs, yv[b], bases) if b in yv else None
+                    if b in xv:
+                        comp = _minus(comp, _derivative(ys, xv[b], bases))
+                    if b in curv:
+                        comp = _minus(comp, _pair(y, curv[b]))
+                    if comp is not None:
+                        entry[b] = comp
+            form = {}
+            if x and d_eta is not None:    # L_X eta, by the Cartan formula
+                form, f = contract_live(x, d_eta) if d_eta else {}, _pair(x, eta)
+                if f is not None and not (f.re.is_rational() and f.im.is_rational()):
+                    grad = {}    # d(i_X eta), then i_X d eta summed in
+                    for name, _, bit in bases:
+                        dre, dim = diff(f.re, name), diff(f.im, name)
+                        if dre is not ZERO or dim is not ZERO:
+                            grad[bit] = CScalar(dre, dim)
+                    for mask, c in form.items():
+                        _accumulate(grad, mask, c)
+                    form = grad
+            if y and d_xi:    # - i_Y d xi
+                _deduct(form, contract_live(y, d_xi))
+            if x and ih:    # + i_X i_Y H
+                for mask, c in contract_live(x, ih).items():
+                    _accumulate(form, mask, c)
+            for mask, c in form.items():
+                entry[key[mask]] = c
+            row.append(entry)
         table.append(row)
     return table
 

@@ -23,7 +23,8 @@ for ``map_to`` per target names, tags and rename, and each mask's (rest, sign)
 for ``fiber_integrate``.  No table refers back to its coframe.  The route
 kernels (``integral_transform`` over a ``fiber_routes`` table, and
 ``contract_by_rows`` over ``contraction_rows``) run a dual pair's transforms
-on plain dicts; the pair keeps their tables.
+on plain dicts; the pair keeps their tables.  ``contract_live``, its pruning
+sibling on a vector's ``live`` pairs, runs the bracket tables of ``courant``.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ __all__ = [
     "wedge", "contract", "clifford_act", "reversal", "mukai_pairing", "mukai_signs",
     "exp_form", "fiber_integrate", "strip_rightmost", "contract_sign", "frame_action",
     "eval_complex", "eval_complex_points", "fiber_routes", "integral_transform",
-    "contraction_rows", "contract_by_rows", "form_to_text",
+    "contraction_rows", "contract_by_rows", "contract_live", "form_to_text",
 ]
 
 TAGS = ("base", "fiber", "cofiber")
@@ -168,6 +169,19 @@ def _accumulate(out, mask, c):
         out[mask] = total
 
 
+def _deduct(out, coeffs):
+    """Subtract each c of ``coeffs`` from out[mask] as ``_accumulate`` adds:
+    -c at a new mask, and a mask whose difference cancels is deleted."""
+    for mask, c in coeffs.items():
+        prev = out.get(mask)
+        if prev is None:
+            out[mask] = -c
+        elif (total := prev - c).is_zero():
+            del out[mask]
+        else:
+            out[mask] = total
+
+
 class Form:
     """Sparse multivector: {bitmask: CScalar}, structural zeros pruned."""
 
@@ -227,14 +241,7 @@ class Form:
         if not other.coeffs:
             return self
         out = dict(self.coeffs)
-        for mask, c in other.coeffs.items():
-            prev = out.get(mask)
-            if prev is None:
-                out[mask] = -c
-            elif (total := prev - c).is_zero():
-                del out[mask]
-            else:
-                out[mask] = total
+        _deduct(out, other.coeffs)
         return Form._pruned(self.coframe, out)
 
     def __neg__(self):
@@ -632,6 +639,19 @@ def contract_by_rows(components, rows):
                 term = -term
             out[mask] = out[mask] + term if mask in out else term
     return out
+
+
+def contract_live(live, rows):
+    """``contract`` of a vector, given by its ``live`` pairs, on
+    ``contraction_rows``: the {mask: CScalar} coefficients, pruned."""
+    out = {}
+    for i, comp in live:
+        for mask, sign, c in rows[i]:
+            term = c * comp
+            if sign < 0:
+                term = -term
+            out[mask] = out[mask] + term if mask in out else term
+    return {mask: c for mask, c in out.items() if c.re is not ZERO or c.im is not ZERO}
 
 
 # -- text serialization ---------------------------------------------------------------

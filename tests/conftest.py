@@ -4,7 +4,12 @@ the frame certificate and the generic Buscher instance that replaced them,
 the componentwise residual of a section, the term-by-term bodies of
 ``Form.__add__``, ``exterior_derivative``, ``lie_bracket``,
 ``courant_bracket`` and ``pairing`` (``_reference_*``), which the one-pass
-kernels must match tree for tree, the composite bodies of ``dualize_form``,
+kernels must match tree for tree, the Section-level body of
+``courant_brackets`` with its ``lie_bracket`` and ``_minus``
+(``_reference_courant_brackets``, ``_reference_sparse_lie_bracket``,
+``_reference_minus``), whose sections the table's coordinate-dict entries
+must match key for key and tree for tree, ``_section_of``, which reads an
+entry back as a Section, the composite bodies of ``dualize_form``,
 ``dualize_form_reverse`` and ``dualize_section``, which the passes over the
 pair's route tables must match key for key and tree for tree, the ``Section``-arithmetic Leibniz body and
 the per-mask action of a bracket of ``certify``, which the expected sides
@@ -42,7 +47,7 @@ import sys
 import numpy as np
 import pytest
 
-from tduality import certify, reduction
+from tduality import certify, courant, reduction
 from tduality.scalar import (CZERO, CScalar, ZERO, _mul_split, _sum_node, diff, evaluate,
                              evaluate_points, rat, sadd, smul, sneg, sym_matrix_inverse,
                              var)
@@ -53,7 +58,7 @@ from tduality.exterior import (Form, FrameVector, contract, contract_sign,
                                strip_rightmost, wedge)
 from tduality.structures import (GeneralizedMetric, RANK_TOL, SymTensor,
                                  _clifford_matrices, mukai_norm)
-from tduality.courant import (Section, courant_brackets, pairing, section_basis,
+from tduality.courant import (Section, _derivative, pairing, section_basis,
                               split_pairing_matrix)
 from tduality.reduction import ReducedSpace, ReductionReport, _first_factor
 from tduality.duality import (DualityPair, _form_columns, _section_columns,
@@ -233,6 +238,82 @@ def _reference_courant_bracket(v, w, chart):
     return Section(vec, form)
 
 
+def _reference_minus(acc, c):
+    """acc - c for optional CScalars (None is zero); None where the
+    difference cancels structurally."""
+    if c is None:
+        return acc
+    if acc is None:
+        return -c
+    total = acc - c
+    return None if total.is_zero() else total
+
+
+def _reference_sparse_lie_bracket(x, y, chart):
+    """Lie bracket of invariant frame vector fields on the chart:
+    e^b([X, Y]) = X(Y^b) - Y(X^b) - (d e^b)(X, Y), with d e^b read off the
+    structure equations and (d e^b)(X, Y) = i_Y i_X d e^b made by
+    ``contract``; a term whose factor is structurally zero is skipped."""
+    bases = chart.base_bits
+    xs, ys, comps = dict(x.live), dict(y.live), []
+    for b in range(chart.coframe.dim):
+        comp = None
+        if b in ys:
+            comp = _derivative(xs, ys[b], bases)
+        if b in xs:
+            comp = _reference_minus(comp, _derivative(ys, xs[b], bases))
+        de_b = chart.curved.get(b)    # d(dx^a) = 0, d(theta_i) = c_i
+        if de_b is not None:
+            comp = _reference_minus(comp, contract(y, contract(x, de_b)).coeffs.get(0))
+        comps.append(CZERO if comp is None else comp)
+    return FrameVector(chart.coframe, tuple(comps))
+
+
+def _reference_courant_brackets(vs, ws, chart):
+    """The table [[courant_bracket(v, w) for w in ws] for v in vs], with
+    d xi, d eta and i_Y H built once per section.  Where X or Y is
+    structurally zero, the terms that would be empty are skipped: [X, Y],
+    L_X eta, i_Y d xi and i_X i_Y H, and the entries share one zero form and
+    one zero frame vector.  In L_X eta = d(i_X eta) + i_X d eta, the d is
+    skipped where i_X eta is zero or a rational constant, as it is for frame
+    sections: its derivative is the empty form, which the sum returns past."""
+    cof = chart.coframe
+    if any(s.coframe != cof for s in (*vs, *ws)):
+        raise ValueError("chart mismatch")
+    flux = not chart.flux.is_zero()
+    d_xi = [None if v.xi.is_zero() else exterior_derivative(v.xi, chart) for v in vs]
+    d_eta = [None if w.xi.is_zero() else exterior_derivative(w.xi, chart) for w in ws]
+    y_live = [not w.x.is_zero() for w in ws]
+    i_h = [contract(w.x, chart.flux) if flux and y else None for w, y in zip(ws, y_live)]
+    zero_form, zero_vec = Form.zero(cof), FrameVector.zero(cof)
+    table = []
+    for v, dv in zip(vs, d_xi):
+        x_live = not v.x.is_zero()
+        row = []
+        for w, dw, y, iyh in zip(ws, d_eta, y_live, i_h):
+            form = zero_form
+            if dw is not None and x_live:    # L_X eta, by the Cartan formula
+                f, form = contract(v.x, w.xi), contract(v.x, dw)
+                c = f.coeffs.get(0)
+                if c is not None and not (c.re.is_rational() and c.im.is_rational()):
+                    form = exterior_derivative(f, chart) + form
+            if dv is not None and y:
+                form = form - contract(w.x, dv)
+            if iyh is not None and x_live:
+                form = form + contract(v.x, iyh)
+            vec = _reference_sparse_lie_bracket(v.x, w.x, chart) if x_live and y else zero_vec
+            row.append(Section(vec, form))
+        table.append(row)
+    return table
+
+
+def _section_of(entry, coframe):
+    """The Section of a ``courant_brackets`` entry: X_k at k, xi_k at m + k."""
+    m = coframe.dim
+    return Section(FrameVector(coframe, tuple(entry.get(k, CZERO) for k in range(m))),
+                   Form(coframe, {1 << k - m: c for k, c in entry.items() if k >= m}))
+
+
 def _reference_sum(terms):
     """sign * c summed over (sign, CScalar) pairs, one ``sadd`` per part, with
     every negated term built: a negated sum is spread over its terms."""
@@ -288,7 +369,7 @@ def _reference_leibniz(pair):
     chart = pair.chart
     cof = chart.coframe
     basis = section_basis(cof)
-    brackets = courant_brackets(basis, basis, chart)
+    brackets = courant.courant_brackets(basis, basis, chart)
     twice = [[pairing(a, b) * CScalar.of(2) for b in basis] for a in basis]
     out = []
     for v in chart.base_vars:
@@ -297,24 +378,24 @@ def _reference_leibniz(pair):
         df = Section(FrameVector.zero(cof), dx)
         scaled = [s.scale(x) for s in basis]
         along = [contract(s.x, dx).coeff(0) for s in basis]
-        left = courant_brackets(scaled, basis, chart)
-        right = courant_brackets(basis, scaled, chart)
+        left = courant.courant_brackets(scaled, basis, chart)
+        right = courant.courant_brackets(basis, scaled, chart)
         for i, a in enumerate(basis):
             for j, b in enumerate(basis):
-                bracket = brackets[i][j].scale(x)
+                bracket = _section_of(brackets[i][j], cof).scale(x)
                 expected = bracket
                 if not along[j].is_zero():
                     expected = expected - a.scale(along[j])
                 if not twice[i][j].is_zero():
                     expected = expected + df.scale(twice[i][j])
                 out.append(certify._form_residual(
-                    [(1, dict(enumerate(left[i][j].coordinates()))),
+                    [(1, dict(enumerate(_section_of(left[i][j], cof).coordinates()))),
                      (-1, dict(enumerate(expected.coordinates())))]))
                 expected = bracket
                 if not along[i].is_zero():
                     expected = expected + b.scale(along[i])
                 out.append(certify._form_residual(
-                    [(1, dict(enumerate(right[i][j].coordinates()))),
+                    [(1, dict(enumerate(_section_of(right[i][j], cof).coordinates()))),
                      (-1, dict(enumerate(expected.coordinates())))]))
     return out
 

@@ -11,7 +11,9 @@ signed residual sum, the Leibniz expected sides, the action of a bracket and
 the Clifford action on coefficient dicts are checked against their reference
 bodies, two equal sides of opposite sign must be zero unsummed, every zero a
 certificate tests is the shared ``ZERO``, and call counts guard against
-rebuilding the shared pieces per instance.  The coframe tables of
+rebuilding the shared pieces per instance and against a bracket table that
+builds a section or calls ``contract``.  The two bracket mutants patch the
+table kernel, mutating each entry read back as a Section.  The coframe tables of
 ``Form.map_to`` and ``fiber_integrate`` are checked against their
 mask-by-mask bodies on every coframe move of the four pairs, and with the
 cycle collector off a certified pair must die by reference counting.
@@ -24,10 +26,12 @@ import numpy as np
 import pytest
 
 from conftest import (_reference_act_sections, _reference_courant_bracket,
-                      _reference_fiber_integrate, _reference_frame_action,
-                      _reference_leibniz, _reference_map_to, _reference_sum,
-                      count_python_calls)
-from tduality import bundle, certify, courant, duality
+                      _reference_courant_brackets, _reference_fiber_integrate,
+                      _reference_frame_action, _reference_leibniz, _reference_map_to,
+                      _reference_sum, _section_of, count_python_calls)
+from test_courant import _random_curved_chart, _sections
+from test_kernels import _sections as _complex_sections
+from tduality import bundle, certify, courant, duality, exterior
 from tduality.bundle import (BundleChart, DualityPair, build_dual_chart,
                              exterior_derivative, standard_correspondence_flux)
 from tduality.courant import Section, section_basis
@@ -91,12 +95,18 @@ def test_certificate_holds_and_counts_its_instances(name):
                             f"instances, {oracle.side_zero} structurally zero")
 
 
-def flipped_flux_brackets(real):
-    """The bracket tables with the sign of the flux term i_X i_Y H flipped."""
+def mutated_brackets(real, mutate):
+    """The bracket tables with each entry, read as a Section b, replaced by
+    the coordinates of mutate(v, w, b, chart)."""
     def brackets(vs, ws, chart):
-        return [[Section(b.x, b.xi - contract(v.x, contract(w.x, chart.flux)).scale(2))
-                 for w, b in zip(ws, row)] for v, row in zip(vs, real(vs, ws, chart))]
+        return [[certify._coordinates(mutate(v, w, _section_of(entry, chart.coframe), chart))
+                 for w, entry in zip(ws, row)] for v, row in zip(vs, real(vs, ws, chart))]
     return brackets
+
+
+def flipped_flux_term(v, w, b, chart):
+    """The bracket with the sign of the flux term i_X i_Y H flipped."""
+    return Section(b.x, b.xi - contract(v.x, contract(w.x, chart.flux)).scale(2))
 
 
 def transform_without_f(rho, pair):
@@ -104,15 +114,16 @@ def transform_without_f(rho, pair):
     return fiber_integrate(pair.pull(rho), ("fiber",)).map_to(pair.dual.coframe)
 
 
-def lie_bracket_without_y_of_xb(real):
-    """e^b([X, Y]) = X(Y^b) - (d e^b)(X, Y): the Y(X^b) term dropped."""
-    def bracket(x, y, chart):
-        cof = chart.coframe
-        y_of_x = [contract(y, exterior_derivative(Form.scalar(cof, c), chart)).coeff(0)
-                  for c in x.components]
-        return FrameVector(cof, tuple(a + b for a, b in
-                                      zip(real(x, y, chart).components, y_of_x)))
-    return bracket
+def lie_bracket_without_y_of_xb(v, w, b, chart):
+    """The bracket with e^b([X, Y]) = X(Y^b) - (d e^b)(X, Y): the Y(X^b)
+    term dropped where X and Y are both nonzero."""
+    x, y, cof = v.x, w.x, chart.coframe
+    if x.is_zero() or y.is_zero():
+        return b
+    y_of_x = [contract(y, exterior_derivative(Form.scalar(cof, c), chart)).coeff(0)
+              for c in x.components]
+    return Section(FrameVector(cof, tuple(a + t for a, t in zip(b.x.components, y_of_x))),
+                   b.xi)
 
 
 def transposed_block(real):
@@ -121,19 +132,21 @@ def transposed_block(real):
     return block
 
 
-def install_flux_term_sign(mp):
-    brackets = flipped_flux_brackets(courant.courant_brackets)
-    for module in (courant, certify):
-        mp.setattr(module, "courant_brackets", brackets)
+def install_brackets(mutate):
+    def install(mp):
+        brackets = mutated_brackets(courant.courant_brackets, mutate)
+        for module in (courant, certify):
+            mp.setattr(module, "courant_brackets", brackets)
+    return install
+
+
+install_flux_term_sign = install_brackets(flipped_flux_term)
+install_dropped_term = install_brackets(lie_bracket_without_y_of_xb)
 
 
 def install_f_zero(mp):
     for module in (duality, certify):
         mp.setattr(module, "dualize_form", transform_without_f)
-
-
-def install_dropped_term(mp):
-    mp.setattr(courant, "lie_bracket", lie_bracket_without_y_of_xb(courant.lie_bracket))
 
 
 def install_transposed_block(mp):
@@ -247,9 +260,61 @@ def test_bracket_tables_match_the_reference(name):
         assert [len(row) for row in table] == [len(ws)] * len(vs)
         for v, row in zip(vs, table):
             for w, got in zip(ws, row):
-                ref = _reference_courant_bracket(v, w, chart)
-                assert got == ref
-                assert got.coordinates() == ref.coordinates()
+                assert got == certify._coordinates(_reference_courant_bracket(v, w, chart))
+
+
+def chart_sections(rng, chart):
+    """``test_courant._sections``, the four random sections of
+    ``test_kernels._sections`` and (1 + i x) e^g for the chart's last
+    generator g and first base variable x."""
+    cof = chart.coframe
+    tilted = Section.of(cof, covector={cof.names[-1]: CScalar.of(1, var(chart.base_vars[0]))})
+    return _sections(rng, chart) + _complex_sections(rng, chart)[:4] + [tilted]
+
+
+@pytest.mark.parametrize("name", [*sorted(PAIRS), "charts"])
+def test_bracket_entries_are_the_section_table(name):
+    """Every entry of ``courant_brackets`` is the coordinate dict of the
+    Section that the Section-level table body builds, key for key, in order
+    and by repr: on every ``bracket_tables`` shape of a pair, and on the
+    ``chart_sections`` x themselves of s3_hopf, s3_flux, t2_twisted and a
+    random curved chart.  These sections, real and complex, with zero X or
+    xi parts and zero components, reach both the rational and the
+    non-rational i_X eta of L_X eta = d(i_X eta) + i_X d eta, the latter
+    also with a rational real part (E_g on (1 + i x) e^g)."""
+    if name in PAIRS:
+        tables = bracket_tables(PAIRS[name]())
+    else:
+        rng = np.random.default_rng(3)
+        charts = [load_chart(c) for c in ("s3_hopf", "s3_flux", "t2_twisted")]
+        charts.append(_random_curved_chart(rng))
+        tables = [(vs, vs, chart) for chart in charts for vs in [chart_sections(rng, chart)]]
+        rational = {(c.re.is_rational(), c.im.is_rational()) for vs, _, _ in tables
+                    for v in vs for w in vs if not (c := contract(v.x, w.xi).coeff(0)).is_zero()}
+        assert {(True, True), (True, False), (False, False)} <= rational
+    for vs, ws, chart in tables:
+        table, ref_table = (courant.courant_brackets(vs, ws, chart),
+                            _reference_courant_brackets(vs, ws, chart))
+        assert [len(row) for row in table] == [len(row) for row in ref_table] == [len(ws)] * len(vs)
+        for row, ref_row in zip(table, ref_table):
+            for got, ref in zip(row, map(certify._coordinates, ref_row)):
+                assert list(got) == list(ref)
+                assert [repr(c) for c in got.values()] == [repr(c) for c in ref.values()]
+
+
+def test_bracket_tables_build_no_section_and_no_contraction(monkeypatch):
+    """A ``courant_brackets`` call reads each section once, as rows and live
+    pairs: on every table shape of the s3_flux certificate it builds no
+    ``Section`` or ``FrameVector``, calls ``contract`` zero times and builds
+    at most two forms per distinct section (d xi and i_Y H), none per entry."""
+    tables = bracket_tables(PAIRS["s3_flux"]())
+    counts = [count_calls(monkeypatch, owner, name) for owner, name in (
+        (Section, "__init__"), (FrameVector, "__init__"), (exterior, "contract"))]
+    forms = count_calls(monkeypatch, Form, "__init__")
+    for vs, ws, chart in tables:
+        courant.courant_brackets(vs, ws, chart)
+    assert counts == [[0], [0], [0]]
+    assert 0 < forms[0] <= 2 * sum(len({id(s) for s in (*vs, *ws)}) for vs, ws, _ in tables)
 
 
 def test_bracket_table_rejects_a_section_on_another_coframe():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tduality.scalar import CScalar, diff, rat, scos, ssin, var
-from tduality.exterior import Form, FrameVector, contract
+from tduality.exterior import Form, FrameVector
 from tduality.bundle import (BundleChart, build_dual_chart, exterior_derivative,
                              form_residual, twisted_derivative)
 from tduality.courant import (Section, courant_bracket, lift_splitting_residual,
@@ -12,7 +12,8 @@ from tduality.courant import (Section, courant_bracket, lift_splitting_residual,
 from tduality.randomgen import random_form, random_scalar, random_section
 from tduality.scenarios import CHARTS, load_chart
 
-from conftest import b_transform, lie_derivative, section_residual
+from conftest import (_reference_courant_bracket, _reference_lie_bracket, b_transform,
+                      section_residual)
 
 
 def test_pairing_values(plane_chart):
@@ -241,33 +242,6 @@ def test_lie_bracket_jacobi_two_curvatures(rng):
         curvature={"th1": lambda c: Form.monomial(c, ("dt", "du")),
                    "th2": lambda c: Form.monomial(c, ("dt", "du"), ssin(var("t")))})
     assert _jacobi_residual(rng, chart) <= 1e-10
-
-
-# The bracket as it was first written, kept as the reference: d e^b rebuilt
-# with exterior_derivative for every component, and no term skipped.
-def _reference_lie_bracket(x, y, chart):
-    cof = chart.coframe
-
-    def d(c):
-        return exterior_derivative(Form.scalar(cof, c), chart)
-
-    comps = []
-    for b, name in enumerate(cof.names):
-        de_b = exterior_derivative(Form.monomial(cof, (name,)), chart)
-        comp = (contract(x, d(y.components[b])) - contract(y, d(x.components[b]))
-                - contract(y, contract(x, de_b)))
-        comps.append(comp.coeff(0))
-    return FrameVector(cof, tuple(comps))
-
-
-def _reference_courant_bracket(v, w, chart):
-    if v.coframe != chart.coframe or w.coframe != chart.coframe:
-        raise ValueError("chart mismatch")
-    vec = _reference_lie_bracket(v.x, w.x, chart)
-    form = (lie_derivative(v.x, w.xi, chart)
-            - contract(w.x, exterior_derivative(v.xi, chart))
-            + contract(v.x, contract(w.x, chart.flux)))
-    return Section(vec, form)
 
 
 CONFIGS = sorted(CHARTS)
