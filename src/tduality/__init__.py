@@ -26,8 +26,7 @@ from .exterior import (Coframe, Form, FrameVector, clifford_act, contract,
 from .bundle import (BundleChart, DualityPair, build_dual_chart,
                      exterior_derivative, split_flux, twisted_derivative,
                      validate_chart, validate_pair)
-from .courant import (Section, courant_bracket, lift_splitting_residual,
-                      pairing)
+from .courant import Section, courant_bracket, lift_splitting_residual, pairings
 from .structures import (GeneralizedMetric, PureSpinor, SymTensor, annihilators,
                          check_integrable, gcs_matrices, metric_matrices,
                          spinor_types, uk_spaces)

@@ -13,7 +13,7 @@ consists of horizontal lifts E_a of the base coordinate fields plus the fiber
 generators E_theta.  The structure equations fix their brackets, since
 e^b([X, Y]) = X(Y^b) - Y(X^b) - (d e^b)(X, Y): [E_a, E_b] =
 -sum_i c_i(E_a, E_b) E_theta_i, and fiber generators are central
-(courant.lie_bracket reads d e^b off these structure equations).
+(courant.courant_brackets reads d e^b off these structure equations).
 """
 from __future__ import annotations
 
@@ -144,7 +144,7 @@ def twisted_derivative(rho, chart):
 def _check_zero_holonomy(chart):
     fiber_mask = chart.coframe.tag_mask("fiber")
     for mask in chart.flux.coeffs:
-        if bin(mask & fiber_mask).count("1") >= 2:
+        if (mask & fiber_mask).bit_count() >= 2:
             return False
     return True
 

@@ -32,12 +32,15 @@ side conditions of a check.
 Every instance is built from tables made once per pair: d_H of each
 monomial, the signed monomial s . e_I for each frame section s (the table of
 ``exterior.frame_action``: E_k removes generator k, e^k puts it in front),
-four bracket tables (``courant_brackets``: frame x frame, dual sections x
-dual sections, and (x_a s_i) x frame and frame x (x_a s_j) for each
-coordinate), the frame pairings, and the transform columns and e^(+-F) that
-``duality`` caches on the pair.  x_a e_I, d_H(x_a e_I) and x_a phi(e_I) are
-built once and shared by every check that uses them.  A form is read as its
-{mask: CScalar} ``coeffs`` and a section once as the {index: CScalar} dict
+two chart-side bracket passes (``courant_brackets``: the frame and every
+x_a s_i against the frame, frame x frame in the first 2m rows and the left
+Leibniz rules in the later row blocks; the frame against every x_a s_j, the
+right ones by column block) and dual sections x dual sections, two pairing
+tables (the frame's sums 2 <s_i, s_j> and the dual sections'
+``pairings``), and the transform columns and e^(+-F) that ``duality``
+caches on the pair.  x_a e_I, d_H(x_a e_I) and x_a phi(e_I) are built once
+and shared by every check that uses them.  A form is read as its {mask:
+CScalar} ``coeffs`` and a section once as the {index: CScalar} dict
 of its coordinates that are not structurally zero (X_1..X_m, xi_1..xi_m),
 the dict that a bracket-table entry already is; the actions of sections,
 the transforms of the frame's images and the expected side of a Leibniz
@@ -59,7 +62,7 @@ from .scalar import CScalar, ZERO, signed_sum, var
 from .exterior import (Form, FrameVector, _accumulate, contract, eval_complex_points,
                        frame_action, wedge)
 from .bundle import exterior_derivative, twisted_derivative
-from .courant import Section, courant_brackets, pairing, section_basis
+from .courant import Section, _HALF, _pairing_sums, courant_brackets, pairings, section_basis
 from .duality import (_form_columns, _section_columns, dualize_form,
                       dualize_form_reverse, dualize_section, reverse_sign)
 
@@ -186,20 +189,22 @@ def frame_certificate(pair, points):
     sections = _section_columns(pair)
     scols = [_coordinates(s) for s in sections]
     dh = [twisted_derivative(e, chart) for e in monomials]
-    coords = courant_brackets(basis, basis, chart)
     table = frame_action(m)
     sign = round(reverse_sign(pair).real)
-    pairings = [[pairing(a, b) for b in basis] for a in basis]
-    twice = [[p * CScalar.of(2) for p in row] for row in pairings]
+    twice = _pairing_sums(basis, basis)    # 2 <s_i, s_j>
+    xs = [CScalar(var(v)) for v in chart.base_vars]
+    scaled_all = [s.scale(x) for x in xs for s in basis]    # a block of 2m per x
+    left_all = courant_brackets(basis + scaled_all, basis, chart)   # frame, then (x s_i, s_j)
+    right_all = courant_brackets(basis, scaled_all, chart)          # (s_i, x s_j)
+    coords = left_all[:2 * m]
 
     frame = defaultdict(list)
     side = defaultdict(list)
     # the side conditions, on the multiples of each base coordinate x
     form_linear, section_linear, leibniz = [], [], []
-    for v in chart.base_vars:
-        x = CScalar(var(v))
-        dx = exterior_derivative(Form.scalar(cof, var(v)), chart)
-        dx_dual = exterior_derivative(Form.scalar(dcof, var(v)), dual)
+    for lo, x in zip(range(0, len(scaled_all), 2 * m), xs):    # x's block of scaled_all
+        dx = exterior_derivative(Form.scalar(cof, x), chart)
+        dx_dual = exterior_derivative(Form.scalar(dcof, x), dual)
         # x e_I, d_H(x e_I) and x phi(e_I) are built once, for every check
         for mask, e in enumerate(monomials):
             xe, image = Form(cof, {mask: x}), cols[mask].scale(x)
@@ -213,17 +218,15 @@ def frame_certificate(pair, points):
                 [(1, dh_xe.coeffs), (-1, wedge(dx, e).coeffs), (-1, dh[mask].scale(x).coeffs)]))
             side["transform-invertible"].append(_form_residual(
                 [(1, dualize_form_reverse(image, pair).coeffs), (-sign, xe.coeffs)]))
-        scaled = [s.scale(x) for s in basis]
         section_linear += [_form_residual([(1, _coordinates(dualize_section(s, pair))),
                                            (-1, {k: x * c for k, c in col.items()})])
-                           for s, col in zip(scaled, scols)]
+                           for s, col in zip(scaled_all[lo:lo + 2 * m], scols)]
         # the bracket's Leibniz rules on (x s_i, s_j) and (s_i, x s_j), each
         # expected side built on the coordinates of x [s_i, s_j]
         along = [contract(s.x, dx).coeff(0) for s in basis]    # pi(s)(x)
         at_dx = [(m + mask.bit_length() - 1, c) for mask, c in dx.coeffs.items()]
-        left = courant_brackets(scaled, basis, chart)
-        right = courant_brackets(basis, scaled, chart)
-        for i, row in enumerate(coords):
+        left = left_all[2 * m + lo:4 * m + lo]    # right_all's block is its columns lo..
+        for i, (row, right) in enumerate(zip(coords, right_all)):
             for j, frame_coords in enumerate(row):
                 bracket = {k: c * x for k, c in frame_coords.items()}
                 expected = dict(bracket)
@@ -235,7 +238,7 @@ def frame_certificate(pair, points):
                 leibniz.append(_form_residual([(1, left[i][j]), (-1, expected)]))
                 if not along[i].is_zero():
                     _accumulate(bracket, j, along[i])
-                leibniz.append(_form_residual([(1, right[i][j]), (-1, bracket)]))
+                leibniz.append(_form_residual([(1, right[lo + j]), (-1, bracket)]))
         # phi preserves the anchor on x, and phi(dx) = dx
         name = "section-transform-bracket"
         for i, image in enumerate(sections):
@@ -252,8 +255,9 @@ def frame_certificate(pair, points):
     side[name] += form_linear
 
     name = "section-transform-orthogonal"
-    frame[name] = [_form_residual([(1, {0: pairing(a, b)}), (-1, {0: p})])
-                   for a, row in zip(sections, pairings) for b, p in zip(sections, row)]
+    frame[name] = [_form_residual([(1, {0: p_dual}), (-1, {0: t * _HALF})])
+                   for dual_row, row in zip(pairings(sections, sections), twice)
+                   for p_dual, t in zip(dual_row, row)]
     side[name] += section_linear
 
     name = "section-transform-bracket"
@@ -275,24 +279,27 @@ def frame_certificate(pair, points):
     # [s_i, s_j] . e_I - (d_H(s_i . s_j . e_I) + s_i . d_H(s_j . e_I)
     #                    - s_j . d_H(s_i . e_I) - s_j . s_i . d_H e_I)
     name = "spinor-bracket-oracle"
-    acted = [[_act(row, d.coeffs) for d in dh] for row in table]   # s_i . d_H e_L
+    dhc = [d.coeffs for d in dh]
+    acted = [[_act(row, d) for d in dhc] for row in table]   # s_i . d_H e_L
     for i in range(2 * m):
+        row_i, acted_i = table[i], acted[i]
         for j in range(2 * m):
+            row_j, acted_j = table[j], acted[j]
             bracket_acts = _act_sections(table, coords[i][j], cof)
             for mask in range(nforms):    # empty dicts are left out
                 terms = [(1, bracket_acts[mask])] if bracket_acts[mask] else []
-                hit_j = table[j][mask]
+                hit_j = row_j[mask]
                 if hit_j is not None:
                     inner, sj = hit_j
-                    hit_i = table[i][inner]
-                    if hit_i is not None and dh[hit_i[0]].coeffs:
-                        terms.append((-sj * hit_i[1], dh[hit_i[0]].coeffs))
-                    if acted[i][inner]:
-                        terms.append((-sj, acted[i][inner]))
-                hit_i = table[i][mask]
-                if hit_i is not None and acted[j][hit_i[0]]:
-                    terms.append((hit_i[1], acted[j][hit_i[0]]))
-                if acted[i][mask] and (both := _act(table[j], acted[i][mask])):
+                    hit_i = row_i[inner]
+                    if hit_i is not None and dhc[hit_i[0]]:
+                        terms.append((-sj * hit_i[1], dhc[hit_i[0]]))
+                    if acted_i[inner]:
+                        terms.append((-sj, acted_i[inner]))
+                hit_i = row_i[mask]
+                if hit_i is not None and acted_j[hit_i[0]]:
+                    terms.append((hit_i[1], acted_j[hit_i[0]]))
+                if acted_i[mask] and (both := _act(row_j, acted_i[mask])):
                     terms.append((1, both))
                 frame[name].append(_form_residual(terms) if terms else [])
     side[name] += leibniz
@@ -312,17 +319,16 @@ def _evaluate(frame, side, points):
     is queued once."""
     live, spans = [], {}
     for group in (*frame.values(), *side.values()):
-        for residual in group:
-            if residual and id(residual) not in spans:
+        for residual in filter(None, group):
+            if id(residual) not in spans:
                 spans[id(residual)] = (len(live), len(live) + len(residual))
                 live.extend(residual)
     mags = [max(abs(z) for z in zs) for zs in eval_complex_points(live, points)]
     out = {}
     for name, group in frame.items():
         worst = 0.0
-        for residual in group + side[name]:
-            if residual:
-                worst = max(worst, *mags[slice(*spans[id(residual)])])
-        out[name] = Certified(worst, len(group), sum(not r for r in group),
-                              len(side[name]), sum(not r for r in side[name]))
+        for residual in filter(None, group + side[name]):
+            worst = max(worst, *mags[slice(*spans[id(residual)])])
+        out[name] = Certified(worst, len(group), group.count([]),
+                              len(side[name]), side[name].count([]))
     return out

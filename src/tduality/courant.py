@@ -11,15 +11,17 @@ a table of brackets in one pass over plain dicts: it reads each distinct
 section once per call (X's ``live`` pairs, xi's coefficients, the
 ``contraction_rows`` of d xi, and of i_Y H or i_X c_i), and each entry is the
 {index: CScalar} dict of the bracket's coordinates, with no form, frame
-vector or section of its own; ``courant_bracket`` and ``lie_bracket``
-return one entry as a section and as a frame vector.  The sign of the flux
-term is the derived-bracket convention: it is the unique choice for which
-the spinor identity [v, w]_H . rho = [[d_H, v], w] . rho holds with the
-canonical super-commutators (inner anticommutator of the two odd operators,
-outer plain commutator of the even result with the odd Clifford action),
-and the unique choice under which the duality section transform preserves
-brackets given the package's F and dual-flux conventions.  The opposite
-flux sign is common in the literature; it corresponds to H -> -H throughout.
+vector or section of its own; ``courant_bracket`` returns one entry as a
+section.  ``pairings`` makes a table of pairings the same way, off the
+unhalved sums 2 <v, w> of ``_pairing_sums``, which the certificate reads
+too.  The sign of the flux term is the derived-bracket convention: it is
+the unique choice for which the spinor identity
+[v, w]_H . rho = [[d_H, v], w] . rho holds with the canonical
+super-commutators (inner anticommutator of the two odd operators, outer
+plain commutator of the even result with the odd Clifford action), and the
+unique choice under which the duality section transform preserves brackets
+given the package's F and dual-flux conventions.  The opposite flux sign is
+common in the literature; it corresponds to H -> -H throughout.
 
 The bracket of frame vector fields is read off the structure equations
 d(dx^a) = 0, d(theta_i) = c_i through
@@ -40,8 +42,8 @@ from .exterior import (Form, FrameVector, _accumulate, _deduct, clifford_act, co
 from .bundle import exterior_derivative, form_residual
 
 __all__ = [
-    "Section", "pairing", "split_pairing_matrix", "lie_bracket",
-    "courant_bracket", "courant_brackets", "lift_splitting_residual", "section_basis",
+    "Section", "pairings", "split_pairing_matrix", "courant_bracket", "courant_brackets",
+    "lift_splitting_residual", "section_basis",
 ]
 
 
@@ -128,21 +130,40 @@ def section_basis(coframe):
 _HALF = CScalar.of(rat(1, 2))
 
 
-def pairing(v, w):
-    """<X+xi, Y+eta> = (eta(X) + xi(Y)) / 2, a CScalar; a product with a
-    structurally zero factor is skipped, as is adding it."""
-    cof = v.x.coframe
-    if cof != w.x.coframe:
-        raise ValueError("chart mismatch")
-    total = CZERO
-    sides = ((dict(v.x.live), w.xi.coeffs), (dict(w.x.live), v.xi.coeffs))
-    for i in range(cof.dim):
-        bit = 1 << i
-        for x, xi in sides:
-            if (a := x.get(i)) is not None and (b := xi.get(bit)) is not None:
-                term = a * b
-                total = term if total.is_zero() else total + term
-    return total * _HALF
+def _pairing_sums(vs, ws):
+    """The table of 2 <v, w> = eta(X) + xi(Y), v in vs by row and w in ws by
+    column, reading each distinct section's ``live`` pairs and covector
+    coefficients once per call.  An entry sums its terms left to right in
+    ascending generator index, X against eta before Y against xi, skipping a
+    term with a structurally zero factor; with no term it is ``CZERO``."""
+    both, reads = (*vs, *ws), {}    # reads by section id: ({k: X^k}, {k: xi_k})
+    for s in both:
+        if id(s) not in reads:
+            if s.x.coframe is not both[0].x.coframe and s.x.coframe != both[0].x.coframe:
+                raise ValueError("chart mismatch")
+            xi = {bit.bit_length() - 1: c for bit, c in s.xi.coeffs.items()}
+            reads[id(s)] = (dict(s.x.live), xi)
+    cols = [reads[id(w)] for w in ws]
+    table = []
+    for v in vs:
+        x, xi = reads[id(v)]
+        row = []
+        for y, eta in cols:
+            total = CZERO
+            for i in sorted(x.keys() & eta.keys() | y.keys() & xi.keys()):
+                for a, b in ((x.get(i), eta.get(i)), (y.get(i), xi.get(i))):
+                    if a is not None and b is not None:
+                        term = a * b
+                        total = term if total.is_zero() else total + term
+            row.append(total)
+        table.append(row)
+    return table
+
+
+def pairings(vs, ws):
+    """The table of pairings <X+xi, Y+eta> = (eta(X) + xi(Y)) / 2, v in vs
+    by row and w in ws by column: the sums of ``_pairing_sums`` halved."""
+    return [[s * _HALF for s in row] for row in _pairing_sums(vs, ws)]
 
 
 def split_pairing_matrix(m):
@@ -195,24 +216,14 @@ def _pair(live, coeffs):
     return None if total is None or total.is_zero() else total
 
 
-def lie_bracket(x, y, chart):
-    """Lie bracket of invariant frame vector fields on the chart: the vector
-    part of the ``courant_brackets`` entry of X and Y."""
-    cof = chart.coframe
-    zero = Form.zero(cof)
-    entry = courant_brackets([Section(x, zero)], [Section(y, zero)], chart)[0][0]
-    return FrameVector(cof, tuple([entry.get(b, CZERO) for b in range(cof.dim)]))
-
-
 def courant_bracket(v, w, chart):
     """[X+xi, Y+eta] = [X,Y] + L_X eta - i_Y d xi + i_X i_Y H as a Section:
-    ``lie_bracket`` and the 1-form of the ``courant_brackets`` entry of v
-    and w.  Kept for the tests and ``perfbench/tracer.py``, which wraps it by
-    name (ROADMAP 1a)."""
-    cof = chart.coframe
-    m = cof.dim
+    the ``courant_brackets`` entry of v and w, its vector part at the keys
+    below m.  Kept for the tests and ``perfbench/tracer.py``, which wraps it
+    by name (ROADMAP 1a)."""
+    cof, m = chart.coframe, chart.coframe.dim
     entry = courant_brackets([v], [w], chart)[0][0]
-    return Section(lie_bracket(v.x, w.x, chart),
+    return Section(FrameVector(cof, tuple([entry.get(b, CZERO) for b in range(m)])),
                    Form(cof, {1 << k - m: c for k, c in entry.items() if k >= m}))
 
 

@@ -109,7 +109,7 @@ def _wedge_sign(a, b):
         low = bits_b & -bits_b
         # count generators of a strictly above this generator of b
         above = a & ~(low | (low - 1))
-        if bin(above).count("1") % 2:
+        if above.bit_count() % 2:
             sign = -sign
         bits_b &= bits_b - 1
     return sign
@@ -118,7 +118,7 @@ def _wedge_sign(a, b):
 def contract_sign(mask, i):
     """Sign of removing generator i from e_mask by moving it to the front."""
     below = mask & ((1 << i) - 1)
-    return -1 if bin(below).count("1") % 2 else 1
+    return -1 if below.bit_count() % 2 else 1
 
 
 def frame_action(m):
@@ -265,7 +265,7 @@ class Form:
         return self.coeff(self.coframe.mask_of(names))
 
     def degrees(self):
-        return sorted({bin(m).count("1") for m in self.coeffs})
+        return sorted({m.bit_count() for m in self.coeffs})
 
     def max_degree(self):
         degs = self.degrees()
@@ -273,7 +273,7 @@ class Form:
 
     def component(self, degree):
         return Form._pruned(self.coframe, {m: c for m, c in self.coeffs.items()
-                                           if bin(m).count("1") == degree})
+                                           if m.bit_count() == degree})
 
     def top_component(self):
         return self.component(self.coframe.dim)
@@ -490,7 +490,7 @@ def clifford_act(x, xi, rho):
 
 def _reversal_sign(mask):
     """(-1)^(k(k-1)/2) for a basis form e_mask of degree k."""
-    k = bin(mask).count("1")
+    k = mask.bit_count()
     return -1 if (k * (k - 1) // 2) % 2 else 1
 
 
@@ -668,7 +668,7 @@ def form_to_text(form):
     if form.is_zero():
         return "0 1"
     parts = []
-    for mask in sorted(form.coeffs, key=lambda m: (bin(m).count("1"), m)):
+    for mask in sorted(form.coeffs, key=lambda m: (m.bit_count(), m)):
         names = form.coframe.names_of(mask)
         gens = "^".join(names) if names else "1"
         parts.append(f"{_cs_to_text(form.coeffs[mask])} {gens}")

@@ -28,7 +28,7 @@ import numpy as np
 
 from .bundle import block_values
 from .exterior import Form, FrameVector, _eval_array, contract
-from .courant import Section, pairing, split_pairing_matrix
+from .courant import Section, pairings, split_pairing_matrix
 from .duality import section_transform_matrices
 from .structures import (RANK_TOL, PointFrame, _rank, _transpose, _two_form_matrix,
                          _uniform, gcs_matrices)
@@ -121,7 +121,7 @@ def pairing_constant_check(sections, points):
     across the sampled points, up to 1e-9 relative (a lifted action induces
     a fixed symmetric form on the acting algebra); also returns the spread."""
     n = len(sections)
-    vals = _eval_array([pairing(a, b) for a in sections for b in sections], points)
+    vals = _eval_array([p for row in pairings(sections, sections) for p in row], points)
     stack = vals.T.reshape(len(points), n, n)
     spread = np.abs(stack - stack.mean(axis=0)).max(initial=0.0)
     return bool(spread <= 1e-9 * (1.0 + np.abs(stack).max(initial=0.0))), float(spread)

@@ -306,18 +306,31 @@ def ssub(a, b):
 
 
 def sneg(a):
-    return smul(MINUS_ONE, a)
+    """-a, the tree of ``smul(MINUS_ONE, a)``: a negated sum is (* -1 (+ ...))."""
+    kind = a.kind
+    if kind == "rat":
+        return rat(-a.value)
+    if kind == "mul":
+        if a.args[0].kind == "rat":
+            return _make_term(-a.args[0].value, a.args[1:])
+        return Scalar("mul", (MINUS_ONE,) + a.args)
+    return Scalar("mul", (MINUS_ONE, a))
 
 
 def smul(*factors):
-    """Product with rational folding.  A pair with a ZERO or ONE factor
-    returns at once what folding it would build."""
+    """Product with rational folding.  A pair with a ZERO or ONE factor, or
+    with no product factor, builds at once what folding it would build."""
     if len(factors) == 2:
         a, b = factors
         if a is ONE or b is ZERO:
             return b
         if b is ONE or a is ZERO:
             return a
+        ka, kb = a.kind, b.kind
+        if ka != "mul" and kb != "mul":
+            if ka == "rat":
+                return rat(a.value * b.value) if kb == "rat" else Scalar("mul", (rat(a.value), b))
+            return Scalar("mul", (rat(b.value), a) if kb == "rat" else (a, b))
     return _collect_product(factors)
 
 

@@ -290,7 +290,7 @@ def spinor_types(spinor, points):
     size = np.abs(_eval_array(coeffs.values(), points))
     top = size.max(axis=0)
     _first_failure(top == 0.0, "spinor vanishes", points)
-    degrees = np.array([[bin(mask).count("1")] for mask in coeffs])
+    degrees = np.array([[mask.bit_count()] for mask in coeffs])
     return np.where(size > RANK_TOL * top, degrees, spinor.coframe.dim + 1).min(axis=0).tolist()
 
 
@@ -300,7 +300,7 @@ def is_decomposable(form, points):
     dimensions (they never span more).  A vanishing form passes."""
     fr = PointFrame(form.coframe)
     vals = form.eval_vectors(points)
-    degree = np.array([bin(mask).count("1") for mask in range(fr.nforms)])
+    degree = np.array([mask.bit_count() for mask in range(fr.nforms)])
     lowest = np.where(np.abs(vals) > 0, degree, fr.m + 1).min(axis=-1, keepdims=True)
     vecs = np.where(degree == lowest, vals, 0)[..., None]
     wedges = np.concatenate([w @ vecs for w in fr._wedge], axis=-1)

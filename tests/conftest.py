@@ -2,10 +2,11 @@
 and the Clifford-compatibility residual, kept as reference oracles beside
 the frame certificate and the generic Buscher instance that replaced them,
 the componentwise residual of a section, the term-by-term bodies of
-``Form.__add__``, ``exterior_derivative``, ``lie_bracket``,
-``courant_bracket`` and ``pairing`` (``_reference_*``), which the one-pass
-kernels must match tree for tree, the Section-level body of
-``courant_brackets`` with its ``lie_bracket`` and ``_minus``
+``Form.__add__``, ``exterior_derivative``, the Lie bracket,
+``courant_bracket`` and the pairing (``_reference_*``), which the one-pass
+kernels must match tree for tree, the one-entry readers ``pairing`` and
+``lie_bracket`` of the ``pairings`` and ``courant_brackets`` tables, the
+Section-level body of ``courant_brackets`` with its Lie bracket and ``_minus``
 (``_reference_courant_brackets``, ``_reference_sparse_lie_bracket``,
 ``_reference_minus``), whose sections the table's coordinate-dict entries
 must match key for key and tree for tree, ``_section_of``, which reads an
@@ -58,8 +59,7 @@ from tduality.exterior import (Form, FrameVector, contract, contract_sign,
                                strip_rightmost, wedge)
 from tduality.structures import (GeneralizedMetric, RANK_TOL, SymTensor,
                                  _clifford_matrices, mukai_norm)
-from tduality.courant import (Section, _derivative, pairing, section_basis,
-                              split_pairing_matrix)
+from tduality.courant import Section, _derivative, section_basis, split_pairing_matrix
 from tduality.reduction import ReducedSpace, ReductionReport, _first_factor
 from tduality.duality import (DualityPair, _form_columns, _section_columns,
                               dualize_form, dualize_section)
@@ -357,6 +357,21 @@ def _reference_pairing(v, w):
         total = total + v.x.components[i] * w.xi.coeff(bit)
         total = total + w.x.components[i] * v.xi.coeff(bit)
     return total * CScalar.of(rat(1, 2))
+
+
+def pairing(v, w):
+    """<v, w>: the one entry of ``courant.pairings([v], [w])``."""
+    return courant.pairings([v], [w])[0][0]
+
+
+def lie_bracket(x, y, chart):
+    """Lie bracket of invariant frame vector fields on the chart: the vector
+    part, at the keys below m, of the ``courant.courant_brackets`` entry of
+    X and Y as sections."""
+    cof = chart.coframe
+    zero = Form.zero(cof)
+    entry = courant.courant_brackets([Section(x, zero)], [Section(y, zero)], chart)[0][0]
+    return FrameVector(cof, tuple([entry.get(b, CZERO) for b in range(cof.dim)]))
 
 
 def _reference_leibniz(pair):

@@ -11,7 +11,7 @@ from tduality.scalar import (CScalar, Domain, ONE, ZERO, rat, sadd, scos, sdiv,
 from tduality.exterior import (Coframe, Form, FrameVector, exp_form,
                                mukai_pairing, wedge)
 from tduality.bundle import BundleChart, form_residual, twisted_derivative
-from tduality.courant import Section, courant_bracket, pairing, split_pairing_matrix
+from tduality.courant import Section, courant_bracket, split_pairing_matrix
 from tduality.structures import (PureSpinor, check_integrable, metric_residual,
                                  spinor_types)
 from tduality.duality import (DualityPair, buscher_rules, dual_types,
@@ -23,7 +23,7 @@ from tduality.reduction import (LiftedActionPoint, double_quotient_report,
                                 fourier_mukai_check, reduce_pointwise)
 from tduality.scenarios import twisted_rank_two_pair, load_chart, run_scenario
 
-from conftest import (compatibility_residual, equal_at_samples, random_metric,
+from conftest import (compatibility_residual, equal_at_samples, pairing, random_metric,
                       section_residual)
 
 SEED = 20240817

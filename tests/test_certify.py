@@ -28,7 +28,7 @@ import pytest
 from conftest import (_reference_act_sections, _reference_courant_bracket,
                       _reference_courant_brackets, _reference_fiber_integrate,
                       _reference_frame_action, _reference_leibniz, _reference_map_to,
-                      _reference_sum, _section_of, count_python_calls)
+                      _reference_pairing, _reference_sum, _section_of, count_python_calls)
 from test_courant import _random_curved_chart, _sections
 from test_kernels import _sections as _complex_sections
 from tduality import bundle, certify, courant, duality, exterior
@@ -240,17 +240,16 @@ def test_frame_action_is_the_clifford_action(key):
 
 
 def bracket_tables(pair):
-    """(vs, ws, chart) of the four bracket-table shapes of the certificate:
-    frame x frame, dual sections x dual sections, and for each base
-    coordinate x, (x s_i) x frame and frame x (x s_j)."""
+    """(vs, ws, chart) of the three bracket tables of the certificate: the
+    frame and then (x s_i) for every base coordinate x, against the frame;
+    the frame against (x s_j) for every x; and dual sections x dual
+    sections."""
     chart = pair.chart
     basis = section_basis(chart.coframe)
     sections = list(duality._section_columns(pair))
-    shapes = [(basis, basis, chart), (sections, sections, pair.dual)]
-    for v in chart.base_vars:
-        scaled = [s.scale(CScalar(var(v))) for s in basis]
-        shapes += [(scaled, basis, chart), (basis, scaled, chart)]
-    return shapes
+    scaled = [s.scale(CScalar(var(v))) for v in chart.base_vars for s in basis]
+    return [(basis + scaled, basis, chart), (basis, scaled, chart),
+            (sections, sections, pair.dual)]
 
 
 @pytest.mark.parametrize("name", sorted(PAIRS))
@@ -324,6 +323,34 @@ def test_bracket_table_rejects_a_section_on_another_coframe():
     for vs, ws in ((other, basis), (basis, other[:1]), (basis[:1], other)):
         with pytest.raises(ValueError, match="chart mismatch"):
             courant.courant_brackets(vs, ws, pair.chart)
+
+
+@pytest.mark.parametrize("name", [*sorted(PAIRS), "charts"])
+def test_pairing_tables_match_the_reference(name):
+    """Every entry of ``courant.pairings`` is ``_reference_pairing`` of its
+    row and column sections, and every entry of ``_pairing_sums`` that
+    pairing times 2, by structure and repr: on the frame sections and on
+    their dual images of each pair, and on ``test_courant._sections`` of
+    s3_hopf, s3_flux and t2_twisted, square and with fewer rows; sections
+    on two coframes are refused."""
+    if name in PAIRS:
+        pair = PAIRS[name]()
+        basis, images = section_basis(pair.chart.coframe), list(duality._section_columns(pair))
+        with pytest.raises(ValueError, match="chart mismatch"):
+            courant.pairings(basis, images)
+        lists = [basis, images]
+    else:
+        rng = np.random.default_rng(5)
+        lists = [_sections(rng, load_chart(c)) for c in ("s3_hopf", "s3_flux", "t2_twisted")]
+    for ws in lists:
+        for vs in (ws, ws[1::3]):
+            ref = [[_reference_pairing(v, w) for w in ws] for v in vs]
+            twice = [[p * CScalar.of(2) for p in row] for row in ref]
+            for got, want in ((courant.pairings(vs, ws), ref),
+                              (courant._pairing_sums(vs, ws), twice)):
+                assert got == want
+                assert [[repr(c) for c in row] for row in got] == [
+                    [repr(c) for c in row] for row in want]
 
 
 @pytest.mark.parametrize("name", sorted(PAIRS))
@@ -437,8 +464,8 @@ def count_calls(mp, owner, name):
 
 def test_certificate_builds_its_shared_pieces_once(monkeypatch):
     """A fresh s3_hopf certificate builds e^F and e^(-F) once each, no more
-    exterior derivatives than its shared tables need, and each frame pairing
-    once; it sums no empty term list, and its zero tests and form
+    exterior derivatives than its shared tables need, and its pairings as
+    two tables; it sums no empty term list, and its zero tests and form
     constructions stay within the counts of expected sides built on
     coordinate tuples (7,434 zero tests and 1,990 forms when they were built
     as sections, 1,882 forms with a zero form per bracket-table entry), and
@@ -451,7 +478,7 @@ def test_certificate_builds_its_shared_pieces_once(monkeypatch):
     actions collected on dicts (3,374 zero tests and 974 forms before)."""
     exps = count_calls(monkeypatch, duality, "exp_form")
     derivatives = count_calls(monkeypatch, bundle, "exterior_derivative")
-    pairings = count_calls(monkeypatch, courant, "pairing")
+    pairings = count_calls(monkeypatch, courant, "_pairing_sums")
     zero_tests = count_calls(monkeypatch, CScalar, "is_zero")
     forms = count_calls(monkeypatch, Form, "__init__")
     sizes, real = [], certify._sum
@@ -465,10 +492,36 @@ def test_certificate_builds_its_shared_pieces_once(monkeypatch):
     certify.frame_certificate(pair, pair.chart.domain.sample_many(np.random.default_rng(7), 8))
     assert exps[0] <= 2
     assert derivatives[0] <= 110
-    assert pairings[0] <= 72
+    assert pairings[0] == 2
     assert sizes and min(sizes) > 0
     assert zero_tests[0] <= 1_200
     assert forms[0] <= 900
+
+
+def test_certificate_reads_its_tables_in_few_passes(monkeypatch):
+    """An s3_flux certificate makes three ``courant_brackets`` calls (the
+    frame with its left Leibniz rows, the right Leibniz columns, the dual
+    sections) and two pairing tables (the frame's unhalved sums and the dual
+    sections' ``pairings``), each on whole lists of sections: no call reads
+    one pair."""
+    shapes = {}
+    for name in ("courant_brackets", "_pairing_sums", "pairings"):
+        real = getattr(courant, name)
+
+        def recorded(vs, ws, *rest, real=real, name=name):
+            shapes.setdefault(name, []).append((len(vs), len(ws)))
+            return real(vs, ws, *rest)
+
+        for module in (courant, certify):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, recorded)
+    pair = PAIRS["s3_flux"]()
+    certify.frame_certificate(pair, pair.chart.domain.sample_many(np.random.default_rng(7), 8))
+    m, k = pair.chart.coframe.dim, len(pair.chart.base_vars)
+    assert shapes == {"courant_brackets": [(2 * m * (k + 1), 2 * m), (2 * m, 2 * m * k),
+                                           (2 * m, 2 * m)],
+                      "_pairing_sums": [(2 * m, 2 * m)] * 2,
+                      "pairings": [(2 * m, 2 * m)]}
 
 
 @pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),

@@ -8,12 +8,12 @@ from tduality.exterior import Form, FrameVector
 from tduality.bundle import (BundleChart, build_dual_chart, exterior_derivative,
                              form_residual, twisted_derivative)
 from tduality.courant import (Section, courant_bracket, lift_splitting_residual,
-                              lie_bracket, pairing, split_pairing_matrix)
+                              split_pairing_matrix)
 from tduality.randomgen import random_form, random_scalar, random_section
 from tduality.scenarios import CHARTS, load_chart
 
 from conftest import (_reference_courant_bracket, _reference_lie_bracket, b_transform,
-                      section_residual)
+                      lie_bracket, pairing, section_residual)
 
 
 def test_pairing_values(plane_chart):

@@ -9,7 +9,7 @@ from tduality.scalar import (CScalar, EvaluationError, ONE, ZERO, rat, sadd, sca
 from tduality.exterior import Form, exp_form, wedge
 from tduality.bundle import (build_dual_chart, form_residual, standard_correspondence_flux,
                              twisted_derivative)
-from tduality.courant import Section, courant_bracket, pairing, section_basis
+from tduality.courant import Section, courant_bracket, section_basis
 from tduality.structures import (GeneralizedMetric, PureSpinor, SymTensor,
                                  check_integrable, metric_residual, spinor_types)
 from tduality.duality import (DualityPair, assemble_metric,
@@ -26,7 +26,7 @@ from tduality.scenarios import twisted_rank_two_pair
 
 from conftest import (_reference_dualize_form, _reference_dualize_form_reverse,
                       _reference_dualize_section, _reference_map_to, compatibility_residual,
-                      equal_at_samples, random_metric, section_residual)
+                      equal_at_samples, pairing, random_metric, section_residual)
 
 
 # -- the form transform -------------------------------------------------------

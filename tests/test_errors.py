@@ -10,12 +10,14 @@ from tduality.scalar import (CScalar, Domain, EvaluationError, evaluate_points, 
 from tduality.exterior import (Coframe, Form, FrameVector, clifford_act,
                                contract, exp_form, wedge)
 from tduality.bundle import BundleChart, exterior_derivative
-from tduality.courant import Section, courant_bracket, pairing
+from tduality.courant import Section, courant_bracket
 from tduality.structures import (GeneralizedMetric, PureSpinor, SymTensor,
                                  annihilators, check_integrable, gcs_matrices,
                                  gcs_matrix_at, metric_matrices, spinor_types,
                                  uk_spaces)
 from tduality import duality
+
+from conftest import pairing
 
 
 @pytest.fixture

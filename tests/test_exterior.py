@@ -6,8 +6,10 @@ from tduality.exterior import (Coframe, Form, FrameVector, clifford_act,
                                mukai_pairing,
                                mukai_signs, reversal, wedge)
 from tduality.bundle import form_residual
-from tduality.courant import Section, pairing
+from tduality.courant import Section
 from tduality.randomgen import random_form
+
+from conftest import pairing
 
 
 def vec(cof, name):

@@ -17,15 +17,14 @@ import pytest
 from tduality.scalar import CScalar, var
 from tduality.exterior import Form, FrameVector, contract, wedge
 from tduality.bundle import BundleChart, exterior_derivative, twisted_derivative
-from tduality.courant import (Section, courant_bracket, lie_bracket, pairing,
-                              section_basis)
+from tduality.courant import Section, courant_bracket, section_basis
 from tduality.duality import DualityPair
 from tduality.randomgen import random_cscalar, random_form, random_scalar, random_section
 from tduality.scenarios import CHARTS, load_chart
 
 from conftest import (_reference_courant_bracket, _reference_exterior_derivative,
                       _reference_form_add, _reference_lie_bracket, _reference_pairing,
-                      chart_id)
+                      chart_id, lie_bracket, pairing)
 
 CONFIGS = sorted(CHARTS)
 

@@ -406,6 +406,51 @@ def test_shortcuts_build_what_the_general_formula_builds():
             assert a - b == _general_add(a, _general_neg(b))
 
 
+def _nodes(x):
+    """Every node of the expression, once each."""
+    seen, stack = {}, [x]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.args)
+    return list(seen.values())
+
+
+def test_negation_and_two_factor_products_build_the_general_product():
+    """``sneg(a)`` builds the tree of ``_collect_product((MINUS_ONE, a))``,
+    and ``smul(a, b)`` that of ``_collect_product((a, b))``, by structure
+    and repr, on ZERO, ONE, MINUS_ONE, shared and large integers, fractions,
+    a variable, pi, a power, a sine, sums, a negated sum and products with
+    and without a leading rational, in a seeded order; every small integer
+    in a result is the shared node.  The complex negation is the negation
+    of each part."""
+    rng = np.random.default_rng(31)
+    pool = [ZERO, ONE, MINUS_ONE, rat(2), rat(-16), rat(17), rat(-40), rat(10**20),
+            rat(1, 2), rat(-3, 7), rat(Fraction(5, 3)), T, PI, spow(T, 3), ssin(U),
+            sadd(T, U), sneg(sadd(ONE, spow(U, 2))), smul(T, U), smul(rat(3), T),
+            smul(rat(-1, 2), T, ssin(U)), smul(rat(-1), spow(U, -2))]
+    pool = [pool[i] for i in rng.permutation(len(pool))]
+    got, want = [], []
+    for a in pool:
+        got.append(sneg(a))
+        want.append(_collect_product((MINUS_ONE, a)))
+        for b in pool:
+            got.append(smul(a, b))
+            want.append(_collect_product((a, b)))
+    assert got == want
+    assert list(map(repr, got)) == list(map(repr, want))
+    small = [n for x in got for n in _nodes(x)
+             if n.kind == "rat" and type(n.value) is int and -16 <= n.value <= 16]
+    assert small and all(n is rat(n.value) for n in small)
+    assert sneg(ZERO) is ZERO and sneg(MINUS_ONE) is ONE and sneg(ONE) is MINUS_ONE
+    for re in pool:
+        for im in pool[::4]:
+            c = -CScalar(re, im)
+            assert c == _general_neg(CScalar(re, im))
+            assert (repr(c.re), repr(c.im)) == (repr(sneg(re)), repr(sneg(im)))
+
+
 def test_signed_sum_builds_what_sadd_of_the_negations_builds():
     """``ssub`` and ``signed_sum`` collect a negated term from its sign, with
     no negation node built for it; the tree is the one ``sadd`` makes of the

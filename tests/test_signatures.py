@@ -178,8 +178,8 @@ def test_module_caches_are_keyed_by_m_only():
 # functions that skip zero frame-vector components by reading ``live``
 SPARSE_READERS = {("exterior", "contract"), ("exterior", "FrameVector.is_zero"),
                   ("exterior", "FrameVector.map_to"),
-                  ("certify", "_coordinates"), ("courant", "pairing"),
-                  ("courant", "_derivative"), ("courant", "lie_bracket")}
+                  ("certify", "_coordinates"), ("courant", "_pairing_sums"),
+                  ("courant", "_derivative")}
 
 
 def test_sparse_readers_do_not_scan_components():
