@@ -20,9 +20,8 @@ Layers, bottom up:
 """
 
 from .scalar import CScalar, Domain, Scalar, diff, evaluate, rat, var
-from .exterior import (Coframe, Form, FrameVector, clifford_act, contract,
-                       exp_form, fiber_integrate, mukai_pairing, reversal,
-                       wedge)
+from .exterior import (Coframe, Form, FrameVector, contract, exp_form,
+                       fiber_integrate, mukai_pairing, reversal, wedge)
 from .bundle import (BundleChart, DualityPair, build_dual_chart,
                      exterior_derivative, split_flux, twisted_derivative,
                      validate_chart, validate_pair)

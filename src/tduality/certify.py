@@ -30,8 +30,9 @@ phi(x_a s_i) = x_a phi(s_i).  These Leibniz and linearity instances are the
 side conditions of a check.
 
 Every instance is built from tables made once per pair: d_H of each
-monomial, the signed monomial s . e_I for each frame section s (the table of
-``exterior.frame_action``: E_k removes generator k, e^k puts it in front),
+monomial, the signed monomial s . e_I for each frame section s (the
+coframe's ``frame_action`` table, ``Coframe.action``: E_k removes generator
+k, e^k puts it in front),
 two chart-side bracket passes (``courant_brackets``: the frame and every
 x_a s_i against the frame, frame x frame in the first 2m rows and the left
 Leibniz rules in the later row blocks; the frame against every x_a s_j, the
@@ -41,10 +42,12 @@ tables (the frame's sums 2 <s_i, s_j> and the dual sections'
 caches on the pair.  x_a e_I, d_H(x_a e_I) and x_a phi(e_I) are built once
 and shared by every check that uses them.  A form is read as its {mask:
 CScalar} ``coeffs`` and a section once as the {index: CScalar} dict
-of its coordinates that are not structurally zero (X_1..X_m, xi_1..xi_m),
-the dict that a bracket-table entry already is; the actions of sections,
-the transforms of the frame's images and the expected side of a Leibniz
-rule are built as such dicts.  ``_form_residual``
+of its coordinates that are not structurally zero (X_1..X_m, xi_1..xi_m,
+``Section._coordinates``), the dict that a bracket-table entry already is;
+the actions of sections (``exterior.clifford``, or its row step
+``act_row`` for a frame section), the transforms of the frame's images and
+the expected side of a Leibniz rule are built as such dicts, and an anchor
+pi(s)(x) is read by ``courant._pair``.  ``_form_residual``
 forms every residual from signed dicts of either kind, summed by
 ``scalar.signed_sum`` as ``sadd`` sums, so what cancels here is what cancels
 in any sum; a zero test is an identity test against the shared ``ZERO``.
@@ -58,11 +61,12 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import NamedTuple
 
-from .scalar import CScalar, ZERO, signed_sum, var
-from .exterior import (Form, FrameVector, _accumulate, contract, eval_complex_points,
-                       frame_action, wedge)
+from .scalar import CScalar, CZERO, ZERO, signed_sum, var
+from .exterior import (Form, FrameVector, _accumulate, act_row, clifford, eval_complex_points,
+                       wedge)
 from .bundle import exterior_derivative, twisted_derivative
-from .courant import Section, _HALF, _pairing_sums, courant_brackets, pairings, section_basis
+from .courant import (Section, _HALF, _pair, _pairing_sums, courant_brackets, pairings,
+                      section_basis)
 from .duality import (_form_columns, _section_columns, dualize_form,
                       dualize_form_reverse, dualize_section, reverse_sign)
 
@@ -115,15 +119,6 @@ def _form_residual(terms):
     return [c for c in map(_sum, by_key.values()) if not c.is_zero()]
 
 
-def _coordinates(s):
-    """The section's coordinates that are not structurally zero, as an
-    {index: CScalar} dict: X_k at k and xi_k at m + k."""
-    m, out = s.x.coframe.dim, dict(s.x.live)
-    for mask, c in s.xi.coeffs.items():
-        out[m + mask.bit_length() - 1] = c
-    return out
-
-
 def _transform(weights, columns):
     """sum_k w_k columns[k] for the weights {k: w_k}, as a {key: CScalar}
     dict; a column is such a dict too."""
@@ -132,37 +127,6 @@ def _transform(weights, columns):
         for r, c in columns[k].items():
             out[r].append((1, w * c))
     return {r: _sum(t) for r, t in out.items()}
-
-
-def _act(row, coeffs):
-    """Frame section with action row ``row`` acting on the form with
-    coefficients ``coeffs``, as a {mask: CScalar} dict; distinct masks have
-    distinct images, so nothing accumulates."""
-    out = {}
-    for mask, c in coeffs.items():
-        hit = row[mask]
-        if hit is not None:
-            out[hit[0]] = c if hit[1] > 0 else -c
-    return out
-
-
-def _clifford(table, coords, coeffs):
-    """``Section.act`` on dicts: the section with coordinates ``coords`` on the
-    form ``coeffs``, the ``contract`` and ``wedge`` parts in their factor
-    orders, each pruned, then merged as ``Form.__add__`` merges them."""
-    m, parts = len(table) // 2, ({}, {})
-    for k, a in coords.items():
-        part = parts[k >= m]
-        for mask, c in coeffs.items():
-            if (hit := table[k][mask]) is not None:
-                t, key = c * a if k < m else a * c, hit[0]
-                t = -t if hit[1] < 0 else t
-                part[key] = part[key] + t if key in part else t
-    out = {k: c for k, c in parts[0].items() if not c.is_zero()}
-    for k, c in parts[1].items():
-        if not c.is_zero():
-            _accumulate(out, k, c)
-    return out
 
 
 def _act_sections(table, coords, coframe):
@@ -187,9 +151,9 @@ def frame_certificate(pair, points):
     cols = _form_columns(pair)
     fcols = [c.coeffs for c in cols]
     sections = _section_columns(pair)
-    scols = [_coordinates(s) for s in sections]
+    scols = [s._coordinates() for s in sections]
     dh = [twisted_derivative(e, chart) for e in monomials]
-    table = frame_action(m)
+    table = cof.action()
     sign = round(reverse_sign(pair).real)
     twice = _pairing_sums(basis, basis)    # 2 <s_i, s_j>
     xs = [CScalar(var(v)) for v in chart.base_vars]
@@ -218,12 +182,12 @@ def frame_certificate(pair, points):
                 [(1, dh_xe.coeffs), (-1, wedge(dx, e).coeffs), (-1, dh[mask].scale(x).coeffs)]))
             side["transform-invertible"].append(_form_residual(
                 [(1, dualize_form_reverse(image, pair).coeffs), (-sign, xe.coeffs)]))
-        section_linear += [_form_residual([(1, _coordinates(dualize_section(s, pair))),
+        section_linear += [_form_residual([(1, dualize_section(s, pair)._coordinates()),
                                            (-1, {k: x * c for k, c in col.items()})])
                            for s, col in zip(scaled_all[lo:lo + 2 * m], scols)]
         # the bracket's Leibniz rules on (x s_i, s_j) and (s_i, x s_j), each
         # expected side built on the coordinates of x [s_i, s_j]
-        along = [contract(s.x, dx).coeff(0) for s in basis]    # pi(s)(x)
+        along = [_pair(s.x.live, dx.coeffs) or CZERO for s in basis]    # pi(s)(x)
         at_dx = [(m + mask.bit_length() - 1, c) for mask, c in dx.coeffs.items()]
         left = left_all[2 * m + lo:4 * m + lo]    # right_all's block is its columns lo..
         for i, (row, right) in enumerate(zip(coords, right_all)):
@@ -241,12 +205,12 @@ def frame_certificate(pair, points):
                 leibniz.append(_form_residual([(1, right[lo + j]), (-1, bracket)]))
         # phi preserves the anchor on x, and phi(dx) = dx
         name = "section-transform-bracket"
-        for i, image in enumerate(sections):
-            side[name].append(_form_residual([(1, contract(image.x, dx_dual).coeffs),
-                                              (-1, {0: along[i]})]))
+        for image, pi in zip(sections, along):
+            pi_dual = _pair(image.x.live, dx_dual.coeffs) or CZERO
+            side[name].append(_form_residual([(1, {0: pi_dual}), (-1, {0: pi})]))
         side[name].append(_form_residual(
-            [(1, _coordinates(dualize_section(Section(FrameVector.zero(cof), dx), pair))),
-             (-1, _coordinates(Section(FrameVector.zero(dcof), dx_dual)))]))
+            [(1, dualize_section(Section(FrameVector.zero(cof), dx), pair)._coordinates()),
+             (-1, Section(FrameVector.zero(dcof), dx_dual)._coordinates())]))
 
     name = "transform-intertwines-differentials"
     for mask in range(nforms):
@@ -272,7 +236,7 @@ def frame_certificate(pair, points):
         for mask in range(nforms):
             hit = table[i][mask]
             lhs = [] if hit is None else [(hit[1], cols[hit[0]].coeffs)]
-            rhs = _clifford(table, scols[i], fcols[mask])
+            rhs = clifford(table, scols[i], fcols[mask])
             frame[name].append(_form_residual(lhs + [(-1, rhs)]))
     side[name] += form_linear + section_linear
 
@@ -280,7 +244,7 @@ def frame_certificate(pair, points):
     #                    - s_j . d_H(s_i . e_I) - s_j . s_i . d_H e_I)
     name = "spinor-bracket-oracle"
     dhc = [d.coeffs for d in dh]
-    acted = [[_act(row, d) for d in dhc] for row in table]   # s_i . d_H e_L
+    acted = [[act_row(row, d) for d in dhc] for row in table]   # s_i . d_H e_L
     for i in range(2 * m):
         row_i, acted_i = table[i], acted[i]
         for j in range(2 * m):
@@ -299,7 +263,7 @@ def frame_certificate(pair, points):
                 hit_i = row_i[mask]
                 if hit_i is not None and acted_j[hit_i[0]]:
                     terms.append((hit_i[1], acted_j[hit_i[0]]))
-                if acted_i[mask] and (both := _act(row_j, acted_i[mask])):
+                if acted_i[mask] and (both := act_row(row_j, acted_i[mask])):
                     terms.append((1, both))
                 frame[name].append(_form_residual(terms) if terms else [])
     side[name] += leibniz

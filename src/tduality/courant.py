@@ -12,7 +12,10 @@ section once per call (X's ``live`` pairs, xi's coefficients, the
 ``contraction_rows`` of d xi, and of i_Y H or i_X c_i), and each entry is the
 {index: CScalar} dict of the bracket's coordinates, with no form, frame
 vector or section of its own; ``courant_bracket`` returns one entry as a
-section.  ``pairings`` makes a table of pairings the same way, off the
+section.  The vector-on-1-form reader ``_pair`` and ``contract_live`` on
+contraction rows are its two interior products; ``Section.act`` is the
+Clifford kernel ``exterior.clifford`` on the section's coordinate dict.
+``pairings`` makes a table of pairings the same way, off the
 unhalved sums 2 <v, w> of ``_pairing_sums``, which the certificate reads
 too.  The sign of the flux term is the derived-bracket convention: it is
 the unique choice for which the spinor identity
@@ -37,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from .scalar import CZERO, CScalar, ZERO, diff, rat
-from .exterior import (Form, FrameVector, _accumulate, _deduct, clifford_act, contract,
+from .exterior import (Form, FrameVector, _accumulate, _deduct, clifford, contract,
                        contract_live, contraction_rows, eval_complex)
 from .bundle import exterior_derivative, form_residual
 
@@ -97,9 +100,20 @@ class Section:
         return Section(self.x.scale(c), self.xi.scale(c))
 
     def act(self, rho):
-        """Clifford action (X + xi) . rho.  Kept for the tests and the
-        dense-points workload of ``perfbench`` (ROADMAP 1b)."""
-        return clifford_act(self.x, self.xi, rho)
+        """Clifford action (X + xi) . rho, by ``exterior.clifford``.  Kept for
+        the tests and the dense-points workload of ``perfbench`` (ROADMAP 1b)."""
+        cof = self.x.coframe
+        if rho.coframe is not cof and rho.coframe != cof:
+            raise ValueError("coframe mismatch")
+        return Form(rho.coframe, clifford(cof.action(), self._coordinates(), rho.coeffs))
+
+    def _coordinates(self):
+        """The coordinates that are not structurally zero, as an {index:
+        CScalar} dict: X_k at k and xi_k at m + k."""
+        m, out = self.x.coframe.dim, dict(self.x.live)
+        for mask, c in self.xi.coeffs.items():
+            out[m + mask.bit_length() - 1] = c
+        return out
 
     def coordinates(self):
         """Symbolic components (X_1..X_m, xi_1..xi_m)."""

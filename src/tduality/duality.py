@@ -13,7 +13,9 @@ two transforms of a dual pair:
 They intertwine the Clifford module structure:
 dualize_form(v . rho) = dualize_section(v) . dualize_form(rho).  Each runs as
 one pass over plain dicts, reading a route table that its first call builds
-and keeps on the pair (``DualityPair.cache``), so that it dies with the pair.
+and keeps on the pair (``DualityPair.cache``), so that it dies with the pair;
+the section transform's interior products are ``exterior.contract_live`` on
+the lift's live components and the contraction rows of F.
 
 Sign conventions, fixed once and validated by the intertwining identity:
 fiber volumes are extracted with the fiber generators moved rightmost, and the
@@ -32,7 +34,7 @@ import numpy as np
 
 from .scalar import (CZERO, CScalar, ZERO, ONE, rat, sadd, sdiv, smul, sneg, ssub,
                      sym_matrix_inverse)
-from .exterior import (Form, FrameVector, _eval_array, contract_by_rows, contraction_rows,
+from .exterior import (Form, FrameVector, _eval_array, contract_live, contraction_rows,
                        exp_form, fiber_integrate, fiber_routes, integral_transform,
                        strip_rightmost, wedge)
 from .bundle import DualityPair
@@ -119,25 +121,21 @@ def dualize_section(v, pair):
         "_section_routes", lambda: _section_routes(pair))
     if v.coframe is not pair.chart.coframe and v.coframe != pair.chart.coframe:
         raise ValueError("coframe mismatch")
-    comps = [CZERO] * len(known_rows)
-    for i, c in v.x.live:
-        comps[to_total[i]] = c
+    live = {to_total[i]: c for i, c in v.x.live}    # the lift's live components
     # xi(E_theta_i) - F(X_known, E_theta_i); a structural zero subtracts as CZERO
-    known = contract_by_rows(comps, known_rows)
+    known = contract_live(sorted(live.items()), known_rows)
     xi = v.xi.coeffs
     rhs = [xi.get(bit, CZERO) - known.get(bit, CZERO) for bit in fiber_bits]
     lift_re, lift_im = ([sadd(*map(smul, row, part)) for row in inv]
                         for part in ([r.re for r in rhs], [r.im for r in rhs]))
-    for idx, re, im in zip(cofibers, lift_re, lift_im):
-        term = CScalar(re, im)
-        if not term.is_zero():
-            a = comps[idx]
-            comps[idx] = term if a.is_zero() else a + term
+    for idx, re, im in zip(cofibers, lift_re, lift_im):    # cofibers are not chart generators
+        if re is not ZERO or im is not ZERO:
+            live[idx] = CScalar(re, im)
     # eta = xi - i_lift F on the dual, fiber components (zero by construction) dropped
     dcof = pair.dual.coframe
     eta = (Form(dcof, {base[m]: c for m, c in xi.items() if m in base})
-           - Form(dcof, contract_by_rows(comps, eta_rows)))
-    return Section(FrameVector(dcof, tuple([comps[i] for i in from_dual])), eta)
+           - Form(dcof, contract_live(sorted(live.items()), eta_rows)))
+    return Section(FrameVector(dcof, tuple([live.get(i, CZERO) for i in from_dual])), eta)
 
 
 def _section_routes(pair):

@@ -18,13 +18,14 @@ from a dict that already keeps the invariant and is used in this module only.
 
 A ``Coframe`` keeps what it would otherwise re-derive on every call in its
 instance dict, so that it dies with the coframe: the dimension, the name ->
-index dict, and in ``Coframe.table`` the tag masks, each mask's (image, sign)
-for ``map_to`` per target names, tags and rename, and each mask's (rest, sign)
-for ``fiber_integrate``.  No table refers back to its coframe.  The route
-kernels (``integral_transform`` over a ``fiber_routes`` table, and
-``contract_by_rows`` over ``contraction_rows``) run a dual pair's transforms
-on plain dicts; the pair keeps their tables.  ``contract_live``, its pruning
-sibling on a vector's ``live`` pairs, runs the bracket tables of ``courant``.
+index dict, and in ``Coframe.table`` the tag masks, the frame's action table
+(``Coframe.action``), each mask's (image, sign) for ``map_to`` per target
+names, tags and rename, and each mask's (rest, sign) for ``fiber_integrate``.
+No table refers back to its coframe.  The interior product has one kernel,
+``contract_live`` (a vector's ``live`` pairs on ``contraction_rows``, which
+``contract``, ``courant`` and the section transform call), and the Clifford
+action one, ``clifford`` (on the action table, built on ``act_row``); the
+form transform of a dual pair runs on a ``fiber_routes`` table it keeps.
 """
 from __future__ import annotations
 
@@ -37,10 +38,10 @@ from .scalar import CZERO, CScalar, ZERO, evaluate_points, rat, scalar_to_text
 
 __all__ = [
     "Coframe", "Form", "FrameVector",
-    "wedge", "contract", "clifford_act", "reversal", "mukai_pairing", "mukai_signs",
-    "exp_form", "fiber_integrate", "strip_rightmost", "contract_sign", "frame_action",
-    "eval_complex", "eval_complex_points", "fiber_routes", "integral_transform",
-    "contraction_rows", "contract_by_rows", "contract_live", "form_to_text",
+    "wedge", "contract", "contraction_rows", "contract_live", "act_row", "clifford",
+    "reversal", "mukai_pairing", "mukai_signs", "exp_form", "fiber_integrate",
+    "strip_rightmost", "contract_sign", "frame_action", "eval_complex",
+    "eval_complex_points", "fiber_routes", "integral_transform", "form_to_text",
 ]
 
 TAGS = ("base", "fiber", "cofiber")
@@ -95,6 +96,10 @@ class Coframe:
         if got is None:
             got = self._tables[key] = build()
         return got
+
+    def action(self):
+        """``frame_action(dim)``, kept on the coframe by ``table``."""
+        return self.table("action", lambda: frame_action(self.dim))
 
     def tag_mask(self, *tags):
         return self.table(("tags", tags), lambda: sum(
@@ -383,6 +388,8 @@ class FrameVector:
     # and ``smul`` return for it.
 
     def __add__(self, other):
+        if self.coframe is not other.coframe and self.coframe != other.coframe:
+            raise ValueError("coframe mismatch")
         out, theirs = list(other.components), dict(other.live)
         for i, a in self.live:
             out[i] = a + theirs[i] if i in theirs else a
@@ -462,30 +469,71 @@ def wedge(a, b):
     return Form(a.coframe, out)
 
 
-def contract(x, form):
-    """Interior product i_X, a degree -1 antiderivation."""
-    if x.coframe is not form.coframe and x.coframe != form.coframe:
-        raise ValueError("coframe mismatch")
+def contraction_rows(form):
+    """i_(E_p) form for each generator p, as the (mask, sign, coefficient)
+    terms that ``contract_live`` multiplies by x_p, in ``form.coeffs`` order;
+    one pass over the coefficients, walking each mask's bits."""
+    rows = [[] for _ in range(form.coframe.dim)]
+    for mask, c in form.coeffs.items():
+        bits = mask
+        while bits:
+            low = bits & -bits
+            p = low.bit_length() - 1
+            rows[p].append((mask ^ low, contract_sign(mask, p), c))
+            bits ^= low
+    return rows
+
+
+def contract_live(live, rows):
+    """The interior product i_X of a vector, given by its ``live`` pairs, on a
+    form given by its ``contraction_rows``: the {mask: CScalar} coefficients,
+    each term the form's coefficient times X's component, pruned."""
     out = {}
-    for i, comp in x.live:
-        bit = 1 << i
-        for mask, c in form.coeffs.items():
-            if not mask & bit:
-                continue
-            sign = contract_sign(mask, i)
-            m = mask & ~bit
+    for i, comp in live:
+        for mask, sign, c in rows[i]:
             term = c * comp
             if sign < 0:
                 term = -term
-            out[m] = out[m] + term if m in out else term
-    return Form(form.coframe, out)
+            out[mask] = out[mask] + term if mask in out else term
+    return {mask: c for mask, c in out.items() if c.re is not ZERO or c.im is not ZERO}
 
 
-def clifford_act(x, xi, rho):
-    """(X + xi) . rho = i_X rho + xi ^ rho; parity-reversing Clifford action."""
-    if not all(d <= 1 for d in xi.degrees()):
-        raise ValueError("covector part must be of degree one")
-    return contract(x, rho) + wedge(xi, rho)
+def contract(x, form):
+    """Interior product i_X, a degree -1 antiderivation: ``contract_live``."""
+    if x.coframe is not form.coframe and x.coframe != form.coframe:
+        raise ValueError("coframe mismatch")
+    return Form._pruned(form.coframe, contract_live(x.live, contraction_rows(form)))
+
+
+def act_row(row, coeffs, a=None, left=False):
+    """The frame section of action row ``row`` on the form ``coeffs``, as a
+    {mask: CScalar} dict (distinct masks have distinct images); each
+    coefficient times ``a``, if given, on the left if ``left``, then signed."""
+    out = {}
+    for mask, c in coeffs.items():
+        hit = row[mask]
+        if hit is not None:
+            if a is not None:
+                c = a * c if left else c * a
+            out[hit[0]] = c if hit[1] > 0 else -c
+    return out
+
+
+def clifford(table, coords, coeffs):
+    """(X + xi) . rho = i_X rho + xi ^ rho for the section's coordinate dict
+    ``coords`` (X_k at k, xi_k at m + k) and the form ``coeffs``: each
+    coordinate's ``act_row``, X_k on the right as in ``contract`` and xi_k on
+    the left as in ``wedge``, the two parts pruned and merged as ``+`` merges."""
+    m, parts = len(table) // 2, ({}, {})
+    for k, a in coords.items():
+        part = parts[k >= m]
+        for key, t in act_row(table[k], coeffs, a, k >= m).items():
+            part[key] = part[key] + t if key in part else t
+    out = {k: c for k, c in parts[0].items() if c.re is not ZERO or c.im is not ZERO}
+    for k, c in parts[1].items():
+        if c.re is not ZERO or c.im is not ZERO:
+            _accumulate(out, k, c)
+    return out
 
 
 def _reversal_sign(mask):
@@ -617,41 +665,6 @@ def _route(routes, mask):
         row.append((j, _wedge_sign(ma, pulled)) if push else None)
     rows[mask] = route = (pull, tuple(row))
     return route
-
-
-def contraction_rows(form):
-    """i_(E_p) form for each generator p, as the (mask, sign, coefficient)
-    terms that ``contract`` multiplies by x_p, in ``form.coeffs`` order."""
-    return tuple(tuple((mask & ~(1 << p), contract_sign(mask, p), c)
-                       for mask, c in form.coeffs.items() if mask >> p & 1)
-                 for p in range(form.coframe.dim))
-
-
-def contract_by_rows(components, rows):
-    """``contract`` of a vector, given by components, on ``contraction_rows``: unpruned."""
-    out = {}
-    for i, comp in enumerate(components):
-        if comp.re is ZERO and comp.im is ZERO:
-            continue
-        for mask, sign, c in rows[i]:
-            term = c * comp
-            if sign < 0:
-                term = -term
-            out[mask] = out[mask] + term if mask in out else term
-    return out
-
-
-def contract_live(live, rows):
-    """``contract`` of a vector, given by its ``live`` pairs, on
-    ``contraction_rows``: the {mask: CScalar} coefficients, pruned."""
-    out = {}
-    for i, comp in live:
-        for mask, sign, c in rows[i]:
-            term = c * comp
-            if sign < 0:
-                term = -term
-            out[mask] = out[mask] + term if mask in out else term
-    return {mask: c for mask, c in out.items() if c.re is not ZERO or c.im is not ZERO}
 
 
 # -- text serialization ---------------------------------------------------------------

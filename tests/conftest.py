@@ -15,8 +15,11 @@ entry back as a Section, the composite bodies of ``dualize_form``,
 pair's route tables must match key for key and tree for tree, the ``Section``-arithmetic Leibniz body and
 the per-mask action of a bracket of ``certify``, which the expected sides
 built on sparse coordinate dicts must match residual for residual, the
-frame's action table read off ``clifford_act``, which
-``exterior.frame_action``, made from contraction signs, must equal, the mask-by-mask bodies of
+Clifford action as ``contract`` plus ``wedge`` (``_reference_clifford_act``,
+the body ``exterior.clifford`` replaced), which that kernel and
+``Section.act`` must match key for key and tree for tree, the frame's action
+table read off it, which ``exterior.frame_action``, made from contraction
+signs, must equal, the mask-by-mask bodies of
 ``Form.map_to`` and ``fiber_integrate``, which the coframe tables must
 match, the draw-by-draw body of a ``Domain`` point, which ``sample_many``'s
 one ``rng.random`` call must match bit for bit, the Cartan formula
@@ -429,15 +432,22 @@ def _reference_act_sections(table, coords, coframe):
     return out
 
 
+def _reference_clifford_act(x, xi, rho):
+    """(X + xi) . rho = i_X rho + xi ^ rho, as ``contract`` plus ``wedge``."""
+    if not all(d <= 1 for d in xi.degrees()):
+        raise ValueError("covector part must be of degree one")
+    return contract(x, rho) + wedge(xi, rho)
+
+
 def _reference_frame_action(basis, monomials):
     """For each frame section s and each mask, (mask', sign) with
     s . e_mask = sign e_mask', or None where the action is zero; read off
-    the Clifford action itself."""
+    ``_reference_clifford_act``, not off the table under test."""
     table = []
     for s in basis:
         row = []
         for e in monomials:
-            image = s.act(e)
+            image = _reference_clifford_act(s.x, s.xi, e)
             if image.is_zero():
                 row.append(None)
                 continue

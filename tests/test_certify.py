@@ -25,8 +25,9 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import (_reference_act_sections, _reference_courant_bracket,
-                      _reference_courant_brackets, _reference_fiber_integrate,
+from conftest import (_reference_act_sections, _reference_clifford_act,
+                      _reference_courant_bracket, _reference_courant_brackets,
+                      _reference_fiber_integrate,
                       _reference_frame_action, _reference_leibniz, _reference_map_to,
                       _reference_pairing, _reference_sum, _section_of, count_python_calls)
 from test_courant import _random_curved_chart, _sections
@@ -99,7 +100,7 @@ def mutated_brackets(real, mutate):
     """The bracket tables with each entry, read as a Section b, replaced by
     the coordinates of mutate(v, w, b, chart)."""
     def brackets(vs, ws, chart):
-        return [[certify._coordinates(mutate(v, w, _section_of(entry, chart.coframe), chart))
+        return [[Section._coordinates(mutate(v, w, _section_of(entry, chart.coframe), chart))
                  for w, entry in zip(ws, row)] for v, row in zip(vs, real(vs, ws, chart))]
     return brackets
 
@@ -231,12 +232,15 @@ def test_certificate_is_pinned(name):
 @pytest.mark.parametrize("key", [1, 2, 3, 4, 5, *sorted(PAIRS)])
 def test_frame_action_is_the_clifford_action(key):
     """The frame's action table made from contraction signs is the table read
-    off ``clifford_act`` on the frame sections and the monomials, on a base
-    coframe of each dimension 1 to 5 and on the chart coframe of each pair."""
+    off ``contract`` plus ``wedge`` on the frame sections and the monomials,
+    on a base coframe of each dimension 1 to 5 and on the chart coframe of
+    each pair; the coframe keeps it and hands out the one copy."""
     cof = (PAIRS[key]().chart.coframe if key in PAIRS
            else Coframe(tuple(f"g{k}" for k in range(key)), ("base",) * key))
     monomials = [Form(cof, {mask: CScalar.one()}) for mask in range(1 << cof.dim)]
     assert frame_action(cof.dim) == _reference_frame_action(section_basis(cof), monomials)
+    assert cof.action() is cof.action()
+    assert cof.action() == frame_action(cof.dim)
 
 
 def bracket_tables(pair):
@@ -259,7 +263,7 @@ def test_bracket_tables_match_the_reference(name):
         assert [len(row) for row in table] == [len(ws)] * len(vs)
         for v, row in zip(vs, table):
             for w, got in zip(ws, row):
-                assert got == certify._coordinates(_reference_courant_bracket(v, w, chart))
+                assert got == Section._coordinates(_reference_courant_bracket(v, w, chart))
 
 
 def chart_sections(rng, chart):
@@ -296,7 +300,7 @@ def test_bracket_entries_are_the_section_table(name):
                             _reference_courant_brackets(vs, ws, chart))
         assert [len(row) for row in table] == [len(row) for row in ref_table] == [len(ws)] * len(vs)
         for row, ref_row in zip(table, ref_table):
-            for got, ref in zip(row, map(certify._coordinates, ref_row)):
+            for got, ref in zip(row, map(Section._coordinates, ref_row)):
                 assert list(got) == list(ref)
                 assert [repr(c) for c in got.values()] == [repr(c) for c in ref.values()]
 
@@ -425,24 +429,25 @@ def test_unequal_or_same_sign_sides_are_summed():
 
 @pytest.mark.parametrize("name", sorted(PAIRS))
 def test_clifford_action_on_dicts_is_section_act(name):
-    """``_clifford`` builds the coefficients that ``Section.act`` builds,
-    in the same mask order and with the same trees, for each transformed
-    frame section on each transform column and for seeded random sections
-    and forms on the dual coframe."""
+    """``exterior.clifford`` and ``Section.act`` build the coefficients that
+    ``contract`` plus ``wedge`` build, in the same mask order and with the
+    same trees, for each transformed frame section on each transform column
+    and for seeded random sections and forms on the dual coframe."""
     pair = PAIRS[name]()
     dual = pair.dual
-    table = frame_action(dual.coframe.dim)
+    table = dual.coframe.action()
     rng = np.random.default_rng(5)
     sections = list(duality._section_columns(pair)) + [random_section(rng, dual)
                                                        for _ in range(4)]
     forms = list(duality._form_columns(pair)) + [
         random_form(rng, dual.coframe, dual.base_vars) for _ in range(4)]
     for s in sections:
-        coords = certify._coordinates(s)
+        coords = s._coordinates()
         for rho in forms:
-            got, ref = certify._clifford(table, coords, rho.coeffs), s.act(rho).coeffs
-            assert list(got) == list(ref)
-            assert [repr(c) for c in got.values()] == [repr(c) for c in ref.values()]
+            ref = _reference_clifford_act(s.x, s.xi, rho).coeffs
+            for got in (exterior.clifford(table, coords, rho.coeffs), s.act(rho).coeffs):
+                assert list(got) == list(ref)
+                assert [repr(c) for c in got.values()] == [repr(c) for c in ref.values()]
 
 
 def count_calls(mp, owner, name):
@@ -475,8 +480,10 @@ def test_certificate_builds_its_shared_pieces_once(monkeypatch):
     sections read once as sparse coordinate dicts (3,757 zero tests when
     residuals were formed on dense coordinate tuples), and of equal sides
     settled unsummed, frame vectors read through ``live`` and Clifford
-    actions collected on dicts (3,374 zero tests and 974 forms before)."""
+    actions collected on dicts (3,374 zero tests and 974 forms before).  It
+    reads its anchors pi(s)(x) without ``contract`` (24 calls before)."""
     exps = count_calls(monkeypatch, duality, "exp_form")
+    contracts = count_calls(monkeypatch, exterior, "contract")
     derivatives = count_calls(monkeypatch, bundle, "exterior_derivative")
     pairings = count_calls(monkeypatch, courant, "_pairing_sums")
     zero_tests = count_calls(monkeypatch, CScalar, "is_zero")
@@ -496,6 +503,7 @@ def test_certificate_builds_its_shared_pieces_once(monkeypatch):
     assert sizes and min(sizes) > 0
     assert zero_tests[0] <= 1_200
     assert forms[0] <= 900
+    assert contracts[0] == 0
 
 
 def test_certificate_reads_its_tables_in_few_passes(monkeypatch):

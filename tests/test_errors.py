@@ -7,8 +7,7 @@ import pytest
 
 from tduality.scalar import (CScalar, Domain, EvaluationError, evaluate_points, rat,
                              sexp, slog, solve_linear_symbolic, ssqrt, var)
-from tduality.exterior import (Coframe, Form, FrameVector, clifford_act,
-                               contract, exp_form, wedge)
+from tduality.exterior import Coframe, Form, FrameVector, contract, exp_form, wedge
 from tduality.bundle import BundleChart, exterior_derivative
 from tduality.courant import Section, courant_bracket
 from tduality.structures import (GeneralizedMetric, PureSpinor, SymTensor,
@@ -39,17 +38,27 @@ def test_contract_coframe_mismatch(two_coframes):
         contract(FrameVector.basis(a, "dx"), Form.monomial(b, ("du",)))
 
 
-def test_clifford_requires_degree_one(two_coframes):
+def test_vector_add_coframe_mismatch(two_coframes):
     a, _ = two_coframes
-    with pytest.raises(ValueError):
-        clifford_act(FrameVector.zero(a), Form.monomial(a, ("dx", "dy")),
-                     Form.scalar(a, 1))
+    c = Coframe(("du", "dv", "th"), ("base", "base", "fiber"))
+    with pytest.raises(ValueError, match="coframe mismatch"):
+        FrameVector.basis(a, "dx") + FrameVector.basis(c, "th")
+
+
+def test_section_act_coframe_mismatch(two_coframes):
+    a, b = two_coframes
+    with pytest.raises(ValueError, match="coframe mismatch"):
+        Section.vector_basis(a, "dx").act(Form.monomial(b, ("du",)))
 
 
 def test_section_covector_degree_checked(two_coframes):
+    """A covector part of degree two, or with a degree-zero term, is refused
+    when the section is built, so no Clifford action sees it."""
     a, _ = two_coframes
-    with pytest.raises(ValueError):
-        Section(FrameVector.zero(a), Form.monomial(a, ("dx", "dy")))
+    for xi in (Form.monomial(a, ("dx", "dy")), Form.scalar(a, 1),
+               Form.monomial(a, ("dx",)) + Form.monomial(a, ("dx", "dy"))):
+        with pytest.raises(ValueError):
+            Section(FrameVector.zero(a), xi)
 
 
 def test_exterior_derivative_coframe_mismatch(plane_chart, two_coframes):

@@ -1,10 +1,9 @@
 import pytest
 
 from tduality.scalar import CScalar, rat, ssin, var
-from tduality.exterior import (Coframe, Form, FrameVector, clifford_act,
-                               contract, exp_form, fiber_integrate,
-                               mukai_pairing,
-                               mukai_signs, reversal, wedge)
+from tduality.exterior import (Coframe, Form, FrameVector, contract, exp_form,
+                               fiber_integrate, mukai_pairing, mukai_signs, reversal,
+                               wedge)
 from tduality.bundle import form_residual
 from tduality.courant import Section
 from tduality.randomgen import random_form
@@ -115,7 +114,7 @@ def test_contract_antiderivation(rng, cof4):
 
 
 def test_clifford_on_scalar(cof4):
-    out = clifford_act(vec(cof4, "dx"), mono(cof4, "dx"), Form.scalar(cof4, 1))
+    out = Section(vec(cof4, "dx"), mono(cof4, "dx")).act(Form.scalar(cof4, 1))
     assert out == mono(cof4, "dx")
 
 
@@ -128,7 +127,7 @@ def test_clifford_square_is_pairing(cof4):
 
 
 def test_clifford_vector_contraction(cof4):
-    out = clifford_act(vec(cof4, "dx"), Form.zero(cof4), mono(cof4, "dx", "dy"))
+    out = Section(vec(cof4, "dx"), Form.zero(cof4)).act(mono(cof4, "dx", "dy"))
     assert out == mono(cof4, "dy")
 
 

@@ -19,7 +19,11 @@ it elsewhere.  The
 unpruned form constructor ``Form._pruned`` stays inside ``exterior.py``.
 A ``functools.cache`` takes only an int ``m``: structural tables live on the
 coframe or chart they index and die with it.  The readers that skip zero
-frame-vector components read ``FrameVector.live``, not ``.components``.
+frame-vector components read ``FrameVector.live``, not ``.components``;
+among them are the one interior-product kernel ``exterior.contract_live``,
+the one Clifford-action kernel ``exterior.clifford`` and the coordinate dict
+``Section._coordinates`` that it takes.  ``Section.act`` is that kernel on
+the coframe's action table: it builds no contraction or wedge of its own.
 
 Every function in the package has a caller in the package or in the
 benchmark; a function that only tests call lives in the tests.  The
@@ -176,9 +180,10 @@ def test_module_caches_are_keyed_by_m_only():
 
 
 # functions that skip zero frame-vector components by reading ``live``
-SPARSE_READERS = {("exterior", "contract"), ("exterior", "FrameVector.is_zero"),
+SPARSE_READERS = {("exterior", "contract"), ("exterior", "contract_live"),
+                  ("exterior", "clifford"), ("exterior", "FrameVector.is_zero"),
                   ("exterior", "FrameVector.map_to"),
-                  ("certify", "_coordinates"), ("courant", "_pairing_sums"),
+                  ("courant", "Section._coordinates"), ("courant", "_pairing_sums"),
                   ("courant", "_derivative")}
 
 
@@ -198,6 +203,24 @@ def test_sparse_readers_do_not_scan_components():
     dense = sorted({key for key in SPARSE_READERS for n in ast.walk(found[key])
                     if isinstance(n, ast.Attribute) and n.attr == "components"})
     assert dense == []
+
+
+def test_section_act_is_one_clifford_kernel_call(monkeypatch):
+    """One ``Section.act`` call makes exactly one call of the Clifford kernel
+    ``exterior.clifford`` and no call of ``contract`` or ``wedge``."""
+    from test_certify import count_calls
+    from tduality import exterior
+    from tduality.courant import Section
+    cof = exterior.Coframe(("dx", "dy", "th"), ("base", "base", "fiber"))
+    counts = [count_calls(monkeypatch, exterior, name)
+              for name in ("clifford", "contract", "wedge")]
+    v = Section.of(cof, {"dx": 2, "th": 1}, {"dy": 3})
+    rho = exterior.Form.monomial(cof, ("dx", "th")) + exterior.Form.scalar(cof, 5)
+    assert v.act(rho) == (exterior.Form.monomial(cof, ("dy", "dx", "th"), 3)
+                          + exterior.Form.monomial(cof, ("th",), 2)
+                          + exterior.Form.monomial(cof, ("dx",), -1)
+                          + exterior.Form.monomial(cof, ("dy",), 15))
+    assert counts == [[1], [0], [0]]
 
 
 def test_pruned_constructor_stays_in_exterior():
