@@ -51,6 +51,15 @@ def test_section_act_coframe_mismatch(two_coframes):
         Section.vector_basis(a, "dx").act(Form.monomial(b, ("du",)))
 
 
+def test_clifford_requires_degree_one(two_coframes):
+    """The Clifford action of a section with a degree-two covector part is
+    refused: the section carrying it cannot be built."""
+    a, _ = two_coframes
+    with pytest.raises(ValueError, match="degree one"):
+        Section(FrameVector.zero(a), Form.monomial(a, ("dx", "dy"))).act(
+            Form.scalar(a, 1))
+
+
 def test_section_covector_degree_checked(two_coframes):
     """A covector part of degree two, or with a degree-zero term, is refused
     when the section is built, so no Clifford action sees it."""
