@@ -46,11 +46,14 @@ of its coordinates that are not structurally zero (X_1..X_m, xi_1..xi_m,
 ``Section._coordinates``), the dict that a bracket-table entry already is;
 the actions of sections (``exterior.clifford``, or its row step
 ``act_row`` for a frame section), the transforms of the frame's images and
-the expected side of a Leibniz rule are built as such dicts, and an anchor
-pi(s)(x) is read by ``courant._pair``.  ``_form_residual``
-forms every residual from signed dicts of either kind, summed by
-``scalar.signed_sum`` as ``sadd`` sums, so what cancels here is what cancels
-in any sum; a zero test is an identity test against the shared ``ZERO``.
+the expected side of a Leibniz rule are built as such dicts, summed key by
+key by ``exterior._accumulate``, and an anchor pi(s)(x) is read by
+``courant._pair``.  ``_form_residual`` forms every residual from signed
+dicts of either kind, summed by ``scalar.signed_sum`` as ``sadd`` sums, so
+what cancels here is what cancels in any sum; its ``_sum`` is the one keyed
+sum of the package outside ``_accumulate``, because it spreads a negated
+sum over its terms, and which instances count as structurally zero depends
+on that.  A zero test is an identity test against the shared ``ZERO``.
 Equal sides of opposite sign, and oracle instances of empty terms, are zero
 unsummed.  An instance whose residual cancels structurally holds for every
 base point; the others are evaluated together, at every sample point, in one
@@ -121,12 +124,12 @@ def _form_residual(terms):
 
 def _transform(weights, columns):
     """sum_k w_k columns[k] for the weights {k: w_k}, as a {key: CScalar}
-    dict; a column is such a dict too."""
-    out = defaultdict(list)
+    dict summed by ``_accumulate``; a column is such a dict too."""
+    out = {}
     for k, w in weights.items():
         for r, c in columns[k].items():
-            out[r].append((1, w * c))
-    return {r: _sum(t) for r, t in out.items()}
+            _accumulate(out, r, w * c)
+    return out
 
 
 def _act_sections(table, coords, coframe):
@@ -187,7 +190,7 @@ def frame_certificate(pair, points):
                            for s, col in zip(scaled_all[lo:lo + 2 * m], scols)]
         # the bracket's Leibniz rules on (x s_i, s_j) and (s_i, x s_j), each
         # expected side built on the coordinates of x [s_i, s_j]
-        along = [_pair(s.x.live, dx.coeffs) or CZERO for s in basis]    # pi(s)(x)
+        along = [_pair(s.x.coeffs, dx.coeffs) or CZERO for s in basis]    # pi(s)(x)
         at_dx = [(m + mask.bit_length() - 1, c) for mask, c in dx.coeffs.items()]
         left = left_all[2 * m + lo:4 * m + lo]    # right_all's block is its columns lo..
         for i, (row, right) in enumerate(zip(coords, right_all)):
@@ -206,7 +209,7 @@ def frame_certificate(pair, points):
         # phi preserves the anchor on x, and phi(dx) = dx
         name = "section-transform-bracket"
         for image, pi in zip(sections, along):
-            pi_dual = _pair(image.x.live, dx_dual.coeffs) or CZERO
+            pi_dual = _pair(image.x.coeffs, dx_dual.coeffs) or CZERO
             side[name].append(_form_residual([(1, {0: pi_dual}), (-1, {0: pi})]))
         side[name].append(_form_residual(
             [(1, dualize_section(Section(FrameVector.zero(cof), dx), pair)._coordinates()),

@@ -8,23 +8,23 @@ coframe, with invariant (base-variable) coefficients; ``Section`` is a
 
 is evaluated with the chart structure equations.  ``courant_brackets`` makes
 a table of brackets in one pass over plain dicts: it reads each distinct
-section once per call (X's ``live`` pairs, xi's coefficients, the
+section once per call (the ``coeffs`` dicts of X and xi, the
 ``contraction_rows`` of d xi, and of i_Y H or i_X c_i), and each entry is the
 {index: CScalar} dict of the bracket's coordinates, with no form, frame
-vector or section of its own; ``courant_bracket`` returns one entry as a
-section.  The vector-on-1-form reader ``_pair`` and ``contract_live`` on
-contraction rows are its two interior products; ``Section.act`` is the
-Clifford kernel ``exterior.clifford`` on the section's coordinate dict.
-``pairings`` makes a table of pairings the same way, off the
-unhalved sums 2 <v, w> of ``_pairing_sums``, which the certificate reads
-too.  The sign of the flux term is the derived-bracket convention: it is
-the unique choice for which the spinor identity
-[v, w]_H . rho = [[d_H, v], w] . rho holds with the canonical
-super-commutators (inner anticommutator of the two odd operators, outer
-plain commutator of the even result with the odd Clifford action), and the
-unique choice under which the duality section transform preserves brackets
-given the package's F and dual-flux conventions.  The opposite flux sign is
-common in the literature; it corresponds to H -> -H throughout.
+vector or section of its own, its terms added by ``exterior._accumulate``;
+``courant_bracket`` returns one entry as a section.  The vector-on-1-form
+reader ``_pair`` and ``contract_live`` on contraction rows are its two
+interior products; ``Section.act`` is the Clifford kernel
+``exterior.clifford`` on the section's coordinate dict.  ``pairings`` makes
+a table of pairings the same way, off the unhalved sums 2 <v, w> of
+``_pairing_sums``, which the certificate reads too.  The sign of the flux
+term is the derived-bracket convention: it is the unique choice for which
+the spinor identity [v, w]_H . rho = [[d_H, v], w] . rho holds with the
+canonical super-commutators (inner anticommutator of the two odd operators,
+outer plain commutator of the even result with the odd Clifford action),
+and the unique choice under which the duality section transform preserves
+brackets given the package's F and dual-flux conventions.  The opposite flux
+sign is common in the literature; it corresponds to H -> -H throughout.
 
 The bracket of frame vector fields is read off the structure equations
 d(dx^a) = 0, d(theta_i) = c_i through
@@ -40,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from .scalar import CZERO, CScalar, ZERO, diff, rat
-from .exterior import (Form, FrameVector, _accumulate, _deduct, clifford, contract,
+from .exterior import (Form, FrameVector, _accumulate, clifford, contract,
                        contract_live, contraction_rows, eval_complex)
 from .bundle import exterior_derivative, form_residual
 
@@ -110,7 +110,7 @@ class Section:
     def _coordinates(self):
         """The coordinates that are not structurally zero, as an {index:
         CScalar} dict: X_k at k and xi_k at m + k."""
-        m, out = self.x.coframe.dim, dict(self.x.live)
+        m, out = self.x.coframe.dim, dict(self.x.coeffs)
         for mask, c in self.xi.coeffs.items():
             out[m + mask.bit_length() - 1] = c
         return out
@@ -146,7 +146,7 @@ _HALF = CScalar.of(rat(1, 2))
 
 def _pairing_sums(vs, ws):
     """The table of 2 <v, w> = eta(X) + xi(Y), v in vs by row and w in ws by
-    column, reading each distinct section's ``live`` pairs and covector
+    column, reading each distinct section's vector and covector
     coefficients once per call.  An entry sums its terms left to right in
     ascending generator index, X against eta before Y against xi, skipping a
     term with a structurally zero factor; with no term it is ``CZERO``."""
@@ -156,7 +156,7 @@ def _pairing_sums(vs, ws):
             if s.x.coframe is not both[0].x.coframe and s.x.coframe != both[0].x.coframe:
                 raise ValueError("chart mismatch")
             xi = {bit.bit_length() - 1: c for bit, c in s.xi.coeffs.items()}
-            reads[id(s)] = (dict(s.x.live), xi)
+            reads[id(s)] = (s.x.coeffs, xi)
     cols = [reads[id(w)] for w in ws]
     table = []
     for v in vs:
@@ -191,7 +191,7 @@ def split_pairing_matrix(m):
 def _derivative(x, f, bases):
     """X(f) = sum_a (d_a f) X^a over the base generators a, summed in
     ascending generator index; None where no term survives or the sum
-    cancels structurally.  ``x`` is dict(X.live), ``bases`` the chart's
+    cancels structurally.  ``x`` is X.coeffs, ``bases`` the chart's
     ``base_bits`` table of (variable, index, bit)."""
     total = None
     for v, i, _ in bases:
@@ -206,23 +206,12 @@ def _derivative(x, f, bases):
     return None if total is None or total.is_zero() else total
 
 
-def _minus(acc, c):
-    """acc - c for optional CScalars (None is zero); None where the
-    difference cancels structurally."""
-    if c is None:
-        return acc
-    if acc is None:
-        return -c
-    total = acc - c
-    return None if total.is_zero() else total
-
-
-def _pair(live, coeffs):
-    """i_X of a 1-form, for X's ``live`` pairs and the form's {mask: CScalar}
-    coefficients: what ``contract`` leaves at mask 0, or None where that is
-    empty or cancels structurally."""
+def _pair(x, coeffs):
+    """i_X of a 1-form, for X's {index: CScalar} ``coeffs`` and the form's
+    {mask: CScalar} coefficients: what ``contract`` leaves at mask 0, or None
+    where that is empty or cancels structurally."""
     total = None
-    for i, a in live:
+    for i, a in x.items():
         c = coeffs.get(1 << i)
         if c is not None:
             term = c * a
@@ -237,7 +226,7 @@ def courant_bracket(v, w, chart):
     by name (ROADMAP 1a)."""
     cof, m = chart.coframe, chart.coframe.dim
     entry = courant_brackets([v], [w], chart)[0][0]
-    return Section(FrameVector(cof, tuple([entry.get(b, CZERO) for b in range(m)])),
+    return Section(FrameVector(cof, {b: c for b, c in entry.items() if b < m}),
                    Form(cof, {1 << k - m: c for k, c in entry.items() if k >= m}))
 
 
@@ -257,44 +246,44 @@ def courant_brackets(vs, ws, chart):
         if id(s) not in reads:
             if s.coframe != cof:
                 raise ValueError("chart mismatch")
-            live, xi = s.x.live, s.xi
+            x, xi = s.x.coeffs, s.xi
             d = exterior_derivative(xi, chart) if xi.coeffs else None
-            varying = {b: c for b, c in live if not (c.re.is_rational() and c.im.is_rational())}
+            varying = {b: c for b, c in x.items()
+                       if not (c.re.is_rational() and c.im.is_rational())}
             # the rows of d xi are None where xi = 0 and empty where d xi = 0
-            reads[id(s)] = (live, dict(live), varying, xi.coeffs,
+            reads[id(s)] = (x, varying, xi.coeffs,
                             None if d is None else d.coeffs and contraction_rows(d))
     if chart.flux.coeffs:
         flux = contraction_rows(chart.flux)
         for w in ws:
-            if id(w) not in i_h and (ih := contract_live(w.x.live, flux)):
+            if id(w) not in i_h and (ih := contract_live(w.x.coeffs.items(), flux)):
                 i_h[id(w)] = contraction_rows(Form(cof, ih))
     curved = [(b, contraction_rows(c)) for b, c in chart.curved.items()]
-    if curved and any(w.x.live for w in ws):
+    if curved and any(w.x.coeffs for w in ws):
         for v in vs:
-            if v.x.live and id(v) not in i_c:
+            if v.x.coeffs and id(v) not in i_c:
                 i_c[id(v)] = {b: ic for b, rows in curved
-                              if (ic := contract_live(v.x.live, rows))}
+                              if (ic := contract_live(v.x.coeffs.items(), rows))}
     cols = [(*reads[id(w)], i_h.get(id(w))) for w in ws]
     key = {1 << k: m + k for k in range(m)}
     table = []
     for v in vs:
-        x, xs, xv, _, d_xi = reads[id(v)]
+        x, xv, _, d_xi = reads[id(v)]
         curv = i_c.get(id(v), {})
         row = []
-        for y, ys, yv, eta, d_eta, ih in cols:
+        for y, yv, eta, d_eta, ih in cols:
             entry = {}
             if x and y:    # e^b([X, Y]) = X(Y^b) - Y(X^b) - (i_Y i_X c_b)
                 for b in range(m):
-                    comp = _derivative(xs, yv[b], bases) if b in yv else None
-                    if b in xv:
-                        comp = _minus(comp, _derivative(ys, xv[b], bases))
-                    if b in curv:
-                        comp = _minus(comp, _pair(y, curv[b]))
-                    if comp is not None:
-                        entry[b] = comp
+                    if b in yv and (c := _derivative(x, yv[b], bases)) is not None:
+                        entry[b] = c
+                    if b in xv and (c := _derivative(y, xv[b], bases)) is not None:
+                        _accumulate(entry, b, -c)
+                    if b in curv and (c := _pair(y, curv[b])) is not None:
+                        _accumulate(entry, b, -c)
             form = {}
             if x and d_eta is not None:    # L_X eta, by the Cartan formula
-                form, f = contract_live(x, d_eta) if d_eta else {}, _pair(x, eta)
+                form, f = contract_live(x.items(), d_eta) if d_eta else {}, _pair(x, eta)
                 if f is not None and not (f.re.is_rational() and f.im.is_rational()):
                     grad = {}    # d(i_X eta), then i_X d eta summed in
                     for name, _, bit in bases:
@@ -305,9 +294,10 @@ def courant_brackets(vs, ws, chart):
                         _accumulate(grad, mask, c)
                     form = grad
             if y and d_xi:    # - i_Y d xi
-                _deduct(form, contract_live(y, d_xi))
+                for mask, c in contract_live(y.items(), d_xi).items():
+                    _accumulate(form, mask, -c)
             if x and ih:    # + i_X i_Y H
-                for mask, c in contract_live(x, ih).items():
+                for mask, c in contract_live(x.items(), ih).items():
                     _accumulate(form, mask, c)
             for mask, c in form.items():
                 entry[key[mask]] = c

@@ -15,7 +15,7 @@ dualize_form(v . rho) = dualize_section(v) . dualize_form(rho).  Each runs as
 one pass over plain dicts, reading a route table that its first call builds
 and keeps on the pair (``DualityPair.cache``), so that it dies with the pair;
 the section transform's interior products are ``exterior.contract_live`` on
-the lift's live components and the contraction rows of F.
+the lift's nonzero components and the contraction rows of F.
 
 Sign conventions, fixed once and validated by the intertwining identity:
 fiber volumes are extracted with the fiber generators moved rightmost, and the
@@ -121,7 +121,7 @@ def dualize_section(v, pair):
         "_section_routes", lambda: _section_routes(pair))
     if v.coframe is not pair.chart.coframe and v.coframe != pair.chart.coframe:
         raise ValueError("coframe mismatch")
-    live = {to_total[i]: c for i, c in v.x.live}    # the lift's live components
+    live = {to_total[i]: c for i, c in v.x.coeffs.items()}    # the lift's components
     # xi(E_theta_i) - F(X_known, E_theta_i); a structural zero subtracts as CZERO
     known = contract_live(sorted(live.items()), known_rows)
     xi = v.xi.coeffs
@@ -135,7 +135,8 @@ def dualize_section(v, pair):
     dcof = pair.dual.coframe
     eta = (Form(dcof, {base[m]: c for m, c in xi.items() if m in base})
            - Form(dcof, contract_live(sorted(live.items()), eta_rows)))
-    return Section(FrameVector(dcof, tuple([live.get(i, CZERO) for i in from_dual])), eta)
+    return Section(FrameVector(dcof, {j: live[i] for j, i in enumerate(from_dual)
+                                      if i in live}), eta)
 
 
 def _section_routes(pair):

@@ -5,7 +5,9 @@ Generators carry a tag (base / fiber / cofiber) so that fiber integration and
 pullback along the two legs of a correspondence space are bitmask operations.
 All operations are pure.  ``Form`` and ``FrameVector`` are ``__slots__``
 classes, immutable by convention: no operation assigns to one after it is
-built.
+built.  Each is a coframe and one coefficient dict: a form's by mask, a frame
+vector's by generator index in ascending order (its dense ``components``
+tuple is built on request).
 
 ``Form.coeffs`` never holds a structural zero (both parts the shared
 ``ZERO``): the constructor prunes them.  ``Form.__add__`` relies on this to
@@ -15,6 +17,13 @@ pass, as do ``Form.is_zero`` (an empty dict) and every caller that reads a
 missing mask as zero; such a read returns the one shared ``CZERO``, which is
 safe because CScalars are immutable by convention.  ``Form._pruned`` builds a form
 from a dict that already keeps the invariant and is used in this module only.
+``FrameVector.coeffs`` keeps the same invariant.
+
+Every sum at a dict key in the package goes through ``_accumulate`` (the
+certificate's residual collector, ``certify._sum``, aside): c is added to
+the entry at its key, and a key whose sum cancels structurally is deleted,
+so a later term for it lands at the end of the dict.  A difference adds the
+negated term, prev + (-c), which builds the tree of prev - c.
 
 A ``Coframe`` keeps what it would otherwise re-derive on every call in its
 instance dict, so that it dies with the coframe: the dimension, the name ->
@@ -22,7 +31,7 @@ index dict, and in ``Coframe.table`` the tag masks, the frame's action table
 (``Coframe.action``), each mask's (image, sign) for ``map_to`` per target
 names, tags and rename, and each mask's (rest, sign) for ``fiber_integrate``.
 No table refers back to its coframe.  The interior product has one kernel,
-``contract_live`` (a vector's ``live`` pairs on ``contraction_rows``, which
+``contract_live`` (a vector's coefficient pairs on ``contraction_rows``, which
 ``contract``, ``courant`` and the section transform call), and the Clifford
 action one, ``clifford`` (on the action table, built on ``act_row``); the
 form transform of a dual pair runs on a ``fiber_routes`` table it keeps.
@@ -160,31 +169,18 @@ def _image(names, coframe):
     return mask, sign
 
 
-def _accumulate(out, mask, c):
-    """Add c to out[mask] in a {mask: CScalar} dict; a mask whose sum cancels
+def _accumulate(out, key, c):
+    """Add c to out[key] in a {key: CScalar} dict; a key whose sum cancels
     structurally is deleted, so a later term for it lands at the end."""
-    prev = out.get(mask)
+    prev = out.get(key)
     if prev is None:
-        out[mask] = c
+        out[key] = c
         return
     total = prev + c
     if total.is_zero():
-        del out[mask]
+        del out[key]
     else:
-        out[mask] = total
-
-
-def _deduct(out, coeffs):
-    """Subtract each c of ``coeffs`` from out[mask] as ``_accumulate`` adds:
-    -c at a new mask, and a mask whose difference cancels is deleted."""
-    for mask, c in coeffs.items():
-        prev = out.get(mask)
-        if prev is None:
-            out[mask] = -c
-        elif (total := prev - c).is_zero():
-            del out[mask]
-        else:
-            out[mask] = total
+        out[key] = total
 
 
 class Form:
@@ -241,12 +237,13 @@ class Form:
 
     def __sub__(self, other):
         """Difference, collected as ``__add__`` collects ``self + (-other)``
-        with no negated form built."""
+        with no negated form built: prev + (-c) is the tree of prev - c."""
         self._check(other)
         if not other.coeffs:
             return self
         out = dict(self.coeffs)
-        _deduct(out, other.coeffs)
+        for mask, c in other.coeffs.items():
+            _accumulate(out, mask, -c)
         return Form._pruned(self.coframe, out)
 
     def __neg__(self):
@@ -333,8 +330,7 @@ class Form:
                     [rename.get(n, n) for n in self.coframe.names_of(mask)], coframe)
             m2, sign = image
             if sign:
-                c = -c if sign < 0 else c
-                out[m2] = out[m2] + c if m2 in out else c
+                _accumulate(out, m2, -c if sign < 0 else c)
         return Form(coframe, out)
 
     def _check(self, other):
@@ -343,22 +339,28 @@ class Form:
 
 
 class FrameVector:
-    """Element of the frame dual to the coframe, with CScalar components;
-    equality and hash are structural.  ``live`` holds the (index, component)
-    pairs that are not structural zeros, in ascending index order."""
+    """Element of the frame dual to the coframe: ``coeffs`` maps generator
+    index to CScalar component, in ascending index, with no structural zero;
+    the constructor sorts and prunes the dict it is given.  Equality and
+    hash are structural."""
 
-    __slots__ = ("coframe", "components", "live")
+    __slots__ = ("coframe", "coeffs")
 
-    def __init__(self, coframe, components):
+    def __init__(self, coframe, coeffs):
         self.coframe = coframe
-        self.components = components
-        self.live = tuple([(i, c) for i, c in enumerate(components)
-                           if c.re is not ZERO or c.im is not ZERO])
+        self.coeffs = {i: c for i, c in sorted(coeffs.items())
+                       if c.re is not ZERO or c.im is not ZERO}
+
+    @property
+    def components(self):
+        """The dense tuple of the dim components, ``CZERO`` where none is kept."""
+        get = self.coeffs.get
+        return tuple([get(i, CZERO) for i in range(self.coframe.dim)])
 
     def __eq__(self, other):
         if other.__class__ is not FrameVector:
             return NotImplemented
-        return self.coframe == other.coframe and self.components == other.components
+        return self.coframe == other.coframe and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.coframe, self.components))
@@ -368,54 +370,39 @@ class FrameVector:
 
     @staticmethod
     def basis(coframe, name):
-        comps = [CZERO] * coframe.dim
-        comps[coframe.index(name)] = CScalar.one()
-        return FrameVector(coframe, tuple(comps))
+        return FrameVector(coframe, {coframe.index(name): CScalar.one()})
 
     @staticmethod
     def zero(coframe):
-        return FrameVector(coframe, (CZERO,) * coframe.dim)
+        return FrameVector(coframe, {})
 
     @staticmethod
     def from_dict(coframe, comps):
-        out = [CZERO] * coframe.dim
-        for name, c in comps.items():
-            out[coframe.index(name)] = CScalar.of(c)
-        return FrameVector(coframe, tuple(out))
-
-    # A structurally zero summand or factor is skipped: the sum is then the
-    # other operand and the product the zero operand, which is what ``sadd``
-    # and ``smul`` return for it.
+        return FrameVector(coframe, {coframe.index(name): CScalar.of(c)
+                                     for name, c in comps.items()})
 
     def __add__(self, other):
         if self.coframe is not other.coframe and self.coframe != other.coframe:
             raise ValueError("coframe mismatch")
-        out, theirs = list(other.components), dict(other.live)
-        for i, a in self.live:
-            out[i] = a + theirs[i] if i in theirs else a
-        return FrameVector(self.coframe, tuple(out))
+        out = dict(self.coeffs)
+        for i, c in other.coeffs.items():
+            _accumulate(out, i, c)
+        return FrameVector(self.coframe, out)
 
     def __neg__(self):
-        out = list(self.components)
-        for i, a in self.live:
-            out[i] = -a
-        return FrameVector(self.coframe, tuple(out))
+        return FrameVector(self.coframe, {i: -a for i, a in self.coeffs.items()})
 
     def scale(self, c):
         c = CScalar.of(c)
-        out = list(self.components)
-        for i, a in self.live:
-            out[i] = a * c
-        return FrameVector(self.coframe, tuple(out))
+        return FrameVector(self.coframe, {i: a * c for i, a in self.coeffs.items()})
 
     def is_zero(self):
-        return not self.live
+        return not self.coeffs
 
     def map_to(self, coframe):
-        out = [CZERO] * coframe.dim
-        for i, c in self.live:
-            out[coframe.index(self.coframe.names[i])] = c
-        return FrameVector(coframe, tuple(out))
+        names = self.coframe.names
+        return FrameVector(coframe, {coframe.index(names[i]): c
+                                     for i, c in self.coeffs.items()})
 
     def eval_vector(self, point):
         """Kept for the tests and ``perfbench/tracer.py``, which wraps it by
@@ -463,9 +450,7 @@ def wedge(a, b):
             sign = _wedge_sign(ma, mb)
             m = ma | mb
             c = ca * cb
-            if sign < 0:
-                c = -c
-            out[m] = out[m] + c if m in out else c
+            _accumulate(out, m, -c if sign < 0 else c)
     return Form(a.coframe, out)
 
 
@@ -485,16 +470,15 @@ def contraction_rows(form):
 
 
 def contract_live(live, rows):
-    """The interior product i_X of a vector, given by its ``live`` pairs, on a
-    form given by its ``contraction_rows``: the {mask: CScalar} coefficients,
-    each term the form's coefficient times X's component, pruned."""
+    """The interior product i_X of a vector, given by the (index, component)
+    pairs of its nonzero components in ascending index (``X.coeffs.items()``),
+    on a form given by its ``contraction_rows``: the {mask: CScalar}
+    coefficients, each term the form's coefficient times X's component, pruned."""
     out = {}
     for i, comp in live:
         for mask, sign, c in rows[i]:
             term = c * comp
-            if sign < 0:
-                term = -term
-            out[mask] = out[mask] + term if mask in out else term
+            _accumulate(out, mask, -term if sign < 0 else term)
     return {mask: c for mask, c in out.items() if c.re is not ZERO or c.im is not ZERO}
 
 
@@ -502,7 +486,7 @@ def contract(x, form):
     """Interior product i_X, a degree -1 antiderivation: ``contract_live``."""
     if x.coframe is not form.coframe and x.coframe != form.coframe:
         raise ValueError("coframe mismatch")
-    return Form._pruned(form.coframe, contract_live(x.live, contraction_rows(form)))
+    return Form._pruned(form.coframe, contract_live(x.coeffs.items(), contraction_rows(form)))
 
 
 def act_row(row, coeffs, a=None, left=False):
@@ -523,16 +507,11 @@ def clifford(table, coords, coeffs):
     """(X + xi) . rho = i_X rho + xi ^ rho for the section's coordinate dict
     ``coords`` (X_k at k, xi_k at m + k) and the form ``coeffs``: each
     coordinate's ``act_row``, X_k on the right as in ``contract`` and xi_k on
-    the left as in ``wedge``, the two parts pruned and merged as ``+`` merges."""
-    m, parts = len(table) // 2, ({}, {})
+    the left as in ``wedge``, accumulated in coordinate order."""
+    m, out = len(table) // 2, {}
     for k, a in coords.items():
-        part = parts[k >= m]
         for key, t in act_row(table[k], coeffs, a, k >= m).items():
-            part[key] = part[key] + t if key in part else t
-    out = {k: c for k, c in parts[0].items() if c.re is not ZERO or c.im is not ZERO}
-    for k, c in parts[1].items():
-        if c.re is not ZERO or c.im is not ZERO:
-            _accumulate(out, k, c)
+            _accumulate(out, key, t)
     return out
 
 
@@ -602,8 +581,7 @@ def fiber_integrate(rho, coframe_tags=("fiber",)):
     for mask, c in rho.coeffs.items():
         rest, sign = strips.get(mask, (0, 0))
         if sign:
-            term = -c if sign < 0 else c
-            out[rest] = out[rest] + term if rest in out else term
+            _accumulate(out, rest, -c if sign < 0 else c)
     return Form(cof, out)
 
 
@@ -636,9 +614,7 @@ def integral_transform(rho, routes):
             if hit is not None:
                 j, sign = hit
                 t = ca * c
-                if sign < 0:
-                    t = -t
-                out[j] = out[j] + t if j in out else t
+                _accumulate(out, j, -t if sign < 0 else t)
     result = {}
     for j, c in out.items():
         if c.re is not ZERO or c.im is not ZERO:

@@ -79,7 +79,7 @@ def random_section(rng, chart):
     dense-points workload of ``perfbench`` (ROADMAP 1b)."""
     cof = chart.coframe
     variables = chart.base_vars
-    x = FrameVector(cof, tuple(CScalar(random_scalar(rng, variables)) for _ in cof.names))
+    x = FrameVector(cof, {i: CScalar(random_scalar(rng, variables)) for i in range(cof.dim)})
     xi = Form.zero(cof)
     for n in cof.names:
         xi = xi + Form.monomial(cof, (n,), CScalar(random_scalar(rng, variables)))

@@ -6,9 +6,9 @@ the componentwise residual of a section, the term-by-term bodies of
 ``courant_bracket`` and the pairing (``_reference_*``), which the one-pass
 kernels must match tree for tree, the one-entry readers ``pairing`` and
 ``lie_bracket`` of the ``pairings`` and ``courant_brackets`` tables, the
-Section-level body of ``courant_brackets`` with its Lie bracket and ``_minus``
-(``_reference_courant_brackets``, ``_reference_sparse_lie_bracket``,
-``_reference_minus``), whose sections the table's coordinate-dict entries
+Section-level body of ``courant_brackets`` with its Lie bracket and the
+difference of optional CScalars that it used (``_reference_courant_brackets``,
+``_reference_sparse_lie_bracket``, ``_reference_minus``), whose sections the table's coordinate-dict entries
 must match key for key and tree for tree, ``_section_of``, which reads an
 entry back as a Section, the composite bodies of ``dualize_form``,
 ``dualize_form_reverse`` and ``dualize_section``, which the passes over the
@@ -21,7 +21,8 @@ the body ``exterior.clifford`` replaced), which that kernel and
 table read off it, which ``exterior.frame_action``, made from contraction
 signs, must equal, the mask-by-mask bodies of
 ``Form.map_to`` and ``fiber_integrate``, which the coframe tables must
-match, the draw-by-draw body of a ``Domain`` point, which ``sample_many``'s
+match, the term-by-term body of ``wedge`` (a ``Form`` sum of monomial
+products), which the keyed accumulator must match, the draw-by-draw body of a ``Domain`` point, which ``sample_many``'s
 one ``rng.random`` call must match bit for bit, the Cartan formula
 ``lie_derivative`` and the B-field transform ``b_transform``, which the
 reference bracket and the B-field covariance tests compare against,
@@ -132,6 +133,17 @@ def _reference_map_to(form, coframe, rename=None):
     return Form(coframe, out)
 
 
+def _reference_wedge(a, b):
+    """``wedge`` as a ``Form`` sum of monomial products, each sign worked out
+    anew by ``Form.monomial``."""
+    cof, out = a.coframe, Form.zero(a.coframe)
+    for ma, ca in a.coeffs.items():
+        for mb, cb in b.coeffs.items():
+            names = cof.names_of(ma) + cof.names_of(mb)
+            out = _reference_form_add(out, Form.monomial(cof, names, ca * cb))
+    return out
+
+
 def _reference_fiber_integrate(rho, coframe_tags=("fiber",)):
     """``fiber_integrate`` with each term's sign worked out anew."""
     vol = rho.coframe.tag_mask(*coframe_tags)
@@ -208,7 +220,7 @@ def _reference_lie_bracket(x, y, chart):
         if de_b is not None:
             comp = _reference_form_add(comp, -contract(y, contract(x, de_b)))
         comps.append(comp.coeff(0))
-    return FrameVector(cof, tuple(comps))
+    return FrameVector(cof, dict(enumerate(comps)))
 
 
 def lie_derivative(x, eta, chart):
@@ -258,7 +270,7 @@ def _reference_sparse_lie_bracket(x, y, chart):
     structure equations and (d e^b)(X, Y) = i_Y i_X d e^b made by
     ``contract``; a term whose factor is structurally zero is skipped."""
     bases = chart.base_bits
-    xs, ys, comps = dict(x.live), dict(y.live), []
+    xs, ys, comps = x.coeffs, y.coeffs, []
     for b in range(chart.coframe.dim):
         comp = None
         if b in ys:
@@ -269,7 +281,7 @@ def _reference_sparse_lie_bracket(x, y, chart):
         if de_b is not None:
             comp = _reference_minus(comp, contract(y, contract(x, de_b)).coeffs.get(0))
         comps.append(CZERO if comp is None else comp)
-    return FrameVector(chart.coframe, tuple(comps))
+    return FrameVector(chart.coframe, dict(enumerate(comps)))
 
 
 def _reference_courant_brackets(vs, ws, chart):
@@ -313,7 +325,8 @@ def _reference_courant_brackets(vs, ws, chart):
 def _section_of(entry, coframe):
     """The Section of a ``courant_brackets`` entry: X_k at k, xi_k at m + k."""
     m = coframe.dim
-    return Section(FrameVector(coframe, tuple(entry.get(k, CZERO) for k in range(m))),
+    return Section(FrameVector(coframe, dict(enumerate(entry.get(k, CZERO)
+                                                       for k in range(m)))),
                    Form(coframe, {1 << k - m: c for k, c in entry.items() if k >= m}))
 
 
@@ -374,7 +387,7 @@ def lie_bracket(x, y, chart):
     cof = chart.coframe
     zero = Form.zero(cof)
     entry = courant.courant_brackets([Section(x, zero)], [Section(y, zero)], chart)[0][0]
-    return FrameVector(cof, tuple([entry.get(b, CZERO) for b in range(cof.dim)]))
+    return FrameVector(cof, dict(enumerate(entry.get(b, CZERO) for b in range(cof.dim))))
 
 
 def _reference_leibniz(pair):
@@ -771,14 +784,14 @@ def _reference_dualize_section(v, pair):
             idx = cof.index(name)
             a = comps[idx]
             comps[idx] = term if a.is_zero() else a + term
-    lift = FrameVector(cof, tuple(comps))
+    lift = FrameVector(cof, dict(enumerate(comps)))
     eta = w.xi - contract(lift, pair.F)
     # the fiber components of eta vanish by construction; drop them structurally
     fiber_mask = cof.tag_mask("fiber")
     eta = Form(cof, {m: c for m, c in eta.coeffs.items() if not m & fiber_mask})
-    pushed_x = FrameVector(cof, tuple(
+    pushed_x = FrameVector(cof, dict(enumerate(
         CZERO if cof.tags[i] == "fiber" else lift.components[i]
-        for i in range(cof.dim)))
+        for i in range(cof.dim))))
     out = Section(pushed_x, eta)
     return out.map_to(pair.dual.coframe)
 

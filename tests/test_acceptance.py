@@ -71,8 +71,8 @@ def test_criterion_1_clifford_module(rng):
     varnames = ("t", "u")
     worst = 0.0
     for _ in range(64):
-        x = FrameVector(cof, tuple(CScalar.of(rat(int(k)))
-                                   for k in rng.integers(-2, 3, 3)))
+        x = FrameVector(cof, dict(enumerate(CScalar.of(rat(int(k)))
+                                            for k in rng.integers(-2, 3, 3))))
         xi = random_form(rng, cof, varnames, degrees=(1,), density=0.8)
         v = Section(x, xi)
         rho = random_form(rng, cof, varnames, density=0.4)

@@ -123,7 +123,8 @@ def lie_bracket_without_y_of_xb(v, w, b, chart):
         return b
     y_of_x = [contract(y, exterior_derivative(Form.scalar(cof, c), chart)).coeff(0)
               for c in x.components]
-    return Section(FrameVector(cof, tuple(a + t for a, t in zip(b.x.components, y_of_x))),
+    return Section(FrameVector(cof, dict(enumerate(a + t for a, t
+                                                   in zip(b.x.components, y_of_x)))),
                    b.xi)
 
 

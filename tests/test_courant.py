@@ -221,8 +221,8 @@ def test_lift_splitting_generic_failure(hopf_flux_chart, rng):
 
 def _jacobi_residual(rng, chart):
     def field():
-        return FrameVector(chart.coframe, tuple(
-            CScalar(random_scalar(rng, chart.base_vars)) for _ in chart.coframe.names))
+        return FrameVector(chart.coframe, dict(enumerate(
+            CScalar(random_scalar(rng, chart.base_vars)) for _ in chart.coframe.names)))
 
     x, y, z = field(), field(), field()
     jac = (lie_bracket(x, lie_bracket(y, z, chart), chart)

@@ -1,14 +1,14 @@
 import pytest
 
-from tduality.scalar import CScalar, rat, ssin, var
+from tduality.scalar import CZERO, CScalar, ZERO, rat, ssin, var
 from tduality.exterior import (Coframe, Form, FrameVector, contract, exp_form,
-                               fiber_integrate, mukai_pairing, mukai_signs, reversal,
-                               wedge)
+                               fiber_integrate, form_to_text, mukai_pairing, mukai_signs,
+                               reversal, wedge)
 from tduality.bundle import form_residual
 from tduality.courant import Section
 from tduality.randomgen import random_form
 
-from conftest import pairing
+from conftest import _reference_wedge, pairing
 
 
 def vec(cof, name):
@@ -36,6 +36,40 @@ def test_frame_vector_is_a_structural_value(cof4):
     assert repr(vec(Coframe(("dx",), ("base",)), "dx")) == (
         "FrameVector(coframe=Coframe(names=('dx',), tags=('base',)), "
         "components=(CScalar(re=Scalar(1), im=Scalar(0)),))")
+
+
+def test_frame_vector_constructor_sorts_and_prunes(cof4):
+    """The constructor takes an {index: CScalar} dict in any order and keeps
+    the components that are not structural zeros, in ascending index; equal
+    vectors hash equal, and a sum across coframes raises."""
+    two, s = CScalar.of(2), CScalar(ssin(var("q")))
+    v = FrameVector(cof4, {3: two, 1: CScalar(ZERO, ZERO), 0: s, 2: CZERO})
+    assert list(v.coeffs.items()) == [(0, s), (3, two)]
+    assert v.components == (s, CZERO, CZERO, two)
+    w = FrameVector(cof4, {0: s, 3: two})
+    assert v == w and hash(v) == hash(w)
+    zero = FrameVector(cof4, {2: CScalar(ZERO, ZERO)})
+    assert zero.coeffs == {} and zero == FrameVector.zero(cof4)
+    assert hash(zero) == hash(FrameVector.zero(cof4))
+    assert list((vec(cof4, "dw") + vec(cof4, "dx")).coeffs) == [0, 3]
+    other = Coframe(("dx", "dy", "dz", "du"), cof4.tags)
+    with pytest.raises(ValueError, match="coframe mismatch"):
+        v + vec(other, "dx")
+
+
+def test_wedge_moves_a_key_that_cancels_and_returns_to_the_end():
+    """A key whose sum cancels structurally is deleted, so its next term puts
+    it at the end of the dict, as the ``Form`` sum of the reference body
+    does: (1 + p dx + dy) ^ (-p dx^dy + dy + dx) cancels dx^dy at its second
+    term and hits it again at its fourth."""
+    cof = Coframe(("dx", "dy"), ("base", "base"))
+    one, p = CScalar.one(), CScalar(var("p"))
+    a = Form(cof, {0: one, 1: p, 2: one})
+    b = Form(cof, {3: -p, 2: one, 1: one})
+    got, ref = wedge(a, b), _reference_wedge(a, b)
+    assert got == ref and list(got.coeffs) == list(ref.coeffs) == [2, 1, 3]
+    assert [repr(c) for c in got.coeffs.values()] == [repr(c) for c in ref.coeffs.values()]
+    assert form_to_text(got) == form_to_text(ref)
 
 
 def test_value_types_have_slots_and_no_instance_dict(cof4):
@@ -93,7 +127,8 @@ def test_contract_basis(cof4):
 def test_contract_squares_to_zero(rng, cof4):
     from tduality.scalar import Domain
     pts = Domain({"q": (-0.8, 0.8)}).sample_many(rng, 3)
-    x = FrameVector(cof4, tuple(CScalar.of(rat(int(k))) for k in rng.integers(-3, 4, 4)))
+    x = FrameVector(cof4, dict(enumerate(CScalar.of(rat(int(k)))
+                                         for k in rng.integers(-3, 4, 4))))
     rho = random_form(rng, cof4, ("q",))
     assert form_residual(contract(x, contract(x, rho)), None, pts) <= 1e-12
 
@@ -105,8 +140,8 @@ def test_contract_antiderivation(rng, cof4):
         d = int(rng.integers(0, 4))
         a = random_form(rng, cof4, ("q",), degrees=(d,), density=1.0)
         b = random_form(rng, cof4, ("q",), density=0.5)
-        x = FrameVector(cof4, tuple(CScalar.of(rat(int(k)))
-                                    for k in rng.integers(-2, 3, 4)))
+        x = FrameVector(cof4, dict(enumerate(CScalar.of(rat(int(k)))
+                                             for k in rng.integers(-2, 3, 4))))
         lhs = contract(x, wedge(a, b))
         sign = rat(-1) if d % 2 else rat(1)
         rhs = wedge(contract(x, a), b) + wedge(a, contract(x, b)).scale(sign)
@@ -139,8 +174,8 @@ def test_clifford_identity_random(rng):
     dom = Domain({"t": (-0.9, 0.9), "u": (0.1, 0.9)})
     pts = dom.sample_many(rng, 3)
     for _ in range(64):
-        x = FrameVector(cof, tuple(CScalar.of(rat(int(k)))
-                                   for k in rng.integers(-2, 3, 3)))
+        x = FrameVector(cof, dict(enumerate(CScalar.of(rat(int(k)))
+                                            for k in rng.integers(-2, 3, 3))))
         xi = random_form(rng, cof, dom_vars, degrees=(1,), density=0.8)
         rho = random_form(rng, cof, dom_vars, density=0.4)
         v = Section(x, xi)
@@ -199,8 +234,8 @@ def test_mukai_clifford_compatibility(rng, cof4):
     dom = Domain({"q": (-0.8, 0.8)})
     pts = dom.sample_many(rng, 2)
     for _ in range(16):
-        x = FrameVector(cof4, tuple(CScalar.of(rat(int(k)))
-                                    for k in rng.integers(-2, 3, 4)))
+        x = FrameVector(cof4, dict(enumerate(CScalar.of(rat(int(k)))
+                                             for k in rng.integers(-2, 3, 4))))
         xi = random_form(rng, cof4, ("q",), degrees=(1,), density=0.8)
         v = Section(x, xi)
         r1 = random_form(rng, cof4, ("q",), density=0.4)

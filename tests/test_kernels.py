@@ -8,9 +8,9 @@ repr: the same trees, collected in the same order.  The inputs are seeded
 random forms, frame vectors and sections on every shipped chart and its
 dual (real and complex coefficients, density below 1, zero components) and
 the coordinate multiples x_a of the frame that the certificate's Leibniz
-conditions use.  A frame vector's ``live`` pairs must be its components that
-are not structural zeros, and the operations that read them must build what
-the bodies that test every component built.
+conditions use.  A frame vector's ``coeffs`` dict must hold its components
+that are not structural zeros, in ascending index, and the operations that
+read it must build what the bodies that test every component built.
 """
 import pytest
 
@@ -69,7 +69,7 @@ def _forms(rng, chart):
 def _vectors(rng, chart):
     """Random frame vectors with zero components, then x_a E_b."""
     cof = chart.coframe
-    out = [FrameVector(cof, tuple(_coefficient(rng, chart) for _ in cof.names))
+    out = [FrameVector(cof, dict(enumerate(_coefficient(rng, chart) for _ in cof.names)))
            for _ in range(4)]
     out += [FrameVector.basis(cof, n).scale(var(v))
             for v in chart.base_vars for n in cof.names]
@@ -184,21 +184,23 @@ def _dense_ops(x, ys, c, target):
             moved[target.index(cof.names[i])] = a
     adds = [tuple(b if a.is_zero() else a if b.is_zero() else a + b
                   for a, b in zip(x.components, y.components)) for y in ys]
-    return [FrameVector(cof, neg), FrameVector(cof, scaled),
-            FrameVector(target, tuple(moved))] + [FrameVector(cof, v) for v in adds]
+    return [FrameVector(cof, dict(enumerate(neg))), FrameVector(cof, dict(enumerate(scaled))),
+            FrameVector(target, dict(enumerate(moved)))] + [
+                FrameVector(cof, dict(enumerate(v))) for v in adds]
 
 
-def _live(v):
+def _nonzero(v):
     return [(i, c) for i, c in enumerate(v.components) if not c.is_zero()]
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=chart_id)
 def test_frame_vector_live_holds_the_nonzero_components(rng, config):
-    """``live`` lists each component that is not a structural zero, with its
-    index, in index order: on seeded random sections and frame vectors with
-    zero components, and after +, -, ``scale`` and ``map_to``.
-    The operations that read ``live`` build the trees that the bodies
-    testing every component built, and so does ``contract``."""
+    """``coeffs`` maps the index of each component that is not a structural
+    zero to that component, in ascending index, and shares its objects with
+    ``components``: on seeded random sections and frame vectors with zero
+    components, and after +, -, ``scale`` and ``map_to``.  The operations
+    that read ``coeffs`` build the trees that the bodies testing every
+    component built, and so does ``contract``."""
     pair = DualityPair.from_chart(load_chart(config))
     target = pair.total.coframe
     for chart in (pair.chart, pair.dual):
@@ -209,9 +211,10 @@ def test_frame_vector_live_holds_the_nonzero_components(rng, config):
         for x in vectors:
             made = [-x, x.scale(c), x.map_to(target)] + [x + y for y in vectors]
             for v in [x] + made:
-                assert type(v.live) is tuple and list(v.live) == _live(v)
-                assert all(a is v.components[i] for i, a in v.live)
-                assert v.is_zero() == (not _live(v))
+                assert type(v.coeffs) is dict and list(v.coeffs.items()) == _nonzero(v)
+                assert list(v.coeffs) == sorted(v.coeffs)
+                assert all(a is v.components[i] for i, a in v.coeffs.items())
+                assert v.is_zero() == (not _nonzero(v))
             for new, ref in zip(made, _dense_ops(x, vectors, c, target), strict=True):
                 assert new.coframe == ref.coframe
                 assert_same_scalars(new.components, ref.components)
@@ -277,8 +280,8 @@ def test_no_structural_zero_survives(rng, curved_r3):
         assert form.is_zero(), name
     a = random_form(rng, cof, curved_r3.base_vars, density=0.6)
     b = random_form(rng, cof, curved_r3.base_vars, density=0.6)
-    v, w = (Section(FrameVector(cof, tuple(random_cscalar(rng, curved_r3.base_vars)
-                                           for _ in cof.names)),
+    v, w = (Section(FrameVector(cof, dict(enumerate(random_cscalar(rng, curved_r3.base_vars)
+                                                    for _ in cof.names))),
                     random_form(rng, cof, curved_r3.base_vars, degrees=(1,)))
             for _ in range(2))
     built = [a + b, a - b, -a, a.scale(p), a.scale(CScalar(x)), wedge(a, b),

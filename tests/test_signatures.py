@@ -19,11 +19,15 @@ it elsewhere.  The
 unpruned form constructor ``Form._pruned`` stays inside ``exterior.py``.
 A ``functools.cache`` takes only an int ``m``: structural tables live on the
 coframe or chart they index and die with it.  The readers that skip zero
-frame-vector components read ``FrameVector.live``, not ``.components``;
-among them are the one interior-product kernel ``exterior.contract_live``,
-the one Clifford-action kernel ``exterior.clifford`` and the coordinate dict
-``Section._coordinates`` that it takes.  ``Section.act`` is that kernel on
-the coframe's action table: it builds no contraction or wedge of its own.
+frame-vector components read the ``FrameVector.coeffs`` dict, not the dense
+``.components`` tuple; among them are the one interior-product kernel
+``exterior.contract_live``, the one Clifford-action kernel
+``exterior.clifford`` and the coordinate dict ``Section._coordinates`` that
+it takes.  ``Section.act`` is that kernel on the coframe's action table:
+it builds no contraction or wedge of its own.
+A CScalar is added at a dict key by one function, ``exterior._accumulate``;
+the certificate's residual collector ``certify._sum`` is the one other keyed
+sum, because it spreads negated sums over their terms.
 
 Every function in the package has a caller in the package or in the
 benchmark; a function that only tests call lives in the tests.  The
@@ -179,17 +183,19 @@ def test_module_caches_are_keyed_by_m_only():
                       ("structures", "_clifford_matrices"): ["m"]}
 
 
-# functions that skip zero frame-vector components by reading ``live``
+# functions that skip zero frame-vector components by reading ``coeffs``
 SPARSE_READERS = {("exterior", "contract"), ("exterior", "contract_live"),
                   ("exterior", "clifford"), ("exterior", "FrameVector.is_zero"),
-                  ("exterior", "FrameVector.map_to"),
+                  ("exterior", "FrameVector.map_to"), ("exterior", "FrameVector.__add__"),
+                  ("exterior", "FrameVector.__neg__"), ("exterior", "FrameVector.scale"),
                   ("courant", "Section._coordinates"), ("courant", "_pairing_sums"),
-                  ("courant", "_derivative")}
+                  ("courant", "_derivative"), ("courant", "_pair"),
+                  ("courant", "courant_brackets"), ("duality", "dualize_section")}
 
 
 def test_sparse_readers_do_not_scan_components():
     """The readers that skip structurally zero components of a frame vector
-    read its ``live`` pairs and never ``.components``, so none of them goes
+    read its ``coeffs`` dict and never ``.components``, so none of them goes
     back to testing every component of every vector."""
     found = {}
     for path in sorted(Path(tduality.__file__).parent.glob("*.py")):
@@ -203,6 +209,41 @@ def test_sparse_readers_do_not_scan_components():
     dense = sorted({key for key in SPARSE_READERS for n in ast.walk(found[key])
                     if isinstance(n, ast.Attribute) and n.attr == "components"})
     assert dense == []
+
+
+def _is_inline_keyed_sum(node):
+    """``d[k] + c if k in d else c`` (or ``-``): a sum at a dict key written
+    out instead of calling ``_accumulate``."""
+    if not (isinstance(node, ast.IfExp) and isinstance(node.test, ast.Compare)
+            and [type(op) for op in node.test.ops] == [ast.In]
+            and isinstance(node.body, ast.BinOp) and isinstance(node.body.op, (ast.Add, ast.Sub))):
+        return False
+    left = node.body.left
+    return (isinstance(left, ast.Subscript)
+            and ast.dump(left.value) == ast.dump(node.test.comparators[0])
+            and ast.dump(left.slice) == ast.dump(node.test.left))
+
+
+def test_one_keyed_accumulator():
+    """No function in the package writes out a sum at a dict key
+    (``d[k] + c if k in d else c``), no ``_deduct`` or ``_minus`` is defined
+    or named, and ``certify._sum``, the residual collector that spreads
+    negated sums, is called only by ``certify._form_residual``; every other
+    keyed sum goes through ``exterior._accumulate``."""
+    inline, named, sum_callers = [], [], set()
+    for module, fn in _functions():
+        if fn.name in ("_deduct", "_minus"):
+            named.append((module, fn.name))
+        for node in ast.walk(fn):
+            if _is_inline_keyed_sum(node):
+                inline.append((module, fn.name, node.lineno))
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name in ("_deduct", "_minus"):
+                named.append((module, fn.name, node.lineno))
+            if module == "certify" and name == "_sum" and fn.name != "_sum":
+                sum_callers.add(fn.name)
+    assert inline == [] and named == []
+    assert sum_callers == {"_form_residual"}
 
 
 def test_section_act_is_one_clifford_kernel_call(monkeypatch):
