@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scalar import CScalar, Domain, ZERO, diff
-from .exterior import (Coframe, Form, _accumulate, _eval_array, _value_array, _wedge_sign,
-                       contract_sign, strip_rightmost, wedge)
+from .exterior import (Coframe, Form, _accumulate, _eval_array, _point_free, _value_array,
+                       _wedge_sign, contract_sign, strip_rightmost, wedge)
 
 __all__ = [
     "BundleChart", "DualityPair", "base_generator", "dual_fiber_name",
@@ -394,10 +394,12 @@ def block_values(block, points):
 def _block_nondegeneracy(block, points):
     """(smallest |det|, full rank at every point) of a k x k block of
     Scalars, from one determinant and one SVD over the stack of its values
-    at the points."""
+    at the points; a point-free block (``_point_free``) is evaluated and
+    decomposed at the first point only, a stack of one matrix."""
     from .structures import _rank    # structures imports this module
     k = len(block)
-    mats = block_values(block, points)
+    entries = [e for row in block for e in row]
+    mats = block_values(block, points[:1] if len(points) > 1 and _point_free(entries) else points)
     min_det = float(np.abs(np.linalg.det(mats)).min(initial=np.inf))
     ranks = _rank(np.linalg.svd(mats, compute_uv=False))
     return min_det, bool((ranks == k).all())

@@ -437,6 +437,15 @@ def _eval_array(cscalars, points):
     return out
 
 
+def _point_free(scalars):
+    """True when no Scalar or CScalar names a variable.  Point-free values
+    are bit for bit the same at every point, and so is anything computed
+    from them alone: the pointwise layer evaluates and decomposes them at
+    ``points[:1]`` and repeats the result.  Each distinct object is asked
+    once: zero coefficients are mostly the one shared ``CZERO``."""
+    return not any(c.variables() for c in {id(c): c for c in scalars}.values())
+
+
 # -- products and actions -----------------------------------------------------------
 
 def wedge(a, b):

@@ -14,6 +14,11 @@ actions).  Each evaluates what it needs once for all points and runs its
 linear algebra once on the stack of all of them (once per shape of action),
 with numpy's batched ``svd``, ``eigvalsh``, ``det``, ``inv`` and ``@``; a
 basis whose dimension may differ comes grouped by rank (``_by_rank``).
+Where every input is point-free (``exterior._point_free``: no coefficient
+names a variable), its values and everything computed from them are bit for
+bit the same at every point, so ``double_quotient_report`` and
+``generalized_tangent_basis`` (for one number ``f_scale``) run that same code
+on the first point only, a stack of one, and repeat its result per point.
 
 The product space M x Mt has coordinates (TM, TMt, T*M, T*Mt), each factor in
 its own coframe order.  The correspondence's generalized tangent space is a
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundle import block_values
-from .exterior import Form, FrameVector, _eval_array, contract
+from .exterior import Form, FrameVector, _eval_array, _point_free, contract
 from .courant import Section, pairings, split_pairing_matrix
 from .duality import section_transform_matrices
 from .structures import (RANK_TOL, PointFrame, _rank, _transpose, _two_form_matrix,
@@ -163,17 +168,21 @@ def double_quotient_report(pair, points):
     onto the invariant T+T* fibers of either side.  The lift coordinates and
     the coefficients of F are evaluated at every point in one pass, and each
     step of the linear algebra runs once on the stack of all points; the
-    orthogonal complement does so once per distinct nullspace rank.
+    orthogonal complement does so once per distinct nullspace rank.  When
+    they are point-free (``_point_free``; every pair the package builds) all
+    of this runs at the first point, whose report is repeated.
     """
-    npts = len(points)
-    if not npts:
+    if not points:
         return []
     total_cof = pair.total.coframe
     mt = total_cof.dim
     g_total = split_pairing_matrix(mt)
     lifts = duality_lift_sections(pair)
     coords = [c for s in lifts for c in s.coordinates()]
-    vals = _eval_array(coords + list(pair.F.coeffs.values()), points)
+    scalars = coords + list(pair.F.coeffs.values())
+    sample = points[:1] if len(points) > 1 and _point_free(scalars) else points
+    npts = len(sample)
+    vals = _eval_array(scalars, sample)
     k = pair.k
     # kk[p] has the lift vectors at point p as columns, K then Kt; each matrix
     # is C-contiguous, as a single matrix would be, so matmul runs the same
@@ -210,9 +219,9 @@ def double_quotient_report(pair, points):
             defects[route, at] = np.abs(_transpose(mapped) @ g_side @ mapped
                                         - g_perp).max(axis=(1, 2))
             rank_ok[at] &= _rank(np.linalg.svd(mapped, compute_uv=False)) == len(keep)
-    return [ReductionReport(*fields) for fields in zip(
-        iso_k.tolist(), iso_kt.tolist(), split_ok.tolist(), kk_det.tolist(),
-        defects[0].tolist(), defects[1].tolist(), rank_ok.tolist())]
+    rows = list(zip(iso_k.tolist(), iso_kt.tolist(), split_ok.tolist(), kk_det.tolist(),
+                    defects[0].tolist(), defects[1].tolist(), rank_ok.tolist()))
+    return [ReductionReport(*fields) for fields in rows * (len(points) // npts)]
 
 
 # -- generalized tangent space of the correspondence inside the product -----------------
@@ -225,19 +234,36 @@ def generalized_tangent_basis(pair, points, f_scale=1.0):
     E embeds the correspondence's generators into TM + TMt by name, so a
     base generator lands in both factors; E^T xi is the pullback of the
     product covector xi.  tau_F is the image of the kernel of [-A^T | E^T]
-    under diag(E, 1).
+    under diag(E, 1).  For a point-free F and one number ``f_scale`` the
+    basis is computed at the first point and repeated.
     """
     names = pair.chart.coframe.names + pair.dual.coframe.names
     e = np.array([[float(a == b) for b in pair.total.coframe.names] for a in names])
     n, nt = e.shape
-    a = np.reshape(f_scale, (-1, 1, 1)) * _two_form_matrix(
-        pair.F, _eval_array(pair.F.coeffs.values(), points))
-    e_t = np.broadcast_to(e.T, (len(points), nt, n))
+    scale = _f_scales(f_scale, len(points))
+    coeffs = pair.F.coeffs.values()
+    at_one = scale.ndim == 0 and len(points) > 1 and _point_free(coeffs)
+    sample = points[:1] if at_one else points
+    a = scale * _two_form_matrix(pair.F, _eval_array(coeffs, sample))
+    e_t = np.broadcast_to(e.T, (len(sample), nt, n))
     kernel = _uniform(PointFrame.nullspace(np.concatenate([-_transpose(a), e_t], axis=-1)),
-                      n, "tau_F", points)
+                      n, "tau_F", sample)
     x, xi = kernel[:, :nt], kernel[:, nt:]
-    return _uniform(PointFrame.orthonormal_span(np.concatenate([e @ x, xi], axis=-2)),
-                    n, "tau_F", points)
+    basis = _uniform(PointFrame.orthonormal_span(np.concatenate([e @ x, xi], axis=-2)),
+                     n, "tau_F", sample)
+    return basis if len(sample) == len(points) else np.repeat(basis, len(points), axis=0)
+
+
+def _f_scales(f_scale, npts):
+    """``f_scale`` as an array that scales a stack of ``npts`` matrices: a 0-d
+    array for one number, shape (npts, 1, 1) for one number per point."""
+    scale = np.asarray(f_scale, dtype=float)
+    if scale.ndim == 0:
+        return scale
+    if scale.shape != (npts,):
+        raise ValueError(f"f_scale must be one number or one per point: "
+                         f"{len(scale)} given for {npts} points")
+    return scale.reshape(-1, 1, 1)
 
 
 def _first_factor(pair):
@@ -257,7 +283,7 @@ def transversality_check(pair, points, f_scale=1.0):
     # the two spans meet trivially iff the columns of [tf | -first] are independent
     transversal = _rank(np.linalg.svd(both, compute_uv=False)) == both.shape[-1]
     mats = block_values(pair.fiber_block(), points)
-    s = np.linalg.svd(np.reshape(f_scale, (-1, 1, 1)) * mats, compute_uv=False)
+    s = np.linalg.svd(_f_scales(f_scale, len(points)) * mats, compute_uv=False)
     return list(zip(transversal.tolist(), (_rank(s) == pair.k).tolist()))
 
 

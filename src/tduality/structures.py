@@ -5,9 +5,13 @@ forms at a base point, with the Clifford action realized as matrices.  The
 pointwise functions take a list of points (the values-level ones a spinor's
 values, one row per point): each evaluates once for all points and runs each
 step on the stack of all of them, points first, and a check that fails raises
-a ValueError naming the first failing point.  Nullspaces use rank-revealing
-SVD with a relative threshold of 1e-8 (``_rank``), which is robust near
-type-change loci; a stack's bases come grouped by rank (``_by_rank``).
+a ValueError naming the first failing point.  A caller whose inputs are
+point-free (``exterior._point_free``) passes the first point only and
+repeats the result, as the double quotient, tau_F and the fiber-block test
+do; a failure there names point 0, as the stack would.  Nullspaces use
+rank-revealing SVD with a relative threshold of 1e-8 (``_rank``), which is
+robust near type-change loci; a stack's bases come grouped by rank
+(``_by_rank``).
 """
 from __future__ import annotations
 

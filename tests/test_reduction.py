@@ -8,7 +8,7 @@ import pytest
 from tduality import randomgen, reduction, scenarios
 from tduality.scalar import CScalar, rat, var
 from tduality.exterior import Form, FrameVector, mukai_signs
-from tduality.bundle import base_generator, standard_correspondence_flux
+from tduality.bundle import _block_nondegeneracy, base_generator, standard_correspondence_flux
 from tduality.courant import Section, split_pairing_matrix
 from tduality.structures import (PureSpinor, _clifford_matrices, _rank, annihilators,
                                  mukai_norm)
@@ -528,10 +528,21 @@ def test_tangent_basis_matches_the_reference(rng, hopf_pair, circle_pair, torus_
                 assert np.abs(basis @ basis.T - ref @ ref.T).max() <= 1e-12
 
 
+def point_dependent_pair(hopf):
+    """The s3_hopf pair with F + 2t dt^du: d(2t dt^du) = 0 leaves dF as it is,
+    and F is the one correspondence form of the oracle pairs that names a
+    base variable, so the pointwise layer runs on the stack of all points."""
+    def flux_maker(cof, chart, dual):
+        return (standard_correspondence_flux(cof, chart, dual)
+                + Form.monomial(cof, ("dt", "du"), 2 * var("t")))
+
+    return DualityPair.from_charts(hopf.chart, hopf.dual, flux_maker)
+
+
 def _oracle_pairs():
     """The pair of every ``scenarios.CHARTS`` chart, the mixed pair,
-    reduction-suite's scaled-form pair and the sheared torus pair with a
-    non-symmetric fiber block."""
+    reduction-suite's scaled-form pair, the sheared torus pair with a
+    non-symmetric fiber block and the point-dependent pair."""
     from test_certify import sheared_torus_pair
 
     def doubled(cof, chart, dual):
@@ -543,6 +554,7 @@ def _oracle_pairs():
     pairs["mixed"] = twisted_rank_two_pair()
     pairs["scaled"] = DualityPair.from_charts(hopf.chart, hopf.dual, doubled)
     pairs["sheared"] = sheared_torus_pair()
+    pairs["point-dependent"] = point_dependent_pair(hopf)
     return pairs
 
 
@@ -580,6 +592,54 @@ def test_double_quotient_groups_points_by_nullspace_rank(rng, hopf_pair, monkeyp
     # the perp is one dimension larger at t = 0, where it still maps onto
     # both sides with full rank
     assert [rep.rank_ok for rep in reports] == [p["t"] == 0.0 for p in pts]
+
+
+def _stack_sizes(monkeypatch):
+    """The number of matrices that each call of ``np.linalg.svd``, ``det``
+    and ``eigvalsh`` receives, in call order."""
+    sizes = []
+    for name in ("svd", "det", "eigvalsh"):
+        def spy(a, *args, _real=getattr(np.linalg, name), **kwargs):
+            sizes.append(int(np.prod(np.shape(a)[:-2], dtype=int)))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return sizes
+
+
+def test_point_free_data_is_decomposed_at_one_point(monkeypatch):
+    """At 64 points the double quotient and the tau_F basis give every
+    decomposition one matrix on a point-free pair and 64 on the
+    point-dependent pair, whose report objects are each point's own.  The
+    fiber block of every oracle pair is point-free, and gets one det and one
+    SVD.  A per-point f_scale and a block that names a base variable keep
+    the stack of 64."""
+    pairs = _oracle_pairs()
+    assert pairs["point-dependent"].validate().ok
+    sizes = _stack_sizes(monkeypatch)
+    for name, pair in pairs.items():
+        pts = pair.chart.domain.sample_many(np.random.default_rng(0), 64)
+        sizes.clear()
+        reports = double_quotient_report(pair, pts)
+        generalized_tangent_basis(pair, pts)
+        assert set(sizes) == {64 if name == "point-dependent" else 1}, name
+        assert len({id(rep) for rep in reports}) == 64
+        sizes.clear()
+        _block_nondegeneracy(pair.fiber_block(), pts)
+        assert sizes == [1, 1], name
+        sizes.clear()
+        generalized_tangent_basis(pair, pts, [0.5] * 64)
+        t = var(pair.chart.base_vars[0])
+        _block_nondegeneracy([[e * t for e in row] for row in pair.fiber_block()], pts)
+        assert set(sizes) == {64}, name
+
+
+@pytest.mark.parametrize("f_scale", [[1.0], [1.0, 2.0, 3.0]])
+def test_f_scale_is_one_number_or_one_per_point(hopf_pair, f_scale):
+    pts = hopf_pair.chart.domain.sample_many(np.random.default_rng(0), 6)
+    message = f"one number or one per point: {len(f_scale)} given for 6 points"
+    for check in (generalized_tangent_basis, transversality_check):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check(hopf_pair, pts, f_scale)
 
 
 def test_rank_of_a_stack_is_the_rank_of_each_row(rng):
