@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scalar import CScalar, Domain, ZERO, diff
-from .exterior import (Coframe, Form, _accumulate, _eval_array, _point_free, _value_array,
+from .exterior import (Coframe, Form, _accumulate, _eval_array, _sample, _value_array,
                        _wedge_sign, contract_sign, strip_rightmost, wedge)
 
 __all__ = [
@@ -386,7 +386,7 @@ def validate_pair(pair, n=8, seed=0):
 
 def block_values(block, points):
     """Values of a k x k block of Scalars at the points, as a (points, k, k)
-    stack from one ``evaluate_points`` call; k = 0 gives (points, 0, 0)."""
+    stack from one ``_value_array`` call; k = 0 gives (points, 0, 0)."""
     k, npts = len(block), len(points)
     return _value_array([e for row in block for e in row], points).T.reshape(npts, k, k)
 
@@ -394,12 +394,11 @@ def block_values(block, points):
 def _block_nondegeneracy(block, points):
     """(smallest |det|, full rank at every point) of a k x k block of
     Scalars, from one determinant and one SVD over the stack of its values
-    at the points; a point-free block (``_point_free``) is evaluated and
-    decomposed at the first point only, a stack of one matrix."""
+    at the points ``exterior._sample`` picks: a point-free block is
+    evaluated and decomposed at the first point only, a stack of one matrix."""
     from .structures import _rank    # structures imports this module
     k = len(block)
-    entries = [e for row in block for e in row]
-    mats = block_values(block, points[:1] if len(points) > 1 and _point_free(entries) else points)
+    mats = block_values(block, _sample([e for row in block for e in row], points))
     min_det = float(np.abs(np.linalg.det(mats)).min(initial=np.inf))
     ranks = _rank(np.linalg.svd(mats, compute_uv=False))
     return min_det, bool((ranks == k).all())

@@ -44,11 +44,11 @@ and shared by every check that uses them.  A form is read as its {mask:
 CScalar} ``coeffs`` and a section once as the {index: CScalar} dict
 of its coordinates that are not structurally zero (X_1..X_m, xi_1..xi_m,
 ``Section._coordinates``), the dict that a bracket-table entry already is;
-the actions of sections (``exterior.clifford``, or its row step
-``act_row`` for a frame section), the transforms of the frame's images and
-the expected side of a Leibniz rule are built as such dicts, summed key by
-key by ``exterior._accumulate``, and an anchor pi(s)(x) is read by
-``courant._pair``.  ``_form_residual`` forms every residual from signed
+the actions of sections (``exterior.clifford``, on a unit monomial too, or
+its row step ``act_row`` for a frame section), the transforms of the frame's
+images and the expected side of a Leibniz rule are built as such dicts,
+summed key by key by ``exterior._accumulate``, and an anchor pi(s)(x) is
+read by ``courant._pair``.  ``_form_residual`` forms every residual from signed
 dicts of either kind, summed by ``scalar.signed_sum`` as ``sadd`` sums, so
 what cancels here is what cancels in any sum; its ``_sum`` is the one keyed
 sum of the package outside ``_accumulate``, because it spreads a negated
@@ -57,16 +57,17 @@ on that.  A zero test is an identity test against the shared ``ZERO``.
 Equal sides of opposite sign, and oracle instances of empty terms, are zero
 unsummed.  An instance whose residual cancels structurally holds for every
 base point; the others are evaluated together, at every sample point, in one
-``evaluate_points`` call, each shared residual once.
+``exterior._eval_array`` call, each shared residual once.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from typing import NamedTuple
 
+import numpy as np
+
 from .scalar import CScalar, CZERO, ZERO, signed_sum, var
-from .exterior import (Form, FrameVector, _accumulate, act_row, clifford, eval_complex_points,
-                       wedge)
+from .exterior import Form, FrameVector, _accumulate, _eval_array, act_row, clifford, wedge
 from .bundle import exterior_derivative, twisted_derivative
 from .courant import (Section, _HALF, _pair, _pairing_sums, courant_brackets, pairings,
                       section_basis)
@@ -130,15 +131,6 @@ def _transform(weights, columns):
         for r, c in columns[k].items():
             _accumulate(out, r, w * c)
     return out
-
-
-def _act_sections(table, coords, coframe):
-    """Section with coordinate dict ``coords`` acting on each e_mask, by mask,
-    as {mask: CScalar} dicts."""
-    live = [(table[k], c) for k, c in coords.items()]
-    return [{hit[0]: c if hit[1] > 0 else -c
-             for row, c in live if (hit := row[mask]) is not None}
-            for mask in range(1 << coframe.dim)]
 
 
 def frame_certificate(pair, points):
@@ -252,9 +244,9 @@ def frame_certificate(pair, points):
         row_i, acted_i = table[i], acted[i]
         for j in range(2 * m):
             row_j, acted_j = table[j], acted[j]
-            bracket_acts = _act_sections(table, coords[i][j], cof)
-            for mask in range(nforms):    # empty dicts are left out
-                terms = [(1, bracket_acts[mask])] if bracket_acts[mask] else []
+            for mask, e in enumerate(monomials):    # empty dicts are left out
+                acts = clifford(table, coords[i][j], e.coeffs)
+                terms = [(1, acts)] if acts else []
                 hit_j = row_j[mask]
                 if hit_j is not None:
                     inner, sj = hit_j
@@ -290,7 +282,7 @@ def _evaluate(frame, side, points):
             if id(residual) not in spans:
                 spans[id(residual)] = (len(live), len(live) + len(residual))
                 live.extend(residual)
-    mags = [max(abs(z) for z in zs) for zs in eval_complex_points(live, points)]
+    mags = np.abs(_eval_array(live, points)).max(axis=1).tolist()
     out = {}
     for name, group in frame.items():
         worst = 0.0

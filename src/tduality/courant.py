@@ -41,7 +41,7 @@ import numpy as np
 
 from .scalar import CZERO, CScalar, ZERO, diff, rat
 from .exterior import (Form, FrameVector, _accumulate, clifford, contract,
-                       contract_live, contraction_rows, eval_complex)
+                       contract_live, contraction_rows, _eval_array)
 from .bundle import exterior_derivative, form_residual
 
 __all__ = [
@@ -123,7 +123,7 @@ class Section:
     def eval_vector(self, point):
         """Numeric components (X_1..X_m, xi_1..xi_m).  Kept for the tests
         and ``perfbench/tracer.py``, which wraps it by name (ROADMAP 1a)."""
-        return np.array(eval_complex(self.coordinates(), point), dtype=complex)
+        return _eval_array(self.coordinates(), (point,))[:, 0]
 
     def map_to(self, coframe):
         return Section(self.x.map_to(coframe), self.xi.map_to(coframe))

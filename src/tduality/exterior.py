@@ -33,8 +33,11 @@ names, tags and rename, and each mask's (rest, sign) for ``fiber_integrate``.
 No table refers back to its coframe.  The interior product has one kernel,
 ``contract_live`` (a vector's coefficient pairs on ``contraction_rows``, which
 ``contract``, ``courant`` and the section transform call), and the Clifford
-action one, ``clifford`` (on the action table, built on ``act_row``); the
-form transform of a dual pair runs on a ``fiber_routes`` table it keeps.
+action one, ``clifford`` (on the action table, built on ``act_row``; on a
+unit monomial too); the form transform of a dual pair runs on a
+``fiber_routes`` table it keeps.  Values at points have one evaluator,
+``_eval_array`` on ``_value_array``, and point-free data one sampling rule,
+``_sample``.
 """
 from __future__ import annotations
 
@@ -49,8 +52,8 @@ __all__ = [
     "Coframe", "Form", "FrameVector",
     "wedge", "contract", "contraction_rows", "contract_live", "act_row", "clifford",
     "reversal", "mukai_pairing", "mukai_signs", "exp_form", "fiber_integrate",
-    "strip_rightmost", "contract_sign", "frame_action", "eval_complex",
-    "eval_complex_points", "fiber_routes", "integral_transform", "form_to_text",
+    "strip_rightmost", "contract_sign", "frame_action", "fiber_routes",
+    "integral_transform", "form_to_text",
 ]
 
 TAGS = ("base", "fiber", "cofiber")
@@ -297,7 +300,7 @@ class Form:
     # -- evaluation -----------------------------------------------------------
     def eval_coeffs(self, point):
         """{mask: complex} at a point."""
-        return dict(zip(self.coeffs, eval_complex(self.coeffs.values(), point)))
+        return dict(zip(self.coeffs, _eval_array(self.coeffs.values(), (point,))[:, 0].tolist()))
 
     def eval_vector(self, point):
         """Dense complex vector of length 2^dim indexed by bitmask.  Kept for
@@ -307,7 +310,7 @@ class Form:
 
     def eval_vectors(self, points):
         """``eval_vector`` at every point, one row each: (points, 2^dim),
-        from one ``eval_complex_points`` call."""
+        from one ``_eval_array`` call."""
         v = np.zeros((len(points), 1 << self.coframe.dim), dtype=complex)
         v[:, list(self.coeffs)] = _eval_array(self.coeffs.values(), points).T
         return v
@@ -407,43 +410,36 @@ class FrameVector:
     def eval_vector(self, point):
         """Kept for the tests and ``perfbench/tracer.py``, which wraps it by
         name (ROADMAP 1a)."""
-        return np.array(eval_complex(self.components, point))
-
-
-def eval_complex(cscalars, point):
-    """Complex values of CScalars at one point, as a list."""
-    return [zs[0] for zs in eval_complex_points(cscalars, (point,))]
-
-
-def eval_complex_points(cscalars, points):
-    """Complex values of CScalars at several points, one list per CScalar,
-    from a single ``evaluate_points`` over their real and imaginary parts."""
-    vals = evaluate_points([s for c in cscalars for s in (c.re, c.im)], points)
-    return [[complex(x, y) for x, y in zip(re, im)]
-            for re, im in zip(vals[0::2], vals[1::2])]
+        return _eval_array(self.components, (point,))[:, 0]
 
 
 def _value_array(exprs, points):
-    """``evaluate_points`` of a list of Scalars as an (exprs, points) float array."""
+    """``evaluate_points`` of a list of Scalars as an (exprs, points) float
+    array: the one evaluator that the package calls outside ``scalar.py``."""
     return np.array(evaluate_points(exprs, points), dtype=float).reshape(len(exprs), len(points))
 
 
 def _eval_array(cscalars, points):
-    """``eval_complex_points`` as a (CScalars, points) complex array, its real
-    and imaginary parts filled from one float array: bit for bit ``complex(x, y)``."""
+    """Complex values of CScalars as a (CScalars, points) array, from one
+    ``_value_array`` over their real and imaginary parts: bit for bit
+    ``complex(x, y)``.  ``.tolist()`` gives Python complex values."""
     parts = _value_array([s for c in cscalars for s in (c.re, c.im)], points)
     out = np.empty((len(parts) // 2, len(points)), dtype=complex)
     out.real, out.imag = parts[0::2], parts[1::2]
     return out
 
 
-def _point_free(scalars):
-    """True when no Scalar or CScalar names a variable.  Point-free values
+def _sample(scalars, points):
+    """The points at which to evaluate data that depends only on ``scalars``
+    (Scalars or CScalars): ``points[:1]`` when there are two or more points
+    and none of them names a variable, else ``points``.  Point-free values
     are bit for bit the same at every point, and so is anything computed
-    from them alone: the pointwise layer evaluates and decomposes them at
-    ``points[:1]`` and repeats the result.  Each distinct object is asked
-    once: zero coefficients are mostly the one shared ``CZERO``."""
-    return not any(c.variables() for c in {id(c): c for c in scalars}.values())
+    from them alone, so the pointwise layer decomposes a stack of one and
+    repeats or broadcasts the result.  Each distinct object is asked once:
+    zero coefficients are mostly the one shared ``CZERO``."""
+    if len(points) > 1 and not any(c.variables() for c in {id(c): c for c in scalars}.values()):
+        return points[:1]
+    return points
 
 
 # -- products and actions -----------------------------------------------------------

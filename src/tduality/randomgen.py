@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 
 from .scalar import CScalar, EvaluationError, rat, var, ssin, scos, smul, sadd
-from .exterior import Form, FrameVector, eval_complex_points, mukai_signs, wedge
+from .exterior import Form, FrameVector, _eval_array, mukai_signs, wedge
 from .courant import Section
 from .structures import PureSpinor, _clifford_matrices, mukai_norm
 
@@ -116,10 +116,10 @@ def random_pure_spinor(rng, chart, points):
         spinor = PureSpinor.from_data(b, omega, lowest)
         coeffs = spinor.form.coeffs
         try:
-            values = eval_complex_points(coeffs.values(), points)
+            values = _eval_array(coeffs.values(), points).T.tolist()
         except EvaluationError:
             continue
-        at_points = [dict(zip(coeffs, zs)) for zs in zip(*values)]
+        at_points = [dict(zip(coeffs, zs)) for zs in values]
         ref = max(max(abs(v) for v in vals.values()) for vals in at_points)
         if ref == 0:
             continue

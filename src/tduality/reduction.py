@@ -14,11 +14,12 @@ actions).  Each evaluates what it needs once for all points and runs its
 linear algebra once on the stack of all of them (once per shape of action),
 with numpy's batched ``svd``, ``eigvalsh``, ``det``, ``inv`` and ``@``; a
 basis whose dimension may differ comes grouped by rank (``_by_rank``).
-Where every input is point-free (``exterior._point_free``: no coefficient
-names a variable), its values and everything computed from them are bit for
-bit the same at every point, so ``double_quotient_report`` and
-``generalized_tangent_basis`` (for one number ``f_scale``) run that same code
-on the first point only, a stack of one, and repeat its result per point.
+Where every input is point-free (no coefficient names a variable), its values
+and everything computed from them are bit for bit the same at every point, so
+``double_quotient_report``, ``generalized_tangent_basis`` and the section
+transform of ``fourier_mukai_check`` run that same code on the first point
+only, a stack of one, and repeat or broadcast its result per point; one rule,
+``exterior._sample``, picks those points.
 
 The product space M x Mt has coordinates (TM, TMt, T*M, T*Mt), each factor in
 its own coframe order.  The correspondence's generalized tangent space is a
@@ -32,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundle import block_values
-from .exterior import Form, FrameVector, _eval_array, _point_free, contract
+from .exterior import Form, FrameVector, _eval_array, _sample, contract
 from .courant import Section, pairings, split_pairing_matrix
-from .duality import section_transform_matrices
+from .duality import _section_columns, section_transform_matrices
 from .structures import (RANK_TOL, PointFrame, _rank, _transpose, _two_form_matrix,
                          _uniform, gcs_matrices)
 
@@ -169,8 +170,8 @@ def double_quotient_report(pair, points):
     the coefficients of F are evaluated at every point in one pass, and each
     step of the linear algebra runs once on the stack of all points; the
     orthogonal complement does so once per distinct nullspace rank.  When
-    they are point-free (``_point_free``; every pair the package builds) all
-    of this runs at the first point, whose report is repeated.
+    they are point-free (``_sample``; every pair the package builds) all of
+    this runs at the first point, whose report is repeated.
     """
     if not points:
         return []
@@ -180,7 +181,7 @@ def double_quotient_report(pair, points):
     lifts = duality_lift_sections(pair)
     coords = [c for s in lifts for c in s.coordinates()]
     scalars = coords + list(pair.F.coeffs.values())
-    sample = points[:1] if len(points) > 1 and _point_free(scalars) else points
+    sample = _sample(scalars, points)
     npts = len(sample)
     vals = _eval_array(scalars, sample)
     k = pair.k
@@ -234,24 +235,23 @@ def generalized_tangent_basis(pair, points, f_scale=1.0):
     E embeds the correspondence's generators into TM + TMt by name, so a
     base generator lands in both factors; E^T xi is the pullback of the
     product covector xi.  tau_F is the image of the kernel of [-A^T | E^T]
-    under diag(E, 1).  For a point-free F and one number ``f_scale`` the
-    basis is computed at the first point and repeated.
+    under diag(E, 1).  A point-free F is evaluated at the first point only
+    (``_sample``); for one number ``f_scale`` the basis is computed there and
+    repeated, and a per-point ``f_scale`` broadcasts it to every point.
     """
     names = pair.chart.coframe.names + pair.dual.coframe.names
     e = np.array([[float(a == b) for b in pair.total.coframe.names] for a in names])
     n, nt = e.shape
     scale = _f_scales(f_scale, len(points))
     coeffs = pair.F.coeffs.values()
-    at_one = scale.ndim == 0 and len(points) > 1 and _point_free(coeffs)
-    sample = points[:1] if at_one else points
-    a = scale * _two_form_matrix(pair.F, _eval_array(coeffs, sample))
-    e_t = np.broadcast_to(e.T, (len(sample), nt, n))
+    a = scale * _two_form_matrix(pair.F, _eval_array(coeffs, _sample(coeffs, points)))
+    e_t = np.broadcast_to(e.T, (len(a), nt, n))
     kernel = _uniform(PointFrame.nullspace(np.concatenate([-_transpose(a), e_t], axis=-1)),
-                      n, "tau_F", sample)
+                      n, "tau_F", points)
     x, xi = kernel[:, :nt], kernel[:, nt:]
     basis = _uniform(PointFrame.orthonormal_span(np.concatenate([e @ x, xi], axis=-2)),
-                     n, "tau_F", sample)
-    return basis if len(sample) == len(points) else np.repeat(basis, len(points), axis=0)
+                     n, "tau_F", points)
+    return basis if len(basis) == len(points) else np.repeat(basis, len(points), axis=0)
 
 
 def _f_scales(f_scale, npts):
@@ -313,7 +313,8 @@ def fourier_mukai_check(pair, rho_m, rho_t, points):
     proj = tf @ _transpose(tf.conj())
     image = big @ tf
     defect1 = np.abs(image - proj @ image).max(axis=(-2, -1))
-    phi = section_transform_matrices(pair, points).real
+    coords = [c for s in _section_columns(pair) for c in s.coordinates()]
+    phi = section_transform_matrices(pair, _sample(coords, points)).real
     defect2 = np.abs(j_t - phi @ j_m @ np.linalg.inv(phi)).max(axis=(-2, -1))
     return [(d1 <= 1e-8, d2 <= 1e-8, d1, d2)
             for d1, d2 in zip(defect1.tolist(), defect2.tolist())]

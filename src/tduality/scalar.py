@@ -219,7 +219,9 @@ def as_scalar(x):
         return rat(x)
     if isinstance(x, float):
         # floats enter only through user-supplied data; keep them exact
-        return rat(Fraction(x).limit_denominator(10**12))
+        if not isfinite(x):
+            raise ValueError(f"cannot coerce the non-finite float {x!r} to Scalar")
+        return rat(Fraction(x))
     raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
 
 

@@ -18,10 +18,9 @@ import math
 
 import numpy as np
 
-from .scalar import (CScalar, PI, ZERO, ONE, diff, evaluate, evaluate_points,
-                     rat, sadd, scos, sdiv, smul, sneg, sexp, spow, ssin, ssqrt,
-                     var)
-from .exterior import (Coframe, Form, FrameVector, eval_complex_points, exp_form,
+from .scalar import (CScalar, PI, ZERO, ONE, diff, evaluate, rat, sadd, scos, sdiv, smul,
+                     sneg, sexp, spow, ssin, ssqrt, var)
+from .exterior import (Coframe, Form, FrameVector, _eval_array, _value_array, exp_form,
                        fiber_integrate, mukai_pairing, wedge)
 from .bundle import (BundleChart, build_dual_chart, dual_fiber_name,
                      exterior_derivative, form_residual, split_flux)
@@ -266,10 +265,10 @@ def scenario_s2_annulus(seed, samples):
     z_im = smul(sexp(sneg(w_shift)), ssin(sadd(tht, antib)))
     dual_chart = pair.dual
     envs = [dict(p, tht_angle=angle) for p in points for angle in (0.3, 2.1)]
-    rho = eval_complex_points((dual_spinor.coeff_of("dt"), dual_spinor.coeff_of("tht")), envs)
+    rho = _eval_array((dual_spinor.coeff_of("dt"), dual_spinor.coeff_of("tht")), envs).tolist()
     worst = 0.0
     for x, y, w_val, b_val, rho_dt, rho_tht in zip(
-            *evaluate_points((z_re, z_im, w, b), envs), *rho):
+            *_value_array((z_re, z_im, w, b), envs).tolist(), *rho):
         z = complex(x, y)
         # dz = z (i thetat - (w - i b) dt)
         worst = max(worst, abs(z * (-(w_val - 1j * b_val)) * rho_tht - z * 1j * rho_dt))
@@ -401,7 +400,7 @@ def scenario_gibbons_hawking(seed, samples):
     v_pot, b1 = _gh_data(chart)
     lap = sadd(*[diff(diff(v_pot, n), n) for n in ("x1", "x2", "x3")])
     report.add("harmonic-potential", "the conformal factor is harmonic on the box",
-               residual=max(abs(v) for v in evaluate_points([lap], points)[0]), tol=1e-8)
+               residual=max(abs(v) for v in _value_array([lap], points)[0].tolist()), tol=1e-8)
     star_dv = (Form.monomial(cof, ("dx2", "dx3"), diff(v_pot, "x1"))
                + Form.monomial(cof, ("dx3", "dx1"), diff(v_pot, "x2"))
                + Form.monomial(cof, ("dx1", "dx2"), diff(v_pot, "x3")))

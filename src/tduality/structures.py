@@ -6,8 +6,9 @@ pointwise functions take a list of points (the values-level ones a spinor's
 values, one row per point): each evaluates once for all points and runs each
 step on the stack of all of them, points first, and a check that fails raises
 a ValueError naming the first failing point.  A caller whose inputs are
-point-free (``exterior._point_free``) passes the first point only and
-repeats the result, as the double quotient, tau_F and the fiber-block test
+point-free passes the points that ``exterior._sample`` picks, the first
+only, and repeats or broadcasts the result, as the double quotient, tau_F,
+the fiber-block test and the section transform of the Fourier-Mukai check
 do; a failure there names point 0, as the stack would.  Nullspaces use
 rank-revealing SVD with a relative threshold of 1e-8 (``_rank``), which is
 robust near type-change loci; a stack's bases come grouped by rank
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalar import CScalar, ZERO, as_scalar, evaluate_points
+from .scalar import CScalar, ZERO, as_scalar
 from .exterior import (Form, FrameVector, _eval_array, _value_array, contract, exp_form,
                        frame_action, mukai_signs, wedge)
 from .bundle import twisted_derivative
@@ -82,7 +83,7 @@ class SymTensor:
         """The symmetric matrices at the points, stacked: (points, m, m)."""
         m = self.coframe.dim
         out = np.zeros((len(points), m, m))
-        for (i, j), v in zip(self.entries, evaluate_points(self.entries.values(), points)):
+        for (i, j), v in zip(self.entries, _value_array(self.entries.values(), points)):
             out[:, i, j] = v
             out[:, j, i] = v
         return out
@@ -394,7 +395,7 @@ def _two_form_matrix(form, values):
 def metric_residual(a, b, points):
     """Max coefficientwise deviation of two (g, b) packages at the points, 0.0
     for none.  The parts of b_a - b_b and the g entries of both are evaluated
-    in one ``evaluate_points`` call, so an EvaluationError names the first
+    in one ``_value_array`` call, so an EvaluationError names the first
     point at which any of them fails."""
     parts = [s for c in (a.b - b.b).coeffs.values() for s in (c.re, c.im)]
     keys = a.g.entries.keys() | b.g.entries.keys()

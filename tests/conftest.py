@@ -12,11 +12,13 @@ difference of optional CScalars that it used (``_reference_courant_brackets``,
 must match key for key and tree for tree, ``_section_of``, which reads an
 entry back as a Section, the composite bodies of ``dualize_form``,
 ``dualize_form_reverse`` and ``dualize_section``, which the passes over the
-pair's route tables must match key for key and tree for tree, the ``Section``-arithmetic Leibniz body and
-the per-mask action of a bracket of ``certify``, which the expected sides
-built on sparse coordinate dicts must match residual for residual, the
-Clifford action as ``contract`` plus ``wedge`` (``_reference_clifford_act``,
-the body ``exterior.clifford`` replaced), which that kernel and
+pair's route tables must match key for key and tree for tree, the
+``Section``-arithmetic Leibniz body, which the expected sides built on
+sparse coordinate dicts must match residual for residual, the per-mask
+action of a bracket on the unit monomials (``_reference_act_sections``),
+which ``exterior.clifford`` on each monomial must match key for key and
+tree for tree, the Clifford action as ``contract`` plus ``wedge``
+(``_reference_clifford_act``, the body ``exterior.clifford`` replaced), which that kernel and
 ``Section.act`` must match key for key and tree for tree, the frame's action
 table read off it, which ``exterior.frame_action``, made from contraction
 signs, must equal, the mask-by-mask bodies of
@@ -43,7 +45,8 @@ bit for bit, the ``tensordot`` body of ``random_spinor_values``, whose
 draws the flattened products must match byte for byte, and the point-by-point
 bodies of ``scenarios._entry_points``, ``form_residual``, ``metric_residual``
 and ``exterior._eval_array``, which the whole-array reductions and the stacked
-draw must match bit for bit.  ``count_python_calls``
+draw must match bit for bit, with the list evaluator ``eval_complex_points``
+that ``_eval_array`` replaced.  ``count_python_calls``
 counts the Python-level calls of a function, and ``chart_id`` names the test
 parameter of a ``scenarios.CHARTS`` chart."""
 import itertools
@@ -58,9 +61,8 @@ from tduality.scalar import (CZERO, CScalar, ZERO, _mul_split, _sum_node, diff, 
                              var)
 from tduality.bundle import (BundleChart, base_generator, exterior_derivative,
                              form_residual, twisted_derivative)
-from tduality.exterior import (Form, FrameVector, contract, contract_sign,
-                               eval_complex_points, exp_form, fiber_integrate,
-                               strip_rightmost, wedge)
+from tduality.exterior import (Form, FrameVector, contract, contract_sign, exp_form,
+                               fiber_integrate, strip_rightmost, wedge)
 from tduality.structures import (GeneralizedMetric, RANK_TOL, SymTensor,
                                  _clifford_matrices, mukai_norm)
 from tduality.courant import Section, _derivative, section_basis, split_pairing_matrix
@@ -432,8 +434,9 @@ def _reference_leibniz(pair):
 
 
 def _reference_act_sections(table, coords, coframe):
-    """``certify._act_sections`` with the coordinate dict read again for each
-    mask."""
+    """The section with coordinate dict ``coords`` acting on each e_mask, by
+    mask, as {mask: CScalar} dicts, the coordinate dict read again for each
+    mask: the body that ``exterior.clifford`` on unit monomials replaced."""
     out = []
     for mask in range(1 << coframe.dim):
         image = {}
@@ -994,6 +997,14 @@ def _reference_metric_residual(a, b, points):
                            points)
     return max(worst, max((abs(x - y) for va, vb in zip(vals[0::2], vals[1::2])
                            for x, y in zip(va, vb)), default=0.0))
+
+
+def eval_complex_points(cscalars, points):
+    """Complex values of CScalars at several points, one list per CScalar,
+    from a single ``evaluate_points`` over their real and imaginary parts."""
+    vals = evaluate_points([s for c in cscalars for s in (c.re, c.im)], points)
+    return [[complex(x, y) for x, y in zip(re, im)]
+            for re, im in zip(vals[0::2], vals[1::2])]
 
 
 def _reference_eval_array(cscalars, points):

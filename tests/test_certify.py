@@ -36,8 +36,8 @@ from tduality import bundle, certify, courant, duality, exterior
 from tduality.bundle import (BundleChart, DualityPair, build_dual_chart,
                              exterior_derivative, standard_correspondence_flux)
 from tduality.courant import Section, section_basis
-from tduality.exterior import (Coframe, Form, FrameVector, contract, fiber_integrate,
-                               frame_action)
+from tduality.exterior import (Coframe, Form, FrameVector, clifford, contract,
+                               fiber_integrate, frame_action)
 from tduality.scalar import (CScalar, ONE, Scalar, ZERO, sadd, scalar_to_text, sneg,
                              spow, var)
 from tduality.randomgen import random_form, random_section
@@ -559,24 +559,28 @@ def residual_lists(pair):
     return got[0]
 
 
-def reprs(frame, side):
-    return {(kind, check): [repr(r) for r in group]
-            for kind, groups in (("frame", frame), ("side", side))
-            for check, group in groups.items()}
-
-
 @pytest.mark.parametrize("name", sorted(PAIRS))
 def test_residuals_match_the_reference_bodies(name, monkeypatch):
-    """The oracle's action of each frame bracket, read once per frame pair,
-    builds the residual lists that the per-mask body builds, element for
-    element; and the Leibniz side conditions built on coordinate tuples are
-    the ones ``Section`` arithmetic builds, also under a mutant bracket for
-    which they do not cancel."""
-    got = reprs(*residual_lists(PAIRS[name]()))
-    assert sum(map(len, got.values())) > 0
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(certify, "_act_sections", _reference_act_sections)
-        assert reprs(*residual_lists(PAIRS[name]())) == got
+    """The oracle's action of each frame bracket on a unit monomial,
+    ``exterior.clifford`` on the bracket's coordinate dict, is the per-mask
+    body's, key for key and tree for tree, on the frame brackets and on the
+    brackets (x_a s_i, s_j) of the left Leibniz rules, which are nonzero on
+    a flat pair too; and the Leibniz side conditions built on coordinate
+    tuples are the ones ``Section`` arithmetic builds, also under a mutant
+    bracket for which they do not cancel."""
+    pair = PAIRS[name]()
+    cof = pair.chart.coframe
+    table, basis = cof.action(), section_basis(cof)
+    scaled = [s.scale(var(v)) for v in pair.chart.base_vars for s in basis]
+    acted = 0
+    for row in courant.courant_brackets(basis + scaled, basis, pair.chart):
+        for coords in row:
+            got = [clifford(table, coords, {mask: CScalar.one()})
+                   for mask in range(1 << cof.dim)]
+            expected = _reference_act_sections(table, coords, cof)
+            assert [list(d.items()) for d in got] == [list(d.items()) for d in expected]
+            acted += sum(map(len, got))
+    assert acted > 0
     for mutant in (None, install_dropped_term):
         if mutant:
             mutant(monkeypatch)

@@ -1,9 +1,9 @@
 """The point-list forms of the pointwise layer against the one-point bodies
 they replaced (``_reference_*`` in conftest.py): for the pair of every
 ``scenarios.CHARTS`` chart, the mixed pair, the scaled-form pair, the
-sheared torus pair and the point-dependent pair (``test_reduction``), at 1,
-8 and 32 points, every result equals the reference's at each point, bit for
-bit (arrays with ``np.array_equal``, tuples by ``repr``)."""
+sheared torus pair and the two point-dependent pairs (``test_reduction``),
+at 1, 8 and 32 points, every result equals the reference's at each point,
+bit for bit (arrays with ``np.array_equal``, tuples by ``repr``)."""
 import numpy as np
 import pytest
 

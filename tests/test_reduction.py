@@ -21,7 +21,8 @@ from tduality.reduction import (LiftedActionPoint, ReductionReport, double_quoti
                                 signature_of, transversality_check)
 from tduality.scenarios import CHARTS, load_chart, twisted_rank_two_pair
 
-from conftest import (_reference_double_quotient_report, _reference_random_spinor_values,
+from conftest import (_reference_double_quotient_report, _reference_fourier_mukai_check,
+                      _reference_random_spinor_values,
                       _reference_rank, _reference_reduce_pointwise, _reference_signature,
                       _reference_two_form_matrix, chart_id)
 
@@ -528,21 +529,25 @@ def test_tangent_basis_matches_the_reference(rng, hopf_pair, circle_pair, torus_
                 assert np.abs(basis @ basis.T - ref @ ref.T).max() <= 1e-12
 
 
-def point_dependent_pair(hopf):
-    """The s3_hopf pair with F + 2t dt^du: d(2t dt^du) = 0 leaves dF as it is,
-    and F is the one correspondence form of the oracle pairs that names a
+def point_dependent_pair(pair):
+    """``pair`` with F + 2x dx^dy for its first two base coordinates x and y
+    (2t dt^du on s3_hopf): d(2x dx^dy) = 0 leaves dF as it is, and F names a
     base variable, so the pointwise layer runs on the stack of all points."""
+    x, y = pair.chart.base_vars[:2]
+
     def flux_maker(cof, chart, dual):
         return (standard_correspondence_flux(cof, chart, dual)
-                + Form.monomial(cof, ("dt", "du"), 2 * var("t")))
+                + Form.monomial(cof, (base_generator(x), base_generator(y)), 2 * var(x)))
 
-    return DualityPair.from_charts(hopf.chart, hopf.dual, flux_maker)
+    return DualityPair.from_charts(pair.chart, pair.dual, flux_maker)
 
 
 def _oracle_pairs():
     """The pair of every ``scenarios.CHARTS`` chart, the mixed pair,
     reduction-suite's scaled-form pair, the sheared torus pair with a
-    non-symmetric fiber block and the point-dependent pair."""
+    non-symmetric fiber block and the point-dependent pairs, on s3_hopf and
+    on the even-dimensional hopf_surface; their correspondence forms are the
+    only ones of the oracle pairs that name a base variable."""
     from test_certify import sheared_torus_pair
 
     def doubled(cof, chart, dual):
@@ -555,6 +560,7 @@ def _oracle_pairs():
     pairs["scaled"] = DualityPair.from_charts(hopf.chart, hopf.dual, doubled)
     pairs["sheared"] = sheared_torus_pair()
     pairs["point-dependent"] = point_dependent_pair(hopf)
+    pairs["point-dependent-even"] = point_dependent_pair(pairs[chart_id("hopf_surface")])
     return pairs
 
 
@@ -594,11 +600,11 @@ def test_double_quotient_groups_points_by_nullspace_rank(rng, hopf_pair, monkeyp
     assert [rep.rank_ok for rep in reports] == [p["t"] == 0.0 for p in pts]
 
 
-def _stack_sizes(monkeypatch):
-    """The number of matrices that each call of ``np.linalg.svd``, ``det``
-    and ``eigvalsh`` receives, in call order."""
+def _stack_sizes(monkeypatch, names=("svd", "det", "eigvalsh")):
+    """The number of matrices that each call of the ``np.linalg`` functions
+    ``names`` receives, in call order."""
     sizes = []
-    for name in ("svd", "det", "eigvalsh"):
+    for name in names:
         def spy(a, *args, _real=getattr(np.linalg, name), **kwargs):
             sizes.append(int(np.prod(np.shape(a)[:-2], dtype=int)))
             return _real(a, *args, **kwargs)
@@ -609,19 +615,20 @@ def _stack_sizes(monkeypatch):
 def test_point_free_data_is_decomposed_at_one_point(monkeypatch):
     """At 64 points the double quotient and the tau_F basis give every
     decomposition one matrix on a point-free pair and 64 on the
-    point-dependent pair, whose report objects are each point's own.  The
+    point-dependent pairs, whose report objects are each point's own.  The
     fiber block of every oracle pair is point-free, and gets one det and one
     SVD.  A per-point f_scale and a block that names a base variable keep
     the stack of 64."""
     pairs = _oracle_pairs()
     assert pairs["point-dependent"].validate().ok
+    assert pairs["point-dependent-even"].validate().ok
     sizes = _stack_sizes(monkeypatch)
     for name, pair in pairs.items():
         pts = pair.chart.domain.sample_many(np.random.default_rng(0), 64)
         sizes.clear()
         reports = double_quotient_report(pair, pts)
         generalized_tangent_basis(pair, pts)
-        assert set(sizes) == {64 if name == "point-dependent" else 1}, name
+        assert set(sizes) == {64 if name.startswith("point-dependent") else 1}, name
         assert len({id(rep) for rep in reports}) == 64
         sizes.clear()
         _block_nondegeneracy(pair.fiber_block(), pts)
@@ -631,6 +638,29 @@ def test_point_free_data_is_decomposed_at_one_point(monkeypatch):
         t = var(pair.chart.base_vars[0])
         _block_nondegeneracy([[e * t for e in row] for row in pair.fiber_block()], pts)
         assert set(sizes) == {64}, name
+
+
+def test_fourier_mukai_inverts_one_section_transform_on_point_free_data(monkeypatch):
+    """At 16 points ``fourier_mukai_check`` hands ``np.linalg.inv`` one
+    section-transform matrix on every even-dimensional point-free oracle pair
+    and 16 on the point-dependent one, after the 16 matrices of each side's
+    GC structure; on a spinor and its transport both routes pass at every
+    point, each result the point-by-point reference's."""
+    sizes = _stack_sizes(monkeypatch, ("inv",))
+    for name, pair in _oracle_pairs().items():
+        if pair.chart.coframe.dim % 2:
+            continue
+        rng = np.random.default_rng(0)
+        pts = pair.chart.domain.sample_many(rng, 16)
+        spinor = random_pure_spinor(rng, pair.chart, pts)
+        rho = spinor.form.eval_vectors(pts)
+        rho_t = transport_spinor(spinor, pair).form.eval_vectors(pts)
+        sizes.clear()
+        got = fourier_mukai_check(pair, rho, rho_t, pts)
+        assert sizes == [16, 16, 16 if name == "point-dependent-even" else 1], name
+        assert repr(got) == repr([_reference_fourier_mukai_check(pair, rm, rt, p)
+                                  for rm, rt, p in zip(rho, rho_t, pts)]), name
+        assert all(r1 and r2 for r1, r2, _, _ in got), name
 
 
 @pytest.mark.parametrize("f_scale", [[1.0], [1.0, 2.0, 3.0]])

@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 import struct
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +17,7 @@ from tduality.scalar import (CScalar, Domain, EvaluationError, MINUS_ONE, ONE, P
                              ssqrt, ssub, solve_linear_symbolic, sym_matrix_inverse, var)
 import tduality
 from tduality import randomgen
+from tduality.exterior import Coframe, Form
 from tduality.scenarios import load_chart, run_scenario
 
 T = var("t")
@@ -503,3 +505,19 @@ def test_only_rat_builds_a_rational_node():
                     and node.args[0].value == "rat"):
                 sites.append(path.stem)
     assert sites == ["scalar"] * 3
+
+
+def test_as_scalar_keeps_a_float_exact():
+    """A float becomes the rational it is, not a nearby one of bounded
+    denominator: a tiny coefficient stays nonzero, and a form keeps it; a
+    value evaluates back to itself; a non-finite float is a ValueError that
+    names it."""
+    tiny = as_scalar(1e-13)
+    assert tiny is not ZERO and tiny.value == Fraction(1e-13)
+    assert not CScalar.of(1e-13).is_zero()
+    cof = Coframe(("dx",), ("base",))
+    assert Form.monomial(cof, ("dx",), 1e-13).coeffs
+    assert evaluate(as_scalar(1.234567e-10), {}) == 1.234567e-10
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=re.escape(f"non-finite float {bad!r}")):
+            as_scalar(bad)

@@ -27,7 +27,13 @@ it takes.  ``Section.act`` is that kernel on the coframe's action table:
 it builds no contraction or wedge of its own.
 A CScalar is added at a dict key by one function, ``exterior._accumulate``;
 the certificate's residual collector ``certify._sum`` is the one other keyed
-sum, because it spreads negated sums over their terms.
+sum, because it spreads negated sums over their terms.  Values at points
+have one evaluator: outside ``scalar.py`` only ``exterior._value_array``
+calls ``evaluate_points``, and ``exterior._eval_array`` builds complex
+values on it.  Whether point-free data is evaluated at the first point only
+has one rule, ``exterior._sample``, which the four pointwise functions that
+sample such data call.  The list evaluators, the certificate's second action
+of a section on monomials and the older point-free predicate are gone.
 
 Every function in the package has a caller in the package or in the
 benchmark; a function that only tests call lives in the tests.  The
@@ -244,6 +250,39 @@ def test_one_keyed_accumulator():
                 sum_callers.add(fn.name)
     assert inline == [] and named == []
     assert sum_callers == {"_form_residual"}
+
+
+def test_one_evaluator_and_one_sampling_rule():
+    """No function called ``eval_complex``, ``eval_complex_points``,
+    ``_act_sections`` or ``_point_free`` is defined, imported or named in the
+    package; outside ``scalar.py`` only ``exterior._value_array`` calls
+    ``evaluate_points``; and ``exterior._sample`` is called by the four
+    functions that sample point-free data, and by no other."""
+    gone = {"eval_complex", "eval_complex_points", "_act_sections", "_point_free"}
+    named, evaluators, samplers = [], set(), set()
+    for path in sorted(Path(tduality.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            name = (getattr(node, "attr", None) or getattr(node, "id", None)
+                    or getattr(node, "name", None))
+            if name in gone:
+                named.append((path.stem, node.lineno))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    if called == "evaluate_points" and path.stem != "scalar":
+                        evaluators.add((path.stem, fn.name))
+                    if called == "_sample":
+                        samplers.add((path.stem, fn.name))
+    assert named == []
+    assert evaluators == {("exterior", "_value_array")}
+    assert samplers == {("reduction", "double_quotient_report"),
+                        ("reduction", "generalized_tangent_basis"),
+                        ("reduction", "fourier_mukai_check"),
+                        ("bundle", "_block_nondegeneracy")}
 
 
 def test_section_act_is_one_clifford_kernel_call(monkeypatch):
