@@ -8,6 +8,10 @@ invariant closed 3-form with no component along two fiber directions
 exists.  A duality pair glues a chart and its dual over the shared base into
 the correspondence chart, which carries the 2-form F realizing dF = H - Ht.
 
+Coefficients are differentiated along the base by ``_partials`` (for d and
+the frame bracket) and forms split along their fiber legs by
+``split_fiber_legs``; ``DualityPair.cache`` is ``Coframe.table``.
+
 Frame conventions used throughout the package: the frame dual to the coframe
 consists of horizontal lifts E_a of the base coordinate fields plus the fiber
 generators E_theta.  The structure equations fix their brackets, since
@@ -28,7 +32,7 @@ from .exterior import (Coframe, Form, _accumulate, _eval_array, _sample, _value_
 __all__ = [
     "BundleChart", "DualityPair", "base_generator", "dual_fiber_name",
     "exterior_derivative", "twisted_derivative",
-    "split_flux", "build_dual_chart",
+    "split_fiber_legs", "split_flux", "build_dual_chart",
     "validate_chart", "validate_pair", "ChartReport", "PairReport",
     "standard_correspondence_flux", "form_residual", "block_values",
 ]
@@ -93,6 +97,22 @@ class BundleChart:
 
 # -- differential ------------------------------------------------------------------
 
+def _partials(c, bases, skip=0):
+    """The derivatives of a coefficient along the base, {bit: d_v c} for the
+    ``base_bits`` entries (variable, index, bit) of ``bases`` whose bit is not
+    in the mask ``skip``, in base order, structural zeros left out."""
+    out = {}
+    for v, _, bit in bases:
+        if bit & skip:
+            continue
+        dre = diff(c.re, v)
+        dim = diff(c.im, v)
+        if dre.is_zero() and dim.is_zero():
+            continue
+        out[bit] = CScalar(dre, dim)
+    return out
+
+
 def exterior_derivative(rho, chart):
     """Structure-equation d: d(dx^a)=0, d(theta_i)=c_i, Leibniz on coefficients.
 
@@ -105,14 +125,7 @@ def exterior_derivative(rho, chart):
     cof = chart.coframe
     out = {}
     for mask, c in rho.coeffs.items():
-        for v, _, bit in chart.base_bits:
-            if bit & mask:
-                continue
-            dre = diff(c.re, v)
-            dim = diff(c.im, v)
-            if dre.is_zero() and dim.is_zero():
-                continue
-            term = CScalar(dre, dim)
+        for bit, term in _partials(c, chart.base_bits, mask).items():
             _accumulate(out, bit | mask, -term if _wedge_sign(bit, mask) < 0 else term)
         # Leibniz over generators; d(gen) is even so it moves freely to the front
         for i, dgen in chart.curved.items():
@@ -149,6 +162,25 @@ def _check_zero_holonomy(chart):
     return True
 
 
+def split_fiber_legs(form, chart):
+    """Write a form with at most one fiber leg per term as
+    sum_i alpha_i ^ theta_i + beta, alpha_i and beta basic: each term's fiber
+    leg is moved rightmost by ``strip_rightmost``.  Returns ({fiber
+    generator: alpha_i}, beta)."""
+    cof = chart.coframe
+    fibers = cof.tag_mask("fiber")
+    alpha = {gen: Form.zero(cof) for gen in chart.fiber_names}
+    beta = Form.zero(cof)
+    for mask, c in form.coeffs.items():
+        if not mask & fibers:
+            beta = beta + Form(cof, {mask: c})
+            continue
+        i = (mask & fibers).bit_length() - 1
+        rest, term = strip_rightmost(mask, c, 1 << i)
+        alpha[cof.names[i]] = alpha[cof.names[i]] + Form(cof, {rest: term})
+    return alpha, beta
+
+
 def split_flux(chart):
     """Write H = sum_i ct_i ^ theta_i + h with ct_i, h basic.
 
@@ -156,19 +188,7 @@ def split_flux(chart):
     """
     if not _check_zero_holonomy(chart):
         raise ValueError("flux violates zero holonomy: a component has two fiber legs")
-    cof = chart.coframe
-    ct = {gen: Form.zero(cof) for gen in chart.fiber_names}
-    h = Form.zero(cof)
-    for mask, c in chart.flux.coeffs.items():
-        fiber_bits = mask & cof.tag_mask("fiber")
-        if fiber_bits == 0:
-            h = h + Form(cof, {mask: c})
-            continue
-        i = fiber_bits.bit_length() - 1
-        gen = cof.names[i]
-        rest, term = strip_rightmost(mask, c, 1 << i)
-        ct[gen] = ct[gen] + Form(cof, {rest: term})
-    return ct, h
+    return split_fiber_legs(chart.flux, chart)
 
 
 def dual_fiber_name(name):
@@ -262,14 +282,10 @@ class DualityPair:
         lhs = self.pull(self.chart.flux) - self.pull(self.dual.flux)
         return lhs - exterior_derivative(self.F, self.total)
 
-    def cache(self, name, build):
-        """``build()``, stored on the pair under ``name`` by its first call:
-        point-independent data of the pair, which dies with the pair."""
-        got = self.__dict__.get(name)
-        if got is None:
-            got = build()
-            object.__setattr__(self, name, got)
-        return got
+    def __post_init__(self):
+        object.__setattr__(self, "_tables", {})
+
+    cache = Coframe.table    # point-independent data, which dies with the pair
 
     def fiber_block(self):
         """k x k matrix of Scalars F(E_theta_i, E_thetat_j), built once."""

@@ -183,7 +183,8 @@ def frame_certificate(pair, points):
         # the bracket's Leibniz rules on (x s_i, s_j) and (s_i, x s_j), each
         # expected side built on the coordinates of x [s_i, s_j]
         along = [_pair(s.x.coeffs, dx.coeffs) or CZERO for s in basis]    # pi(s)(x)
-        at_dx = [(m + mask.bit_length() - 1, c) for mask, c in dx.coeffs.items()]
+        dx_section = Section(FrameVector.zero(cof), dx)
+        at_dx = dx_section._coordinates().items()
         left = left_all[2 * m + lo:4 * m + lo]    # right_all's block is its columns lo..
         for i, (row, right) in enumerate(zip(coords, right_all)):
             for j, frame_coords in enumerate(row):
@@ -204,7 +205,7 @@ def frame_certificate(pair, points):
             pi_dual = _pair(image.x.coeffs, dx_dual.coeffs) or CZERO
             side[name].append(_form_residual([(1, {0: pi_dual}), (-1, {0: pi})]))
         side[name].append(_form_residual(
-            [(1, dualize_section(Section(FrameVector.zero(cof), dx), pair)._coordinates()),
+            [(1, dualize_section(dx_section, pair)._coordinates()),
              (-1, Section(FrameVector.zero(dcof), dx_dual)._coordinates())]))
 
     name = "transform-intertwines-differentials"
@@ -245,7 +246,7 @@ def frame_certificate(pair, points):
         for j in range(2 * m):
             row_j, acted_j = table[j], acted[j]
             for mask, e in enumerate(monomials):    # empty dicts are left out
-                acts = clifford(table, coords[i][j], e.coeffs)
+                acts = coords[i][j] and clifford(table, coords[i][j], e.coeffs)
                 terms = [(1, acts)] if acts else []
                 hit_j = row_j[mask]
                 if hit_j is not None:

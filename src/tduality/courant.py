@@ -8,15 +8,16 @@ coframe, with invariant (base-variable) coefficients; ``Section`` is a
 
 is evaluated with the chart structure equations.  ``courant_brackets`` makes
 a table of brackets in one pass over plain dicts: it reads each distinct
-section once per call (the ``coeffs`` dicts of X and xi, the
-``contraction_rows`` of d xi, and of i_Y H or i_X c_i), and each entry is the
-{index: CScalar} dict of the bracket's coordinates, with no form, frame
-vector or section of its own, its terms added by ``exterior._accumulate``;
-``courant_bracket`` returns one entry as a section.  The vector-on-1-form
-reader ``_pair`` and ``contract_live`` on contraction rows are its two
-interior products; ``Section.act`` is the Clifford kernel
-``exterior.clifford`` on the section's coordinate dict.  ``pairings`` makes
-a table of pairings the same way, off the unhalved sums 2 <v, w> of
+section once per call (the ``coeffs`` dicts of X and xi, the bit mask of
+X's indices, the ``contraction_rows`` of d xi, and of i_Y H or i_X c_i), and
+each entry is the {index: CScalar} dict of the bracket's coordinates, with
+no form, frame vector or section of its own, its terms added by
+``exterior._accumulate``; ``courant_bracket`` returns one entry as a
+section.  The vector-on-1-form reader ``_pair`` and ``contract_live`` on
+contraction rows are its two interior products, and d's kernel
+``bundle._partials`` its derivatives.  ``Section.act`` is the Clifford
+kernel ``exterior.clifford`` on the section's coordinate dict.  ``pairings``
+makes a table of pairings the same way, off the unhalved sums 2 <v, w> of
 ``_pairing_sums``, which the certificate reads too.  The sign of the flux
 term is the derived-bracket convention: it is the unique choice for which
 the spinor identity [v, w]_H . rho = [[d_H, v], w] . rho holds with the
@@ -39,10 +40,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .scalar import CZERO, CScalar, ZERO, diff, rat
+from .scalar import CZERO, CScalar, rat
 from .exterior import (Form, FrameVector, _accumulate, clifford, contract,
                        contract_live, contraction_rows, _eval_array)
-from .bundle import exterior_derivative, form_residual
+from .bundle import _partials, exterior_derivative, form_residual
 
 __all__ = [
     "Section", "pairings", "split_pairing_matrix", "courant_bracket", "courant_brackets",
@@ -188,24 +189,6 @@ def split_pairing_matrix(m):
     return out
 
 
-def _derivative(x, f, bases):
-    """X(f) = sum_a (d_a f) X^a over the base generators a, summed in
-    ascending generator index; None where no term survives or the sum
-    cancels structurally.  ``x`` is X.coeffs, ``bases`` the chart's
-    ``base_bits`` table of (variable, index, bit)."""
-    total = None
-    for v, i, _ in bases:
-        if (xa := x.get(i)) is None:
-            continue
-        dre = diff(f.re, v)
-        dim = diff(f.im, v)
-        if dre.is_zero() and dim.is_zero():
-            continue
-        term = CScalar(dre, dim) * xa
-        total = term if total is None else total + term
-    return None if total is None or total.is_zero() else total
-
-
 def _pair(x, coeffs):
     """i_X of a 1-form, for X's {index: CScalar} ``coeffs`` and the form's
     {mask: CScalar} coefficients: what ``contract`` leaves at mask 0, or None
@@ -238,7 +221,8 @@ def courant_brackets(vs, ws, chart):
     [X, Y] where X and Y are both nonzero, then L_X eta - i_Y d xi
     + i_X i_Y H.  In L_X eta = d(i_X eta) + i_X d eta, the d is skipped
     where i_X eta is zero or a rational constant, as it is for frame
-    sections, and X(f) is skipped for a rational component f."""
+    sections, and X(f) is skipped for a rational component f; X(f) is
+    ``_pair`` on the ``bundle._partials`` of f along X's indices only."""
     cof, bases = chart.coframe, chart.base_bits
     m = cof.dim
     reads, i_h, i_c = {}, {}, {}    # by section id
@@ -251,7 +235,7 @@ def courant_brackets(vs, ws, chart):
             varying = {b: c for b, c in x.items()
                        if not (c.re.is_rational() and c.im.is_rational())}
             # the rows of d xi are None where xi = 0 and empty where d xi = 0
-            reads[id(s)] = (x, varying, xi.coeffs,
+            reads[id(s)] = (x, sum(1 << b for b in x), varying, xi.coeffs,
                             None if d is None else d.coeffs and contraction_rows(d))
     if chart.flux.coeffs:
         flux = contraction_rows(chart.flux)
@@ -268,16 +252,16 @@ def courant_brackets(vs, ws, chart):
     key = {1 << k: m + k for k in range(m)}
     table = []
     for v in vs:
-        x, xv, _, d_xi = reads[id(v)]
+        x, xs, xv, _, d_xi = reads[id(v)]
         curv = i_c.get(id(v), {})
         row = []
-        for y, yv, eta, d_eta, ih in cols:
+        for y, ys, yv, eta, d_eta, ih in cols:
             entry = {}
             if x and y:    # e^b([X, Y]) = X(Y^b) - Y(X^b) - (i_Y i_X c_b)
                 for b in range(m):
-                    if b in yv and (c := _derivative(x, yv[b], bases)) is not None:
+                    if b in yv and (c := _pair(x, _partials(yv[b], bases, ~xs))) is not None:
                         entry[b] = c
-                    if b in xv and (c := _derivative(y, xv[b], bases)) is not None:
+                    if b in xv and (c := _pair(y, _partials(xv[b], bases, ~ys))) is not None:
                         _accumulate(entry, b, -c)
                     if b in curv and (c := _pair(y, curv[b])) is not None:
                         _accumulate(entry, b, -c)
@@ -285,11 +269,7 @@ def courant_brackets(vs, ws, chart):
             if x and d_eta is not None:    # L_X eta, by the Cartan formula
                 form, f = contract_live(x.items(), d_eta) if d_eta else {}, _pair(x, eta)
                 if f is not None and not (f.re.is_rational() and f.im.is_rational()):
-                    grad = {}    # d(i_X eta), then i_X d eta summed in
-                    for name, _, bit in bases:
-                        dre, dim = diff(f.re, name), diff(f.im, name)
-                        if dre is not ZERO or dim is not ZERO:
-                            grad[bit] = CScalar(dre, dim)
+                    grad = _partials(f, bases)    # d(i_X eta), then i_X d eta summed in
                     for mask, c in form.items():
                         _accumulate(grad, mask, c)
                     form = grad

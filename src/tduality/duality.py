@@ -26,7 +26,10 @@ is (-1)^(k(k+3)/2)).
 
 The pointwise functions take a list of points and stack their linear algebra
 over them, as in ``structures``; ``transform_matrix_at`` and
-``uk_transport_residual`` are the one-point forms the benchmark calls.
+``uk_transport_residual`` are the one-point forms the benchmark calls, and
+``orientation_sign`` hands the rank helpers its one matrix as a stack of one.
+The Buscher rules split a metric and a two-form along the fiber of a circle
+bundle; the two-form split is ``bundle.split_fiber_legs``.
 """
 from __future__ import annotations
 
@@ -35,9 +38,8 @@ import numpy as np
 from .scalar import (CZERO, CScalar, ZERO, ONE, rat, sadd, sdiv, smul, sneg, ssub,
                      sym_matrix_inverse)
 from .exterior import (Form, FrameVector, _eval_array, contract_live, contraction_rows,
-                       exp_form, fiber_integrate, fiber_routes, integral_transform,
-                       strip_rightmost, wedge)
-from .bundle import DualityPair
+                       exp_form, fiber_integrate, fiber_routes, integral_transform, wedge)
+from .bundle import DualityPair, split_fiber_legs
 from .courant import Section, section_basis
 from .structures import (GeneralizedMetric, PointFrame, PureSpinor, SymTensor,
                          _first_failure, _transpose, uk_spaces)
@@ -242,18 +244,11 @@ def split_metric(metric_tensor, chart):
 
 
 def split_two_form(b, chart):
-    """b = b1 ^ theta + b2 on a circle-bundle chart."""
-    cof = chart.coframe
-    th_bit = 1 << cof.index(chart.fiber_names[0])
-    b1 = Form.zero(cof)
-    b2 = Form.zero(cof)
-    for mask, c in b.coeffs.items():
-        if mask & th_bit:
-            rest, term = strip_rightmost(mask, c, th_bit)
-            b1 = b1 + Form(cof, {rest: term})
-        else:
-            b2 = b2 + Form(cof, {mask: c})
-    return b1, b2
+    """b = b1 ^ theta + b2 on a circle-bundle chart, by ``bundle.split_fiber_legs``."""
+    if chart.k != 1:
+        raise ValueError("two-form splitting is for circle bundles")
+    legs, b2 = split_fiber_legs(b, chart)
+    return legs[chart.fiber_names[0]], b2
 
 
 def assemble_metric(chart, g0, g1, g2, b1, b2):
@@ -409,7 +404,8 @@ def orientation_sign(j_matrix):
     det(u1, J u1, ..., un, J un), where the uk are the real parts of a basis
     of the +i eigenspace of J, so that (u1, ..., un) is a complex basis."""
     j = np.asarray(j_matrix, dtype=float)
-    u = PointFrame.nullspace(j - 1j * np.eye(len(j))).real
+    [(_, (u,))] = PointFrame.nullspace((j - 1j * np.eye(len(j)))[None])    # a stack of one
+    u = u.real
     basis = np.stack([u, j @ u], axis=2).reshape(len(j), -1)
     return 1 if np.linalg.det(basis) > 0 else -1
 

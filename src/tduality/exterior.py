@@ -37,7 +37,7 @@ action one, ``clifford`` (on the action table, built on ``act_row``; on a
 unit monomial too); the form transform of a dual pair runs on a
 ``fiber_routes`` table it keeps.  Values at points have one evaluator,
 ``_eval_array`` on ``_value_array``, and point-free data one sampling rule,
-``_sample``.
+``_sample``.  ``bundle.DualityPair.cache`` is ``Coframe.table``.
 """
 from __future__ import annotations
 
@@ -103,7 +103,8 @@ class Coframe:
         return tuple(n for i, n in enumerate(self.names) if mask >> i & 1)
 
     def table(self, key, build):
-        """``build()``, kept on the coframe under ``key`` by its first call."""
+        """``build()``, kept under ``key`` in the owner's ``_tables`` dict by
+        its first call, so that it dies with the owner (a coframe or a pair)."""
         got = self._tables.get(key)
         if got is None:
             got = self._tables[key] = build()

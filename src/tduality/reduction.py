@@ -48,14 +48,15 @@ __all__ = [
 
 
 def signature_of(sym_matrix):
-    """(positive, negative, null) eigenvalue counts of a symmetric matrix; a
-    stack with leading axes gives an int array of such triples."""
+    """(positive, negative, null) eigenvalue counts of each symmetric matrix
+    of a stack, an int array of triples; an empty one runs no eigensolver."""
+    if not sym_matrix.size:
+        return np.zeros(sym_matrix.shape[:-2] + (3,), dtype=int)
     w = np.linalg.eigvalsh((sym_matrix + np.swapaxes(sym_matrix, -1, -2)) / 2)
     scale = np.abs(w).max(axis=-1, initial=1.0, keepdims=True)
     pos = np.sum(w > RANK_TOL * scale, axis=-1)
     neg = np.sum(w < -RANK_TOL * scale, axis=-1)
-    counts = np.stack([pos, neg, w.shape[-1] - pos - neg], axis=-1)
-    return tuple(int(c) for c in counts) if w.ndim == 1 else counts
+    return np.stack([pos, neg, w.shape[-1] - pos - neg], axis=-1)
 
 
 @dataclass

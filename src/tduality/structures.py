@@ -12,7 +12,8 @@ the fiber-block test and the section transform of the Fourier-Mukai check
 do; a failure there names point 0, as the stack would.  Nullspaces use
 rank-revealing SVD with a relative threshold of 1e-8 (``_rank``), which is
 robust near type-change loci; a stack's bases come grouped by rank
-(``_by_rank``).
+(``_by_rank``).  The rank helpers take stacks only: one matrix is a stack
+of one, as in ``duality.orientation_sign``.
 """
 from __future__ import annotations
 
@@ -196,35 +197,33 @@ class PointFrame:
 
     @staticmethod
     def nullspace(a):
-        """Orthonormal basis (columns) of the kernel of a, per rank for a stack."""
+        """Orthonormal bases (columns) of the kernels of a stack of matrices,
+        grouped by rank (``_by_rank``)."""
         _, s, vh = np.linalg.svd(a)
         return _by_rank(s, lambda at, r: _transpose(vh[at][..., r:, :].conj()))
 
     @staticmethod
     def orthonormal_span(a):
-        """Orthonormal basis (columns) of the span of a, per rank for a stack."""
+        """Orthonormal bases (columns) of the spans of a stack of matrices,
+        grouped by rank (``_by_rank``); with no columns, no SVD is run."""
+        if not a.shape[-1]:
+            return [(np.arange(len(a)), a)]
         u, s, _ = np.linalg.svd(a, full_matrices=False)
         return _by_rank(s, lambda at, r: u[at][..., :r])
 
 
 def _rank(s):
-    """Numerical rank from descending singular values, relative to the largest.
-
-    Singular values with leading stack axes give an int array of ranks, each
-    relative to its own matrix's largest singular value."""
-    s = np.asarray(s)
-    ranks = np.sum(s > RANK_TOL * s.max(axis=-1, initial=0.0, keepdims=True), axis=-1)
-    return int(ranks) if s.ndim == 1 else ranks
+    """Numerical ranks from descending singular values with leading stack
+    axes, an int array, each relative to its own matrix's largest value."""
+    return np.sum(s > RANK_TOL * s.max(axis=-1, initial=0.0, keepdims=True), axis=-1)
 
 
 def _by_rank(s, basis):
-    """``basis(at, r)``, the bases of the matrices ``at`` (an index) of rank
-    r, from their singular values ``s``: for one matrix that basis (``at`` is
-    ``...``); for a stack, [(indices, stacked bases)] in increasing rank.  An
-    empty stack gives an empty group of every rank, so any dimension has one."""
+    """[(indices, ``basis(at, r)``)] in increasing rank r, the stacked bases
+    of the matrices ``at`` of rank r, from the singular values ``s`` of a
+    stack.  An empty stack gives an empty group of every rank, so any
+    dimension has one."""
     ranks = _rank(s)
-    if np.ndim(ranks) == 0:
-        return basis(..., ranks)
     return [(np.flatnonzero(ranks == r), basis(ranks == r, r))
             for r in sorted(set(ranks.tolist())) or range(s.shape[-1] + 1)]
 

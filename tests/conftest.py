@@ -8,7 +8,9 @@ kernels must match tree for tree, the one-entry readers ``pairing`` and
 ``lie_bracket`` of the ``pairings`` and ``courant_brackets`` tables, the
 Section-level body of ``courant_brackets`` with its Lie bracket and the
 difference of optional CScalars that it used (``_reference_courant_brackets``,
-``_reference_sparse_lie_bracket``, ``_reference_minus``), whose sections the table's coordinate-dict entries
+``_reference_sparse_lie_bracket``, ``_reference_minus``, and ``_derivative``,
+the vector-on-function body that the bracket kernel replaced), whose
+sections the table's coordinate-dict entries
 must match key for key and tree for tree, ``_section_of``, which reads an
 entry back as a Section, the composite bodies of ``dualize_form``,
 ``dualize_form_reverse`` and ``dualize_section``, which the passes over the
@@ -65,7 +67,7 @@ from tduality.exterior import (Form, FrameVector, contract, contract_sign, exp_f
                                fiber_integrate, strip_rightmost, wedge)
 from tduality.structures import (GeneralizedMetric, RANK_TOL, SymTensor,
                                  _clifford_matrices, mukai_norm)
-from tduality.courant import Section, _derivative, section_basis, split_pairing_matrix
+from tduality.courant import Section, section_basis, split_pairing_matrix
 from tduality.reduction import ReducedSpace, ReductionReport, _first_factor
 from tduality.duality import (DualityPair, _form_columns, _section_columns,
                               dualize_form, dualize_section)
@@ -264,6 +266,26 @@ def _reference_minus(acc, c):
         return -c
     total = acc - c
     return None if total.is_zero() else total
+
+
+def _derivative(x, f, bases):
+    """X(f) = sum_a (d_a f) X^a over the base generators a, summed in
+    ascending generator index; None where no term survives or the sum
+    cancels structurally.  ``x`` is X.coeffs, ``bases`` the chart's
+    ``base_bits`` table of (variable, index, bit): the body that
+    ``courant_brackets`` replaced by ``courant._pair`` on
+    ``bundle._partials``."""
+    total = None
+    for v, i, _ in bases:
+        if (xa := x.get(i)) is None:
+            continue
+        dre = diff(f.re, v)
+        dim = diff(f.im, v)
+        if dre.is_zero() and dim.is_zero():
+            continue
+        term = CScalar(dre, dim) * xa
+        total = term if total is None else total + term
+    return None if total is None or total.is_zero() else total
 
 
 def _reference_sparse_lie_bracket(x, y, chart):

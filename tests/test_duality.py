@@ -366,6 +366,26 @@ def test_buscher_fiber_inversion_structural(circle_pair):
     assert out.g.entry_of("tht", "tht") == sdiv(ONE, g0)
 
 
+def test_two_form_splitting_is_for_circle_bundles(hopf_chart):
+    """b = b1 ^ theta + b2 with b1 and b2 basic on a circle chart; on the
+    rank-two hopf_surface chart the th2 legs of b would stay in b2, so the
+    split raises, as the metric split does."""
+    cof = hopf_chart.coframe
+    b = (Form.monomial(cof, ("dt", "th"), var("u")) + Form.monomial(cof, ("th", "du"))
+         + Form.monomial(cof, ("dt", "du"), 3))
+    b1, b2 = split_two_form(b, hopf_chart)
+    assert wedge(b1, Form.monomial(cof, ("th",))) + b2 == b
+    fibers = cof.tag_mask("fiber")
+    assert not any(mask & fibers for mask in (*b1.coeffs, *b2.coeffs))
+    chart = scenarios.load_chart("hopf_surface")
+    cof = chart.coframe
+    b = (Form.monomial(cof, ("ds1", "th1")) + Form.monomial(cof, ("ds2", "th2"))
+         + Form.monomial(cof, ("th1", "th2")))
+    for split, arg in ((split_two_form, b), (split_metric, SymTensor(cof))):
+        with pytest.raises(ValueError, match="is for circle bundles"):
+            split(arg, chart)
+
+
 def test_buscher_involution_random(rng):
     from tduality.bundle import BundleChart
     chart = BundleChart.build("c", [("t", -0.9, 0.9), ("u", 0.1, 0.9)], ["th"])

@@ -437,7 +437,7 @@ def test_rank_zero_pair_reduces_to_empty_spaces(rng, plane_chart):
 
 def test_signature_helper():
     g = np.diag([2.0, -1.0, 0.0])
-    assert signature_of(g) == (1, 1, 1)
+    assert signature_of(g[None]).tolist() == [[1, 1, 1]]
 
 
 def test_pairing_constant_check_nonconstant_sections():
@@ -679,7 +679,7 @@ def test_rank_of_a_stack_is_the_rank_of_each_row(rng):
     s[3, 1:] = 0.0
     ranks = _rank(s)
     assert ranks.tolist() == [_reference_rank(row) for row in s] == [4, 2, 0, 1, 4, 4]
-    assert isinstance(_rank(s[0]), int)
+    assert _rank(s[:1]).tolist() == [4]
     assert _rank(np.zeros((0, 3))).shape == (0,)
     assert _rank(np.zeros((2, 0))).tolist() == [0, 0]
 
@@ -690,4 +690,23 @@ def test_signature_of_a_stack_is_the_signature_of_each_matrix(rng):
     stack[1] = np.diag([2.0, -1.0, 0.0, 0.0])
     sigs = signature_of(stack)
     assert [tuple(s) for s in sigs.tolist()] == [_reference_signature(m) for m in stack]
-    assert signature_of(np.zeros((0, 0))) == (0, 0, 0)
+    assert signature_of(np.zeros((1, 0, 0))).tolist() == [[0, 0, 0]]
+
+
+def test_empty_bases_reach_no_linalg_call(monkeypatch):
+    """A basis with no columns has an empty span and a matrix with no rows no
+    signature, so neither reaches ``np.linalg``; the results are those that
+    the SVD and the eigensolver give on the same empty stacks."""
+    from tduality.structures import PointFrame
+    calls = []
+    for name in ("svd", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, _n=name, **k: calls.append(_n))
+    groups = PointFrame.orthonormal_span(np.zeros((4, 8, 0), dtype=complex))
+    sigs = signature_of(np.zeros((5, 0, 0)))
+    assert calls == []
+    monkeypatch.undo()
+    [(at, span)] = groups
+    assert at.tolist() == [0, 1, 2, 3] and span.shape == (4, 8, 0)
+    assert np.linalg.svd(np.zeros((4, 8, 0)), full_matrices=False)[0].shape == span.shape
+    assert sigs.tolist() == [[0, 0, 0]] * 5 and sigs.dtype.kind == "i"
+    assert signature_of(np.zeros((0, 4, 4))).shape == (0, 3)

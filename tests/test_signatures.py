@@ -34,6 +34,12 @@ values on it.  Whether point-free data is evaluated at the first point only
 has one rule, ``exterior._sample``, which the four pointwise functions that
 sample such data call.  The list evaluators, the certificate's second action
 of a section on monomials and the older point-free predicate are gone.
+A coefficient is differentiated along the base by one kernel,
+``bundle._partials``, which d and the frame bracket call (outside
+``scalar.py`` and ``scenarios.py`` nothing else calls ``diff``); a form is
+split along its fiber legs by one loop, ``bundle.split_fiber_legs``, the only
+caller of ``strip_rightmost`` outside ``exterior.py``; and a table kept on
+its owner has one body, ``Coframe.table``, which ``DualityPair.cache`` is.
 
 Every function in the package has a caller in the package or in the
 benchmark; a function that only tests call lives in the tests.  The
@@ -195,7 +201,7 @@ SPARSE_READERS = {("exterior", "contract"), ("exterior", "contract_live"),
                   ("exterior", "FrameVector.map_to"), ("exterior", "FrameVector.__add__"),
                   ("exterior", "FrameVector.__neg__"), ("exterior", "FrameVector.scale"),
                   ("courant", "Section._coordinates"), ("courant", "_pairing_sums"),
-                  ("courant", "_derivative"), ("courant", "_pair"),
+                  ("courant", "_pair"),
                   ("courant", "courant_brackets"), ("duality", "dualize_section")}
 
 
@@ -283,6 +289,37 @@ def test_one_evaluator_and_one_sampling_rule():
                         ("reduction", "generalized_tangent_basis"),
                         ("reduction", "fourier_mukai_check"),
                         ("bundle", "_block_nondegeneracy")}
+
+
+def test_one_derivative_rule_one_splitter_one_table():
+    """Outside ``scalar.py`` and ``scenarios.py`` only ``bundle._partials``
+    calls ``diff``; no ``_derivative`` is defined or named in the package;
+    outside ``exterior.py`` only ``bundle.split_fiber_legs`` calls
+    ``strip_rightmost``; and ``DualityPair.cache`` is ``Coframe.table``."""
+    from tduality.bundle import DualityPair
+    from tduality.exterior import Coframe
+    named, differentiators, strippers = [], set(), set()
+    for path in sorted(Path(tduality.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            name = (getattr(node, "attr", None) or getattr(node, "id", None)
+                    or getattr(node, "name", None))
+            if name == "_derivative":
+                named.append((path.stem, node.lineno))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    if called == "diff" and path.stem not in ("scalar", "scenarios"):
+                        differentiators.add((path.stem, fn.name))
+                    if called == "strip_rightmost" and path.stem != "exterior":
+                        strippers.add((path.stem, fn.name))
+    assert named == []
+    assert differentiators == {("bundle", "_partials")}
+    assert strippers == {("bundle", "split_fiber_legs")}
+    assert DualityPair.cache is Coframe.table
 
 
 def test_section_act_is_one_clifford_kernel_call(monkeypatch):

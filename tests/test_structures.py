@@ -340,7 +340,8 @@ def test_point_frames_of_equal_size_share_read_only_matrices(plane_chart, circle
 
 def test_stacked_bases_are_grouped_by_rank(rng):
     """A stack of matrices with ranks 2, 1 and 2 gives one group per rank, in
-    increasing rank, each basis equal to that of its matrix alone."""
+    increasing rank, each basis equal to that of its matrix alone, a stack
+    of one."""
     a = rng.standard_normal((3, 3, 4))
     a[1, 0] = -a[1, 1]
     a[:, 2] = a[:, 0] + a[:, 1]
@@ -350,4 +351,5 @@ def test_stacked_bases_are_grouped_by_rank(rng):
         assert [bases.shape[-1] for _, bases in groups] == list(dims)
         for at, bases in groups:
             for i, basis in zip(at, bases):
-                assert np.array_equal(basis, method(a[i]))
+                [(alone, (expected,))] = method(a[i:i + 1])
+                assert alone.tolist() == [0] and np.array_equal(basis, expected)
