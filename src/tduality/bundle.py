@@ -126,13 +126,13 @@ def exterior_derivative(rho, chart):
     out = {}
     for mask, c in rho.coeffs.items():
         for bit, term in _partials(c, chart.base_bits, mask).items():
-            _accumulate(out, bit | mask, -term if _wedge_sign(bit, mask) < 0 else term)
+            _accumulate(out, bit | mask, term, _wedge_sign(bit, mask))
         # Leibniz over generators; d(gen) is even so it moves freely to the front
         for i, dgen in chart.curved.items():
             if not mask >> i & 1:
                 continue
             rest = mask & ~(1 << i)
-            flip = contract_sign(mask, i) < 0
+            sign = contract_sign(mask, i)
             # each sign is its own negation and a product that cancels is
             # dropped, as in wedge(c_i, c e_rest) negated: the same trees
             for m, cg in dgen.coeffs.items():
@@ -143,7 +143,7 @@ def exterior_derivative(rho, chart):
                     term = -term
                 if term.is_zero():
                     continue
-                _accumulate(out, m | rest, -term if flip else term)
+                _accumulate(out, m | rest, term, sign)
     return Form(cof, out)
 
 
@@ -283,6 +283,10 @@ class DualityPair:
         return lhs - exterior_derivative(self.F, self.total)
 
     def __post_init__(self):
+        if any(c.im is not ZERO for c in self.F.coeffs.values()):
+            raise ValueError("correspondence form must be real")
+        if any(mask.bit_count() != 2 for mask in self.F.coeffs):
+            raise ValueError("correspondence form must be a 2-form")
         object.__setattr__(self, "_tables", {})
 
     cache = Coframe.table    # point-independent data, which dies with the pair
@@ -297,10 +301,7 @@ class DualityPair:
         cof = self.total.coframe
         for i, ni in enumerate(self.chart.fiber_names):
             for j, nj in enumerate(self.dual.fiber_names):
-                c = self.F.coeff(cof.mask_of((ni, nj)))
-                if not c.im.is_zero():
-                    raise ValueError("correspondence form must be real")
-                block[i][j] = c.re
+                block[i][j] = self.F.coeff(cof.mask_of((ni, nj))).re
         return block
 
     def validate(self, n=8, seed=0):

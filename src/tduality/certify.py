@@ -30,9 +30,9 @@ phi(x_a s_i) = x_a phi(s_i).  These Leibniz and linearity instances are the
 side conditions of a check.
 
 Every instance is built from tables made once per pair: d_H of each
-monomial, the signed monomial s . e_I for each frame section s (the
-coframe's ``frame_action`` table, ``Coframe.action``: E_k removes generator
-k, e^k puts it in front),
+monomial, the signed monomial s . e_I for each frame section s (the action
+table ``exterior.frame_action(m)``, one per m: E_k removes generator k, e^k
+puts it in front),
 two chart-side bracket passes (``courant_brackets``: the frame and every
 x_a s_i against the frame, frame x frame in the first 2m rows and the left
 Leibniz rules in the later row blocks; the frame against every x_a s_j, the
@@ -45,8 +45,9 @@ CScalar} ``coeffs`` and a section once as the {index: CScalar} dict
 of its coordinates that are not structurally zero (X_1..X_m, xi_1..xi_m,
 ``Section._coordinates``), the dict that a bracket-table entry already is;
 the actions of sections (``exterior.clifford``, on a unit monomial too, or
-its row step ``act_row`` for a frame section), the transforms of the frame's
-images and the expected side of a Leibniz rule are built as such dicts,
+one unscaled row of it, ``act_row``, for a frame section), the transforms
+of the frame's images and the expected side of a Leibniz rule are built as
+such dicts,
 summed key by key by ``exterior._accumulate``, and an anchor pi(s)(x) is
 read by ``courant._pair``.  ``_form_residual`` forms every residual from signed
 dicts of either kind, summed by ``scalar.signed_sum`` as ``sadd`` sums, so
@@ -67,7 +68,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .scalar import CScalar, CZERO, ZERO, signed_sum, var
-from .exterior import Form, FrameVector, _accumulate, _eval_array, act_row, clifford, wedge
+from .exterior import (Form, FrameVector, _accumulate, _eval_array, act_row, clifford,
+                       frame_action, wedge)
 from .bundle import exterior_derivative, twisted_derivative
 from .courant import (Section, _HALF, _pair, _pairing_sums, courant_brackets, pairings,
                       section_basis)
@@ -148,7 +150,7 @@ def frame_certificate(pair, points):
     sections = _section_columns(pair)
     scols = [s._coordinates() for s in sections]
     dh = [twisted_derivative(e, chart) for e in monomials]
-    table = cof.action()
+    table = frame_action(m)
     sign = round(reverse_sign(pair).real)
     twice = _pairing_sums(basis, basis)    # 2 <s_i, s_j>
     xs = [CScalar(var(v)) for v in chart.base_vars]
@@ -191,7 +193,7 @@ def frame_certificate(pair, points):
                 bracket = {k: c * x for k, c in frame_coords.items()}
                 expected = dict(bracket)
                 if not along[j].is_zero():
-                    _accumulate(expected, i, -along[j])
+                    _accumulate(expected, i, along[j], -1)
                 if not twice[i][j].is_zero():
                     for k, c in at_dx:
                         _accumulate(expected, k, c * twice[i][j])

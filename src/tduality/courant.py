@@ -9,14 +9,15 @@ coframe, with invariant (base-variable) coefficients; ``Section`` is a
 is evaluated with the chart structure equations.  ``courant_brackets`` makes
 a table of brackets in one pass over plain dicts: it reads each distinct
 section once per call (the ``coeffs`` dicts of X and xi, the bit mask of
-X's indices, the ``contraction_rows`` of d xi, and of i_Y H or i_X c_i), and
-each entry is the {index: CScalar} dict of the bracket's coordinates, with
-no form, frame vector or section of its own, its terms added by
+X's indices, the coefficients of d xi, and of i_Y H or i_X c_i), and each
+entry is the {index: CScalar} dict of the bracket's coordinates, with no
+form, frame vector or section of its own, its signed terms added by
 ``exterior._accumulate``; ``courant_bracket`` returns one entry as a
-section.  The vector-on-1-form reader ``_pair`` and ``contract_live`` on
-contraction rows are its two interior products, and d's kernel
-``bundle._partials`` its derivatives.  ``Section.act`` is the Clifford
-kernel ``exterior.clifford`` on the section's coordinate dict.  ``pairings``
+section.  Its interior products are the vector half of the Clifford kernel
+``exterior.clifford`` on the coefficient dicts, with the vector-on-1-form
+reader ``_pair`` for the scalars, and d's kernel ``bundle._partials`` gives
+its derivatives.  ``Section.act`` is ``exterior.clifford`` on the section's
+coordinate dict.  ``pairings``
 makes a table of pairings the same way, off the unhalved sums 2 <v, w> of
 ``_pairing_sums``, which the certificate reads too.  The sign of the flux
 term is the derived-bracket convention: it is the unique choice for which
@@ -41,8 +42,8 @@ from __future__ import annotations
 import numpy as np
 
 from .scalar import CZERO, CScalar, rat
-from .exterior import (Form, FrameVector, _accumulate, clifford, contract,
-                       contract_live, contraction_rows, _eval_array)
+from .exterior import (Form, FrameVector, _accumulate, _eval_array, clifford, contract,
+                       frame_action)
 from .bundle import _partials, exterior_derivative, form_residual
 
 __all__ = [
@@ -106,7 +107,7 @@ class Section:
         cof = self.x.coframe
         if rho.coframe is not cof and rho.coframe != cof:
             raise ValueError("coframe mismatch")
-        return Form(rho.coframe, clifford(cof.action(), self._coordinates(), rho.coeffs))
+        return Form(rho.coframe, clifford(frame_action(cof.dim), self._coordinates(), rho.coeffs))
 
     def _coordinates(self):
         """The coordinates that are not structurally zero, as an {index:
@@ -222,9 +223,10 @@ def courant_brackets(vs, ws, chart):
     + i_X i_Y H.  In L_X eta = d(i_X eta) + i_X d eta, the d is skipped
     where i_X eta is zero or a rational constant, as it is for frame
     sections, and X(f) is skipped for a rational component f; X(f) is
-    ``_pair`` on the ``bundle._partials`` of f along X's indices only."""
+    ``_pair`` on the ``bundle._partials`` of f along X's indices only; the
+    other interior products are ``exterior.clifford`` on coefficient dicts."""
     cof, bases = chart.coframe, chart.base_bits
-    m = cof.dim
+    m, table = cof.dim, frame_action(cof.dim)
     reads, i_h, i_c = {}, {}, {}    # by section id
     for s in (*vs, *ws):
         if id(s) not in reads:
@@ -234,23 +236,21 @@ def courant_brackets(vs, ws, chart):
             d = exterior_derivative(xi, chart) if xi.coeffs else None
             varying = {b: c for b, c in x.items()
                        if not (c.re.is_rational() and c.im.is_rational())}
-            # the rows of d xi are None where xi = 0 and empty where d xi = 0
+            # d xi is None where xi = 0 and empty where d xi = 0
             reads[id(s)] = (x, sum(1 << b for b in x), varying, xi.coeffs,
-                            None if d is None else d.coeffs and contraction_rows(d))
-    if chart.flux.coeffs:
-        flux = contraction_rows(chart.flux)
+                            None if d is None else d.coeffs)
+    if flux := chart.flux.coeffs:
         for w in ws:
-            if id(w) not in i_h and (ih := contract_live(w.x.coeffs.items(), flux)):
-                i_h[id(w)] = contraction_rows(Form(cof, ih))
-    curved = [(b, contraction_rows(c)) for b, c in chart.curved.items()]
-    if curved and any(w.x.coeffs for w in ws):
+            if id(w) not in i_h and (ih := clifford(table, w.x.coeffs, flux)):
+                i_h[id(w)] = ih
+    if chart.curved and any(w.x.coeffs for w in ws):
         for v in vs:
             if v.x.coeffs and id(v) not in i_c:
-                i_c[id(v)] = {b: ic for b, rows in curved
-                              if (ic := contract_live(v.x.coeffs.items(), rows))}
+                i_c[id(v)] = {b: ic for b, c in chart.curved.items()
+                              if (ic := clifford(table, v.x.coeffs, c.coeffs))}
     cols = [(*reads[id(w)], i_h.get(id(w))) for w in ws]
     key = {1 << k: m + k for k in range(m)}
-    table = []
+    brackets = []
     for v in vs:
         x, xs, xv, _, d_xi = reads[id(v)]
         curv = i_c.get(id(v), {})
@@ -262,28 +262,28 @@ def courant_brackets(vs, ws, chart):
                     if b in yv and (c := _pair(x, _partials(yv[b], bases, ~xs))) is not None:
                         entry[b] = c
                     if b in xv and (c := _pair(y, _partials(xv[b], bases, ~ys))) is not None:
-                        _accumulate(entry, b, -c)
+                        _accumulate(entry, b, c, -1)
                     if b in curv and (c := _pair(y, curv[b])) is not None:
-                        _accumulate(entry, b, -c)
+                        _accumulate(entry, b, c, -1)
             form = {}
             if x and d_eta is not None:    # L_X eta, by the Cartan formula
-                form, f = contract_live(x.items(), d_eta) if d_eta else {}, _pair(x, eta)
+                form, f = clifford(table, x, d_eta) if d_eta else {}, _pair(x, eta)
                 if f is not None and not (f.re.is_rational() and f.im.is_rational()):
                     grad = _partials(f, bases)    # d(i_X eta), then i_X d eta summed in
                     for mask, c in form.items():
                         _accumulate(grad, mask, c)
                     form = grad
             if y and d_xi:    # - i_Y d xi
-                for mask, c in contract_live(y.items(), d_xi).items():
-                    _accumulate(form, mask, -c)
+                for mask, c in clifford(table, y, d_xi).items():
+                    _accumulate(form, mask, c, -1)
             if x and ih:    # + i_X i_Y H
-                for mask, c in contract_live(x.items(), ih).items():
+                for mask, c in clifford(table, x, ih).items():
                     _accumulate(form, mask, c)
             for mask, c in form.items():
                 entry[key[mask]] = c
             row.append(entry)
-        table.append(row)
-    return table
+        brackets.append(row)
+    return brackets
 
 
 def lift_splitting_residual(x, xi, chart, points):

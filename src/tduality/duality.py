@@ -14,8 +14,10 @@ They intertwine the Clifford module structure:
 dualize_form(v . rho) = dualize_section(v) . dualize_form(rho).  Each runs as
 one pass over plain dicts, reading a route table that its first call builds
 and keeps on the pair (``DualityPair.cache``), so that it dies with the pair;
-the section transform's interior products are ``exterior.contract_live`` on
-the lift's nonzero components and the contraction rows of F.
+the section transform's interior products are ``exterior.clifford`` on the
+lift's nonzero components and F's coefficients: one call for the chart part
+of the lift on all of F, one for its cofiber part on F's terms without a
+fiber leg.
 
 Sign conventions, fixed once and validated by the intertwining identity:
 fiber volumes are extracted with the fiber generators moved rightmost, and the
@@ -37,8 +39,8 @@ import numpy as np
 
 from .scalar import (CZERO, CScalar, ZERO, ONE, rat, sadd, sdiv, smul, sneg, ssub,
                      sym_matrix_inverse)
-from .exterior import (Form, FrameVector, _eval_array, contract_live, contraction_rows,
-                       exp_form, fiber_integrate, fiber_routes, integral_transform, wedge)
+from .exterior import (Form, FrameVector, _accumulate, _eval_array, clifford, exp_form,
+                       fiber_integrate, fiber_routes, frame_action, integral_transform, wedge)
 from .bundle import DualityPair, split_fiber_legs
 from .courant import Section, section_basis
 from .structures import (GeneralizedMetric, PointFrame, PureSpinor, SymTensor,
@@ -119,45 +121,52 @@ def dualize_section(v, pair):
     xi(E_theta_i) = F(Xhat, E_theta_i) for every fiber generator, which makes
     the covector part basic for the projection to the dual side.  One pass
     over ``_section_routes``, with the trees and order of the Form operations."""
-    to_total, from_dual, base, fiber_bits, cofibers, known_rows, eta_rows, inv = pair.cache(
-        "_section_routes", lambda: _section_routes(pair))
+    table, to_total, from_dual, base, fiber_bits, cofibers, coeffs, off_fibers, to_dual, inv = (
+        pair.cache("_section_routes", lambda: _section_routes(pair)))
     if v.coframe is not pair.chart.coframe and v.coframe != pair.chart.coframe:
         raise ValueError("coframe mismatch")
-    live = {to_total[i]: c for i, c in v.x.coeffs.items()}    # the lift's components
-    # xi(E_theta_i) - F(X_known, E_theta_i); a structural zero subtracts as CZERO
-    known = contract_live(sorted(live.items()), known_rows)
+    live = dict(sorted((to_total[i], c) for i, c in v.x.coeffs.items()))   # the lift's components
+    i_x = clifford(table, live, coeffs)    # i_X F for the chart part X of the lift
+    # xi(E_theta_i) - F(X, E_theta_i); a structural zero subtracts as CZERO
     xi = v.xi.coeffs
-    rhs = [xi.get(bit, CZERO) - known.get(bit, CZERO) for bit in fiber_bits]
+    rhs = [xi.get(bit, CZERO) - i_x.get(total, CZERO) for bit, total in fiber_bits]
     lift_re, lift_im = ([sadd(*map(smul, row, part)) for row in inv]
                         for part in ([r.re for r in rhs], [r.im for r in rhs]))
-    for idx, re, im in zip(cofibers, lift_re, lift_im):    # cofibers are not chart generators
+    lifted = {}    # the cofiber components, which are not chart generators
+    for idx, re, im in zip(cofibers, lift_re, lift_im):
         if re is not ZERO or im is not ZERO:
-            live[idx] = CScalar(re, im)
-    # eta = xi - i_lift F on the dual, fiber components (zero by construction) dropped
+            lifted[idx] = CScalar(re, im)
+    # eta = xi - i_lift F on the dual, fiber components (zero by construction)
+    # dropped: a cofiber component lands off the fibers only on F's terms
+    # without a fiber leg
+    i_lift = {to_dual[mask]: c for mask, c in i_x.items() if mask in to_dual}
+    for mask, c in clifford(table, lifted, off_fibers).items():
+        _accumulate(i_lift, to_dual[mask], c)
+    live.update(lifted)
     dcof = pair.dual.coframe
     eta = (Form(dcof, {base[m]: c for m, c in xi.items() if m in base})
-           - Form(dcof, contract_live(sorted(live.items()), eta_rows)))
+           - Form(dcof, i_lift))
     return Section(FrameVector(dcof, {j: live[i] for j, i in enumerate(from_dual)
                                       if i in live}), eta)
 
 
 def _section_routes(pair):
     """The section transform's table, built by its first call on the pair:
-    chart and dual indices on the correspondence, chart -> dual bits off the
-    fibers, fiber bits, cofiber indices, i_(E_p) F at a fiber bit (on the chart)
-    and off the fibers (on the dual), and the inverse of -F(E_theta_i, E_thetat_j)."""
+    the correspondence's action table, chart and dual indices on the
+    correspondence, chart -> dual bits off the fibers, the (chart, correspondence)
+    bits of each fiber generator, cofiber indices, F's coefficients and those
+    of its terms without a fiber leg, correspondence -> dual bits off the
+    fibers, and the inverse of -F(E_theta_i, E_thetat_j)."""
     chart, cof, dcof = pair.chart.coframe, pair.total.coframe, pair.dual.coframe
     fibers = cof.tag_mask("fiber")
-    fiber_bits = [1 << chart.index(n) for n in pair.chart.fiber_names]
-    rows = contraction_rows(pair.F)
-    return ([cof.index(n) for n in chart.names], [cof.index(n) for n in dcof.names],
+    return (frame_action(cof.dim),
+            [cof.index(n) for n in chart.names], [cof.index(n) for n in dcof.names],
             {1 << i: dcof.mask_of((n,)) for i, n in enumerate(chart.names)
              if chart.tags[i] != "fiber"},
-            fiber_bits, [cof.index(n) for n in pair.dual.fiber_names],
-            [[(chart.mask_of(cof.names_of(m)), s, c) for m, s, c in row if m & fibers]
-             for row in rows],
-            [[(dcof.mask_of(cof.names_of(m)), s, c) for m, s, c in row if not m & fibers]
-             for row in rows],
+            [(chart.mask_of((n,)), cof.mask_of((n,))) for n in pair.chart.fiber_names],
+            [cof.index(n) for n in pair.dual.fiber_names],
+            pair.F.coeffs, {mask: c for mask, c in pair.F.coeffs.items() if not mask & fibers},
+            {1 << i: dcof.mask_of((n,)) for i, n in enumerate(cof.names) if not fibers >> i & 1},
             sym_matrix_inverse([[sneg(e) for e in row] for row in pair.fiber_block()]))
 
 

@@ -22,22 +22,23 @@ from a dict that already keeps the invariant and is used in this module only.
 Every sum at a dict key in the package goes through ``_accumulate`` (the
 certificate's residual collector, ``certify._sum``, aside): c is added to
 the entry at its key, and a key whose sum cancels structurally is deleted,
-so a later term for it lands at the end of the dict.  A difference adds the
-negated term, prev + (-c), which builds the tree of prev - c.
+so a later term for it lands at the end of the dict.  A term comes with a
+sign, +1 or -1, that its call site reads off the data: -c is built only for
+a new key, and an existing one gets prev - c, the tree of prev + (-c).
 
 A ``Coframe`` keeps what it would otherwise re-derive on every call in its
 instance dict, so that it dies with the coframe: the dimension, the name ->
-index dict, and in ``Coframe.table`` the tag masks, the frame's action table
-(``Coframe.action``), each mask's (image, sign) for ``map_to`` per target
-names, tags and rename, and each mask's (rest, sign) for ``fiber_integrate``.
-No table refers back to its coframe.  The interior product has one kernel,
-``contract_live`` (a vector's coefficient pairs on ``contraction_rows``, which
-``contract``, ``courant`` and the section transform call), and the Clifford
-action one, ``clifford`` (on the action table, built on ``act_row``; on a
-unit monomial too); the form transform of a dual pair runs on a
-``fiber_routes`` table it keeps.  Values at points have one evaluator,
-``_eval_array`` on ``_value_array``, and point-free data one sampling rule,
-``_sample``.  ``bundle.DualityPair.cache`` is ``Coframe.table``.
+index dict, and in ``Coframe.table`` the tag masks, each mask's (image, sign)
+for ``map_to`` per target names, tags and rename, and each mask's (rest,
+sign) for ``fiber_integrate``.  No table refers back to its coframe.  The
+Clifford action (X + xi) . rho = i_X rho + xi ^ rho has one kernel,
+``clifford``, on one sign table per m, ``frame_action(m)``; the interior
+product is its vector half, which ``contract``, ``courant`` and the section
+transform call, and ``act_row`` is one unscaled row of it, for the
+certificate.  The form transform of a dual pair runs on a ``fiber_routes``
+table it keeps.  Values at points have one evaluator, ``_eval_array`` on
+``_value_array``, and point-free data one sampling rule, ``_sample``.
+``bundle.DualityPair.cache`` is ``Coframe.table``.
 """
 from __future__ import annotations
 
@@ -50,7 +51,7 @@ from .scalar import CZERO, CScalar, ZERO, evaluate_points, rat, scalar_to_text
 
 __all__ = [
     "Coframe", "Form", "FrameVector",
-    "wedge", "contract", "contraction_rows", "contract_live", "act_row", "clifford",
+    "wedge", "contract", "act_row", "clifford",
     "reversal", "mukai_pairing", "mukai_signs", "exp_form", "fiber_integrate",
     "strip_rightmost", "contract_sign", "frame_action", "fiber_routes",
     "integral_transform", "form_to_text",
@@ -110,10 +111,6 @@ class Coframe:
             got = self._tables[key] = build()
         return got
 
-    def action(self):
-        """``frame_action(dim)``, kept on the coframe by ``table``."""
-        return self.table("action", lambda: frame_action(self.dim))
-
     def tag_mask(self, *tags):
         return self.table(("tags", tags), lambda: sum(
             1 << i for i, t in enumerate(self.tags) if t in tags))
@@ -139,12 +136,15 @@ def contract_sign(mask, i):
     return -1 if below.bit_count() % 2 else 1
 
 
+@functools.cache
 def frame_action(m):
     """The Clifford action of the 2m frame sections (E_1..E_m, e^1..e^m) on
     the 2^m monomials: for each section s and each mask, (mask', sign) with
     s . e_mask = sign e_mask', or None where the action is zero.  E_k removes
     generator k (i_(E_k)) and e^k puts it in front (e^k ^), each with the
-    sign of moving generator k to the front."""
+    sign of moving generator k to the front.  The one sign table of the
+    interior product and the Clifford action (``clifford``); constant and
+    shared per m."""
     masks = range(1 << m)
     vectors = [tuple([(mask ^ 1 << k, contract_sign(mask, k)) if mask >> k & 1 else None
                       for mask in masks]) for k in range(m)]
@@ -173,14 +173,16 @@ def _image(names, coframe):
     return mask, sign
 
 
-def _accumulate(out, key, c):
-    """Add c to out[key] in a {key: CScalar} dict; a key whose sum cancels
-    structurally is deleted, so a later term for it lands at the end."""
+def _accumulate(out, key, c, sign=1):
+    """Add sign * c to out[key] in a {key: CScalar} dict, for a sign +1 or
+    -1: -c is built only for a new key, and prev - c, the tree of
+    prev + (-c), otherwise.  A key whose sum cancels structurally is
+    deleted, so a later term for it lands at the end."""
     prev = out.get(key)
     if prev is None:
-        out[key] = c
+        out[key] = -c if sign < 0 else c
         return
-    total = prev + c
+    total = prev - c if sign < 0 else prev + c
     if total.is_zero():
         del out[key]
     else:
@@ -241,13 +243,14 @@ class Form:
 
     def __sub__(self, other):
         """Difference, collected as ``__add__`` collects ``self + (-other)``
-        with no negated form built: prev + (-c) is the tree of prev - c."""
+        with no negated form built: -c only at a new mask, and prev - c, the
+        tree of prev + (-c), at an existing one."""
         self._check(other)
         if not other.coeffs:
             return self
         out = dict(self.coeffs)
         for mask, c in other.coeffs.items():
-            _accumulate(out, mask, -c)
+            _accumulate(out, mask, c, -1)
         return Form._pruned(self.coframe, out)
 
     def __neg__(self):
@@ -334,7 +337,7 @@ class Form:
                     [rename.get(n, n) for n in self.coframe.names_of(mask)], coframe)
             m2, sign = image
             if sign:
-                _accumulate(out, m2, -c if sign < 0 else c)
+                _accumulate(out, m2, c, sign)
         return Form(coframe, out)
 
     def _check(self, other):
@@ -453,71 +456,47 @@ def wedge(a, b):
         for mb, cb in b.coeffs.items():
             if ma & mb:
                 continue
-            sign = _wedge_sign(ma, mb)
-            m = ma | mb
-            c = ca * cb
-            _accumulate(out, m, -c if sign < 0 else c)
+            _accumulate(out, ma | mb, ca * cb, _wedge_sign(ma, mb))
     return Form(a.coframe, out)
 
 
-def contraction_rows(form):
-    """i_(E_p) form for each generator p, as the (mask, sign, coefficient)
-    terms that ``contract_live`` multiplies by x_p, in ``form.coeffs`` order;
-    one pass over the coefficients, walking each mask's bits."""
-    rows = [[] for _ in range(form.coframe.dim)]
-    for mask, c in form.coeffs.items():
-        bits = mask
-        while bits:
-            low = bits & -bits
-            p = low.bit_length() - 1
-            rows[p].append((mask ^ low, contract_sign(mask, p), c))
-            bits ^= low
-    return rows
-
-
-def contract_live(live, rows):
-    """The interior product i_X of a vector, given by the (index, component)
-    pairs of its nonzero components in ascending index (``X.coeffs.items()``),
-    on a form given by its ``contraction_rows``: the {mask: CScalar}
-    coefficients, each term the form's coefficient times X's component, pruned."""
-    out = {}
-    for i, comp in live:
-        for mask, sign, c in rows[i]:
-            term = c * comp
-            _accumulate(out, mask, -term if sign < 0 else term)
-    return {mask: c for mask, c in out.items() if c.re is not ZERO or c.im is not ZERO}
-
-
 def contract(x, form):
-    """Interior product i_X, a degree -1 antiderivation: ``contract_live``."""
+    """Interior product i_X, a degree -1 antiderivation: the vector half of
+    ``clifford``, on X's nonzero components only."""
     if x.coframe is not form.coframe and x.coframe != form.coframe:
         raise ValueError("coframe mismatch")
-    return Form._pruned(form.coframe, contract_live(x.coeffs.items(), contraction_rows(form)))
+    return Form._pruned(form.coframe, clifford(frame_action(form.coframe.dim),
+                                               x.coeffs, form.coeffs))
 
 
-def act_row(row, coeffs, a=None, left=False):
+def act_row(row, coeffs):
     """The frame section of action row ``row`` on the form ``coeffs``, as a
-    {mask: CScalar} dict (distinct masks have distinct images); each
-    coefficient times ``a``, if given, on the left if ``left``, then signed."""
+    {mask: CScalar} dict (distinct masks have distinct images), each
+    coefficient signed."""
     out = {}
     for mask, c in coeffs.items():
         hit = row[mask]
         if hit is not None:
-            if a is not None:
-                c = a * c if left else c * a
             out[hit[0]] = c if hit[1] > 0 else -c
     return out
 
 
 def clifford(table, coords, coeffs):
     """(X + xi) . rho = i_X rho + xi ^ rho for the section's coordinate dict
-    ``coords`` (X_k at k, xi_k at m + k) and the form ``coeffs``: each
-    coordinate's ``act_row``, X_k on the right as in ``contract`` and xi_k on
-    the left as in ``wedge``, accumulated in coordinate order."""
+    ``coords`` (X_k at k, xi_k at m + k) and the form ``coeffs``, on the
+    action table ``frame_action(m)``: each coordinate times the coefficients
+    its row hits, X_k on the right as in the interior product and xi_k on
+    the left as in ``wedge``, signed and accumulated in coordinate order.
+    Only the given coordinates' rows are read.  No structural zero is
+    returned: the inputs hold none, a product of nonzero CScalars is never
+    one, and ``_accumulate`` deletes a sum that cancels."""
     m, out = len(table) // 2, {}
     for k, a in coords.items():
-        for key, t in act_row(table[k], coeffs, a, k >= m).items():
-            _accumulate(out, key, t)
+        row, left = table[k], k >= m
+        for mask, c in coeffs.items():
+            hit = row[mask]
+            if hit is not None:
+                _accumulate(out, hit[0], a * c if left else c * a, hit[1])
     return out
 
 
@@ -587,7 +566,7 @@ def fiber_integrate(rho, coframe_tags=("fiber",)):
     for mask, c in rho.coeffs.items():
         rest, sign = strips.get(mask, (0, 0))
         if sign:
-            _accumulate(out, rest, -c if sign < 0 else c)
+            _accumulate(out, rest, c, sign)
     return Form(cof, out)
 
 
@@ -618,9 +597,7 @@ def integral_transform(rho, routes):
         for row, c in lifted:
             hit = row[k]
             if hit is not None:
-                j, sign = hit
-                t = ca * c
-                _accumulate(out, j, -t if sign < 0 else t)
+                _accumulate(out, hit[0], ca * c, hit[1])
     result = {}
     for j, c in out.items():
         if c.re is not ZERO or c.im is not ZERO:

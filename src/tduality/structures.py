@@ -1,7 +1,9 @@
 """Pure spinors, generalized complex structures, and generalized metrics.
 
 Everything pointwise is plain linear algebra on the 2^m-dimensional space of
-forms at a base point, with the Clifford action realized as matrices.  The
+forms at a base point, with the Clifford action realized as matrices made
+from ``exterior.frame_action(m)``; the 2-forms read as matrices (a B-field,
+the correspondence form) are real, as their constructors check.  The
 pointwise functions take a list of points (the values-level ones a spinor's
 values, one row per point): each evaluates once for all points and runs each
 step on the stack of all of them, points first, and a check that fails raises
@@ -130,10 +132,14 @@ class PureSpinor:
 
 @dataclass(frozen=True)
 class GeneralizedMetric:
-    """Riemannian metric g plus 2-form b, both invariant."""
+    """Riemannian metric g plus 2-form b, both invariant and real."""
 
     g: SymTensor
     b: Form
+
+    def __post_init__(self):
+        if any(c.im is not ZERO for c in self.b.coeffs.values()):
+            raise ValueError("B-field must be real")
 
     @property
     def coframe(self):

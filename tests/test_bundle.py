@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from tduality.scalar import rat, var
+from tduality.scalar import CScalar, rat, var
 from tduality.exterior import Form, wedge
 from tduality.bundle import (DualityPair, _block_nondegeneracy, build_dual_chart,
                              exterior_derivative, form_residual, split_flux,
@@ -152,6 +152,20 @@ def test_scaled_form_not_unimodular(hopf_chart):
     assert rep.nondegenerate
     assert rep.unimodular is False
     assert rep.flux_difference_residual > 1e-9  # the doubled form breaks dF = H - Ht
+
+
+@pytest.mark.parametrize("extra, message", [
+    (lambda cof: mono(cof, "dt", "du", coeff=CScalar.i()), "must be real"),
+    (lambda cof: mono(cof, *cof.names), "must be a 2-form")])
+def test_correspondence_form_must_be_a_real_two_form(hopf_chart, extra, message):
+    """F = -theta ^ thetat + i dt ^ du has a real fiber block, so the block
+    checks alone pass it; the pair refuses it instead of reading its real
+    part wherever F is used as a matrix.  The section transform contracts F
+    once, into 1-forms, so a term of another degree is refused too."""
+    def flux_maker(cof, chart, dual):
+        return standard_correspondence_flux(cof, chart, dual) + extra(cof)
+    with pytest.raises(ValueError, match="correspondence form " + message):
+        DualityPair.from_charts(hopf_chart, build_dual_chart(hopf_chart), flux_maker)
 
 
 def test_validate_pair_hopf_clean(hopf_pair):

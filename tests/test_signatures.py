@@ -18,12 +18,15 @@ makes the frame's action table from it; only ``bundle``'s d kernel reads
 it elsewhere.  The
 unpruned form constructor ``Form._pruned`` stays inside ``exterior.py``.
 A ``functools.cache`` takes only an int ``m``: structural tables live on the
-coframe or chart they index and die with it.  The readers that skip zero
-frame-vector components read the ``FrameVector.coeffs`` dict, not the dense
-``.components`` tuple; among them are the one interior-product kernel
-``exterior.contract_live``, the one Clifford-action kernel
-``exterior.clifford`` and the coordinate dict ``Section._coordinates`` that
-it takes.  ``Section.act`` is that kernel on the coframe's action table:
+coframe or chart they index and die with it; the frame's action table
+``exterior.frame_action(m)`` is one such int-keyed table.  The readers that
+skip zero frame-vector components read the ``FrameVector.coeffs`` dict, not
+the dense ``.components`` tuple; among them are the one Clifford-action
+kernel ``exterior.clifford`` and the coordinate dict
+``Section._coordinates`` that it takes.  The interior product is the vector
+half of that kernel: ``contract``, the bracket table and the section
+transform all call it, and no second contraction kernel or per-coframe copy
+of the table exists.  ``Section.act`` is that kernel on the action table:
 it builds no contraction or wedge of its own.
 A CScalar is added at a dict key by one function, ``exterior._accumulate``;
 the certificate's residual collector ``certify._sum`` is the one other keyed
@@ -190,13 +193,14 @@ def test_module_caches_are_keyed_by_m_only():
             name = getattr(target, "attr", None) or getattr(target, "id", None)
             if name in ("cache", "lru_cache"):
                 cached[(module, node.name)] = [p.arg for p in _parameters(node)]
-    assert cached == {("exterior", "mukai_signs"): ["m"],
+    assert cached == {("exterior", "frame_action"): ["m"],
+                      ("exterior", "mukai_signs"): ["m"],
                       ("randomgen", "_spinor_tables"): ["m"],
                       ("structures", "_clifford_matrices"): ["m"]}
 
 
 # functions that skip zero frame-vector components by reading ``coeffs``
-SPARSE_READERS = {("exterior", "contract"), ("exterior", "contract_live"),
+SPARSE_READERS = {("exterior", "contract"),
                   ("exterior", "clifford"), ("exterior", "FrameVector.is_zero"),
                   ("exterior", "FrameVector.map_to"), ("exterior", "FrameVector.__add__"),
                   ("exterior", "FrameVector.__neg__"), ("exterior", "FrameVector.scale"),
@@ -338,6 +342,35 @@ def test_section_act_is_one_clifford_kernel_call(monkeypatch):
                           + exterior.Form.monomial(cof, ("dx",), -1)
                           + exterior.Form.monomial(cof, ("dy",), 15))
     assert counts == [[1], [0], [0]]
+
+
+def test_one_interior_product(monkeypatch, hopf_pair):
+    """``contraction_rows``, ``contract_live`` and ``Coframe.action`` are
+    neither defined nor named in the package, ``act_row`` takes only a row
+    and a form's coefficients, and ``contract``, ``courant_brackets`` and
+    ``dualize_section`` each reach the interior product through
+    ``exterior.clifford``."""
+    import inspect
+    from test_certify import count_calls
+    from tduality import exterior
+    from tduality.courant import courant_brackets, section_basis
+    from tduality.duality import dualize_section
+    gone = re.compile(r"\b(contraction_rows|contract_live)\b|Coframe\.action|\.action\(")
+    named = [(path.stem, n) for path in sorted(Path(tduality.__file__).parent.glob("*.py"))
+             for n, line in enumerate(path.read_text().splitlines(), 1) if gone.search(line)]
+    assert named == []
+    assert not hasattr(exterior.Coframe, "action")
+    assert list(inspect.signature(exterior.act_row).parameters) == ["row", "coeffs"]
+    calls = count_calls(monkeypatch, exterior, "clifford")
+    chart, basis = hopf_pair.chart, section_basis(hopf_pair.chart.coframe)
+    hits = []
+    for run in (lambda: exterior.contract(basis[0].x, chart.curvature_of(chart.fiber_names[0])),
+                lambda: courant_brackets(basis, basis, chart),
+                lambda: dualize_section(basis[0], hopf_pair)):
+        calls[0] = 0
+        run()
+        hits.append(calls[0] > 0)
+    assert hits == [True, True, True]
 
 
 def test_pruned_constructor_stays_in_exterior():

@@ -262,6 +262,15 @@ def test_metric_matrix_identity(plane_chart, point):
     assert np.abs(endo - expected).max() <= 1e-12
 
 
+def test_complex_b_field_is_refused(plane_chart):
+    """A B-field with an imaginary part is refused, not read as its real part."""
+    g = SymTensor.from_names(plane_chart.coframe,
+                             {("dx", "dx"): rat(1), ("dy", "dy"): rat(1)})
+    b = Form.monomial(plane_chart.coframe, ("dx", "dy"), CScalar(rat(1), rat(2)))
+    with pytest.raises(ValueError, match="B-field must be real"):
+        GeneralizedMetric(g, b)
+
+
 def test_metric_matrix_properties(rng, hopf_chart):
     pts = hopf_chart.domain.sample_many(rng, 2)
     met = random_metric(rng, hopf_chart, pts)
