@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalar import CScalar, Domain, ZERO, diff
+from .scalar import CScalar, Domain, MINUS_ONE, ZERO, diff
 from .exterior import (Coframe, Form, _accumulate, _eval_array, _sample, _value_array,
                        _wedge_sign, contract_sign, strip_rightmost, wedge)
 
@@ -169,16 +169,16 @@ def split_fiber_legs(form, chart):
     generator: alpha_i}, beta)."""
     cof = chart.coframe
     fibers = cof.tag_mask("fiber")
-    alpha = {gen: Form.zero(cof) for gen in chart.fiber_names}
-    beta = Form.zero(cof)
+    alpha = {gen: {} for gen in chart.fiber_names}
+    beta = {}
     for mask, c in form.coeffs.items():
         if not mask & fibers:
-            beta = beta + Form(cof, {mask: c})
+            beta[mask] = c
             continue
         i = (mask & fibers).bit_length() - 1
         rest, term = strip_rightmost(mask, c, 1 << i)
-        alpha[cof.names[i]] = alpha[cof.names[i]] + Form(cof, {rest: term})
-    return alpha, beta
+        alpha[cof.names[i]][rest] = term    # distinct masks leave distinct rests
+    return {gen: Form(cof, a) for gen, a in alpha.items()}, Form(cof, beta)
 
 
 def split_flux(chart):
@@ -218,10 +218,10 @@ def build_dual_chart(chart):
 
 def standard_correspondence_flux(total_coframe, chart, dual):
     """F = -sum_i theta_i ^ thetat_i on the correspondence coframe."""
-    F = Form.zero(total_coframe)
+    coeffs = {}
     for n in chart.fiber_names:
-        F = F - Form.monomial(total_coframe, (n, dual_fiber_name(n)))
-    return F
+        coeffs.update(Form.monomial(total_coframe, (n, dual_fiber_name(n)), MINUS_ONE).coeffs)
+    return Form(total_coframe, coeffs)
 
 
 def _correspondence_chart(chart, dual):

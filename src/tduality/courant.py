@@ -76,9 +76,8 @@ class Section:
     @staticmethod
     def of(coframe, vector=None, covector=None):
         x = FrameVector.from_dict(coframe, vector or {})
-        xi = Form.zero(coframe)
-        for name, c in (covector or {}).items():
-            xi = xi + Form.monomial(coframe, (name,), c)
+        xi = Form(coframe, {coframe.mask_of((name,)): CScalar.of(c)
+                            for name, c in (covector or {}).items()})
         return Section(x, xi)
 
     @staticmethod

@@ -31,7 +31,9 @@ over them, as in ``structures``; ``transform_matrix_at`` and
 ``uk_transport_residual`` are the one-point forms the benchmark calls, and
 ``orientation_sign`` hands the rank helpers its one matrix as a stack of one.
 The Buscher rules split a metric and a two-form along the fiber of a circle
-bundle; the two-form split is ``bundle.split_fiber_legs``.
+bundle; the two-form split is ``bundle.split_fiber_legs``, and
+``buscher_rules`` is ``assemble_metric`` of the five dual blocks.  Every sum
+at a dict key, CScalar or Scalar, goes through ``exterior._accumulate``.
 """
 from __future__ import annotations
 
@@ -202,17 +204,15 @@ def transport_metric(metric, pair):
     images = [dualize_section(s, pair) for s in sections]
     cof = pair.dual.coframe
     m = cof.dim
-    p_cols = [[img.x.components[i] for img in images] for i in range(m)]  # m x m
-    for row in p_cols:
-        for c in row:
-            if not c.im.is_zero():
-                raise ValueError("metric transport produced complex tangent data")
-    p_matrix = [[p_cols[i][j].re for j in range(m)] for i in range(m)]
+    comps = [img.x.components for img in images]    # P's columns
+    if any(not c.im.is_zero() for col in comps for c in col):
+        raise ValueError("metric transport produced complex tangent data")
+    p_matrix = [[comps[j][i].re for j in range(m)] for i in range(m)]
     p_inv = sym_matrix_inverse(p_matrix)
     # A = eta . P^{-1}: A[gamma][beta] = sum_alpha eta_alpha[gamma] invP[alpha][beta]
     eta = [[images[a].xi.coeff(1 << g).re for g in range(m)] for a in range(m)]
     g_entries = {}
-    b_out = Form.zero(cof)
+    b_coeffs = {}
     a_mat = [[sadd(*[smul(eta[al][ga], p_inv[al][be]) for al in range(m)])
               for be in range(m)] for ga in range(m)]
     for i in range(m):
@@ -226,9 +226,8 @@ def transport_metric(metric, pair):
             # A[i][j] is the e^i component of (b+g)(E_j): b(E_j) has e^i part b_ij with
             # b = sum_{i<j} b_ij e^i ^ e^j acting as i_X b
             if not skew.is_zero():
-                b_out = b_out + Form.monomial(cof, (cof.names[i], cof.names[j]),
-                                              CScalar(sneg(skew)))
-    return GeneralizedMetric(SymTensor(cof, g_entries), b_out)
+                b_coeffs[1 << i | 1 << j] = CScalar(sneg(skew))
+    return GeneralizedMetric(SymTensor(cof, g_entries), Form(cof, b_coeffs))
 
 
 def split_metric(metric_tensor, chart):
@@ -238,18 +237,18 @@ def split_metric(metric_tensor, chart):
     cof = chart.coframe
     th = cof.index(chart.fiber_names[0])
     g0 = metric_tensor.entry(th, th)
-    g1 = Form.zero(cof)
+    g1 = {}
     g2_entries = {}
     for (i, j), s in metric_tensor.entries.items():
         if (i, j) == (th, th):
             continue
         if j == th:
-            g1 = g1 + Form.monomial(cof, (cof.names[i],), CScalar(s))
+            g1[1 << i] = CScalar(s)
         elif i == th:
-            g1 = g1 + Form.monomial(cof, (cof.names[j],), CScalar(s))
+            g1[1 << j] = CScalar(s)
         else:
             g2_entries[(i, j)] = s
-    return g0, g1, SymTensor(cof, g2_entries)
+    return g0, Form(cof, g1), SymTensor(cof, g2_entries)
 
 
 def split_two_form(b, chart):
@@ -260,51 +259,58 @@ def split_two_form(b, chart):
     return legs[chart.fiber_names[0]], b2
 
 
+def _check_real_basic_one_form(form, block):
+    """Refuse a block g1 or b1 with a term that is not real, not of degree
+    one or has a fiber leg: the block assembly reads only the real parts of
+    the degree-one terms, and a fiber leg would fold into the fiber entry."""
+    fibers = form.coframe.tag_mask("fiber")
+    for mask, c in form.coeffs.items():
+        if mask.bit_count() != 1 or mask & fibers or c.im is not ZERO:
+            raise ValueError(f"{block} must be a real basic 1-form, "
+                             f"got the term {form.coframe.names_of(mask)}")
+
+
 def assemble_metric(chart, g0, g1, g2, b1, b2):
-    """(g, b) on the chart from fiber/base blocks (circle bundles)."""
+    """(g, b) on a circle-bundle chart from its blocks: g = g0 theta.theta +
+    g1.theta + g2 and b = b1 ^ theta + b2, with g1 and b1 real basic 1-forms
+    (else a ValueError names the block).  The symmetric product is as in
+    ``buscher_rules``."""
+    _check_real_basic_one_form(g1, "g1")
+    _check_real_basic_one_form(b1, "b1")
     cof = chart.coframe
     th = chart.fiber_names[0]
     i_th = cof.index(th)
     entries = dict(g2.entries)
     if not g0.is_zero():
-        entries[(i_th, i_th)] = entries.get((i_th, i_th), ZERO) + g0
+        _accumulate(entries, (i_th, i_th), g0)
     for i in range(cof.dim):
         c = g1.coeff(1 << i)
         if not c.is_zero():
-            key = (min(i, i_th), max(i, i_th))
-            entries[key] = entries.get(key, ZERO) + c.re
+            _accumulate(entries, (min(i, i_th), max(i, i_th)), c.re)
     b = wedge(b1, Form.monomial(cof, (th,))) + b2
     return GeneralizedMetric(SymTensor(cof, entries), b)
 
 
 def buscher_rules(g0, g1, g2, b1, b2, pair):
-    """Closed-form dual metric data for a circle bundle.
+    """Closed-form dual metric data for a circle bundle: the dual blocks,
+    assembled on the dual chart by ``assemble_metric``,
 
-    gt = (1/g0) thetat . thetat - (b1/g0) . thetat + g2 + (b1.b1 - g1.g1)/g0
-    bt = -(g1/g0) ^ thetat + b2 + g1 ^ b1 / g0
+    gt0 = 1/g0,  gt1 = -b1/g0,  gt2 = g2 + (b1.b1 - g1.g1)/g0,
+    bt1 = -g1/g0,  bt2 = b2 + g1 ^ b1 / g0,
+
+    for real basic 1-forms g1 and b1 (else a ValueError names the block).
 
     Symmetric products: alpha . beta means alpha x beta + beta x alpha for
     distinct factors and alpha x alpha for a square.
     """
-    dual = pair.dual
-    cof = dual.coframe
-    tht = dual.fiber_names[0]
-    i_t = cof.index(tht)
-    inv_g0 = sdiv(ONE, g0)
-    entries = {(i_t, i_t): inv_g0}
+    _check_real_basic_one_form(g1, "g1")
+    _check_real_basic_one_form(b1, "b1")
+    cof = pair.dual.coframe
     g1d = g1.map_to(cof)
     b1d = b1.map_to(cof)
-    g2d = g2.map_to(cof)
-    b2d = b2.map_to(cof)
-    m = cof.dim
-    for i in range(m):
-        c = b1d.coeff(1 << i)
-        if not c.is_zero():
-            key = (min(i, i_t), max(i, i_t))
-            entries[key] = entries.get(key, ZERO) + sneg(sdiv(c.re, g0))
-    gt = SymTensor(cof, entries) + g2d
     # (b1 . b1 - g1 . g1) / g0 over base generators
     cross = {}
+    m = cof.dim
     for i in range(m):
         for j in range(i, m):
             bi, bj = b1d.coeff(1 << i).re, b1d.coeff(1 << j).re
@@ -313,12 +319,12 @@ def buscher_rules(g0, g1, g2, b1, b2, pair):
             term = sdiv(term, g0)
             if not term.is_zero():
                 cross[(i, j)] = term
-    gt = gt + SymTensor(cof, cross)
-    tht_form = Form.monomial(cof, (tht,))
-    bt = (wedge(g1d.scale(CScalar(sneg(sdiv(ONE, g0)))), tht_form)
-          + b2d
-          + wedge(g1d, b1d).scale(CScalar(sdiv(ONE, g0))))
-    return GeneralizedMetric(gt, bt)
+    return assemble_metric(
+        pair.dual, sdiv(ONE, g0),
+        Form(cof, {mask: CScalar(sneg(sdiv(c.re, g0))) for mask, c in b1d.coeffs.items()}),
+        g2.map_to(cof) + SymTensor(cof, cross),
+        g1d.scale(CScalar(sneg(sdiv(ONE, g0)))),
+        b2.map_to(cof) + wedge(g1d, b1d).scale(CScalar(sdiv(ONE, g0))))
 
 
 # -- type change -------------------------------------------------------------------------

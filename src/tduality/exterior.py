@@ -19,10 +19,11 @@ safe because CScalars are immutable by convention.  ``Form._pruned`` builds a fo
 from a dict that already keeps the invariant and is used in this module only.
 ``FrameVector.coeffs`` keeps the same invariant.
 
-Every sum at a dict key in the package goes through ``_accumulate`` (the
-certificate's residual collector, ``certify._sum``, aside): c is added to
-the entry at its key, and a key whose sum cancels structurally is deleted,
-so a later term for it lands at the end of the dict.  A term comes with a
+Every sum at a dict key in the package, CScalar or Scalar, goes through
+``_accumulate`` (the certificate's residual collector, ``certify._sum``,
+aside): c is added to the entry at its key, and a key whose sum cancels
+structurally is deleted, so a later term for it lands at the end of the
+dict.  A form or tensor built term by term is collected in one dict.  A term comes with a
 sign, +1 or -1, that its call site reads off the data: -c is built only for
 a new key, and an existing one gets prev - c, the tree of prev + (-c).
 
@@ -174,9 +175,9 @@ def _image(names, coframe):
 
 
 def _accumulate(out, key, c, sign=1):
-    """Add sign * c to out[key] in a {key: CScalar} dict, for a sign +1 or
-    -1: -c is built only for a new key, and prev - c, the tree of
-    prev + (-c), otherwise.  A key whose sum cancels structurally is
+    """Add sign * c to out[key] in a {key: CScalar} or {key: Scalar} dict,
+    for a sign +1 or -1: -c is built only for a new key, and prev - c, the
+    tree of prev + (-c), otherwise.  A key whose sum cancels structurally is
     deleted, so a later term for it lands at the end."""
     prev = out.get(key)
     if prev is None:

@@ -52,7 +52,7 @@ def random_cscalar(rng, variables):
 def random_form(rng, coframe, variables, degrees=None, complex_coeffs=True,
                 density=0.5):
     """Random invariant form with the given degrees (all by default)."""
-    total = Form.zero(coframe)
+    coeffs = {}
     m = coframe.dim
     if degrees is None:
         degrees = range(m + 1)
@@ -66,7 +66,8 @@ def random_form(rng, coframe, variables, degrees=None, complex_coeffs=True,
                 mask |= 1 << i
             c = (random_cscalar(rng, variables) if complex_coeffs
                  else CScalar(random_scalar(rng, variables)))
-            total = total + Form(coframe, {mask: c})
+            coeffs[mask] = c
+    total = Form(coframe, coeffs)
     if total.is_zero() and degrees:
         d = degrees[0]
         mask = (1 << d) - 1
@@ -80,9 +81,7 @@ def random_section(rng, chart):
     cof = chart.coframe
     variables = chart.base_vars
     x = FrameVector(cof, {i: CScalar(random_scalar(rng, variables)) for i in range(cof.dim)})
-    xi = Form.zero(cof)
-    for n in cof.names:
-        xi = xi + Form.monomial(cof, (n,), CScalar(random_scalar(rng, variables)))
+    xi = Form(cof, {1 << i: CScalar(random_scalar(rng, variables)) for i in range(cof.dim)})
     return Section(x, xi)
 
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from .scalar import (CScalar, PI, ZERO, ONE, diff, evaluate, rat, sadd, scos, sdiv, smul,
                      sneg, sexp, spow, ssin, ssqrt, var)
-from .exterior import (Coframe, Form, FrameVector, _eval_array, _value_array, exp_form,
-                       fiber_integrate, mukai_pairing, wedge)
+from .exterior import (Coframe, Form, FrameVector, _accumulate, _eval_array, _value_array,
+                       exp_form, fiber_integrate, mukai_pairing, wedge)
 from .bundle import (BundleChart, build_dual_chart, dual_fiber_name,
                      exterior_derivative, form_residual, split_flux)
 from .courant import lift_splitting_residual, split_pairing_matrix
@@ -142,6 +142,18 @@ def _dual_of_dual_check(report, pair, points):
                residual=res, tol=1e-9)
 
 
+def _hopf_metric_blocks(chart):
+    """The blocks (g0, g1, g2, b1, b2) of the s3-hopf metric on its chart."""
+    t, u = var("t"), var("u")
+    cof = chart.coframe
+    return (sadd(ONE, smul(t, t)),
+            Form.monomial(cof, ("du",), smul(rat(1, 2), t)),
+            SymTensor.from_names(cof, {("dt", "dt"): sadd(ONE, smul(u, u)),
+                                       ("du", "du"): sadd(rat(2), scos(smul(rat(2), PI, u)))}),
+            Form.monomial(cof, ("dt",), smul(rat(1, 3), u)),
+            Form.monomial(cof, ("dt", "du"), t))
+
+
 def scenario_s3_hopf(seed, samples):
     report = Report("s3-hopf", seed, samples)
     rng = np.random.default_rng(seed)
@@ -158,17 +170,10 @@ def scenario_s3_hopf(seed, samples):
     _standard_pair_checks(report, pair, rng, points)
     _dual_of_dual_check(report, pair, points)
     # metric transport against the closed form
-    t, u = var("t"), var("u")
-    g0 = sadd(ONE, smul(t, t))
-    g1 = Form.monomial(chart.coframe, ("du",), smul(rat(1, 2), t))
-    g2 = SymTensor.from_names(chart.coframe, {
-        ("dt", "dt"): sadd(ONE, smul(u, u)),
-        ("du", "du"): sadd(rat(2), scos(smul(rat(2), PI, u)))})
-    b1 = Form.monomial(chart.coframe, ("dt",), smul(rat(1, 3), u))
-    b2 = Form.monomial(chart.coframe, ("dt", "du"), t)
-    met = assemble_metric(chart, g0, g1, g2, b1, b2)
+    blocks = _hopf_metric_blocks(chart)
+    met = assemble_metric(chart, *blocks)
     tm = transport_metric(met, pair)
-    closed = buscher_rules(g0, g1, g2, b1, b2, pair)
+    closed = buscher_rules(*blocks, pair)
     report.add("metric-transport-closed-form",
                "eigenspace transport of (g, b) matches the closed-form rules",
                residual=metric_residual(tm, closed, points), tol=1e-9)
@@ -432,7 +437,7 @@ def scenario_gibbons_hawking(seed, samples):
             ci, cj = b1_dual.coeff(1 << i).re, b1_dual.coeff(1 << j).re
             prod = sdiv(smul(ci, cj), v_pot)
             if not prod.is_zero():
-                expected_entries[(i, j)] = sadd(expected_entries.get((i, j), ZERO), prod)
+                _accumulate(expected_entries, (i, j), prod)
     expected = GeneralizedMetric(SymTensor(dcof, expected_entries), Form.zero(dcof))
     report.add("ansatz-metric",
                "dual metric is V (flat) + (1/V)(fiber form - b1)^2 with closed b1",
@@ -494,10 +499,8 @@ def _generic_metric(coframe):
     names = coframe.names
     m = coframe.dim
     g = SymTensor(coframe, {(i, j): var(f"g{i}{j}") for i in range(m) for j in range(i, m)})
-    b = Form.zero(coframe)
-    for i in range(m):
-        for j in range(i + 1, m):
-            b = b + Form.monomial(coframe, (names[i], names[j]), var(f"b{i}{j}"))
+    b = Form(coframe, {coframe.mask_of((names[i], names[j])): CScalar(var(f"b{i}{j}"))
+                       for i in range(m) for j in range(i + 1, m)})
     return GeneralizedMetric(g, b)
 
 

@@ -16,6 +16,9 @@ rank-revealing SVD with a relative threshold of 1e-8 (``_rank``), which is
 robust near type-change loci; a stack's bases come grouped by rank
 (``_by_rank``).  The rank helpers take stacks only: one matrix is a stack
 of one, as in ``duality.orientation_sign``.
+Every sum at a dict key, CScalar or Scalar, goes through
+``exterior._accumulate``, so a ``SymTensor``, as a ``Form``, holds no
+structural zero.
 """
 from __future__ import annotations
 
@@ -26,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scalar import CScalar, ZERO, as_scalar
-from .exterior import (Form, FrameVector, _eval_array, _value_array, contract, exp_form,
-                       frame_action, mukai_signs, wedge)
+from .exterior import (Form, FrameVector, _accumulate, _eval_array, _value_array, contract,
+                       exp_form, frame_action, mukai_signs, wedge)
 from .bundle import twisted_derivative
 from .courant import Section
 
@@ -44,18 +47,18 @@ RANK_TOL = 1e-8
 # -- symmetric 2-tensors ---------------------------------------------------------
 
 class SymTensor:
-    """Symmetric 2-tensor over a coframe with Scalar entries."""
+    """Symmetric 2-tensor over a coframe with Scalar entries at (i, j), i <= j.
+    The entries given at (i, j) and (j, i) are summed, and one that cancels
+    structurally is dropped, as ``Form.coeffs`` keeps no structural zero."""
 
     __slots__ = ("coframe", "entries")
 
     def __init__(self, coframe, entries=None):
         self.coframe = coframe
         self.entries = {}
-        if entries:
-            for (i, j), s in entries.items():
-                key = (i, j) if i <= j else (j, i)
-                if not s.is_zero():
-                    self.entries[key] = self.entries.get(key, ZERO) + s
+        for (i, j), s in (entries or {}).items():
+            if not s.is_zero():
+                _accumulate(self.entries, (i, j) if i <= j else (j, i), s)
 
     @staticmethod
     def from_names(coframe, named):
@@ -74,7 +77,7 @@ class SymTensor:
     def __add__(self, other):
         out = dict(self.entries)
         for key, s in other.entries.items():
-            out[key] = out.get(key, ZERO) + s
+            _accumulate(out, key, s)
         return SymTensor(self.coframe, out)
 
     def eval_matrix(self, point):
@@ -92,16 +95,18 @@ class SymTensor:
         return out
 
     def apply(self, x):
-        """g(X, .) as a 1-form for a frame vector X with real components."""
-        cof = self.coframe
-        out = Form.zero(cof)
+        """g(X, .) as a 1-form for a frame vector X with real components,
+        summed into one dict over X's nonzero components."""
+        xs = x.coeffs
+        out = {}
         for (i, j), s in self.entries.items():
-            ci, cj = x.components[i], x.components[j]
-            if not cj.is_zero():
-                out = out + Form.monomial(cof, (cof.names[i],), cj * CScalar.of(s))
-            if i != j and not ci.is_zero():
-                out = out + Form.monomial(cof, (cof.names[j],), ci * CScalar.of(s))
-        return out
+            cj = xs.get(j)
+            if cj is not None:
+                _accumulate(out, 1 << i, cj * CScalar.of(s))
+            ci = xs.get(i) if i != j else None
+            if ci is not None:
+                _accumulate(out, 1 << j, ci * CScalar.of(s))
+        return Form(self.coframe, out)
 
     def map_to(self, coframe):
         names = self.coframe.names

@@ -415,6 +415,62 @@ def test_transport_matches_buscher_random(rng, hopf_pair):
         assert metric_residual(transported, closed, pts) <= 1e-9
 
 
+def _blocks_with(pair, block, names, coeff):
+    """Metric blocks on a circle chart over (t, u) with ``block``, g1 or b1,
+    set to coeff * names and the other one zero."""
+    cof = pair.chart.coframe
+    bad = Form.monomial(cof, names, coeff)
+    zero = Form.zero(cof)
+    g2 = SymTensor.from_names(cof, {("dt", "dt"): ONE, ("du", "du"): ONE})
+    g1, b1 = (bad, zero) if block == "g1" else (zero, bad)
+    return ONE, g1, g2, b1, zero
+
+
+@pytest.mark.parametrize("assemble", [True, False], ids=["assemble", "rules"])
+@pytest.mark.parametrize("block, names, coeff", [
+    ("b1", ("dt",), CScalar.i()), ("g1", ("du",), CScalar.i()),
+    ("g1", ("dt", "du"), 1), ("g1", ("th",), 1), ("b1", ("th",), 1),
+], ids=["imaginary-b1", "imaginary-g1", "two-form-g1", "fiber-g1", "fiber-b1"])
+def test_the_block_functions_refuse_a_bad_g1_or_b1(hopf_pair, assemble, block, names, coeff):
+    """A g1 or b1 that is not a real basic 1-form is refused with a
+    ValueError naming the block.  Read as blocks, an imaginary part was
+    dropped (the metric of b1 = 0 or g1 = 0), a 2-form g1 was ignored, a
+    g1 = theta added 1 to the fiber entry and a b1 = theta gave b = 0."""
+    blocks = _blocks_with(hopf_pair, block, names, coeff)
+    with pytest.raises(ValueError, match=f"^{block} must be a real basic 1-form"):
+        if assemble:
+            assemble_metric(hopf_pair.chart, *blocks)
+        else:
+            buscher_rules(*blocks, hopf_pair)
+
+
+def _split(metric, chart):
+    """The blocks of a metric, the SymTensor g2 as its entries dict."""
+    g0, g1, g2 = split_metric(metric.g, chart)
+    return (g0, g1, g2.entries, *split_two_form(metric.b, chart))
+
+
+@pytest.mark.parametrize("case", ["b1d", "b2d", "s3-hopf"])
+def test_split_and_assemble_are_inverse(case):
+    """Assembling a metric's blocks gives back its g entries and b
+    coefficients structurally, and splitting the result gives the same
+    blocks: on the generic metric of both buscher-random charts (base t,
+    and base (t, u)) and on s3-hopf's metric."""
+    from tduality.bundle import BundleChart
+    if case == "s3-hopf":
+        chart = scenarios.load_chart("s3_hopf")
+        met = assemble_metric(chart, *scenarios._hopf_metric_blocks(chart))
+    else:
+        base = [("t", -0.9, 0.9), ("u", 0.1, 0.9)][:int(case[1])]
+        chart = BundleChart.build(case, base, ["th"])
+        met = scenarios._generic_metric(chart.coframe)
+    g0, g1, g2, b1, b2 = _split(met, chart)
+    again = assemble_metric(chart, g0, g1, SymTensor(chart.coframe, g2), b1, b2)
+    assert again.g.entries == met.g.entries
+    assert again.b.coeffs == met.b.coeffs
+    assert _split(again, chart) == (g0, g1, g2, b1, b2)
+
+
 def bt_term_sign_flipped(real):
     """The rules with the sign of the g1 ^ b1 / g0 term of bt flipped."""
     def rules(g0, g1, g2, b1, b2, pair):

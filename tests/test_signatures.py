@@ -28,9 +28,12 @@ half of that kernel: ``contract``, the bracket table and the section
 transform all call it, and no second contraction kernel or per-coframe copy
 of the table exists.  ``Section.act`` is that kernel on the action table:
 it builds no contraction or wedge of its own.
-A CScalar is added at a dict key by one function, ``exterior._accumulate``;
-the certificate's residual collector ``certify._sum`` is the one other keyed
-sum, because it spreads negated sums over their terms.  Values at points
+A CScalar or a Scalar is added at a dict key by one function,
+``exterior._accumulate``; the certificate's residual collector
+``certify._sum`` is the one other keyed sum, because it spreads negated sums
+over their terms.  No loop builds a form or tensor by adding one-term forms
+or tensors to it, which copies its dict once per term, and the Buscher
+rules are one call of the block assembly ``duality.assemble_metric``.  Values at points
 have one evaluator: outside ``scalar.py`` only ``exterior._value_array``
 calls ``evaluate_points``, and ``exterior._eval_array`` builds complex
 values on it.  Whether point-free data is evaluated at the first point only
@@ -206,7 +209,8 @@ SPARSE_READERS = {("exterior", "contract"),
                   ("exterior", "FrameVector.__neg__"), ("exterior", "FrameVector.scale"),
                   ("courant", "Section._coordinates"), ("courant", "_pairing_sums"),
                   ("courant", "_pair"),
-                  ("courant", "courant_brackets"), ("duality", "dualize_section")}
+                  ("courant", "courant_brackets"), ("duality", "dualize_section"),
+                  ("structures", "SymTensor.apply")}
 
 
 def test_sparse_readers_do_not_scan_components():
@@ -240,18 +244,40 @@ def _is_inline_keyed_sum(node):
             and ast.dump(left.slice) == ast.dump(node.test.left))
 
 
+def _is_get_keyed_sum(node):
+    """``d[k] = d.get(k, ZERO) + c`` (or ``-``, or ``sadd(d.get(k, ZERO), c)``):
+    a sum stored back at the key it read, written out instead of calling
+    ``_accumulate``.  A read that is not stored back at its key is not one."""
+    if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Subscript)):
+        return False
+    target, value = node.targets[0], node.value
+    if isinstance(value, ast.BinOp) and isinstance(value.op, (ast.Add, ast.Sub)):
+        operands = [value.left, value.right]
+    elif isinstance(value, ast.Call) and getattr(value.func, "id", None) in ("sadd", "ssub"):
+        operands = value.args
+    else:
+        return False
+    return any(isinstance(op, ast.Call) and isinstance(op.func, ast.Attribute)
+               and op.func.attr == "get" and op.args
+               and ast.unparse(op.func.value) == ast.unparse(target.value)
+               and ast.unparse(op.args[0]) == ast.unparse(target.slice) for op in operands)
+
+
 def test_one_keyed_accumulator():
     """No function in the package writes out a sum at a dict key
-    (``d[k] + c if k in d else c``), no ``_deduct`` or ``_minus`` is defined
-    or named, and ``certify._sum``, the residual collector that spreads
-    negated sums, is called only by ``certify._form_residual``; every other
-    keyed sum goes through ``exterior._accumulate``."""
+    (``d[k] + c if k in d else c``, ``d[k] = d.get(k, ZERO) + c`` or
+    ``d[k] = sadd(d.get(k, ZERO), c)``), no ``_deduct`` or ``_minus`` is
+    defined or named, and ``certify._sum``, the residual collector that
+    spreads negated sums, is called only by ``certify._form_residual``;
+    every other keyed sum, of CScalars or of Scalars, goes through
+    ``exterior._accumulate``."""
     inline, named, sum_callers = [], [], set()
     for module, fn in _functions():
         if fn.name in ("_deduct", "_minus"):
             named.append((module, fn.name))
         for node in ast.walk(fn):
-            if _is_inline_keyed_sum(node):
+            if _is_inline_keyed_sum(node) or _is_get_keyed_sum(node):
                 inline.append((module, fn.name, node.lineno))
             name = getattr(node, "id", None) or getattr(node, "attr", None)
             if name in ("_deduct", "_minus"):
@@ -260,6 +286,52 @@ def test_one_keyed_accumulator():
                 sum_callers.add(fn.name)
     assert inline == [] and named == []
     assert sum_callers == {"_form_residual"}
+
+
+def _is_one_term_build(node):
+    """A call of ``Form(...)``, ``Form.monomial(...)`` or ``SymTensor(...)``."""
+    f = getattr(node, "func", None)
+    return isinstance(node, ast.Call) and (
+        isinstance(f, ast.Name) and f.id in ("Form", "SymTensor")
+        or isinstance(f, ast.Attribute) and f.attr == "monomial"
+        and getattr(f.value, "id", None) == "Form")
+
+
+def _rebinds_plus_one_term(node):
+    """``x = x + T``, ``x = T + x``, ``x = x - T`` or ``x += T`` (``-=``) for
+    a one-term build T: a sum that copies x's dict once per term."""
+    if isinstance(node, ast.AugAssign):
+        return isinstance(node.op, (ast.Add, ast.Sub)) and _is_one_term_build(node.value)
+    if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.value, ast.BinOp)
+            and isinstance(node.value.op, (ast.Add, ast.Sub))):
+        return False
+    target, (left, right) = ast.unparse(node.targets[0]), (node.value.left, node.value.right)
+    return (ast.unparse(left) == target and _is_one_term_build(right)
+            or isinstance(node.value.op, ast.Add)
+            and ast.unparse(right) == target and _is_one_term_build(left))
+
+
+def test_forms_are_built_in_one_pass():
+    """No loop in the package rebinds a form or tensor to itself plus or
+    minus a ``Form(...)``, ``Form.monomial(...)`` or ``SymTensor(...)``: a
+    form or tensor built term by term is collected in one dict (with
+    ``exterior._accumulate`` where keys can meet) and built once."""
+    found = {(module, fn.name, node.lineno) for module, fn in _functions()
+             for loop in ast.walk(fn) if isinstance(loop, (ast.For, ast.While))
+             for node in ast.walk(loop) if _rebinds_plus_one_term(node)}
+    assert found == set()
+
+
+def test_buscher_rules_assemble_the_dual_blocks_once(monkeypatch, hopf_pair):
+    """``duality.buscher_rules`` builds the five dual blocks and calls
+    ``assemble_metric`` on the dual chart exactly once."""
+    from test_certify import count_calls
+    from tduality import duality, scenarios
+    blocks = scenarios._hopf_metric_blocks(hopf_pair.chart)
+    calls = count_calls(monkeypatch, duality, "assemble_metric")
+    duality.buscher_rules(*blocks, hopf_pair)
+    assert calls == [1]
 
 
 def test_one_evaluator_and_one_sampling_rule():

@@ -262,6 +262,17 @@ def test_metric_matrix_identity(plane_chart, point):
     assert np.abs(endo - expected).max() <= 1e-12
 
 
+def test_sym_tensor_keeps_no_structural_zero(plane_chart):
+    """Entries given for (i, j) and (j, i) that cancel leave no entry, as a
+    form keeps no structural zero; a sum that cancels keeps none either."""
+    cof = plane_chart.coframe
+    x = var("x")
+    assert SymTensor(cof, {(0, 1): x, (1, 0): -x}).entries == {}
+    assert SymTensor.from_names(cof, {("dx", "dy"): x, ("dy", "dx"): -x}).entries == {}
+    g = SymTensor(cof, {(0, 0): x, (0, 1): x})
+    assert (g + SymTensor(cof, {(1, 0): -x})).entries == {(0, 0): x}
+
+
 def test_complex_b_field_is_refused(plane_chart):
     """A B-field with an imaginary part is refused, not read as its real part."""
     g = SymTensor.from_names(plane_chart.coframe,
