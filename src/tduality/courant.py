@@ -74,13 +74,6 @@ class Section:
         return self.x.coframe
 
     @staticmethod
-    def of(coframe, vector=None, covector=None):
-        x = FrameVector.from_dict(coframe, vector or {})
-        xi = Form(coframe, {coframe.mask_of((name,)): CScalar.of(c)
-                            for name, c in (covector or {}).items()})
-        return Section(x, xi)
-
-    @staticmethod
     def vector_basis(coframe, name):
         return Section(FrameVector.basis(coframe, name), Form.zero(coframe))
 
@@ -125,9 +118,6 @@ class Section:
         """Numeric components (X_1..X_m, xi_1..xi_m).  Kept for the tests
         and ``perfbench/tracer.py``, which wraps it by name (ROADMAP 1a)."""
         return _eval_array(self.coordinates(), (point,))[:, 0]
-
-    def map_to(self, coframe):
-        return Section(self.x.map_to(coframe), self.xi.map_to(coframe))
 
     def __eq__(self, other):
         if not isinstance(other, Section):

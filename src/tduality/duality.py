@@ -30,10 +30,13 @@ The pointwise functions take a list of points and stack their linear algebra
 over them, as in ``structures``; ``transform_matrix_at`` and
 ``uk_transport_residual`` are the one-point forms the benchmark calls, and
 ``orientation_sign`` hands the rank helpers its one matrix as a stack of one.
-The Buscher rules split a metric and a two-form along the fiber of a circle
-bundle; the two-form split is ``bundle.split_fiber_legs``, and
-``buscher_rules`` is ``assemble_metric`` of the five dual blocks.  Every sum
-at a dict key, CScalar or Scalar, goes through ``exterior._accumulate``.
+The Buscher rules map a generalized metric on a circle-bundle chart to one on
+the dual, the map of ``transport_metric`` in closed form: ``buscher_rules``
+reads the five blocks of ``split_metric``, the one block splitter (b is split
+by ``bundle.split_fiber_legs``), and returns ``assemble_metric`` of the dual
+blocks.  The assembly refuses the blocks that the splitter would not give
+back, so the two are exact inverses.  Every sum at a dict key, CScalar or
+Scalar, goes through ``exterior._accumulate``.
 """
 from __future__ import annotations
 
@@ -52,7 +55,7 @@ __all__ = [
     "DualityPair", "dualize_form", "dualize_form_reverse", "dualize_section",
     "transform_matrices", "transform_matrix_at", "section_transform_matrices",
     "transport_spinor", "transport_metric",
-    "buscher_rules", "split_metric", "split_two_form", "assemble_metric",
+    "buscher_rules", "split_metric", "assemble_metric",
     "dual_types", "bihermitian_dual", "orientation_sign",
     "uk_transport_residuals", "uk_transport_residual", "reverse_sign",
 ]
@@ -230,95 +233,93 @@ def transport_metric(metric, pair):
     return GeneralizedMetric(SymTensor(cof, g_entries), Form(cof, b_coeffs))
 
 
-def split_metric(metric_tensor, chart):
-    """Split an invariant metric on a circle-bundle chart into (g0, g1, g2)."""
+def split_metric(metric, chart):
+    """The blocks (g0, g1, g2, b1, b2) of (g, b) on a circle-bundle chart,
+    g = g0 theta.theta + g1.theta + g2 and b = b1 ^ theta + b2 with g1, b1,
+    g2 and b2 basic: the inverse of ``assemble_metric``.  b is split by
+    ``bundle.split_fiber_legs``."""
     if chart.k != 1:
         raise ValueError("metric splitting is for circle bundles")
     cof = chart.coframe
     th = cof.index(chart.fiber_names[0])
-    g0 = metric_tensor.entry(th, th)
     g1 = {}
-    g2_entries = {}
-    for (i, j), s in metric_tensor.entries.items():
-        if (i, j) == (th, th):
-            continue
-        if j == th:
-            g1[1 << i] = CScalar(s)
-        elif i == th:
-            g1[1 << j] = CScalar(s)
-        else:
-            g2_entries[(i, j)] = s
-    return g0, Form(cof, g1), SymTensor(cof, g2_entries)
+    g2 = {}
+    for (i, j), s in metric.g.entries.items():
+        if th not in (i, j):
+            g2[(i, j)] = s
+        elif i != j:
+            g1[1 << (i if j == th else j)] = CScalar(s)
+    legs, b2 = split_fiber_legs(metric.b, chart)
+    return (metric.g.entry(th, th), Form(cof, g1), SymTensor(cof, g2),
+            legs[chart.fiber_names[0]], b2)
 
 
-def split_two_form(b, chart):
-    """b = b1 ^ theta + b2 on a circle-bundle chart, by ``bundle.split_fiber_legs``."""
+def _check_blocks(chart, g1, g2, b1, b2):
+    """Refuse blocks that ``split_metric`` would not give back, with a
+    ValueError naming the block: a g1 or b1 term that is not real, not of
+    degree one or has a fiber leg (the assembly reads only the real parts of
+    degree-one terms), a g2 entry or a b2 term with a fiber leg (each would
+    fold into the fiber blocks)."""
     if chart.k != 1:
-        raise ValueError("two-form splitting is for circle bundles")
-    legs, b2 = split_fiber_legs(b, chart)
-    return legs[chart.fiber_names[0]], b2
-
-
-def _check_real_basic_one_form(form, block):
-    """Refuse a block g1 or b1 with a term that is not real, not of degree
-    one or has a fiber leg: the block assembly reads only the real parts of
-    the degree-one terms, and a fiber leg would fold into the fiber entry."""
-    fibers = form.coframe.tag_mask("fiber")
-    for mask, c in form.coeffs.items():
-        if mask.bit_count() != 1 or mask & fibers or c.im is not ZERO:
-            raise ValueError(f"{block} must be a real basic 1-form, "
-                             f"got the term {form.coframe.names_of(mask)}")
+        raise ValueError("metric assembly is for circle bundles")
+    cof = chart.coframe
+    fibers = cof.tag_mask("fiber")
+    for block, form in (("g1", g1), ("b1", b1)):
+        for mask, c in form.coeffs.items():
+            if mask.bit_count() != 1 or mask & fibers or c.im is not ZERO:
+                raise ValueError(f"{block} must be a real basic 1-form, "
+                                 f"got the term {cof.names_of(mask)}")
+    for i, j in g2.entries:
+        if (1 << i | 1 << j) & fibers:
+            raise ValueError(f"g2 must be basic, got the entry {cof.names[i], cof.names[j]}")
+    for mask in b2.coeffs:
+        if mask & fibers:
+            raise ValueError(f"b2 must be basic, got the term {cof.names_of(mask)}")
 
 
 def assemble_metric(chart, g0, g1, g2, b1, b2):
     """(g, b) on a circle-bundle chart from its blocks: g = g0 theta.theta +
     g1.theta + g2 and b = b1 ^ theta + b2, with g1 and b1 real basic 1-forms
-    (else a ValueError names the block).  The symmetric product is as in
+    and g2 and b2 basic (else a ValueError names the block), so that
+    ``split_metric`` gives the blocks back.  The symmetric product is as in
     ``buscher_rules``."""
-    _check_real_basic_one_form(g1, "g1")
-    _check_real_basic_one_form(b1, "b1")
+    _check_blocks(chart, g1, g2, b1, b2)
     cof = chart.coframe
     th = chart.fiber_names[0]
     i_th = cof.index(th)
-    entries = dict(g2.entries)
+    entries = dict(g2.entries)     # no key of g2 meets a fiber key
     if not g0.is_zero():
-        _accumulate(entries, (i_th, i_th), g0)
+        entries[(i_th, i_th)] = g0
     for i in range(cof.dim):
         c = g1.coeff(1 << i)
         if not c.is_zero():
-            _accumulate(entries, (min(i, i_th), max(i, i_th)), c.re)
+            entries[(min(i, i_th), max(i, i_th))] = c.re
     b = wedge(b1, Form.monomial(cof, (th,))) + b2
     return GeneralizedMetric(SymTensor(cof, entries), b)
 
 
-def buscher_rules(g0, g1, g2, b1, b2, pair):
-    """Closed-form dual metric data for a circle bundle: the dual blocks,
-    assembled on the dual chart by ``assemble_metric``,
+def buscher_rules(metric, pair):
+    """Closed-form dual of (g, b) on a circle-bundle chart, the map of
+    ``transport_metric``: with the blocks (g0, g1, g2, b1, b2) of
+    ``split_metric``, the dual blocks
 
     gt0 = 1/g0,  gt1 = -b1/g0,  gt2 = g2 + (b1.b1 - g1.g1)/g0,
     bt1 = -g1/g0,  bt2 = b2 + g1 ^ b1 / g0,
 
-    for real basic 1-forms g1 and b1 (else a ValueError names the block).
+    assembled on the dual chart by ``assemble_metric``.
 
     Symmetric products: alpha . beta means alpha x beta + beta x alpha for
     distinct factors and alpha x alpha for a square.
     """
-    _check_real_basic_one_form(g1, "g1")
-    _check_real_basic_one_form(b1, "b1")
+    g0, g1, g2, b1, b2 = split_metric(metric, pair.chart)
     cof = pair.dual.coframe
     g1d = g1.map_to(cof)
     b1d = b1.map_to(cof)
-    # (b1 . b1 - g1 . g1) / g0 over base generators
-    cross = {}
+    # (b1 . b1 - g1 . g1) / g0 over base generators; SymTensor drops the zeros
     m = cof.dim
-    for i in range(m):
-        for j in range(i, m):
-            bi, bj = b1d.coeff(1 << i).re, b1d.coeff(1 << j).re
-            gi, gj = g1d.coeff(1 << i).re, g1d.coeff(1 << j).re
-            term = smul(bi, bj) - smul(gi, gj)
-            term = sdiv(term, g0)
-            if not term.is_zero():
-                cross[(i, j)] = term
+    bs, gs = ([form.coeff(1 << i).re for i in range(m)] for form in (b1d, g1d))
+    cross = {(i, j): sdiv(smul(bs[i], bs[j]) - smul(gs[i], gs[j]), g0)
+             for i in range(m) for j in range(i, m)}
     return assemble_metric(
         pair.dual, sdiv(ONE, g0),
         Form(cof, {mask: CScalar(sneg(sdiv(c.re, g0))) for mask, c in b1d.coeffs.items()}),

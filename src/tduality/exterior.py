@@ -384,11 +384,6 @@ class FrameVector:
     def zero(coframe):
         return FrameVector(coframe, {})
 
-    @staticmethod
-    def from_dict(coframe, comps):
-        return FrameVector(coframe, {coframe.index(name): CScalar.of(c)
-                                     for name, c in comps.items()})
-
     def __add__(self, other):
         if self.coframe is not other.coframe and self.coframe != other.coframe:
             raise ValueError("coframe mismatch")
@@ -406,11 +401,6 @@ class FrameVector:
 
     def is_zero(self):
         return not self.coeffs
-
-    def map_to(self, coframe):
-        names = self.coframe.names
-        return FrameVector(coframe, {coframe.index(names[i]): c
-                                     for i, c in self.coeffs.items()})
 
     def eval_vector(self, point):
         """Kept for the tests and ``perfbench/tracer.py``, which wraps it by

@@ -31,9 +31,8 @@ from .structures import (GeneralizedMetric, PureSpinor, SymTensor,
                          spinor_types)
 from .duality import (DualityPair, assemble_metric, bihermitian_dual,
                       buscher_rules, dual_types, dualize_form,
-                      orientation_sign, reverse_sign, split_metric,
-                      split_two_form, transform_matrices, transport_metric,
-                      transport_spinor, uk_transport_residuals)
+                      orientation_sign, reverse_sign, transform_matrices,
+                      transport_metric, transport_spinor, uk_transport_residuals)
 from .certify import frame_certificate
 from .reduction import (LiftedActionPoint, double_quotient_report,
                         duality_lift_sections, fourier_mukai_check,
@@ -170,10 +169,9 @@ def scenario_s3_hopf(seed, samples):
     _standard_pair_checks(report, pair, rng, points)
     _dual_of_dual_check(report, pair, points)
     # metric transport against the closed form
-    blocks = _hopf_metric_blocks(chart)
-    met = assemble_metric(chart, *blocks)
+    met = assemble_metric(chart, *_hopf_metric_blocks(chart))
     tm = transport_metric(met, pair)
-    closed = buscher_rules(*blocks, pair)
+    closed = buscher_rules(met, pair)
     report.add("metric-transport-closed-form",
                "eigenspace transport of (g, b) matches the closed-form rules",
                residual=metric_residual(tm, closed, points), tol=1e-9)
@@ -285,7 +283,8 @@ def scenario_s2_annulus(seed, samples):
     g0 = sadd(ONE, sneg(smul(t, t)))
     g2 = SymTensor.from_names(chart.coframe, {("dt", "dt"): sdiv(ONE, g0)})
     zero1 = Form.zero(chart.coframe)
-    dual_met = buscher_rules(g0, zero1, g2, zero1, zero1, pair)
+    met = assemble_metric(chart, g0, zero1, g2, zero1, zero1)
+    dual_met = buscher_rules(met, pair)
     inv = sdiv(ONE, g0)
     expected_met = GeneralizedMetric(
         SymTensor.from_names(dual.coframe, {("tht", "tht"): inv, ("dt", "dt"): inv}),
@@ -296,7 +295,7 @@ def scenario_s2_annulus(seed, samples):
                residual=res, tol=1e-9,
                passed=(res <= 1e-9 and dual_met.g.entry_of("dt", "tht").is_zero()
                        and dual_met.b.is_zero()))
-    tm = transport_metric(assemble_metric(chart, g0, zero1, g2, zero1, zero1), pair)
+    tm = transport_metric(met, pair)
     report.add("metric-transport-matches",
                "eigenspace transport reproduces the closed-form dual metric",
                residual=metric_residual(tm, dual_met, points), tol=1e-9)
@@ -417,7 +416,8 @@ def scenario_gibbons_hawking(seed, samples):
     zero1 = Form.zero(cof)
     g2 = SymTensor(cof, {(i, i): v_pot for i, n in enumerate(cof.names)
                          if cof.tags[i] == "base"})
-    dual_met = buscher_rules(v_pot, zero1, g2, b1, zero1, pair)
+    met = assemble_metric(chart, v_pot, zero1, g2, b1, zero1)
+    dual_met = buscher_rules(met, pair)
     dcof = pair.dual.coframe
     inv_v = sdiv(ONE, v_pot)
     expected_entries = {}
@@ -444,11 +444,10 @@ def scenario_gibbons_hawking(seed, samples):
                residual=metric_residual(dual_met, expected, points),
                tol=1e-8, notes="dual 2-form vanishes (b2 = 0)")
     # the generalized Kahler pair behind the ansatz
-    b_total = wedge(b1, Form.monomial(cof, ("th",)))
-    rho1 = wedge(exp_form(b_total + Form.monomial(cof, ("dx1", "dx2"),
+    rho1 = wedge(exp_form(met.b + Form.monomial(cof, ("dx1", "dx2"),
                                                   CScalar(ZERO, v_pot))),
                  Form.monomial(cof, ("th",)) + Form.monomial(cof, ("dx3",), CScalar.i()))
-    rho2 = wedge(exp_form(b_total + Form.monomial(cof, ("dx3", "th"),
+    rho2 = wedge(exp_form(met.b + Form.monomial(cof, ("dx3", "th"),
                                                   CScalar(ZERO, v_pot))),
                  Form.monomial(cof, ("dx2",)) + Form.monomial(cof, ("dx1",), CScalar.i()))
     res1 = form_residual(exterior_derivative(rho1, chart), chart.domain, points)
@@ -461,8 +460,6 @@ def scenario_gibbons_hawking(seed, samples):
                "the two canonical forms share the same pairing volume",
                residual=form_residual(m1 - m2, chart.domain, points), tol=1e-8)
     sp1, sp2 = PureSpinor(rho1), PureSpinor(rho2)
-    met = GeneralizedMetric(SymTensor(cof, {(i, i): v_pot for i in range(cof.dim)}),
-                            b_total)
     near = points[:3]
     j1 = gcs_matrices(cof, sp1.form.eval_vectors(near), near)
     j2 = gcs_matrices(cof, sp2.form.eval_vectors(near), near)
@@ -534,17 +531,14 @@ def scenario_buscher_random(seed, samples):
     for chart in charts:
         pair = DualityPair.from_chart(chart)
         met = _generic_metric(chart.coframe)
-        g0, g1, g2 = split_metric(met.g, chart)
-        b1, b2 = split_two_form(met.b, chart)
-        closed = buscher_rules(g0, g1, g2, b1, b2, pair)
+        closed = buscher_rules(met, pair)
         tm = transport_metric(met, pair)
-        g0t, g1t, g2t = split_metric(closed.g, pair.dual)
-        b1t, b2t = split_two_form(closed.b, pair.dual)
-        back = buscher_rules(g0t, g1t, g2t, b1t, b2t, pair.swap())
+        back = buscher_rules(closed, pair.swap())
         points = _entry_points(rng, chart.coframe.dim, samples)
         worst_match = max(worst_match, metric_residual(tm, closed, points))
         worst_invol = max(worst_invol, metric_residual(back, met, points))
-        structural = structural and closed.g.entry_of("tht", "tht") == sdiv(ONE, g0)
+        structural = structural and (closed.g.entry_of("tht", "tht")
+                                     == sdiv(ONE, met.g.entry_of("th", "th")))
     notes = f"generic (g, b) on m = 2 and 3; entry-space points per chart: {samples}"
     report.add("transport-matches-closed-form",
                "eigenspace transport equals the closed-form rules for every invariant (g, b)",

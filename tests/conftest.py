@@ -50,7 +50,10 @@ and ``exterior._eval_array``, which the whole-array reductions and the stacked
 draw must match bit for bit, with the list evaluator ``eval_complex_points``
 that ``_eval_array`` replaced.  ``count_python_calls``
 counts the Python-level calls of a function, and ``chart_id`` names the test
-parameter of a ``scenarios.CHARTS`` chart."""
+parameter of a ``scenarios.CHARTS`` chart.  ``section_of`` and
+``vector_from_dict`` build a section and a frame vector from components
+given by generator name, and ``section_map_to`` and ``vector_map_to`` move
+them to a coframe holding their generators; only the tests use them."""
 import itertools
 import sys
 
@@ -72,6 +75,30 @@ from tduality.reduction import ReducedSpace, ReductionReport, _first_factor
 from tduality.duality import (DualityPair, _form_columns, _section_columns,
                               dualize_form, dualize_section)
 from tduality.randomgen import random_form, random_scalar
+
+
+def vector_from_dict(coframe, comps):
+    """The frame vector with the components {generator name: value}."""
+    return FrameVector(coframe, {coframe.index(name): CScalar.of(c)
+                                 for name, c in comps.items()})
+
+
+def vector_map_to(x, coframe):
+    """X on a coframe holding its generators, read off its ``coeffs``."""
+    names = x.coframe.names
+    return FrameVector(coframe, {coframe.index(names[i]): c for i, c in x.coeffs.items()})
+
+
+def section_of(coframe, vector=None, covector=None):
+    """X + xi from {generator name: value} components of X and of xi."""
+    xi = Form(coframe, {coframe.mask_of((name,)): CScalar.of(c)
+                        for name, c in (covector or {}).items()})
+    return Section(vector_from_dict(coframe, vector or {}), xi)
+
+
+def section_map_to(v, coframe):
+    """X + xi on a coframe holding its generators."""
+    return Section(vector_map_to(v.x, coframe), v.xi.map_to(coframe))
 
 
 def random_metric(rng, chart, points):
@@ -791,7 +818,7 @@ def _reference_dualize_section(v, pair):
     the covector part basic for the projection to the dual side.
     """
     cof = pair.total.coframe
-    w = v.map_to(cof)
+    w = section_map_to(v, cof)
     cofibers = pair.dual.fiber_names
     # right-hand side: xi(E_theta_i) - F(X_known, E_theta_i)
     known = contract(w.x, pair.F)
@@ -818,7 +845,7 @@ def _reference_dualize_section(v, pair):
         CZERO if cof.tags[i] == "fiber" else lift.components[i]
         for i in range(cof.dim))))
     out = Section(pushed_x, eta)
-    return out.map_to(pair.dual.coframe)
+    return section_map_to(out, pair.dual.coframe)
 
 
 def _reference_transform_matrix_at(pair, point):

@@ -15,8 +15,7 @@ from tduality.courant import Section, courant_bracket, split_pairing_matrix
 from tduality.structures import (PureSpinor, check_integrable, metric_residual,
                                  spinor_types)
 from tduality.duality import (DualityPair, buscher_rules, dual_types,
-                              dualize_form, dualize_section, split_metric,
-                              split_two_form, transport_metric,
+                              dualize_form, dualize_section, transport_metric,
                               transport_spinor, uk_transport_residuals)
 from tduality.randomgen import random_form, random_pure_spinor, random_section
 from tduality.reduction import (LiftedActionPoint, double_quotient_report,
@@ -24,7 +23,7 @@ from tduality.reduction import (LiftedActionPoint, double_quotient_report,
 from tduality.scenarios import twisted_rank_two_pair, load_chart, run_scenario
 
 from conftest import (compatibility_residual, equal_at_samples, pairing, random_metric,
-                      section_residual)
+                      section_of, section_residual)
 
 SEED = 20240817
 
@@ -147,9 +146,9 @@ def test_criterion_4_circle_formula(circle_pair):
     ]
     ok = True
     for a, f, xi_t, g in cases:
-        v = Section.of(cof, vector={"dt": a, "th": f},
+        v = section_of(cof, vector={"dt": a, "th": f},
                        covector={"dt": xi_t, "th": g})
-        expected = Section.of(dcof, vector={"dt": a, "tht": g},
+        expected = section_of(dcof, vector={"dt": a, "tht": g},
                               covector={"dt": xi_t, "tht": f})
         ok = ok and dualize_section(v, circle_pair) == expected
     announce(4, "circle sections transform by the exact exchange of fiber "
@@ -169,9 +168,7 @@ def test_criterion_5_buscher(rng):
         back_pair = pair.swap()
         pts = chart.domain.sample_many(rng, 4)
         met = random_metric(rng, chart, pts)
-        g0, g1, g2 = split_metric(met.g, chart)
-        b1, b2 = split_two_form(met.b, chart)
-        closed = buscher_rules(g0, g1, g2, b1, b2, pair)
+        closed = buscher_rules(met, pair)
         transported = transport_metric(met, pair)
         dcof = pair.dual.coframe
         dom = pair.dual.domain
@@ -184,10 +181,8 @@ def test_criterion_5_buscher(rng):
         for c in diffb.coeffs.values():
             ok_match = ok_match and equal_at_samples(c.re, ZERO, dom, seed=SEED + trial)
         ok_structural = ok_structural and (closed.g.entry_of("tht", "tht")
-                                           == sdiv(ONE, g0))
-        g0t, g1t, g2t = split_metric(closed.g, pair.dual)
-        b1t, b2t = split_two_form(closed.b, pair.dual)
-        back = buscher_rules(g0t, g1t, g2t, b1t, b2t, back_pair)
+                                           == sdiv(ONE, met.g.entry_of("th", "th")))
+        back = buscher_rules(closed, back_pair)
         worst = max(worst, metric_residual(back, met, pts))
     ok = ok_match and ok_structural and worst <= 1e-9
     announce(5, "closed-form dual metric rules: transport agrees coefficientwise, "

@@ -29,7 +29,8 @@ from conftest import (_reference_act_sections, _reference_clifford_act,
                       _reference_courant_bracket, _reference_courant_brackets,
                       _reference_fiber_integrate,
                       _reference_frame_action, _reference_leibniz, _reference_map_to,
-                      _reference_pairing, _reference_sum, _section_of, count_python_calls)
+                      _reference_pairing, _reference_sum, _section_of, count_python_calls,
+                      section_of)
 from test_courant import _random_curved_chart, _sections
 from test_kernels import _sections as _complex_sections
 from tduality import bundle, certify, courant, duality, exterior
@@ -271,7 +272,7 @@ def chart_sections(rng, chart):
     ``test_kernels._sections`` and (1 + i x) e^g for the chart's last
     generator g and first base variable x."""
     cof = chart.coframe
-    tilted = Section.of(cof, covector={cof.names[-1]: CScalar.of(1, var(chart.base_vars[0]))})
+    tilted = section_of(cof, covector={cof.names[-1]: CScalar.of(1, var(chart.base_vars[0]))})
     return _sections(rng, chart) + _complex_sections(rng, chart)[:4] + [tilted]
 
 

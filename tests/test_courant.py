@@ -13,7 +13,7 @@ from tduality.randomgen import random_form, random_scalar, random_section
 from tduality.scenarios import CHARTS, load_chart
 
 from conftest import (_reference_courant_bracket, _reference_lie_bracket, b_transform,
-                      lie_bracket, pairing, section_residual)
+                      lie_bracket, pairing, section_of, section_residual)
 
 
 def test_pairing_values(plane_chart):
@@ -60,7 +60,7 @@ def test_bracket_lie_derivative_term(flat3_chart):
     cof = flat3_chart.coframe
     x = var("x")
     ex = Section.vector_basis(cof, "dx")
-    fdy = Section.of(cof, covector={"dy": ssin(x)})
+    fdy = section_of(cof, covector={"dy": ssin(x)})
     out = courant_bracket(ex, fdy, flat3_chart)
     assert out.x.is_zero()
     assert out.xi == Form.monomial(cof, ("dy",), scos(x))

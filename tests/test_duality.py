@@ -16,8 +16,7 @@ from tduality.duality import (DualityPair, assemble_metric,
                               bihermitian_dual, buscher_rules, dual_types,
                               dualize_form, dualize_form_reverse,
                               dualize_section, orientation_sign, reverse_sign,
-                              section_transform_matrices,
-                              split_metric, split_two_form,
+                              section_transform_matrices, split_metric,
                               transform_matrix_at, transport_metric,
                               transport_spinor, uk_transport_residuals)
 from tduality.randomgen import random_form, random_pure_spinor, random_section
@@ -26,7 +25,8 @@ from tduality.scenarios import twisted_rank_two_pair
 
 from conftest import (_reference_dualize_form, _reference_dualize_form_reverse,
                       _reference_dualize_section, _reference_map_to, compatibility_residual,
-                      equal_at_samples, pairing, random_metric, section_residual)
+                      equal_at_samples, pairing, random_metric, section_map_to,
+                      section_of, section_residual)
 
 
 # -- the form transform -------------------------------------------------------
@@ -232,9 +232,9 @@ def test_section_transform_circle_formula(circle_pair):
     dcof = circle_pair.dual.coframe
     t = var("t")
     f, g = ssin(t), t ** 3
-    v = Section.of(cof, vector={"dt": rat(2), "th": f},
+    v = section_of(cof, vector={"dt": rat(2), "th": f},
                    covector={"dt": t, "th": g})
-    expected = Section.of(dcof, vector={"dt": rat(2), "tht": g},
+    expected = section_of(dcof, vector={"dt": rat(2), "tht": g},
                           covector={"dt": t, "tht": f})
     assert dualize_section(v, circle_pair) == expected
 
@@ -242,9 +242,9 @@ def test_section_transform_circle_formula(circle_pair):
 def test_section_transform_fixes_basic(circle_pair):
     cof = circle_pair.chart.coframe
     t = var("t")
-    v = Section.of(cof, vector={"dt": scos(t)}, covector={"dt": t * t})
+    v = section_of(cof, vector={"dt": scos(t)}, covector={"dt": t * t})
     out = dualize_section(v, circle_pair)
-    assert out == v.map_to(circle_pair.dual.coframe)
+    assert out == section_map_to(v, circle_pair.dual.coframe)
 
 
 def test_section_transform_orthogonal(rng, hopf_pair):
@@ -297,7 +297,7 @@ def test_clifford_compatibility_basic_data(circle_pair):
     # contraction outright
     cof = circle_pair.chart.coframe
     t = var("t")
-    v = Section.of(cof, vector={"dt": t}, covector={"dt": ssin(t)})
+    v = section_of(cof, vector={"dt": t}, covector={"dt": ssin(t)})
     rho = Form.monomial(cof, ("dt",), scos(t)) + Form.scalar(cof, t * t)
     lhs = dualize_form(v.act(rho), circle_pair)
     rhs = dualize_section(v, circle_pair).act(dualize_form(rho, circle_pair))
@@ -313,7 +313,7 @@ def test_buscher_round_sphere(circle_pair):
     g0 = sadd(ONE, sneg(smul(t, t)))
     g2 = SymTensor.from_names(cof, {("dt", "dt"): sdiv(ONE, g0)})
     zero = Form.zero(cof)
-    out = buscher_rules(g0, zero, g2, zero, zero, circle_pair)
+    out = buscher_rules(assemble_metric(chart, g0, zero, g2, zero, zero), circle_pair)
     inv = sdiv(ONE, g0)
     dom = chart.domain
     assert equal_at_samples(out.g.entry_of("tht", "tht"), inv, dom)
@@ -330,7 +330,7 @@ def test_buscher_block_diagonal_specialization(circle_pair):
     g2 = SymTensor.from_names(cof, {("dt", "dt"): ONE})
     b2 = Form.zero(cof)
     zero = Form.zero(cof)
-    out = buscher_rules(g0, zero, g2, zero, b2, circle_pair)
+    out = buscher_rules(assemble_metric(chart, g0, zero, g2, zero, b2), circle_pair)
     assert out.g.entry_of("tht", "tht") == sdiv(ONE, g0)
     assert out.g.entry_of("dt", "dt") == ONE
     assert out.b.is_zero()
@@ -347,7 +347,7 @@ def test_buscher_vanishing_two_form_gives_connection_shear(circle_pair):
     g1 = Form.monomial(cof, ("dt",), ssin(t))
     g2 = SymTensor.from_names(cof, {("dt", "dt"): ONE})
     zero = Form.zero(cof)
-    out = buscher_rules(g0, g1, g2, zero, zero, circle_pair)
+    out = buscher_rules(assemble_metric(chart, g0, g1, g2, zero, zero), circle_pair)
     expected = Form.monomial(dcof, ("dt", "tht"), sneg(sdiv(ssin(t), g0)))
     dom = chart.domain
     gap = out.b - expected
@@ -362,18 +362,19 @@ def test_buscher_fiber_inversion_structural(circle_pair):
     g0 = sadd(ONE, smul(t, t))
     cof = circle_pair.chart.coframe
     zero = Form.zero(cof)
-    out = buscher_rules(g0, zero, SymTensor(cof, {}), zero, zero, circle_pair)
+    met = assemble_metric(circle_pair.chart, g0, zero, SymTensor(cof, {}), zero, zero)
+    out = buscher_rules(met, circle_pair)
     assert out.g.entry_of("tht", "tht") == sdiv(ONE, g0)
 
 
 def test_two_form_splitting_is_for_circle_bundles(hopf_chart):
-    """b = b1 ^ theta + b2 with b1 and b2 basic on a circle chart; on the
-    rank-two hopf_surface chart the th2 legs of b would stay in b2, so the
-    split raises, as the metric split does."""
+    """``split_metric`` writes b = b1 ^ theta + b2 with b1 and b2 basic on a
+    circle chart; on the rank-two hopf_surface chart the th2 legs of b would
+    stay in b2, so the split raises."""
     cof = hopf_chart.coframe
     b = (Form.monomial(cof, ("dt", "th"), var("u")) + Form.monomial(cof, ("th", "du"))
          + Form.monomial(cof, ("dt", "du"), 3))
-    b1, b2 = split_two_form(b, hopf_chart)
+    *_, b1, b2 = split_metric(GeneralizedMetric(SymTensor(cof), b), hopf_chart)
     assert wedge(b1, Form.monomial(cof, ("th",))) + b2 == b
     fibers = cof.tag_mask("fiber")
     assert not any(mask & fibers for mask in (*b1.coeffs, *b2.coeffs))
@@ -381,9 +382,8 @@ def test_two_form_splitting_is_for_circle_bundles(hopf_chart):
     cof = chart.coframe
     b = (Form.monomial(cof, ("ds1", "th1")) + Form.monomial(cof, ("ds2", "th2"))
          + Form.monomial(cof, ("th1", "th2")))
-    for split, arg in ((split_two_form, b), (split_metric, SymTensor(cof))):
-        with pytest.raises(ValueError, match="is for circle bundles"):
-            split(arg, chart)
+    with pytest.raises(ValueError, match="^metric splitting is for circle bundles"):
+        split_metric(GeneralizedMetric(SymTensor(cof), b), chart)
 
 
 def test_buscher_involution_random(rng):
@@ -394,12 +394,7 @@ def test_buscher_involution_random(rng):
     pts = chart.domain.sample_many(rng, 4)
     for _ in range(6):
         met = random_metric(rng, chart, pts)
-        g0, g1, g2 = split_metric(met.g, chart)
-        b1, b2 = split_two_form(met.b, chart)
-        first = buscher_rules(g0, g1, g2, b1, b2, pair)
-        g0t, g1t, g2t = split_metric(first.g, pair.dual)
-        b1t, b2t = split_two_form(first.b, pair.dual)
-        back = buscher_rules(g0t, g1t, g2t, b1t, b2t, back_pair)
+        back = buscher_rules(buscher_rules(met, pair), back_pair)
         assert metric_residual(back, met, pts) <= 1e-9
 
 
@@ -408,73 +403,104 @@ def test_transport_matches_buscher_random(rng, hopf_pair):
     pts = chart.domain.sample_many(rng, 4)
     for _ in range(6):
         met = random_metric(rng, chart, pts)
-        g0, g1, g2 = split_metric(met.g, chart)
-        b1, b2 = split_two_form(met.b, chart)
-        closed = buscher_rules(g0, g1, g2, b1, b2, hopf_pair)
+        closed = buscher_rules(met, hopf_pair)
         transported = transport_metric(met, hopf_pair)
         assert metric_residual(transported, closed, pts) <= 1e-9
 
 
-def _blocks_with(pair, block, names, coeff):
-    """Metric blocks on a circle chart over (t, u) with ``block``, g1 or b1,
-    set to coeff * names and the other one zero."""
-    cof = pair.chart.coframe
-    bad = Form.monomial(cof, names, coeff)
+# each bad block: (block, names, coefficient); for g2 the entry at the two names
+BAD_BLOCKS = {"imaginary-b1": ("b1", ("dt",), CScalar.i()),
+              "imaginary-g1": ("g1", ("du",), CScalar.i()),
+              "two-form-g1": ("g1", ("dt", "du"), 1),
+              "fiber-g1": ("g1", ("th",), 1),
+              "fiber-b1": ("b1", ("th",), 1),
+              "fiber-g2": ("g2", ("dt", "th"), var("t")),
+              "fiber-b2": ("b2", ("dt", "th"), 1)}
+# (case, the function given its data)
+REFUSALS = ([(case, "assemble") for case in BAD_BLOCKS]
+            + [("rank-two", function) for function in ("assemble", "split", "rules")])
+
+
+def _blocks_with(cof, block, names, coeff):
+    """Metric blocks on a circle chart over (t, u) with ``block`` holding
+    coeff * names, and g1, b1 and b2 zero otherwise."""
     zero = Form.zero(cof)
-    g2 = SymTensor.from_names(cof, {("dt", "dt"): ONE, ("du", "du"): ONE})
-    g1, b1 = (bad, zero) if block == "g1" else (zero, bad)
-    return ONE, g1, g2, b1, zero
+    forms = {"g1": zero, "b1": zero, "b2": zero}
+    g2 = {("dt", "dt"): ONE, ("du", "du"): ONE}
+    if block == "g2":
+        g2[names] = coeff
+    else:
+        forms[block] = Form.monomial(cof, names, coeff)
+    return ONE, forms["g1"], SymTensor.from_names(cof, g2), forms["b1"], forms["b2"]
 
 
-@pytest.mark.parametrize("assemble", [True, False], ids=["assemble", "rules"])
-@pytest.mark.parametrize("block, names, coeff", [
-    ("b1", ("dt",), CScalar.i()), ("g1", ("du",), CScalar.i()),
-    ("g1", ("dt", "du"), 1), ("g1", ("th",), 1), ("b1", ("th",), 1),
-], ids=["imaginary-b1", "imaginary-g1", "two-form-g1", "fiber-g1", "fiber-b1"])
-def test_the_block_functions_refuse_a_bad_g1_or_b1(hopf_pair, assemble, block, names, coeff):
-    """A g1 or b1 that is not a real basic 1-form is refused with a
-    ValueError naming the block.  Read as blocks, an imaginary part was
-    dropped (the metric of b1 = 0 or g1 = 0), a 2-form g1 was ignored, a
-    g1 = theta added 1 to the fiber entry and a b1 = theta gave b = 0."""
-    blocks = _blocks_with(hopf_pair, block, names, coeff)
-    with pytest.raises(ValueError, match=f"^{block} must be a real basic 1-form"):
-        if assemble:
+@pytest.mark.parametrize("case, function", REFUSALS, ids=[f"{c}-{f}" for c, f in REFUSALS])
+def test_the_block_functions_refuse_a_bad_g1_or_b1(hopf_pair, case, function):
+    """A block that ``split_metric`` would not give back is refused by
+    ``assemble_metric`` with a ValueError naming the block.  Read as blocks,
+    an imaginary part was dropped (the metric of b1 = 0 or g1 = 0), a 2-form
+    g1 was ignored, a g1 = theta added 1 to the fiber entry, a b1 = theta
+    gave b = 0, and a g2 entry t dt.theta and a b2 = dt ^ theta came back as
+    g1 = t dt and b1 = dt.  The assembly, the split and the rules refuse the
+    rank-two hopf_surface chart, on which they read th2 as a base direction
+    and the rules returned a dual metric with no th2t entry."""
+    if case == "rank-two":
+        chart = scenarios.load_chart("hopf_surface")
+        cof = chart.coframe
+        zero = Form.zero(cof)
+        g2 = SymTensor.from_names(cof, {(n, n): ONE for n in ("ds1", "ds2", "th2")})
+        met = GeneralizedMetric(SymTensor(cof, {(i, i): ONE for i in range(cof.dim)}), zero)
+        verb = "assembly" if function == "assemble" else "splitting"
+        with pytest.raises(ValueError, match=f"^metric {verb} is for circle bundles$"):
+            if function == "assemble":
+                assemble_metric(chart, rat(2), zero, g2, zero, zero)
+            elif function == "split":
+                split_metric(met, chart)
+            else:
+                buscher_rules(met, DualityPair.from_chart(chart))
+    else:
+        block, names, coeff = BAD_BLOCKS[case]
+        blocks = _blocks_with(hopf_pair.chart.coframe, block, names, coeff)
+        kind = "a real basic 1-form" if block in ("g1", "b1") else "basic"
+        with pytest.raises(ValueError, match=f"^{block} must be {kind}, got the "):
             assemble_metric(hopf_pair.chart, *blocks)
-        else:
-            buscher_rules(*blocks, hopf_pair)
 
 
 def _split(metric, chart):
     """The blocks of a metric, the SymTensor g2 as its entries dict."""
-    g0, g1, g2 = split_metric(metric.g, chart)
-    return (g0, g1, g2.entries, *split_two_form(metric.b, chart))
+    g0, g1, g2, b1, b2 = split_metric(metric, chart)
+    return g0, g1, g2.entries, b1, b2
 
 
-@pytest.mark.parametrize("case", ["b1d", "b2d", "s3-hopf"])
-def test_split_and_assemble_are_inverse(case):
+@pytest.mark.parametrize("case", ["b1d", "b2d", "s3-hopf", "b1d-random", "b2d-random"])
+def test_split_and_assemble_are_inverse(case, rng):
     """Assembling a metric's blocks gives back its g entries and b
     coefficients structurally, and splitting the result gives the same
-    blocks: on the generic metric of both buscher-random charts (base t,
-    and base (t, u)) and on s3-hopf's metric."""
+    blocks: on the generic metric and on ``conftest.random_metric`` of both
+    buscher-random charts (base t, and base (t, u)), and on s3-hopf's
+    metric, whose split also gives back the blocks it was assembled from."""
     from tduality.bundle import BundleChart
     if case == "s3-hopf":
         chart = scenarios.load_chart("s3_hopf")
-        met = assemble_metric(chart, *scenarios._hopf_metric_blocks(chart))
+        g0, g1, g2, b1, b2 = scenarios._hopf_metric_blocks(chart)
+        met = assemble_metric(chart, g0, g1, g2, b1, b2)
+        assert _split(met, chart) == (g0, g1, g2.entries, b1, b2)
     else:
         base = [("t", -0.9, 0.9), ("u", 0.1, 0.9)][:int(case[1])]
-        chart = BundleChart.build(case, base, ["th"])
-        met = scenarios._generic_metric(chart.coframe)
-    g0, g1, g2, b1, b2 = _split(met, chart)
-    again = assemble_metric(chart, g0, g1, SymTensor(chart.coframe, g2), b1, b2)
+        chart = BundleChart.build(case[:3], base, ["th"])
+        met = (random_metric(rng, chart, chart.domain.sample_many(rng, 4))
+               if case.endswith("random") else scenarios._generic_metric(chart.coframe))
+    again = assemble_metric(chart, *split_metric(met, chart))
     assert again.g.entries == met.g.entries
     assert again.b.coeffs == met.b.coeffs
-    assert _split(again, chart) == (g0, g1, g2, b1, b2)
+    assert _split(again, chart) == _split(met, chart)
 
 
 def bt_term_sign_flipped(real):
     """The rules with the sign of the g1 ^ b1 / g0 term of bt flipped."""
-    def rules(g0, g1, g2, b1, b2, pair):
-        out = real(g0, g1, g2, b1, b2, pair)
+    def rules(metric, pair):
+        out = real(metric, pair)
+        g0, g1, _, b1, _ = split_metric(metric, pair.chart)
         cof = pair.dual.coframe
         term = wedge(g1.map_to(cof), b1.map_to(cof)).scale(CScalar(sdiv(ONE, g0)))
         return GeneralizedMetric(out.g, out.b - term.scale(2))
@@ -483,8 +509,9 @@ def bt_term_sign_flipped(real):
 
 def gt_with_extra_term(real):
     """The rules with an extra 1/g0 on the first base diagonal entry of gt."""
-    def rules(g0, g1, g2, b1, b2, pair):
-        out = real(g0, g1, g2, b1, b2, pair)
+    def rules(metric, pair):
+        out = real(metric, pair)
+        g0 = split_metric(metric, pair.chart)[0]
         extra = SymTensor(pair.dual.coframe, {(0, 0): sdiv(ONE, g0)})
         return GeneralizedMetric(out.g + extra, out.b)
     return rules
@@ -493,8 +520,8 @@ def gt_with_extra_term(real):
 def gt_with_base_variable(real):
     """The rules plus sin^2 t + cos^2 t - 1 on an entry of gt: zero at every
     base point, but not an expression in the entries of (g, b) alone."""
-    def rules(g0, g1, g2, b1, b2, pair):
-        out = real(g0, g1, g2, b1, b2, pair)
+    def rules(metric, pair):
+        out = real(metric, pair)
         t = var("t")
         zero = sadd(smul(ssin(t), ssin(t)), smul(scos(t), scos(t)), rat(-1))
         return GeneralizedMetric(out.g + SymTensor(pair.dual.coframe, {(0, 0): zero}),

@@ -8,7 +8,7 @@ from tduality.bundle import form_residual
 from tduality.courant import Section
 from tduality.randomgen import random_form
 
-from conftest import _reference_wedge, pairing
+from conftest import _reference_wedge, pairing, vector_from_dict
 
 
 def vec(cof, name):
@@ -27,8 +27,8 @@ def cof4():
 
 def test_frame_vector_is_a_structural_value(cof4):
     q = var("q")
-    a = FrameVector.from_dict(cof4, {"dx": 2, "dz": ssin(q)})
-    b = FrameVector.from_dict(Coframe(cof4.names, cof4.tags), {"dz": ssin(var("q")), "dx": 2})
+    a = vector_from_dict(cof4, {"dx": 2, "dz": ssin(q)})
+    b = vector_from_dict(Coframe(cof4.names, cof4.tags), {"dz": ssin(var("q")), "dx": 2})
     assert a is not b and a == b and hash(a) == hash(b)
     assert {a: "value"}[b] == "value"
     assert a != vec(cof4, "dx")

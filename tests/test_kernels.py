@@ -24,7 +24,7 @@ from tduality.scenarios import CHARTS, load_chart
 
 from conftest import (_reference_courant_bracket, _reference_exterior_derivative,
                       _reference_form_add, _reference_lie_bracket, _reference_pairing,
-                      chart_id, lie_bracket, pairing)
+                      chart_id, lie_bracket, pairing, vector_map_to)
 
 CONFIGS = sorted(CHARTS)
 
@@ -173,7 +173,7 @@ def _dense_contract(x, form):
 
 
 def _dense_ops(x, ys, c, target):
-    """-x, x.scale(c), x.map_to(target) and x + y for each y as the bodies
+    """-x, x.scale(c), vector_map_to(x, target) and x + y for each y as the bodies
     that test every component for zero build them."""
     cof = x.coframe
     neg = tuple(a if a.is_zero() else -a for a in x.components)
@@ -198,7 +198,7 @@ def test_frame_vector_live_holds_the_nonzero_components(rng, config):
     """``coeffs`` maps the index of each component that is not a structural
     zero to that component, in ascending index, and shares its objects with
     ``components``: on seeded random sections and frame vectors with zero
-    components, and after +, -, ``scale`` and ``map_to``.  The operations
+    components, and after +, -, ``scale`` and ``vector_map_to``.  The operations
     that read ``coeffs`` build the trees that the bodies testing every
     component built, and so does ``contract``."""
     pair = DualityPair.from_chart(load_chart(config))
@@ -209,7 +209,7 @@ def test_frame_vector_live_holds_the_nonzero_components(rng, config):
         vectors += [FrameVector.zero(cof), -vectors[0]]
         forms = _forms(rng, chart)[:4]
         for x in vectors:
-            made = [-x, x.scale(c), x.map_to(target)] + [x + y for y in vectors]
+            made = [-x, x.scale(c), vector_map_to(x, target)] + [x + y for y in vectors]
             for v in [x] + made:
                 assert type(v.coeffs) is dict and list(v.coeffs.items()) == _nonzero(v)
                 assert list(v.coeffs) == sorted(v.coeffs)

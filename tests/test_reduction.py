@@ -24,7 +24,7 @@ from tduality.scenarios import CHARTS, load_chart, twisted_rank_two_pair
 from conftest import (_reference_double_quotient_report, _reference_fourier_mukai_check,
                       _reference_random_spinor_values,
                       _reference_rank, _reference_reduce_pointwise, _reference_signature,
-                      _reference_two_form_matrix, chart_id)
+                      _reference_two_form_matrix, chart_id, section_of)
 
 
 def test_isotropic_reduction_dimensions(rng):
@@ -220,7 +220,7 @@ def test_lift_pairing_constant_vector_lift(rng, hopf_flux_chart):
 def test_lift_pairing_nonconstant_detected(rng, hopf_pair):
     cof = hopf_pair.total.coframe
     t = var("t")
-    bad = [Section.of(cof, vector={"th": rat(1)}, covector={"th": t * t})]
+    bad = [section_of(cof, vector={"th": rat(1)}, covector={"th": t * t})]
     pts = hopf_pair.chart.domain.sample_many(rng, 6)
     ok, spread = pairing_constant_check(bad, pts)
     assert not ok

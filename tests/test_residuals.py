@@ -13,8 +13,7 @@ from tduality.scalar import EvaluationError, ONE, rat, sdiv, var
 from tduality.bundle import BundleChart, form_residual
 from tduality.exterior import Form, _eval_array
 from tduality.structures import GeneralizedMetric, SymTensor, metric_residual
-from tduality.duality import (DualityPair, buscher_rules, split_metric, split_two_form,
-                              transport_metric)
+from tduality.duality import DualityPair, buscher_rules, transport_metric
 from tduality.randomgen import random_form
 
 from conftest import (_reference_entry_points, _reference_eval_array,
@@ -38,9 +37,8 @@ def _buscher_sides(chart):
     twice) of buscher-random on ``chart``."""
     pair = DualityPair.from_chart(chart)
     met = scenarios._generic_metric(chart.coframe)
-    closed = buscher_rules(*split_metric(met.g, chart), *split_two_form(met.b, chart), pair)
-    back = buscher_rules(*split_metric(closed.g, pair.dual),
-                         *split_two_form(closed.b, pair.dual), pair.swap())
+    closed = buscher_rules(met, pair)
+    back = buscher_rules(closed, pair.swap())
     return met, closed, transport_metric(met, pair), back
 
 

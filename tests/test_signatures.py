@@ -32,8 +32,10 @@ A CScalar or a Scalar is added at a dict key by one function,
 ``exterior._accumulate``; the certificate's residual collector
 ``certify._sum`` is the one other keyed sum, because it spreads negated sums
 over their terms.  No loop builds a form or tensor by adding one-term forms
-or tensors to it, which copies its dict once per term, and the Buscher
-rules are one call of the block assembly ``duality.assemble_metric``.  Values at points
+or tensors to it, which copies its dict once per term.  The Buscher rules map
+a generalized metric to its dual: they read its blocks through one call of
+the block splitter ``duality.split_metric`` and build the dual with one call
+of the block assembly ``duality.assemble_metric``.  Values at points
 have one evaluator: outside ``scalar.py`` only ``exterior._value_array``
 calls ``evaluate_points``, and ``exterior._eval_array`` builds complex
 values on it.  Whether point-free data is evaluated at the first point only
@@ -48,7 +50,10 @@ caller of ``strip_rightmost`` outside ``exterior.py``; and a table kept on
 its owner has one body, ``Coframe.table``, which ``DualityPair.cache`` is.
 
 Every function in the package has a caller in the package or in the
-benchmark; a function that only tests call lives in the tests.  The
+benchmark; a function that only tests call lives in the tests.  Every name a
+module's ``__all__`` lists exists, and every public function or class a
+module defines is listed there, except in ``cli`` and the ``scenario_*``
+functions that ``scenarios.SCENARIOS`` holds.  The
 benchmark's tracer (``perfbench/tracer.py``) wraps package functions by
 name, and its workloads call three one-point forms; a test keeps those names
 alive.  The traced counts must repeat from one pass to the next, or no count
@@ -57,6 +62,7 @@ can be compared between versions: the last test runs
 cached across passes fails there.
 """
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -205,7 +211,7 @@ def test_module_caches_are_keyed_by_m_only():
 # functions that skip zero frame-vector components by reading ``coeffs``
 SPARSE_READERS = {("exterior", "contract"),
                   ("exterior", "clifford"), ("exterior", "FrameVector.is_zero"),
-                  ("exterior", "FrameVector.map_to"), ("exterior", "FrameVector.__add__"),
+                  ("exterior", "FrameVector.__add__"),
                   ("exterior", "FrameVector.__neg__"), ("exterior", "FrameVector.scale"),
                   ("courant", "Section._coordinates"), ("courant", "_pairing_sums"),
                   ("courant", "_pair"),
@@ -324,14 +330,41 @@ def test_forms_are_built_in_one_pass():
 
 
 def test_buscher_rules_assemble_the_dual_blocks_once(monkeypatch, hopf_pair):
-    """``duality.buscher_rules`` builds the five dual blocks and calls
+    """``duality.buscher_rules`` reads the blocks of its metric through one
+    ``split_metric`` call, builds the five dual blocks and calls
     ``assemble_metric`` on the dual chart exactly once."""
     from test_certify import count_calls
     from tduality import duality, scenarios
-    blocks = scenarios._hopf_metric_blocks(hopf_pair.chart)
+    chart = hopf_pair.chart
+    met = duality.assemble_metric(chart, *scenarios._hopf_metric_blocks(chart))
     calls = count_calls(monkeypatch, duality, "assemble_metric")
-    duality.buscher_rules(*blocks, hopf_pair)
+    splits = count_calls(monkeypatch, duality, "split_metric")
+    duality.buscher_rules(met, hopf_pair)
     assert calls == [1]
+    assert splits == [1]
+
+
+def test_every_public_name_is_exported():
+    """Every name in a module's ``__all__`` exists in the module, and every
+    public function or class that a module defines is listed there.  The
+    exceptions are the command-line module ``cli`` and the ``scenario_*``
+    functions, which are reached through ``scenarios.SCENARIOS``."""
+    from tduality import scenarios
+    stale, unlisted = [], []
+    for path in sorted(Path(tduality.__file__).parent.glob("*.py")):
+        if path.stem == "cli":
+            continue
+        module = tduality if path.stem == "__init__" else importlib.import_module(
+            f"tduality.{path.stem}")
+        exported = getattr(module, "__all__", [])
+        stale += [(path.stem, name) for name in exported if not hasattr(module, name)]
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_") and node.name not in exported
+                    and getattr(module, node.name) not in scenarios.SCENARIOS.values()):
+                unlisted.append((path.stem, node.name))
+    assert stale == []
+    assert unlisted == []
 
 
 def test_one_evaluator_and_one_sampling_rule():
@@ -403,11 +436,11 @@ def test_section_act_is_one_clifford_kernel_call(monkeypatch):
     ``exterior.clifford`` and no call of ``contract`` or ``wedge``."""
     from test_certify import count_calls
     from tduality import exterior
-    from tduality.courant import Section
+    from conftest import section_of
     cof = exterior.Coframe(("dx", "dy", "th"), ("base", "base", "fiber"))
     counts = [count_calls(monkeypatch, exterior, name)
               for name in ("clifford", "contract", "wedge")]
-    v = Section.of(cof, {"dx": 2, "th": 1}, {"dy": 3})
+    v = section_of(cof, {"dx": 2, "th": 1}, {"dy": 3})
     rho = exterior.Form.monomial(cof, ("dx", "th")) + exterior.Form.scalar(cof, 5)
     assert v.act(rho) == (exterior.Form.monomial(cof, ("dy", "dx", "th"), 3)
                           + exterior.Form.monomial(cof, ("th",), 2)
