@@ -50,14 +50,14 @@ of the frame's images and the expected side of a Leibniz rule are built as
 such dicts,
 summed key by key by ``exterior._accumulate``, and an anchor pi(s)(x) is
 read by ``courant._pair``.  ``_form_residual`` forms every residual from signed
-dicts of either kind, summed by ``scalar.signed_sum`` as ``sadd`` sums, so
-what cancels here is what cancels in any sum; its ``_sum`` is the one keyed
-sum of the package outside ``_accumulate``, because it spreads a negated
-sum over its terms, and which instances count as structurally zero depends
-on that.  A zero test is an identity test against the shared ``ZERO``.
-Equal sides of opposite sign, and oracle instances of empty terms, are zero
-unsummed.  An instance whose residual cancels structurally holds for every
-base point; the others are evaluated together, at every sample point, in one
+dicts of either kind; its ``_sum`` sums the signed parts at one key with
+``scalar.signed_sum``, as ``sadd`` does, so what cancels here cancels in
+any sum, and it is the one keyed sum outside ``_accumulate``.  A zero test
+is an identity test against the shared ``ZERO``.  Equal sides of opposite
+sign, and oracle instances of empty terms, are zero unsummed (a fast path:
+``_sum`` cancels a - a too).  An instance whose residual cancels
+structurally holds for every base point; on the shipped pairs every one
+does.  The others are evaluated together, at every sample point, in one
 ``exterior._eval_array`` call, each shared residual once.
 """
 from __future__ import annotations
@@ -97,19 +97,10 @@ class Certified(NamedTuple):
 
 
 def _sum(terms):
-    """sign * c summed over (sign, CScalar) pairs: the CScalar that ``sadd``
-    makes of the signed parts, with a negated sum spread over its terms, so
-    a term and its negative cancel; each part is one ``signed_sum``."""
-    re, im = [], []    # (sign, term) units
-    for sign, c in terms:
-        for part, units in ((c.re, re), (c.im, im)):
-            if part is ZERO:
-                continue
-            if sign > 0:
-                units.append((1, part))
-            else:
-                units.extend((-1, t) for t in (part.args if part.kind == "add" else (part,)))
-    return CScalar(signed_sum(re), signed_sum(im))
+    """sign * c summed over (sign, CScalar) pairs: one ``signed_sum`` of the
+    signed real parts and one of the imaginary parts."""
+    return CScalar(signed_sum([(s, c.re) for s, c in terms if c.re is not ZERO]),
+                   signed_sum([(s, c.im) for s, c in terms if c.im is not ZERO]))
 
 
 def _form_residual(terms):

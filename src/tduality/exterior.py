@@ -21,11 +21,12 @@ from a dict that already keeps the invariant and is used in this module only.
 
 Every sum at a dict key in the package, CScalar or Scalar, goes through
 ``_accumulate`` (the certificate's residual collector, ``certify._sum``,
-aside): c is added to the entry at its key, and a key whose sum cancels
-structurally is deleted, so a later term for it lands at the end of the
-dict.  A form or tensor built term by term is collected in one dict.  A term comes with a
-sign, +1 or -1, that its call site reads off the data: -c is built only for
-a new key, and an existing one gets prev - c, the tree of prev + (-c).
+which sums all the signed terms of a key at once, aside): c is added to
+the entry at its key, and a key whose sum cancels structurally is deleted,
+so a later term for it lands at the end of the dict.  A form or tensor
+built term by term is collected in one dict.  A term comes with a sign, +1
+or -1, that its call site reads off the data: -c is built only for a new
+key, and an existing one gets prev - c, the tree of prev + (-c).
 
 A ``Coframe`` keeps what it would otherwise re-derive on every call in its
 instance dict, so that it dies with the coframe: the dimension, the name ->

@@ -7,9 +7,9 @@ that is not settled by a structural zero evaluates its residual at points
 drawn from a ``Domain`` box with a seeded RNG (``evaluate_points``).
 Construction applies only cheap local folding (rational arithmetic, dropping
 zeros/ones, collecting like terms with rational coefficients) so that exact
-cancellations such as ``g - g`` produce a structural zero.  ``signed_sum`` is
-the one place that collects like terms: ``sadd``, ``ssub`` and the
-certificate's residual sums all go through it.
+cancellations such as ``g - g`` produce a structural zero for every ``g``.
+``signed_sum`` is the one place that collects like terms and decides how a
+sum cancels; ``sadd``, ``ssub`` and the certificate's sums go through it.
 Every rational zero is ``ZERO`` itself: only ``rat`` builds rat nodes, and it
 returns the shared small integers, so a zero test tests identity.
 
@@ -69,8 +69,8 @@ class Scalar:
 
     Construction keeps invariants that ``sadd`` and ``smul`` rely on: a mul
     node has no mul argument, and a rat argument of an add or mul node, if
-    any, is the single leading one.  An add node has no add argument unless
-    a like-term merge left a sum with coefficient 1 (``signed_sum``).
+    any, is the single leading one.  An add node has no sum argument, nor -1
+    times a sum, unless like terms c * A merged to c = 1 or -1 (``signed_sum``).
     """
 
     __slots__ = ("kind", "args", "value", "name", "_hash", "_d")
@@ -253,32 +253,30 @@ def sadd(*terms):
 def signed_sum(units):
     """The sum of sign * term over (sign, term) units, sign +1 or -1 and no
     term ``ZERO``: folds the rationals and collects like terms, in the order
-    of the units.  A lone unit is returned as it is, or negated: collecting
-    it would build it again.  A negated term is built only where no other
-    term combines with it, and sneg(-A) is the sum A, which is flattened."""
+    of the units.  The one sign rule: a sum, or -1 times a sum (``sneg`` of
+    a sum), adds the terms of that sum, each times the unit's sign and that
+    -1; every other term, c * A for c other than 1 and -1 too, is one like
+    term.  A lone unit is returned as it is, or negated: collecting it would
+    build it again.  A negated term is built only where nothing combines
+    with it."""
     if len(units) < 2:
         return ZERO if not units else units[0][1] if units[0][0] > 0 else sneg(units[0][1])
     # rest -> [coefficient, the term itself while it is the only one]
     const, collected = 0, {}
     for sign, u in units:
-        if sign < 0 and u.kind != "rat":
-            coeff, rest = _mul_split(u)
-            if coeff != -1 or len(rest) > 1 or rest[0].kind != "add":
-                entry = collected.setdefault(rest, [0, None])
-                entry[0] -= coeff
-                entry[1] = None
-                continue
-            sign, u = 1, rest[0]    # sneg(-A) is the sum A
-        for t in (u.args if sign > 0 and u.kind == "add" else (u,)):
+        kind = u.kind
+        if kind == "mul" and u.args[0] is MINUS_ONE and len(u.args) == 2 and u.args[1].kind == "add":
+            sign, u, kind = -sign, u.args[1], "add"
+        for t in (u.args if kind == "add" else (u,)):
             if t.kind == "rat":
                 const += sign * t.value
                 continue
-            coeff, rest = _mul_split(t)    # t is a positive term here
+            coeff, rest = _mul_split(t)
             entry = collected.get(rest)
             if entry is None:
-                collected[rest] = [coeff, t]
+                collected[rest] = [sign * coeff, t if sign > 0 else None]
             else:
-                entry[0] += coeff
+                entry[0] += sign * coeff
                 entry[1] = None
     return _sum_node(const, collected)
 
@@ -308,7 +306,7 @@ def ssub(a, b):
 
 
 def sneg(a):
-    """-a, the tree of ``smul(MINUS_ONE, a)``: a negated sum is (* -1 (+ ...))."""
+    """-a, the tree of ``smul(MINUS_ONE, a)``: (* -1 A) for a sum A, spread when summed."""
     kind = a.kind
     if kind == "rat":
         return rat(-a.value)

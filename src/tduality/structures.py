@@ -49,7 +49,8 @@ RANK_TOL = 1e-8
 class SymTensor:
     """Symmetric 2-tensor over a coframe with Scalar entries at (i, j), i <= j.
     The entries given at (i, j) and (j, i) are summed, and one that cancels
-    structurally is dropped, as ``Form.coeffs`` keeps no structural zero."""
+    structurally is dropped, as ``Form.coeffs`` keeps no structural zero.
+    Equality and hash are structural, so metrics compare by value."""
 
     __slots__ = ("coframe", "entries")
 
@@ -66,6 +67,14 @@ class SymTensor:
         for (a, b), s in named.items():
             out[(coframe.index(a), coframe.index(b))] = as_scalar(s)
         return SymTensor(coframe, out)
+
+    def __eq__(self, other):
+        if other.__class__ is not SymTensor:
+            return NotImplemented
+        return self.coframe == other.coframe and self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.coframe, frozenset(self.entries.items())))
 
     def entry(self, i, j):
         key = (i, j) if i <= j else (j, i)

@@ -30,9 +30,9 @@ products), which the keyed accumulator must match, the draw-by-draw body of a ``
 one ``rng.random`` call must match bit for bit, the Cartan formula
 ``lie_derivative`` and the B-field transform ``b_transform``, which the
 reference bracket and the B-field covariance tests compare against,
-``equal_at_samples``, the sampled equality of two scalars, the spreading
-body of ``certify._sum``, which the signed collection must match, the
-unsigned like-term collector that
+``equal_at_samples``, the sampled equality of two scalars, the residual
+sum with every negated part built first, which ``certify._sum`` must match,
+the unsigned like-term collector that
 ``sadd`` ran before ``signed_sum``, the general path that the shortcuts of
 ``sadd``, ``smul`` and ``CScalar`` must match, and the point-by-point bodies of
 ``double_quotient_report``, of the fiber-block checks of ``validate_pair``
@@ -54,8 +54,10 @@ parameter of a ``scenarios.CHARTS`` chart.  ``section_of`` and
 ``vector_from_dict`` build a section and a frame vector from components
 given by generator name, and ``section_map_to`` and ``vector_map_to`` move
 them to a coframe holding their generators; only the tests use them."""
+import importlib
 import itertools
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -383,26 +385,32 @@ def _section_of(entry, coframe):
 
 def _reference_sum(terms):
     """sign * c summed over (sign, CScalar) pairs, one ``sadd`` per part, with
-    every negated term built: a negated sum is spread over its terms."""
+    every negated part built by ``sneg`` first."""
     re, im = [], []
     for sign, c in terms:
         for part, out in ((c.re, re), (c.im, im)):
-            if part is ZERO:
-                continue
-            if sign > 0:
-                out.append(part)
-            else:
-                out.extend(sneg(t) for t in (part.args if part.kind == "add" else (part,)))
+            if part is not ZERO:
+                out.append(part if sign > 0 else sneg(part))
     return CScalar(sadd(*re), sadd(*im))
 
 
 def _reference_collect_sum(terms):
-    """The general sum: folds the rationals and collects like terms."""
+    """The general sum: folds the rationals and collects like terms; a sum
+    adds its terms, and -1 times a sum the negations of its terms.  A lone
+    term other than ``ZERO`` is the sum itself."""
+    terms = [t for t in terms if t is not ZERO]
+    if len(terms) == 1:
+        return terms[0]
     # rest -> [coefficient, the term itself while it is the only one]
     collected = {}
     const_part = 0
     for t in terms:
-        for u in (t.args if t.kind == "add" else (t,)):
+        coeff, rest = _mul_split(t)
+        if coeff == -1 and len(rest) == 1 and rest[0].kind == "add":
+            parts = [sneg(u) for u in rest[0].args]
+        else:
+            parts = t.args if t.kind == "add" else (t,)
+        for u in parts:
             if u.kind == "rat":
                 const_part += u.value
                 continue
@@ -529,6 +537,16 @@ def chart_id(name):
     suffix, which keeps the ids of the tests parametrized over the charts the
     same as when the charts were read from files of that name."""
     return name + ".cfg"
+
+
+def perfbench_modules(*names):
+    """Modules of the benchmark harness ``perfbench/``, imported read-only."""
+    bench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        return [importlib.import_module(name) for name in names]
+    finally:
+        sys.path.remove(bench)
 
 
 def count_python_calls(fn):

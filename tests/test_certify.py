@@ -30,7 +30,7 @@ from conftest import (_reference_act_sections, _reference_clifford_act,
                       _reference_fiber_integrate,
                       _reference_frame_action, _reference_leibniz, _reference_map_to,
                       _reference_pairing, _reference_sum, _section_of, count_python_calls,
-                      section_of)
+                      perfbench_modules, section_of)
 from test_courant import _random_curved_chart, _sections
 from test_kernels import _sections as _complex_sections
 from tduality import bundle, certify, courant, duality, exterior
@@ -184,7 +184,7 @@ def test_mutant_fails_the_certificate(mutant, monkeypatch):
 
 # frame_certificate at rng seed 7 and 8 points: pair, check, repr of the
 # residual, then frame instances, of them structurally zero, side conditions,
-# of them structurally zero.  Only t2_twisted leaves coefficients to evaluate.
+# of them structurally zero.  No pair leaves an instance to evaluate.
 PINNED = """
 s3_flux clifford-compatibility 0.0 48 48 28 28
 s3_flux section-transform-bracket 0.0 36 36 170 170
@@ -207,7 +207,7 @@ sheared transform-invertible 0.0 16 16 64 64
 t2_twisted clifford-compatibility 0.0 128 128 48 48
 t2_twisted section-transform-bracket 0.0 64 64 290 290
 t2_twisted section-transform-orthogonal 0.0 64 64 16 16
-t2_twisted spinor-bracket-oracle 1.1102230246251565e-16 1024 975 288 288
+t2_twisted spinor-bracket-oracle 0.0 1024 1024 288 288
 t2_twisted transform-intertwines-differentials 0.0 16 16 64 64
 t2_twisted transform-invertible 0.0 16 16 64 64
 """
@@ -229,6 +229,22 @@ def test_certificate_is_pinned(name):
                                f"structurally zero; side conditions: {side} instances, "
                                f"{side_zero} structurally zero")
     assert got == expected
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_random_chart_certificate_is_structural(k):
+    """On the random rank-k chart of the benchmark's certificate sweep (rng
+    5, 8 points), every frame and side instance of every check cancels
+    structurally, so no residual is left to evaluation: the derived-bracket
+    oracle's sums of negated table entries cancel like any other sum."""
+    (workloads,) = perfbench_modules("workloads")
+    rng = np.random.default_rng(5)
+    chart = workloads.random_even_chart(rng, k)
+    pair = DualityPair.from_chart(chart)
+    cert = certify.frame_certificate(pair, chart.domain.sample_many(rng, 8))
+    assert len(cert) == 6
+    for name, c in cert.items():
+        assert (c.residual, c.frame_zero, c.side_zero) == (0.0, c.frame, c.side), name
 
 
 @pytest.mark.parametrize("key", [1, 2, 3, 4, 5, *sorted(PAIRS)])
@@ -360,8 +376,8 @@ def test_pairing_tables_match_the_reference(name):
 
 @pytest.mark.parametrize("name", sorted(PAIRS))
 def test_signed_sum_matches_the_reference(name, monkeypatch):
-    """Every residual sum of a certificate is the tree the spreading sum
-    builds, with each negated term made."""
+    """Every residual sum of a certificate is the tree ``sadd`` builds of
+    the parts, with each negated part made by ``sneg``."""
     calls = []
     real = certify._sum
 
@@ -379,19 +395,23 @@ def test_signed_sum_matches_the_reference(name, monkeypatch):
         assert type(out) is CScalar and out == _reference_sum(terms)
 
 
-def test_signed_sum_keeps_the_negated_sum_quirk():
-    """sneg(-A) is the sum A, which the sum flattens: c - c is left
-    uncancelled for c = -(1 + u^2), by both sums alike."""
-    c = CScalar(sneg(sadd(ONE, spow(var("u"), 2))))
-    out = certify._sum([(1, c), (-1, c)])
-    assert out == _reference_sum([(1, c), (-1, c)])
-    assert scalar_to_text(out.re) == "(+ 1 (* -1 (+ 1 (^ u 2))) (^ u 2))"
-    assert out.im.is_zero()
+def test_a_negated_sum_cancels_against_itself():
+    """c - c is ``CZERO`` for a sum c and for its negation -c, by both sums
+    alike, and c + (-c) is too; what is left uncancelled is summed term by
+    term."""
+    u = var("u")
+    a = sadd(ONE, spow(u, 2))
+    for c in (CScalar(a), CScalar(sneg(a)), CScalar(u, sneg(a))):
+        for terms in ([(1, c), (-1, c)], [(-1, c), (1, c)], [(1, c), (1, -c)]):
+            out = certify._sum(terms)
+            assert out == _reference_sum(terms) and out.is_zero()
+    out = certify._sum([(1, CScalar(sneg(a))), (-1, CScalar(u))])
+    assert scalar_to_text(out.re) == "(+ -1 (* -1 (^ u 2)) (* -1 u))"
 
 
 def _sides(u):
     """Two structurally equal, distinct coefficient dicts: a real monomial
-    coefficient, a sum, the negated sum of the quirk and a complex one."""
+    coefficient, a sum, a negated sum and a complex one."""
     def build():
         return {1: CScalar(u), 3: CScalar(sadd(ONE, spow(u, 2))),
                 5: CScalar(sneg(sadd(ONE, spow(u, 2)))), 6: CScalar(u, spow(u, 3))}
@@ -400,17 +420,19 @@ def _sides(u):
 
 def test_equal_sides_of_opposite_sign_are_zero_unsummed(monkeypatch):
     """Two sides equal key by key with opposite signs leave no residual and
-    are not summed, in either order and for an empty pair; the quirk shape
-    c = -(1 + u^2), which ``_sum`` leaves uncancelled, is one of them."""
+    are not summed, in either order and for an empty pair.  It is a fast
+    path, not a rule of its own: ``_sum`` cancels c - c at every key too,
+    the negated sum -(1 + u^2) included."""
     a, b = _sides(var("u"))
     assert a == b and all(a[k] is not b[k] for k in a)
-    quirk = {3: CScalar(sneg(sadd(ONE, spow(var("u"), 2))))}
-    assert certify._sum([(1, quirk[3]), (-1, quirk[3])]).re is not ZERO
+    for k in a:
+        assert certify._sum([(1, a[k]), (-1, b[k])]).is_zero()
+        assert certify._sum([(-1, a[k]), (1, b[k])]).is_zero()
 
     def no_sum(terms):
         raise AssertionError("summed")
     monkeypatch.setattr(certify, "_sum", no_sum)
-    for terms in ([(1, a), (-1, b)], [(-1, a), (1, b)], [(1, quirk), (-1, dict(quirk))],
+    for terms in ([(1, a), (-1, b)], [(-1, a), (1, b)],
                   [(1, {}), (-1, {})], [(1, {}), (-1, {}), (1, {})]):
         assert certify._form_residual(terms) == []
 
@@ -420,7 +442,6 @@ def test_unequal_or_same_sign_sides_are_summed():
     key's sum alone (its other keys cancel in ``_sum``)."""
     u = var("u")
     a, b = _sides(u)
-    del a[5], b[5]    # the quirk does not cancel in ``_sum``
     same = certify._form_residual([(1, a), (1, b)])
     assert same == [certify._sum([(1, a[k]), (1, b[k])]) for k in a]
     b[3] = CScalar(spow(u, 2))

@@ -110,15 +110,19 @@ def test_form_add_matches_reference(rng, config):
 @pytest.mark.parametrize("config", CONFIGS, ids=chart_id)
 def test_form_sub_is_the_sum_of_the_negation(rng, config):
     """a - b builds what a + (-b) builds, with an empty operand on either
-    side, and a difference of x_a e_I forms cancels completely."""
+    side, and a - a cancels completely, for the random forms, whose
+    coefficients include sums, and for x_a e_I."""
     for chart in _charts(config):
         forms = _forms(rng, chart)
         zero = Form.zero(chart.coframe)
         for a in forms[:4] + [zero]:
             for b in forms[:4] + [zero]:
                 assert_same_form(a - b, a + (-b))
-        for a in forms[4:]:
+        assert any(part.kind == "add" for a in forms[:4] for c in a.coeffs.values()
+                   for part in (c.re, c.im))
+        for a in forms:
             assert (a - a).is_zero() and (a + (-a)).is_zero()
+        for a in forms[4:]:
             assert_same_form(forms[0] - (forms[0] + a), forms[0] + -(forms[0] + a))
 
 
@@ -247,16 +251,15 @@ def test_cancelled_mask_reappears_at_the_end(curved_r3):
 
 def test_no_structural_zero_survives(rng, curved_r3):
     """Every operation that builds a form prunes what cancels, including
-    complex cancellations such as (1+i)(1-i) - 2 and a + (-a)."""
+    complex cancellations such as (1+i)(1-i) - 2 and a + (-a) for a form
+    with sum coefficients."""
     cof = curved_r3.coframe
     x, y = var("x"), var("y")
     p, q = CScalar.of(1, 1), CScalar.of(1, -1)
     dx, dy = Form.monomial(cof, ("dx",)), Form.monomial(cof, ("dy",))
     ex, ey = FrameVector.basis(cof, "dx"), FrameVector.basis(cof, "dy")
-    # a sum coefficient does not cancel against its negative (no sum is
-    # distributed), so the coefficients of ``a`` are monomials
     a = (Form.monomial(cof, ("dx",), CScalar(x, y))
-         + Form.monomial(cof, ("dy", "th"), CScalar(x * y)))
+         + Form.monomial(cof, ("dy", "th"), CScalar(x * y + 1, x - y * y)))
     cancelling = {
         "a + (-a)": a + (-a),
         "a - a": a - a,

@@ -98,6 +98,37 @@ def test_like_terms_cancel_structurally():
     assert (T + T - smul(rat(2), T)).is_zero()
 
 
+def test_a_sum_minus_itself_is_zero():
+    """A - A is ``ZERO`` for a sum A however its negation is spelled: a sum,
+    and -1 times a sum, add the terms of that sum; the complex difference is
+    ``CZERO``.  The same holds for every tree of a random pool."""
+    a = sadd(ONE, spow(U, 2), T)
+    assert a.kind == "add" and sneg(a).kind == "mul"
+    for x in (a, sneg(a), sadd(a, ssin(a))):
+        assert ssub(x, x) is ZERO
+        assert sadd(sneg(x), x) is ZERO
+        assert sadd(x, sneg(x)) is ZERO
+        assert ssub(sneg(x), sneg(x)) is ZERO
+        assert signed_sum([(-1, sneg(x)), (-1, x)]) is ZERO
+        for c in (CScalar(x), CScalar(x, spow(x, 2)), CScalar(ZERO, x)):
+            assert (c - c).is_zero() and (-c + c).is_zero() and (c + -c).is_zero()
+    rng = np.random.default_rng(5)
+    pool = _random_scalars(rng, 60) + [randomgen.random_scalar(rng, ("t", "u"))
+                                       for _ in range(40)]
+    for x in pool:
+        assert ssub(x, x) is ZERO and sadd(sneg(x), x) is ZERO
+        assert signed_sum([(1, x), (1, sneg(x)), (-1, x), (1, x)]) is ZERO
+
+
+def test_a_multiple_of_a_sum_is_one_like_term():
+    """c * A for a rational c other than 1 or -1 is one like term, not
+    distributed: it cancels against its own negation only."""
+    a = sadd(ONE, spow(U, 2))
+    twice = smul(rat(2), a)
+    assert ssub(twice, twice) is ZERO and sadd(twice, smul(rat(-2), a)) is ZERO
+    assert scalar_to_text(sadd(twice, sneg(a))) == "(+ -1 (* 2 (+ 1 (^ u 2))) (* -1 (^ u 2)))"
+
+
 SAMPLED_DOMAINS = {
     "plain": lambda: Domain({"t": (-0.9, 0.9)}),
     "gibbons_hawking": lambda: load_chart("gibbons_hawking").domain,
@@ -375,7 +406,7 @@ def _general_neg(a):
 def _random_scalars(rng, n):
     """Random expressions built by the public constructors, with a sum that
     holds a sum (a like-term merge left it there with coefficient 1)."""
-    nested = sadd(smul(rat(2), T + U), smul(MINUS_ONE, T + U), ssin(T))
+    nested = sadd(smul(rat(3), T + U), smul(rat(-2), T + U), ssin(T))
     assert any(a.kind == "add" for a in nested.args)
     pool = [T, U, PI, rat(3), rat(-2, 7), ONE, MINUS_ONE, nested, ssin(U) * T]
     for _ in range(n):
@@ -456,27 +487,29 @@ def test_negation_and_two_factor_products_build_the_general_product():
 def test_signed_sum_builds_what_sadd_of_the_negations_builds():
     """``ssub`` and ``signed_sum`` collect a negated term from its sign, with
     no negation node built for it; the tree is the one ``sadd`` makes of the
-    negations built, over random trees, rationals, lone units, ZERO operands
-    and sneg(-A), which is the sum A."""
+    negations built, and the one the reference collector makes of them, over
+    random trees, rationals, lone units, ZERO operands, a negated sum and
+    its negation, which is the sum."""
     rng = np.random.default_rng(21)
     pool = [randomgen.random_scalar(rng, ("t", "u")) for _ in range(40)]
     pool += [sadd(a, b) for a, b in zip(pool[::2], pool[1::2])]
-    quirk = sneg(sadd(ONE, spow(U, 2)))
-    assert quirk.kind == "mul" and sneg(quirk).kind == "add"
+    negated = sneg(sadd(ONE, spow(U, 2)))
+    assert negated.kind == "mul" and sneg(negated).kind == "add"
     pool = [x for x in pool if x is not ZERO]
-    pool += [rat(3, 4), rat(-2), T, sneg(T), quirk, sneg(quirk)]
+    pool += [rat(3, 4), rat(-2), T, sneg(T), negated, sneg(negated)]
     for a in pool:
         assert ssub(a, ZERO) is a
         assert ssub(ZERO, a) == sneg(a)
         assert signed_sum([(1, a)]) is a
         assert signed_sum([(-1, a)]) == sneg(a)
-        for b in pool[::3] + [rat(1, 2), quirk]:
+        for b in pool[::3] + [rat(1, 2), negated]:
             assert ssub(a, b) == sadd(a, sneg(b))
     assert ssub(ZERO, ZERO) is ZERO and signed_sum([]) is ZERO
     for _ in range(300):
         units = [(int(rng.choice((-1, 1))), pool[i])
                  for i in rng.integers(len(pool), size=int(rng.integers(2, 6)))]
-        assert signed_sum(units) == sadd(*(t if s > 0 else sneg(t) for s, t in units))
+        negations = [t if s > 0 else sneg(t) for s, t in units]
+        assert signed_sum(units) == sadd(*negations) == _reference_collect_sum(negations)
 
 
 def test_every_rational_zero_is_the_shared_zero():

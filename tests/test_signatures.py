@@ -30,9 +30,11 @@ of the table exists.  ``Section.act`` is that kernel on the action table:
 it builds no contraction or wedge of its own.
 A CScalar or a Scalar is added at a dict key by one function,
 ``exterior._accumulate``; the certificate's residual collector
-``certify._sum`` is the one other keyed sum, because it spreads negated sums
-over their terms.  No loop builds a form or tensor by adding one-term forms
-or tensors to it, which copies its dict once per term.  The Buscher rules map
+``certify._sum`` is the one other keyed sum, one ``signed_sum`` per part of
+every key's signed terms.  How a sum or a negated sum cancels is decided in
+``scalar.py`` alone: no other module reads whether a Scalar is a sum.  No
+loop builds a form or tensor by adding one-term forms or tensors to it,
+which copies its dict once per term.  The Buscher rules map
 a generalized metric to its dual: they read its blocks through one call of
 the block splitter ``duality.split_metric`` and build the dual with one call
 of the block assembly ``duality.assemble_metric``.  Values at points
@@ -72,6 +74,7 @@ from pathlib import Path
 import numpy as np
 
 import tduality
+from conftest import perfbench_modules
 
 ALLOWED = {
     ("bundle", "form_residual", "domain"),
@@ -275,9 +278,9 @@ def test_one_keyed_accumulator():
     (``d[k] + c if k in d else c``, ``d[k] = d.get(k, ZERO) + c`` or
     ``d[k] = sadd(d.get(k, ZERO), c)``), no ``_deduct`` or ``_minus`` is
     defined or named, and ``certify._sum``, the residual collector that
-    spreads negated sums, is called only by ``certify._form_residual``;
-    every other keyed sum, of CScalars or of Scalars, goes through
-    ``exterior._accumulate``."""
+    sums the signed terms of one key, is called only by
+    ``certify._form_residual``; every other keyed sum, of CScalars or of
+    Scalars, goes through ``exterior._accumulate``."""
     inline, named, sum_callers = [], [], set()
     for module, fn in _functions():
         if fn.name in ("_deduct", "_minus"):
@@ -292,6 +295,32 @@ def test_one_keyed_accumulator():
                 sum_callers.add(fn.name)
     assert inline == [] and named == []
     assert sum_callers == {"_form_residual"}
+
+
+def _compares_kind_with_add(node):
+    """``x.kind == "add"``, ``!=``, ``in`` or ``not in`` with "add" among
+    the constants, on either side."""
+    if not isinstance(node, ast.Compare):
+        return False
+    sides = [node.left, *node.comparators]
+    constants = {c.value for side in sides for c in ast.walk(side)
+                 if isinstance(c, ast.Constant)}
+    return "add" in constants and any(isinstance(side, ast.Attribute) and side.attr == "kind"
+                                      for side in sides)
+
+
+def test_the_sign_rule_for_sums_has_one_home():
+    """Outside ``scalar.py`` no module compares a Scalar's ``kind`` with
+    "add": ``signed_sum`` alone decides how a sum or a negated sum cancels,
+    and no caller spreads a sum over its terms first."""
+    found = []
+    for path in sorted(Path(tduality.__file__).parent.glob("*.py")):
+        if path.stem != "scalar":
+            found += [(path.stem, node.lineno) for node in ast.walk(ast.parse(path.read_text()))
+                      if _compares_kind_with_add(node)]
+    assert found == []
+    assert any(map(_compares_kind_with_add,
+                   ast.walk(ast.parse(Path(tduality.scalar.__file__).read_text()))))
 
 
 def _is_one_term_build(node):
@@ -517,13 +546,7 @@ def test_the_benchmark_harness_finds_every_name_it_uses():
     """Entering the tracer looks up every function it wraps, so a renamed or
     deleted one fails here instead of in every traced benchmark run; the
     workloads' one-point calls run once on a circle chart."""
-    bench = str(Path(__file__).resolve().parent.parent / "perfbench")
-    sys.path.insert(0, bench)
-    try:
-        import tracer
-        import workloads
-    finally:
-        sys.path.remove(bench)
+    tracer, workloads = perfbench_modules("tracer", "workloads")
     with tracer.Tracer([workloads]):
         pass
     from tduality import duality, structures

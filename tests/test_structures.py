@@ -273,6 +273,27 @@ def test_sym_tensor_keeps_no_structural_zero(plane_chart):
     assert (g + SymTensor(cof, {(1, 0): -x})).entries == {(0, 0): x}
 
 
+def test_sym_tensor_and_metric_compare_by_value(plane_chart):
+    """Tensors with equal entries are equal and hash alike, whatever order
+    and side (i, j) or (j, i) the entries were given in; another entry,
+    coframe or type is unequal.  So metrics compare by value.  A metric
+    stays unhashable, as its B-field ``Form`` is."""
+    cof = plane_chart.coframe
+    x = var("x")
+    g = SymTensor(cof, {(0, 0): rat(1), (0, 1): x})
+    h = SymTensor(cof, {(1, 0): var("x"), (0, 0): rat(1)})
+    assert g == h and g is not h and hash(g) == hash(h) and len({g, h}) == 1
+    assert g != SymTensor(cof, {(0, 0): rat(1)})
+    assert g != SymTensor(cof, {(0, 0): rat(1), (0, 1): x, (1, 1): x})
+    assert g != SymTensor(Coframe(("da", "db"), ("base", "base")), g.entries)
+    assert g != g.entries
+    zero = Form.zero(cof)
+    assert GeneralizedMetric(g, zero) == GeneralizedMetric(h, Form.zero(cof))
+    assert GeneralizedMetric(g, zero) != GeneralizedMetric(g, Form.monomial(cof, ("dx", "dy")))
+    with pytest.raises(TypeError):
+        hash(GeneralizedMetric(g, zero))
+
+
 def test_complex_b_field_is_refused(plane_chart):
     """A B-field with an imaginary part is refused, not read as its real part."""
     g = SymTensor.from_names(plane_chart.coframe,
