@@ -21,8 +21,8 @@ terms:
 * the spinor-bracket oracle, [v, w]_H . rho = [[d_H, v], w] . rho: on frame
   times frame times monomials, with the Leibniz rules of d_H and of the
   bracket;
-* invertibility, reverse(phi(rho)) = c rho for the pair's constant c: on e_I
-  and on x_a e_I.
+* invertibility, reverse(phi(rho)) = c rho for the pair's exact constant c
+  (``duality.reverse_sign``; 0 where it has none): on e_I and on x_a e_I.
 
 Each identity that goes through a transform also needs that transform to be
 C-infinity-linear, checked as phi(x_a e_I) = x_a phi(e_I) and
@@ -49,16 +49,15 @@ one unscaled row of it, ``act_row``, for a frame section), the transforms
 of the frame's images and the expected side of a Leibniz rule are built as
 such dicts,
 summed key by key by ``exterior._accumulate``, and an anchor pi(s)(x) is
-read by ``courant._pair``.  ``_form_residual`` forms every residual from signed
-dicts of either kind; its ``_sum`` sums the signed parts at one key with
-``scalar.signed_sum``, as ``sadd`` does, so what cancels here cancels in
-any sum, and it is the one keyed sum outside ``_accumulate``.  A zero test
-is an identity test against the shared ``ZERO``.  Equal sides of opposite
-sign, and oracle instances of empty terms, are zero unsummed (a fast path:
-``_sum`` cancels a - a too).  An instance whose residual cancels
-structurally holds for every base point; on the shipped pairs every one
-does.  The others are evaluated together, at every sample point, in one
-``exterior._eval_array`` call, each shared residual once.
+the scalar entry of ``exterior.clifford``.  ``_form_residual`` collects
+every residual from signed dicts of either kind in one dict, as
+``Form.__sub__`` does.  A zero test is an identity test against the shared
+``ZERO``.  Equal sides of opposite sign, and oracle instances of empty
+terms, are zero unsummed (a fast path: the sum cancels a - a too).  An
+instance whose residual cancels structurally holds for every base point;
+on the shipped pairs every one does.  The others are evaluated together,
+at every sample point, in one ``exterior._eval_array`` call, each shared
+residual once.
 """
 from __future__ import annotations
 
@@ -67,11 +66,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scalar import CScalar, CZERO, ZERO, signed_sum, var
+from .scalar import CScalar, CZERO, var
 from .exterior import (Form, FrameVector, _accumulate, _eval_array, act_row, clifford,
                        frame_action, wedge)
 from .bundle import exterior_derivative, twisted_derivative
-from .courant import (Section, _HALF, _pair, _pairing_sums, courant_brackets, pairings,
+from .courant import (Section, _HALF, _pairing_sums, courant_brackets, pairings,
                       section_basis)
 from .duality import (_form_columns, _section_columns, dualize_form,
                       dualize_form_reverse, dualize_section, reverse_sign)
@@ -96,24 +95,18 @@ class Certified(NamedTuple):
                 f"{self.side_zero} structurally zero")
 
 
-def _sum(terms):
-    """sign * c summed over (sign, CScalar) pairs: one ``signed_sum`` of the
-    signed real parts and one of the imaginary parts."""
-    return CScalar(signed_sum([(s, c.re) for s, c in terms if c.re is not ZERO]),
-                   signed_sum([(s, c.im) for s, c in terms if c.im is not ZERO]))
-
-
 def _form_residual(terms):
-    """The coefficients of sign * coeffs summed over (sign, coeffs) pairs that
-    do not cancel structurally; each coeffs is a {key: CScalar} dict, a
-    form's by mask or a section's coordinates by index."""
+    """The coefficients of sign * coeffs summed over (sign, coeffs) pairs, sign
+    +1 or -1, that do not cancel structurally, collected by ``_accumulate``;
+    each coeffs is a {key: CScalar} dict, a form's by mask or a section's
+    coordinates by index."""
     if len(terms) == 2 and terms[0][0] == -terms[1][0] and terms[0][1] == terms[1][1]:  # a - a
         return []
-    by_key = defaultdict(list)
+    out = {}
     for sign, coeffs in terms:
         for key, c in coeffs.items():
-            by_key[key].append((sign, c))
-    return [c for c in map(_sum, by_key.values()) if not c.is_zero()]
+            _accumulate(out, key, c, sign)
+    return list(out.values())
 
 
 def _transform(weights, columns):
@@ -142,7 +135,10 @@ def frame_certificate(pair, points):
     scols = [s._coordinates() for s in sections]
     dh = [twisted_derivative(e, chart) for e in monomials]
     table = frame_action(m)
-    sign = round(reverse_sign(pair).real)
+    try:
+        constant = reverse_sign(pair)    # reverse(phi(rho)) = constant rho
+    except ValueError:    # no nonzero global constant: reverse(phi(rho)) is left whole
+        constant = None
     twice = _pairing_sums(basis, basis)    # 2 <s_i, s_j>
     xs = [CScalar(var(v)) for v in chart.base_vars]
     scaled_all = [s.scale(x) for x in xs for s in basis]    # a block of 2m per x
@@ -169,13 +165,14 @@ def frame_certificate(pair, points):
             side["spinor-bracket-oracle"].append(_form_residual(
                 [(1, dh_xe.coeffs), (-1, wedge(dx, e).coeffs), (-1, dh[mask].scale(x).coeffs)]))
             side["transform-invertible"].append(_form_residual(
-                [(1, dualize_form_reverse(image, pair).coeffs), (-sign, xe.coeffs)]))
+                [(1, dualize_form_reverse(image, pair).coeffs),
+                 (-1, {} if constant is None else {mask: x * constant})]))
         section_linear += [_form_residual([(1, dualize_section(s, pair)._coordinates()),
                                            (-1, {k: x * c for k, c in col.items()})])
                            for s, col in zip(scaled_all[lo:lo + 2 * m], scols)]
         # the bracket's Leibniz rules on (x s_i, s_j) and (s_i, x s_j), each
         # expected side built on the coordinates of x [s_i, s_j]
-        along = [_pair(s.x.coeffs, dx.coeffs) or CZERO for s in basis]    # pi(s)(x)
+        along = [clifford(table, s.x.coeffs, dx.coeffs).get(0, CZERO) for s in basis]  # pi(s)(x)
         dx_section = Section(FrameVector.zero(cof), dx)
         at_dx = dx_section._coordinates().items()
         left = left_all[2 * m + lo:4 * m + lo]    # right_all's block is its columns lo..
@@ -195,7 +192,7 @@ def frame_certificate(pair, points):
         # phi preserves the anchor on x, and phi(dx) = dx
         name = "section-transform-bracket"
         for image, pi in zip(sections, along):
-            pi_dual = _pair(image.x.coeffs, dx_dual.coeffs) or CZERO
+            pi_dual = clifford(table, image.x.coeffs, dx_dual.coeffs).get(0, CZERO)
             side[name].append(_form_residual([(1, {0: pi_dual}), (-1, {0: pi})]))
         side[name].append(_form_residual(
             [(1, dualize_section(dx_section, pair)._coordinates()),
@@ -260,7 +257,7 @@ def frame_certificate(pair, points):
     name = "transform-invertible"
     for mask, e in enumerate(monomials):
         frame[name].append(_form_residual([(1, dualize_form_reverse(cols[mask], pair).coeffs),
-                                           (-sign, e.coeffs)]))
+                                           (-1, {} if constant is None else {mask: constant})]))
     side[name] += form_linear
 
     return _evaluate(frame, side, points)

@@ -14,11 +14,10 @@ entry is the {index: CScalar} dict of the bracket's coordinates, with no
 form, frame vector or section of its own, its signed terms added by
 ``exterior._accumulate``; ``courant_bracket`` returns one entry as a
 section.  Its interior products are the vector half of the Clifford kernel
-``exterior.clifford`` on the coefficient dicts, with the vector-on-1-form
-reader ``_pair`` for the scalars, and d's kernel ``bundle._partials`` gives
-its derivatives.  ``Section.act`` is ``exterior.clifford`` on the section's
-coordinate dict.  ``pairings``
-makes a table of pairings the same way, off the unhalved sums 2 <v, w> of
+``exterior.clifford`` on the coefficient dicts (a vector on a 1-form is its
+scalar entry), and d's kernel ``bundle._partials`` gives its derivatives.
+``Section.act`` is ``exterior.clifford`` on the section's coordinate dict.
+``pairings`` makes a table of pairings the same way, off the unhalved sums 2 <v, w> of
 ``_pairing_sums``, which the certificate reads too.  The sign of the flux
 term is the derived-bracket convention: it is the unique choice for which
 the spinor identity [v, w]_H . rho = [[d_H, v], w] . rho holds with the
@@ -179,19 +178,6 @@ def split_pairing_matrix(m):
     return out
 
 
-def _pair(x, coeffs):
-    """i_X of a 1-form, for X's {index: CScalar} ``coeffs`` and the form's
-    {mask: CScalar} coefficients: what ``contract`` leaves at mask 0, or None
-    where that is empty or cancels structurally."""
-    total = None
-    for i, a in x.items():
-        c = coeffs.get(1 << i)
-        if c is not None:
-            term = c * a
-            total = term if total is None else total + term
-    return None if total is None or total.is_zero() else total
-
-
 def courant_bracket(v, w, chart):
     """[X+xi, Y+eta] = [X,Y] + L_X eta - i_Y d xi + i_X i_Y H as a Section:
     the ``courant_brackets`` entry of v and w, its vector part at the keys
@@ -211,9 +197,10 @@ def courant_brackets(vs, ws, chart):
     [X, Y] where X and Y are both nonzero, then L_X eta - i_Y d xi
     + i_X i_Y H.  In L_X eta = d(i_X eta) + i_X d eta, the d is skipped
     where i_X eta is zero or a rational constant, as it is for frame
-    sections, and X(f) is skipped for a rational component f; X(f) is
-    ``_pair`` on the ``bundle._partials`` of f along X's indices only; the
-    other interior products are ``exterior.clifford`` on coefficient dicts."""
+    sections, and X(f) is skipped for a rational component f; X(f) is read
+    off the ``bundle._partials`` of f along X's indices only; every interior
+    product is ``exterior.clifford`` on coefficient dicts, its scalar entry
+    for a vector on a 1-form."""
     cof, bases = chart.coframe, chart.base_bits
     m, table = cof.dim, frame_action(cof.dim)
     reads, i_h, i_c = {}, {}, {}    # by section id
@@ -248,15 +235,16 @@ def courant_brackets(vs, ws, chart):
             entry = {}
             if x and y:    # e^b([X, Y]) = X(Y^b) - Y(X^b) - (i_Y i_X c_b)
                 for b in range(m):
-                    if b in yv and (c := _pair(x, _partials(yv[b], bases, ~xs))) is not None:
+                    if b in yv and (c := clifford(table, x, _partials(yv[b], bases, ~xs)).get(0)):
                         entry[b] = c
-                    if b in xv and (c := _pair(y, _partials(xv[b], bases, ~ys))) is not None:
+                    if b in xv and (c := clifford(table, y, _partials(xv[b], bases, ~ys)).get(0)):
                         _accumulate(entry, b, c, -1)
-                    if b in curv and (c := _pair(y, curv[b])) is not None:
+                    if b in curv and (c := clifford(table, y, curv[b]).get(0)):
                         _accumulate(entry, b, c, -1)
             form = {}
             if x and d_eta is not None:    # L_X eta, by the Cartan formula
-                form, f = clifford(table, x, d_eta) if d_eta else {}, _pair(x, eta)
+                form = clifford(table, x, d_eta) if d_eta else {}
+                f = clifford(table, x, eta).get(0)
                 if f is not None and not (f.re.is_rational() and f.im.is_rational()):
                     grad = _partials(f, bases)    # d(i_X eta), then i_X d eta summed in
                     for mask, c in form.items():

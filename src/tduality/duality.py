@@ -78,16 +78,14 @@ def dualize_form_reverse(rho_t, pair):
 
 
 def reverse_sign(pair):
-    """Global constant c with reverse(forward(rho)) = c rho, measured on the
-    constant probe at the midpoint of the chart box, once per pair."""
-    return pair.cache("_reverse_sign", lambda: _measure_reverse_sign(pair))
-
-
-def _measure_reverse_sign(pair):
-    probe = Form.scalar(pair.chart.coframe, 1)
-    back = dualize_form_reverse(dualize_form(probe, pair), pair)
-    point = {v: (lo + hi) / 2 for v, (lo, hi) in pair.chart.domain.intervals.items()}
-    return back.coeff(0).evaluate(point)
+    """Global constant c with reverse(forward(rho)) = c rho, a CScalar: the
+    exact coefficient of reverse(forward(1)), built once per pair.  A c that
+    names a variable or is zero is not a global constant: ValueError."""
+    c = pair.cache("_reverse_sign", lambda: dualize_form_reverse(
+        dualize_form(Form.scalar(pair.chart.coframe, 1), pair), pair).coeff(0))
+    if c.is_zero() or c.variables():
+        raise ValueError(f"reverse(forward(1)) is not a nonzero constant: {c!r}")
+    return c
 
 
 def _form_columns(pair):

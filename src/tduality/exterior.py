@@ -20,8 +20,7 @@ from a dict that already keeps the invariant and is used in this module only.
 ``FrameVector.coeffs`` keeps the same invariant.
 
 Every sum at a dict key in the package, CScalar or Scalar, goes through
-``_accumulate`` (the certificate's residual collector, ``certify._sum``,
-which sums all the signed terms of a key at once, aside): c is added to
+``_accumulate``, the certificate's residuals too: c is added to
 the entry at its key, and a key whose sum cancels structurally is deleted,
 so a later term for it lands at the end of the dict.  A form or tensor
 built term by term is collected in one dict.  A term comes with a sign, +1
@@ -35,8 +34,9 @@ for ``map_to`` per target names, tags and rename, and each mask's (rest,
 sign) for ``fiber_integrate``.  No table refers back to its coframe.  The
 Clifford action (X + xi) . rho = i_X rho + xi ^ rho has one kernel,
 ``clifford``, on one sign table per m, ``frame_action(m)``; the interior
-product is its vector half, which ``contract``, ``courant`` and the section
-transform call, and ``act_row`` is one unscaled row of it, for the
+product is its vector half, which ``contract``, ``courant`` (a vector on a
+1-form is its scalar entry), the certificate and the section transform call,
+and ``act_row`` is one unscaled row of it, for the
 certificate.  The form transform of a dual pair runs on a ``fiber_routes``
 table it keeps.  Values at points have one evaluator, ``_eval_array`` on
 ``_value_array``, and point-free data one sampling rule, ``_sample``.

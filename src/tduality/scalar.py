@@ -69,8 +69,8 @@ class Scalar:
 
     Construction keeps invariants that ``sadd`` and ``smul`` rely on: a mul
     node has no mul argument, and a rat argument of an add or mul node, if
-    any, is the single leading one.  An add node has no sum argument, nor -1
-    times a sum, unless like terms c * A merged to c = 1 or -1 (``signed_sum``).
+    any, is the single leading one.  An add node has no sum argument and no
+    -1 times a sum (``signed_sum``).
     """
 
     __slots__ = ("kind", "args", "value", "name", "_hash", "_d")
@@ -256,35 +256,43 @@ def signed_sum(units):
     of the units.  The one sign rule: a sum, or -1 times a sum (``sneg`` of
     a sum), adds the terms of that sum, each times the unit's sign and that
     -1; every other term, c * A for c other than 1 and -1 too, is one like
-    term.  A lone unit is returned as it is, or negated: collecting it would
-    build it again.  A negated term is built only where nothing combines
-    with it."""
+    term, but one that merges to c = 1 or -1 adds the terms of A, so no add
+    node holds a sum or -1 times a sum, and a sum is ``ZERO`` exactly when
+    its collected coefficients vanish, in any order of its units.  A lone
+    unit is returned as it is, or negated: collecting it would build it
+    again.  A negated term is built only where nothing combines with it."""
     if len(units) < 2:
         return ZERO if not units else units[0][1] if units[0][0] > 0 else sneg(units[0][1])
     # rest -> [coefficient, the term itself while it is the only one]
     const, collected = 0, {}
-    for sign, u in units:
-        kind = u.kind
-        if kind == "mul" and u.args[0] is MINUS_ONE and len(u.args) == 2 and u.args[1].kind == "add":
-            sign, u, kind = -sign, u.args[1], "add"
-        for t in (u.args if kind == "add" else (u,)):
-            if t.kind == "rat":
-                const += sign * t.value
-                continue
-            coeff, rest = _mul_split(t)
-            entry = collected.get(rest)
-            if entry is None:
-                collected[rest] = [sign * coeff, t if sign > 0 else None]
-            else:
-                entry[0] += sign * coeff
-                entry[1] = None
-    return _sum_node(const, collected)
+    while True:
+        for sign, u in units:
+            kind = u.kind
+            if (kind == "mul" and u.args[0] is MINUS_ONE and len(u.args) == 2
+                    and u.args[1].kind == "add"):
+                sign, u, kind = -sign, u.args[1], "add"
+            for t in (u.args if kind == "add" else (u,)):
+                if t.kind == "rat":
+                    const += sign * t.value
+                    continue
+                coeff, rest = _mul_split(t)
+                entry = collected.get(rest)
+                if entry is None:
+                    collected[rest] = [sign * coeff, t if sign > 0 else None]
+                else:
+                    entry[0] += sign * coeff
+                    entry[1] = None
+        out = _sum_node(const, collected)
+        if out is not None:
+            return out
+        units = [_pop_merged_sum(collected)]
 
 
 def _sum_node(const_part, collected):
     """The sum of a rational and the collected terms, {rest: [coefficient,
     the term while it is the only one, else None]}, in insertion order; a
-    term held as None is built from its coefficient, or dropped at zero."""
+    term held as None is built from its coefficient, or dropped at zero.
+    None where a merged term is +-1 * A for a sum A, which is to be spread."""
     out = []
     if const_part != 0:
         out.append(rat(const_part))
@@ -292,6 +300,8 @@ def _sum_node(const_part, collected):
         if term is None:
             if coeff == 0:
                 continue
+            if (coeff == 1 or coeff == -1) and len(rest) == 1 and rest[0].kind == "add":
+                return None
             term = _make_term(coeff, rest)
         out.append(term)
     if not out:
@@ -299,6 +309,16 @@ def _sum_node(const_part, collected):
     if len(out) == 1:
         return out[0]
     return Scalar("add", tuple(out))
+
+
+def _pop_merged_sum(collected):
+    """Take the largest merged +-1 * A of a sum A out of the collected terms,
+    as the unit (+-1, A).  Spreading A changes only the coefficients of the
+    smaller sums it holds multiples of: each sum spreads with its final one."""
+    top = max((rest[0] for rest, (coeff, term) in collected.items() if term is None
+               and (coeff == 1 or coeff == -1) and len(rest) == 1 and rest[0].kind == "add"),
+              key=lambda a: _node_counts(a)[0])
+    return collected.pop((top,))[0], top
 
 
 def ssub(a, b):

@@ -106,7 +106,7 @@ def _standard_pair_checks(report, pair, rng, points):
                residual=rep.flux_difference_residual, tol=1e-9,
                passed=rep.ok, notes=f"unimodular={rep.unimodular}")
     cert = frame_certificate(pair, points)
-    sign = reverse_sign(pair)
+    sign = reverse_sign(pair).evaluate({})
     for name, anchor, tol, notes in (
             ("transform-intertwines-differentials",
              "form transform commutes with the twisted differentials", 1e-8, ""),
@@ -120,7 +120,7 @@ def _standard_pair_checks(report, pair, rng, points):
              "bracket equals the derived commutator on the spinor module", 1e-8, ""),
             ("transform-invertible",
              "reverse transform returns the input up to the recorded sign", 1e-9,
-             f"global sign {sign.real:+.0f}; ")):
+             f"global sign {sign.real:+g}; ")):
         report.add(name, anchor, residual=cert[name].residual, tol=tol,
                    notes=notes + cert[name].notes)
     return report

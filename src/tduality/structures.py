@@ -84,6 +84,8 @@ class SymTensor:
         return self.entry(self.coframe.index(a), self.coframe.index(b))
 
     def __add__(self, other):
+        if self.coframe is not other.coframe and self.coframe != other.coframe:
+            raise ValueError("coframe mismatch")
         out = dict(self.entries)
         for key, s in other.entries.items():
             _accumulate(out, key, s)
@@ -152,6 +154,8 @@ class GeneralizedMetric:
     b: Form
 
     def __post_init__(self):
+        if self.g.coframe != self.b.coframe:
+            raise ValueError("coframe mismatch")
         if any(c.im is not ZERO for c in self.b.coeffs.values()):
             raise ValueError("B-field must be real")
 

@@ -31,9 +31,10 @@ one ``rng.random`` call must match bit for bit, the Cartan formula
 ``lie_derivative`` and the B-field transform ``b_transform``, which the
 reference bracket and the B-field covariance tests compare against,
 ``equal_at_samples``, the sampled equality of two scalars, the residual
-sum with every negated part built first, which ``certify._sum`` must match,
-the unsigned like-term collector that
-``sadd`` ran before ``signed_sum``, the general path that the shortcuts of
+sum with every negated part built first, with which the certificate's
+residuals must agree on what cancels, the unsigned like-term collector that
+``sadd`` ran before ``signed_sum``, with the flat rule for merged sums, the
+general path that the shortcuts of
 ``sadd``, ``smul`` and ``CScalar`` must match, and the point-by-point bodies of
 ``double_quotient_report``, of the fiber-block checks of ``validate_pair``
 and of the one-point functions that the point-list forms replaced (spinor
@@ -63,9 +64,9 @@ import numpy as np
 import pytest
 
 from tduality import certify, courant, reduction
-from tduality.scalar import (CZERO, CScalar, ZERO, _mul_split, _sum_node, diff, evaluate,
-                             evaluate_points, rat, sadd, smul, sneg, sym_matrix_inverse,
-                             var)
+from tduality.scalar import (CZERO, CScalar, ZERO, _mul_split, _node_counts, _sum_node, diff,
+                             evaluate, evaluate_points, rat, sadd, smul, sneg,
+                             sym_matrix_inverse, var)
 from tduality.bundle import (BundleChart, base_generator, exterior_derivative,
                              form_residual, twisted_derivative)
 from tduality.exterior import (Form, FrameVector, contract, contract_sign, exp_form,
@@ -396,20 +397,19 @@ def _reference_sum(terms):
 
 def _reference_collect_sum(terms):
     """The general sum: folds the rationals and collects like terms; a sum
-    adds its terms, and -1 times a sum the negations of its terms.  A lone
-    term other than ``ZERO`` is the sum itself."""
+    adds its terms, and -1 times a sum the negations of its terms.  While
+    like terms c * A of a sum A merge to c = 1 or -1, the largest such A (by
+    distinct nodes) is taken out and its terms, times c, are collected in.
+    A lone term other than ``ZERO`` is the sum itself."""
     terms = [t for t in terms if t is not ZERO]
     if len(terms) == 1:
         return terms[0]
     # rest -> [coefficient, the term itself while it is the only one]
     collected = {}
     const_part = 0
-    for t in terms:
-        coeff, rest = _mul_split(t)
-        if coeff == -1 and len(rest) == 1 and rest[0].kind == "add":
-            parts = [sneg(u) for u in rest[0].args]
-        else:
-            parts = t.args if t.kind == "add" else (t,)
+
+    def collect(parts):
+        nonlocal const_part
         for u in parts:
             if u.kind == "rat":
                 const_part += u.value
@@ -421,6 +421,19 @@ def _reference_collect_sum(terms):
             else:
                 entry[0] += coeff
                 entry[1] = None
+
+    for t in terms:
+        coeff, rest = _mul_split(t)
+        if coeff == -1 and len(rest) == 1 and rest[0].kind == "add":
+            collect([sneg(u) for u in rest[0].args])
+        else:
+            collect(t.args if t.kind == "add" else (t,))
+    while merged := [rest[0] for rest, (coeff, u) in collected.items()
+                     if u is None and coeff in (1, -1) and len(rest) == 1
+                     and rest[0].kind == "add"]:
+        top = max(merged, key=lambda a: _node_counts(a)[0])
+        coeff, _ = collected.pop((top,))
+        collect(top.args if coeff == 1 else [sneg(u) for u in top.args])
     return _sum_node(const_part, collected)
 
 

@@ -6,10 +6,12 @@ transposition needs a rank-2 pair whose block is not symmetric: the block of
 ``twisted_rank_two_pair`` is [[0, -1], [-1, 0]], so transposing it changes
 nothing there, and the sheared trivial torus pair below is used instead.
 
-The certificates of the four test pairs are pinned; the bracket tables, the
-signed residual sum, the Leibniz expected sides, the action of a bracket and
-the Clifford action on coefficient dicts are checked against their reference
-bodies, two equal sides of opposite sign must be zero unsummed, every zero a
+The certificates of the four test pairs are pinned, and s3_hopf with F
+scaled by a constant is invertible with that pair's exact constant; the
+bracket tables, the signed residual sum (``Form`` arithmetic on the same
+dicts), the Leibniz expected sides, the action of a bracket and the Clifford
+action on coefficient dicts are checked against their reference bodies, two
+equal sides of opposite sign must be zero unsummed, every zero a
 certificate tests is the shared ``ZERO``, and call counts guard against
 rebuilding the shared pieces per instance and against a bracket table that
 builds a section or calls ``contract``.  The two bracket mutants patch the
@@ -39,7 +41,7 @@ from tduality.bundle import (BundleChart, DualityPair, build_dual_chart,
 from tduality.courant import Section, section_basis
 from tduality.exterior import (Coframe, Form, FrameVector, clifford, contract,
                                fiber_integrate, frame_action)
-from tduality.scalar import (CScalar, ONE, Scalar, ZERO, sadd, scalar_to_text, sneg,
+from tduality.scalar import (CScalar, ONE, Scalar, ZERO, rat, sadd, scalar_to_text, sneg,
                              spow, var)
 from tduality.randomgen import random_form, random_section
 from tduality.scenarios import load_chart, twisted_rank_two_pair
@@ -231,6 +233,18 @@ def test_certificate_is_pinned(name):
     assert got == expected
 
 
+@pytest.mark.parametrize("scale", [rat(1, 2), rat(2), rat(-1)])
+def test_scaled_correspondence_form_is_invertible_with_its_constant(scale):
+    """With F scaled by a constant, reverse(forward(rho)) is another constant
+    times rho (1/2 for F/2): the certificate compares with the exact constant
+    and every instance of ``transform-invertible`` cancels structurally."""
+    base = PAIRS["s3_hopf"]()
+    pair = DualityPair(base.chart, base.dual, base.total, base.F.scale(scale))
+    cert = certify.frame_certificate(pair, pair.chart.domain.sample_many(
+        np.random.default_rng(7), 8))["transform-invertible"]
+    assert cert == (0.0, 8, 8, 32, 32)
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_random_chart_certificate_is_structural(k):
     """On the random rank-k chart of the benchmark's certificate sweep (rng
@@ -374,39 +388,56 @@ def test_pairing_tables_match_the_reference(name):
                     [repr(c) for c in row] for row in want]
 
 
+def _form_arithmetic(terms):
+    """sign * coeffs summed over (sign, coeffs) pairs by ``Form`` addition
+    and subtraction, as the values of the collected dict."""
+    cof = Coframe(("a",), ("base",))
+    total = Form.zero(cof)
+    for sign, coeffs in terms:
+        total = total + Form(cof, coeffs) if sign > 0 else total - Form(cof, coeffs)
+    return list(total.coeffs.values())
+
+
 @pytest.mark.parametrize("name", sorted(PAIRS))
 def test_signed_sum_matches_the_reference(name, monkeypatch):
-    """Every residual sum of a certificate is the tree ``sadd`` builds of
-    the parts, with each negated part made by ``sneg``."""
+    """Every residual of a certificate is what ``Form`` arithmetic builds on
+    the same dicts, tree for tree, and a key is left exactly where the
+    one-shot sum of its signed parts (``_reference_sum``, each negated part
+    built by ``sneg``) does not cancel."""
     calls = []
-    real = certify._sum
+    real = certify._form_residual
 
     def recorded(terms):
-        terms = list(terms)
         out = real(terms)
         calls.append((terms, out))
         return out
 
-    monkeypatch.setattr(certify, "_sum", recorded)
+    monkeypatch.setattr(certify, "_form_residual", recorded)
     pair = PAIRS[name]()
     certify.frame_certificate(pair, pair.chart.domain.sample_many(np.random.default_rng(7), 2))
     assert calls
     for terms, out in calls:
-        assert type(out) is CScalar and out == _reference_sum(terms)
+        ref = _form_arithmetic(terms)
+        assert out == ref and [repr(c) for c in out] == [repr(c) for c in ref]
+        keys = {k: None for _, coeffs in terms for k in coeffs}
+        left = [_reference_sum([(s, coeffs[k]) for s, coeffs in terms if k in coeffs])
+                for k in keys]
+        assert len(out) == sum(not c.is_zero() for c in left)
 
 
 def test_a_negated_sum_cancels_against_itself():
-    """c - c is ``CZERO`` for a sum c and for its negation -c, by both sums
-    alike, and c + (-c) is too; what is left uncancelled is summed term by
-    term."""
+    """c - c leaves no residual for a sum c and for its negation -c, summed
+    key by key and by ``_reference_sum`` alike, and c + (-c) neither; what
+    is left uncancelled is summed term by term."""
     u = var("u")
     a = sadd(ONE, spow(u, 2))
     for c in (CScalar(a), CScalar(sneg(a)), CScalar(u, sneg(a))):
         for terms in ([(1, c), (-1, c)], [(-1, c), (1, c)], [(1, c), (1, -c)]):
-            out = certify._sum(terms)
-            assert out == _reference_sum(terms) and out.is_zero()
-    out = certify._sum([(1, CScalar(sneg(a))), (-1, CScalar(u))])
-    assert scalar_to_text(out.re) == "(+ -1 (* -1 (^ u 2)) (* -1 u))"
+            # the empty third side keeps the equal-sides shortcut out of it
+            assert certify._form_residual([(s, {0: x}) for s, x in terms] + [(1, {})]) == []
+            assert _reference_sum(terms).is_zero()
+    out = certify._form_residual([(1, {0: CScalar(sneg(a))}), (-1, {0: CScalar(u)})])
+    assert [scalar_to_text(c.re) for c in out] == ["(+ -1 (* -1 (^ u 2)) (* -1 u))"]
 
 
 def _sides(u):
@@ -421,17 +452,18 @@ def _sides(u):
 def test_equal_sides_of_opposite_sign_are_zero_unsummed(monkeypatch):
     """Two sides equal key by key with opposite signs leave no residual and
     are not summed, in either order and for an empty pair.  It is a fast
-    path, not a rule of its own: ``_sum`` cancels c - c at every key too,
-    the negated sum -(1 + u^2) included."""
+    path, not a rule of its own: summed key by key, c - c cancels at every
+    key too, the negated sum -(1 + u^2) included."""
     a, b = _sides(var("u"))
     assert a == b and all(a[k] is not b[k] for k in a)
     for k in a:
-        assert certify._sum([(1, a[k]), (-1, b[k])]).is_zero()
-        assert certify._sum([(-1, a[k]), (1, b[k])]).is_zero()
+        assert certify._form_residual([(1, {k: a[k]}), (-1, {k: b[k]}), (1, {})]) == []
+        assert certify._form_residual([(-1, {k: a[k]}), (1, {k: b[k]}), (1, {})]) == []
+    assert _form_arithmetic([(1, a), (-1, b)]) == _form_arithmetic([(-1, a), (1, b)]) == []
 
-    def no_sum(terms):
+    def no_sum(*args):
         raise AssertionError("summed")
-    monkeypatch.setattr(certify, "_sum", no_sum)
+    monkeypatch.setattr(certify, "_accumulate", no_sum)
     for terms in ([(1, a), (-1, b)], [(-1, a), (1, b)],
                   [(1, {}), (-1, {})], [(1, {}), (-1, {}), (1, {})]):
         assert certify._form_residual(terms) == []
@@ -439,14 +471,14 @@ def test_equal_sides_of_opposite_sign_are_zero_unsummed(monkeypatch):
 
 def test_unequal_or_same_sign_sides_are_summed():
     """The same sign sums every key, and a one-key difference leaves that
-    key's sum alone (its other keys cancel in ``_sum``)."""
+    key's sum alone (its other keys cancel), as ``Form`` arithmetic does."""
     u = var("u")
     a, b = _sides(u)
     same = certify._form_residual([(1, a), (1, b)])
-    assert same == [certify._sum([(1, a[k]), (1, b[k])]) for k in a]
+    assert len(same) == len(a) and same == _form_arithmetic([(1, a), (1, b)])
     b[3] = CScalar(spow(u, 2))
     got = certify._form_residual([(1, a), (-1, b)])
-    assert got == [certify._sum([(1, a[3]), (-1, b[3])])] == [CScalar.one()]
+    assert got == _form_arithmetic([(1, a), (-1, b)]) == [CScalar.one()]
 
 
 @pytest.mark.parametrize("name", sorted(PAIRS))
@@ -510,13 +542,13 @@ def test_certificate_builds_its_shared_pieces_once(monkeypatch):
     pairings = count_calls(monkeypatch, courant, "_pairing_sums")
     zero_tests = count_calls(monkeypatch, CScalar, "is_zero")
     forms = count_calls(monkeypatch, Form, "__init__")
-    sizes, real = [], certify._sum
+    sizes, real = [], certify._form_residual
 
     def recorded(terms):
         sizes.append(len(terms))
         return real(terms)
 
-    monkeypatch.setattr(certify, "_sum", recorded)
+    monkeypatch.setattr(certify, "_form_residual", recorded)
     pair = PAIRS["s3_hopf"]()
     certify.frame_certificate(pair, pair.chart.domain.sample_many(np.random.default_rng(7), 8))
     assert exps[0] <= 2
@@ -622,9 +654,10 @@ def value_zero(s):
 @pytest.mark.parametrize("name", sorted(PAIRS))
 def test_every_zero_of_a_certificate_is_the_shared_zero(name, monkeypatch):
     """Every structural zero a certificate meets, in a zero test, a missed
-    ``Form.coeff`` or a cancelled ``_sum``, has both parts ``ZERO`` itself,
-    so testing zeros by identity decides what testing them by value does.
-    Each of the four routes meets at least one zero, so none is vacuous."""
+    ``Form.coeff`` or a sum or difference of CScalars that cancels (the sums
+    ``_accumulate`` forms), has both parts ``ZERO`` itself, so testing zeros
+    by identity decides what testing them by value does.  Each of the five
+    routes meets at least one zero, so none is vacuous."""
     seen = {}
 
     def record(owner, attr):
@@ -635,8 +668,8 @@ def test_every_zero_of_a_certificate_is_the_shared_zero(name, monkeypatch):
             route.append(args[0] if attr == "is_zero" else out)
             return out
         monkeypatch.setattr(owner, attr, recorded)
-    for owner, method in ((certify, "_sum"), (Form, "coeff"), (CScalar, "is_zero"),
-                          (Scalar, "is_zero")):
+    for owner, method in ((CScalar, "__add__"), (CScalar, "__sub__"), (Form, "coeff"),
+                          (CScalar, "is_zero"), (Scalar, "is_zero")):
         record(owner, method)
     pair = PAIRS[name]()
     certify.frame_certificate(pair, pair.chart.domain.sample_many(np.random.default_rng(7), 8))

@@ -50,17 +50,29 @@ def test_transform_intertwines_on_pairs(rng, hopf_pair, torus_pair):
 
 
 def test_transform_reverse_sign(circle_pair, torus_pair, rng):
-    assert reverse_sign(circle_pair) == pytest.approx(1.0)
-    assert reverse_sign(torus_pair) == pytest.approx(-1.0)
+    assert reverse_sign(circle_pair) == CScalar.one()
+    assert reverse_sign(torus_pair) == CScalar.of(-1)
     for pair in (circle_pair, torus_pair):
         chart = pair.chart
         pts = chart.domain.sample_many(rng, 3)
-        sign = rat(round(reverse_sign(pair).real))
+        sign = reverse_sign(pair)
         for _ in range(4):
             rho = random_form(rng, chart.coframe, chart.base_vars, density=0.4)
             back = dualize_form_reverse(dualize_form(rho, pair), pair)
-            assert form_residual(back - rho.scale(CScalar.of(sign)),
-                                 chart.domain, pts) <= 1e-9
+            assert form_residual(back - rho.scale(sign), chart.domain, pts) <= 1e-9
+
+
+def test_reverse_sign_is_the_exact_constant(hopf_pair):
+    """The constant is the exact coefficient of reverse(forward(1)): c for F
+    scaled by c on the rank-one Hopf pair.  One that names a variable, or is
+    zero (F = 0 integrates 1 to 0), is not a global constant and is refused."""
+    def scaled(c):
+        return DualityPair(hopf_pair.chart, hopf_pair.dual, hopf_pair.total, hopf_pair.F.scale(c))
+    for c in (rat(1, 2), rat(2), rat(-1), rat(-3, 4)):
+        assert reverse_sign(scaled(c)) == CScalar.of(c)
+    for c in (var("eta"), ZERO):
+        with pytest.raises(ValueError, match="not a nonzero constant"):
+            reverse_sign(scaled(c))
 
 
 def test_transform_matrix_matches_symbolic(rng, hopf_pair):

@@ -17,7 +17,7 @@ from tduality.scalar import (CScalar, Domain, EvaluationError, MINUS_ONE, ONE, P
                              ssqrt, ssub, solve_linear_symbolic, sym_matrix_inverse, var)
 import tduality
 from tduality import randomgen
-from tduality.exterior import Coframe, Form
+from tduality.exterior import Coframe, Form, _accumulate
 from tduality.scenarios import load_chart, run_scenario
 
 T = var("t")
@@ -127,6 +127,59 @@ def test_a_multiple_of_a_sum_is_one_like_term():
     twice = smul(rat(2), a)
     assert ssub(twice, twice) is ZERO and sadd(twice, smul(rat(-2), a)) is ZERO
     assert scalar_to_text(sadd(twice, sneg(a))) == "(+ -1 (* 2 (+ 1 (^ u 2))) (* -1 (^ u 2)))"
+
+
+def _is_flat(x):
+    """No add node of the expression holds a sum or -1 times a sum."""
+    return not any(a.kind == "add" or a.kind == "mul" and a.args[0] is MINUS_ONE
+                   and len(a.args) == 2 and a.args[1].kind == "add"
+                   for node in _nodes(x) if node.kind == "add" for a in node.args)
+
+
+def _fold(units):
+    """The units summed one at a time by ``_accumulate``, as a residual is."""
+    out = {}
+    for sign, x in units:
+        _accumulate(out, 0, x, sign)
+    return out.get(0, ZERO)
+
+
+def test_a_sum_cancels_in_any_order_of_its_units():
+    """Like terms 3B - 2B of a sum B merge to B, which is spread: with
+    B = 1 + u^2, the sums that left B nested cancel to t.  Over seeded
+    pools of such merged multiples, each sum's negation (whole or term by
+    term) and pairs y - y, ``signed_sum`` and a fold by ``_accumulate`` are
+    ``ZERO`` in every order, and are not with one unit dropped; no add node
+    of either result holds a sum or -1 times a sum.  Where one pooled sum
+    holds a multiple of the other, ``signed_sum`` still is, as it spreads
+    the larger sum first; a fold, which spreads whatever merges first, is
+    not asked to be."""
+    b = sadd(ONE, spow(U, 2))
+    three, two = smul(rat(3), b), smul(rat(2), b)
+    assert signed_sum([(1, three), (-1, two), (-1, b)]) is ZERO
+    assert sadd(sadd(smul(rat(-3), b), two, T), b) == T
+    assert ssub(sadd(three, smul(rat(-2), b), T), b) == T
+    rng = np.random.default_rng(11)
+    for trial in range(120):
+        sums = [sadd(randomgen.random_scalar(rng, ("t", "u")), ssin(T) * k, spow(U, k))
+                for k in (1, 2)]
+        nested = trial % 2
+        if nested:
+            sums[1] = sadd(sums[1], smul(rat(2), sums[0]))
+        units = []
+        for s in sums:
+            assert s.kind == "add"
+            units += [(1, smul(rat(3), s)), (-1, smul(rat(2), s))]
+            units += [(-1, s)] if rng.random() < 0.5 else [(-1, a) for a in s.args]
+        y = randomgen.random_scalar(rng, ("t", "u"))
+        units += [(1, y), (-1, y)]
+        drop = rng.random() < 0.3
+        if drop:
+            units.pop(int(rng.integers(len(units))))
+        for _ in range(6):
+            order = [units[i] for i in rng.permutation(len(units))]
+            for got in (signed_sum(order),) if nested else (signed_sum(order), _fold(order)):
+                assert (got is ZERO) != drop and _is_flat(got)
 
 
 SAMPLED_DOMAINS = {
@@ -404,11 +457,12 @@ def _general_neg(a):
 
 
 def _random_scalars(rng, n):
-    """Random expressions built by the public constructors, with a sum that
-    holds a sum (a like-term merge left it there with coefficient 1)."""
-    nested = sadd(smul(rat(3), T + U), smul(rat(-2), T + U), ssin(T))
-    assert any(a.kind == "add" for a in nested.args)
-    pool = [T, U, PI, rat(3), rat(-2, 7), ONE, MINUS_ONE, nested, ssin(U) * T]
+    """Random expressions built by the public constructors, with a sum whose
+    like terms 3(T+U) - 2(T+U) merged to coefficient 1: the merge spreads
+    T+U, so no add node holds a sum."""
+    merged = sadd(smul(rat(3), T + U), smul(rat(-2), T + U), ssin(T))
+    assert merged == sadd(ssin(T), T, U) and _is_flat(merged)
+    pool = [T, U, PI, rat(3), rat(-2, 7), ONE, MINUS_ONE, merged, ssin(U) * T]
     for _ in range(n):
         a, b = (pool[i] for i in rng.integers(len(pool), size=2))
         op = int(rng.integers(6))

@@ -25,13 +25,13 @@ the dense ``.components`` tuple; among them are the one Clifford-action
 kernel ``exterior.clifford`` and the coordinate dict
 ``Section._coordinates`` that it takes.  The interior product is the vector
 half of that kernel: ``contract``, the bracket table and the section
-transform all call it, and no second contraction kernel or per-coframe copy
-of the table exists.  ``Section.act`` is that kernel on the action table:
-it builds no contraction or wedge of its own.
+transform all call it, and no second contraction kernel (``courant._pair``
+is gone: a vector on a 1-form is the kernel's scalar entry) or per-coframe
+copy of the table exists.  ``Section.act`` is that kernel on the action
+table: it builds no contraction or wedge of its own.
 A CScalar or a Scalar is added at a dict key by one function,
-``exterior._accumulate``; the certificate's residual collector
-``certify._sum`` is the one other keyed sum, one ``signed_sum`` per part of
-every key's signed terms.  How a sum or a negated sum cancels is decided in
+``exterior._accumulate``, the certificate's residuals too: ``certify``
+defines no keyed sum of its own.  How a sum or a negated sum cancels is decided in
 ``scalar.py`` alone: no other module reads whether a Scalar is a sum.  No
 loop builds a form or tensor by adding one-term forms or tensors to it,
 which copies its dict once per term.  The Buscher rules map
@@ -217,7 +217,6 @@ SPARSE_READERS = {("exterior", "contract"),
                   ("exterior", "FrameVector.__add__"),
                   ("exterior", "FrameVector.__neg__"), ("exterior", "FrameVector.scale"),
                   ("courant", "Section._coordinates"), ("courant", "_pairing_sums"),
-                  ("courant", "_pair"),
                   ("courant", "courant_brackets"), ("duality", "dualize_section"),
                   ("structures", "SymTensor.apply")}
 
@@ -277,11 +276,10 @@ def test_one_keyed_accumulator():
     """No function in the package writes out a sum at a dict key
     (``d[k] + c if k in d else c``, ``d[k] = d.get(k, ZERO) + c`` or
     ``d[k] = sadd(d.get(k, ZERO), c)``), no ``_deduct`` or ``_minus`` is
-    defined or named, and ``certify._sum``, the residual collector that
-    sums the signed terms of one key, is called only by
-    ``certify._form_residual``; every other keyed sum, of CScalars or of
-    Scalars, goes through ``exterior._accumulate``."""
-    inline, named, sum_callers = [], [], set()
+    defined or named, and ``certify`` defines no ``_sum``: every keyed sum,
+    of CScalars or of Scalars, the certificate's residuals included, goes
+    through ``exterior._accumulate``."""
+    inline, named = [], []
     for module, fn in _functions():
         if fn.name in ("_deduct", "_minus"):
             named.append((module, fn.name))
@@ -291,10 +289,8 @@ def test_one_keyed_accumulator():
             name = getattr(node, "id", None) or getattr(node, "attr", None)
             if name in ("_deduct", "_minus"):
                 named.append((module, fn.name, node.lineno))
-            if module == "certify" and name == "_sum" and fn.name != "_sum":
-                sum_callers.add(fn.name)
     assert inline == [] and named == []
-    assert sum_callers == {"_form_residual"}
+    assert not hasattr(tduality.certify, "_sum")
 
 
 def _compares_kind_with_add(node):
@@ -480,20 +476,21 @@ def test_section_act_is_one_clifford_kernel_call(monkeypatch):
 
 def test_one_interior_product(monkeypatch, hopf_pair):
     """``contraction_rows``, ``contract_live`` and ``Coframe.action`` are
-    neither defined nor named in the package, ``act_row`` takes only a row
-    and a form's coefficients, and ``contract``, ``courant_brackets`` and
-    ``dualize_section`` each reach the interior product through
-    ``exterior.clifford``."""
+    neither defined nor named in the package, ``courant`` defines no
+    ``_pair`` (a vector on a 1-form is ``clifford``'s scalar entry),
+    ``act_row`` takes only a row and a form's coefficients, and
+    ``contract``, ``courant_brackets`` and ``dualize_section`` each reach
+    the interior product through ``exterior.clifford``."""
     import inspect
     from test_certify import count_calls
-    from tduality import exterior
+    from tduality import courant, exterior
     from tduality.courant import courant_brackets, section_basis
     from tduality.duality import dualize_section
     gone = re.compile(r"\b(contraction_rows|contract_live)\b|Coframe\.action|\.action\(")
     named = [(path.stem, n) for path in sorted(Path(tduality.__file__).parent.glob("*.py"))
              for n, line in enumerate(path.read_text().splitlines(), 1) if gone.search(line)]
     assert named == []
-    assert not hasattr(exterior.Coframe, "action")
+    assert not hasattr(exterior.Coframe, "action") and not hasattr(courant, "_pair")
     assert list(inspect.signature(exterior.act_row).parameters) == ["row", "coeffs"]
     calls = count_calls(monkeypatch, exterior, "clifford")
     chart, basis = hopf_pair.chart, section_basis(hopf_pair.chart.coframe)

@@ -294,6 +294,27 @@ def test_sym_tensor_and_metric_compare_by_value(plane_chart):
         hash(GeneralizedMetric(g, zero))
 
 
+def test_sym_tensor_sum_refuses_another_coframe(plane_chart):
+    """Tensors on two coframes do not add, as forms do not: merging their
+    entries by index would mix generators.  An equal coframe adds."""
+    a = plane_chart.coframe
+    g = SymTensor(a, {(0, 0): rat(1)})
+    with pytest.raises(ValueError, match="coframe mismatch"):
+        g + SymTensor(Coframe(("da", "db"), ("base", "base")), {(1, 1): rat(2)})
+    same = SymTensor(Coframe(a.names, a.tags), {(1, 1): rat(2)})
+    assert g + same == SymTensor(a, {(0, 0): rat(1), (1, 1): rat(2)})
+
+
+def test_metric_refuses_g_and_b_on_different_coframes(plane_chart):
+    """A generalized metric takes its g and b on one coframe."""
+    a = plane_chart.coframe
+    g = SymTensor(a, {(0, 0): rat(1), (1, 1): rat(1)})
+    other = Coframe(("da", "db"), ("base", "base"))
+    with pytest.raises(ValueError, match="coframe mismatch"):
+        GeneralizedMetric(g, Form.monomial(other, ("da", "db")))
+    assert GeneralizedMetric(g, Form.zero(Coframe(a.names, a.tags))).coframe is a
+
+
 def test_complex_b_field_is_refused(plane_chart):
     """A B-field with an imaginary part is refused, not read as its real part."""
     g = SymTensor.from_names(plane_chart.coframe,
