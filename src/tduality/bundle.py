@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scalar import CScalar, Domain, MINUS_ONE, ZERO, diff
-from .exterior import (Coframe, Form, _accumulate, _eval_array, _sample, _value_array,
+from .exterior import (Coframe, Form, _eval_array, _keyed_sum, _sample, _value_array,
                        _wedge_sign, contract_sign, strip_rightmost, wedge)
 
 __all__ = [
@@ -116,17 +116,17 @@ def _partials(c, bases, skip=0):
 def exterior_derivative(rho, chart):
     """Structure-equation d: d(dx^a)=0, d(theta_i)=c_i, Leibniz on coefficients.
 
-    One pass into one {mask: CScalar} dict.  For each term c e_I of rho, in
+    One keyed sum into one {mask: CScalar} dict.  For each term c e_I of rho, in
     order: the terms d_v c dx^v ^ e_I in base-variable order, then the
     curvature terms c_i ^ (e_I without theta_i), signed, in generator order.
     """
     if rho.coframe != chart.coframe:
         raise ValueError("coframe mismatch")
     cof = chart.coframe
-    out = {}
+    units = []
     for mask, c in rho.coeffs.items():
         for bit, term in _partials(c, chart.base_bits, mask).items():
-            _accumulate(out, bit | mask, term, _wedge_sign(bit, mask))
+            units.append((bit | mask, _wedge_sign(bit, mask), term))
         # Leibniz over generators; d(gen) is even so it moves freely to the front
         for i, dgen in chart.curved.items():
             if not mask >> i & 1:
@@ -143,8 +143,8 @@ def exterior_derivative(rho, chart):
                     term = -term
                 if term.is_zero():
                     continue
-                _accumulate(out, m | rest, term, sign)
-    return Form(cof, out)
+                units.append((m | rest, sign, term))
+    return Form(cof, _keyed_sum(units))
 
 
 def twisted_derivative(rho, chart):
@@ -311,9 +311,10 @@ class DualityPair:
 # -- validation ---------------------------------------------------------------------
 
 def form_residual(form, domain, points):
-    """Max over points of the max absolute coefficient value, 0.0 for none
-    (``domain`` is not used; the points carry all the information).
-    ``np.hypot`` is bit for bit ``abs(complex(x, y))``."""
+    """Max over points of the max absolute coefficient value, 0.0 for none.
+    ``np.hypot`` is bit for bit ``abs(complex(x, y))``.  ``domain`` is not
+    used (the points carry all the information); it stays because the
+    dense-points workload of ``perfbench`` passes it (ROADMAP item 8)."""
     z = _eval_array(form.coeffs.values(), points)
     return float(np.hypot(z.real, z.imag).max(initial=0.0))
 

@@ -47,13 +47,14 @@ of its coordinates that are not structurally zero (X_1..X_m, xi_1..xi_m,
 the actions of sections (``exterior.clifford``, on a unit monomial too, or
 one unscaled row of it, ``act_row``, for a frame section), the transforms
 of the frame's images and the expected side of a Leibniz rule are built as
-such dicts,
-summed key by key by ``exterior._accumulate``, and an anchor pi(s)(x) is
-the scalar entry of ``exterior.clifford``.  ``_form_residual`` collects
-every residual from signed dicts of either kind in one dict, as
-``Form.__sub__`` does.  A zero test is an identity test against the shared
-``ZERO``.  Equal sides of opposite sign, and oracle instances of empty
-terms, are zero unsummed (a fast path: the sum cancels a - a too).  An
+such dicts, each one ``exterior._keyed_sum`` of its signed units, and an
+anchor pi(s)(x) is the scalar entry of ``exterior.clifford``.
+``_form_residual`` sums every residual from signed dicts of either kind by
+one ``_keyed_sum`` of their units, so each key is one ``signed_sum``, and a
+residual cancels exactly where the one sum of its units does, in any
+order.  A zero test is an identity test against the shared ``ZERO``.
+Equal sides of opposite sign, and oracle instances of empty terms, are
+zero unsummed (a fast path: the sum cancels a - a too).  An
 instance whose residual cancels structurally holds for every base point;
 on the shipped pairs every one does.  The others are evaluated together,
 at every sample point, in one ``exterior._eval_array`` call, each shared
@@ -67,7 +68,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .scalar import CScalar, CZERO, var
-from .exterior import (Form, FrameVector, _accumulate, _eval_array, act_row, clifford,
+from .exterior import (Form, FrameVector, _eval_array, _keyed_sum, act_row, clifford,
                        frame_action, wedge)
 from .bundle import exterior_derivative, twisted_derivative
 from .courant import (Section, _HALF, _pairing_sums, courant_brackets, pairings,
@@ -97,26 +98,26 @@ class Certified(NamedTuple):
 
 def _form_residual(terms):
     """The coefficients of sign * coeffs summed over (sign, coeffs) pairs, sign
-    +1 or -1, that do not cancel structurally, collected by ``_accumulate``;
-    each coeffs is a {key: CScalar} dict, a form's by mask or a section's
-    coordinates by index."""
+    +1 or -1, that do not cancel structurally: one ``_keyed_sum`` of their
+    units; each coeffs is a {key: CScalar} dict, a form's by mask or a
+    section's coordinates by index."""
     if len(terms) == 2 and terms[0][0] == -terms[1][0] and terms[0][1] == terms[1][1]:  # a - a
         return []
-    out = {}
+    units = []
     for sign, coeffs in terms:
         for key, c in coeffs.items():
-            _accumulate(out, key, c, sign)
-    return list(out.values())
+            units.append((key, sign, c))
+    return list(_keyed_sum(units).values())
 
 
 def _transform(weights, columns):
-    """sum_k w_k columns[k] for the weights {k: w_k}, as a {key: CScalar}
-    dict summed by ``_accumulate``; a column is such a dict too."""
-    out = {}
+    """sum_k w_k columns[k] for the weights {k: w_k}, as the {key: CScalar}
+    dict of one ``_keyed_sum``; a column is such a dict too."""
+    units = []
     for k, w in weights.items():
         for r, c in columns[k].items():
-            _accumulate(out, r, w * c)
-    return out
+            units.append((r, 1, w * c))
+    return _keyed_sum(units)
 
 
 def frame_certificate(pair, points):
@@ -179,15 +180,13 @@ def frame_certificate(pair, points):
         for i, (row, right) in enumerate(zip(coords, right_all)):
             for j, frame_coords in enumerate(row):
                 bracket = {k: c * x for k, c in frame_coords.items()}
-                expected = dict(bracket)
-                if not along[j].is_zero():
-                    _accumulate(expected, i, along[j], -1)
+                units = [] if along[j].is_zero() else [(i, -1, along[j])]
                 if not twice[i][j].is_zero():
-                    for k, c in at_dx:
-                        _accumulate(expected, k, c * twice[i][j])
+                    units += [(k, 1, c * twice[i][j]) for k, c in at_dx]
+                expected = _keyed_sum(units, bracket) if units else bracket
                 leibniz.append(_form_residual([(1, left[i][j]), (-1, expected)]))
                 if not along[i].is_zero():
-                    _accumulate(bracket, j, along[i])
+                    bracket = _keyed_sum([(j, 1, along[i])], bracket)
                 leibniz.append(_form_residual([(1, right[lo + j]), (-1, bracket)]))
         # phi preserves the anchor on x, and phi(dx) = dx
         name = "section-transform-bracket"

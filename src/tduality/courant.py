@@ -11,16 +11,17 @@ a table of brackets in one pass over plain dicts: it reads each distinct
 section once per call (the ``coeffs`` dicts of X and xi, the bit mask of
 X's indices, the coefficients of d xi, and of i_Y H or i_X c_i), and each
 entry is the {index: CScalar} dict of the bracket's coordinates, with no
-form, frame vector or section of its own, its signed terms added by
-``exterior._accumulate``; ``courant_bracket`` returns one entry as a
+form, frame vector or section of its own, its signed terms summed at once
+by one ``exterior._keyed_sum``; ``courant_bracket`` returns one entry as a
 section.  Its interior products are the vector half of the Clifford kernel
 ``exterior.clifford`` on the coefficient dicts (a vector on a 1-form is its
 scalar entry), and d's kernel ``bundle._partials`` gives its derivatives.
 ``Section.act`` is ``exterior.clifford`` on the section's coordinate dict.
-``pairings`` makes a table of pairings the same way, off the unhalved sums 2 <v, w> of
-``_pairing_sums``, which the certificate reads too.  The sign of the flux
-term is the derived-bracket convention: it is the unique choice for which
-the spinor identity [v, w]_H . rho = [[d_H, v], w] . rho holds with the
+``pairings`` makes a table of pairings the same way, off the unhalved sums
+2 <v, w> of ``_pairing_sums`` (one keyed sum per row, by column), which the
+certificate reads too.  The sign of the flux term is the derived-bracket
+convention: it is the unique choice for which the spinor identity
+[v, w]_H . rho = [[d_H, v], w] . rho holds with the
 canonical super-commutators (inner anticommutator of the two odd operators,
 outer plain commutator of the even result with the odd Clifford action),
 and the unique choice under which the duality section transform preserves
@@ -41,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from .scalar import CZERO, CScalar, rat
-from .exterior import (Form, FrameVector, _accumulate, _eval_array, clifford, contract,
+from .exterior import (Form, FrameVector, _eval_array, _keyed_sum, clifford, contract,
                        frame_action)
 from .bundle import _partials, exterior_derivative, form_residual
 
@@ -94,7 +95,8 @@ class Section:
 
     def act(self, rho):
         """Clifford action (X + xi) . rho, by ``exterior.clifford``.  Kept for
-        the tests and the dense-points workload of ``perfbench`` (ROADMAP 1b)."""
+        the tests and the dense-points workload of ``perfbench`` (ROADMAP
+        item 8)."""
         cof = self.x.coframe
         if rho.coframe is not cof and rho.coframe != cof:
             raise ValueError("coframe mismatch")
@@ -115,7 +117,7 @@ class Section:
 
     def eval_vector(self, point):
         """Numeric components (X_1..X_m, xi_1..xi_m).  Kept for the tests
-        and ``perfbench/tracer.py``, which wraps it by name (ROADMAP 1a)."""
+        and ``perfbench/tracer.py``, which wraps it by name (ROADMAP item 8)."""
         return _eval_array(self.coordinates(), (point,))[:, 0]
 
     def __eq__(self, other):
@@ -137,9 +139,11 @@ _HALF = CScalar.of(rat(1, 2))
 def _pairing_sums(vs, ws):
     """The table of 2 <v, w> = eta(X) + xi(Y), v in vs by row and w in ws by
     column, reading each distinct section's vector and covector
-    coefficients once per call.  An entry sums its terms left to right in
-    ascending generator index, X against eta before Y against xi, skipping a
-    term with a structurally zero factor; with no term it is ``CZERO``."""
+    coefficients once per call.  A row is one keyed sum by column, so an
+    entry is one signed sum of its terms, taken in ascending generator
+    index, X against eta before Y against xi, skipping a term with a
+    structurally zero factor; with no term, or where the terms cancel, it is
+    ``CZERO``."""
     both, reads = (*vs, *ws), {}    # reads by section id: ({k: X^k}, {k: xi_k})
     for s in both:
         if id(s) not in reads:
@@ -151,16 +155,11 @@ def _pairing_sums(vs, ws):
     table = []
     for v in vs:
         x, xi = reads[id(v)]
-        row = []
-        for y, eta in cols:
-            total = CZERO
-            for i in sorted(x.keys() & eta.keys() | y.keys() & xi.keys()):
-                for a, b in ((x.get(i), eta.get(i)), (y.get(i), xi.get(i))):
-                    if a is not None and b is not None:
-                        term = a * b
-                        total = term if total.is_zero() else total + term
-            row.append(total)
-        table.append(row)
+        row = _keyed_sum([(j, 1, a * b) for j, (y, eta) in enumerate(cols)
+                          for i in sorted(x.keys() & eta.keys() | y.keys() & xi.keys())
+                          for a, b in ((x.get(i), eta.get(i)), (y.get(i), xi.get(i)))
+                          if a is not None and b is not None])
+        table.append([row.get(j, CZERO) for j in range(len(cols))])
     return table
 
 
@@ -182,7 +181,7 @@ def courant_bracket(v, w, chart):
     """[X+xi, Y+eta] = [X,Y] + L_X eta - i_Y d xi + i_X i_Y H as a Section:
     the ``courant_brackets`` entry of v and w, its vector part at the keys
     below m.  Kept for the tests and ``perfbench/tracer.py``, which wraps it
-    by name (ROADMAP 1a)."""
+    by name (ROADMAP item 8)."""
     cof, m = chart.coframe, chart.coframe.dim
     entry = courant_brackets([v], [w], chart)[0][0]
     return Section(FrameVector(cof, {b: c for b, c in entry.items() if b < m}),
@@ -193,14 +192,14 @@ def courant_brackets(vs, ws, chart):
     """The table of brackets [v, w], v in vs by row and w in ws by column.
     An entry is the {index: CScalar} dict of the bracket's coordinates that
     are not structurally zero, X_k at k in ascending k, then xi_k at m + k,
-    with the trees and key order of the Section arithmetic it replaced:
-    [X, Y] where X and Y are both nonzero, then L_X eta - i_Y d xi
-    + i_X i_Y H.  In L_X eta = d(i_X eta) + i_X d eta, the d is skipped
-    where i_X eta is zero or a rational constant, as it is for frame
-    sections, and X(f) is skipped for a rational component f; X(f) is read
-    off the ``bundle._partials`` of f along X's indices only; every interior
-    product is ``exterior.clifford`` on coefficient dicts, its scalar entry
-    for a vector on a 1-form."""
+    in the key order of the Section arithmetic it replaced, each coordinate
+    one signed sum of its terms: [X, Y] where X and Y are both nonzero, then
+    L_X eta - i_Y d xi + i_X i_Y H.  In L_X eta = d(i_X eta) + i_X d eta,
+    the d is skipped where i_X eta is zero or a rational constant, as it is
+    for frame sections, and X(f) is skipped for a rational component f; X(f)
+    is read off the ``bundle._partials`` of f along X's indices only; every
+    interior product is ``exterior.clifford`` on coefficient dicts, its
+    scalar entry for a vector on a 1-form."""
     cof, bases = chart.coframe, chart.base_bits
     m, table = cof.dim, frame_action(cof.dim)
     reads, i_h, i_c = {}, {}, {}    # by section id
@@ -232,33 +231,30 @@ def courant_brackets(vs, ws, chart):
         curv = i_c.get(id(v), {})
         row = []
         for y, ys, yv, eta, d_eta, ih in cols:
-            entry = {}
+            units = []
             if x and y:    # e^b([X, Y]) = X(Y^b) - Y(X^b) - (i_Y i_X c_b)
                 for b in range(m):
                     if b in yv and (c := clifford(table, x, _partials(yv[b], bases, ~xs)).get(0)):
-                        entry[b] = c
+                        units.append((b, 1, c))
                     if b in xv and (c := clifford(table, y, _partials(xv[b], bases, ~ys)).get(0)):
-                        _accumulate(entry, b, c, -1)
+                        units.append((b, -1, c))
                     if b in curv and (c := clifford(table, y, curv[b]).get(0)):
-                        _accumulate(entry, b, c, -1)
-            form = {}
-            if x and d_eta is not None:    # L_X eta, by the Cartan formula
-                form = clifford(table, x, d_eta) if d_eta else {}
+                        units.append((b, -1, c))
+            if x and d_eta is not None:    # L_X eta = d(i_X eta) + i_X d eta
                 f = clifford(table, x, eta).get(0)
                 if f is not None and not (f.re.is_rational() and f.im.is_rational()):
-                    grad = _partials(f, bases)    # d(i_X eta), then i_X d eta summed in
-                    for mask, c in form.items():
-                        _accumulate(grad, mask, c)
-                    form = grad
+                    for bit, c in _partials(f, bases).items():
+                        units.append((key[bit], 1, c))
+                if d_eta:
+                    for mask, c in clifford(table, x, d_eta).items():
+                        units.append((key[mask], 1, c))
             if y and d_xi:    # - i_Y d xi
                 for mask, c in clifford(table, y, d_xi).items():
-                    _accumulate(form, mask, c, -1)
+                    units.append((key[mask], -1, c))
             if x and ih:    # + i_X i_Y H
                 for mask, c in clifford(table, x, ih).items():
-                    _accumulate(form, mask, c)
-            for mask, c in form.items():
-                entry[key[mask]] = c
-            row.append(entry)
+                    units.append((key[mask], 1, c))
+            row.append(_keyed_sum(units) if units else {})
         brackets.append(row)
     return brackets
 

@@ -36,7 +36,7 @@ reads the five blocks of ``split_metric``, the one block splitter (b is split
 by ``bundle.split_fiber_legs``), and returns ``assemble_metric`` of the dual
 blocks.  The assembly refuses the blocks that the splitter would not give
 back, so the two are exact inverses.  Every sum at a dict key, CScalar or
-Scalar, goes through ``exterior._accumulate``.
+Scalar, is one ``exterior._keyed_sum`` of its signed units.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ import numpy as np
 
 from .scalar import (CZERO, CScalar, ZERO, ONE, rat, sadd, sdiv, smul, sneg, ssub,
                      sym_matrix_inverse)
-from .exterior import (Form, FrameVector, _accumulate, _eval_array, clifford, exp_form,
+from .exterior import (Form, FrameVector, _eval_array, _keyed_sum, clifford, exp_form,
                        fiber_integrate, fiber_routes, frame_action, integral_transform, wedge)
 from .bundle import DualityPair, split_fiber_legs
 from .courant import Section, section_basis
@@ -111,7 +111,7 @@ def transform_matrices(pair, points):
 
 def transform_matrix_at(pair, point):
     """``transform_matrices`` at one point.  Kept for the tests and
-    ``perfbench``, which wraps and calls it by name (ROADMAP 1b)."""
+    ``perfbench``, which wraps and calls it by name (ROADMAP item 8)."""
     return transform_matrices(pair, [point])[0]
 
 
@@ -142,9 +142,9 @@ def dualize_section(v, pair):
     # eta = xi - i_lift F on the dual, fiber components (zero by construction)
     # dropped: a cofiber component lands off the fibers only on F's terms
     # without a fiber leg
-    i_lift = {to_dual[mask]: c for mask, c in i_x.items() if mask in to_dual}
-    for mask, c in clifford(table, lifted, off_fibers).items():
-        _accumulate(i_lift, to_dual[mask], c)
+    i_off = clifford(table, lifted, off_fibers)
+    i_lift = _keyed_sum([(to_dual[mask], 1, c) for part in (i_x, i_off)
+                         for mask, c in part.items() if mask in to_dual])
     live.update(lifted)
     dcof = pair.dual.coframe
     eta = (Form(dcof, {base[m]: c for m, c in xi.items() if m in base})
@@ -452,7 +452,7 @@ def uk_transport_residuals(spinor, pair, points):
 
 def uk_transport_residual(spinor, pair, point):
     """``uk_transport_residuals`` at one point.  Kept for the tests and the
-    dense-points workload of ``perfbench`` (ROADMAP 1b)."""
+    dense-points workload of ``perfbench`` (ROADMAP item 8)."""
     return uk_transport_residuals(spinor, pair, [point])[0]
 
 

@@ -19,13 +19,15 @@ safe because CScalars are immutable by convention.  ``Form._pruned`` builds a fo
 from a dict that already keeps the invariant and is used in this module only.
 ``FrameVector.coeffs`` keeps the same invariant.
 
-Every sum at a dict key in the package, CScalar or Scalar, goes through
-``_accumulate``, the certificate's residuals too: c is added to
-the entry at its key, and a key whose sum cancels structurally is deleted,
-so a later term for it lands at the end of the dict.  A form or tensor
-built term by term is collected in one dict.  A term comes with a sign, +1
-or -1, that its call site reads off the data: -c is built only for a new
-key, and an existing one gets prev - c, the tree of prev + (-c).
+Every sum at a dict key in the package, CScalar or Scalar, is one call of
+``_keyed_sum``, the certificate's residuals too.  Its call site collects
+the sum's (key, sign, term) units, the sign +1 or -1 read off the data; a
+key that one unit meets holds c or -c, and a key that several meet is
+summed once, part by part, by ``scalar.signed_sum``: a keyed sum cancels
+exactly where ``signed_sum`` of its units does, in any order of the
+units.  Keys keep the order in which they first appear, and a key whose
+sum cancels structurally is left out.  A form or tensor built term by
+term is collected in one dict.
 
 A ``Coframe`` keeps what it would otherwise re-derive on every call in its
 instance dict, so that it dies with the coframe: the dimension, the name ->
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalar import CZERO, CScalar, ZERO, evaluate_points, rat, scalar_to_text
+from .scalar import CZERO, CScalar, ZERO, evaluate_points, rat, scalar_to_text, signed_sum
 
 __all__ = [
     "Coframe", "Form", "FrameVector",
@@ -175,20 +177,42 @@ def _image(names, coframe):
     return mask, sign
 
 
-def _accumulate(out, key, c, sign=1):
-    """Add sign * c to out[key] in a {key: CScalar} or {key: Scalar} dict,
-    for a sign +1 or -1: -c is built only for a new key, and prev - c, the
-    tree of prev + (-c), otherwise.  A key whose sum cancels structurally is
-    deleted, so a later term for it lands at the end."""
-    prev = out.get(key)
-    if prev is None:
-        out[key] = -c if sign < 0 else c
-        return
-    total = prev - c if sign < 0 else prev + c
-    if total.is_zero():
-        del out[key]
-    else:
-        out[key] = total
+def _keyed_sum(units, start=None):
+    """The {key: sum} dict of (key, sign, term) units (sign +1 or -1; all
+    terms CScalars or all Scalars), read after ``start``'s entries as units
+    of sign +1, keys in order of first appearance.  A key that one unit meets
+    holds c or -c; a key that several meet holds one ``signed_sum`` of its
+    units per part (re and im, or the Scalar), and is left out where that is
+    ``ZERO``: it cancels exactly where ``signed_sum`` does, in any order."""
+    out = {} if start is None else start.copy()
+    more = None    # {key: [(sign, term), ...]} where units meet; (1, -c) sums as (-1, c)
+    for key, sign, c in units:
+        if key not in out:
+            out[key] = -c if sign < 0 else c
+        elif more is None:
+            more = {key: [(1, out[key]), (sign, c)]}
+        elif key in more:
+            more[key].append((sign, c))
+        else:
+            more[key] = [(1, out[key]), (sign, c)]
+    if more is None:
+        return out
+    for key, got in more.items():
+        if got[0][1].__class__ is not CScalar:
+            total = signed_sum([u for u in got if u[1] is not ZERO])
+        else:
+            re, im = [], []
+            for s, t in got:
+                if t.re is not ZERO:
+                    re.append((s, t.re))
+                if t.im is not ZERO:
+                    im.append((s, t.im))
+            total = CScalar(signed_sum(re), signed_sum(im) if im else ZERO)
+        if total.is_zero():
+            del out[key]
+        else:
+            out[key] = total
+    return out
 
 
 class Form:
@@ -232,28 +256,24 @@ class Form:
 
     # -- linear structure ----------------------------------------------------
     def __add__(self, other):
-        """Sum; only a mask both operands hold can cancel (``_accumulate``)."""
+        """Sum; only a mask both operands hold can cancel (``_keyed_sum``)."""
         self._check(other)
         if not other.coeffs:
             return self
         if not self.coeffs:
             return other
-        out = dict(self.coeffs)
-        for mask, c in other.coeffs.items():
-            _accumulate(out, mask, c)
-        return Form._pruned(self.coframe, out)
+        return Form._pruned(self.coframe, _keyed_sum(
+            [(mask, 1, c) for mask, c in other.coeffs.items()], self.coeffs))
 
     def __sub__(self, other):
-        """Difference, collected as ``__add__`` collects ``self + (-other)``
-        with no negated form built: -c only at a new mask, and prev - c, the
-        tree of prev + (-c), at an existing one."""
+        """Difference, the keyed sum of ``self`` and ``other``'s terms under
+        sign -1, with no negated form built: -c only at a mask that ``self``
+        does not hold."""
         self._check(other)
         if not other.coeffs:
             return self
-        out = dict(self.coeffs)
-        for mask, c in other.coeffs.items():
-            _accumulate(out, mask, c, -1)
-        return Form._pruned(self.coframe, out)
+        return Form._pruned(self.coframe, _keyed_sum(
+            [(mask, -1, c) for mask, c in other.coeffs.items()], self.coeffs))
 
     def __neg__(self):
         return Form._pruned(self.coframe, {m: -c for m, c in self.coeffs.items()})
@@ -311,7 +331,7 @@ class Form:
     def eval_vector(self, point):
         """Dense complex vector of length 2^dim indexed by bitmask.  Kept for
         the tests and ``perfbench/tracer.py``, which wraps it by name
-        (ROADMAP 1a)."""
+        (ROADMAP item 8)."""
         return self.eval_vectors((point,))[0]
 
     def eval_vectors(self, points):
@@ -331,16 +351,15 @@ class Form:
         rename = rename or {}
         images = self.coframe.table(
             ("map", coframe.names, coframe.tags, tuple(rename.items())), dict)
-        out = {}
+        units = []
         for mask, c in self.coeffs.items():
             image = images.get(mask)
             if image is None:
                 image = images[mask] = _image(
                     [rename.get(n, n) for n in self.coframe.names_of(mask)], coframe)
-            m2, sign = image
-            if sign:
-                _accumulate(out, m2, c, sign)
-        return Form(coframe, out)
+            if image[1]:
+                units.append((image[0], image[1], c))
+        return Form(coframe, _keyed_sum(units))
 
     def _check(self, other):
         if self.coframe is not other.coframe and self.coframe != other.coframe:
@@ -388,10 +407,8 @@ class FrameVector:
     def __add__(self, other):
         if self.coframe is not other.coframe and self.coframe != other.coframe:
             raise ValueError("coframe mismatch")
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            _accumulate(out, i, c)
-        return FrameVector(self.coframe, out)
+        return FrameVector(self.coframe, _keyed_sum(
+            [(i, 1, c) for i, c in other.coeffs.items()], self.coeffs))
 
     def __neg__(self):
         return FrameVector(self.coframe, {i: -a for i, a in self.coeffs.items()})
@@ -405,7 +422,7 @@ class FrameVector:
 
     def eval_vector(self, point):
         """Kept for the tests and ``perfbench/tracer.py``, which wraps it by
-        name (ROADMAP 1a)."""
+        name (ROADMAP item 8)."""
         return _eval_array(self.components, (point,))[:, 0]
 
 
@@ -443,13 +460,12 @@ def _sample(scalars, points):
 def wedge(a, b):
     """Graded anticommutative product."""
     a._check(b)
-    out = {}
+    units = []
     for ma, ca in a.coeffs.items():
         for mb, cb in b.coeffs.items():
-            if ma & mb:
-                continue
-            _accumulate(out, ma | mb, ca * cb, _wedge_sign(ma, mb))
-    return Form(a.coframe, out)
+            if not ma & mb:
+                units.append((ma | mb, _wedge_sign(ma, mb), ca * cb))
+    return Form(a.coframe, _keyed_sum(units))
 
 
 def contract(x, form):
@@ -478,18 +494,18 @@ def clifford(table, coords, coeffs):
     ``coords`` (X_k at k, xi_k at m + k) and the form ``coeffs``, on the
     action table ``frame_action(m)``: each coordinate times the coefficients
     its row hits, X_k on the right as in the interior product and xi_k on
-    the left as in ``wedge``, signed and accumulated in coordinate order.
+    the left as in ``wedge``, signed and summed in coordinate order.
     Only the given coordinates' rows are read.  No structural zero is
     returned: the inputs hold none, a product of nonzero CScalars is never
-    one, and ``_accumulate`` deletes a sum that cancels."""
-    m, out = len(table) // 2, {}
+    one, and ``_keyed_sum`` leaves out a sum that cancels."""
+    m, units = len(table) // 2, []
     for k, a in coords.items():
         row, left = table[k], k >= m
         for mask, c in coeffs.items():
             hit = row[mask]
             if hit is not None:
-                _accumulate(out, hit[0], a * c if left else c * a, hit[1])
-    return out
+                units.append((hit[0], hit[1], a * c if left else c * a))
+    return _keyed_sum(units) if units else {}
 
 
 def _reversal_sign(mask):
@@ -554,12 +570,8 @@ def fiber_integrate(rho, coframe_tags=("fiber",)):
     strips = cof.table(("strip", vol), lambda: {    # (rest, sign) of each mask
         mask: (mask & ~vol, _wedge_sign(mask & ~vol, vol))
         for mask in range(1 << cof.dim) if mask & vol == vol})
-    out = {}
-    for mask, c in rho.coeffs.items():
-        rest, sign = strips.get(mask, (0, 0))
-        if sign:
-            _accumulate(out, rest, c, sign)
-    return Form(cof, out)
+    return Form(cof, _keyed_sum([(*strips[mask], c) for mask, c in rho.coeffs.items()
+                                 if mask in strips]))
 
 
 # -- route kernels: the transforms of a dual pair on plain dicts ------------------------
@@ -584,14 +596,14 @@ def integral_transform(rho, routes):
     for mask, c in rho.coeffs.items():
         pull, row = rows.get(mask) or _route(routes, mask)
         lifted.append((row, -c if pull < 0 else c))
-    out = {}
+    units = []
     for k, ca in enumerate(kernel.coeffs.values()):
         for row, c in lifted:
             hit = row[k]
             if hit is not None:
-                _accumulate(out, hit[0], ca * c, hit[1])
+                units.append((hit[0], hit[1], ca * c))
     result = {}
-    for j, c in out.items():
+    for j, c in _keyed_sum(units).items():
         if c.re is not ZERO or c.im is not ZERO:
             strip, push = ends[j]
             if strip < 0:

@@ -77,7 +77,7 @@ def random_form(rng, coframe, variables, degrees=None, complex_coeffs=True,
 
 def random_section(rng, chart):
     """Random real invariant section X + xi.  Kept for the tests and the
-    dense-points workload of ``perfbench`` (ROADMAP 1b)."""
+    dense-points workload of ``perfbench`` (ROADMAP item 8)."""
     cof = chart.coframe
     variables = chart.base_vars
     x = FrameVector(cof, {i: CScalar(random_scalar(rng, variables)) for i in range(cof.dim)})
@@ -88,7 +88,7 @@ def random_section(rng, chart):
 def random_pure_spinor(rng, chart, points):
     """Random nondegenerate spinor with construction data: the symbolic
     test-data generator, used by the tests and named by perfbench's tracer
-    (ROADMAP 1a).
+    (ROADMAP item 8).
 
     Rejection-samples (B, omega, Omega), up to 40 draws, until the pairing
     with the conjugate survives at every given point.

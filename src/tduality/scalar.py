@@ -436,7 +436,7 @@ def sexp(x):
 
 def slog(x):
     """Kept for the tests and ``perfbench/tracer.py``, which wraps it by name
-    (ROADMAP 1a)."""
+    (ROADMAP item 8)."""
     return _func("log", x)
 
 
@@ -807,7 +807,7 @@ def scalar_to_text(node):
 def solve_linear_symbolic(matrix, rhs):
     """Solve A x = rhs for symbolic entries as x = A^-1 rhs.  No package
     code calls it: it is kept for the tests and for ``perfbench/tracer.py``,
-    which wraps it by name (ROADMAP 1a).
+    which wraps it by name (ROADMAP item 8).
 
     For a rational A the inverse is exact rational, so each x_i is a
     rational combination of the rhs.

@@ -20,7 +20,7 @@ import numpy as np
 
 from .scalar import (CScalar, PI, ZERO, ONE, diff, evaluate, rat, sadd, scos, sdiv, smul,
                      sneg, sexp, spow, ssin, ssqrt, var)
-from .exterior import (Coframe, Form, FrameVector, _accumulate, _eval_array, _value_array,
+from .exterior import (Coframe, Form, FrameVector, _eval_array, _keyed_sum, _value_array,
                        exp_form, fiber_integrate, mukai_pairing, wedge)
 from .bundle import (BundleChart, build_dual_chart, dual_fiber_name,
                      exterior_derivative, form_residual, split_flux)
@@ -420,25 +420,19 @@ def scenario_gibbons_hawking(seed, samples):
     dual_met = buscher_rules(met, pair)
     dcof = pair.dual.coframe
     inv_v = sdiv(ONE, v_pot)
-    expected_entries = {}
     i_t = dcof.index("tht")
-    for i, n in enumerate(dcof.names):
-        if n == "tht":
-            expected_entries[(i, i)] = inv_v
-        else:
-            expected_entries[(i, i)] = v_pot
+    units = [((i, i), 1, inv_v if n == "tht" else v_pot) for i, n in enumerate(dcof.names)]
     b1_dual = b1.map_to(dcof)
     for i in range(dcof.dim):
         c = b1_dual.coeff(1 << i)
         if not c.is_zero():
-            key = (min(i, i_t), max(i, i_t))
-            expected_entries[key] = sneg(sdiv(c.re, v_pot))
+            units.append(((min(i, i_t), max(i, i_t)), -1, sdiv(c.re, v_pot)))
         for j in range(i, dcof.dim):
             ci, cj = b1_dual.coeff(1 << i).re, b1_dual.coeff(1 << j).re
             prod = sdiv(smul(ci, cj), v_pot)
             if not prod.is_zero():
-                _accumulate(expected_entries, (i, j), prod)
-    expected = GeneralizedMetric(SymTensor(dcof, expected_entries), Form.zero(dcof))
+                units.append(((i, j), 1, prod))
+    expected = GeneralizedMetric(SymTensor(dcof, _keyed_sum(units)), Form.zero(dcof))
     report.add("ansatz-metric",
                "dual metric is V (flat) + (1/V)(fiber form - b1)^2 with closed b1",
                residual=metric_residual(dual_met, expected, points),

@@ -16,9 +16,9 @@ rank-revealing SVD with a relative threshold of 1e-8 (``_rank``), which is
 robust near type-change loci; a stack's bases come grouped by rank
 (``_by_rank``).  The rank helpers take stacks only: one matrix is a stack
 of one, as in ``duality.orientation_sign``.
-Every sum at a dict key, CScalar or Scalar, goes through
-``exterior._accumulate``, so a ``SymTensor``, as a ``Form``, holds no
-structural zero.
+Every sum at a dict key, CScalar or Scalar, is one ``exterior._keyed_sum``
+of its signed units, which leaves out a key whose sum cancels, so a
+``SymTensor``, as a ``Form``, holds no structural zero.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scalar import CScalar, ZERO, as_scalar
-from .exterior import (Form, FrameVector, _accumulate, _eval_array, _value_array, contract,
+from .exterior import (Form, FrameVector, _eval_array, _keyed_sum, _value_array, contract,
                        exp_form, frame_action, mukai_signs, wedge)
 from .bundle import twisted_derivative
 from .courant import Section
@@ -56,10 +56,8 @@ class SymTensor:
 
     def __init__(self, coframe, entries=None):
         self.coframe = coframe
-        self.entries = {}
-        for (i, j), s in (entries or {}).items():
-            if not s.is_zero():
-                _accumulate(self.entries, (i, j) if i <= j else (j, i), s)
+        self.entries = _keyed_sum([((i, j) if i <= j else (j, i), 1, s)
+                                   for (i, j), s in (entries or {}).items() if not s.is_zero()])
 
     @staticmethod
     def from_names(coframe, named):
@@ -86,14 +84,12 @@ class SymTensor:
     def __add__(self, other):
         if self.coframe is not other.coframe and self.coframe != other.coframe:
             raise ValueError("coframe mismatch")
-        out = dict(self.entries)
-        for key, s in other.entries.items():
-            _accumulate(out, key, s)
-        return SymTensor(self.coframe, out)
+        return SymTensor(self.coframe, _keyed_sum(
+            [(key, 1, s) for key, s in other.entries.items()], self.entries))
 
     def eval_matrix(self, point):
         """Kept for the tests and ``perfbench/tracer.py``, which wraps it by
-        name (ROADMAP 1a)."""
+        name (ROADMAP item 8)."""
         return self.eval_matrices((point,))[0]
 
     def eval_matrices(self, points):
@@ -109,15 +105,15 @@ class SymTensor:
         """g(X, .) as a 1-form for a frame vector X with real components,
         summed into one dict over X's nonzero components."""
         xs = x.coeffs
-        out = {}
+        units = []
         for (i, j), s in self.entries.items():
             cj = xs.get(j)
             if cj is not None:
-                _accumulate(out, 1 << i, cj * CScalar.of(s))
+                units.append((1 << i, 1, cj * CScalar.of(s)))
             ci = xs.get(i) if i != j else None
             if ci is not None:
-                _accumulate(out, 1 << j, ci * CScalar.of(s))
-        return Form(self.coframe, out)
+                units.append((1 << j, 1, ci * CScalar.of(s)))
+        return Form(self.coframe, _keyed_sum(units))
 
     def map_to(self, coframe):
         names = self.coframe.names
@@ -380,7 +376,7 @@ def gcs_matrices(coframe, rhos, points):
 
 def gcs_matrix_at(spinor, chart, point):
     """``gcs_matrices`` of a spinor at one point.  Kept for the tests and the
-    dense-points workload of ``perfbench`` (ROADMAP 1b)."""
+    dense-points workload of ``perfbench`` (ROADMAP item 8)."""
     return gcs_matrices(chart.coframe, spinor.form.eval_vectors([point]), [point])[0]
 
 

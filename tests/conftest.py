@@ -6,12 +6,14 @@ the componentwise residual of a section, the term-by-term bodies of
 ``courant_bracket`` and the pairing (``_reference_*``), which the one-pass
 kernels must match tree for tree, the one-entry readers ``pairing`` and
 ``lie_bracket`` of the ``pairings`` and ``courant_brackets`` tables, the
-Section-level body of ``courant_brackets`` with its Lie bracket and the
-difference of optional CScalars that it used (``_reference_courant_brackets``,
-``_reference_sparse_lie_bracket``, ``_reference_minus``, and ``_derivative``,
-the vector-on-function body that the bracket kernel replaced), whose
-sections the table's coordinate-dict entries
-must match key for key and tree for tree, ``_section_of``, which reads an
+Section-level body of ``courant_brackets`` with its Lie bracket
+(``_reference_courant_brackets``, ``_reference_sparse_lie_bracket``, and
+``_derivative``, the vector-on-function body that the bracket kernel
+replaced), whose sections the table's coordinate-dict entries
+must match key for key and tree for tree, the sum of signed forms with each
+mask's terms summed at once (``_reference_form_sum``, on ``_reference_sum``),
+by which every one of these bodies that adds several terms at a key sums
+them, as ``exterior._keyed_sum`` does, ``_section_of``, which reads an
 entry back as a Section, the composite bodies of ``dualize_form``,
 ``dualize_form_reverse`` and ``dualize_section``, which the passes over the
 pair's route tables must match key for key and tree for tree, the
@@ -25,12 +27,11 @@ tree for tree, the Clifford action as ``contract`` plus ``wedge``
 table read off it, which ``exterior.frame_action``, made from contraction
 signs, must equal, the mask-by-mask bodies of
 ``Form.map_to`` and ``fiber_integrate``, which the coframe tables must
-match, the term-by-term body of ``wedge`` (a ``Form`` sum of monomial
-products), which the keyed accumulator must match, the draw-by-draw body of a ``Domain`` point, which ``sample_many``'s
-one ``rng.random`` call must match bit for bit, the Cartan formula
-``lie_derivative`` and the B-field transform ``b_transform``, which the
-reference bracket and the B-field covariance tests compare against,
-``equal_at_samples``, the sampled equality of two scalars, the residual
+match, the body of ``wedge`` as one sum of monomial products, which the
+keyed sum must match, the draw-by-draw body of a ``Domain`` point, which
+``sample_many``'s one ``rng.random`` call must match bit for bit, the
+B-field transform ``b_transform``, which the B-field covariance tests
+compare against, ``equal_at_samples``, the sampled equality of two scalars, the residual
 sum with every negated part built first, with which the certificate's
 residuals must agree on what cancels, the unsigned like-term collector that
 ``sadd`` ran before ``signed_sum``, with the flat rule for merged sums, the
@@ -168,14 +169,12 @@ def _reference_map_to(form, coframe, rename=None):
 
 
 def _reference_wedge(a, b):
-    """``wedge`` as a ``Form`` sum of monomial products, each sign worked out
-    anew by ``Form.monomial``."""
-    cof, out = a.coframe, Form.zero(a.coframe)
-    for ma, ca in a.coeffs.items():
-        for mb, cb in b.coeffs.items():
-            names = cof.names_of(ma) + cof.names_of(mb)
-            out = _reference_form_add(out, Form.monomial(cof, names, ca * cb))
-    return out
+    """``wedge`` as one sum of monomial products (``_reference_form_sum``),
+    each sign worked out anew by ``Form.monomial``."""
+    cof = a.coframe
+    return _reference_form_sum(cof, [
+        (1, Form.monomial(cof, cof.names_of(ma) + cof.names_of(mb), ca * cb))
+        for ma, ca in a.coeffs.items() for mb, cb in b.coeffs.items()])
 
 
 def _reference_fiber_integrate(rho, coframe_tags=("fiber",)):
@@ -217,27 +216,26 @@ def _reference_d_coefficient(chart, c):
 
 
 def _reference_exterior_derivative(rho, chart):
-    """Structure-equation d built form by form: Leibniz on coefficients, then
-    d(theta_i) = c_i generator by generator."""
+    """Structure-equation d as one sum of forms (``_reference_form_sum``):
+    Leibniz on coefficients, then d(theta_i) = c_i generator by generator."""
     cof = chart.coframe
-    out = Form.zero(cof)
+    terms = []
     for mask, c in rho.coeffs.items():
         mono = Form(cof, {mask: CScalar.one()})
-        out = _reference_form_add(out, wedge(_reference_d_coefficient(chart, c), mono))
+        terms.append((1, wedge(_reference_d_coefficient(chart, c), mono)))
         for i in range(cof.dim):
             if not mask >> i & 1:
                 continue
             dgen = chart.curvature.get(cof.names[i])
             if dgen is not None and not dgen.is_zero():
-                term = wedge(dgen, Form(cof, {mask & ~(1 << i): c}))
-                out = _reference_form_add(
-                    out, term if contract_sign(mask, i) > 0 else -term)
-    return out
+                rest = Form(cof, {mask & ~(1 << i): c})
+                terms.append((contract_sign(mask, i), wedge(dgen, rest)))
+    return _reference_form_sum(cof, terms)
 
 
 def _reference_lie_bracket(x, y, chart):
     """e^b([X, Y]) = X(Y^b) - Y(X^b) - (d e^b)(X, Y) with X(f) read as the
-    contraction of X with the 1-form df."""
+    contraction of X with the 1-form df, the three terms summed at once."""
     cof = chart.coframe
 
     def d(c):
@@ -245,22 +243,16 @@ def _reference_lie_bracket(x, y, chart):
 
     comps = []
     for b, name in enumerate(cof.names):
-        comp = Form.zero(cof)
+        terms = []
         if not y.components[b].is_zero():
-            comp = contract(x, d(y.components[b]))
+            terms.append((1, contract(x, d(y.components[b]))))
         if not x.components[b].is_zero():
-            comp = _reference_form_add(comp, -contract(y, d(x.components[b])))
+            terms.append((-1, contract(y, d(x.components[b]))))
         de_b = chart.curvature.get(name)
         if de_b is not None:
-            comp = _reference_form_add(comp, -contract(y, contract(x, de_b)))
-        comps.append(comp.coeff(0))
+            terms.append((-1, contract(y, contract(x, de_b))))
+        comps.append(_reference_form_sum(cof, terms).coeff(0))
     return FrameVector(cof, dict(enumerate(comps)))
-
-
-def lie_derivative(x, eta, chart):
-    """Cartan formula L_X eta = d(i_X eta) + i_X(d eta)."""
-    return (exterior_derivative(contract(x, eta), chart)
-            + contract(x, exterior_derivative(eta, chart)))
 
 
 def b_transform(b, v):
@@ -276,65 +268,56 @@ def b_transform(b, v):
 
 
 def _reference_courant_bracket(v, w, chart):
-    """[X+xi, Y+eta] with the flux term i_X i_Y H built on every call."""
+    """[X+xi, Y+eta] with the flux term i_X i_Y H built on every call, the
+    terms of the form part, L_X eta by the Cartan formula, summed at once."""
     vec = _reference_lie_bracket(v.x, w.x, chart)
-    form = Form.zero(chart.coframe)
+    terms = []
     if not w.xi.is_zero():
-        form = lie_derivative(v.x, w.xi, chart)
+        terms += [(1, exterior_derivative(contract(v.x, w.xi), chart)),
+                  (1, contract(v.x, exterior_derivative(w.xi, chart)))]
     if not v.xi.is_zero():
-        form = form - contract(w.x, exterior_derivative(v.xi, chart))
-    form = form + contract(v.x, contract(w.x, chart.flux))
-    return Section(vec, form)
-
-
-def _reference_minus(acc, c):
-    """acc - c for optional CScalars (None is zero); None where the
-    difference cancels structurally."""
-    if c is None:
-        return acc
-    if acc is None:
-        return -c
-    total = acc - c
-    return None if total.is_zero() else total
+        terms.append((-1, contract(w.x, exterior_derivative(v.xi, chart))))
+    terms.append((1, contract(v.x, contract(w.x, chart.flux))))
+    return Section(vec, _reference_form_sum(chart.coframe, terms))
 
 
 def _derivative(x, f, bases):
-    """X(f) = sum_a (d_a f) X^a over the base generators a, summed in
-    ascending generator index; None where no term survives or the sum
-    cancels structurally.  ``x`` is X.coeffs, ``bases`` the chart's
-    ``base_bits`` table of (variable, index, bit): the body that
-    ``courant_brackets`` replaced by ``courant._pair`` on
+    """X(f) = sum_a (d_a f) X^a over the base generators a, its terms taken
+    in ascending generator index and summed at once; None where the sum
+    cancels structurally or has no term.  ``x`` is X.coeffs, ``bases`` the
+    chart's ``base_bits`` table of (variable, index, bit): the body that
+    ``courant_brackets`` replaced by ``exterior.clifford`` on
     ``bundle._partials``."""
-    total = None
+    terms = []
     for v, i, _ in bases:
         if (xa := x.get(i)) is None:
             continue
         dre = diff(f.re, v)
         dim = diff(f.im, v)
-        if dre.is_zero() and dim.is_zero():
-            continue
-        term = CScalar(dre, dim) * xa
-        total = term if total is None else total + term
-    return None if total is None or total.is_zero() else total
+        if not (dre.is_zero() and dim.is_zero()):
+            terms.append((1, CScalar(dre, dim) * xa))
+    total = _reference_sum(terms)
+    return None if total.is_zero() else total
 
 
 def _reference_sparse_lie_bracket(x, y, chart):
     """Lie bracket of invariant frame vector fields on the chart:
     e^b([X, Y]) = X(Y^b) - Y(X^b) - (d e^b)(X, Y), with d e^b read off the
     structure equations and (d e^b)(X, Y) = i_Y i_X d e^b made by
-    ``contract``; a term whose factor is structurally zero is skipped."""
+    ``contract``; a term whose factor is structurally zero is skipped, and
+    the terms of a component are summed at once."""
     bases = chart.base_bits
     xs, ys, comps = x.coeffs, y.coeffs, []
     for b in range(chart.coframe.dim):
-        comp = None
-        if b in ys:
-            comp = _derivative(xs, ys[b], bases)
-        if b in xs:
-            comp = _reference_minus(comp, _derivative(ys, xs[b], bases))
+        terms = []
+        if b in ys and (c := _derivative(xs, ys[b], bases)) is not None:
+            terms.append((1, c))
+        if b in xs and (c := _derivative(ys, xs[b], bases)) is not None:
+            terms.append((-1, c))
         de_b = chart.curved.get(b)    # d(dx^a) = 0, d(theta_i) = c_i
-        if de_b is not None:
-            comp = _reference_minus(comp, contract(y, contract(x, de_b)).coeffs.get(0))
-        comps.append(CZERO if comp is None else comp)
+        if de_b is not None and (c := contract(y, contract(x, de_b)).coeffs.get(0)) is not None:
+            terms.append((-1, c))
+        comps.append(_reference_sum(terms))
     return FrameVector(chart.coframe, dict(enumerate(comps)))
 
 
@@ -345,7 +328,8 @@ def _reference_courant_brackets(vs, ws, chart):
     L_X eta, i_Y d xi and i_X i_Y H, and the entries share one zero form and
     one zero frame vector.  In L_X eta = d(i_X eta) + i_X d eta, the d is
     skipped where i_X eta is zero or a rational constant, as it is for frame
-    sections: its derivative is the empty form, which the sum returns past."""
+    sections: its derivative is the empty form.  The terms of the form part
+    are summed at once (``_reference_form_sum``)."""
     cof = chart.coframe
     if any(s.coframe != cof for s in (*vs, *ws)):
         raise ValueError("chart mismatch")
@@ -360,16 +344,18 @@ def _reference_courant_brackets(vs, ws, chart):
         x_live = not v.x.is_zero()
         row = []
         for w, dw, y, iyh in zip(ws, d_eta, y_live, i_h):
-            form = zero_form
+            terms = []
             if dw is not None and x_live:    # L_X eta, by the Cartan formula
-                f, form = contract(v.x, w.xi), contract(v.x, dw)
+                f = contract(v.x, w.xi)
                 c = f.coeffs.get(0)
                 if c is not None and not (c.re.is_rational() and c.im.is_rational()):
-                    form = exterior_derivative(f, chart) + form
+                    terms.append((1, exterior_derivative(f, chart)))
+                terms.append((1, contract(v.x, dw)))
             if dv is not None and y:
-                form = form - contract(w.x, dv)
+                terms.append((-1, contract(w.x, dv)))
             if iyh is not None and x_live:
-                form = form + contract(v.x, iyh)
+                terms.append((1, contract(v.x, iyh)))
+            form = _reference_form_sum(cof, terms) if terms else zero_form
             vec = _reference_sparse_lie_bracket(v.x, w.x, chart) if x_live and y else zero_vec
             row.append(Section(vec, form))
         table.append(row)
@@ -393,6 +379,17 @@ def _reference_sum(terms):
             if part is not ZERO:
                 out.append(part if sign > 0 else sneg(part))
     return CScalar(sadd(*re), sadd(*im))
+
+
+def _reference_form_sum(coframe, terms):
+    """The form sum of sign * form over (sign, form) pairs, each mask's
+    coefficients summed at once by ``_reference_sum``, in the order in which
+    the masks first appear, and a mask left out where its sum cancels."""
+    by_mask = {}
+    for sign, form in terms:
+        for mask, c in form.coeffs.items():
+            by_mask.setdefault(mask, []).append((sign, c))
+    return Form(coframe, {mask: _reference_sum(units) for mask, units in by_mask.items()})
 
 
 def _reference_collect_sum(terms):
@@ -438,13 +435,14 @@ def _reference_collect_sum(terms):
 
 
 def _reference_pairing(v, w):
-    """<X+xi, Y+eta> = (eta(X) + xi(Y)) / 2 with every product and sum made."""
-    total = CScalar()
+    """<X+xi, Y+eta> = (eta(X) + xi(Y)) / 2 with every product made and the
+    products summed at once."""
+    terms = []
     for i in range(v.coframe.dim):
         bit = 1 << i
-        total = total + v.x.components[i] * w.xi.coeff(bit)
-        total = total + w.x.components[i] * v.xi.coeff(bit)
-    return total * CScalar.of(rat(1, 2))
+        terms += [(1, v.x.components[i] * w.xi.coeff(bit)),
+                  (1, w.x.components[i] * v.xi.coeff(bit))]
+    return _reference_sum(terms) * CScalar.of(rat(1, 2))
 
 
 def pairing(v, w):

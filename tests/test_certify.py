@@ -451,9 +451,10 @@ def _sides(u):
 
 def test_equal_sides_of_opposite_sign_are_zero_unsummed(monkeypatch):
     """Two sides equal key by key with opposite signs leave no residual and
-    are not summed, in either order and for an empty pair.  It is a fast
-    path, not a rule of its own: summed key by key, c - c cancels at every
-    key too, the negated sum -(1 + u^2) included."""
+    are not summed, in either order and for an empty pair; no unit of empty
+    sides reaches the keyed sum.  It is a fast path, not a rule of its own:
+    summed key by key, c - c cancels at every key too, the negated sum
+    -(1 + u^2) included."""
     a, b = _sides(var("u"))
     assert a == b and all(a[k] is not b[k] for k in a)
     for k in a:
@@ -461,9 +462,11 @@ def test_equal_sides_of_opposite_sign_are_zero_unsummed(monkeypatch):
         assert certify._form_residual([(-1, {k: a[k]}), (1, {k: b[k]}), (1, {})]) == []
     assert _form_arithmetic([(1, a), (-1, b)]) == _form_arithmetic([(-1, a), (1, b)]) == []
 
-    def no_sum(*args):
-        raise AssertionError("summed")
-    monkeypatch.setattr(certify, "_accumulate", no_sum)
+    def no_sum(units):
+        if units:
+            raise AssertionError("summed")
+        return {}
+    monkeypatch.setattr(certify, "_keyed_sum", no_sum)
     for terms in ([(1, a), (-1, b)], [(-1, a), (1, b)],
                   [(1, {}), (-1, {})], [(1, {}), (-1, {}), (1, {})]):
         assert certify._form_residual(terms) == []
@@ -654,9 +657,9 @@ def value_zero(s):
 @pytest.mark.parametrize("name", sorted(PAIRS))
 def test_every_zero_of_a_certificate_is_the_shared_zero(name, monkeypatch):
     """Every structural zero a certificate meets, in a zero test, a missed
-    ``Form.coeff`` or a sum or difference of CScalars that cancels (the sums
-    ``_accumulate`` forms), has both parts ``ZERO`` itself, so testing zeros
-    by identity decides what testing them by value does.  Each of the five
+    ``Form.coeff`` or a part of a keyed sum that cancels (the ``signed_sum``
+    calls of ``exterior._keyed_sum``), is ``ZERO`` itself, so testing zeros
+    by identity decides what testing them by value does.  Each of the four
     routes meets at least one zero, so none is vacuous."""
     seen = {}
 
@@ -668,7 +671,7 @@ def test_every_zero_of_a_certificate_is_the_shared_zero(name, monkeypatch):
             route.append(args[0] if attr == "is_zero" else out)
             return out
         monkeypatch.setattr(owner, attr, recorded)
-    for owner, method in ((CScalar, "__add__"), (CScalar, "__sub__"), (Form, "coeff"),
+    for owner, method in ((exterior, "signed_sum"), (Form, "coeff"),
                           (CScalar, "is_zero"), (Scalar, "is_zero")):
         record(owner, method)
     pair = PAIRS[name]()

@@ -57,9 +57,9 @@ def test_frame_vector_constructor_sorts_and_prunes(cof4):
         v + vec(other, "dx")
 
 
-def test_wedge_moves_a_key_that_cancels_and_returns_to_the_end():
-    """A key whose sum cancels structurally is deleted, so its next term puts
-    it at the end of the dict, as the ``Form`` sum of the reference body
+def test_wedge_keeps_a_key_that_cancels_and_returns_in_its_first_place():
+    """A key's terms are summed at once, so a key whose partial sum cancels
+    keeps the place of its first term, as the one sum of the reference body
     does: (1 + p dx + dy) ^ (-p dx^dy + dy + dx) cancels dx^dy at its second
     term and hits it again at its fourth."""
     cof = Coframe(("dx", "dy"), ("base", "base"))
@@ -67,7 +67,7 @@ def test_wedge_moves_a_key_that_cancels_and_returns_to_the_end():
     a = Form(cof, {0: one, 1: p, 2: one})
     b = Form(cof, {3: -p, 2: one, 1: one})
     got, ref = wedge(a, b), _reference_wedge(a, b)
-    assert got == ref and list(got.coeffs) == list(ref.coeffs) == [2, 1, 3]
+    assert got == ref and list(got.coeffs) == list(ref.coeffs) == [3, 2, 1]
     assert [repr(c) for c in got.coeffs.values()] == [repr(c) for c in ref.coeffs.values()]
     assert form_to_text(got) == form_to_text(ref)
 

@@ -236,15 +236,16 @@ def curved_r3():
         flux=lambda c: Form.monomial(c, ("dx", "dy", "dz"), -1))
 
 
-def test_cancelled_mask_reappears_at_the_end(curved_r3):
+def test_cancelled_mask_keeps_its_first_place(curved_r3):
     """d(x dy) = dx^dy, d(y dz) = dy^dz, d(y dx) = -dx^dy cancels the first,
-    and d(th) = dx^dy brings the mask back: after dy^dz, not before it."""
+    and d(th) = dx^dy brings the mask back: the mask's three terms are one
+    sum, so it stays before dy^dz, where it first appeared."""
     cof = curved_r3.coframe
     x, y = var("x"), var("y")
     rho = Form(cof, {cof.mask_of(["dy"]): CScalar(x), cof.mask_of(["dz"]): CScalar(y),
                      cof.mask_of(["dx"]): CScalar(y), cof.mask_of(["th"]): CScalar.one()})
     d = exterior_derivative(rho, curved_r3)
-    assert list(d.coeffs) == [cof.mask_of(["dy", "dz"]), cof.mask_of(["dx", "dy"])]
+    assert list(d.coeffs) == [cof.mask_of(["dx", "dy"]), cof.mask_of(["dy", "dz"])]
     assert d.coeff_of("dx", "dy") == CScalar.one()
     assert_same_form(d, _reference_exterior_derivative(rho, curved_r3))
 

@@ -17,7 +17,7 @@ from tduality.scalar import (CScalar, Domain, EvaluationError, MINUS_ONE, ONE, P
                              ssqrt, ssub, solve_linear_symbolic, sym_matrix_inverse, var)
 import tduality
 from tduality import randomgen
-from tduality.exterior import Coframe, Form, _accumulate
+from tduality.exterior import Coframe, Form, _keyed_sum
 from tduality.scenarios import load_chart, run_scenario
 
 T = var("t")
@@ -136,24 +136,22 @@ def _is_flat(x):
                    for node in _nodes(x) if node.kind == "add" for a in node.args)
 
 
-def _fold(units):
-    """The units summed one at a time by ``_accumulate``, as a residual is."""
-    out = {}
-    for sign, x in units:
-        _accumulate(out, 0, x, sign)
-    return out.get(0, ZERO)
+def _at_one_key(units, part=lambda x: x):
+    """The units summed by ``_keyed_sum`` at one key, as a residual is, each
+    term x taken as ``part(x)``."""
+    return _keyed_sum([(0, sign, part(x)) for sign, x in units]).get(0, ZERO)
 
 
 def test_a_sum_cancels_in_any_order_of_its_units():
     """Like terms 3B - 2B of a sum B merge to B, which is spread: with
     B = 1 + u^2, the sums that left B nested cancel to t.  Over seeded
     pools of such merged multiples, each sum's negation (whole or term by
-    term) and pairs y - y, ``signed_sum`` and a fold by ``_accumulate`` are
-    ``ZERO`` in every order, and are not with one unit dropped; no add node
-    of either result holds a sum or -1 times a sum.  Where one pooled sum
-    holds a multiple of the other, ``signed_sum`` still is, as it spreads
-    the larger sum first; a fold, which spreads whatever merges first, is
-    not asked to be."""
+    term) and pairs y - y, ``signed_sum`` is ``ZERO`` in every order, and is
+    not with one unit dropped, also where one pooled sum holds a multiple of
+    the other (it spreads the larger sum first); no add node of the result
+    holds a sum or -1 times a sum.  The keyed sum at one key builds the
+    same tree in every order, so it cancels exactly where ``signed_sum``
+    does, and so does each part of the keyed sum of CScalars x + ix."""
     b = sadd(ONE, spow(U, 2))
     three, two = smul(rat(3), b), smul(rat(2), b)
     assert signed_sum([(1, three), (-1, two), (-1, b)]) is ZERO
@@ -178,8 +176,11 @@ def test_a_sum_cancels_in_any_order_of_its_units():
             units.pop(int(rng.integers(len(units))))
         for _ in range(6):
             order = [units[i] for i in rng.permutation(len(units))]
-            for got in (signed_sum(order),) if nested else (signed_sum(order), _fold(order)):
-                assert (got is ZERO) != drop and _is_flat(got)
+            got = signed_sum(order)
+            assert (got is ZERO) != drop and _is_flat(got)
+            assert _at_one_key(order) == got
+            assert _at_one_key(order, lambda x: CScalar(x, x)) == (
+                ZERO if got is ZERO else CScalar(got, got))
 
 
 SAMPLED_DOMAINS = {

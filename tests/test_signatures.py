@@ -29,10 +29,12 @@ transform all call it, and no second contraction kernel (``courant._pair``
 is gone: a vector on a 1-form is the kernel's scalar entry) or per-coframe
 copy of the table exists.  ``Section.act`` is that kernel on the action
 table: it builds no contraction or wedge of its own.
-A CScalar or a Scalar is added at a dict key by one function,
-``exterior._accumulate``, the certificate's residuals too: ``certify``
-defines no keyed sum of its own.  How a sum or a negated sum cancels is decided in
-``scalar.py`` alone: no other module reads whether a Scalar is a sum.  No
+Every sum at a dict key, of CScalars or of Scalars, is one call of one
+function, ``exterior._keyed_sum``, which sums each key's signed units at
+once with ``signed_sum``, the certificate's residuals too: no fold adds
+terms one at a time, and ``certify`` defines no keyed sum of its own.  How
+a sum or a negated sum cancels is decided in ``scalar.py`` alone: no other
+module reads whether a Scalar is a sum.  No
 loop builds a form or tensor by adding one-term forms or tensors to it,
 which copies its dict once per term.  The Buscher rules map
 a generalized metric to its dual: they read its blocks through one call of
@@ -241,7 +243,7 @@ def test_sparse_readers_do_not_scan_components():
 
 def _is_inline_keyed_sum(node):
     """``d[k] + c if k in d else c`` (or ``-``): a sum at a dict key written
-    out instead of calling ``_accumulate``."""
+    out instead of collected by ``_keyed_sum``."""
     if not (isinstance(node, ast.IfExp) and isinstance(node.test, ast.Compare)
             and [type(op) for op in node.test.ops] == [ast.In]
             and isinstance(node.body, ast.BinOp) and isinstance(node.body.op, (ast.Add, ast.Sub))):
@@ -254,8 +256,8 @@ def _is_inline_keyed_sum(node):
 
 def _is_get_keyed_sum(node):
     """``d[k] = d.get(k, ZERO) + c`` (or ``-``, or ``sadd(d.get(k, ZERO), c)``):
-    a sum stored back at the key it read, written out instead of calling
-    ``_accumulate``.  A read that is not stored back at its key is not one."""
+    a sum stored back at the key it read, written out instead of collected
+    by ``_keyed_sum``.  A read that is not stored back at its key is not one."""
     if not (isinstance(node, ast.Assign) and len(node.targets) == 1
             and isinstance(node.targets[0], ast.Subscript)):
         return False
@@ -275,21 +277,30 @@ def _is_get_keyed_sum(node):
 def test_one_keyed_accumulator():
     """No function in the package writes out a sum at a dict key
     (``d[k] + c if k in d else c``, ``d[k] = d.get(k, ZERO) + c`` or
-    ``d[k] = sadd(d.get(k, ZERO), c)``), no ``_deduct`` or ``_minus`` is
-    defined or named, and ``certify`` defines no ``_sum``: every keyed sum,
-    of CScalars or of Scalars, the certificate's residuals included, goes
-    through ``exterior._accumulate``."""
-    inline, named = [], []
+    ``d[k] = sadd(d.get(k, ZERO), c)``), no module defines or names a
+    one-term-at-a-time fold (``_accumulate``, ``_deduct`` or ``_minus``),
+    and ``certify`` defines no ``_sum``: every keyed sum, of CScalars or of
+    Scalars, the certificate's residuals included, is one call of
+    ``exterior._keyed_sum``, which every module that sums at a key calls."""
+    folds = ("_accumulate", "_deduct", "_minus")
+    inline, named, callers = [], [], set()
     for module, fn in _functions():
-        if fn.name in ("_deduct", "_minus"):
+        if fn.name in folds:
             named.append((module, fn.name))
         for node in ast.walk(fn):
             if _is_inline_keyed_sum(node) or _is_get_keyed_sum(node):
                 inline.append((module, fn.name, node.lineno))
             name = getattr(node, "id", None) or getattr(node, "attr", None)
-            if name in ("_deduct", "_minus"):
+            if name in folds:
                 named.append((module, fn.name, node.lineno))
+            if name == "_keyed_sum":
+                callers.add(module)
     assert inline == [] and named == []
+    modules = [importlib.import_module(f"tduality.{path.stem}")
+               for path in Path(tduality.__file__).parent.glob("*.py")]
+    assert not any(hasattr(module, fold) for module in modules for fold in folds)
+    assert {"exterior", "bundle", "courant", "duality", "structures", "certify",
+            "scenarios"} <= callers
     assert not hasattr(tduality.certify, "_sum")
 
 
@@ -347,7 +358,7 @@ def test_forms_are_built_in_one_pass():
     """No loop in the package rebinds a form or tensor to itself plus or
     minus a ``Form(...)``, ``Form.monomial(...)`` or ``SymTensor(...)``: a
     form or tensor built term by term is collected in one dict (with
-    ``exterior._accumulate`` where keys can meet) and built once."""
+    ``exterior._keyed_sum`` where keys can meet) and built once."""
     found = {(module, fn.name, node.lineno) for module, fn in _functions()
              for loop in ast.walk(fn) if isinstance(loop, (ast.For, ast.While))
              for node in ast.walk(loop) if _rebinds_plus_one_term(node)}
